@@ -3,20 +3,22 @@
 Kernels come in three flavours: group-invariant step laws (random walks),
 push-forwards of a kernel through a bijective quasi-isometry, and local rules
 (a bounded-radius state classifier choosing among finitely many step laws).
-Transition probabilities are exact fractions; sampling converts the ordered
-cumulative law to floats once, and every trajectory draws from its own
-counter-based stream, so runs are reproducible independently of scheduling.
+Transition probabilities are exact fractions.  One engine, `Walk`, samples
+every kernel from each trajectory's own counter-based stream, so runs are
+reproducible independently of scheduling; exact distributions advance through
+one step function, `_advance`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from functools import cached_property
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .groups import FreeGroup, GroupError, GroupModel, Word, ball, word_distance
+from .groups import FreeGroup, GroupModel, Word, ball, word_distance
 
 
 class ChainError(ValueError):
@@ -242,18 +244,6 @@ class MarkovKernel:
             out[tgt] = out.get(tgt, Fraction(0)) + pr
         return out
 
-    def _cumulative(self, state: Word):
-        pairs = self.law(state)
-        cum = np.cumsum([float(p) for _, p in pairs])
-        cum[-1] = 1.0
-        return pairs, cum
-
-    def step(self, state: Word, u: float) -> Word:
-        pairs, cum = self._cumulative(state)
-        idx = int(np.searchsorted(cum, u, side="right"))
-        idx = min(idx, len(pairs) - 1)
-        return pairs[idx][0]
-
 
 @dataclass(frozen=True)
 class InvariantKernel(MarkovKernel):
@@ -268,28 +258,17 @@ class InvariantKernel(MarkovKernel):
             raise ChainError(f"step measure sums to {total}, not 1")
         if any(p < 0 for _, p in self.measure):
             raise ChainError("negative probability")
+        # a repeated jump would merge in a push-forward's law and change its
+        # order, which walking by conjugation relies on
+        if len({s for s, _ in self.measure}) != len(self.measure):
+            raise ChainError("jump words must be distinct")
 
-    @property
-    def jump_set(self) -> tuple[Word, ...]:
-        return tuple(s for s, _ in self.measure)
+    @cached_property
+    def cdf(self) -> np.ndarray:
+        return _cdf(p for _, p in self.measure)
 
     def law(self, state: Word) -> list[tuple[Word, Fraction]]:
         return [(state * s, p) for s, p in self.measure]
-
-    def step(self, state: Word, u: float) -> Word:
-        # inverse-CDF over the ordered jump set: the chosen increment does not
-        # depend on the state, which makes invariance exact pathwise
-        cum = self._measure_cum()
-        idx = min(int(np.searchsorted(cum, u, side="right")), len(self.measure) - 1)
-        return state * self.measure[idx][0]
-
-    def _measure_cum(self):
-        cum = getattr(self, "_cum_cache", None)
-        if cum is None:
-            cum = np.cumsum([float(p) for _, p in self.measure])
-            cum[-1] = 1.0
-            object.__setattr__(self, "_cum_cache", cum)
-        return cum
 
 
 def make_invariant(model: GroupModel, weights: dict[Word, Fraction]) -> InvariantKernel:
@@ -396,22 +375,132 @@ class Trajectory:
 
 def trajectory_rng(seed: int, index: int = 0) -> np.random.Generator:
     """Counter-based per-trajectory stream: independent of scheduling order."""
+    if not (0 <= seed < 2**64 and 0 <= index < 2**64):
+        raise ChainError(f"seed and index must lie in [0, 2^64), got {seed} and {index}")
     return np.random.Generator(np.random.Philox(key=np.array([seed, index], dtype=np.uint64)))
 
 
+def _cdf(probs: Iterable[Fraction]) -> np.ndarray:
+    """Float CDF of an ordered law; the last entry is exactly 1."""
+    cum = np.cumsum([float(p) for p in probs])
+    cum[-1] = 1.0
+    return cum
+
+
+def _pick(cdf: np.ndarray, us):
+    """Inverse-CDF lookup of uniforms in an ordered law (indices into it)."""
+    return np.minimum(np.searchsorted(cdf, us, side="right"), len(cdf) - 1)
+
+
+class Walk:
+    """One seeded trajectory of a kernel: the only stepping engine.
+
+    Step i maps uniform i of the (seed, index) Philox stream through the
+    inverse CDF of the ordered law at the current state.  An invariant
+    kernel has one law, so a block of steps is one lookup; the increments go
+    onto a letter stack on free groups (attached trackers see every letter)
+    and into word products elsewhere.  A push-forward of an invariant kernel
+    walks by conjugation: the base walk runs from f^-1(start) and only the
+    states read are mapped by f, which gives the pushed law's own path since
+    that law keeps the base law's order and probabilities and f is
+    injective.  Other kernels rebuild their law at every state.
+    """
+
+    def __init__(self, kernel: MarkovKernel, start: Word, seed: int, index: int = 0):
+        self.qi: BijectiveQI | None = None
+        if isinstance(kernel, PushForwardKernel) and isinstance(kernel.base, InvariantKernel):
+            self.qi = kernel.qi
+            kernel = kernel.base
+            start = self.qi.inverse().apply(start)
+        self.kernel = kernel
+        self.rng = trajectory_rng(seed, index)
+        self.cur = start
+        self.stack: list[int] | None = None
+        if isinstance(kernel, InvariantKernel) and isinstance(kernel.model, FreeGroup):
+            self.stack = list(start.letters)
+        self.trackers: list = []
+
+    def attach(self, tracker) -> None:
+        """Call tracker.push(letter) for every letter the stack walk applies."""
+        if self.stack is None or self.qi is not None:
+            raise ChainError("trackers follow invariant walks on free groups")
+        self.trackers.append(tracker)
+
+    def run(self, count: int) -> Iterator[None]:
+        """Advance `count` steps, yielding after each one."""
+        if count < 0:
+            raise ChainError(f"step count must be >= 0, got {count}")
+        us = self.rng.random(count)
+        kernel = self.kernel
+        if not isinstance(kernel, InvariantKernel):
+            for u in us:
+                pairs = kernel.law(self.cur)
+                self.cur = pairs[_pick(_cdf(p for _, p in pairs), u)][0]
+                yield
+            return
+        picks = _pick(kernel.cdf, us).tolist()
+        if self.stack is None:
+            for i in picks:
+                self.cur = self.cur * kernel.measure[i][0]
+                yield
+            return
+        stack, trackers = self.stack, self.trackers
+        increments = [s.letters for s, _ in kernel.measure]
+        for i in picks:
+            for letter in increments[i]:
+                if stack and stack[-1] == -letter:
+                    stack.pop()
+                else:
+                    stack.append(letter)
+                for tr in trackers:
+                    tr.push(letter)
+            yield
+
+    def steps(self, count: int) -> None:
+        for _ in self.run(count):
+            pass
+
+    def state(self) -> Word:
+        cur = self.cur if self.stack is None else Word(self.kernel.model, tuple(self.stack))
+        return cur if self.qi is None else self.qi.apply(cur)
+
+
 def simulate(kernel: MarkovKernel, start: Word, n: int, seed: int, index: int = 0) -> Trajectory:
-    rng = trajectory_rng(seed, index)
-    us = rng.random(n)
+    walk = Walk(kernel, start, seed, index)
     states = [start]
-    cur = start
-    for i in range(n):
-        cur = kernel.step(cur, us[i])
-        states.append(cur)
+    for _ in walk.run(n):
+        states.append(walk.state())
     return Trajectory(seed, index, start, tuple(states))
 
 
 # ---------------------------------------------------------------------------
 # tameness diagnostics
+
+
+def _advance(
+    kernel: MarkovKernel, dist: dict[Word, Fraction], keep: Callable[[Word], bool] | None = None
+) -> dict[Word, Fraction]:
+    """Exact law after one more step; targets failing `keep` are dropped."""
+    nxt: dict[Word, Fraction] = {}
+    for st, pr in dist.items():
+        for tgt, p in kernel.law(st):
+            if p and (keep is None or keep(tgt)):
+                nxt[tgt] = nxt.get(tgt, Fraction(0)) + pr * p
+    return nxt
+
+
+def fit_log_linear(points: Sequence[tuple[int, float]]) -> tuple[float, float] | None:
+    """Least-squares line through (n, log v): (slope, R^2); None below two points."""
+    if len(points) < 2:
+        return None
+    xs = np.array([n for n, _ in points], dtype=float)
+    ys = np.log([v for _, v in points])
+    slope, intercept = np.polyfit(xs, ys, 1)
+    pred = slope * xs + intercept
+    ss_res = float(np.sum((ys - pred) ** 2))
+    ss_tot = float(np.sum((ys - ys.mean()) ** 2))
+    r2 = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
+    return float(slope), r2
 
 
 @dataclass(frozen=True)
@@ -436,12 +525,7 @@ def check_irreducibility(
             target = g * s
             dist: dict[Word, Fraction] = {g: Fraction(1)}
             for _ in range(k):
-                nxt: dict[Word, Fraction] = {}
-                for st, pr in dist.items():
-                    for tgt, p in kernel.law(st):
-                        if p:
-                            nxt[tgt] = nxt.get(tgt, Fraction(0)) + pr * p
-                dist = nxt
+                dist = _advance(kernel, dist)
             pr = dist.get(target, Fraction(0))
             worst = pr if worst is None else min(worst, pr)
         if worst and (best is None or worst > best[0]):
@@ -546,12 +630,7 @@ def estimate_nonamenability(
             if dist is None:
                 break
             while step < n:
-                nxt: dict[Word, Fraction] = {}
-                for st, pr in dist.items():
-                    for tgt, p in kernel.law(st):
-                        if p:
-                            nxt[tgt] = nxt.get(tgt, Fraction(0)) + pr * p
-                dist = nxt
+                dist = _advance(kernel, dist)
                 step += 1
                 if len(dist) > support_cap:
                     dist = None
@@ -565,27 +644,23 @@ def estimate_nonamenability(
                 hits = 0
                 start = model.identity()
                 for i in range(samples):
-                    traj = simulate(kernel, start, n, seed, index=i)
-                    if traj.states[-1] == start:
+                    walk = Walk(kernel, start, seed, i)
+                    walk.steps(n)
+                    if walk.state() == start:
                         hits += 1
                 entries.append((n, hits / samples, "mc-return"))
             else:
                 entries.append((n, float("nan"), "skipped"))
 
-    def fit(pairs: list[tuple[int, float]]) -> float | None:
-        pairs = [(n, v) for n, v in pairs if v and v == v]
-        if len(pairs) < 2:
-            return None
-        xs = np.array([n for n, _ in pairs], dtype=float)
-        ys = np.log([v for _, v in pairs])
-        slope = np.polyfit(xs, ys, 1)[0]
-        return float(np.exp(slope))
+    def rate(pairs: list[tuple[int, float]]) -> float | None:
+        fitted = fit_log_linear([(n, v) for n, v in pairs if v and v == v])
+        return float(np.exp(fitted[0])) if fitted else None
 
     usable = [(n, v) for n, v, m in entries if m != "skipped"]
     half = len(usable) // 2
-    rho_head = fit(usable[: half + 1])
-    rho_tail = fit(usable[half:])
-    rho_hat = fit(usable)
+    rho_head = rate(usable[: half + 1])
+    rho_tail = rate(usable[half:])
+    rho_hat = rate(usable)
     monotone = all(a[1] >= b[1] for a, b in zip(usable, usable[1:]))
     if rho_tail is None:
         verdict = "inconclusive"
@@ -716,13 +791,8 @@ def reach_probability(
     dist: dict[Word, Fraction] = {q: Fraction(1)}
     table: list[tuple[int, Fraction]] = [(0, Fraction(1) if d == 0 else Fraction(0))]
     for t in range(1, horizon + 1):
-        nxt: dict[Word, Fraction] = {}
         remaining = horizon - t
-        for st, pr in dist.items():
-            for tgt, pp in kernel.law(st):
-                if pp and word_distance(model, tgt, p) <= remaining:
-                    nxt[tgt] = nxt.get(tgt, Fraction(0)) + pr * pp
-        dist = nxt
+        dist = _advance(kernel, dist, lambda tgt: word_distance(model, tgt, p) <= remaining)
         if len(dist) > support_cap:
             raise ChainError("reachability DP budget exceeded")
         table.append((t, dist.get(p, Fraction(0))))

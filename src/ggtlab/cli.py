@@ -199,6 +199,8 @@ def cmd_pivot(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    if args.steps < 0 or args.count < 1:
+        raise ExperimentError(f"need --steps >= 0 and --count >= 1, got {args.steps} and {args.count}")
     cfg = _load_config(args)
     seed = cfg.require_seed()
     model = model_from_descriptor(cfg.model)
@@ -238,8 +240,10 @@ def cmd_tail(args) -> int:
     o = parse_word(model, args.o) if args.o else None
     p = parse_word(model, args.p) if args.p else None
     curve = tail_experiment(cfg, o=o, p=p, n=args.steps)
-    _emit(args, "tail.csv", curve.csv())
     rep = recursion_check(curve, gap=args.gap, eps=args.eps)
+    if curve.c_prime is None:
+        raise CertificationError("no tail cell has the 10 successes a C' fit needs")
+    _emit(args, "tail.csv", curve.csv())
     print(
         f"C' = {curve.c_prime:.3f}; envelope {'holds' if curve.envelope_ok() else 'FAILS'}; "
         f"recursion pass fraction {rep.pass_fraction:.2f}"
@@ -352,8 +356,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, stochastic=False):
         p.add_argument("--config", help="plain-text key=value config file")
         p.add_argument("--out", help="output directory")
-        p.add_argument("--format", choices=["csv", "jsonl"], default=None, help="output format")
-        p.add_argument("--workers", type=int, default=1, help="worker pool size (deterministic)")
         if stochastic:
             p.add_argument("--seed", type=int, default=None, help="mandatory for stochastic runs")
 
@@ -511,9 +513,6 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on usage errors; unknown flags are validation errors
         return EXIT_OK if exc.code == 0 else EXIT_VALIDATION
-    if args.workers < 1:
-        print("error: validation: --workers must be >= 1", file=sys.stderr)
-        return EXIT_VALIDATION
     try:
         return args.fn(args)
     except CertificationError as exc:

@@ -1,26 +1,27 @@
 """Seeded statistical experiments tying chains to projections.
 
-Everything is driven by a plain-text config with a mandatory seed; each
-trajectory draws from its own counter-based stream, so outputs are
-byte-identical across runs.  Walk/projection coupling is done incrementally:
-an AxisTracker maintains the reduced word and its overlap with an axis line,
-making the per-step projection distance O(1) amortized instead of a fresh
-projection per step.
+Everything is driven by a plain-text config with a mandatory seed, checked
+when the config is built; every walk is a `chains.Walk`, whose trajectories
+draw from their own counter-based streams, so outputs are byte-identical
+across runs.  Walk/projection coupling is done incrementally: an AxisTracker
+attached to the walk sees every letter, maintains the reduced word and its
+overlap with an axis line, and makes the per-step projection distance O(1)
+amortized instead of a fresh projection per step.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
-from .chains import InvariantKernel, MarkovKernel, branch_swap, push_forward, srw, trajectory_rng
-from .groups import FreeGroup, GroupError, GroupModel, Word, ball, model_from_descriptor, parse_word
-from .projections import Axis, _line_data, axis_of, coset_distance, enumerate_cosets
+from .chains import InvariantKernel, MarkovKernel, Walk, branch_swap, fit_log_linear, push_forward, srw
+from .groups import FreeGroup, GroupModel, Word, ball, model_from_descriptor, parse_word
+from .projections import Axis, _line_data, axis_of, enumerate_cosets
 from .spaces import CayleyTree, OrbitMap, identity_orbit
 
 
@@ -42,7 +43,17 @@ class ExperimentConfig:
     n_grid: tuple[int, ...] = (50, 100, 200, 400)
     samples: int = 1000
     seed: int | None = None
-    window_cap: int = 10
+
+    def __post_init__(self):
+        # below 2^63, so the per-cell seed offsets stay inside Philox's 64-bit key
+        if self.seed is not None and not 0 <= self.seed < 2**63:
+            raise ExperimentError(f"seed must lie in [0, 2^63), got {self.seed}")
+        if self.samples < 1:
+            raise ExperimentError(f"samples must be >= 1, got {self.samples}")
+        if not self.n_grid or min(self.n_grid) < 1:
+            raise ExperimentError(f"n grid must be positive integers, got {self.n_grid}")
+        if not self.c_grid or not all(0 < c < math.inf for c in self.c_grid):
+            raise ExperimentError(f"C grid must be positive finite numbers, got {self.c_grid}")
 
     def require_seed(self) -> int:
         if self.seed is None:
@@ -59,7 +70,6 @@ class ExperimentConfig:
             f"n = {','.join(str(n) for n in self.n_grid)}\n"
             f"samples = {self.samples}\n"
             f"seed = {self.seed}\n"
-            f"window_cap = {self.window_cap}\n"
         )
 
     def digest(self) -> str:
@@ -87,7 +97,6 @@ def parse_config(text: str, **overrides) -> ExperimentConfig:
         "n": ("n_grid", lambda s: tuple(int(x) for x in s.split(","))),
         "samples": ("samples", int),
         "seed": ("seed", lambda s: None if s == "None" else int(s)),
-        "window_cap": ("window_cap", int),
     }
     for key, val in values.items():
         if key not in mapping:
@@ -182,42 +191,6 @@ class AxisTracker:
         return self.positions() != base
 
 
-class FreeWalk:
-    """Letter-stack walk matching InvariantKernel.step increments exactly."""
-
-    def __init__(self, kernel: InvariantKernel, start: Word, seed: int, index: int):
-        if not isinstance(kernel.model, FreeGroup):
-            raise ExperimentError("fast walks require a free group")
-        self.kernel = kernel
-        self.increments = [s.letters for s, _ in kernel.measure]
-        self.cum = kernel._measure_cum()
-        self.stack = list(start.letters)
-        self.rng = trajectory_rng(seed, index)
-        self.trackers: list[AxisTracker] = []
-
-    def attach(self, tracker: AxisTracker) -> None:
-        self.trackers.append(tracker)
-
-    def steps(self, count: int) -> None:
-        us = self.rng.random(count)
-        for u in us:
-            idx = min(int(np.searchsorted(self.cum, u, side="right")), len(self.increments) - 1)
-            for letter in self.increments[idx]:
-                if self.stack and self.stack[-1] == -letter:
-                    self.stack.pop()
-                else:
-                    self.stack.append(letter)
-                for tr in self.trackers:
-                    tr.push(letter)
-
-    @property
-    def radius(self) -> int:
-        return len(self.stack)
-
-    def word(self) -> Word:
-        return Word(self.kernel.model, tuple(self.stack))
-
-
 def _base_positions(model: GroupModel, axis: Axis, p: Word) -> tuple[int, ...]:
     return tuple(AxisTracker(model, axis, p).positions())
 
@@ -286,42 +259,20 @@ class ProgressResult:
         return "\n".join(lines) + "\n"
 
 
-def _fit_log_linear(points: list[tuple[int, float]]) -> tuple[float, float] | None:
-    if len(points) < 2:
-        return None
-    xs = np.array([n for n, _ in points], dtype=float)
-    ys = np.log([v for _, v in points])
-    slope, intercept = np.polyfit(xs, ys, 1)
-    pred = slope * xs + intercept
-    ss_res = float(np.sum((ys - pred) ** 2))
-    ss_tot = float(np.sum((ys - ys.mean()) ** 2))
-    r2 = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
-    return float(slope), r2
-
-
 def linear_progress_experiment(config: ExperimentConfig) -> ProgressResult:
     """Monte Carlo estimates of P[d_X(o, w_n) >= n/C] with one shared
     trajectory ensemble recorded at the n-grid checkpoints."""
     seed = config.require_seed()
     model, orbit, kernel, _ = resolve_setup(config)
     grid = sorted(config.n_grid)
-    n_max = grid[-1]
     dists = np.zeros((config.samples, len(grid)), dtype=np.int64)
-    if isinstance(kernel, InvariantKernel):
-        for i in range(config.samples):
-            walk = FreeWalk(kernel, model.identity(), seed, i)
-            prev = 0
-            for j, n in enumerate(grid):
-                walk.steps(n - prev)
-                prev = n
-                dists[i, j] = walk.radius
-    else:
-        from .chains import simulate
-
-        for i in range(config.samples):
-            traj = simulate(kernel, model.identity(), n_max, seed, index=i)
-            for j, n in enumerate(grid):
-                dists[i, j] = len(traj.states[n])
+    for i in range(config.samples):
+        walk = Walk(kernel, model.identity(), seed, i)
+        prev = 0
+        for j, n in enumerate(grid):
+            walk.steps(n - prev)
+            prev = n
+            dists[i, j] = len(walk.state())
     rows = []
     for j, n in enumerate(grid):
         col = dists[:, j]
@@ -340,7 +291,7 @@ def linear_progress_experiment(config: ExperimentConfig) -> ProgressResult:
             fit_cells.append((r.n, failures / config.samples))
         else:
             excluded.append((r.n, r.c))
-    fitted = _fit_log_linear(fit_cells)
+    fitted = fit_log_linear(fit_cells)
     fit = FailureFit(
         fitted[0] if fitted else None,
         fitted[1] if fitted else None,
@@ -417,7 +368,7 @@ def bounded_projection_experiment(
         base = _base_positions(model, cell_axis, p)
         hits = np.zeros(len(ns), dtype=np.int64)
         for i in range(config.samples):
-            walk = FreeWalk(kernel, p, seed + 1000 * ci, i)
+            walk = Walk(kernel, p, seed + 1000 * ci, i)
             tracker = AxisTracker(model, cell_axis, p)
             walk.attach(tracker)
             prev = 0
@@ -495,6 +446,8 @@ def tail_experiment(
     successes.
     """
     seed = config.require_seed()
+    if n < 1:
+        raise ExperimentError(f"tail walks need at least one step, got {n}")
     model, orbit, kernel, axis = resolve_setup(config)
     if not isinstance(kernel, InvariantKernel):
         raise ExperimentError("tail experiment needs an invariant kernel")
@@ -512,14 +465,13 @@ def tail_experiment(
     g_counts = np.zeros(t_max + 1, dtype=np.int64)
     f_counts = np.zeros(t_max + 1, dtype=np.int64)
     for i in range(config.samples):
-        walk = FreeWalk(kernel, p, seed, i)
+        walk = Walk(kernel, p, seed, i)
         trackers = [AxisTracker(model, ax, p) for ax in axes]
         for tr in trackers:
             walk.attach(tr)
         running_max = 0
         final = 0
-        for _ in range(n):
-            walk.steps(1)
+        for _ in walk.run(n):
             total = 0
             for tr, base in zip(trackers, bases):
                 if tr.differs_from(base):
@@ -530,7 +482,7 @@ def tail_experiment(
         f_counts[: min(final, t_max) + 1] += 1
     g_hat = g_counts / config.samples
     fit_pts = [(t, g_hat[t]) for t in range(1, t_max + 1) if g_counts[t] >= 10]
-    fitted = _fit_log_linear(fit_pts)
+    fitted = fit_log_linear(fit_pts)
     c_fit = -1.0 / fitted[0] if fitted and fitted[0] < 0 else None
     c_env = None
     env_candidates = [

@@ -140,6 +140,8 @@ def coset_rep_key(model: GroupModel, root: Word, h: Word) -> tuple[int, ...]:
 
 
 def make_axis(model: GroupModel, root: Word, rep: Word) -> Axis:
+    if root.is_identity():
+        raise NotLoxodromicError("the identity is not loxodromic")
     root = _canonical_root(model, root)
     return Axis(model, root, Word(model, coset_rep_key(model, root, rep)))
 

@@ -205,32 +205,6 @@ class FiniteGraphSpace:
             lines.append(f"{labeller(v)}: {ns}")
         return "\n".join(lines) + "\n"
 
-    def csr_arrays(self):
-        """Integer-weight sparse graph for bulk shortest-path computations.
-
-        Real vertices come first; each clique contributes one extra node
-        joined to its members with weight-1 edges, while base edges get
-        weight 2.  Halving the resulting shortest-path lengths gives exactly
-        the clique-completed graph metric.
-        """
-        n = len(self.vertices)
-        rows, cols, data = [], [], []
-        for v, ns in self.base_adjacency.items():
-            i = self._index[v]
-            for u in ns:
-                rows.append(i)
-                cols.append(self._index[u])
-                data.append(2)
-        for ci, members in enumerate(self.cliques):
-            c = n + ci
-            for v in members:
-                i = self._index[v]
-                rows.extend((i, c))
-                cols.extend((c, i))
-                data.extend((1, 1))
-        size = n + len(self.cliques)
-        return np.array(rows), np.array(cols), np.array(data), size, self._index
-
 
 SpaceModel = CayleyTree | BassSerreTree | FiniteGraphSpace
 
@@ -285,10 +259,6 @@ def left_component(model: DirectProduct, w: Word) -> Word:
     """The G-component of an element of G x Z."""
     left_letters, _ = model.split(w.letters)
     return Word(model.left, left_letters)
-
-
-def central_exponent(model: DirectProduct, w: Word) -> int:
-    return model.split(w.letters)[1]
 
 
 def first_factor_orbit(model: DirectProduct, inner: OrbitMap) -> OrbitMap:

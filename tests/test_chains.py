@@ -9,6 +9,7 @@ from ggtlab.chains import (
     CompositionQI,
     FiniteSwap,
     GeneratorPermutation,
+    InvariantKernel,
     LeftTranslation,
     LocalRuleKernel,
     WitnessError,
@@ -22,6 +23,7 @@ from ggtlab.chains import (
     reach_probability,
     simulate,
     srw,
+    trajectory_rng,
 )
 from ggtlab.groups import ball, model_from_descriptor, word_distance
 from ggtlab.projections import axis_of
@@ -74,6 +76,35 @@ def test_distinct_indices_decouple(f2k, walk):
     assert t1.states != t2.states
 
 
+def law_path(kernel, start, n, seed, index):
+    """Reference sampler: step the kernel's own law at every state."""
+    import numpy as np
+
+    states = [start]
+    for u in trajectory_rng(seed, index).random(n):
+        pairs = kernel.law(states[-1])
+        cdf = np.cumsum([float(p) for _, p in pairs])
+        cdf[-1] = 1.0
+        states.append(pairs[min(int(np.searchsorted(cdf, u, side="right")), len(pairs) - 1)][0])
+    return tuple(states)
+
+
+def test_local_rule_trajectory_validates(f2k):
+    gens = sorted([w(f2k, "a"), w(f2k, "a^-1"), w(f2k, "b"), w(f2k, "b^-1")], key=lambda u: u.sort_key())
+    uniform = tuple((g, Fraction(1, 4)) for g in gens)
+    lazy = ((f2k.identity(), Fraction(1, 2)),) + tuple((g, Fraction(1, 8)) for g in gens)
+    kernel = LocalRuleKernel(f2k, classifier=lambda st: len(st) % 2, table=((0, uniform), (1, lazy)))
+    t = simulate(kernel, w(f2k, "a b"), 40, seed=4, index=2)
+    assert t.validate(kernel)
+    assert t.states == law_path(kernel, w(f2k, "a b"), 40, 4, 2)
+
+
+def test_invariant_kernel_rejects_repeated_jumps(f2k):
+    half = Fraction(1, 2)
+    with pytest.raises(ChainError):
+        InvariantKernel(f2k, ((w(f2k, "a"), half), (w(f2k, "a"), half)))
+
+
 # --- push-forwards -----------------------------------------------------------
 
 
@@ -116,6 +147,20 @@ def test_push_forward_law_identity_random(f2k, walk):
         base = walk.law_dict(src)
         for tgt, pr in law.items():
             assert base.get(inv.apply(tgt), Fraction(0)) == pr
+
+
+@pytest.mark.parametrize("stay", [Fraction(0), Fraction(1, 2)])
+def test_push_forward_walks_by_conjugation(f2k, stay):
+    base = srw(f2k, stay=stay)
+    phi = branch_swap(f2k)
+    pushed = push_forward(base, phi)
+    for start in ("e", "a b^-1", "b^2 a", "a^-1 b"):
+        s = w(f2k, start)
+        for seed, index in [(1, 0), (7, 3), (2024, 1)]:
+            t = simulate(pushed, s, 40, seed, index)
+            ref = simulate(base, phi.inverse().apply(s), 40, seed, index)
+            assert t.states == tuple(map(phi, ref.states))
+            assert t.states == law_path(pushed, s, 40, seed, index)
 
 
 def test_qi_constants(f2k):

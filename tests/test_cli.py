@@ -119,3 +119,28 @@ def test_certification_exit_code(capsys):
         "--g", "x z", "--o", "e", "--p", "z x z", "--T", "2", "--window", "4",
     )
     assert code == 2 and "certification" in err
+
+
+@pytest.mark.parametrize(
+    "argv, code, kind",
+    [
+        (["simulate", "--seed", "-1", "--steps", "3"], 1, "validation"),
+        (["simulate", "--seed", "1", "--steps", "-3"], 1, "validation"),
+        (["simulate", "--seed", "1", "--steps", "3", "--count", "-1"], 1, "validation"),
+        (["progress", "--seed", "1", "--samples", "0"], 1, "validation"),
+        (["progress", "--seed", "1", "--samples", "5", "--n", "0"], 1, "validation"),
+        (["progress", "--seed", "1", "--samples", "5", "--n", "5", "--C", "0"], 1, "validation"),
+        (["bounded-proj", "--seed", "1", "--samples", "0"], 1, "validation"),
+        (["project", "--x", "a", "--axis-root", "e"], 1, "validation"),
+        # the curve cannot cover [t - gap, t + gap] for the default gap 8
+        (["tail", "--seed", "1", "--steps", "20", "--samples", "50"], 1, "validation"),
+        # five samples leave no cell with the 10 successes the C' fit needs
+        (["tail", "--seed", "1", "--samples", "5", "--steps", "40"], 2, "certification"),
+    ],
+)
+def test_refused_inputs_write_nothing(tmp_path, capsys, argv, code, kind):
+    outdir = tmp_path / "out"
+    got, out, err = run(capsys, *argv, "--out", str(outdir))
+    assert got == code
+    assert err.startswith(f"error: {kind}:") and err.count("\n") == 1
+    assert out == "" and not outdir.exists()

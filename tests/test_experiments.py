@@ -3,12 +3,11 @@
 import numpy as np
 import pytest
 
-from ggtlab.chains import simulate, srw
+from ggtlab.chains import Walk, simulate, srw, trajectory_rng
 from ggtlab.experiments import (
     AxisTracker,
     ExperimentConfig,
     ExperimentError,
-    FreeWalk,
     TailCurve,
     _base_positions,
     bounded_projection_experiment,
@@ -51,11 +50,20 @@ def test_seed_mandatory():
 def test_free_walk_matches_simulate(f2):
     kernel = srw(f2)
     start = w(f2, "b a")
+    jumps = [s for s, _ in kernel.measure]
+    cdf = np.cumsum([float(p) for _, p in kernel.measure])
+    cdf[-1] = 1.0
     for idx in range(4):
-        walk = FreeWalk(kernel, start, seed=9, index=idx)
-        walk.steps(25)
+        walk = Walk(kernel, start, seed=9, index=idx)
+        walk.steps(10)
+        walk.steps(15)
         traj = simulate(kernel, start, 25, seed=9, index=idx)
-        assert walk.word() == traj.states[-1]
+        assert walk.state() == traj.states[-1]
+        # reference: one uniform per step through the ordered law, word products
+        cur = start
+        for u, state in zip(trajectory_rng(9, idx).random(25), traj.states[1:]):
+            cur = cur * jumps[min(int(np.searchsorted(cdf, u, side="right")), len(jumps) - 1)]
+            assert cur == state
 
 
 def test_tracker_matches_projection_distance(f2, f2_tree, f2_orbit):
@@ -64,12 +72,11 @@ def test_tracker_matches_projection_distance(f2, f2_tree, f2_orbit):
         ax = axis_of(f2_tree, w(f2, root)).translate(w(f2, shift))
         p = w(f2, "a b")
         base = _base_positions(f2, ax, p)
-        walk = FreeWalk(kernel, p, seed=seed, index=0)
+        walk = Walk(kernel, p, seed=seed, index=0)
         tracker = AxisTracker(f2, ax, p)
         walk.attach(tracker)
-        for _ in range(150):
-            walk.steps(1)
-            assert tracker.spread_against(base) == coset_distance(f2_orbit, ax, p, walk.word())
+        for _ in walk.run(150):
+            assert tracker.spread_against(base) == coset_distance(f2_orbit, ax, p, walk.state())
 
 
 # --- drift oracle ----------------------------------------------------------------
