@@ -267,6 +267,10 @@ class InvariantKernel(MarkovKernel):
     def cdf(self) -> np.ndarray:
         return _cdf(p for _, p in self.measure)
 
+    def jump_bound(self, radius: int = 3) -> int:
+        """Exact for an invariant chain: the longest word of the measure."""
+        return max(len(s) for s, _ in self.measure)
+
     def law(self, state: Word) -> list[tuple[Word, Fraction]]:
         return [(state * s, p) for s, p in self.measure]
 
@@ -779,20 +783,23 @@ def reach_probability(
 ) -> ReachResult:
     """Exact best probability of standing at p within steps_factor * d steps.
 
-    Dynamic programming from q with dead-state pruning: states that cannot
-    reach p in the remaining steps are dropped, which keeps the support near
-    min(ball(q, t), ball(p, T - t)).
+    Dynamic programming from q with dead-state pruning: a state farther
+    from p than J times the remaining steps, J the kernel's jump bound, is
+    dropped, which keeps the support near min(ball(q, t), ball(p, T - t)).
+    J is exact for invariant kernels and measured on a window of states
+    (`MarkovKernel.jump_bound`) for the others.
     """
     model = kernel.model
     d = word_distance(model, p, q)
     if d > 6:
         raise ChainError("exact reachability DP is limited to d <= 6")
     horizon = max(1, d * steps_factor)
+    jump = kernel.jump_bound()
     dist: dict[Word, Fraction] = {q: Fraction(1)}
     table: list[tuple[int, Fraction]] = [(0, Fraction(1) if d == 0 else Fraction(0))]
     for t in range(1, horizon + 1):
         remaining = horizon - t
-        dist = _advance(kernel, dist, lambda tgt: word_distance(model, tgt, p) <= remaining)
+        dist = _advance(kernel, dist, lambda tgt: word_distance(model, tgt, p) <= jump * remaining)
         if len(dist) > support_cap:
             raise ChainError("reachability DP budget exceeded")
         table.append((t, dist.get(p, Fraction(0))))

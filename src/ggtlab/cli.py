@@ -46,6 +46,7 @@ from .projections import (
     axis_of,
     distance_formula_sum,
     enumerate_cosets,
+    enumeration_certifiable,
     linear_order,
     make_axis,
     pivot,
@@ -157,10 +158,10 @@ def cmd_htsum(args) -> int:
     model, tree, orbit = _setup_tree(args.model, args.space)
     g = parse_word(model, args.g)
     o, p = parse_word(model, args.o), parse_word(model, args.p)
-    record = enumerate_cosets(orbit, g, o, p, args.T, window=args.window)
-    if not record.certified:
+    if not enumeration_certifiable(orbit, args.T, len(axis_of(tree, g).root)):
         print("error: certification: enumeration window insufficient", file=sys.stderr)
         return EXIT_CERTIFICATION
+    record = enumerate_cosets(orbit, g, o, p, args.T, window=args.window)
     total = distance_formula_sum(record, o, p)
     _emit(args, "htsum.jsonl", record.to_jsonl())
     print(f"{len(record.entries)} coset(s); sum over threshold-{args.T} cosets = {total}")

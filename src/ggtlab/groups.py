@@ -16,9 +16,10 @@ the standard ones so that all metric computations are exact and reproducible.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import groupby
+from operator import neg
 from typing import Iterable, Iterator, Sequence
 
 
@@ -42,7 +43,14 @@ _CENTRAL_NAME_POOL = "tsr"
 
 
 class GroupModel:
-    """Base class: a concrete group with a fixed ordered generating set."""
+    """Base class: a concrete group with a fixed ordered generating set.
+
+    Every model works on canonical letter tuples.  ``normalize`` takes any
+    sequence of valid letters; ``inverse`` and ``product`` take normal forms
+    and return normal forms, touching only the letters that change (the
+    junction of the two factors of a product).  Letters are validated once,
+    where they enter from outside (`normal_form`, `parse_word`).
+    """
 
     generator_names: tuple[str, ...]
 
@@ -51,6 +59,12 @@ class GroupModel:
         return len(self.generator_names)
 
     def normalize(self, letters: Sequence[int]) -> tuple[int, ...]:
+        raise NotImplementedError
+
+    def inverse(self, letters: tuple[int, ...]) -> tuple[int, ...]:
+        raise NotImplementedError
+
+    def product(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
         raise NotImplementedError
 
     def describe(self) -> str:
@@ -68,6 +82,23 @@ class GroupModel:
     def generators(self) -> list["Word"]:
         return [Word(self, (i + 1,)) for i in range(self.rank)]
 
+    def _build_tables(self) -> None:
+        """Per-model constants, set once at construction: the hash and the
+        sort rank of each letter (generator i -> 2i, its inverse -> 2i+1).
+        Tables indexed by a signed letter use Python's negative indexing."""
+        n = self.rank
+        rank = [0] * (2 * n + 1)
+        for i in range(1, n + 1):
+            rank[i], rank[-i] = 2 * i, 2 * i + 1
+        object.__setattr__(self, "_sort_rank", rank)
+        key = (type(self).__name__, self.describe(), self.generator_names)
+        object.__setattr__(self, "_hash", hash(key))
+
+    def __hash__(self) -> int:
+        # each dataclass model restates this, or the decorator would replace
+        # it with a hash that recurses through the fields on every call
+        return self._hash
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} {self.describe()}>"
 
@@ -76,12 +107,14 @@ class GroupModel:
 class FreeGroup(GroupModel):
     generator_names: tuple[str, ...]
 
+    __hash__ = GroupModel.__hash__
+
     def __post_init__(self):
         if self.rank < 1:
             raise GroupError("free group needs rank >= 1")
+        self._build_tables()
 
     def normalize(self, letters: Sequence[int]) -> tuple[int, ...]:
-        self.validate_letters(letters)
         stack: list[int] = []
         for ell in letters:
             if stack and stack[-1] == -ell:
@@ -89,6 +122,18 @@ class FreeGroup(GroupModel):
             else:
                 stack.append(ell)
         return tuple(stack)
+
+    def inverse(self, letters: tuple[int, ...]) -> tuple[int, ...]:
+        return tuple(map(neg, reversed(letters)))
+
+    def product(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+        if not a or not b or a[-1] != -b[0]:
+            return a + b
+        n = min(len(a), len(b))
+        k = 1
+        while k < n and a[-1 - k] == -b[k]:
+            k += 1
+        return a[: len(a) - k] + b[k:]
 
     def describe(self) -> str:
         return f"F{self.rank}"
@@ -98,19 +143,33 @@ class FreeGroup(GroupModel):
 class FreeAbelian(GroupModel):
     generator_names: tuple[str, ...]
 
+    __hash__ = GroupModel.__hash__
+
     def __post_init__(self):
         if self.rank < 1:
             raise GroupError("free abelian group needs rank >= 1")
+        self._build_tables()
 
     def normalize(self, letters: Sequence[int]) -> tuple[int, ...]:
-        self.validate_letters(letters)
         exps = [0] * self.rank
         for ell in letters:
-            exps[abs(ell) - 1] += 1 if ell > 0 else -1
+            if ell > 0:
+                exps[ell - 1] += 1
+            else:
+                exps[-ell - 1] -= 1
         out: list[int] = []
-        for i, e in enumerate(exps):
-            out.extend([i + 1 if e > 0 else -(i + 1)] * abs(e))
+        for i, e in enumerate(exps, 1):
+            if e:
+                out.extend((i if e > 0 else -i,) * abs(e))
         return tuple(out)
+
+    def inverse(self, letters: tuple[int, ...]) -> tuple[int, ...]:
+        return tuple(map(neg, letters))
+
+    def product(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+        if not a or not b:
+            return a or b
+        return self.normalize(a + b)
 
     def describe(self) -> str:
         return "Z" if self.rank == 1 else f"Z^{self.rank}"
@@ -123,6 +182,8 @@ class FreeProduct(GroupModel):
     factors: tuple[GroupModel, ...]
     generator_names: tuple[str, ...] = field(init=False)
 
+    __hash__ = GroupModel.__hash__
+
     def __post_init__(self):
         if len(self.factors) < 2:
             raise GroupError("free product needs >= 2 factors")
@@ -130,62 +191,71 @@ class FreeProduct(GroupModel):
         if len(set(names)) != len(names):
             raise GroupError("generator names collide across factors")
         object.__setattr__(self, "generator_names", names)
-        offsets, off = [], 0
-        for f in self.factors:
-            offsets.append(off)
+        # global letter -> factor index and local letter; per factor, local
+        # letter -> global letter
+        size = 2 * len(names) + 1
+        factor_of, local_of, global_of, off = [0] * size, [0] * size, [], 0
+        for fi, f in enumerate(self.factors):
+            back = [0] * (2 * f.rank + 1)
+            for ell in range(1, f.rank + 1):
+                for s in (1, -1):
+                    factor_of[s * (off + ell)] = fi
+                    local_of[s * (off + ell)] = s * ell
+                    back[s * ell] = s * (off + ell)
+            global_of.append(back)
             off += f.rank
-        object.__setattr__(self, "_offsets", tuple(offsets))
+        object.__setattr__(self, "_factor_of", factor_of)
+        object.__setattr__(self, "_local_of", local_of)
+        object.__setattr__(self, "_global_of", global_of)
+        self._build_tables()
 
-    def factor_of(self, letter: int) -> int:
-        idx = abs(letter) - 1
-        offs = self._offsets
-        for i in range(len(self.factors) - 1, -1, -1):
-            if idx >= offs[i]:
-                return i
-        raise GroupError(f"letter {letter} out of range")
+    def _to_local(self, seg: Iterable[int]) -> tuple[int, ...]:
+        return tuple(map(self._local_of.__getitem__, seg))
 
-    def _to_local(self, letter: int, fi: int) -> int:
-        off = self._offsets[fi]
-        return letter - off if letter > 0 else letter + off
-
-    def _to_global(self, letter: int, fi: int) -> int:
-        off = self._offsets[fi]
-        return letter + off if letter > 0 else letter - off
+    def _to_global(self, fi: int, loc: tuple[int, ...]) -> tuple[int, ...]:
+        return tuple(map(self._global_of[fi].__getitem__, loc))
 
     def normalize(self, letters: Sequence[int]) -> tuple[int, ...]:
-        self.validate_letters(letters)
-        # stack of syllables (factor index, locally-normalized local letters)
+        # stack of syllables (factor index, locally normalised local letters);
+        # each maximal same-factor run of the input merges into it once
         stack: list[tuple[int, tuple[int, ...]]] = []
-        for ell in letters:
-            fi = self.factor_of(ell)
-            loc = self._to_local(ell, fi)
+        for fi, run in groupby(letters, self._factor_of.__getitem__):
+            loc = self._to_local(run)
             if stack and stack[-1][0] == fi:
-                merged = self.factors[fi].normalize(stack[-1][1] + (loc,))
-                stack.pop()
-                if merged:
-                    stack.append((fi, merged))
-            else:
-                stack.append((fi, (loc,)))
+                loc = stack.pop()[1] + loc
+            loc = self.factors[fi].normalize(loc)
+            if loc:
+                stack.append((fi, loc))
         out: list[int] = []
         for fi, loc in stack:
-            out.extend(self._to_global(l, fi) for l in loc)
+            out.extend(self._to_global(fi, loc))
         return tuple(out)
 
     def syllables(self, letters: Sequence[int]) -> list[tuple[int, tuple[int, ...]]]:
         """Split canonical letters into (factor index, global letters) runs."""
-        runs: list[tuple[int, tuple[int, ...]]] = []
-        cur: list[int] = []
-        cur_f = -1
-        for ell in letters:
-            fi = self.factor_of(ell)
-            if fi != cur_f and cur:
-                runs.append((cur_f, tuple(cur)))
-                cur = []
-            cur_f = fi
-            cur.append(ell)
-        if cur:
-            runs.append((cur_f, tuple(cur)))
-        return runs
+        return [(fi, tuple(run)) for fi, run in groupby(letters, self._factor_of.__getitem__)]
+
+    def inverse(self, letters: tuple[int, ...]) -> tuple[int, ...]:
+        out: list[int] = []
+        for fi, seg in reversed(self.syllables(letters)):
+            out.extend(self._to_global(fi, self.factors[fi].inverse(self._to_local(seg))))
+        return tuple(out)
+
+    def product(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+        factor_of = self._factor_of
+        i, j, nb = len(a), 0, len(b)  # a[:i] and b[j:] are untouched
+        while i and j < nb and factor_of[a[i - 1]] == factor_of[b[j]]:
+            fi = factor_of[b[j]]
+            i0, j1 = i - 1, j + 1
+            while i0 and factor_of[a[i0 - 1]] == fi:
+                i0 -= 1
+            while j1 < nb and factor_of[b[j1]] == fi:
+                j1 += 1
+            merged = self.factors[fi].product(self._to_local(a[i0:i]), self._to_local(b[j:j1]))
+            i, j = i0, j1
+            if merged:
+                return a[:i] + self._to_global(fi, merged) + b[j:]
+        return a[:i] + b[j:]
 
     def describe(self) -> str:
         return " * ".join(
@@ -202,14 +272,19 @@ class DirectProduct(GroupModel):
     central_name: str
     generator_names: tuple[str, ...] = field(init=False)
 
+    __hash__ = GroupModel.__hash__
+
     def __post_init__(self):
         if self.central_name in self.left.generator_names:
             raise GroupError("central generator name collides with left factor")
         object.__setattr__(self, "generator_names", self.left.generator_names + (self.central_name,))
+        # 1-based letter value of the central generator
+        object.__setattr__(self, "_c", len(self.generator_names))
+        self._build_tables()
 
     @property
     def central_index(self) -> int:
-        return self.rank  # 1-based letter value of the central generator
+        return self._c
 
     def split(self, letters: Sequence[int]) -> tuple[tuple[int, ...], int]:
         """Return (left-factor letters, central exponent)."""
@@ -218,13 +293,28 @@ class DirectProduct(GroupModel):
         exp = sum(1 if l == c else -1 for l in letters if abs(l) == c)
         return left, exp
 
+    def _cut(self, letters: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
+        """`split` of a normal form, whose central letters all come last."""
+        if letters and abs(letters[-1]) == self._c:
+            i = letters.index(letters[-1])
+            k = len(letters) - i
+            return letters[:i], (k if letters[-1] > 0 else -k)
+        return letters, 0
+
+    def _central(self, exp: int) -> tuple[int, ...]:
+        return (self._c if exp > 0 else -self._c,) * abs(exp)
+
     def normalize(self, letters: Sequence[int]) -> tuple[int, ...]:
-        self.validate_letters(letters)
         left, exp = self.split(letters)
-        c = self.central_index
-        out = list(self.left.normalize(left))
-        out.extend([c if exp > 0 else -c] * abs(exp))
-        return tuple(out)
+        return self.left.normalize(left) + self._central(exp)
+
+    def inverse(self, letters: tuple[int, ...]) -> tuple[int, ...]:
+        left, exp = self._cut(letters)
+        return self.left.inverse(left) + self._central(-exp)
+
+    def product(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+        (la, ea), (lb, eb) = self._cut(a), self._cut(b)
+        return self.left.product(la, lb) + self._central(ea + eb)
 
     def describe(self) -> str:
         inner = self.left.describe()
@@ -249,14 +339,18 @@ class Word:
         # letter count
         return len(self.letters)
 
+    def __hash__(self) -> int:
+        # equal words have equal letters; the model is left to __eq__
+        return hash(self.letters)
+
     def __mul__(self, other: "Word") -> "Word":
-        if other.model != self.model:
+        model = self.model
+        if other.model is not model and other.model != model:
             raise GroupError("cannot multiply words from different models")
-        return Word(self.model, self.model.normalize(self.letters + other.letters))
+        return Word(model, model.product(self.letters, other.letters))
 
     def inverse(self) -> "Word":
-        inv = tuple(-l for l in reversed(self.letters))
-        return Word(self.model, self.model.normalize(inv))
+        return Word(self.model, self.model.inverse(self.letters))
 
     def __pow__(self, n: int) -> "Word":
         if n < 0:
@@ -273,9 +367,12 @@ class Word:
     def is_identity(self) -> bool:
         return not self.letters
 
-    def sort_key(self):
-        """Length-lexicographic key; positive letters sort before inverses."""
-        return (len(self.letters), tuple((abs(l), 0 if l > 0 else 1) for l in self.letters))
+    def sort_key(self) -> tuple[int, ...]:
+        """Length-lexicographic key; positive letters sort before inverses.
+
+        A flat tuple: the length, then each letter's rank (generator i ranks
+        2i, its inverse 2i+1)."""
+        return (len(self.letters), *map(self.model._sort_rank.__getitem__, self.letters))
 
     def __str__(self) -> str:
         if not self.letters:
@@ -298,20 +395,22 @@ class Word:
 
 def normal_form(model: GroupModel, raw: Sequence[int]) -> Word:
     """Canonical word for an arbitrary sequence of signed generator letters."""
-    return Word(model, model.normalize(tuple(raw)))
+    raw = tuple(raw)
+    model.validate_letters(raw)
+    return Word(model, model.normalize(raw))
 
 
 def word_distance(model: GroupModel, g: Word, h: Word) -> int:
     """Word metric d(g, h) = |g^-1 h| for the model's standard generators."""
-    if g.model != model or h.model != model:
+    if (g.model is not model and g.model != model) or (h.model is not model and h.model != model):
         raise GroupError("word_distance: model mismatch")
-    return len((g.inverse() * h).letters)
+    return len(model.product(model.inverse(g.letters), h.letters))
 
 
 def _step_words(model: GroupModel, w: Word) -> Iterator[Word]:
     for i in range(1, model.rank + 1):
         for s in (i, -i):
-            yield Word(model, model.normalize(w.letters + (s,)))
+            yield Word(model, model.product(w.letters, (s,)))
 
 
 def ball(model: GroupModel, center: Word, radius: int, cap: int = DEFAULT_RADIUS_CAP) -> list[Word]:
@@ -357,9 +456,6 @@ class GeodesicPath:
         return iter(self.vertices)
 
 
-_LETTER_ORDER_KEY = lambda ell: (abs(ell), 0 if ell > 0 else 1)  # noqa: E731
-
-
 def geodesic(model: GroupModel, g: Word, h: Word) -> GeodesicPath:
     """A geodesic from g to h, greedy with lexicographically least next letter."""
     if g.model != model or h.model != model:
@@ -367,12 +463,10 @@ def geodesic(model: GroupModel, g: Word, h: Word) -> GeodesicPath:
     path = [g]
     cur = g
     remaining = word_distance(model, cur, h)
-    letters = sorted(
-        [s for i in range(1, model.rank + 1) for s in (i, -i)], key=_LETTER_ORDER_KEY
-    )
+    letters = [s for i in range(1, model.rank + 1) for s in (i, -i)]  # in sort_key order
     while remaining > 0:
         for s in letters:
-            cand = Word(model, model.normalize(cur.letters + (s,)))
+            cand = Word(model, model.product(cur.letters, (s,)))
             if word_distance(model, cand, h) == remaining - 1:
                 cur = cand
                 break

@@ -377,7 +377,7 @@ def _abelian_ball(model: GroupModel, rank: int, radius: int) -> list[Word]:
         for w in frontier:
             for i in range(1, rank + 1):
                 for s in (i, -i):
-                    u = Word(model, model.normalize(w.letters + (s,)))
+                    u = Word(model, model.product(w.letters, (s,)))
                     if u.letters not in seen:
                         seen.add(u.letters)
                         nxt.append(u)

@@ -106,9 +106,10 @@ class Axis:
     def points(self, window: int) -> list[Word]:
         out = [self.rep]
         fwd = bwd = self.rep
+        inv = self.root.inverse()
         for _ in range(window):
             fwd = fwd * self.root
-            bwd = bwd * self.root.inverse()
+            bwd = bwd * inv
             out.append(fwd)
             out.append(bwd)
         return out
@@ -128,14 +129,18 @@ def coset_rep_key(model: GroupModel, root: Word, h: Word) -> tuple[int, ...]:
     """Letters of the minimal element of the coset h<root>."""
     q = max(1, len(root))
     n_max = 2 * (len(h) // q) + 2
-    best = h
+    inv = root.inverse()
+    best, best_key = h, h.sort_key()
     fwd = bwd = h
     for _ in range(n_max):
         fwd = fwd * root
-        bwd = bwd * root.inverse()
+        bwd = bwd * inv
         for cand in (fwd, bwd):
-            if cand.sort_key() < best.sort_key():
-                best = cand
+            # the key leads with the length, so longer words cannot win
+            if len(cand.letters) <= best_key[0]:
+                key = cand.sort_key()
+                if key < best_key:
+                    best, best_key = cand, key
     return best.letters
 
 
@@ -371,13 +376,14 @@ def _project_axis_scan(orbit: OrbitMap, x: Word, axis: Axis) -> ProjectionValue:
     best = d_rep
     chosen = [axis.rep]
     fwd = bwd = axis.rep
+    inv = axis.root.inverse()
     for _ in range(n_max):
         for step in (1, -1):
             if step == 1:
                 fwd = fwd * axis.root
                 cand = fwd
             else:
-                bwd = bwd * axis.root.inverse()
+                bwd = bwd * inv
                 cand = bwd
             d = space_distance(orbit.space, px, orbit(cand))
             if d < best:
@@ -554,6 +560,19 @@ class CosetRecord:
         return "\n".join(lines) + ("\n" if lines else "")
 
 
+def enumeration_certifiable(orbit: OrbitMap, threshold: int, root_length: int) -> bool:
+    """Whether `enumerate_cosets` certifies its record, known before it searches.
+
+    Only the identity orbit on a Cayley tree is searched completely, and only
+    once the threshold exceeds the coset point spacing plus rounding.
+    """
+    if threshold < 1:
+        raise GroupError("threshold must be >= 1")
+    q = root_length
+    tree_exact = isinstance(orbit.space, CayleyTree) and orbit.name == "identity"
+    return tree_exact and threshold > 2 * (q // 2) and threshold >= (q - 1) + 2 * (q // 2)
+
+
 def enumerate_cosets(orbit: OrbitMap, g: Word, o: Word, p: Word, threshold: int, window: int | None = None) -> CosetRecord:
     """Cosets h<root(g)> with projection distance of (o, p) at least threshold.
 
@@ -571,7 +590,7 @@ def enumerate_cosets(orbit: OrbitMap, g: Word, o: Word, p: Word, threshold: int,
     root = base.root
     q = len(root)
     tree_exact = isinstance(orbit.space, CayleyTree) and orbit.name == "identity"
-    certified = tree_exact and threshold > 2 * (q // 2) and threshold >= (q - 1) + 2 * (q // 2)
+    certified = enumeration_certifiable(orbit, threshold, q)
     seen: set[tuple[int, ...]] = set()
     axes: list[Axis] = []
 

@@ -5,7 +5,7 @@ Three space kinds are shipped:
 * ``CayleyTree``: the Cayley graph of a free group (a tree), with exact
   distances computed from reduced words;
 * ``BassSerreTree``: the bipartite coset tree of a two-factor free product,
-  with exact distances computed by a syllable-peeling recursion;
+  with exact distances counted from syllables;
 * ``FiniteGraphSpace``: an explicit finite graph, used for coned-off balls.
 
 Coning is implemented as diameter-1 completion: each coned coset becomes a
@@ -101,16 +101,17 @@ class BassSerreTree:
         return BSVertex(factor, self.strip(factor, w))
 
     def _dist_from_root(self, i: int, j: int, w: Word) -> int:
-        """Distance between the vertex e·F_i and the vertex w·F_j."""
-        w = self.strip(j, w)
-        if w.is_identity():
-            return 0 if i == j else 1
+        """Distance between the vertex e·F_i and the vertex w·F_j.
+
+        With w' = strip(j, w) of k syllables, the path from e·F_i crosses one
+        edge per syllable of w', plus one first when w' does not start in F_i.
+        """
         runs = self.model.syllables(w.letters)
-        f1, seg = runs[0]
-        if f1 == i:
-            head = Word(self.model, seg)
-            return 1 + self._dist_from_root(1 - i, j, head.inverse() * w)
-        return 1 + self._dist_from_root(1 - i, j, w)
+        if runs and runs[-1][0] == j:
+            runs.pop()
+        if not runs:
+            return int(i != j)
+        return len(runs) + (runs[0][0] != i)
 
     def distance(self, v1: BSVertex, v2: BSVertex) -> int:
         w = v1.rep.inverse() * v2.rep
@@ -390,7 +391,7 @@ def cone_off(
     for w in verts:
         for i in range(1, model.rank + 1):
             for s in (i, -i):
-                u = Word(model, model.normalize(w.letters + (s,)))
+                u = Word(model, model.product(w.letters, (s,)))
                 if u.letters in vset:
                     adj[w].append(u)
     cliques: list[tuple[Word, ...]] = []
@@ -471,7 +472,7 @@ def fibre_separation_profile(
             for w in frontier:
                 for i in range(1, model.rank + 1):
                     for sg in (i, -i):
-                        u = Word(model, model.normalize(w.letters + (sg,)))
+                        u = Word(model, model.product(w.letters, (sg,)))
                         if u.letters in inset and u not in expanded:
                             nxt.add(u)
             expanded |= nxt

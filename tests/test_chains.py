@@ -292,3 +292,33 @@ def test_reach_lazy(f2k):
 def test_reach_budget(f2k, walk):
     with pytest.raises(ChainError):
         reach_probability(walk, w(f2k, "a b a b a b a"), f2k.identity())
+
+
+def test_reach_long_jumps_keep_every_live_state(f2k):
+    # jumps of length 2: a state 2r from p can still reach it in r steps, so
+    # the pruning must scale with the jump bound
+    quarter = Fraction(1, 4)
+    kernel = make_invariant(f2k, {w(f2k, s): quarter for s in ("a^2", "a^-2", "b", "b^-1")})
+    assert kernel.jump_bound() == 2
+    p = w(f2k, "a^2")
+    res = reach_probability(kernel, p, f2k.identity())
+    expected = (
+        (0, Fraction(0)),
+        (1, Fraction(1, 4)),
+        (2, Fraction(0)),
+        (3, Fraction(7, 64)),
+        (4, Fraction(0)),
+        (5, Fraction(29, 512)),
+        (6, Fraction(0)),
+    )
+    assert res.table == expected
+    assert (res.t, res.probability) == (1, Fraction(1, 4))
+    # the unpruned exact law gives the same table
+    dist = {f2k.identity(): Fraction(1)}
+    for _, pr in expected[1:]:
+        nxt: dict = {}
+        for st, q in dist.items():
+            for tgt, pk in kernel.law(st):
+                nxt[tgt] = nxt.get(tgt, Fraction(0)) + q * pk
+        dist = nxt
+        assert dist.get(p, Fraction(0)) == pr

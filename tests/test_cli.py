@@ -121,6 +121,29 @@ def test_certification_exit_code(capsys):
     assert code == 2 and "certification" in err
 
 
+def test_certification_refused_before_enumerating(monkeypatch, capsys):
+    import ggtlab.cli
+
+    def fail(*args, **kwargs):
+        raise AssertionError("enumerate_cosets called for an uncertifiable search")
+
+    monkeypatch.setattr(ggtlab.cli, "enumerate_cosets", fail)
+    code, out, err = run(
+        capsys,
+        "htsum", "--model", "Z^2 * Z", "--space", "bass-serre",
+        "--g", "x z", "--o", "e", "--p", "z x z", "--T", "2", "--window", "4",
+    )
+    assert code == 2 and out == ""
+    assert err == "error: certification: enumeration window insufficient\n"
+    # bad input is still a validation error, found before the refusal
+    code, out, err = run(
+        capsys,
+        "htsum", "--model", "Z^2 * Z", "--space", "bass-serre",
+        "--g", "x", "--o", "e", "--p", "z", "--T", "2",
+    )
+    assert code == 1 and out == "" and err.startswith("error: validation:")
+
+
 @pytest.mark.parametrize(
     "argv, code, kind",
     [

@@ -163,8 +163,15 @@ def test_tail_envelope(small_curve):
 
 
 def test_tail_requires_certified_record():
+    # root a b^2 spaces coset points 3 apart; threshold 3 cannot certify
+    cfg = ExperimentConfig(seed=6, samples=10, g="a b^2", threshold=3)
+    with pytest.raises(ExperimentError, match="must be certified"):
+        tail_experiment(cfg, n=10)
+
+
+def test_tail_refuses_push_forward_kernel():
     cfg = ExperimentConfig(seed=6, samples=10, kernel="srw-branch-swap")
-    with pytest.raises(ExperimentError):
+    with pytest.raises(ExperimentError, match="needs an invariant kernel"):
         tail_experiment(cfg, n=10)
 
 

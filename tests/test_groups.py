@@ -218,3 +218,90 @@ def test_geodesic_lengths_exhaustive(z2z):
         assert path.vertices[0] == e and path.vertices[-1] == target
         for u, v in zip(path.vertices, path.vertices[1:]):
             assert word_distance(z2z, u, v) == 1
+
+
+# --- the word layer: junction products, structural inverses, keys ------------
+
+WORD_MODELS = ["F2", "Z^2", "Z^2 * Z", "(Z^2 * Z) x Z"]
+
+
+def _raw(model, letters):
+    """Map unsigned draws onto valid signed letters of the model."""
+    return [(abs(x) % model.rank + 1) * (1 if x > 0 else -1) for x in letters]
+
+
+def _reverse_inverse(raw):
+    return [-l for l in reversed(raw)]
+
+
+_draws = st.lists(st.integers(-8, 8).filter(bool), max_size=9)
+
+
+@given(st.sampled_from(WORD_MODELS), _draws, _draws, st.integers(0, 9))
+@settings(max_examples=300, deadline=None)
+def test_word_operations_match_raw_normal_forms(desc, da, dc, k):
+    m = model_from_descriptor(desc)
+    ra = _raw(m, da)
+    # b opens with the inverse of a's last k letters, so the junction cancels
+    rb = _reverse_inverse(ra[len(ra) - min(k, len(ra)):]) + _raw(m, dc)
+    a, b = normal_form(m, ra), normal_form(m, rb)
+    assert a * b == normal_form(m, ra + rb)
+    assert a.inverse() == normal_form(m, _reverse_inverse(ra))
+    assert a.inverse().inverse() == a
+    assert word_distance(m, a, b) == len(normal_form(m, _reverse_inverse(ra) + rb))
+    assert word_distance(m, a, b) == word_distance(m, b, a)
+
+
+def test_junction_cancels_whole_syllables(z2z, z2z_by_z):
+    assert w(z2z, "x z") * w(z2z, "z^-1 y") == w(z2z, "x y")
+    assert w(z2z, "z x z") * w(z2z, "z^-1 x^-1 z^-1") == z2z.identity()
+    assert w(z2z, "z x y z") * w(z2z, "z^-1 y^-1") == w(z2z, "z x")
+    assert w(z2z_by_z, "x z t") * w(z2z_by_z, "z^-1 y t^-2") == w(z2z_by_z, "x y t^-1")
+    assert w(z2z_by_z, "z x t^2").inverse() == w(z2z_by_z, "x^-1 z^-1 t^-2")
+
+
+@pytest.mark.parametrize("desc", WORD_MODELS)
+def test_word_distance_matches_bfs_oracle(desc):
+    from oracles import cayley_graph_adjacency, graph_bfs
+
+    m = model_from_descriptor(desc)
+    e = m.identity()
+    depth = graph_bfs(cayley_graph_adjacency(m, 3), e)
+    for u, d in depth.items():
+        assert word_distance(m, e, u) == d
+        assert word_distance(m, u, e) == d
+        assert len(u) == d
+
+
+@pytest.mark.parametrize("desc", WORD_MODELS)
+def test_equal_descriptors_hash_equal(desc):
+    m1, m2 = parse_model(desc), parse_model(desc)
+    assert m1 is not m2 and m1 == m2 and hash(m1) == hash(m2)
+    words = ball(m1, m1.identity(), 2)
+    twins = [Word(m2, u.letters) for u in words]
+    assert all(u == v and hash(u) == hash(v) for u, v in zip(words, twins))
+    assert set(words) == set(twins) and len(set(words)) == len(words)
+    index = {u: i for i, u in enumerate(words)}
+    assert [index[v] for v in twins] == list(range(len(words)))
+
+
+@pytest.mark.parametrize("desc", WORD_MODELS)
+def test_sort_key_orders_like_the_pair_key(desc):
+    def pair_key(u):
+        return (len(u.letters), tuple((abs(l), 0 if l > 0 else 1) for l in u.letters))
+
+    m = model_from_descriptor(desc)
+    words = ball(m, m.identity(), 3)
+    assert words == sorted(words, key=pair_key)
+    shuffled = words[::-1]
+    assert sorted(shuffled, key=Word.sort_key) == sorted(shuffled, key=pair_key)
+
+
+@pytest.mark.parametrize("desc", WORD_MODELS)
+def test_out_of_range_letters_rejected_at_the_boundary(desc):
+    m = model_from_descriptor(desc)
+    for bad in (0, m.rank + 1, -(m.rank + 1)):
+        with pytest.raises(GroupError):
+            normal_form(m, (1, bad))
+    with pytest.raises(GroupError):
+        parse_word(m, "q")
