@@ -5,8 +5,11 @@ push-forwards of a kernel through a bijective quasi-isometry, and local rules
 (a bounded-radius state classifier choosing among finitely many step laws).
 Transition probabilities are exact fractions.  One engine, `Walk`, samples
 every kernel from each trajectory's own counter-based stream, so runs are
-reproducible independently of scheduling; exact distributions advance through
-one step function, `_advance`.
+reproducible independently of scheduling.  One engine, `ExactLaw`, advances
+exact distributions in integer weights over a running denominator; it serves
+the tameness diagnostics (irreducibility, decay of point probabilities,
+reachability).  Both run a push-forward of an invariant kernel by
+conjugation: the base chain runs from f^-1(start) and f maps what is read.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -481,16 +485,80 @@ def simulate(kernel: MarkovKernel, start: Word, n: int, seed: int, index: int = 
 # tameness diagnostics
 
 
-def _advance(
-    kernel: MarkovKernel, dist: dict[Word, Fraction], keep: Callable[[Word], bool] | None = None
-) -> dict[Word, Fraction]:
-    """Exact law after one more step; targets failing `keep` are dropped."""
-    nxt: dict[Word, Fraction] = {}
-    for st, pr in dist.items():
-        for tgt, p in kernel.law(st):
-            if p and (keep is None or keep(tgt)):
-                nxt[tgt] = nxt.get(tgt, Fraction(0)) + pr * p
-    return nxt
+class ExactLaw:
+    """Exact distribution of a chain started at one state, advanced step by step.
+
+    Probabilities are integer weights over one running denominator, keyed by
+    normal-form letter tuples; a read builds one `Fraction`, so the step
+    itself does no rational arithmetic.  Dispatch follows `Walk`.  An
+    invariant kernel steps through a fixed table of (increment letters,
+    numerator over the lcm of the measure's denominators).  A push-forward of
+    an invariant kernel runs by conjugation, since q^t(x, y) = p^t(f^-1 x,
+    f^-1 y): the base law runs from f^-1(start), a read looks up f^-1 of the
+    state asked for, and the support size and the sup are those of the
+    pushed law because f is a bijection.  Other kernels call `law` at every
+    state, the step's denominator being the lcm of that step's law
+    denominators.
+    """
+
+    def __init__(self, kernel: MarkovKernel, start: Word):
+        self.qi: BijectiveQI | None = None
+        if isinstance(kernel, PushForwardKernel) and isinstance(kernel.base, InvariantKernel):
+            self.qi = kernel.qi
+            self.qi_inv = kernel.qi.inverse()
+            kernel = kernel.base
+            start = self.qi_inv.apply(start)
+        self.kernel = kernel
+        self.weights: dict[tuple[int, ...], int] = {start.letters: 1}
+        self.denom = 1
+        self.table: list[tuple[tuple[int, ...], int]] | None = None
+        if isinstance(kernel, InvariantKernel):
+            self.step_denom = lcm(*(p.denominator for _, p in kernel.measure))
+            self.table = [
+                (s.letters, p.numerator * (self.step_denom // p.denominator))
+                for s, p in kernel.measure
+                if p
+            ]
+
+    def __len__(self) -> int:
+        return len(self.weights)
+
+    def _state(self, letters: tuple[int, ...]) -> Word:
+        w = Word(self.kernel.model, letters)
+        return w if self.qi is None else self.qi.apply(w)
+
+    def step(self, keep: Callable[[Word], bool] | None = None) -> None:
+        """Advance one step; targets failing `keep` are dropped."""
+        nxt: dict[tuple[int, ...], int] = {}
+        get = nxt.get
+        if self.table is not None:
+            product, table = self.kernel.model.product, self.table
+            for st, wt in self.weights.items():
+                for inc, num in table:
+                    tgt = product(st, inc)
+                    nxt[tgt] = get(tgt, 0) + wt * num
+            self.denom *= self.step_denom
+        else:
+            model = self.kernel.model
+            laws = [(wt, self.kernel.law(Word(model, st))) for st, wt in self.weights.items()]
+            d = lcm(*(p.denominator for _, law in laws for _, p in law))
+            for wt, law in laws:
+                for tgt, p in law:
+                    if p:
+                        key = tgt.letters
+                        nxt[key] = get(key, 0) + wt * p.numerator * (d // p.denominator)
+            self.denom *= d
+        if keep is not None:
+            # each target is a key once, so `keep` runs once per state per step
+            nxt = {st: wt for st, wt in nxt.items() if keep(self._state(st))}
+        self.weights = nxt
+
+    def prob(self, w: Word) -> Fraction:
+        key = (w if self.qi is None else self.qi_inv.apply(w)).letters
+        return Fraction(self.weights.get(key, 0), self.denom)
+
+    def sup(self) -> Fraction:
+        return Fraction(max(self.weights.values(), default=0), self.denom)
 
 
 def fit_log_linear(points: Sequence[tuple[int, float]]) -> tuple[float, float] | None:
@@ -522,16 +590,17 @@ def check_irreducibility(
     model = kernel.model
     if base_points is None:
         base_points = [model.identity()] + [g for g in model.generators()]
+    # probs[k - 1][i]: the k-step probability from base point i to its target
+    probs: list[list[Fraction]] = [[] for _ in range(k_max)]
+    for g in base_points:
+        target = g * s
+        law = ExactLaw(kernel, g)
+        for row in probs:
+            law.step()
+            row.append(law.prob(target))
     best: tuple[Fraction, int] | None = None
-    for k in range(1, k_max + 1):
-        worst: Fraction | None = None
-        for g in base_points:
-            target = g * s
-            dist: dict[Word, Fraction] = {g: Fraction(1)}
-            for _ in range(k):
-                dist = _advance(kernel, dist)
-            pr = dist.get(target, Fraction(0))
-            worst = pr if worst is None else min(worst, pr)
+    for k, row in enumerate(probs, 1):
+        worst = min(row, default=None)
         if worst and (best is None or worst > best[0]):
             best = (worst, k)
     if best is None:
@@ -627,20 +696,16 @@ def estimate_nonamenability(
             entries.append((n, float(_radial_sup(kernel, n, stay)), "exact-radial"))
     else:
         # one incremental pass, snapshotting the sup at each grid point
-        dist: dict[Word, Fraction] | None = {model.identity(): Fraction(1)}
+        law = ExactLaw(kernel, model.identity())
         exact: dict[int, float] = {}
         step = 0
         for n in grid:
-            if dist is None:
-                break
-            while step < n:
-                dist = _advance(kernel, dist)
+            while step < n and len(law) <= support_cap:
+                law.step()
                 step += 1
-                if len(dist) > support_cap:
-                    dist = None
-                    break
-            if dist is not None:
-                exact[n] = float(max(dist.values()))
+            if len(law) > support_cap:
+                break
+            exact[n] = float(law.sup())
         for n in grid:
             if n in exact:
                 entries.append((n, exact[n], "exact-dp"))
@@ -795,14 +860,14 @@ def reach_probability(
         raise ChainError("exact reachability DP is limited to d <= 6")
     horizon = max(1, d * steps_factor)
     jump = kernel.jump_bound()
-    dist: dict[Word, Fraction] = {q: Fraction(1)}
+    law = ExactLaw(kernel, q)
     table: list[tuple[int, Fraction]] = [(0, Fraction(1) if d == 0 else Fraction(0))]
     for t in range(1, horizon + 1):
         remaining = horizon - t
-        dist = _advance(kernel, dist, lambda tgt: word_distance(model, tgt, p) <= jump * remaining)
-        if len(dist) > support_cap:
+        law.step(lambda tgt: word_distance(model, tgt, p) <= jump * remaining)
+        if len(law) > support_cap:
             raise ChainError("reachability DP budget exceeded")
-        table.append((t, dist.get(p, Fraction(0))))
+        table.append((t, law.prob(p)))
     best_t, best_p = max(table, key=lambda tp: (tp[1], -tp[0]))
     eps0 = float(best_p) ** (1.0 / d) if d > 0 and best_p > 0 else float(best_p > 0 or d == 0)
     return ReachResult(best_t, best_p, eps0, tuple(table))

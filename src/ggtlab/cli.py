@@ -154,13 +154,19 @@ def cmd_project(args) -> int:
     return EXIT_OK
 
 
-def cmd_htsum(args) -> int:
+def _coset_search(args):
+    """The orbit map and g, o, p of a coset search, refused before it
+    enumerates when `enumerate_cosets` could not certify the record."""
     model, tree, orbit = _setup_tree(args.model, args.space)
     g = parse_word(model, args.g)
     o, p = parse_word(model, args.o), parse_word(model, args.p)
     if not enumeration_certifiable(orbit, args.T, len(axis_of(tree, g).root)):
-        print("error: certification: enumeration window insufficient", file=sys.stderr)
-        return EXIT_CERTIFICATION
+        raise CertificationError("enumeration window insufficient")
+    return orbit, g, o, p
+
+
+def cmd_htsum(args) -> int:
+    orbit, g, o, p = _coset_search(args)
     record = enumerate_cosets(orbit, g, o, p, args.T, window=args.window)
     total = distance_formula_sum(record, o, p)
     _emit(args, "htsum.jsonl", record.to_jsonl())
@@ -169,18 +175,7 @@ def cmd_htsum(args) -> int:
 
 
 def cmd_order(args) -> int:
-    model, tree, orbit = _setup_tree(args.model, args.space)
-    record = enumerate_cosets(
-        orbit,
-        parse_word(model, args.g),
-        parse_word(model, args.o),
-        parse_word(model, args.p),
-        args.T,
-    )
-    if not record.certified:
-        print("error: certification: enumeration window insufficient", file=sys.stderr)
-        return EXIT_CERTIFICATION
-    entries, report = linear_order(record)
+    entries, report = linear_order(enumerate_cosets(*_coset_search(args), args.T))
     for i, e in enumerate(entries):
         print(f"{i}: {e.axis} value={e.value} position={e.position}")
     state = "consistent" if report.consistent else f"{len(report.disagreements)} disagreement(s)"
@@ -346,169 +341,154 @@ def cmd_check(args) -> int:
 # --- parser ---------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
+_MODEL = ("--model", {"default": "F2"})
+_SPACE = ("--space", {"default": "cayley", "choices": ["cayley", "bass-serre"]})
+_EXPERIMENT = (("--model", {"default": None}), ("--kernel", {"default": None}))
+_SAMPLES = ("--samples", {"type": int, "default": None})
+
+# name -> (handler, help, takes --seed, arguments after --config/--out)
+_COMMANDS = {
+    "ball": (cmd_ball, "enumerate a metric ball", False, (
+        _MODEL,
+        ("--center", {"default": "e"}),
+        ("--radius", {"type": int, "required": True}),
+    )),
+    "project": (cmd_project, "nearest-point projection onto an axis", False, (
+        _MODEL,
+        _SPACE,
+        ("--x", {"required": True}),
+        ("--axis-root", {"required": True}),
+        ("--axis-rep", {"default": "e"}),
+    )),
+    "htsum": (cmd_htsum, "threshold cosets and their distance sum", False, (
+        _MODEL,
+        _SPACE,
+        ("--g", {"default": "a"}),
+        ("--o", {"required": True}),
+        ("--p", {"required": True}),
+        ("--T", {"type": int, "required": True}),
+        ("--window", {"type": int, "default": None}),
+    )),
+    "order": (cmd_order, "linear order of threshold cosets", False, (
+        _MODEL,
+        _SPACE,
+        ("--g", {"default": "a"}),
+        ("--o", {"required": True}),
+        ("--p", {"required": True}),
+        ("--T", {"type": int, "required": True}),
+    )),
+    "pivot": (cmd_pivot, "search a pivot uncoupling a path from an axis", False, (
+        _MODEL,
+        _SPACE,
+        ("--alpha", {"required": True, "help": "path target (path from e)"}),
+        ("--h", {"default": "a", "help": "axis generator"}),
+        ("--h-rep", {"default": "e", "help": "axis translate"}),
+        ("--s", {"type": int, "default": 3}),
+        ("--bound", {"type": int, "default": 4}),
+    )),
+    "simulate": (cmd_simulate, "sample seeded trajectories", True, (
+        *_EXPERIMENT,
+        ("--start", {"default": "e"}),
+        ("--steps", {"type": int, "required": True}),
+        ("--count", {"type": int, "default": 1}),
+    )),
+    "progress": (cmd_progress, "linear-progress experiment", True, (
+        *_EXPERIMENT,
+        _SAMPLES,
+        ("--n", {"default": None, "help": "comma-separated checkpoints"}),
+        ("--C", {"default": None, "help": "comma-separated divisors"}),
+    )),
+    "bounded-proj": (cmd_bounded_proj, "bounded-projection probability experiment", True, (
+        *_EXPERIMENT,
+        _SAMPLES,
+        ("--bound", {"type": float, "default": 2.0}),
+    )),
+    "tail": (cmd_tail, "tail-curve experiment with recursion check", True, (
+        *_EXPERIMENT,
+        _SAMPLES,
+        ("--T", {"type": int, "default": None}),
+        ("--o", {"default": None}),
+        ("--p", {"default": None}),
+        ("--steps", {"type": int, "default": 200}),
+        ("--gap", {"type": int, "default": 8}),
+        ("--eps", {"type": float, "default": 0.2}),
+    )),
+    "morse": (cmd_morse, "windowed Morse certificate", False, (
+        _MODEL,
+        ("--segment", {"required": True, "help": "segment target word"}),
+        ("--grid", {"default": "1,0;1,2;2,2"}),
+        ("--window", {"type": int, "default": 4}),
+    )),
+    "incompat": (cmd_incompat, "incompatibility witness for the crossing ray", False, (
+        ("--model", {"default": "Z^2 * Z"}),
+        ("--flat-size", {"type": int, "default": 6}),
+        ("--tail", {"type": int, "default": 12}),
+        ("--kappa", {"type": int, "default": 1}),
+        ("--L", {"type": int, "default": 24}),
+    )),
+    "cone": (cmd_cone, "coned-off metric ball", False, (
+        _MODEL,
+        ("--radius", {"type": int, "required": True}),
+        ("--cone", {"action": "append", "help": "root whose cosets get coned (repeatable)"}),
+        ("--serialize-limit", {"type": int, "default": 3000}),
+    )),
+    "fibers": (cmd_fibers, "fibre parallelism verdict in the factored ball", False, (
+        ("--model", {"default": "(Z^2 * Z) x Z"}),
+        ("--radius", {"type": int, "default": 4}),
+        ("--x", {"required": True}),
+        ("--y", {"required": True}),
+        ("--bound", {"type": int, "default": 4}),
+    )),
+    "separation": (cmd_separation, "fibre separation profile", False, (
+        ("--model", {"default": "F2", "choices": ["F2", "F2 x Z"]}),
+        ("--x", {"required": True}),
+        ("--y", {"required": True}),
+        ("--r", {"type": int, "default": 1}),
+        ("--s", {"type": int, "default": 2}),
+        ("--truncations", {"default": "4,6,8"}),
+    )),
+    "crossratio": (cmd_crossratio, "cross-ratio of four tree ends", False, (
+        _MODEL,
+        ("--a", {"required": True}),
+        ("--b", {"required": True}),
+        ("--c", {"required": True}),
+        ("--d", {"required": True}),
+    )),
+    "check": (cmd_check, "run the fast property-check suite", False, ()),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI parser; given a subcommand name, only that subcommand's parser.
+
+    Building one subparser instead of all of them saves most of the parser's
+    construction time.  The reduced parser spells the full command list in
+    its usage line, so its usage text and error messages match the full one.
+    """
     parser = argparse.ArgumentParser(
         prog="ggtlab",
         description="Exact group metrics, tree projections, coset sums and seeded chain experiments",
     )
     parser.add_argument("--version", action="version", version=f"ggtlab {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, stochastic=False):
+    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name, (fn, help_text, stochastic, arguments) in _COMMANDS.items():
+        if command is not None and name != command:
+            continue
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="plain-text key=value config file")
         p.add_argument("--out", help="output directory")
         if stochastic:
             p.add_argument("--seed", type=int, default=None, help="mandatory for stochastic runs")
-
-    p = sub.add_parser("ball", help="enumerate a metric ball")
-    common(p)
-    p.add_argument("--model", default="F2")
-    p.add_argument("--center", default="e")
-    p.add_argument("--radius", type=int, required=True)
-    p.set_defaults(fn=cmd_ball)
-
-    p = sub.add_parser("project", help="nearest-point projection onto an axis")
-    common(p)
-    p.add_argument("--model", default="F2")
-    p.add_argument("--space", default="cayley", choices=["cayley", "bass-serre"])
-    p.add_argument("--x", required=True)
-    p.add_argument("--axis-root", required=True)
-    p.add_argument("--axis-rep", default="e")
-    p.set_defaults(fn=cmd_project)
-
-    p = sub.add_parser("htsum", help="threshold cosets and their distance sum")
-    common(p)
-    p.add_argument("--model", default="F2")
-    p.add_argument("--space", default="cayley", choices=["cayley", "bass-serre"])
-    p.add_argument("--g", default="a")
-    p.add_argument("--o", required=True)
-    p.add_argument("--p", required=True)
-    p.add_argument("--T", type=int, required=True)
-    p.add_argument("--window", type=int, default=None)
-    p.set_defaults(fn=cmd_htsum)
-
-    p = sub.add_parser("order", help="linear order of threshold cosets")
-    common(p)
-    p.add_argument("--model", default="F2")
-    p.add_argument("--space", default="cayley", choices=["cayley", "bass-serre"])
-    p.add_argument("--g", default="a")
-    p.add_argument("--o", required=True)
-    p.add_argument("--p", required=True)
-    p.add_argument("--T", type=int, required=True)
-    p.set_defaults(fn=cmd_order)
-
-    p = sub.add_parser("pivot", help="search a pivot uncoupling a path from an axis")
-    common(p)
-    p.add_argument("--model", default="F2")
-    p.add_argument("--space", default="cayley", choices=["cayley", "bass-serre"])
-    p.add_argument("--alpha", required=True, help="path target (path from e)")
-    p.add_argument("--h", default="a", help="axis generator")
-    p.add_argument("--h-rep", default="e", help="axis translate")
-    p.add_argument("--s", type=int, default=3)
-    p.add_argument("--bound", type=int, default=4)
-    p.set_defaults(fn=cmd_pivot)
-
-    p = sub.add_parser("simulate", help="sample seeded trajectories")
-    common(p, stochastic=True)
-    p.add_argument("--model", default=None)
-    p.add_argument("--kernel", default=None)
-    p.add_argument("--start", default="e")
-    p.add_argument("--steps", type=int, required=True)
-    p.add_argument("--count", type=int, default=1)
-    p.set_defaults(fn=cmd_simulate)
-
-    p = sub.add_parser("progress", help="linear-progress experiment")
-    common(p, stochastic=True)
-    p.add_argument("--model", default=None)
-    p.add_argument("--kernel", default=None)
-    p.add_argument("--samples", type=int, default=None)
-    p.add_argument("--n", default=None, help="comma-separated checkpoints")
-    p.add_argument("--C", default=None, help="comma-separated divisors")
-    p.set_defaults(fn=cmd_progress)
-
-    p = sub.add_parser("bounded-proj", help="bounded-projection probability experiment")
-    common(p, stochastic=True)
-    p.add_argument("--model", default=None)
-    p.add_argument("--kernel", default=None)
-    p.add_argument("--samples", type=int, default=None)
-    p.add_argument("--bound", type=float, default=2.0)
-    p.set_defaults(fn=cmd_bounded_proj)
-
-    p = sub.add_parser("tail", help="tail-curve experiment with recursion check")
-    common(p, stochastic=True)
-    p.add_argument("--model", default=None)
-    p.add_argument("--kernel", default=None)
-    p.add_argument("--samples", type=int, default=None)
-    p.add_argument("--T", type=int, default=None)
-    p.add_argument("--o", default=None)
-    p.add_argument("--p", default=None)
-    p.add_argument("--steps", type=int, default=200)
-    p.add_argument("--gap", type=int, default=8)
-    p.add_argument("--eps", type=float, default=0.2)
-    p.set_defaults(fn=cmd_tail)
-
-    p = sub.add_parser("morse", help="windowed Morse certificate")
-    common(p)
-    p.add_argument("--model", default="F2")
-    p.add_argument("--segment", required=True, help="segment target word")
-    p.add_argument("--grid", default="1,0;1,2;2,2")
-    p.add_argument("--window", type=int, default=4)
-    p.set_defaults(fn=cmd_morse)
-
-    p = sub.add_parser("incompat", help="incompatibility witness for the crossing ray")
-    common(p)
-    p.add_argument("--model", default="Z^2 * Z")
-    p.add_argument("--flat-size", type=int, default=6)
-    p.add_argument("--tail", type=int, default=12)
-    p.add_argument("--kappa", type=int, default=1)
-    p.add_argument("--L", type=int, default=24)
-    p.set_defaults(fn=cmd_incompat)
-
-    p = sub.add_parser("cone", help="coned-off metric ball")
-    common(p)
-    p.add_argument("--model", default="F2")
-    p.add_argument("--radius", type=int, required=True)
-    p.add_argument("--cone", action="append", help="root whose cosets get coned (repeatable)")
-    p.add_argument("--serialize-limit", type=int, default=3000)
-    p.set_defaults(fn=cmd_cone)
-
-    p = sub.add_parser("fibers", help="fibre parallelism verdict in the factored ball")
-    common(p)
-    p.add_argument("--model", default="(Z^2 * Z) x Z")
-    p.add_argument("--radius", type=int, default=4)
-    p.add_argument("--x", required=True)
-    p.add_argument("--y", required=True)
-    p.add_argument("--bound", type=int, default=4)
-    p.set_defaults(fn=cmd_fibers)
-
-    p = sub.add_parser("separation", help="fibre separation profile")
-    common(p)
-    p.add_argument("--model", default="F2", choices=["F2", "F2 x Z"])
-    p.add_argument("--x", required=True)
-    p.add_argument("--y", required=True)
-    p.add_argument("--r", type=int, default=1)
-    p.add_argument("--s", type=int, default=2)
-    p.add_argument("--truncations", default="4,6,8")
-    p.set_defaults(fn=cmd_separation)
-
-    p = sub.add_parser("crossratio", help="cross-ratio of four tree ends")
-    common(p)
-    p.add_argument("--model", default="F2")
-    p.add_argument("--a", required=True)
-    p.add_argument("--b", required=True)
-    p.add_argument("--c", required=True)
-    p.add_argument("--d", required=True)
-    p.set_defaults(fn=cmd_crossratio)
-
-    p = sub.add_parser("check", help="run the fast property-check suite")
-    common(p)
-    p.set_defaults(fn=cmd_check)
-
+        for flag, kwargs in arguments:
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(fn=fn)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

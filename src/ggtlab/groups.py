@@ -83,14 +83,18 @@ class GroupModel:
         return [Word(self, (i + 1,)) for i in range(self.rank)]
 
     def _build_tables(self) -> None:
-        """Per-model constants, set once at construction: the hash and the
-        sort rank of each letter (generator i -> 2i, its inverse -> 2i+1).
-        Tables indexed by a signed letter use Python's negative indexing."""
+        """Per-model constants, set once at construction: the hash, and per
+        letter its sort rank (generator i -> 2i, its inverse -> 2i+1) and its
+        generator's name.  Tables indexed by a signed letter use Python's
+        negative indexing."""
         n = self.rank
         rank = [0] * (2 * n + 1)
-        for i in range(1, n + 1):
+        names = [""] * (2 * n + 1)
+        for i, name in enumerate(self.generator_names, 1):
             rank[i], rank[-i] = 2 * i, 2 * i + 1
+            names[i] = names[-i] = name
         object.__setattr__(self, "_sort_rank", rank)
+        object.__setattr__(self, "_letter_names", names)
         key = (type(self).__name__, self.describe(), self.generator_names)
         object.__setattr__(self, "_hash", hash(key))
 
@@ -375,21 +379,19 @@ class Word:
         return (len(self.letters), *map(self.model._sort_rank.__getitem__, self.letters))
 
     def __str__(self) -> str:
-        if not self.letters:
+        letters = self.letters
+        if not letters:
             return "e"
-        names = self.model.generator_names
+        names = self.model._letter_names
         parts: list[str] = []
-        i = 0
-        while i < len(self.letters):
-            j = i
-            while j < len(self.letters) and self.letters[j] == self.letters[i]:
-                j += 1
-            n = j - i
-            sign = 1 if self.letters[i] > 0 else -1
-            name = names[abs(self.letters[i]) - 1]
-            exp = sign * n
-            parts.append(name if exp == 1 else f"{name}^{exp}")
-            i = j
+        run, n = letters[0], 0
+        for ell in letters + (0,):  # 0 is no letter: it closes the last run
+            if ell == run:
+                n += 1
+                continue
+            exp = n if run > 0 else -n
+            parts.append(names[run] if exp == 1 else f"{names[run]}^{exp}")
+            run, n = ell, 1
         return " ".join(parts)
 
 

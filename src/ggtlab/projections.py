@@ -329,7 +329,6 @@ def _project_cayley(model: GroupModel, axis: Axis, x: Word) -> tuple[tuple[Word,
 @dataclass(frozen=True)
 class ProjectionValue:
     source: Word
-    target: str
     points: tuple[Word, ...]
     distance: int
     method: str
@@ -356,7 +355,7 @@ def project_to_set(orbit: OrbitMap, x: Word, target) -> ProjectionValue:
     if isinstance(target, Axis):
         if isinstance(orbit.space, CayleyTree) and orbit.name == "identity":
             pts, dist = _project_cayley(orbit.group, target, x)
-            return ProjectionValue(x, str(target), pts, dist, "analytic")
+            return ProjectionValue(x, pts, dist, "analytic")
         return _project_axis_scan(orbit, x, target)
     pts = list(target)
     if not pts:
@@ -365,7 +364,7 @@ def project_to_set(orbit: OrbitMap, x: Word, target) -> ProjectionValue:
     dists = [space_distance(orbit.space, px, orbit(p)) for p in pts]
     m = min(dists)
     chosen = tuple(sorted((p for p, d in zip(pts, dists) if d == m), key=Word.sort_key))
-    return ProjectionValue(x, f"set[{len(pts)}]", chosen, m, "scan-finite")
+    return ProjectionValue(x, chosen, m, "scan-finite")
 
 
 def _project_axis_scan(orbit: OrbitMap, x: Word, axis: Axis) -> ProjectionValue:
@@ -391,7 +390,7 @@ def _project_axis_scan(orbit: OrbitMap, x: Word, axis: Axis) -> ProjectionValue:
             elif d == best:
                 chosen.append(cand)
     pts = tuple(sorted(set(chosen), key=Word.sort_key))
-    return ProjectionValue(x, str(axis), pts, best, "scan-axis", window=n_max)
+    return ProjectionValue(x, pts, best, "scan-axis", window=n_max)
 
 
 def projection_of_set(orbit: OrbitMap, pts: Iterable[Word], target) -> frozenset[Word]:

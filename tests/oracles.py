@@ -2,13 +2,15 @@
 
 Everything here deliberately avoids the library's fast paths: distances come
 from explicit breadth-first searches on explicitly built graphs, ball sizes
-from closed-form growth formulas, and projections from windowed argmin scans
-with a linear-escape certificate.
+from closed-form growth formulas, projections from windowed argmin scans
+with a linear-escape certificate, and exact chain laws from `Fraction` sums
+over each state's own step law.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from fractions import Fraction
 
 from ggtlab.groups import GroupModel, Word, word_distance
 from ggtlab.spaces import BassSerreTree
@@ -112,3 +114,14 @@ def scan_axis_projection(model: GroupModel, axis, x: Word) -> tuple[set[Word], i
             chosen.add(pt)
         pt = pt * step
     return chosen, best
+
+
+def fraction_step(kernel, dist: dict, keep=None) -> dict:
+    """One exact step of a `{Word: Fraction}` law through `kernel.law` at
+    every state; targets failing `keep` are dropped."""
+    nxt: dict = {}
+    for st, pr in dist.items():
+        for tgt, p in kernel.law(st):
+            if p and (keep is None or keep(tgt)):
+                nxt[tgt] = nxt.get(tgt, Fraction(0)) + pr * p
+    return nxt

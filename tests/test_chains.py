@@ -7,6 +7,7 @@ import pytest
 from ggtlab.chains import (
     ChainError,
     CompositionQI,
+    ExactLaw,
     FiniteSwap,
     GeneratorPermutation,
     InvariantKernel,
@@ -29,6 +30,7 @@ from ggtlab.groups import ball, model_from_descriptor, word_distance
 from ggtlab.projections import axis_of
 
 from conftest import w
+from oracles import fraction_step
 
 
 @pytest.fixture(scope="module")
@@ -316,9 +318,87 @@ def test_reach_long_jumps_keep_every_live_state(f2k):
     # the unpruned exact law gives the same table
     dist = {f2k.identity(): Fraction(1)}
     for _, pr in expected[1:]:
-        nxt: dict = {}
-        for st, q in dist.items():
-            for tgt, pk in kernel.law(st):
-                nxt[tgt] = nxt.get(tgt, Fraction(0)) + q * pk
-        dist = nxt
+        dist = fraction_step(kernel, dist)
         assert dist.get(p, Fraction(0)) == pr
+
+
+# --- the exact-law engine against the Fraction reference step -----------------------
+
+
+def kernel_family(model, name):
+    quarter = Fraction(1, 4)
+    gens = sorted(
+        (g for g0 in model.generators() for g in (g0, g0.inverse())), key=lambda u: u.sort_key()
+    )
+    if name == "srw":
+        return srw(model)
+    if name == "lazy":
+        return srw(model, stay=Fraction(1, 2))
+    if name == "long-jumps":
+        return make_invariant(model, {w(model, s): quarter for s in ("a^2", "a^-2", "b", "b^-1")})
+    if name == "branch-swap":
+        return push_forward(srw(model), branch_swap(model))
+    if name == "nested":
+        lazy_swap = push_forward(srw(model, stay=Fraction(1, 3)), branch_swap(model))
+        return push_forward(lazy_swap, LeftTranslation(model, w(model, "a b^-1")))
+    if name == "local-rule":
+        uniform = tuple((g, Fraction(1, len(gens))) for g in gens)
+        lazy = ((model.identity(), Fraction(1, 3)),) + tuple((g, Fraction(1, 6)) for g in gens)
+        return LocalRuleKernel(model, classifier=lambda st: len(st) % 2, table=((0, uniform), (1, lazy)))
+    raise AssertionError(name)
+
+
+FAMILIES = ("srw", "lazy", "long-jumps", "branch-swap", "nested", "local-rule")
+
+
+@pytest.mark.parametrize("name", FAMILIES)
+def test_exact_law_matches_fraction_step(f2k, name):
+    kernel = kernel_family(f2k, name)
+    for start in ("e", "b a^-1"):
+        s = w(f2k, start)
+        law, ref = ExactLaw(kernel, s), {s: Fraction(1)}
+        for _ in range(5):
+            law.step()
+            ref = fraction_step(kernel, ref)
+            assert len(law) == len(ref)
+            assert all(law.prob(x) == pr for x, pr in ref.items())
+            assert law.sup() == max(ref.values())
+
+
+def test_exact_law_on_a_free_product():
+    model = model_from_descriptor("Z^2 * Z")
+    kernel = srw(model, stay=Fraction(1, 4))
+    s = w(model, "x z")
+    law, ref = ExactLaw(kernel, s), {s: Fraction(1)}
+    for _ in range(4):
+        law.step()
+        ref = fraction_step(kernel, ref)
+        assert len(law) == len(ref) and all(law.prob(x) == pr for x, pr in ref.items())
+
+
+@pytest.mark.parametrize("name", FAMILIES)
+def test_reach_table_matches_pruned_fraction_step(f2k, name):
+    kernel = kernel_family(f2k, name)
+    jump = kernel.jump_bound()
+    for q, p in [("e", "a b"), ("b", "b a^2 b"), ("a^-1", "a^-1 b^-1")]:
+        q, p = w(f2k, q), w(f2k, p)
+        d = word_distance(f2k, p, q)
+        horizon = 3 * d
+        res = reach_probability(kernel, p, q)
+        dist, table = {q: Fraction(1)}, [(0, Fraction(0))]
+        for t in range(1, horizon + 1):
+            budget = jump * (horizon - t)
+            dist = fraction_step(kernel, dist, lambda x: word_distance(f2k, x, p) <= budget)
+            table.append((t, dist.get(p, Fraction(0))))
+        assert res.table == tuple(table)
+        assert (res.t, res.probability) == max(table, key=lambda tp: (tp[1], -tp[0]))
+
+
+def test_pushed_exact_dp_equals_radial_closed_form(f2k, walk):
+    # f is a bijection fixing e, so the pushed sup is the base SRW's sup
+    grid = list(range(1, 9))
+    radial = estimate_nonamenability(walk, grid).entries
+    pushed = estimate_nonamenability(push_forward(walk, branch_swap(f2k)), grid).entries
+    assert {m for _, _, m in radial} == {"exact-radial"}
+    assert {m for _, _, m in pushed} == {"exact-dp"}
+    assert [(n, v) for n, v, _ in pushed] == [(n, v) for n, v, _ in radial]

@@ -2,7 +2,13 @@
 
 import pytest
 
-from ggtlab.cli import main
+from ggtlab import __version__
+from ggtlab.cli import build_parser, main
+
+COMMANDS = (
+    "ball", "project", "htsum", "order", "pivot", "simulate", "progress", "bounded-proj",
+    "tail", "morse", "incompat", "cone", "fibers", "separation", "crossratio", "check",
+)
 
 
 def run(capsys, *argv):
@@ -144,6 +150,26 @@ def test_certification_refused_before_enumerating(monkeypatch, capsys):
     assert code == 1 and out == "" and err.startswith("error: validation:")
 
 
+def test_order_refused_before_enumerating(monkeypatch, capsys):
+    import ggtlab.cli
+
+    def fail(*args, **kwargs):
+        raise AssertionError("enumerate_cosets called for an uncertifiable search")
+
+    monkeypatch.setattr(ggtlab.cli, "enumerate_cosets", fail)
+    bass_serre = ["--model", "Z^2 * Z", "--space", "bass-serre", "--g", "x z", "--o", "e"]
+    for argv in (
+        ["order", *bass_serre, "--p", "z x z", "--T", "2"],
+        # a Cayley-tree search whose threshold is within the coset spacing
+        ["order", "--g", "a b", "--o", "e", "--p", "b a^4 b", "--T", "2"],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == "error: certification: enumeration window insufficient\n"
+    code, out, err = run(capsys, "order", *bass_serre, "--p", "q", "--T", "2")
+    assert code == 1 and out == "" and err.startswith("error: validation:")
+
+
 @pytest.mark.parametrize(
     "argv, code, kind",
     [
@@ -167,3 +193,41 @@ def test_refused_inputs_write_nothing(tmp_path, capsys, argv, code, kind):
     assert got == code
     assert err.startswith(f"error: {kind}:") and err.count("\n") == 1
     assert out == "" and not outdir.exists()
+
+
+def full_parser_run(capsys, argv):
+    """Exit code and texts of the parser holding every subcommand, for argv
+    that stop in the parser (help, version, usage errors)."""
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv)
+    captured = capsys.readouterr()
+    return (0 if exc.value.code == 0 else 1), captured.out, captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [[cmd, "--help"] for cmd in COMMANDS]
+    + [
+        ["ball", "--radius", "x"],
+        ["ball", "--radius", "2", "extra"],
+        ["ball", "--radius", "2", "--version"],
+        ["order", "--o", "e"],
+        ["separation", "--model", "F3", "--x", "a", "--y", "b"],
+    ],
+    ids=" ".join,
+)
+def test_subcommand_parser_matches_full_parser(capsys, argv):
+    assert run(capsys, *argv) == full_parser_run(capsys, argv)
+
+
+def test_top_level_help_version_and_unknown_command(capsys):
+    code, out, err = run(capsys, "--help")
+    assert code == 0 and err == ""
+    assert all(cmd in out for cmd in COMMANDS)
+    assert (code, out, err) == full_parser_run(capsys, ["--help"])
+    assert run(capsys, "--version") == (0, f"ggtlab {__version__}\n", "")
+    code, out, err = run(capsys, "bogus")
+    assert code == 1 and out == "" and "invalid choice: 'bogus'" in err
+    assert (code, out, err) == full_parser_run(capsys, ["bogus"])
+    code, out, err = run(capsys)
+    assert code == 1 and "required: command" in err

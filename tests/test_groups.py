@@ -252,6 +252,20 @@ def test_word_operations_match_raw_normal_forms(desc, da, dc, k):
     assert word_distance(m, a, b) == word_distance(m, b, a)
 
 
+@given(st.sampled_from(WORD_MODELS), st.lists(st.tuples(_draws, st.integers(1, 4)), max_size=5))
+@settings(max_examples=200, deadline=None)
+def test_str_spells_runs_and_parses_back(desc, runs):
+    m = model_from_descriptor(desc)
+    word = normal_form(m, [ell for draws, k in runs for ell in _raw(m, draws) for _ in range(k)])
+    # reference spelling: one token per maximal run of one letter
+    tokens = []
+    for ell, run in itertools.groupby(word.letters):
+        name, exp = m.generator_names[abs(ell) - 1], len(list(run)) * (1 if ell > 0 else -1)
+        tokens.append(name if exp == 1 else f"{name}^{exp}")
+    assert str(word) == (" ".join(tokens) or "e")
+    assert parse_word(m, str(word)) == word
+
+
 def test_junction_cancels_whole_syllables(z2z, z2z_by_z):
     assert w(z2z, "x z") * w(z2z, "z^-1 y") == w(z2z, "x y")
     assert w(z2z, "z x z") * w(z2z, "z^-1 x^-1 z^-1") == z2z.identity()
