@@ -11,9 +11,10 @@ points a plain data comparison.  Only free-group Cayley trees are supported.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence
 
-from .groups import FreeGroup, GroupError, Word, word_distance
+from .groups import FreeGroup, GroupError, Word, diameter, word_distance
 
 
 class BoundaryError(GroupError):
@@ -96,9 +97,14 @@ class CenterSet:
     diameter: int
 
 
-def _stable_median(model: FreeGroup, a: BoundaryPoint, b: BoundaryPoint, c: BoundaryPoint, t0: int):
+def _stable_median(
+    model: FreeGroup, a: BoundaryPoint, b: BoundaryPoint, c: BoundaryPoint, t0: int, image=None
+) -> Word:
+    """Median of the depth-t vertices of three rays (or of their images under
+    `image`), taken once it stops changing as t grows."""
+
     def median_at(t: int) -> Word:
-        av, bv, cv = a.vertex(t), b.vertex(t), c.vertex(t)
+        av, bv, cv = (p.vertex(t) if image is None else image(p.vertex(t)) for p in (a, b, c))
         dab = word_distance(model, av, bv)
         dac = word_distance(model, av, cv)
         dbc = word_distance(model, bv, cv)
@@ -108,12 +114,12 @@ def _stable_median(model: FreeGroup, a: BoundaryPoint, b: BoundaryPoint, c: Boun
 
     t = t0
     m = median_at(t)
-    for _ in range(8):
+    for _ in range(10):
         m2 = median_at(t + 3)
         if m2 == m:
             return m
         m, t = m2, t + 3
-    raise BoundaryError("median failed to stabilize")  # pragma: no cover
+    raise BoundaryError("median failed to stabilize")
 
 
 def _descriptor_size(p: BoundaryPoint) -> int:
@@ -147,11 +153,7 @@ def tripod_centers(
     chosen = tuple(
         sorted((v for v in line_pts if word_distance(model, v, m) <= bound), key=Word.sort_key)
     )
-    diam = 0
-    for i in range(len(chosen)):
-        for j in range(i + 1, len(chosen)):
-            diam = max(diam, word_distance(model, chosen[i], chosen[j]))
-    return CenterSet(chosen, bound, diam)
+    return CenterSet(chosen, bound, diameter(chosen, partial(word_distance, model)))
 
 
 def cross_ratio(
@@ -168,12 +170,7 @@ def cross_ratio(
             raise BoundaryError("cross-ratio needs four distinct boundary points")
     m1 = tripod_centers(model, a, b, c, bound)
     m2 = tripod_centers(model, a, d, c, bound)
-    union = list(dict.fromkeys(m1.points + m2.points))
-    diam = 0
-    for i in range(len(union)):
-        for j in range(i + 1, len(union)):
-            diam = max(diam, word_distance(model, union[i], union[j]))
-    return diam
+    return diameter(set(m1.points + m2.points), partial(word_distance, model))
 
 
 # ---------------------------------------------------------------------------
@@ -187,28 +184,6 @@ class DistortionResult:
     witness: tuple | None
     skipped: int
     pairs: tuple[tuple[int, int], ...]
-
-
-def _image_median(model: FreeGroup, qi, a: BoundaryPoint, b: BoundaryPoint, c: BoundaryPoint, t0: int) -> Word:
-    """Median of the images of ray truncations, stabilized over the horizon."""
-
-    def median_at(t: int) -> Word:
-        av, bv, cv = qi.apply(a.vertex(t)), qi.apply(b.vertex(t)), qi.apply(c.vertex(t))
-        dab = word_distance(model, av, bv)
-        dac = word_distance(model, av, cv)
-        dbc = word_distance(model, bv, cv)
-        k = (dab + dac - dbc) // 2
-        w = (av.inverse() * bv).letters
-        return Word(model, model.normalize(av.letters + w[:k]))
-
-    t = t0
-    m = median_at(t)
-    for _ in range(10):
-        m2 = median_at(t + 3)
-        if m2 == m:
-            return m
-        m, t = m2, t + 3
-    raise BoundaryError("image median failed to stabilize")
 
 
 def cross_ratio_distortion(model: FreeGroup, qi, quadruples: Sequence[tuple]) -> DistortionResult:
@@ -228,8 +203,8 @@ def cross_ratio_distortion(model: FreeGroup, qi, quadruples: Sequence[tuple]) ->
         try:
             base = cross_ratio(model, a, b, c, d)
             t0 = 2 * max(_descriptor_size(p) for p in quad) + 8
-            m1 = _image_median(model, qi, a, b, c, t0)
-            m2 = _image_median(model, qi, a, d, c, t0)
+            m1 = _stable_median(model, a, b, c, t0, qi.apply)
+            m2 = _stable_median(model, a, d, c, t0, qi.apply)
             img = word_distance(model, m1, m2)
         except BoundaryError:
             skipped += 1

@@ -19,9 +19,10 @@ from typing import Sequence
 
 import numpy as np
 
+from . import __version__
 from .chains import InvariantKernel, MarkovKernel, Walk, branch_swap, fit_log_linear, push_forward, srw
 from .groups import FreeGroup, GroupModel, Word, ball, model_from_descriptor, parse_word
-from .projections import Axis, _line_data, axis_of, enumerate_cosets
+from .projections import Axis, _lcp, _line_data, _spell, axis_of, enumerate_cosets
 from .spaces import CayleyTree, OrbitMap, identity_orbit
 
 
@@ -74,6 +75,10 @@ class ExperimentConfig:
 
     def digest(self) -> str:
         return hashlib.sha256(self.to_text().encode()).hexdigest()[:16]
+
+    def csv_header(self) -> str:
+        """The first line of every experiment CSV."""
+        return f"# config={self.digest()} seed={self.seed} version={__version__}"
 
 
 def parse_config(text: str, **overrides) -> ExperimentConfig:
@@ -150,12 +155,9 @@ class AxisTracker:
         self.dir = direction
         self.phase = phase
         self.stack = list((anchor.inverse() * start).letters)
-        self.fwd = 0
-        while self.fwd < len(self.stack) and self.stack[self.fwd] == direction[self.fwd % self.q]:
-            self.fwd += 1
-        self.bwd = 0
-        while self.bwd < len(self.stack) and self.stack[self.bwd] == -direction[(-1 - self.bwd) % self.q]:
-            self.bwd += 1
+        n = len(self.stack)
+        self.fwd = _lcp(self.stack, _spell(direction, n))
+        self.bwd = _lcp(self.stack, _spell(direction, -n))
 
     def push(self, letter: int) -> None:
         if self.stack and self.stack[-1] == -letter:
@@ -249,7 +251,7 @@ class ProgressResult:
 
     def csv(self) -> str:
         lines = [
-            f"# config={self.config.digest()} seed={self.config.seed} version=0.1.0",
+            self.config.csv_header(),
             "n,C,probability,std_error,successes,samples",
         ]
         for r in self.rows:
@@ -316,7 +318,7 @@ class BoundedProjectionResult:
 
     def csv(self) -> str:
         lines = [
-            f"# config={self.config.digest()} seed={self.config.seed} version=0.1.0",
+            self.config.csv_header(),
             "cell,p,h,n,probability",
         ]
         for (ci, n), prob in sorted(self.table.items()):
@@ -418,8 +420,7 @@ class TailCurve:
 
     def csv(self) -> str:
         lines = [
-            f"# config={self.config.digest()} seed={self.config.seed} version=0.1.0 "
-            f"o={self.o} p={self.p} n={self.n} Cprime={self.c_prime}",
+            f"{self.config.csv_header()} o={self.o} p={self.p} n={self.n} Cprime={self.c_prime}",
             "t,g,f,g_count,f_count,samples",
         ]
         g, f = self.g(), self.f()

@@ -18,9 +18,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import groupby
+from itertools import combinations, groupby
 from operator import neg
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 
 class GroupError(ValueError):
@@ -409,10 +409,16 @@ def word_distance(model: GroupModel, g: Word, h: Word) -> int:
     return len(model.product(model.inverse(g.letters), h.letters))
 
 
-def _step_words(model: GroupModel, w: Word) -> Iterator[Word]:
+def neighbours(model: GroupModel, w: Word) -> Iterator[Word]:
+    """The Cayley-graph neighbours w s, for s = a, a^-1, b, b^-1, ... (sort_key order)."""
     for i in range(1, model.rank + 1):
         for s in (i, -i):
             yield Word(model, model.product(w.letters, (s,)))
+
+
+def diameter(points: Iterable, dist: Callable[[object, object], int]) -> int:
+    """Largest dist(p, q) over pairs of the points; 0 for fewer than two."""
+    return max((dist(p, q) for p, q in combinations(list(points), 2)), default=0)
 
 
 def ball(model: GroupModel, center: Word, radius: int, cap: int = DEFAULT_RADIUS_CAP) -> list[Word]:
@@ -429,7 +435,7 @@ def ball(model: GroupModel, center: Word, radius: int, cap: int = DEFAULT_RADIUS
     for _ in range(radius):
         nxt = []
         for w in frontier:
-            for v in _step_words(model, w):
+            for v in neighbours(model, w):
                 if v.letters not in seen:
                     seen.add(v.letters)
                     nxt.append(v)
@@ -458,24 +464,21 @@ class GeodesicPath:
         return iter(self.vertices)
 
 
-def geodesic(model: GroupModel, g: Word, h: Word) -> GeodesicPath:
-    """A geodesic from g to h, greedy with lexicographically least next letter."""
+def geodesic(model: GroupModel, g: Word, h: Word, reverse: bool = False) -> GeodesicPath:
+    """A geodesic from g to h, greedy: each step goes to the first neighbour in
+    `neighbours` order (the last one with ``reverse``) that is closer to h."""
     if g.model != model or h.model != model:
         raise GroupError("geodesic: model mismatch")
     path = [g]
-    cur = g
-    remaining = word_distance(model, cur, h)
-    letters = [s for i in range(1, model.rank + 1) for s in (i, -i)]  # in sort_key order
-    while remaining > 0:
-        for s in letters:
-            cand = Word(model, model.product(cur.letters, (s,)))
-            if word_distance(model, cand, h) == remaining - 1:
-                cur = cand
+    # a connected Cayley graph always has a distance-decreasing step
+    for remaining in range(word_distance(model, g, h) - 1, -1, -1):
+        steps = neighbours(model, path[-1])
+        if reverse:
+            steps = reversed(list(steps))
+        for v in steps:
+            if word_distance(model, v, h) == remaining:
                 break
-        else:  # pragma: no cover - cannot happen in a connected Cayley graph
-            raise GroupError("no distance-decreasing step found")
-        path.append(cur)
-        remaining -= 1
+        path.append(v)
     return GeodesicPath(tuple(path))
 
 

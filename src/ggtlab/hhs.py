@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 import networkx as nx
 
 from .groups import DirectProduct, FreeProduct, GroupError, GroupModel, Word, ball, word_distance
-from .spaces import CosetFamily, FiniteGraphSpace, cone_off
+from .spaces import BassSerreTree, CosetFamily, FiniteGraphSpace, cone_off
 
 
 class SkeletonError(ValueError):
@@ -311,13 +311,6 @@ class Region:
     parallelism_fibers: Callable[[Word, int], list[Word]] | None = None
 
 
-def _strip_factor(model: FreeProduct, factor: int, w: Word) -> tuple[int, ...]:
-    runs = model.syllables(w.letters)
-    if runs and runs[-1][0] == factor:
-        runs = runs[:-1]
-    return tuple(l for _, seg in runs for l in seg)
-
-
 def product_free_skeleton() -> HHSSkeleton:
     """Toy skeleton of (Z^2 * Z) x Z: flat conjugates and the two line
     families, each orthogonal to the central direction."""
@@ -334,56 +327,32 @@ def product_free_regions(model: DirectProduct) -> dict[str, Region]:
     V = central lines.  Parallelism fibres are the flat-direction slices."""
     if not isinstance(model, DirectProduct) or not isinstance(model.left, FreeProduct):
         raise GroupError("region map expects a free-product-by-Z model")
-    left = model.left
-    c = model.central_index
-
-    def left_letters(w: Word) -> tuple[int, ...]:
-        ls, _ = model.split(w.letters)
-        return ls
+    if len(model.left.factors) != 2:  # the keys strip cosets in its Bass-Serre tree
+        raise GroupError("region map expects a two-factor free product by Z")
+    tree = BassSerreTree(model.left)
+    flat = model.left.factors[0]
 
     def u_key(w: Word):
         ls, k = model.split(w.letters)
-        return (_strip_factor(left, 0, Word(left, ls)), k)
+        return (tree.strip(0, Word(model.left, ls)).letters, k)
 
     def w_key(w: Word):
         ls, k = model.split(w.letters)
-        return (_strip_factor(left, 1, Word(left, ls)), k)
+        return (tree.strip(1, Word(model.left, ls)).letters, k)
 
     def v_key(w: Word):
-        return left_letters(w)
+        return model.split(w.letters)[0]
 
     def flat_fiber(x: Word, radius: int) -> list[Word]:
-        flat_rank = left.factors[0].rank
-        sub = [
-            Word(model, model.normalize(x.letters + w2.letters))
-            for w2 in _abelian_ball(model, flat_rank, radius)
-        ]
-        return sub
+        # the flat factor's letters are the model's first letters
+        pad = ball(flat, flat.identity(), radius, cap=max(radius, 10))
+        return [Word(model, model.normalize(x.letters + w2.letters)) for w2 in pad]
 
     return {
         "U": Region(CosetFamily("flat x central slices", u_key), flat_fiber),
         "W": Region(CosetFamily("z-line slices", w_key)),
         "V": Region(CosetFamily("central lines", v_key)),
     }
-
-
-def _abelian_ball(model: GroupModel, rank: int, radius: int) -> list[Word]:
-    """Words of the ambient model using only the first `rank` generators."""
-    out = [model.identity()]
-    frontier = [model.identity()]
-    seen = {model.identity().letters}
-    for _ in range(radius):
-        nxt = []
-        for w in frontier:
-            for i in range(1, rank + 1):
-                for s in (i, -i):
-                    u = Word(model, model.product(w.letters, (s,)))
-                    if u.letters not in seen:
-                        seen.add(u.letters)
-                        nxt.append(u)
-        frontier = nxt
-        out.extend(nxt)
-    return out
 
 
 def fibered_tree_skeleton() -> HHSSkeleton:

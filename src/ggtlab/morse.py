@@ -15,10 +15,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
+from functools import partial
 from typing import Callable, Sequence
 
-from .groups import GeodesicPath, GroupError, GroupModel, Word, ball, geodesic, word_distance
+from .groups import (
+    GeodesicPath,
+    GroupError,
+    GroupModel,
+    Word,
+    ball,
+    diameter,
+    geodesic,
+    neighbours,
+    word_distance,
+)
 from .projections import _diam_x, project_to_set
 from .spaces import OrbitMap, space_distance
 
@@ -86,7 +96,6 @@ def _exact_geodesic_cell(model: GroupModel, segment: Sequence[Word], window: int
     """Max detour over all window-confined geodesics between segment vertices."""
     best = 0
     best_path: tuple[Word, ...] | None = None
-    gens = [Word(model, (s,)) for i in range(1, model.rank + 1) for s in (i, -i)]
     for ai in range(len(segment)):
         for bi in range(ai + 1, len(segment)):
             x, y = segment[ai], segment[bi]
@@ -102,8 +111,7 @@ def _exact_geodesic_cell(model: GroupModel, segment: Sequence[Word], window: int
             for v in order:
                 f[v] = verts[v]
                 arg[v] = None
-                for g in gens:
-                    u = v * g
+                for u in neighbours(model, v):
                     if u in dag and dag[u] == dag[v] + 1 and f[u] > f[v]:
                         f[v] = f[u]
                         arg[v] = u
@@ -139,8 +147,7 @@ def _relaxed_cell(
     anchors: Sequence[tuple[int, int]],
     state_budget: int,
 ) -> CellResult:
-    gens = [Word(model, (s,)) for i in range(1, model.rank + 1) for s in (i, -i)]
-    neighbors = {v: [v * g for g in gens if v * g in verts] for v in verts}
+    adj = {v: [u for u in neighbours(model, v) if u in verts] for v in verts}
     best = 0
     best_path: tuple[Word, ...] | None = None
     for ai, bi in anchors:
@@ -157,14 +164,14 @@ def _relaxed_cell(
         fwd[0].add(x)
         for i in range(1, t_max + 1):
             for v in fwd[i - 1]:
-                for u in neighbors[v]:
+                for u in adj[v]:
                     if dx[u] <= i and dx[u] >= i / lam - eps:
                         fwd[i].add(u)
         bwd = [set() for _ in range(t_max + 1)]
         bwd[0].add(y)
         for j in range(1, t_max + 1):
             for v in bwd[j - 1]:
-                for u in neighbors[v]:
+                for u in adj[v]:
                     if dy[u] <= j and dy[u] >= j / lam - eps:
                         bwd[j].add(u)
         reach_i: dict[Word, int] = {}
@@ -179,8 +186,8 @@ def _relaxed_cell(
             if v in reach_i and v in reach_j and reach_i[v] + reach_j[v] <= t_max:
                 if verts[v] > best:
                     best = verts[v]
-                    fpath = _trace(x, v, reach_i[v], fwd, neighbors)
-                    bpath = _trace(y, v, reach_j[v], bwd, neighbors)
+                    fpath = _trace(x, v, reach_i[v], fwd, adj)
+                    bpath = _trace(y, v, reach_j[v], bwd, adj)
                     best_path = tuple(fpath + list(reversed(bpath))[1:])
     if best_path is not None and _is_quasi_geodesic(model, best_path, lam, eps):
         status = "witness-found"
@@ -191,12 +198,12 @@ def _relaxed_cell(
     return CellResult(best, status, best_path)
 
 
-def _trace(src: Word, tgt: Word, steps: int, layers, neighbors) -> list[Word]:
+def _trace(src: Word, tgt: Word, steps: int, layers, adj) -> list[Word]:
     path = [tgt]
     cur = tgt
     for i in range(steps - 1, -1, -1):
         for v in layers[i]:
-            if cur in neighbors[v]:
+            if cur in adj[v]:
                 path.append(v)
                 cur = v
                 break
@@ -256,10 +263,7 @@ def detectability_check(orbit: OrbitMap, segment: GeodesicPath | Sequence[Word])
     """Least lambda making the orbit image a parametrized (lambda, lambda)-QG."""
     seg = tuple(segment.vertices if isinstance(segment, GeodesicPath) else segment)
     imgs = [orbit(v) for v in seg]
-    diam = 0
-    for i in range(len(imgs)):
-        for j in range(i + 1, len(imgs)):
-            diam = max(diam, space_distance(orbit.space, imgs[i], imgs[j]))
+    diam = diameter(imgs, partial(space_distance, orbit.space))
     if diam <= 2:
         return DetectabilityResult(float("inf"), "degenerate", diam)
     lam = 1.0
@@ -293,27 +297,6 @@ class IncompatibilityWitness:
         return d - (gauge(k, c + 2 * self.kappa) + 2 * self.kappa) == self.margin
 
 
-def _extreme_geodesic(model: GroupModel, x: Word, y: Word, reverse: bool) -> list[Word]:
-    """Greedy geodesic preferring the largest (or smallest) next letter."""
-    letters = sorted(
-        [s for i in range(1, model.rank + 1) for s in (i, -i)],
-        key=lambda ell: (abs(ell), 0 if ell > 0 else 1),
-        reverse=reverse,
-    )
-    path = [x]
-    cur = x
-    remaining = word_distance(model, cur, y)
-    while remaining > 0:
-        for s in letters:
-            cand = cur * Word(model, (s,))
-            if word_distance(model, cand, y) == remaining - 1:
-                cur = cand
-                break
-        path.append(cur)
-        remaining -= 1
-    return path
-
-
 def incompatibility_witness(
     model: GroupModel,
     beta: Sequence[Word],
@@ -341,13 +324,13 @@ def incompatibility_witness(
                 return best
             examined += 1
             for reverse in (False, True):
-                mu = _extreme_geodesic(model, beta[i], beta[j], reverse)
+                mu = geodesic(model, beta[i], beta[j], reverse).vertices
                 for p in mu:
                     d = min(word_distance(model, p, b) for b in beta)
                     margin = d - threshold
                     if margin > 0 and (best is None or margin > best.margin):
                         best = IncompatibilityWitness(
-                            tuple(mu), (1, 0), p, margin, kappa, prefix_bound
+                            mu, (1, 0), p, margin, kappa, prefix_bound
                         )
     return best
 
@@ -403,13 +386,7 @@ def mutual_projection_check(
             out.update(project_to_set(orbit, v, list(tgt)).points)
         return out
 
-    def diam_g(pts: set[Word]) -> int:
-        pl = list(pts)
-        best = 0
-        for i in range(len(pl)):
-            for j in range(i + 1, len(pl)):
-                best = max(best, word_distance(model, pl[i], pl[j]))
-        return best
+    dist_g = partial(word_distance, model)
 
     ab = proj_union(beta, alpha)  # projection of beta onto alpha
     ba = proj_union(alpha, beta)
@@ -421,8 +398,8 @@ def mutual_projection_check(
     overlap = len(set(alpha) & set(beta))
     same_ray = overlap > min(len(alpha), len(beta)) // 2
     return MutualProjectionResult(
-        (diam_g(ab), _diam_x(orbit, ab)),
-        (diam_g(ba), _diam_x(orbit, ba)),
+        (diameter(ab, dist_g), _diam_x(orbit, ab)),
+        (diameter(ba, dist_g), _diam_x(orbit, ba)),
         stabilized,
         same_ray,
     )

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Iterable, Sequence
 
 from .groups import (
@@ -35,6 +35,7 @@ from .groups import (
     GroupModel,
     Word,
     ball,
+    diameter,
     geodesic,
     word_distance,
 )
@@ -247,67 +248,46 @@ def _lcp(a: Sequence[int], b: Sequence[int]) -> int:
     return i
 
 
+def _spell(direction: tuple[int, ...], t: int) -> tuple[int, ...]:
+    """Letters of the first |t| steps along a line from its anchor: forward
+    through `direction` for t >= 0, backward (inverse letters, last first)
+    for t < 0."""
+    if t < 0:
+        direction, t = tuple(-l for l in reversed(direction)), -t
+    return (direction * (t // len(direction) + 1))[:t]
+
+
 @lru_cache(maxsize=4096)
 def _line_data(model: GroupModel, root_letters: tuple[int, ...], rep_letters: tuple[int, ...]):
     """Anchor the line of a coset at its vertex nearest the identity.
 
     Returns (anchor Word, direction letters, phase) such that the line's
-    vertex at position t is anchor * spell(t) without cancellation, and the
-    coset points sit at positions ≡ phase (mod |root|).
+    vertex at position t is anchor * _spell(direction, t) without
+    cancellation, and the coset points sit at positions ≡ phase (mod |root|).
     """
     q = len(root_letters)
-    rep = Word(model, rep_letters)
 
     def vertex(t: int) -> Word:
-        if t >= 0:
-            seg = tuple(root_letters[i % q] for i in range(t))
-        else:
-            seg = tuple(-root_letters[i % q] for i in range(-1, t - 1, -1))
-        return Word(model, model.normalize(rep_letters + seg))
+        return Word(model, model.normalize(rep_letters + _spell(root_letters, t)))
 
-    t0 = 0
-    cur = rep
-    nxt = vertex(1)
-    if len(nxt) < len(cur):
-        while len(nxt) < len(cur):
-            t0 += 1
-            cur, nxt = nxt, vertex(t0 + 1)
-    else:
-        prv = vertex(-1)
-        while len(prv) < len(cur):
-            t0 -= 1
-            cur, prv = prv, vertex(t0 - 1)
-    anchor = cur
+    step = 1 if len(vertex(1)) < len(rep_letters) else -1
+    t0, cur, nxt = 0, Word(model, rep_letters), vertex(step)
+    while len(nxt) < len(cur):
+        t0 += step
+        cur, nxt = nxt, vertex(t0 + step)
     dir_plus = tuple(root_letters[(t0 + i) % q] for i in range(q))
     dir_minus = tuple(-root_letters[(t0 - 1 - i) % q] for i in range(q))
-    phase_plus = (-t0) % q
-    key = lambda d: tuple((abs(l), 0 if l > 0 else 1) for l in d)  # noqa: E731
-    if key(dir_plus) <= key(dir_minus):
-        return anchor, dir_plus, phase_plus
-    return anchor, dir_minus, (t0 % q)
-
-
-def _line_vertex(model: GroupModel, anchor: Word, direction: tuple[int, ...], t: int) -> Word:
-    q = len(direction)
-    if t >= 0:
-        seg = tuple(direction[i % q] for i in range(t))
-    else:
-        seg = tuple(-direction[i % q] for i in range(-1, t - 1, -1))
-    # cancellation-free by the anchoring, but normalize defensively
-    return Word(model, model.normalize(anchor.letters + seg))
+    rank = model._sort_rank
+    if [rank[l] for l in dir_plus] <= [rank[l] for l in dir_minus]:
+        return cur, dir_plus, (-t0) % q
+    return cur, dir_minus, t0 % q
 
 
 def _project_cayley(model: GroupModel, axis: Axis, x: Word) -> tuple[tuple[Word, ...], int]:
     anchor, direction, phase = _line_data(model, axis.root.letters, axis.rep.letters)
     q = len(direction)
     w = (anchor.inverse() * x).letters
-    fwd_spell = tuple(direction[i % q] for i in range(len(w)))
-    fwd = _lcp(w, fwd_spell)
-    if fwd == 0:
-        bwd_spell = tuple(-direction[i % q] for i in range(-1, -len(w) - 1, -1))
-        t_star = -_lcp(w, bwd_spell)
-    else:
-        t_star = fwd
+    t_star = _lcp(w, _spell(direction, len(w))) or -_lcp(w, _spell(direction, -len(w)))
     d_line = len(w) - abs(t_star)
     m0 = t_star - ((t_star - phase) % q)
     m1 = m0 + q
@@ -318,7 +298,9 @@ def _project_cayley(model: GroupModel, axis: Axis, x: Word) -> tuple[tuple[Word,
         best = [m1]
     else:
         best = [m0, m1]
-    pts = tuple(sorted((_line_vertex(model, anchor, direction, m) for m in best), key=Word.sort_key))
+    # cancellation-free by the anchoring, but normalize defensively
+    line = (Word(model, model.normalize(anchor.letters + _spell(direction, m))) for m in best)
+    pts = tuple(sorted(line, key=Word.sort_key))
     return pts, d_line + min(d0, d1)
 
 
@@ -417,12 +399,7 @@ def project_axis_onto(
 
 
 def _diam_x(orbit: OrbitMap, pts: Iterable[Word]) -> int:
-    pl = [orbit(p) for p in pts]
-    best = 0
-    for i in range(len(pl)):
-        for j in range(i + 1, len(pl)):
-            best = max(best, space_distance(orbit.space, pl[i], pl[j]))
-    return best
+    return diameter([orbit(p) for p in pts], partial(space_distance, orbit.space))
 
 
 def _setdist_x(orbit: OrbitMap, a: Iterable[Word], b: Iterable[Word]) -> int:
@@ -590,6 +567,7 @@ def enumerate_cosets(orbit: OrbitMap, g: Word, o: Word, p: Word, threshold: int,
     q = len(root)
     tree_exact = isinstance(orbit.space, CayleyTree) and orbit.name == "identity"
     certified = enumeration_certifiable(orbit, threshold, q)
+    geo = geodesic(model, o, p).vertices
     seen: set[tuple[int, ...]] = set()
     axes: list[Axis] = []
 
@@ -602,7 +580,7 @@ def enumerate_cosets(orbit: OrbitMap, g: Word, o: Word, p: Word, threshold: int,
     if tree_exact:
         rho0 = q // 2 + 1
         pad = ball(model, model.identity(), rho0, cap=max(rho0, 10))
-        for v in geodesic(model, o, p):
+        for v in geo:
             for u in pad:
                 add_candidate(v * u)
         if window is not None and not certified:
@@ -623,7 +601,6 @@ def enumerate_cosets(orbit: OrbitMap, g: Word, o: Word, p: Word, threshold: int,
         if value >= threshold:
             entries.append((ax, value, po.points, pp.points))
 
-    geo = geodesic(model, o, p).vertices
     geo_imgs = [orbit(v) for v in geo]
 
     def position(pts: tuple[Word, ...]) -> int:

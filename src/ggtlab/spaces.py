@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 import warnings
+from functools import partial
 from dataclasses import dataclass, field
 from typing import Callable, Hashable, Iterable, Sequence
 
@@ -31,6 +32,8 @@ from .groups import (
     GroupModel,
     Word,
     ball,
+    diameter,
+    neighbours,
     word_distance,
 )
 
@@ -89,11 +92,12 @@ class BassSerreTree:
         return self.vertex(0, self.model.identity())
 
     def strip(self, factor: int, w: Word) -> Word:
-        runs = self.model.syllables(w.letters)
-        if runs and runs[-1][0] == factor:
-            runs = runs[:-1]
-        letters = tuple(l for _, seg in runs for l in seg)
-        return Word(self.model, letters)
+        """w without its last syllable when that syllable lies in F_factor."""
+        letters, factor_of = w.letters, self.model._factor_of
+        i = len(letters)
+        while i and factor_of[letters[i - 1]] == factor:
+            i -= 1
+        return Word(self.model, letters[:i])
 
     def vertex(self, factor: int, w: Word) -> BSVertex:
         if factor not in (0, 1):
@@ -106,9 +110,7 @@ class BassSerreTree:
         With w' = strip(j, w) of k syllables, the path from e·F_i crosses one
         edge per syllable of w', plus one first when w' does not start in F_i.
         """
-        runs = self.model.syllables(w.letters)
-        if runs and runs[-1][0] == j:
-            runs.pop()
+        runs = self.model.syllables(self.strip(j, w).letters)
         if not runs:
             return int(i != j)
         return len(runs) + (runs[0][0] != i)
@@ -242,9 +244,8 @@ class OrbitMap:
         best = 0
         for w in ball(self.group, self.group.identity(), radius):
             pw = self.rule(w)
-            for g in self.group.generators():
-                for s in (g, g.inverse()):
-                    best = max(best, space_distance(self.space, pw, self.rule(w * s)))
+            for u in neighbours(self.group, w):
+                best = max(best, space_distance(self.space, pw, self.rule(u)))
         return best
 
 
@@ -387,13 +388,7 @@ def cone_off(
     """Ball of the group with every coset of the given families made diameter 1."""
     verts = ball(model, model.identity(), radius, cap=cap)
     vset = {w.letters for w in verts}
-    adj: dict = {w: [] for w in verts}
-    for w in verts:
-        for i in range(1, model.rank + 1):
-            for s in (i, -i):
-                u = Word(model, model.product(w.letters, (s,)))
-                if u.letters in vset:
-                    adj[w].append(u)
+    adj = {w: [u for u in neighbours(model, w) if u.letters in vset] for w in verts}
     cliques: list[tuple[Word, ...]] = []
     labels = []
     for fam in families:
@@ -468,20 +463,11 @@ def fibre_separation_profile(
         expanded = set(s1)
         frontier = set(s1)
         for _ in range(s):
-            nxt = set()
-            for w in frontier:
-                for i in range(1, model.rank + 1):
-                    for sg in (i, -i):
-                        u = Word(model, model.product(w.letters, (sg,)))
-                        if u.letters in inset and u not in expanded:
-                            nxt.add(u)
+            nxt = {u for v in frontier for u in neighbours(model, v) if u.letters in inset} - expanded
             expanded |= nxt
             frontier = nxt
         inter = [w for w in expanded if space_distance(orbit.space, images[w], y) <= r]
-        diam = 0
-        for a, b in itertools.combinations(inter, 2):
-            diam = max(diam, word_distance(model, a, b))
-        pairs.append((R, diam))
+        pairs.append((R, diameter(inter, partial(word_distance, model))))
     verdict = "bounded"
     if len(pairs) >= 2 and pairs[-1][1] != pairs[-2][1]:
         verdict = "growing"

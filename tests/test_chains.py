@@ -201,6 +201,20 @@ def test_return_probability_exact(f2k, walk):
     assert rep.entries[0][2] == "exact-radial"
 
 
+@pytest.mark.parametrize("k", [2, 3])
+def test_return_probabilities_approach_kesten(k):
+    # Kesten: the SRW on F_k has spectral radius rho = sqrt(2k-1)/k, so
+    # p_{2m+2}(e, e) / p_{2m}(e, e) increases to rho^2 from below
+    walk = srw(model_from_descriptor(f"F{k}"))
+    ms = (10, 20, 40, 80)
+    entries = estimate_nonamenability(walk, [n for m in ms for n in (2 * m, 2 * m + 2)]).entries
+    sup = {n: v for n, v, method in entries if method == "exact-radial"}
+    ratios = [sup[2 * m + 2] / sup[2 * m] for m in ms]
+    rho2 = (2 * k - 1) / k**2
+    assert ratios == sorted(ratios) and ratios[-1] < rho2
+    assert ratios[-1] > 0.97 * rho2
+
+
 def test_decay_f2_vs_z2(f2k):
     rep = estimate_nonamenability(srw(f2k), list(range(2, 17, 2)))
     assert rep.rho_hat is not None and rep.rho_hat < 0.95

@@ -117,6 +117,12 @@ def test_crossratio_subcommand(capsys):
     assert code == 0 and "= 2" in out
 
 
+def test_check_subcommand_passes(capsys):
+    code, out, err = run(capsys, "check")
+    assert code == 0 and err == ""
+    assert "FAIL" not in out and out.endswith("all checks passed\n")
+
+
 def test_certification_exit_code(capsys):
     # Bass-Serre enumeration is never certified: exit 2
     code, _, err = run(

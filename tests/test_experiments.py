@@ -3,11 +3,14 @@
 import numpy as np
 import pytest
 
+import ggtlab
 from ggtlab.chains import Walk, simulate, srw, trajectory_rng
 from ggtlab.experiments import (
     AxisTracker,
+    BoundedProjectionResult,
     ExperimentConfig,
     ExperimentError,
+    ProgressResult,
     TailCurve,
     _base_positions,
     bounded_projection_experiment,
@@ -214,3 +217,15 @@ def test_recursion_flat_region_flags_nonzero_g():
 def test_recursion_needs_coverage(small_curve):
     with pytest.raises(ExperimentError):
         recursion_check(small_curve, gap=10**6, eps=0.1)
+
+
+def test_csv_headers_share_one_line_with_the_package_version(f2):
+    cfg = ExperimentConfig(seed=5)
+    header = f"# config={cfg.digest()} seed=5 version={ggtlab.__version__}"
+    assert cfg.csv_header() == header
+    progress = ProgressResult(cfg, (), (), None)
+    bounded = BoundedProjectionResult(cfg, (), (), 0.0, {}, 0.0)
+    tail = TailCurve(cfg, f2.identity(), w(f2, "a"), 4, (), (), (), 1, None, None, None)
+    for csv in (progress.csv(), bounded.csv()):
+        assert csv.splitlines()[0] == header
+    assert tail.csv().splitlines()[0] == f"{header} o=e p=a n=4 Cprime=None"

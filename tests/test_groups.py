@@ -1,6 +1,7 @@
 """Normal forms, word metrics, balls and geodesics on the shipped models."""
 
 import itertools
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,7 @@ from ggtlab.groups import (
     GroupError,
     Word,
     ball,
+    diameter,
     geodesic,
     model_from_descriptor,
     normal_form,
@@ -206,6 +208,8 @@ def test_geodesic_examples(f2, z2, z2z):
     assert [str(v) for v in p1] == ["e", "a", "a b"]
     p2 = geodesic(z2, z2.identity(), w(z2, "x y"))
     assert [str(v) for v in p2] == ["e", "x", "x y"]
+    p2r = geodesic(z2, z2.identity(), w(z2, "x y"), reverse=True)
+    assert [str(v) for v in p2r] == ["e", "y", "x y"]
     p3 = geodesic(z2z, z2z.identity(), w(z2z, "x z"))
     assert [str(v) for v in p3] == ["e", "x", "x z"]
 
@@ -218,6 +222,32 @@ def test_geodesic_lengths_exhaustive(z2z):
         assert path.vertices[0] == e and path.vertices[-1] == target
         for u, v in zip(path.vertices, path.vertices[1:]):
             assert word_distance(z2z, u, v) == 1
+
+
+@pytest.mark.parametrize("desc", ["F2", "Z^2", "Z^2 * Z", "(Z^2 * Z) x Z"])
+@pytest.mark.parametrize("reverse", [False, True])
+def test_geodesic_greedy_letter_order(desc, reverse):
+    # letters a, a^-1, b, b^-1, ...: forward takes the first closer one,
+    # reverse the last
+    m = model_from_descriptor(desc)
+    order = [s for i in range(1, m.rank + 1) for s in (i, -i)]
+    if reverse:
+        order.reverse()
+    pts = ball(m, m.identity(), 2)
+    for g, h in itertools.product(pts[::3], pts[::2]):
+        path = geodesic(m, g, h, reverse=reverse).vertices
+        assert path[0] == g and path[-1] == h and len(path) == word_distance(m, g, h) + 1
+        for u, v in zip(path, path[1:]):
+            d = word_distance(m, u, h)
+            closer = [s for s in order if word_distance(m, u * Word(m, (s,)), h) < d]
+            assert v == u * Word(m, (closer[0],))
+
+
+def test_diameter(f2):
+    dist = partial(word_distance, f2)
+    assert diameter([], dist) == 0
+    assert diameter([w(f2, "a b")], dist) == 0
+    assert diameter(iter([f2.identity(), w(f2, "a"), w(f2, "b^-1 a")]), dist) == 3
 
 
 # --- the word layer: junction products, structural inverses, keys ------------

@@ -5,7 +5,7 @@ import warnings
 import networkx as nx
 import pytest
 
-from ggtlab.groups import Word, ball, word_distance
+from ggtlab.groups import Word, ball, model_from_descriptor, word_distance
 from ggtlab.hhs import (
     ConingSchedule,
     SkeletonError,
@@ -144,6 +144,12 @@ def product_setup(z2z_by_z):
     sched = coning_schedule(product_free_skeleton())
     regions = product_free_regions(z2z_by_z)
     return sched, regions
+
+
+def test_product_regions_need_a_two_factor_product(f2xz):
+    for model in (f2xz, model_from_descriptor("(Z^2 * Z * Z) x Z")):
+        with pytest.raises(GroupError):
+            product_free_regions(model)
 
 
 def test_round_zero_is_word_ball(z2z_by_z, product_setup):

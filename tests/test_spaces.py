@@ -40,6 +40,16 @@ def test_bass_serre_examples(z2z, bs_tree):
     assert space_distance(bs_tree, va, bs_tree.vertex(1, w(z2z, "x"))) == 1
 
 
+def test_strip_matches_syllable_definition(z2z, bs_tree):
+    # strip(i, w) drops w's last syllable exactly when it lies in factor i
+    for g in ball(z2z, z2z.identity(), 4):
+        runs = z2z.syllables(g.letters)
+        for factor in (0, 1):
+            kept = runs[:-1] if runs and runs[-1][0] == factor else runs
+            letters = tuple(l for _, seg in kept for l in seg)
+            assert bs_tree.strip(factor, g) == Word(z2z, letters)
+
+
 def test_bass_serre_against_bfs(z2z, bs_tree):
     adj = bs_tree_adjacency(bs_tree, 5)
     root = bs_tree.vertex(0, z2z.identity())
