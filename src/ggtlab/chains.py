@@ -235,12 +235,16 @@ class MarkovKernel:
         raise NotImplementedError
 
     def jump_bound(self, radius: int = 3) -> int:
-        """Max jump length over a sample window of states."""
-        best = 0
-        for st in ball(self.model, self.model.identity(), radius):
-            for tgt, _ in self.law(st):
-                best = max(best, word_distance(self.model, st, tgt))
-        return best
+        """Max jump length over a sample window of states, measured once per
+        kernel and radius (it rebuilds the law at every state of the ball)."""
+        known = self.__dict__.setdefault("_jump_bounds", {})
+        if radius not in known:
+            best = 0
+            for st in ball(self.model, self.model.identity(), radius):
+                for tgt, _ in self.law(st):
+                    best = max(best, word_distance(self.model, st, tgt))
+            known[radius] = best
+        return known[radius]
 
     def law_dict(self, state: Word) -> dict[Word, Fraction]:
         out: dict[Word, Fraction] = {}

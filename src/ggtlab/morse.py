@@ -81,50 +81,60 @@ class MorseCertificate:
         return "\n".join(lines) + "\n"
 
 
-def _window_vertices(model: GroupModel, segment: Sequence[Word], window: int) -> dict:
+@dataclass(frozen=True)
+class _Window:
+    """A certificate's window, keyed by letter tuples (they hash as the Words
+    they spell, so sets of them iterate in the same order): each vertex's
+    distance to the segment, its in-window neighbours in `neighbours` order
+    and a distance row from each segment vertex."""
+
+    detour: dict
+    adj: dict
+    rows: list
+
+
+def _window(model: GroupModel, segment: Sequence[Word], window: int) -> _Window:
     pad = ball(model, model.identity(), window, cap=max(10, window))
-    out: dict[Word, int] = {}
+    product = model.product
+    inverses = [model.inverse(s.letters) for s in segment]
+    rows: list[dict] = [{} for _ in segment]
     for v in segment:
         for u in pad:
-            cand = v * u
-            if cand not in out:
-                out[cand] = min(word_distance(model, cand, s) for s in segment)
-    return out
+            cand = product(v.letters, u.letters)
+            if cand not in rows[0]:
+                for row, inv in zip(rows, inverses):
+                    row[cand] = len(product(inv, cand))
+    detour = {v: min(row[v] for row in rows) for v in rows[0]}
+    steps = {v: [u.letters for u in neighbours(model, Word(model, v))] for v in detour}
+    return _Window(detour, {v: [u for u in ns if u in detour] for v, ns in steps.items()}, rows)
 
 
-def _exact_geodesic_cell(model: GroupModel, segment: Sequence[Word], window: int, verts: dict) -> CellResult:
+def _exact_geodesic_cell(model: GroupModel, segment: Sequence[Word], window: int, win: _Window) -> CellResult:
     """Max detour over all window-confined geodesics between segment vertices."""
     best = 0
-    best_path: tuple[Word, ...] | None = None
+    best_path = None
     for ai in range(len(segment)):
+        dx, x = win.rows[ai], segment[ai].letters
         for bi in range(ai + 1, len(segment)):
-            x, y = segment[ai], segment[bi]
-            dxy = word_distance(model, x, y)
-            dag = {
-                v: word_distance(model, x, v)
-                for v in verts
-                if word_distance(model, x, v) + word_distance(model, v, y) == dxy
-            }
+            dy = win.rows[bi]
+            dxy = dx[segment[bi].letters]
+            dag = {v: dx[v] for v in win.detour if dx[v] + dy[v] == dxy}
             order = sorted(dag, key=dag.get, reverse=True)
-            f: dict[Word, int] = {}
-            arg: dict[Word, Word | None] = {}
+            f, arg = {}, {}
             for v in order:
-                f[v] = verts[v]
+                f[v] = win.detour[v]
                 arg[v] = None
-                for u in neighbours(model, v):
+                for u in win.adj[v]:
                     if u in dag and dag[u] == dag[v] + 1 and f[u] > f[v]:
                         f[v] = f[u]
                         arg[v] = u
             if x in f and f[x] > best:
-                best = f[x]
-                path = [x]
-                cur: Word | None = x
-                while arg.get(cur) is not None:
-                    cur = arg[cur]
-                    path.append(cur)
-                best_path = tuple(path)
+                best, best_path = f[x], [x]
+                while arg[best_path[-1]] is not None:
+                    best_path.append(arg[best_path[-1]])
     status = "witness-found" if best >= window else "certified-on-window"
-    return CellResult(best, status, best_path)
+    witness = None if best_path is None else tuple(Word(model, v) for v in best_path)
+    return CellResult(best, status, witness)
 
 
 def _is_quasi_geodesic(model: GroupModel, path: Sequence[Word], lam: float, eps: float) -> bool:
@@ -137,58 +147,47 @@ def _is_quasi_geodesic(model: GroupModel, path: Sequence[Word], lam: float, eps:
     return True
 
 
+def _layers(src, dist: dict, adj: dict, t_max: int, lam: float, eps: float) -> tuple[list[set], dict]:
+    """Vertices a walk from src can stand on at each time t <= t_max while
+    t / lam - eps <= dist <= t, and the first time each is reached."""
+    layers = [{src}]
+    first = {src: 0}
+    for t in range(1, t_max + 1):
+        lo = t / lam - eps
+        layer = {u for v in layers[-1] for u in adj[v] if lo <= dist[u] <= t}
+        for v in layer:
+            first.setdefault(v, t)
+        layers.append(layer)
+    return layers, first
+
+
 def _relaxed_cell(
     model: GroupModel,
     segment: Sequence[Word],
     window: int,
-    verts: dict,
+    win: _Window,
     lam: float,
     eps: float,
     anchors: Sequence[tuple[int, int]],
     state_budget: int,
 ) -> CellResult:
-    adj = {v: [u for u in neighbours(model, v) if u in verts] for v in verts}
     best = 0
-    best_path: tuple[Word, ...] | None = None
+    best_path = None
     for ai, bi in anchors:
-        x, y = segment[ai], segment[bi]
-        dxy = word_distance(model, x, y)
+        x, y = segment[ai].letters, segment[bi].letters
+        dxy = win.rows[ai][y]
         t_max = int(lam * (dxy + eps))
-        if t_max * len(verts) > state_budget:
+        if t_max * len(win.detour) > state_budget:
             return CellResult(0, "skipped", None)
-        dx = {v: word_distance(model, x, v) for v in verts}
-        dy = {v: word_distance(model, v, y) for v in verts}
         # layered prefix/suffix feasibility: necessary conditions against
         # the anchors only (a relaxation of the full pair condition)
-        fwd = [set() for _ in range(t_max + 1)]
-        fwd[0].add(x)
-        for i in range(1, t_max + 1):
-            for v in fwd[i - 1]:
-                for u in adj[v]:
-                    if dx[u] <= i and dx[u] >= i / lam - eps:
-                        fwd[i].add(u)
-        bwd = [set() for _ in range(t_max + 1)]
-        bwd[0].add(y)
-        for j in range(1, t_max + 1):
-            for v in bwd[j - 1]:
-                for u in adj[v]:
-                    if dy[u] <= j and dy[u] >= j / lam - eps:
-                        bwd[j].add(u)
-        reach_i: dict[Word, int] = {}
-        for i in range(t_max + 1):
-            for v in fwd[i]:
-                reach_i.setdefault(v, i)
-        reach_j: dict[Word, int] = {}
-        for j in range(t_max + 1):
-            for v in bwd[j]:
-                reach_j.setdefault(v, j)
-        for v in verts:
-            if v in reach_i and v in reach_j and reach_i[v] + reach_j[v] <= t_max:
-                if verts[v] > best:
-                    best = verts[v]
-                    fpath = _trace(x, v, reach_i[v], fwd, adj)
-                    bpath = _trace(y, v, reach_j[v], bwd, adj)
-                    best_path = tuple(fpath + list(reversed(bpath))[1:])
+        fwd, reach_i = _layers(x, win.rows[ai], win.adj, t_max, lam, eps)
+        bwd, reach_j = _layers(y, win.rows[bi], win.adj, t_max, lam, eps)
+        for v, detour in win.detour.items():
+            if detour > best and v in reach_i and v in reach_j and reach_i[v] + reach_j[v] <= t_max:
+                best = detour
+                path = _trace(v, reach_i[v], fwd, win.adj) + _trace(v, reach_j[v], bwd, win.adj)[-2::-1]
+                best_path = tuple(Word(model, u) for u in path)
     if best_path is not None and _is_quasi_geodesic(model, best_path, lam, eps):
         status = "witness-found"
     else:
@@ -198,16 +197,13 @@ def _relaxed_cell(
     return CellResult(best, status, best_path)
 
 
-def _trace(src: Word, tgt: Word, steps: int, layers, adj) -> list[Word]:
+def _trace(tgt, steps: int, layers, adj) -> list:
+    """A walk through layers[0], ..., layers[steps - 1] into tgt: at each
+    layer, the first vertex (in set order) adjacent to the walk so far."""
     path = [tgt]
-    cur = tgt
     for i in range(steps - 1, -1, -1):
-        for v in layers[i]:
-            if cur in adj[v]:
-                path.append(v)
-                cur = v
-                break
-    return list(reversed(path))
+        path.append(next(v for v in layers[i] if path[-1] in adj[v]))
+    return path[::-1]
 
 
 def morse_certificate(
@@ -221,7 +217,7 @@ def morse_certificate(
     seg = tuple(segment.vertices if isinstance(segment, GeodesicPath) else segment)
     if len(seg) < 2:
         raise GroupError("segment must have at least two vertices")
-    verts = _window_vertices(model, seg, window)
+    win = _window(model, seg, window)
     cells: dict = {}
     n = len(seg) - 1
     anchors = [(0, n), (0, n // 2), (n // 2, n)] if n >= 2 else [(0, n)]
@@ -229,10 +225,10 @@ def morse_certificate(
         if lam < 1 or eps < 0:
             raise GroupError("grid cells need lambda >= 1 and eps >= 0")
         if (lam, eps) == (1, 0):
-            cells[(lam, eps)] = _exact_geodesic_cell(model, seg, window, verts)
+            cells[(lam, eps)] = _exact_geodesic_cell(model, seg, window, win)
         else:
             cells[(lam, eps)] = _relaxed_cell(
-                model, seg, window, verts, lam, eps, anchors, state_budget
+                model, seg, window, win, lam, eps, anchors, state_budget
             )
     # detour tables must be monotone in both parameters
     keys = sorted(cells)

@@ -11,12 +11,15 @@ Three space kinds are shipped:
 Coning is implemented as diameter-1 completion: each coned coset becomes a
 clique.  Cliques are stored implicitly (never expanded to edge lists) and the
 BFS treats a clique as a unit-cost hop, which gives exactly the metric of the
-completed graph.
+completed graph.  A ``FiniteGraphSpace`` indexes its vertices once, at
+construction: neighbour lists and cliques become lists of integer ids, the
+BFS runs on ids, and vertices appear again only at the API.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import warnings
 from functools import partial
 from dataclasses import dataclass, field
@@ -134,14 +137,18 @@ class FiniteGraphSpace:
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        self._index = {v: i for i, v in enumerate(self.vertices)}
+        self._index = index = {v: i for i, v in enumerate(self.vertices)}
         if self.basepoint is None and self.vertices:
             self.basepoint = self.vertices[0]
-        self._vertex_cliques: dict = {v: [] for v in self.vertices}
-        for ci, members in enumerate(self.cliques):
-            for v in members:
-                self._vertex_cliques[v].append(ci)
-        self._dist_cache: dict = {}
+        try:
+            self._nbrs = [[index[u] for u in self.base_adjacency.get(v, ())] for v in self.vertices]
+            self._clique_ids = [[index[u] for u in members] for members in self.cliques]
+        except KeyError as exc:
+            raise SpaceError(f"edge or clique endpoint {exc.args[0]!r} is not a vertex") from None
+        self._vertex_cliques: list[list[int]] = [[] for _ in self.vertices]
+        for ci, ids in enumerate(self._clique_ids):
+            for i in ids:
+                self._vertex_cliques[i].append(ci)
 
     def __contains__(self, v) -> bool:
         return v in self._index
@@ -149,41 +156,46 @@ class FiniteGraphSpace:
     def __len__(self) -> int:
         return len(self.vertices)
 
-    def distances_from(self, src) -> dict:
-        if src not in self._index:
-            raise SpaceError(f"point {src!r} not in graph")
-        cached = self._dist_cache.get(src)
-        if cached is not None:
-            return cached
-        dist = {src: 0}
-        clique_done = [False] * len(self.cliques)
-        frontier = [src]
-        d = 0
+    def _id(self, v) -> int:
+        i = self._index.get(v)
+        if i is None:
+            raise SpaceError(f"point {v!r} not in graph")
+        return i
+
+    def _bfs(self, src: int) -> tuple[list[int], list[int]]:
+        """Distances by vertex id from the id src (-1 where unreachable), and
+        the reached ids in discovery order."""
+        nbrs, cliques, vertex_cliques = self._nbrs, self._clique_ids, self._vertex_cliques
+        dist = [-1] * len(nbrs)
+        dist[src] = 0
+        clique_done = [False] * len(cliques)
+        order, frontier, d = [src], [src], 0
         while frontier:
             d += 1
             nxt = []
             for v in frontier:
-                for u in self.base_adjacency.get(v, ()):
-                    if u not in dist:
+                for u in nbrs[v]:
+                    if dist[u] < 0:
                         dist[u] = d
                         nxt.append(u)
-                for ci in self._vertex_cliques[v]:
+                for ci in vertex_cliques[v]:
                     if not clique_done[ci]:
                         clique_done[ci] = True
-                        for u in self.cliques[ci]:
-                            if u not in dist:
+                        for u in cliques[ci]:
+                            if dist[u] < 0:
                                 dist[u] = d
                                 nxt.append(u)
+            order += nxt
             frontier = nxt
-        if len(self._dist_cache) < 64:
-            self._dist_cache[src] = dist
-        return dist
+        return dist, order
+
+    def distances_from(self, src) -> dict:
+        dist, order = self._bfs(self._id(src))
+        return {self.vertices[i]: dist[i] for i in order}
 
     def distance(self, u, v) -> int:
-        if v not in self._index:
-            raise SpaceError(f"point {v!r} not in graph")
-        d = self.distances_from(u).get(v)
-        if d is None:
+        d = self._bfs(self._id(u))[0][self._id(v)]
+        if d < 0:
             raise SpaceError("graph is not connected between the given points")
         return d
 
@@ -192,12 +204,14 @@ class FiniteGraphSpace:
         total = sum(len(c) * (len(c) - 1) for c in self.cliques)
         if total > 400_000:
             raise SpaceError("graph too large to expand cliques explicitly")
-        adj = {v: set(self.base_adjacency.get(v, ())) for v in self.vertices}
-        for members in self.cliques:
-            for a, b in itertools.combinations(members, 2):
+        verts = self.vertices
+        adj = [set(ns) for ns in self._nbrs]
+        for ids in self._clique_ids:
+            for a, b in itertools.combinations(ids, 2):
                 adj[a].add(b)
                 adj[b].add(a)
-        return {v: tuple(sorted(ns, key=repr)) for v, ns in adj.items()}
+        key = [repr(v) for v in verts]  # neighbours in repr order
+        return {v: tuple(verts[j] for j in sorted(ns, key=key.__getitem__)) for v, ns in zip(verts, adj)}
 
     def serialize(self, labeller: Callable[[Hashable], str] = str) -> str:
         """Adjacency-list text: one line per vertex `id: n1 n2 ...`."""
@@ -283,9 +297,32 @@ class DeltaEstimate:
     exhaustive: bool
 
 
-def _four_point_defect(d_ij, d_kl, d_ik, d_jl, d_il, d_jk) -> float:
-    s = sorted((d_ij + d_kl, d_ik + d_jl, d_il + d_jk))
-    return (s[2] - s[1]) / 2.0
+_DEFECT_BLOCK = 2**16  # cells per vectorised block of quadruples
+
+
+def _exhaustive_defect(D: np.ndarray) -> int:
+    """Twice the largest four-point defect over all i < j < k < l.
+
+    One pivot i at a time, vectorised over j < k < l in blocks of at most
+    _DEFECT_BLOCK cells.  The pairing sums and their total stay below 6 max(D), which picks
+    the dtype; the largest sum minus the middle one is 2 max + min - total.
+    """
+    n, top6 = len(D), 6 * int(D.max())
+    D = D.astype(np.int16 if top6 < 2**15 else np.int32 if top6 < 2**31 else np.int64)
+    best = 0
+    for i in range(n - 3):
+        block = max(1, _DEFECT_BLOCK // (n - i - 1) ** 2)
+        for j0 in range(i + 1, n - 2, block):
+            js, ks = np.arange(j0, min(j0 + block, n - 2)), np.arange(j0 + 1, n)
+            dkj = D[np.ix_(ks, js)].T
+            s1 = D[i, js][:, None, None] + D[np.ix_(ks, ks)]  # d(i,j) + d(k,l)
+            s2 = D[i, ks][:, None] + dkj[:, None, :]  # d(i,k) + d(l,j)
+            s3 = D[i, ks] + dkj[:, :, None]  # d(i,l) + d(k,j)
+            top, low = np.maximum(np.maximum(s1, s2), s3), np.minimum(np.minimum(s1, s2), s3)
+            gap = 2 * top + low - s1 - s2 - s3
+            keep = (js[:, None, None] < ks[:, None]) & (ks[:, None] < ks)
+            best = max(best, int(gap.max(where=keep, initial=0)))
+    return best
 
 
 def delta_estimate(
@@ -304,41 +341,24 @@ def delta_estimate(
     n = len(pts)
     if n < 4:
         raise SpaceError("delta_estimate needs at least 4 points")
-    D = np.zeros((n, n), dtype=np.int64)
     if isinstance(space, FiniteGraphSpace):
-        for i, p in enumerate(pts):
-            dmap = space.distances_from(p)
-            for j, q in enumerate(pts):
-                D[i, j] = dmap[q]
+        ids = [space._id(p) for p in pts]
+        D = np.array([[row[j] for j in ids] for row in (space._bfs(i)[0] for i in ids)], dtype=np.int64)
+        if (D < 0).any():
+            raise SpaceError("graph is not connected between the given points")
     else:
+        D = np.zeros((n, n), dtype=np.int64)
         for i in range(n):
             for j in range(i + 1, n):
                 D[i, j] = D[j, i] = space_distance(space, pts[i], pts[j])
     if n <= exhaustive_limit:
-        best = 0.0
-        count = 0
-        for i in range(n):
-            for j in range(i + 1, n):
-                sub = np.arange(j + 1, n)
-                if len(sub) < 2:
-                    continue
-                # vectorize over the (k, l) pairs with j < k < l
-                s1 = D[i, j] + D[np.ix_(sub, sub)]
-                s2 = D[i, sub][:, None] + D[sub, j][None, :]
-                s3 = D[i, sub][None, :] + D[sub, j][:, None]
-                stacked = np.stack([s1, s2, s3])
-                stacked.sort(axis=0)
-                defects = (stacked[2] - stacked[1]) / 2.0
-                iu = np.triu_indices(len(sub), k=1)
-                if iu[0].size:
-                    best = max(best, float(defects[iu].max()))
-                    count += iu[0].size
-        return DeltaEstimate(best, count, True)
+        return DeltaEstimate(_exhaustive_defect(D) / 2.0, math.comb(n, 4), True)
     rng = np.random.default_rng(seed)
     best = 0.0
     for _ in range(samples):
         i, j, k, l = rng.choice(n, size=4, replace=False)
-        best = max(best, _four_point_defect(D[i, j], D[k, l], D[i, k], D[j, l], D[i, l], D[j, k]))
+        s = sorted((D[i, j] + D[k, l], D[i, k] + D[j, l], D[i, l] + D[j, k]))
+        best = max(best, (s[2] - s[1]) / 2.0)
     return DeltaEstimate(best, samples, False)
 
 

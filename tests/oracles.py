@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections import deque
 from fractions import Fraction
+from itertools import combinations
 
 from ggtlab.groups import GroupModel, Word, word_distance
 from ggtlab.spaces import BassSerreTree
@@ -59,6 +60,16 @@ def graph_bfs(adjacency: dict, src):
                 dist[u] = dist[v] + 1
                 q.append(u)
     return dist
+
+
+def four_point_delta(points, dist) -> float:
+    """Largest four-point defect over every quadruple of the points: half
+    the gap between the two largest of the three pairing sums."""
+    best = 0.0
+    for a, b, c, d in combinations(points, 4):
+        s = sorted((dist(a, b) + dist(c, d), dist(a, c) + dist(b, d), dist(a, d) + dist(b, c)))
+        best = max(best, (s[2] - s[1]) / 2)
+    return best
 
 
 def cayley_graph_adjacency(model: GroupModel, radius: int) -> dict:

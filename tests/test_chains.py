@@ -13,6 +13,7 @@ from ggtlab.chains import (
     InvariantKernel,
     LeftTranslation,
     LocalRuleKernel,
+    PushForwardKernel,
     WitnessError,
     branch_swap,
     check_irreducibility,
@@ -388,6 +389,20 @@ def test_exact_law_on_a_free_product():
         law.step()
         ref = fraction_step(kernel, ref)
         assert len(law) == len(ref) and all(law.prob(x) == pr for x, pr in ref.items())
+
+
+def test_reach_measures_the_jump_bound_once(f2k, walk, monkeypatch):
+    # a push-forward's jump bound rebuilds its law on a ball of states; the
+    # exact DP walks by conjugation, so a second query makes no law call
+    kernel = push_forward(walk, branch_swap(f2k))
+    calls = []
+    law = PushForwardKernel.law
+    monkeypatch.setattr(PushForwardKernel, "law", lambda self, st: calls.append(st) or law(self, st))
+    first = reach_probability(kernel, w(f2k, "a b"), f2k.identity())
+    assert len(calls) == len(ball(f2k, f2k.identity(), 3))
+    calls.clear()
+    assert reach_probability(kernel, w(f2k, "a b"), f2k.identity()) == first
+    assert calls == []
 
 
 @pytest.mark.parametrize("name", FAMILIES)

@@ -237,3 +237,15 @@ def test_top_level_help_version_and_unknown_command(capsys):
     assert (code, out, err) == full_parser_run(capsys, ["bogus"])
     code, out, err = run(capsys)
     assert code == 1 and "required: command" in err
+
+
+def test_cone_output_digest(capsys):
+    # sha256 of the serialized coned ball, recorded before the graph moved
+    # onto integer vertex ids: the neighbour order must not change
+    import hashlib
+
+    code, out, _ = run(capsys, "cone", "--model", "F2", "--radius", "3", "--cone", "a")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "d350d2ad34ae69212c3bc2cc06b2e43e0cda783066b78aedade900c762380857"
+    )

@@ -83,6 +83,152 @@ def test_tree_excursions_bounded_by_reference_gauge(f2):
         assert cell.max_detour <= tree_gauge(lam, eps)
 
 
+# Cells of `morse_certificate` on grid 1,0;1,2;2,2 with window 3, recorded
+# before the window search moved onto a letter-keyed table: per target, one
+# (max detour, status, witness letters) triple per grid cell.  The first ten
+# targets are seeded reduced F2 words of length 5, the last is on Z^2 * Z.
+GOLDEN_GRID = [(1.0, 0.0), (1.0, 2.0), (2.0, 2.0)]
+GOLDEN_CELLS = [
+    ((2, -1, -2, 1, 1), [
+        (0, "certified-on-window", None),
+        (1, "witness-found", (
+            (), (1,), (), (2,), (2, -1), (2, -1, -2), (2, -1, -2, 1), (2, -1, -2, 1, 1),
+        )),
+        (3, "witness-found", (
+            (), (1,), (1, 1), (1, 1, 1), (1, 1), (1,), (), (2,), (2, -1), (2, -1, -2),
+            (2, -1, -2, 1), (2, -1, -2, 1, 1),
+        )),
+    ]),
+    ((1, 2, 1, 1, 1), [
+        (0, "certified-on-window", None),
+        (1, "witness-found", (
+            (), (-1,), (), (1,), (1, 2), (1, 2, 1), (1, 2, 1, 1), (1, 2, 1, 1, 1),
+        )),
+        (3, "witness-found", (
+            (), (-1,), (-1, -1), (-1, -1, -1), (-1, -1), (-1,), (), (1,), (1, 2), (1, 2, 1),
+            (1, 2, 1, 1), (1, 2, 1, 1, 1),
+        )),
+    ]),
+    ((-2, -2, 1, 1, -2), [
+        (0, "certified-on-window", None),
+        (1, "witness-found", (
+            (), (1,), (), (-2,), (-2, -2), (-2, -2, 1), (-2, -2, 1, 1), (-2, -2, 1, 1, -2),
+        )),
+        (3, "witness-found", (
+            (), (1,), (1, 1), (1, 1, 1), (1, 1), (1,), (), (-2,), (-2, -2), (-2, -2, 1),
+            (-2, -2, 1, 1), (-2, -2, 1, 1, -2),
+        )),
+    ]),
+    ((1, 1, 1, -2, 1), [
+        (0, "certified-on-window", None),
+        (1, "witness-found", (
+            (), (-1,), (), (1,), (1, 1), (1, 1, 1), (1, 1, 1, -2), (1, 1, 1, -2, 1),
+        )),
+        (3, "witness-found", (
+            (), (-1,), (-1, -1), (-1, -1, -1), (-1, -1), (-1,), (), (1,), (1, 1), (1, 1, 1),
+            (1, 1, 1, -2), (1, 1, 1, -2, 1),
+        )),
+    ]),
+    ((-1, -1, 2, -1, 2), [
+        (0, "certified-on-window", None),
+        (1, "witness-found", (
+            (), (1,), (), (-1,), (-1, -1), (-1, -1, 2), (-1, -1, 2, -1), (-1, -1, 2, -1, 2),
+        )),
+        (3, "witness-found", (
+            (), (1,), (1, 1), (1, 1, 1), (1, 1), (1,), (), (-1,), (-1, -1), (-1, -1, 2),
+            (-1, -1, 2, -1), (-1, -1, 2, -1, 2),
+        )),
+    ]),
+    ((-1, -1, 2, 1, 1), [
+        (0, "certified-on-window", None),
+        (1, "witness-found", (
+            (), (1,), (), (-1,), (-1, -1), (-1, -1, 2), (-1, -1, 2, 1), (-1, -1, 2, 1, 1),
+        )),
+        (3, "witness-found", (
+            (), (1,), (1, 1), (1, 1, 1), (1, 1), (1,), (), (-1,), (-1, -1), (-1, -1, 2),
+            (-1, -1, 2, 1), (-1, -1, 2, 1, 1),
+        )),
+    ]),
+    ((1, -2, -2, -2, -2), [
+        (0, "certified-on-window", None),
+        (1, "witness-found", (
+            (), (-1,), (), (1,), (1, -2), (1, -2, -2), (1, -2, -2, -2), (1, -2, -2, -2, -2),
+        )),
+        (3, "witness-found", (
+            (), (-1,), (-1, -1), (-1, -1, -1), (-1, -1), (-1,), (), (1,), (1, -2), (1, -2, -2),
+            (1, -2, -2, -2), (1, -2, -2, -2, -2),
+        )),
+    ]),
+    ((2, 2, -1, -1, -1), [
+        (0, "certified-on-window", None),
+        (1, "witness-found", (
+            (), (1,), (), (2,), (2, 2), (2, 2, -1), (2, 2, -1, -1), (2, 2, -1, -1, -1),
+        )),
+        (3, "witness-found", (
+            (), (1,), (1, 1), (1, 1, 1), (1, 1), (1,), (), (2,), (2, 2), (2, 2, -1),
+            (2, 2, -1, -1), (2, 2, -1, -1, -1),
+        )),
+    ]),
+    ((1, 2, 2, 2, 1), [
+        (0, "certified-on-window", None),
+        (1, "witness-found", (
+            (), (-1,), (), (1,), (1, 2), (1, 2, 2), (1, 2, 2, 2), (1, 2, 2, 2, 1),
+        )),
+        (3, "witness-found", (
+            (), (-1,), (-1, -1), (-1, -1, -1), (-1, -1), (-1,), (), (1,), (1, 2), (1, 2, 2),
+            (1, 2, 2, 2), (1, 2, 2, 2, 1),
+        )),
+    ]),
+    ((1, -2, -1, 2, -1), [
+        (0, "certified-on-window", None),
+        (1, "witness-found", (
+            (), (-1,), (), (1,), (1, -2), (1, -2, -1), (1, -2, -1, 2), (1, -2, -1, 2, -1),
+        )),
+        (3, "witness-found", (
+            (), (-1,), (-1, -1), (-1, -1, -1), (-1, -1), (-1,), (), (1,), (1, -2), (1, -2, -1),
+            (1, -2, -1, 2), (1, -2, -1, 2, -1),
+        )),
+    ]),
+    ((1, 2, 3, 1, 2), [
+        (1, "certified-on-window", ((), (2,))),
+        (2, "witness-found", (
+            (), (2,), (-1, 2), (2,), (1, 2), (1, 2, 3), (1, 2, 3, 2), (1, 2, 3, 1, 2),
+        )),
+        (3, "witness-found", (
+            (), (-1,), (-1, -1), (-1, -1, -1), (-1, -1), (-1, -1, 2), (-1, 2), (2,), (1, 2),
+            (1, 2, 3), (1, 2, 3, 2), (1, 2, 3, 1, 2),
+        )),
+    ]),
+]
+
+
+def _reduced_f2_letters(rng, length):
+    out = []
+    while len(out) < length:
+        s = rng.choice((1, -1, 2, -2))
+        if not (out and out[-1] == -s):
+            out.append(s)
+    return tuple(out)
+
+
+def test_golden_certificate_cells(f2, z2z):
+    import random
+
+    rng = random.Random(7)
+    targets = [Word(f2, _reduced_f2_letters(rng, 5)) for _ in range(10)]
+    targets.append(w(z2z, "x y z x y"))
+    assert [t.letters for t in targets] == [letters for letters, _ in GOLDEN_CELLS]
+    for target, (_, expected) in zip(targets, GOLDEN_CELLS):
+        model = target.model
+        cert = morse_certificate(model, geodesic(model, model.identity(), target), GOLDEN_GRID, 3)
+        got = []
+        for key in GOLDEN_GRID:
+            cell = cert.cells[key]
+            witness = None if cell.witness is None else tuple(v.letters for v in cell.witness)
+            got.append((cell.max_detour, cell.status, witness))
+        assert got == expected, target
+
+
 # --- detectability ----------------------------------------------------------------
 
 

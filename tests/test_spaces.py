@@ -1,9 +1,15 @@
 """Tree distances, hyperbolicity defects, coning, and fibre separation."""
 
 import itertools
+import math
+import tracemalloc
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ggtlab import spaces
 from ggtlab.groups import Word, ball, word_distance
 from ggtlab.spaces import (
     BassSerreTree,
@@ -22,7 +28,7 @@ from ggtlab.spaces import (
 )
 
 from conftest import w
-from oracles import bs_tree_adjacency, cayley_graph_adjacency, graph_bfs
+from oracles import bs_tree_adjacency, cayley_graph_adjacency, four_point_delta, graph_bfs
 
 
 # --- distances -------------------------------------------------------------
@@ -135,6 +141,81 @@ def test_delta_grows_on_z2_grid(z2):
 def test_delta_needs_four_points(f2, f2_tree):
     with pytest.raises(SpaceError):
         delta_estimate(f2_tree, ball(f2, f2.identity(), 0))
+
+
+@st.composite
+def coned_graphs(draw):
+    """A random tree on 4-18 vertices plus chords and cliques, and 4-14 points."""
+    n = draw(st.integers(4, 18))
+    vertex = st.integers(0, n - 1)
+    edges = [(v, draw(st.integers(0, v - 1))) for v in range(1, n)]
+    edges += draw(st.lists(st.tuples(vertex, vertex), max_size=4))
+    cliques = draw(st.lists(st.lists(vertex, min_size=2, max_size=5, unique=True), max_size=3))
+    points = draw(st.lists(vertex, min_size=4, max_size=min(14, n), unique=True))
+    return n, edges, [tuple(c) for c in cliques], points
+
+
+@given(coned_graphs(), st.sampled_from([1, 60, spaces._DEFECT_BLOCK]))
+@settings(max_examples=150, deadline=None)
+def test_delta_matches_four_point_oracle(case, block):
+    # small blocks split each pivot's j-range into several blocks
+    n, edges, cliques, points = case
+    adj: dict = {v: [] for v in range(n)}
+    for a, b in edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    g = FiniteGraphSpace(vertices=tuple(range(n)), base_adjacency=adj, cliques=tuple(cliques))
+    full = {v: set(ns) for v, ns in adj.items()}
+    for c in cliques:
+        for a, b in itertools.combinations(c, 2):
+            full[a].add(b)
+            full[b].add(a)
+    rows = {p: graph_bfs(full, p) for p in points}
+    with mock.patch.object(spaces, "_DEFECT_BLOCK", block):
+        est = delta_estimate(g, points)
+    assert est.value == four_point_delta(points, lambda p, q: rows[p][q])
+    assert est.exhaustive and est.quadruples == math.comb(len(points), 4)
+
+
+def _path_graph(n):
+    adj = {v: [u for u in (v - 1, v + 1) if 0 <= u < n] for v in range(n)}
+    return FiniteGraphSpace(vertices=tuple(range(n)), base_adjacency=adj)
+
+
+@pytest.mark.parametrize("length", [12_000, 40_000])
+def test_delta_zero_on_long_path(length):
+    # on 40,000 vertices the pairing sums d(i,j) + d(k,l) leave int16's
+    # range: a dtype chosen too narrow wraps and finds a defect on a tree
+    points = list(range(0, length, length // 8)) + [length - 1]
+    est = delta_estimate(_path_graph(length), points)
+    assert est.value == 0.0 and est.quadruples == math.comb(len(points), 4)
+
+
+def test_delta_memory_bounded():
+    # 100 points: the blocked per-pivot search keeps its arrays small
+    g = _path_graph(400)
+    tracemalloc.start()
+    try:
+        est = delta_estimate(g, range(0, 400, 4))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert est.value == 0.0
+    assert peak <= 4_000_000
+
+
+def test_delta_refuses_disconnected_points():
+    adj = {0: [1], 1: [0, 2], 2: [1], 3: [4], 4: [3, 5], 5: [4]}
+    g = FiniteGraphSpace(vertices=tuple(range(6)), base_adjacency=adj)
+    with pytest.raises(SpaceError, match="graph is not connected"):
+        delta_estimate(g, range(6))
+
+
+def test_unknown_endpoints_refused_at_construction():
+    with pytest.raises(SpaceError, match="'r' is not a vertex"):
+        FiniteGraphSpace(vertices=("p", "q"), base_adjacency={"p": ["q", "r"]})
+    with pytest.raises(SpaceError, match="'r' is not a vertex"):
+        FiniteGraphSpace(vertices=("p", "q"), base_adjacency={"p": ["q"]}, cliques=(("p", "r"),))
 
 
 # --- coning -----------------------------------------------------------------
