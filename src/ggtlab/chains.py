@@ -140,10 +140,6 @@ class FiniteSwap(BijectiveQI):
         disp = max(word_distance(self.model, a, b) for a, b in self.pairs)
         return 1 + 2 * disp
 
-    @property
-    def displacement(self) -> int:
-        return max(word_distance(self.model, a, b) for a, b in self.pairs)
-
     def apply(self, w: Word) -> Word:
         for a, b in self.pairs:
             if w == a:

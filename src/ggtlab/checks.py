@@ -11,13 +11,12 @@ from typing import Callable
 
 from .boundary import cross_ratio, make_boundary_point
 from .chains import branch_swap, check_irreducibility, push_forward, quasi_homogeneity_witness, simulate, srw
-from .groups import Word, ball, geodesic, model_from_descriptor, parse_word, word_distance
+from .groups import ball, geodesic, model_from_descriptor, parse_word, word_distance
 from .hhs import coning_schedule, figure_skeleton
 from .morse import mutual_projection_check
 from .projections import (
     axis_of,
     behrstock_alternative,
-    coset_distance,
     distance_formula_sum,
     enumerate_cosets,
     linear_order,
@@ -25,7 +24,7 @@ from .projections import (
     project_to_set,
     translate_axis_pool,
 )
-from .spaces import BassSerreTree, CayleyTree, bass_serre_orbit, cone_off, cyclic_coset_family, delta_estimate, identity_orbit
+from .spaces import BassSerreTree, CayleyTree, cone_off, cyclic_coset_family, delta_estimate, identity_orbit
 
 
 def _setup():

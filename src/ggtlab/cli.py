@@ -13,8 +13,8 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .boundary import BoundaryError, cross_ratio, parse_boundary_point
-from .chains import ChainError, simulate
+from .boundary import cross_ratio, parse_boundary_point
+from .chains import simulate
 from .experiments import (
     ExperimentConfig,
     ExperimentError,
@@ -25,7 +25,7 @@ from .experiments import (
     resolve_kernel,
     tail_experiment,
 )
-from .groups import BallCapError, GroupError, ball, geodesic, model_from_descriptor, parse_word
+from .groups import GroupError, ball, geodesic, model_from_descriptor, parse_word
 from .hhs import (
     coning_schedule,
     factored_ball,
@@ -37,12 +37,10 @@ from .morse import (
     diagonal_crossing_ray,
     incompatibility_witness,
     morse_certificate,
-    mutual_projection_check,
     tree_gauge,
 )
 from .projections import (
     CertificationError,
-    NotLoxodromicError,
     axis_of,
     distance_formula_sum,
     enumerate_cosets,
@@ -54,7 +52,6 @@ from .projections import (
 from .spaces import (
     BassSerreTree,
     CayleyTree,
-    SpaceError,
     bass_serre_orbit,
     cone_off,
     cyclic_coset_family,
@@ -67,18 +64,6 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_CERTIFICATION = 2
 EXIT_PROPERTY = 3
-
-_VALIDATION_ERRORS = (
-    GroupError,
-    SpaceError,
-    ChainError,
-    ExperimentError,
-    BoundaryError,
-    BallCapError,
-    NotLoxodromicError,
-    ValueError,
-)
-
 
 def _emit(args, name: str, text: str) -> None:
     if args.out:
@@ -499,7 +484,7 @@ def main(argv=None) -> int:
     except CertificationError as exc:
         print(f"error: certification: {exc}", file=sys.stderr)
         return EXIT_CERTIFICATION
-    except _VALIDATION_ERRORS as exc:
+    except ValueError as exc:  # every validation error of the package is one
         print(f"error: validation: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

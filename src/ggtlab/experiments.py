@@ -3,10 +3,12 @@
 Everything is driven by a plain-text config with a mandatory seed, checked
 when the config is built; every walk is a `chains.Walk`, whose trajectories
 draw from their own counter-based streams, so outputs are byte-identical
-across runs.  Walk/projection coupling is done incrementally: an AxisTracker
-attached to the walk sees every letter, maintains the reduced word and its
-overlap with an axis line, and makes the per-step projection distance O(1)
-amortized instead of a fresh projection per step.
+across runs.  Bounded projections read the nearest coset positions of the
+walk's state at their checkpoints (`projections.line_positions`).  Tail sums
+need every step, so there an AxisTracker attached to the walk sees every
+letter, maintains the reduced word and its overlap with an axis line, and
+makes the per-step projection distance O(1) amortized instead of a fresh
+projection per step.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import numpy as np
 from . import __version__
 from .chains import InvariantKernel, MarkovKernel, Walk, branch_swap, fit_log_linear, push_forward, srw
 from .groups import FreeGroup, GroupModel, Word, ball, model_from_descriptor, parse_word
-from .projections import Axis, _lcp, _line_data, _spell, axis_of, enumerate_cosets
+from .projections import Axis, _lcp, _line_data, _spell, axis_of, enumerate_cosets, line_positions, nearest_positions
 from .spaces import CayleyTree, OrbitMap, identity_orbit
 
 
@@ -175,26 +177,11 @@ class AxisTracker:
 
     def positions(self) -> tuple[int, ...]:
         """Positions of the nearest coset points along the line."""
-        t_star = self.fwd if self.fwd > 0 else -self.bwd
-        m0 = t_star - ((t_star - self.phase) % self.q)
-        m1 = m0 + self.q
-        d0, d1 = t_star - m0, m1 - t_star
-        if d0 < d1:
-            return (m0,)
-        if d1 < d0:
-            return (m1,)
-        return (m0, m1)
+        return nearest_positions(self.fwd or -self.bwd, self.phase, self.q)
 
     def spread_against(self, base: tuple[int, ...]) -> int:
         pos = self.positions() + base
         return max(pos) - min(pos)
-
-    def differs_from(self, base: tuple[int, ...]) -> bool:
-        return self.positions() != base
-
-
-def _base_positions(model: GroupModel, axis: Axis, p: Word) -> tuple[int, ...]:
-    return tuple(AxisTracker(model, axis, p).positions())
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +345,7 @@ def bounded_projection_experiment(
     ensemble per cell via checkpoints.
     """
     seed = config.require_seed()
-    model, orbit, kernel, axis = resolve_setup(config)
+    _, _, kernel, axis = resolve_setup(config)
     if not isinstance(kernel, InvariantKernel):
         raise ExperimentError("bounded-projection experiment needs an invariant kernel")
     if cells is None:
@@ -367,17 +354,16 @@ def bounded_projection_experiment(
     table: dict = {}
     for ci, (p, h) in enumerate(cells):
         cell_axis = axis.translate(h)
-        base = _base_positions(model, cell_axis, p)
+        base = line_positions(cell_axis, p)[0]
         hits = np.zeros(len(ns), dtype=np.int64)
         for i in range(config.samples):
             walk = Walk(kernel, p, seed + 1000 * ci, i)
-            tracker = AxisTracker(model, cell_axis, p)
-            walk.attach(tracker)
             prev = 0
             for j, n in enumerate(ns):
                 walk.steps(n - prev)
                 prev = n
-                if tracker.spread_against(base) <= bound:
+                pos = line_positions(cell_axis, walk.state())[0] + base
+                if max(pos) - min(pos) <= bound:
                     hits[j] += 1
         for j, n in enumerate(ns):
             table[(ci, n)] = hits[j] / config.samples
@@ -460,7 +446,7 @@ def tail_experiment(
     if not record.certified:
         raise ExperimentError("coset enumeration must be certified for tail sums")
     axes = [e.axis for e in record.entries]
-    bases = [_base_positions(model, ax, p) for ax in axes]
+    bases = [line_positions(ax, p)[0] for ax in axes]
     if t_max is None:
         t_max = 3 * n // 4
     g_counts = np.zeros(t_max + 1, dtype=np.int64)
@@ -475,8 +461,9 @@ def tail_experiment(
         for _ in walk.run(n):
             total = 0
             for tr, base in zip(trackers, bases):
-                if tr.differs_from(base):
-                    total += tr.spread_against(base)
+                pos = tr.positions()
+                if pos != base:
+                    total += max(pos + base) - min(pos + base)
             running_max = max(running_max, total)
             final = total
         g_counts[: min(running_max, t_max) + 1] += 1

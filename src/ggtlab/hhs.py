@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import networkx as nx
@@ -235,40 +235,32 @@ class ConingSchedule:
         )
 
 
-def _clique_number(og: OrthGraph) -> int:
-    return max(len(c) for c in nx.find_cliques(og.graph()))
-
-
 def coning_schedule(sk: HHSSkeleton) -> ConingSchedule:
     """Iteratively remove the downward closure of all maximum cliques.
 
     The clique number strictly decreases each round (every clique of the old
     maximum size met a removed domain), so at most clique-number many rounds
-    occur; the final orthogonality graph is edgeless.
+    occur; the final orthogonality graph is edgeless.  The cliques of each
+    round are listed once; their largest size is that round's clique number.
     """
     sk.validate()
     current = frozenset(sk.domains)
     rounds: list[RoundRecord] = []
     og = orthogonality_graph(sk, current)
-    omega = _clique_number(og) if og.edges else 1
-    prev_omega = omega
-    idx = 0
+    omega = prev = 0
     while og.edges:
-        g = og.graph()
-        cliques = [tuple(sorted(c)) for c in nx.find_cliques(g) if len(c) >= 2]
+        cliques = [tuple(sorted(c)) for c in nx.find_cliques(og.graph()) if len(c) >= 2]
         top = max(len(c) for c in cliques)
+        if prev and top >= prev:
+            raise SkeletonError("clique number failed to decrease")  # pragma: no cover
+        omega, prev = omega or top, top
         largest = tuple(sorted(c for c in cliques if len(c) == top))
         union = {d for c in largest for d in c}
         removed = sk.downward_closure(sorted(union)) & current
         current = current - removed
-        idx += 1
         og = orthogonality_graph(sk, current)
-        new_omega = _clique_number(og) if og.edges else 1
-        if new_omega >= prev_omega:
-            raise SkeletonError("clique number failed to decrease")  # pragma: no cover
-        prev_omega = new_omega
-        rounds.append(RoundRecord(idx, largest, removed, current, og.edges))
-        if idx > omega:
+        rounds.append(RoundRecord(len(rounds) + 1, largest, removed, current, og.edges))
+        if len(rounds) > omega:
             raise SkeletonError("schedule exceeded the clique-number bound")  # pragma: no cover
     return ConingSchedule(sk, tuple(rounds), frozenset(sk.domains) - current)
 

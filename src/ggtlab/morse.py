@@ -14,7 +14,7 @@ the cell is marked as a found witness.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Sequence
 

@@ -14,9 +14,10 @@ on trees.
 On Cayley trees of free groups projections are computed analytically from
 word overlaps (the line through a coset is re-anchored at its vertex nearest
 the identity, where the parameterization is cancellation-free).  On other
-tree models projections are computed by a certified window scan: the scan
-radius is enlarged until the linear growth of the axis provably dominates the
-best distance found.
+tree models a projection is a scan: the nearest points among one coset-walk
+window rep·root^n, |n| <= window, wide enough that the linear growth of the
+axis provably dominates the distance of rep.  A finite target set is scanned
+the same way.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .groups import (
     DirectProduct,
@@ -97,23 +98,11 @@ class Axis:
     root: Word
     rep: Word
 
-    @property
-    def spacing(self) -> int:
-        return len(self.root)
-
     def point(self, n: int) -> Word:
         return self.rep * self.root**n
 
     def points(self, window: int) -> list[Word]:
-        out = [self.rep]
-        fwd = bwd = self.rep
-        inv = self.root.inverse()
-        for _ in range(window):
-            fwd = fwd * self.root
-            bwd = bwd * inv
-            out.append(fwd)
-            out.append(bwd)
-        return out
+        return list(_coset_walk(self.rep, self.root, window))
 
     def translate(self, g: Word) -> "Axis":
         return make_axis(self.model, self.root, g * self.rep)
@@ -126,22 +115,29 @@ def _canonical_root(model: GroupModel, r: Word) -> Word:
     return _min_word(r, r.inverse())
 
 
-def coset_rep_key(model: GroupModel, root: Word, h: Word) -> tuple[int, ...]:
-    """Letters of the minimal element of the coset h<root>."""
-    q = max(1, len(root))
-    n_max = 2 * (len(h) // q) + 2
+def _coset_walk(h: Word, root: Word, window: int) -> Iterator[Word]:
+    """The coset points h, h r, h r^-1, h r^2, h r^-2, ... out to h r^±window."""
+    yield h
     inv = root.inverse()
-    best, best_key = h, h.sort_key()
     fwd = bwd = h
-    for _ in range(n_max):
+    for _ in range(window):
         fwd = fwd * root
         bwd = bwd * inv
-        for cand in (fwd, bwd):
-            # the key leads with the length, so longer words cannot win
-            if len(cand.letters) <= best_key[0]:
-                key = cand.sort_key()
-                if key < best_key:
-                    best, best_key = cand, key
+        yield fwd
+        yield bwd
+
+
+def coset_rep_key(model: GroupModel, root: Word, h: Word) -> tuple[int, ...]:
+    """Letters of the minimal element of the coset h<root>."""
+    walk = _coset_walk(h, root, 2 * (len(h) // max(1, len(root))) + 2)
+    best = next(walk)
+    best_key = best.sort_key()
+    for cand in walk:
+        # the key leads with the length, so longer words cannot win
+        if len(cand.letters) <= best_key[0]:
+            key = cand.sort_key()
+            if key < best_key:
+                best, best_key = cand, key
     return best.letters
 
 
@@ -283,25 +279,33 @@ def _line_data(model: GroupModel, root_letters: tuple[int, ...], rep_letters: tu
     return cur, dir_minus, t0 % q
 
 
-def _project_cayley(model: GroupModel, axis: Axis, x: Word) -> tuple[tuple[Word, ...], int]:
-    anchor, direction, phase = _line_data(model, axis.root.letters, axis.rep.letters)
-    q = len(direction)
+def nearest_positions(t_star: int, phase: int, q: int) -> tuple[int, ...]:
+    """The positions ≡ phase (mod q) nearest to t_star: the one below, the
+    one above, or both when they tie."""
+    m0 = t_star - ((t_star - phase) % q)
+    d0, d1 = t_star - m0, m0 + q - t_star
+    if d0 != d1:
+        return (m0,) if d0 < d1 else (m0 + q,)
+    return (m0, m0 + q)
+
+
+def line_positions(axis: Axis, x: Word) -> tuple[tuple[int, ...], int]:
+    """Line positions (see `_line_data`) of the coset points nearest x, and
+    x's distance to them, on a Cayley tree."""
+    anchor, direction, phase = _line_data(axis.model, axis.root.letters, axis.rep.letters)
     w = (anchor.inverse() * x).letters
     t_star = _lcp(w, _spell(direction, len(w))) or -_lcp(w, _spell(direction, -len(w)))
-    d_line = len(w) - abs(t_star)
-    m0 = t_star - ((t_star - phase) % q)
-    m1 = m0 + q
-    d0, d1 = abs(t_star - m0), abs(t_star - m1)
-    if d0 < d1:
-        best = [m0]
-    elif d1 < d0:
-        best = [m1]
-    else:
-        best = [m0, m1]
+    positions = nearest_positions(t_star, phase, len(direction))
+    return positions, len(w) - abs(t_star) + abs(t_star - positions[0])
+
+
+def _project_cayley(axis: Axis, x: Word) -> tuple[tuple[Word, ...], int]:
+    model = axis.model
+    anchor, direction, _ = _line_data(model, axis.root.letters, axis.rep.letters)
+    positions, dist = line_positions(axis, x)
     # cancellation-free by the anchoring, but normalize defensively
-    line = (Word(model, model.normalize(anchor.letters + _spell(direction, m))) for m in best)
-    pts = tuple(sorted(line, key=Word.sort_key))
-    return pts, d_line + min(d0, d1)
+    line = (Word(model, model.normalize(anchor.letters + _spell(direction, m))) for m in positions)
+    return tuple(sorted(line, key=Word.sort_key)), dist
 
 
 # ---------------------------------------------------------------------------
@@ -330,49 +334,27 @@ def _orbit_spacing(orbit: OrbitMap, axis: Axis) -> int:
 def project_to_set(orbit: OrbitMap, x: Word, target) -> ProjectionValue:
     """Full nearest-point set of an axis or a finite set of group elements.
 
-    For axes on Cayley trees the projection is computed analytically; on
-    other models a window scan is used, with the window grown until the axis
-    has provably escaped past the best distance found.
+    For axes on Cayley trees the projection is computed analytically.  On
+    other models an axis is scanned as the finite set of its points out to
+    a window, which is wide enough that the axis has provably escaped past
+    the distance of its representative.
     """
+    if isinstance(target, Axis) and isinstance(orbit.space, CayleyTree) and orbit.name == "identity":
+        pts, dist = _project_cayley(target, x)
+        return ProjectionValue(x, pts, dist, "analytic")
+    px = orbit(x)
+    window = None
     if isinstance(target, Axis):
-        if isinstance(orbit.space, CayleyTree) and orbit.name == "identity":
-            pts, dist = _project_cayley(orbit.group, target, x)
-            return ProjectionValue(x, pts, dist, "analytic")
-        return _project_axis_scan(orbit, x, target)
+        d_rep = space_distance(orbit.space, px, orbit(target.rep))
+        window = (2 * d_rep + 2) // _orbit_spacing(orbit, target) + 2
+        target = target.points(window)
     pts = list(target)
     if not pts:
         raise SpaceError("cannot project to an empty set")
-    px = orbit(x)
     dists = [space_distance(orbit.space, px, orbit(p)) for p in pts]
     m = min(dists)
     chosen = tuple(sorted((p for p, d in zip(pts, dists) if d == m), key=Word.sort_key))
-    return ProjectionValue(x, chosen, m, "scan-finite")
-
-
-def _project_axis_scan(orbit: OrbitMap, x: Word, axis: Axis) -> ProjectionValue:
-    tau = _orbit_spacing(orbit, axis)
-    px = orbit(x)
-    d_rep = space_distance(orbit.space, px, orbit(axis.rep))
-    n_max = (2 * d_rep + 2) // tau + 2
-    best = d_rep
-    chosen = [axis.rep]
-    fwd = bwd = axis.rep
-    inv = axis.root.inverse()
-    for _ in range(n_max):
-        for step in (1, -1):
-            if step == 1:
-                fwd = fwd * axis.root
-                cand = fwd
-            else:
-                bwd = bwd * inv
-                cand = bwd
-            d = space_distance(orbit.space, px, orbit(cand))
-            if d < best:
-                best, chosen = d, [cand]
-            elif d == best:
-                chosen.append(cand)
-    pts = tuple(sorted(set(chosen), key=Word.sort_key))
-    return ProjectionValue(x, pts, best, "scan-axis", window=n_max)
+    return ProjectionValue(x, chosen, m, "scan-finite" if window is None else "scan-axis", window)
 
 
 def projection_of_set(orbit: OrbitMap, pts: Iterable[Word], target) -> frozenset[Word]:
@@ -512,9 +494,6 @@ class CosetRecord:
     entries: list[CosetEntry]
     certified: bool
     search: dict = field(default_factory=dict)
-
-    def axes(self) -> list[Axis]:
-        return [e.axis for e in self.entries]
 
     def to_jsonl(self) -> str:
         lines = []

@@ -31,7 +31,6 @@ from .groups import (
     DirectProduct,
     FreeGroup,
     FreeProduct,
-    GroupError,
     GroupModel,
     Word,
     ball,
@@ -335,7 +334,9 @@ def delta_estimate(
     """Largest four-point-condition defect over quadruples of the sample set.
 
     Exhaustive for at most ``exhaustive_limit`` points, otherwise a seeded
-    random sample of quadruples is used.  Trees give 0 exactly.
+    random sample of ``samples`` quadruples of distinct points, drawn in
+    blocks of at most _DEFECT_BLOCK rows (rows repeating a point are
+    redrawn).  Trees give 0 exactly.
     """
     pts = list(points)
     n = len(pts)
@@ -354,12 +355,15 @@ def delta_estimate(
     if n <= exhaustive_limit:
         return DeltaEstimate(_exhaustive_defect(D) / 2.0, math.comb(n, 4), True)
     rng = np.random.default_rng(seed)
-    best = 0.0
-    for _ in range(samples):
-        i, j, k, l = rng.choice(n, size=4, replace=False)
-        s = sorted((D[i, j] + D[k, l], D[i, k] + D[j, l], D[i, l] + D[j, k]))
-        best = max(best, (s[2] - s[1]) / 2.0)
-    return DeltaEstimate(best, samples, False)
+    best = drawn = 0
+    while drawn < samples:
+        quads = rng.integers(n, size=(min(samples - drawn, _DEFECT_BLOCK), 4))
+        ordered = np.sort(quads, axis=1)
+        i, j, k, l = quads[(ordered[:, 1:] != ordered[:, :-1]).all(axis=1)].T
+        s = np.sort([D[i, j] + D[k, l], D[i, k] + D[j, l], D[i, l] + D[j, k]], axis=0)
+        best = max(best, int((s[2] - s[1]).max(initial=0)))
+        drawn += len(i)
+    return DeltaEstimate(best / 2.0, samples, False)
 
 
 # ---------------------------------------------------------------------------

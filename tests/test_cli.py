@@ -249,3 +249,33 @@ def test_cone_output_digest(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "d350d2ad34ae69212c3bc2cc06b2e43e0cda783066b78aedade900c762380857"
     )
+
+
+def test_every_package_error_maps_to_one_exit_code(monkeypatch, capsys):
+    # every *Error of the package is a ValueError (exit 1) except the
+    # certification failure, a RuntimeError (exit 2)
+    import importlib
+    import inspect
+    import pkgutil
+
+    import ggtlab
+    import ggtlab.checks
+
+    errors = {
+        cls
+        for info in pkgutil.iter_modules(ggtlab.__path__)
+        for _, cls in inspect.getmembers(importlib.import_module(f"ggtlab.{info.name}"), inspect.isclass)
+        if cls.__name__.endswith("Error") and cls.__module__.startswith("ggtlab.")
+    }
+    assert len(errors) >= 10
+    for cls in sorted(errors, key=lambda c: c.__name__):
+        certification = cls.__name__ == "CertificationError"
+        assert issubclass(cls, RuntimeError if certification else ValueError), cls
+        assert certification != issubclass(cls, ValueError), cls
+
+        def fail(cls=cls):
+            raise cls("probe")
+
+        monkeypatch.setattr(ggtlab.checks, "run_all", fail)
+        kind = "certification" if certification else "validation"
+        assert run(capsys, "check") == (2 if certification else 1, "", f"error: {kind}: probe\n")

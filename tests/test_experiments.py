@@ -12,7 +12,6 @@ from ggtlab.experiments import (
     ExperimentError,
     ProgressResult,
     TailCurve,
-    _base_positions,
     bounded_projection_experiment,
     default_projection_cells,
     drift_oracle_free_srw,
@@ -21,7 +20,7 @@ from ggtlab.experiments import (
     recursion_check,
     tail_experiment,
 )
-from ggtlab.projections import axis_of, coset_distance
+from ggtlab.projections import axis_of, coset_distance, line_positions
 
 from conftest import w
 
@@ -74,7 +73,7 @@ def test_tracker_matches_projection_distance(f2, f2_tree, f2_orbit):
     for root, shift, seed in [("a", "b", 3), ("a b", "b^2 a", 8)]:
         ax = axis_of(f2_tree, w(f2, root)).translate(w(f2, shift))
         p = w(f2, "a b")
-        base = _base_positions(f2, ax, p)
+        base = line_positions(ax, p)[0]
         walk = Walk(kernel, p, seed=seed, index=0)
         tracker = AxisTracker(f2, ax, p)
         walk.attach(tracker)
@@ -92,6 +91,11 @@ def test_drift_oracle_small_values():
 
 def test_drift_oracle_limit():
     assert abs(drift_oracle_free_srw(2000) - 0.5) < 0.001
+
+
+def test_drift_oracle_limit_rank_three():
+    # (k - 1) / k for the SRW on F_k
+    assert abs(drift_oracle_free_srw(2000, rank=3) - 2 / 3) < 0.001
 
 
 # --- linear progress ----------------------------------------------------------------
@@ -229,3 +233,19 @@ def test_csv_headers_share_one_line_with_the_package_version(f2):
     for csv in (progress.csv(), bounded.csv()):
         assert csv.splitlines()[0] == header
     assert tail.csv().splitlines()[0] == f"{header} o=e p=a n=4 Cprime=None"
+
+
+def test_golden_bounded_projection_tables():
+    # sha256 of the CSV without its `#` line, recorded before the checkpoints
+    # read positions from the walk's state instead of a per-sample tracker
+    import hashlib
+
+    tables = []
+    for seed in (0, 1, 2):
+        for kernel in ("srw", "lazy:1/2"):
+            cfg = ExperimentConfig(kernel=kernel, samples=16, seed=seed)
+            csv = bounded_projection_experiment(cfg).csv()
+            tables.append("\n".join(csv.splitlines()[1:]))
+    assert hashlib.sha256("\n\n".join(tables).encode()).hexdigest() == (
+        "a0530989ee56fb52513521ec345c52dc857ef7ed4f96d8306b4e7058de50d89b"
+    )

@@ -243,3 +243,21 @@ def test_parallelism_missing_descriptor(f2xz):
         fb = factored_ball(f2xz, 3, sched, sched.termination_round, regions, cap=4)
     with pytest.raises(GroupError):
         fiber_parallelism_check(f2xz, fb, f2xz.identity(), w(f2xz, "a"), 4, regions)
+
+
+def test_golden_coning_schedules():
+    # sha256 of the rounds, recorded before each round listed its cliques once
+    import hashlib
+
+    skeletons = [figure_skeleton(), product_free_skeleton(), fibered_tree_skeleton()]
+    skeletons += [random_skeleton(seed, max_domains=12) for seed in range(200)]
+    lines = []
+    for sk in skeletons:
+        sched = coning_schedule(sk)
+        for r in sched.rounds:
+            edges = sorted(tuple(sorted(e)) for e in r.remaining_edges)
+            lines.append(f"{r.index} {r.largest_cliques} {sorted(r.removed)} {sorted(r.remaining)} {edges}")
+        lines.append(f"total {sorted(sched.removed_total)}")
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+        "3e05e28beff805c053fd9624df16552e498a168ac9693e9ca7579e9cedeaf7fc"
+    )

@@ -285,3 +285,57 @@ def test_pivot_bass_serre(z2z, bs_tree, bs_orbit):
     alpha = geo(z2z, z2z.identity(), w(z2z, "x z x z"))
     res = pivot(bs_orbit, alpha, w(z2z, "x z x z"), ax_yz, s=4, bound=4)
     assert res.passed and max(res.values) <= 4
+
+
+# --- golden pins --------------------------------------------------------------
+# sha256 digests recorded before the coset walk, the nearest-point scan and the
+# line-position rule each became one implementation; the outputs must not move
+
+
+def _sha(lines) -> str:
+    import hashlib
+
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def _projection_lines(orbit, axes, xs, target=None):
+    for ax in axes:
+        for x in xs:
+            v = project_to_set(orbit, x, ax if target is None else target)
+            yield f"{ax} {x} {[str(p) for p in v.points]} {v.distance} {v.method} {v.window}"
+
+
+def test_golden_scan_projections(z2z, z2z_by_z, bs_tree, bs_orbit):
+    from ggtlab.spaces import first_factor_orbit
+
+    roots = ["x z", "y z^-1", "x y z", "z x^-1 z"]
+    axes = [axis_of(bs_tree, w(z2z, r)).translate(w(z2z, h)) for r in roots for h in ("e", "z y", "x^-1 z")]
+    bs_lines = list(_projection_lines(bs_orbit, axes, ball(z2z, z2z.identity(), 3)))
+    prod_orbit = first_factor_orbit(z2z_by_z, bs_orbit)
+    prod_axes = [axis_of(bs_tree, w(z2z_by_z, r)) for r in ("x z", "x z t", "y z t^-2", "x z x^-1 z t")]
+    prod_lines = list(_projection_lines(prod_orbit, prod_axes, ball(z2z_by_z, z2z_by_z.identity(), 2)))
+    finite = ball(z2z, w(z2z, "z x"), 2)
+    finite_lines = list(_projection_lines(bs_orbit, ["set"], ball(z2z, z2z.identity(), 3), finite))
+    assert {ln.split()[-2] for ln in bs_lines + prod_lines} == {"scan-axis"}
+    assert {ln.split()[-2] for ln in finite_lines} == {"scan-finite"}
+    assert (_sha(bs_lines), _sha(prod_lines), _sha(finite_lines)) == (
+        "352d0abf20c847c31c9bd0cd0d0413e2b41a0fbeee872511510adce03f11551b",
+        "5c7d8b1fc6445264ee91466e5044da0c33ac9e085d2d0d89108772bc1c939960",
+        "297955792dcaf9906e80237d9512a37548921d6d7638f003c87b7e6baf12b2a7",
+    )
+
+
+def test_golden_coset_keys_and_axis_points():
+    from ggtlab.groups import model_from_descriptor
+    from ggtlab.projections import coset_rep_key
+
+    lines = []
+    for desc in ("F2", "Z^2", "Z^2 * Z", "(Z^2 * Z) x Z"):
+        model = model_from_descriptor(desc)
+        roots = [r for r in ball(model, model.identity(), 2) if not r.is_identity()][::3]
+        for r in roots:
+            for h in ball(model, model.identity(), 2):
+                lines.append(f"{desc} {r} {h} {coset_rep_key(model, r, h)}")
+            ax = make_axis(model, r, roots[0])
+            lines.append(f"{desc} {ax} {[str(p) for p in ax.points(4)]}")
+    assert _sha(lines) == "6be35263e23ee413bd6802f758b160f6821c0b6fc6921eabf3a9b7df8286719b"
