@@ -175,6 +175,16 @@ class AxisTracker:
         if self.bwd == n and letter == -self.dir[(-1 - n) % self.q]:
             self.bwd += 1
 
+    def copy(self) -> "AxisTracker":
+        """A tracker in the same state, with a stack of its own."""
+        # set in __init__'s order, the attributes keep the compact instance
+        # layout; `copy.copy` fills a plain __dict__, on which every attribute
+        # read and write in `push` is slower
+        out = AxisTracker.__new__(AxisTracker)
+        out.model, out.q, out.dir, out.phase = self.model, self.q, self.dir, self.phase
+        out.stack, out.fwd, out.bwd = self.stack.copy(), self.fwd, self.bwd
+        return out
+
     def positions(self) -> tuple[int, ...]:
         """Positions of the nearest coset points along the line."""
         return nearest_positions(self.fwd or -self.bwd, self.phase, self.q)
@@ -451,9 +461,10 @@ def tail_experiment(
         t_max = 3 * n // 4
     g_counts = np.zeros(t_max + 1, dtype=np.int64)
     f_counts = np.zeros(t_max + 1, dtype=np.int64)
+    templates = [AxisTracker(model, ax, p) for ax in axes]
     for i in range(config.samples):
         walk = Walk(kernel, p, seed, i)
-        trackers = [AxisTracker(model, ax, p) for ax in axes]
+        trackers = [tr.copy() for tr in templates]
         for tr in trackers:
             walk.attach(tr)
         running_max = 0

@@ -19,8 +19,6 @@ import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-import networkx as nx
-
 from .groups import DirectProduct, FreeProduct, GroupError, GroupModel, Word, ball, word_distance
 from .spaces import BassSerreTree, CosetFamily, FiniteGraphSpace, cone_off
 
@@ -168,11 +166,31 @@ class OrthGraph:
     vertices: tuple[str, ...]
     edges: frozenset
 
-    def graph(self) -> nx.Graph:
-        g = nx.Graph()
-        g.add_nodes_from(self.vertices)
-        g.add_edges_from(tuple(sorted(e)) for e in self.edges)
-        return g
+    def cliques(self) -> list[tuple[str, ...]]:
+        """All maximal cliques, each sorted, isolated vertices included.
+
+        Bron-Kerbosch (1973) with Tomita's pivot (2006): the pivot is the
+        vertex of P | X with the most neighbours in P.
+        """
+        nbrs: dict[str, set[str]] = {v: set() for v in self.vertices}
+        for u, v in self.edges:
+            nbrs[u].add(v)
+            nbrs[v].add(u)
+        out: list[tuple[str, ...]] = []
+
+        def expand(r: list[str], p: set[str], x: set[str]) -> None:
+            if not p:
+                if not x and r:
+                    out.append(tuple(sorted(r)))
+                return
+            pivot = max(sorted(p | x), key=lambda u: len(nbrs[u] & p))
+            for v in sorted(p - nbrs[pivot]):
+                expand(r + [v], p & nbrs[v], x & nbrs[v])
+                p.remove(v)
+                x.add(v)
+
+        expand([], set(self.vertices), set())
+        return out
 
     def isolated(self) -> tuple[str, ...]:
         touched = {v for e in self.edges for v in e}
@@ -249,7 +267,7 @@ def coning_schedule(sk: HHSSkeleton) -> ConingSchedule:
     og = orthogonality_graph(sk, current)
     omega = prev = 0
     while og.edges:
-        cliques = [tuple(sorted(c)) for c in nx.find_cliques(og.graph()) if len(c) >= 2]
+        cliques = [c for c in og.cliques() if len(c) >= 2]
         top = max(len(c) for c in cliques)
         if prev and top >= prev:
             raise SkeletonError("clique number failed to decrease")  # pragma: no cover

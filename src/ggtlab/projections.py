@@ -111,7 +111,7 @@ class Axis:
         return f"{self.rep}<{self.root}>"
 
 
-def _canonical_root(model: GroupModel, r: Word) -> Word:
+def _canonical_root(r: Word) -> Word:
     return _min_word(r, r.inverse())
 
 
@@ -127,7 +127,7 @@ def _coset_walk(h: Word, root: Word, window: int) -> Iterator[Word]:
         yield bwd
 
 
-def coset_rep_key(model: GroupModel, root: Word, h: Word) -> tuple[int, ...]:
+def coset_rep_key(root: Word, h: Word) -> tuple[int, ...]:
     """Letters of the minimal element of the coset h<root>."""
     walk = _coset_walk(h, root, 2 * (len(h) // max(1, len(root))) + 2)
     best = next(walk)
@@ -144,8 +144,8 @@ def coset_rep_key(model: GroupModel, root: Word, h: Word) -> tuple[int, ...]:
 def make_axis(model: GroupModel, root: Word, rep: Word) -> Axis:
     if root.is_identity():
         raise NotLoxodromicError("the identity is not loxodromic")
-    root = _canonical_root(model, root)
-    return Axis(model, root, Word(model, coset_rep_key(model, root, rep)))
+    root = _canonical_root(root)
+    return Axis(model, root, Word(model, coset_rep_key(root, rep)))
 
 
 def axis_of(space, g: Word) -> Axis:
@@ -347,11 +347,14 @@ def project_to_set(orbit: OrbitMap, x: Word, target) -> ProjectionValue:
     if isinstance(target, Axis):
         d_rep = space_distance(orbit.space, px, orbit(target.rep))
         window = (2 * d_rep + 2) // _orbit_spacing(orbit, target) + 2
-        target = target.points(window)
-    pts = list(target)
-    if not pts:
-        raise SpaceError("cannot project to an empty set")
-    dists = [space_distance(orbit.space, px, orbit(p)) for p in pts]
+        # the walk yields rep first, whose distance is already known
+        pts = target.points(window)
+        dists = [d_rep] + [space_distance(orbit.space, px, orbit(p)) for p in pts[1:]]
+    else:
+        pts = list(target)
+        if not pts:
+            raise SpaceError("cannot project to an empty set")
+        dists = [space_distance(orbit.space, px, orbit(p)) for p in pts]
     m = min(dists)
     chosen = tuple(sorted((p for p, d in zip(pts, dists) if d == m), key=Word.sort_key))
     return ProjectionValue(x, chosen, m, "scan-finite" if window is None else "scan-axis", window)
@@ -551,7 +554,7 @@ def enumerate_cosets(orbit: OrbitMap, g: Word, o: Word, p: Word, threshold: int,
     axes: list[Axis] = []
 
     def add_candidate(w: Word):
-        key = coset_rep_key(model, root, w)
+        key = coset_rep_key(root, w)
         if key not in seen:
             seen.add(key)
             axes.append(Axis(model, root, Word(model, key)))

@@ -389,15 +389,15 @@ def cyclic_coset_family(model: GroupModel, root: Word, single_rep: Word | None =
     from .projections import coset_rep_key  # local import to avoid a cycle
 
     if single_rep is not None:
-        target = coset_rep_key(model, root, single_rep)
+        target = coset_rep_key(root, single_rep)
 
         def key_single(w: Word):
-            return "in" if coset_rep_key(model, root, w) == target else None
+            return "in" if coset_rep_key(root, w) == target else None
 
         return CosetFamily(f"coset {single_rep}<{root}>", key_single)
 
     def key_all(w: Word):
-        return coset_rep_key(model, root, w)
+        return coset_rep_key(root, w)
 
     return CosetFamily(f"cosets of <{root}>", key_all)
 

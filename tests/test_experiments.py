@@ -249,3 +249,31 @@ def test_golden_bounded_projection_tables():
     assert hashlib.sha256("\n\n".join(tables).encode()).hexdigest() == (
         "a0530989ee56fb52513521ec345c52dc857ef7ed4f96d8306b4e7058de50d89b"
     )
+
+
+def test_golden_tail_tables(f2):
+    # sha256 of the CSVs without their `#` line, recorded before each sample
+    # copied one tracker template per axis instead of starting its own
+    import hashlib
+
+    tables = []
+    for seed in (0, 1, 2):
+        for kernel in ("srw", "lazy:1/2"):
+            for g, p in (("a", "b a^5 b"), ("a b", "a b a"), ("a", "b")):
+                cfg = ExperimentConfig(kernel=kernel, samples=24, seed=seed, g=g)
+                csv = tail_experiment(cfg, p=w(f2, p), n=60).csv()
+                tables.append("\n".join(csv.splitlines()[1:]))
+    assert hashlib.sha256("\n\n".join(tables).encode()).hexdigest() == (
+        "2ca12cf7f16a6ae49a36daf434d39f0a82249a482c42c877bae44fd9aa8aaa10"
+    )
+
+
+def test_tracker_copy_keeps_its_own_stack(f2, f2_tree):
+    ax = axis_of(f2_tree, w(f2, "a"))
+    template = AxisTracker(f2, ax, w(f2, "b a"))
+    walked = template.copy()
+    for letter in w(f2, "a a b^-1").letters:
+        walked.push(letter)
+    fresh = AxisTracker(f2, ax, w(f2, "b a^3 b^-1"))
+    assert (walked.stack, walked.fwd, walked.bwd) == (fresh.stack, fresh.fwd, fresh.bwd)
+    assert template.copy().stack == AxisTracker(f2, ax, w(f2, "b a")).stack

@@ -1,13 +1,17 @@
 """Skeletons, orthogonality graphs, coning schedules, factored balls."""
 
+import json
 import warnings
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ggtlab.groups import Word, ball, model_from_descriptor, word_distance
 from ggtlab.hhs import (
     ConingSchedule,
+    OrthGraph,
     SkeletonError,
     coning_schedule,
     factored_ball,
@@ -27,6 +31,13 @@ from ggtlab.spaces import BassSerreTree, bass_serre_orbit, space_distance
 from ggtlab.groups import GroupError
 
 from conftest import w
+
+
+def nx_graph(og: OrthGraph) -> nx.Graph:
+    g = nx.Graph()
+    g.add_nodes_from(og.vertices)
+    g.add_edges_from(tuple(sorted(e)) for e in og.edges)
+    return g
 
 
 # --- skeleton data ------------------------------------------------------------
@@ -71,9 +82,34 @@ def test_orth_graph_product_skeleton():
 
 
 def test_orth_graph_figure_skeleton():
-    g = orthogonality_graph(figure_skeleton()).graph()
+    g = nx_graph(orthogonality_graph(figure_skeleton()))
     sizes = sorted(len(c) for c in nx.find_cliques(g) if len(c) >= 2)
     assert sizes == [2, 3, 4]
+
+
+@st.composite
+def orth_graphs(draw):
+    """A random graph on 0-12 named vertices."""
+    n = draw(st.integers(0, 12))
+    names = [f"D{i}" for i in range(n)]
+    pairs = [(u, v) for i, u in enumerate(names) for v in names[i + 1 :]]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return OrthGraph(tuple(names), frozenset(frozenset(e) for e in edges))
+
+
+@given(orth_graphs())
+@settings(max_examples=300, deadline=None)
+def test_cliques_match_networkx(og):
+    ours = og.cliques()
+    assert len(set(ours)) == len(ours)
+    assert all(list(c) == sorted(c) for c in ours)
+    assert {frozenset(c) for c in ours} == {frozenset(c) for c in nx.find_cliques(nx_graph(og))}
+
+
+def test_cliques_examples():
+    assert OrthGraph((), frozenset()).cliques() == []
+    og = OrthGraph(("A", "B", "C", "D"), frozenset({frozenset("AB"), frozenset("BC"), frozenset("AC")}))
+    assert sorted(og.cliques()) == [("A", "B", "C"), ("D",)]
 
 
 # --- schedules ----------------------------------------------------------------------
@@ -112,8 +148,6 @@ def test_figure_schedule_rounds():
 
 
 def test_schedule_json(tmp_path):
-    import json
-
     sched = coning_schedule(figure_skeleton())
     data = json.loads(sched.to_json())
     assert data["rounds"][0]["removed"] == ["A", "B", "C", "D"]
@@ -124,7 +158,7 @@ def test_random_skeletons_terminate_fast():
         sk = random_skeleton(seed, max_domains=12)
         og = orthogonality_graph(sk)
         omega = (
-            max(len(c) for c in nx.find_cliques(og.graph())) if og.edges else 1
+            max(len(c) for c in nx.find_cliques(nx_graph(og))) if og.edges else 1
         )
         sched = coning_schedule(sk)
         assert sched.termination_round <= omega
@@ -261,3 +295,29 @@ def test_golden_coning_schedules():
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
         "3e05e28beff805c053fd9624df16552e498a168ac9693e9ca7579e9cedeaf7fc"
     )
+
+
+def reference_schedule_json(sk) -> str:
+    """The coning schedule of `sk`, with networkx finding each round's cliques."""
+    current = frozenset(sk.domains)
+    rounds = []
+    while True:
+        g = nx_graph(orthogonality_graph(sk, current))
+        if not g.number_of_edges():
+            break
+        cliques = [sorted(c) for c in nx.find_cliques(g) if len(c) >= 2]
+        top = max(len(c) for c in cliques)
+        largest = sorted(c for c in cliques if len(c) == top)
+        removed = sk.downward_closure(sorted({d for c in largest for d in c})) & current
+        current = current - removed
+        rounds.append(
+            {"index": len(rounds) + 1, "largestCliques": largest, "removed": sorted(removed), "remaining": sorted(current)}
+        )
+    return json.dumps({"rounds": rounds, "removedTotal": sorted(frozenset(sk.domains) - current)})
+
+
+def test_schedules_match_networkx_reference():
+    skeletons = [figure_skeleton(), product_free_skeleton(), fibered_tree_skeleton()]
+    skeletons += [random_skeleton(seed, max_domains=12) for seed in range(200)]
+    for sk in skeletons:
+        assert coning_schedule(sk).to_json() == reference_schedule_json(sk)

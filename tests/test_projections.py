@@ -116,6 +116,23 @@ def test_bass_serre_projection_scan(z2z, bs_tree, bs_orbit):
     assert val.distance == 2
 
 
+def test_scan_axis_measures_each_point_once(monkeypatch, z2z, bs_tree, bs_orbit):
+    from ggtlab import projections
+
+    calls = []
+
+    def counted(space, u, v):
+        calls.append((u, v))
+        return space_distance(space, u, v)
+
+    monkeypatch.setattr(projections, "space_distance", counted)
+    ax = axis_of(bs_tree, w(z2z, "x z"))
+    val = project_to_set(bs_orbit, w(z2z, "z^3 y"), ax)
+    # the representative, the spacing rep -> rep·root, then the other 2·window points
+    assert len(calls) == 2 * val.window + 2
+    assert len(set(calls)) == len(calls)
+
+
 # --- coset distances -----------------------------------------------------------
 
 
@@ -195,7 +212,7 @@ def test_enumerate_complete_vs_ball_bruteforce(f2, f2_orbit, f2_tree):
     found = {(e.axis.root.letters, e.axis.rep.letters) for e in rec.entries}
     brute = set()
     for h in ball(f2, f2.identity(), 9, cap=9):
-        key = coset_rep_key(f2, root, h)
+        key = coset_rep_key(root, h)
         if (root.letters, key) in brute or (root.letters, key) in found:
             continue
         ax = Axis(f2, root, Word(f2, key))
@@ -335,7 +352,7 @@ def test_golden_coset_keys_and_axis_points():
         roots = [r for r in ball(model, model.identity(), 2) if not r.is_identity()][::3]
         for r in roots:
             for h in ball(model, model.identity(), 2):
-                lines.append(f"{desc} {r} {h} {coset_rep_key(model, r, h)}")
+                lines.append(f"{desc} {r} {h} {coset_rep_key(r, h)}")
             ax = make_axis(model, r, roots[0])
             lines.append(f"{desc} {ax} {[str(p) for p in ax.points(4)]}")
     assert _sha(lines) == "6be35263e23ee413bd6802f758b160f6821c0b6fc6921eabf3a9b7df8286719b"
