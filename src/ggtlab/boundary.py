@@ -11,10 +11,9 @@ points a plain data comparison.  Only free-group Cayley trees are supported.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import Sequence
 
-from .groups import FreeGroup, GroupError, Word, diameter, word_distance
+from .groups import FreeGroup, GroupError, Word, distance_row, word_diameter, word_distance
 
 
 class BoundaryError(GroupError):
@@ -150,10 +149,11 @@ def tripod_centers(
         for ell in w:
             cur = cur * Word(model, (ell,))
             line_pts.add(cur)
+    pts = list(line_pts)
     chosen = tuple(
-        sorted((v for v in line_pts if word_distance(model, v, m) <= bound), key=Word.sort_key)
+        sorted((v for v, d in zip(pts, distance_row(model, m, pts)) if d <= bound), key=Word.sort_key)
     )
-    return CenterSet(chosen, bound, diameter(chosen, partial(word_distance, model)))
+    return CenterSet(chosen, bound, word_diameter(model, chosen))
 
 
 def cross_ratio(
@@ -170,7 +170,7 @@ def cross_ratio(
             raise BoundaryError("cross-ratio needs four distinct boundary points")
     m1 = tripod_centers(model, a, b, c, bound)
     m2 = tripod_centers(model, a, d, c, bound)
-    return diameter(set(m1.points + m2.points), partial(word_distance, model))
+    return word_diameter(model, set(m1.points + m2.points))
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .groups import FreeGroup, GroupModel, Word, ball, word_distance
+from .groups import FreeGroup, GroupModel, Word, ball, distance_from, distance_row, word_distance
 
 
 class ChainError(ValueError):
@@ -63,12 +63,12 @@ class BijectiveQI:
     def measured_qi_constants(self, radius: int = 4) -> float:
         """Smallest nu with d/nu - nu <= d(images) <= nu*d + nu on the ball."""
         pts = ball(self.model, self.model.identity(), radius)
+        images = [self.apply(w) for w in pts]
         nu = 1.0
         for i in range(len(pts)):
-            fi = self.apply(pts[i])
-            for j in range(i + 1, len(pts)):
-                d = word_distance(self.model, pts[i], pts[j])
-                fd = word_distance(self.model, fi, self.apply(pts[j]))
+            row = distance_row(self.model, pts[i], pts[i + 1 :])
+            image_row = distance_row(self.model, images[i], images[i + 1 :])
+            for d, fd in zip(row, image_row):
                 if fd > d:
                     # need nu*d + nu >= fd
                     nu = max(nu, fd / (d + 1))
@@ -237,8 +237,7 @@ class MarkovKernel:
         if radius not in known:
             best = 0
             for st in ball(self.model, self.model.identity(), radius):
-                for tgt, _ in self.law(st):
-                    best = max(best, word_distance(self.model, st, tgt))
+                best = max([best, *distance_row(self.model, st, [tgt for tgt, _ in self.law(st)])])
             known[radius] = best
         return known[radius]
 
@@ -858,11 +857,12 @@ def reach_probability(
         raise ChainError("exact reachability DP is limited to d <= 6")
     horizon = max(1, d * steps_factor)
     jump = kernel.jump_bound()
+    to_p = distance_from(model, p)
     law = ExactLaw(kernel, q)
     table: list[tuple[int, Fraction]] = [(0, Fraction(1) if d == 0 else Fraction(0))]
     for t in range(1, horizon + 1):
         remaining = horizon - t
-        law.step(lambda tgt: word_distance(model, tgt, p) <= jump * remaining)
+        law.step(lambda tgt: to_p(tgt) <= jump * remaining)
         if len(law) > support_cap:
             raise ChainError("reachability DP budget exceeded")
         table.append((t, law.prob(p)))

@@ -151,7 +151,6 @@ class AxisTracker:
     """
 
     def __init__(self, model: GroupModel, axis: Axis, start: Word):
-        self.model = model
         anchor, direction, phase = _line_data(model, axis.root.letters, axis.rep.letters)
         self.q = len(direction)
         self.dir = direction
@@ -181,17 +180,13 @@ class AxisTracker:
         # layout; `copy.copy` fills a plain __dict__, on which every attribute
         # read and write in `push` is slower
         out = AxisTracker.__new__(AxisTracker)
-        out.model, out.q, out.dir, out.phase = self.model, self.q, self.dir, self.phase
+        out.q, out.dir, out.phase = self.q, self.dir, self.phase
         out.stack, out.fwd, out.bwd = self.stack.copy(), self.fwd, self.bwd
         return out
 
     def positions(self) -> tuple[int, ...]:
         """Positions of the nearest coset points along the line."""
         return nearest_positions(self.fwd or -self.bwd, self.phase, self.q)
-
-    def spread_against(self, base: tuple[int, ...]) -> int:
-        pos = self.positions() + base
-        return max(pos) - min(pos)
 
 
 # ---------------------------------------------------------------------------

@@ -409,6 +409,27 @@ def word_distance(model: GroupModel, g: Word, h: Word) -> int:
     return len(model.product(model.inverse(g.letters), h.letters))
 
 
+def distance_from(model: GroupModel, g: Word) -> Callable[[Word], int]:
+    """The function h -> d(g, h) = |g^-1 h|, with g inverted once.
+
+    The h must be words of the model; only g is checked."""
+    if g.model is not model and g.model != model:
+        raise GroupError("distance_from: model mismatch")
+    g_inv, product = model.inverse(g.letters), model.product
+    return lambda h: len(product(g_inv, h.letters))
+
+
+def distance_row(model: GroupModel, g: Word, hs: Iterable[Word]) -> list[int]:
+    """[d(g, h) for h in hs], inverting g once (see `distance_from`)."""
+    return list(map(distance_from(model, g), hs))
+
+
+def word_diameter(model: GroupModel, points: Iterable[Word]) -> int:
+    """Largest word distance between two of the points; 0 for fewer than two."""
+    pts = list(points)
+    return max((d for i, p in enumerate(pts) for d in distance_row(model, p, pts[i + 1 :])), default=0)
+
+
 def neighbours(model: GroupModel, w: Word) -> Iterator[Word]:
     """The Cayley-graph neighbours w s, for s = a, a^-1, b, b^-1, ... (sort_key order)."""
     for i in range(1, model.rank + 1):
@@ -448,7 +469,7 @@ def ball(model: GroupModel, center: Word, radius: int, cap: int = DEFAULT_RADIUS
 def sphere(model: GroupModel, center: Word, radius: int, cap: int = DEFAULT_RADIUS_CAP) -> list[Word]:
     """All h with d(center, h) == radius exactly."""
     b = ball(model, center, radius, cap=cap)
-    return [w for w in b if word_distance(model, center, w) == radius]
+    return [w for w, d in zip(b, distance_row(model, center, b)) if d == radius]
 
 
 @dataclass(frozen=True)
@@ -470,13 +491,14 @@ def geodesic(model: GroupModel, g: Word, h: Word, reverse: bool = False) -> Geod
     if g.model != model or h.model != model:
         raise GroupError("geodesic: model mismatch")
     path = [g]
+    to_h = distance_from(model, h)  # d(v, h) = d(h, v): h is inverted once
     # a connected Cayley graph always has a distance-decreasing step
-    for remaining in range(word_distance(model, g, h) - 1, -1, -1):
+    for remaining in range(to_h(g) - 1, -1, -1):
         steps = neighbours(model, path[-1])
         if reverse:
             steps = reversed(list(steps))
         for v in steps:
-            if word_distance(model, v, h) == remaining:
+            if to_h(v) == remaining:
                 break
         path.append(v)
     return GeodesicPath(tuple(path))

@@ -19,7 +19,7 @@ import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .groups import DirectProduct, FreeProduct, GroupError, GroupModel, Word, ball, word_distance
+from .groups import DirectProduct, FreeProduct, GroupError, GroupModel, Word, ball, distance_row
 from .spaces import BassSerreTree, CosetFamily, FiniteGraphSpace, cone_off
 
 
@@ -483,9 +483,9 @@ def fiber_parallelism_check(
         return ParallelismVerdict("same product region", (), (0, 0))
 
     def hausdorff(a: list[Word], b: list[Word]) -> int:
-        d_ab = max(min(word_distance(model, u, v) for v in b) for u in a)
-        d_ba = max(min(word_distance(model, u, v) for v in a) for u in b)
-        return max(d_ab, d_ba)
+        # one distance row per point of a; its columns are the rows of b
+        rows = [distance_row(model, u, b) for u in a]
+        return max(max(map(min, rows)), max(map(min, zip(*rows))))
 
     hs = []
     for r in sweep:

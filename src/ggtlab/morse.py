@@ -25,9 +25,10 @@ from .groups import (
     Word,
     ball,
     diameter,
+    distance_row,
     geodesic,
     neighbours,
-    word_distance,
+    word_diameter,
 )
 from .projections import _diam_x, project_to_set
 from .spaces import OrbitMap, space_distance
@@ -110,24 +111,30 @@ def _window(model: GroupModel, segment: Sequence[Word], window: int) -> _Window:
 
 
 def _exact_geodesic_cell(model: GroupModel, segment: Sequence[Word], window: int, win: _Window) -> CellResult:
-    """Max detour over all window-confined geodesics between segment vertices."""
+    """Max detour over all window-confined geodesics between segment vertices.
+
+    The witness is such a geodesic, from one segment vertex to another."""
     best = 0
     best_path = None
     for ai in range(len(segment)):
         dx, x = win.rows[ai], segment[ai].letters
         for bi in range(ai + 1, len(segment)):
-            dy = win.rows[bi]
-            dxy = dx[segment[bi].letters]
+            y, dy = segment[bi].letters, win.rows[bi]
+            dxy = dx[y]
             dag = {v: dx[v] for v in win.detour if dx[v] + dy[v] == dxy}
             order = sorted(dag, key=dag.get, reverse=True)
+            # f[v]: max detour on a window-confined geodesic v -> y, whose
+            # next vertex is arg[v]; vertices that cannot reach y get no f
             f, arg = {}, {}
             for v in order:
-                f[v] = win.detour[v]
-                arg[v] = None
+                nxt = None
                 for u in win.adj[v]:
-                    if u in dag and dag[u] == dag[v] + 1 and f[u] > f[v]:
-                        f[v] = f[u]
-                        arg[v] = u
+                    if u in f and dag[u] == dag[v] + 1 and (nxt is None or f[u] > f[nxt]):
+                        nxt = u
+                if nxt is not None:
+                    f[v], arg[v] = max(win.detour[v], f[nxt]), nxt
+                elif v == y:
+                    f[v], arg[v] = win.detour[v], None
             if x in f and f[x] > best:
                 best, best_path = f[x], [x]
                 while arg[best_path[-1]] is not None:
@@ -138,10 +145,8 @@ def _exact_geodesic_cell(model: GroupModel, segment: Sequence[Word], window: int
 
 
 def _is_quasi_geodesic(model: GroupModel, path: Sequence[Word], lam: float, eps: float) -> bool:
-    for i in range(len(path)):
-        for j in range(i + 1, len(path)):
-            d = word_distance(model, path[i], path[j])
-            gap = j - i
+    for i, p in enumerate(path):
+        for gap, d in enumerate(distance_row(model, p, path[i + 1 :]), 1):
             if d > lam * gap + eps or d < gap / lam - eps:
                 return False
     return True
@@ -289,7 +294,7 @@ class IncompatibilityWitness:
         k, c = self.params
         if not _is_quasi_geodesic(model, self.mu, k, c):
             return False
-        d = min(word_distance(model, self.point, b) for b in beta)
+        d = min(distance_row(model, self.point, beta))
         return d - (gauge(k, c + 2 * self.kappa) + 2 * self.kappa) == self.margin
 
 
@@ -313,6 +318,8 @@ def incompatibility_witness(
         raise GroupError("ray prefix shorter than the requested bound")
     threshold = gauge(1, 0 + 2 * kappa) + 2 * kappa
     best: IncompatibilityWitness | None = None
+    # d(p, beta) per point: the geodesics between ray vertices share most points
+    to_beta: dict[tuple[int, ...], int] = {}
     examined = 0
     for i in range(prefix_bound + 1):
         for j in range(i + 2, prefix_bound + 1):
@@ -322,7 +329,9 @@ def incompatibility_witness(
             for reverse in (False, True):
                 mu = geodesic(model, beta[i], beta[j], reverse).vertices
                 for p in mu:
-                    d = min(word_distance(model, p, b) for b in beta)
+                    d = to_beta.get(p.letters)
+                    if d is None:
+                        d = to_beta[p.letters] = min(distance_row(model, p, beta))
                     margin = d - threshold
                     if margin > 0 and (best is None or margin > best.margin):
                         best = IncompatibilityWitness(
@@ -382,8 +391,6 @@ def mutual_projection_check(
             out.update(project_to_set(orbit, v, list(tgt)).points)
         return out
 
-    dist_g = partial(word_distance, model)
-
     ab = proj_union(beta, alpha)  # projection of beta onto alpha
     ba = proj_union(alpha, beta)
     k_a = max(1, 3 * len(alpha) // 4)
@@ -394,8 +401,8 @@ def mutual_projection_check(
     overlap = len(set(alpha) & set(beta))
     same_ray = overlap > min(len(alpha), len(beta)) // 2
     return MutualProjectionResult(
-        (diameter(ab, dist_g), _diam_x(orbit, ab)),
-        (diameter(ba, dist_g), _diam_x(orbit, ba)),
+        (word_diameter(model, ab), _diam_x(orbit, ab)),
+        (word_diameter(model, ba), _diam_x(orbit, ba)),
         stabilized,
         same_ray,
     )

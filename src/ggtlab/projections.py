@@ -37,6 +37,7 @@ from .groups import (
     Word,
     ball,
     diameter,
+    distance_from,
     geodesic,
     word_distance,
 )
@@ -128,7 +129,32 @@ def _coset_walk(h: Word, root: Word, window: int) -> Iterator[Word]:
 
 
 def coset_rep_key(root: Word, h: Word) -> tuple[int, ...]:
-    """Letters of the minimal element of the coset h<root>."""
+    """Letters of the minimal element (by `Word.sort_key`) of the coset h<root>.
+
+    Closed form, O(|h|) and no products, on a free group with a cyclically
+    reduced root r (r[0] != r[-1]^-1): let m count the letters at the end of
+    h that cancel against r r r ... or against r^-1 r^-1 ... (at most one of
+    the two is nonzero) and k0 = m // |r|.  Then h r^±k drops |r| letters
+    per step up to k0 and grows from k0 + 1 on, and the other direction only
+    grows, so the minimum is h r^±k0 or h r^±(k0+1).  Other models and roots
+    walk the coset out to h r^±(2|h|/|r| + 2).
+    """
+    r, letters = root.letters, h.letters
+    if isinstance(root.model, FreeGroup) and r and r[0] != -r[-1]:
+        n, q = len(letters), len(r)
+        m = 0
+        while m < n and letters[-1 - m] == -r[m % q]:
+            m += 1
+        if not m:
+            r = tuple(-ell for ell in reversed(r))
+            while m < n and letters[-1 - m] == -r[m % q]:
+                m += 1
+        if not m:
+            return letters
+        k0 = m // q
+        near = letters[: n - k0 * q]
+        far = letters[: n - m] + (r * (k0 + 1))[m:]
+        return min(near, far, key=lambda t: Word(root.model, t).sort_key())
     walk = _coset_walk(h, root, 2 * (len(h) // max(1, len(root))) + 2)
     best = next(walk)
     best_key = best.sort_key()
@@ -749,8 +775,9 @@ def pivot(
     seen: set[tuple[int, ...]] = set()
     best: tuple[int, tuple[int, int], Word] | None = None
     examined = 0
+    to_p = distance_from(model, p)
     for qp in candidates:
-        if qp.letters in seen or word_distance(model, p, qp) > s:
+        if qp.letters in seen or to_p(qp) > s:
             continue
         seen.add(qp.letters)
         v = values(qp)

@@ -21,7 +21,6 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from functools import partial
 from dataclasses import dataclass, field
 from typing import Callable, Hashable, Iterable, Sequence
 
@@ -34,8 +33,8 @@ from .groups import (
     GroupModel,
     Word,
     ball,
-    diameter,
     neighbours,
+    word_diameter,
     word_distance,
 )
 
@@ -491,7 +490,7 @@ def fibre_separation_profile(
             expanded |= nxt
             frontier = nxt
         inter = [w for w in expanded if space_distance(orbit.space, images[w], y) <= r]
-        pairs.append((R, diameter(inter, partial(word_distance, model))))
+        pairs.append((R, word_diameter(model, inter)))
     verdict = "bounded"
     if len(pairs) >= 2 and pairs[-1][1] != pairs[-2][1]:
         verdict = "growing"

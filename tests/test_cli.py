@@ -105,6 +105,35 @@ def test_fibers_subcommand(capsys):
     assert code == 0 and "same product region" in out
 
 
+def _pinned_stdout(capsys, jobs) -> str:
+    import hashlib
+
+    texts = []
+    for argv in jobs:
+        code, out, _ = run(capsys, *argv)
+        texts.append(f"{code}\n{out}")
+    return hashlib.sha256("\n".join(texts).encode()).hexdigest()
+
+
+def test_golden_fibers_and_incompat_stdout(capsys):
+    # sha256 of the stdout, recorded before the Hausdorff sweep and the
+    # detour search measured by distance rows; the outputs must not move
+    fibers = [
+        ("t x", "t^-1 t", "3", "4"), ("t^-1 z^-1", "y^-1 y z", "4", "2"),
+        ("x^-1", "x^-1 t^-1", "3", "4"), ("t^-1 t", "x^-1", "4", "2"),
+        ("x^-1", "z^-1", "3", "4"), ("z", "y^-1 x", "4", "2"),
+        ("y", "t^-1 x^-1", "3", "4"), ("x t^-1 z", "y^-1 y^-1 t^-1", "4", "2"),
+    ]
+    incompat = [("3", "5", "8", "1"), ("3", "5", "8", "2"), ("4", "6", "12", "1"),
+                ("5", "6", "16", "2"), ("6", "8", "20", "1")]
+    assert _pinned_stdout(capsys, [
+        ("fibers", "--x", x, "--y", y, "--radius", r, "--bound", b) for x, y, r, b in fibers
+    ]) == "bec91ce476927d17b5864b7c9f319a1db6a6d1b96681c1d3b22b8a9dcefa175e"
+    assert _pinned_stdout(capsys, [
+        ("incompat", "--flat-size", f, "--tail", t, "--L", L, "--kappa", k) for f, t, L, k in incompat
+    ]) == "f7d84f92e5077bd1f80d0f96653324607cb5f32428c90359ed93f1033d89e752"
+
+
 def test_separation_subcommand(capsys):
     code, out, _ = run(
         capsys, "separation", "--model", "F2", "--x", "e", "--y", "a b a b", "--truncations", "4,6"

@@ -13,12 +13,15 @@ from ggtlab.groups import (
     Word,
     ball,
     diameter,
+    distance_from,
+    distance_row,
     geodesic,
     model_from_descriptor,
     normal_form,
     parse_model,
     parse_word,
     sphere,
+    word_diameter,
     word_distance,
 )
 
@@ -248,6 +251,23 @@ def test_diameter(f2):
     assert diameter([], dist) == 0
     assert diameter([w(f2, "a b")], dist) == 0
     assert diameter(iter([f2.identity(), w(f2, "a"), w(f2, "b^-1 a")]), dist) == 3
+
+
+@pytest.mark.parametrize("desc", ["F2", "Z^2", "Z^2 * Z", "(Z^2 * Z) x Z", "F2 x Z"])
+def test_distance_row_matches_word_distance(desc):
+    m = model_from_descriptor(desc)
+    pts = ball(m, m.identity(), 2)
+    for g in pts[::2]:
+        expected = [word_distance(m, g, h) for h in pts]
+        assert distance_row(m, g, pts) == expected
+        assert distance_row(m, g, iter(pts)) == expected
+        assert list(map(distance_from(m, g), pts)) == expected
+    some = pts[::3]
+    assert word_diameter(m, iter(some)) == diameter(some, partial(word_distance, m))
+    assert word_diameter(m, []) == word_diameter(m, pts[:1]) == 0
+    other = model_from_descriptor("F3")
+    with pytest.raises(GroupError):
+        distance_row(m, other.identity(), pts)
 
 
 # --- the word layer: junction products, structural inverses, keys ------------

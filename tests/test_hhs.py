@@ -269,6 +269,29 @@ def test_parallelism_far(z2z_by_z, product_setup):
     assert res.verdict == "far"
 
 
+def test_parallelism_inverts_once_per_fibre_point(z2z_by_z, product_setup, monkeypatch):
+    # the Hausdorff sweep measures a fibre point against the other fibre by
+    # one distance row, so a radius costs at most |fx| + |fy| inversions
+    # (one per pair would be 2 |fx| |fy|)
+    from ggtlab.groups import DirectProduct
+
+    sched, regions = product_setup
+    fb = factored_ball(z2z_by_z, 3, sched, sched.termination_round, regions, cap=4)
+    x, y, sweep = w(z2z_by_z, "x z"), w(z2z_by_z, "y t^-1"), (2, 4, 6)
+    fibre = regions["U"].parallelism_fibers
+    allowed = sum(len(fibre(x, r)) + len(fibre(y, r)) for r in sweep)
+    inverse, calls = DirectProduct.inverse, []
+
+    def counted(self, letters):
+        calls.append(letters)
+        return inverse(self, letters)
+
+    monkeypatch.setattr(DirectProduct, "inverse", counted)
+    res = fiber_parallelism_check(z2z_by_z, fb, x, y, 4, regions, sweep)
+    assert res.verdict == "far"
+    assert 0 < len(calls) <= allowed
+
+
 def test_parallelism_missing_descriptor(f2xz):
     sk = fibered_tree_skeleton()
     sched = coning_schedule(sk)

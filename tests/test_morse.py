@@ -190,7 +190,7 @@ GOLDEN_CELLS = [
         )),
     ]),
     ((1, 2, 3, 1, 2), [
-        (1, "certified-on-window", ((), (2,))),
+        (1, "certified-on-window", ((), (2,), (1, 2))),
         (2, "witness-found", (
             (), (2,), (-1, 2), (2,), (1, 2), (1, 2, 3), (1, 2, 3, 2), (1, 2, 3, 1, 2),
         )),
@@ -227,6 +227,19 @@ def test_golden_certificate_cells(f2, z2z):
             witness = None if cell.witness is None else tuple(v.letters for v in cell.witness)
             got.append((cell.max_detour, cell.status, witness))
         assert got == expected, target
+
+
+def test_exact_cell_witness_is_a_geodesic_between_segment_vertices(z2z):
+    for target in ("x y z x y", "x y x y", "z x y x", "z x^3 y^2 z"):
+        seg = geodesic(z2z, z2z.identity(), w(z2z, target)).vertices
+        for window in (2, 3):
+            cell = morse_certificate(z2z, seg, [(1, 0)], window).cells[(1, 0)]
+            path = cell.witness
+            assert path[0] in seg and path[-1] in seg
+            assert word_distance(z2z, path[0], path[-1]) == len(path) - 1
+            assert all(word_distance(z2z, u, v) == 1 for u, v in zip(path, path[1:]))
+            detours = [min(word_distance(z2z, v, s) for s in seg) for v in path]
+            assert max(detours) == cell.max_detour > 0
 
 
 # --- detectability ----------------------------------------------------------------
@@ -274,6 +287,21 @@ def test_diagonal_crossing_witness(z2z):
     assert wit.margin >= 1
     assert wit.revalidate(z2z, beta, tree_gauge)
     assert min(word_distance(z2z, wit.point, b) for b in beta) == 6
+
+
+def test_golden_incompatibility_witnesses(z2z):
+    # sha256 of each witness's path, point and margin, recorded before the
+    # detour of a point from the ray was measured once per distinct point
+    import hashlib
+
+    lines = []
+    for flat, tail, bound, kappa in ((3, 5, 8, 1), (4, 6, 12, 1), (6, 8, 20, 1), (6, 8, 20, 2), (5, 8, 14, 1)):
+        beta = diagonal_crossing_ray(z2z, flat, tail)
+        wit = incompatibility_witness(z2z, beta, tree_gauge, kappa, bound)
+        lines.append("none" if wit is None else f"{[str(v) for v in wit.mu]} {wit.point} {wit.margin} {wit.params}")
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+        "3b4c7d4a13cda80606239fd0d345c85cffd94dc2d5f6989c088508a22c1e18ee"
+    )
 
 
 def test_witness_needs_window(z2z):

@@ -3,8 +3,10 @@
 import json
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from ggtlab.groups import ball, geodesic, word_distance
+from ggtlab.groups import Word, ball, geodesic, model_from_descriptor, normal_form, word_distance
 from ggtlab.projections import (
     Axis,
     CertificationError,
@@ -342,8 +344,59 @@ def test_golden_scan_projections(z2z, z2z_by_z, bs_tree, bs_orbit):
     )
 
 
+# --- the free-group coset key --------------------------------------------------
+
+# proper powers (a^2, (ab)^2) and roots that are not cyclically reduced (they
+# walk the coset) next to random ones
+_FIXED_ROOTS = [(1,), (1, 1), (1, 2), (1, 2, 1, 2), (1, 2, -1), (-2, 1, 2), (1, -2, -2, -1)]
+_free_letters = st.lists(st.sampled_from([1, -1, 2, -2, 3, -3]), max_size=10)
+
+
+def _walk_minimum(root: Word, h: Word) -> tuple[int, ...]:
+    from ggtlab.projections import _coset_walk
+
+    return min(_coset_walk(h, root, 2 * len(h) + 4), key=Word.sort_key).letters
+
+
+@given(
+    st.sampled_from(["F2", "F3"]),
+    st.one_of(st.sampled_from(_FIXED_ROOTS), _free_letters.filter(lambda r: 1 <= len(r) <= 4)),
+    _free_letters,
+    st.integers(0, 10),
+)
+@settings(max_examples=400, deadline=None)
+def test_coset_key_closed_form_matches_walk(desc, root_raw, u_raw, t):
+    from ggtlab.projections import coset_rep_key
+
+    m = model_from_descriptor(desc)
+
+    def fit(raw):  # onto the model's letters
+        return [(abs(x) - 1) % m.rank + 1 if x > 0 else -((abs(x) - 1) % m.rank + 1) for x in raw]
+
+    root = normal_form(m, fit(root_raw))
+    assume(not root.is_identity())
+    # h ends with the inverse of the first t letters of r r r ..., so about t
+    # letters cancel against the coset's direction: t = |r|/2 (mod |r|) ties
+    # h r^k0 with h r^(k0+1)
+    r = root.letters
+    h = normal_form(m, fit(u_raw) + [-r[i % len(r)] for i in reversed(range(t))])
+    assume(len(h) <= 10)
+    assert coset_rep_key(root, h) == _walk_minimum(root, h)
+
+
+def test_coset_key_ties_break_by_sort_key(f2):
+    from ggtlab.projections import coset_rep_key
+
+    ab = w(f2, "a b")
+    # a^-1 and a^-1 (a b) = b have one letter each; so do b and b (a b)^-1 = a^-1
+    for h in ("a^-1", "b", "b^2 a^-1", "b a b a^-1"):
+        assert coset_rep_key(ab, w(f2, h)) == _walk_minimum(ab, w(f2, h))
+    assert coset_rep_key(ab, w(f2, "a^-1")) == coset_rep_key(ab, w(f2, "b")) == (-1,)
+    # a proper power: b^-1 a^-1 against b^-1 a^-1 (a b)^2 = a b
+    assert coset_rep_key(w(f2, "a b a b"), w(f2, "b^-1 a^-1")) == (1, 2)
+
+
 def test_golden_coset_keys_and_axis_points():
-    from ggtlab.groups import model_from_descriptor
     from ggtlab.projections import coset_rep_key
 
     lines = []
