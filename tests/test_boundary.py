@@ -137,3 +137,21 @@ def test_distortion_bounded_swap(f2):
     assert res.eps_prime <= 2
     res2 = cross_ratio_distortion(f2, branch_swap(f2), quads)
     assert res2.eps_prime <= 2  # isometric relabel: cross-ratios preserved
+
+
+def test_golden_cross_ratios_and_centers(f2):
+    # sha256 recorded before `cross_ratio` lost its unused `bound`
+    import hashlib
+    from itertools import combinations
+
+    pts = random_boundary_points(f2, 7, seed=23)
+    lines = []
+    for a, b, c, d in combinations(pts, 4):
+        lines.append(f"{cross_ratio(f2, a, b, c, d)} {cross_ratio(f2, b, d, a, c)}")
+    for a, b, c in combinations(pts, 3):
+        for bound in (0, 1, 2, 3):
+            cs = tripod_centers(f2, a, b, c, bound)
+            lines.append(f"{[str(p) for p in cs.points]} {cs.diameter}")
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+        "92987af4b1a3245d4ff64e1c5392347914b6c0f7852bd11e5e4db6dc4d1284ff"
+    )

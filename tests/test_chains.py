@@ -431,3 +431,65 @@ def test_pushed_exact_dp_equals_radial_closed_form(f2k, walk):
     assert {m for _, _, m in radial} == {"exact-radial"}
     assert {m for _, _, m in pushed} == {"exact-dp"}
     assert [(n, v) for n, v, _ in pushed] == [(n, v) for n, v, _ in radial]
+
+
+# --- golden pins ----------------------------------------------------------------
+# sha256 digests recorded before the settings that no caller passes were
+# removed; the outputs at the defaults must not move
+
+
+def _sha(lines) -> str:
+    import hashlib
+
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def test_golden_decay_reports(f2k, walk):
+    z2 = model_from_descriptor("Z^2")
+    runs = [
+        (srw(f2k, stay=Fraction(1, 3)), range(1, 13)),
+        (push_forward(walk, branch_swap(f2k)), range(1, 9)),
+        (push_forward(srw(f2k, stay=Fraction(1, 2)), branch_swap(f2k)), range(2, 9, 2)),
+        (srw(z2), range(2, 25, 2)),
+    ]
+    lines = []
+    for kernel, grid in runs:
+        rep = estimate_nonamenability(kernel, list(grid))
+        lines += [repr(e) for e in rep.entries]
+        lines.append(repr((rep.rho_head, rep.rho_tail, rep.rho_hat, rep.verdict)))
+    assert _sha(lines) == (
+        "ad575e80ef5b3c0537c1e31b0d3ba9d8aad193c468c363e0bff60a1312113740"
+    )
+
+
+def test_golden_witness_reports(f2k, walk):
+    pts = ball(f2k, f2k.identity(), 3)
+    pushed = push_forward(srw(f2k, stay=Fraction(1, 3)), branch_swap(f2k))
+    lines = []
+    for kernel in (walk, pushed):
+        for p, q in (("e", "a"), ("a b", "b^-1"), ("b a^-1", "a^2 b")):
+            phi, rep = quasi_homogeneity_witness(kernel, w(f2k, p), w(f2k, q))
+            lines.append(f"{[str(s) for s in rep.checked_states]} {rep.exact}")
+            lines.append(str([str(phi.apply(x)) for x in pts]))
+    assert _sha(lines) == (
+        "db118d734de672250aa1514bc741dcda2a442726613b871e2c26b16925fd8b93"
+    )
+
+
+def test_golden_qi_projection_comparisons(f2k, f2_tree, f2_orbit):
+    sample = ball(f2k, f2k.identity(), 3)
+    qis = [
+        LeftTranslation(f2k, w(f2k, "b a")),
+        branch_swap(f2k),
+        GeneratorPermutation(f2k, (2, -1)),
+        CompositionQI(f2k, (branch_swap(f2k), LeftTranslation(f2k, w(f2k, "a^-1")))),
+    ]
+    lines = []
+    for root in ("a", "a b^-1"):
+        ax = axis_of(f2_tree, w(f2k, root)).translate(w(f2k, "b"))
+        for qi in qis:
+            res = qi_projection_comparison(f2_orbit, qi, ax, w(f2k, "b"), sample)
+            lines.append(f"{res.fitted_a!r} {res.witness} {res.pairs}")
+    assert _sha(lines) == (
+        "2773072e949be12cc6c4de7c14b69982d6088ae848aad674fd5a9f4c7d712a81"
+    )

@@ -339,3 +339,24 @@ def test_mutual_projection_parallel_translate(f2, f2_orbit):
     res = mutual_projection_check(f2_orbit, alpha, beta)
     assert max(res.diam_first_on_second) <= 2
     assert max(res.diam_second_on_first) <= 2
+
+
+def test_golden_mutual_projections(f2, z2z, f2_orbit, bs_orbit):
+    # sha256 recorded before the projection union became `projection_of_set`
+    import hashlib
+
+    from ggtlab.groups import geodesic
+
+    lines = []
+    for orbit, model, rays in (
+        (f2_orbit, f2, [("a^9", "b^9"), ("a^9", "a^3 b a^5"), ("a b^-1 a b a^4", "a b^-1 a^-2 b")]),
+        (bs_orbit, z2z, [("x z x z x z", "x z y^-1 z x"), ("z x^2 z y z", "z x^2 y z x")]),
+    ):
+        for a, b in rays:
+            alpha = geodesic(model, model.identity(), w(model, a)).vertices
+            beta = geodesic(model, model.identity(), w(model, b)).vertices
+            res = mutual_projection_check(orbit, alpha, beta)
+            lines.append(f"{res.diam_first_on_second} {res.diam_second_on_first} {res.stabilized} {res.same_ray}")
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+        "cd0b03e84aabc4179b17f21f75658dc5365b899342319b11e5341be1765b8aa9"
+    )

@@ -409,3 +409,55 @@ def test_golden_coset_keys_and_axis_points():
             ax = make_axis(model, r, roots[0])
             lines.append(f"{desc} {ax} {[str(p) for p in ax.points(4)]}")
     assert _sha(lines) == "6be35263e23ee413bd6802f758b160f6821c0b6fc6921eabf3a9b7df8286719b"
+
+
+# --- golden pins at the defaults -------------------------------------------------
+# recorded before the settings that no caller passes were removed
+
+
+def test_golden_pivots(f2, z2z, f2_tree, f2_orbit, bs_tree, bs_orbit):
+    lines = []
+    cases = [
+        (f2_orbit, axis_of(f2_tree, w(f2, "a")).translate(w(f2, "b a b")), geodesic(f2, f2.identity(), w(f2, "b^-4"))),
+        (f2_orbit, axis_of(f2_tree, w(f2, "a")), geodesic(f2, f2.identity(), w(f2, "a^8"))),
+        (f2_orbit, axis_of(f2_tree, w(f2, "a b")), geodesic(f2, w(f2, "b"), w(f2, "b a b a b"))),
+        (bs_orbit, axis_of(bs_tree, w(z2z, "y z")), geodesic(z2z, z2z.identity(), w(z2z, "x z x z"))),
+    ]
+    for orbit, ax, alpha in cases:
+        for q in (alpha.vertices[-1], alpha.vertices[len(alpha) // 2]):
+            for s, bound in ((2, 0), (3, 2), (3, 4)):
+                res = pivot(orbit, alpha, q, ax, s=s, bound=bound)
+                lines.append(f"{res.pivot} {res.values} {res.passed} {res.examined}")
+    assert _sha(lines) == (
+        "b9ebdf4948b39fd44e63eee13d1d239869d81ad93d1b7b9de2c7e2f47cc2b244"
+    )
+
+
+def test_golden_linear_orders(f2, z2z, f2_orbit, bs_orbit):
+    records = [
+        enumerate_cosets(f2_orbit, w(f2, "a"), f2.identity(), w(f2, "b a^5 b"), 4),
+        enumerate_cosets(f2_orbit, w(f2, "a"), f2.identity(), w(f2, "b a^4 b^2 a^4 b"), 3),
+        enumerate_cosets(f2_orbit, w(f2, "a b"), w(f2, "b"), w(f2, "a b a b a b^-1 a b a b a"), 4),
+        enumerate_cosets(bs_orbit, w(z2z, "x z"), z2z.identity(), w(z2z, "z x z"), 2, window=1),
+    ]
+    lines = []
+    for rec in records:
+        entries, report = linear_order(rec)
+        lines += [f"{e.axis} {e.value} {e.position} {e.proj_o} {e.proj_p}" for e in entries]
+        lines.append(f"{report.pairs} {report.disagreements}")
+    assert _sha(lines) == (
+        "a921c7bf2ff590d5e58d68f22320a264a5a9cdb59b01ed8eaaf27da737666f3e"
+    )
+
+
+def test_golden_axis_pools(f2, f2_tree):
+    lines = []
+    for seed in (0, 1, 2, 7):
+        for max_root_len in (1, 2, 4):
+            lines.append(str([str(ax) for ax in default_axis_pool(f2_tree, 6, seed, max_root_len=max_root_len)]))
+        lines.append(str([str(ax) for ax in default_axis_pool(f2_tree, 8, seed)]))
+        for g in ("a", "a b", "b a^-1 b"):
+            lines.append(str([str(ax) for ax in translate_axis_pool(f2_tree, w(f2, g), 6, seed)]))
+    assert _sha(lines) == (
+        "0c84d0c464815b301fbdc804549d0e454e4e419488475040ba8572c41e368aeb"
+    )

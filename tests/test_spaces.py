@@ -332,3 +332,23 @@ def test_fibre_separation_bass_serre_far_vertices(z2z, bs_tree, bs_orbit):
 def test_fibre_separation_precondition(f2, f2_orbit):
     with pytest.raises(SpaceError):
         fibre_separation_profile(f2_orbit, f2.identity(), w(f2, "a"), r=1, s=1, truncations=[4])
+
+
+def test_golden_fibre_separation_profiles(f2, f2xz, z2z, f2_orbit, bs_tree, bs_orbit):
+    # sha256 recorded before `fibre_separation_profile` lost its unused `cap`
+    import hashlib
+
+    fibred = first_factor_orbit(f2xz, identity_orbit(CayleyTree(f2xz.left)))
+    cases = [
+        (f2_orbit, f2.identity(), w(f2, "a b a b"), 1, 2, [4, 6, 8]),
+        (f2_orbit, w(f2, "b"), w(f2, "a^2 b^-1 a"), 1, 1, [3, 5, 7]),
+        (fibred, f2xz.left.identity(), w(f2xz.left, "a"), 0, 1, [4, 6, 8]),
+        (bs_orbit, bs_tree.vertex(0, z2z.identity()), bs_tree.vertex(0, w(z2z, "z x z x^-1 z")), 1, 2, [4, 6]),
+    ]
+    lines = []
+    for orbit, x, y, r, s, truncs in cases:
+        prof = fibre_separation_profile(orbit, x, y, r=r, s=s, truncations=truncs)
+        lines.append(f"{prof.pairs} {prof.verdict} {sorted(prof.params.items())}")
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+        "4392c4277c11a53171678df19b90c14a38f45711e133f440f5b3fbce62388934"
+    )
