@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .groups import FreeGroup, GroupError, Word, distance_row, word_diameter, word_distance
+from .groups import FreeGroup, GroupError, Word, distance_row, geodesic, word_diameter, word_distance
 
 
 class BoundaryError(GroupError):
@@ -142,13 +142,7 @@ def tripod_centers(
     horizon = t0 + bound + 4
     line_pts: set[Word] = set()
     for p, q in ((a, b), (b, c), (a, c)):
-        pv, qv = p.vertex(horizon), q.vertex(horizon)
-        w = (pv.inverse() * qv).letters
-        cur = pv
-        line_pts.add(cur)
-        for ell in w:
-            cur = cur * Word(model, (ell,))
-            line_pts.add(cur)
+        line_pts.update(geodesic(model, p.vertex(horizon), q.vertex(horizon)).vertices)
     pts = list(line_pts)
     chosen = tuple(
         sorted((v for v, d in zip(pts, distance_row(model, m, pts)) if d <= bound), key=Word.sort_key)
@@ -162,14 +156,13 @@ def cross_ratio(
     b: BoundaryPoint,
     c: BoundaryPoint,
     d: BoundaryPoint,
-    bound: int = 0,
 ) -> int:
     """diam( centers(a,b,c) ∪ centers(a,d,c) ), an exact integer on trees."""
     for p, q in ((a, b), (a, c), (a, d), (b, c), (b, d), (c, d)):
         if p == q:
             raise BoundaryError("cross-ratio needs four distinct boundary points")
-    m1 = tripod_centers(model, a, b, c, bound)
-    m2 = tripod_centers(model, a, d, c, bound)
+    m1 = tripod_centers(model, a, b, c)
+    m2 = tripod_centers(model, a, d, c)
     return word_diameter(model, set(m1.points + m2.points))
 
 

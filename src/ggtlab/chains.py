@@ -82,7 +82,7 @@ class BijectiveQI:
 class LeftTranslation(BijectiveQI):
     model: GroupModel
     g: Word
-    claimed_nu: float = 1.0
+    claimed_nu = 1.0
 
     def apply(self, w: Word) -> Word:
         return self.g * w
@@ -97,7 +97,7 @@ class GeneratorPermutation(BijectiveQI):
 
     model: GroupModel
     images: tuple[int, ...]  # images[i] = signed letter that generator i+1 maps to
-    claimed_nu: float = 1.0
+    claimed_nu = 1.0
 
     def __post_init__(self):
         if sorted(abs(i) for i in self.images) != list(range(1, self.model.rank + 1)):
@@ -177,44 +177,38 @@ class CompositionQI(BijectiveQI):
 
 @dataclass(frozen=True)
 class BranchSwap(BijectiveQI):
-    """Transposes the subtrees of words starting with two positive generators.
+    """Transposes the subtrees of a and b, the first two generators.
 
-    The depth-1 table {i <-> j} is repeated equivariantly below the swapped
-    vertices: a word i*u maps to j*sigma(u), with sigma the letterwise
-    relabel i <-> j.  This is a tree automorphism of the Cayley tree, hence
+    The depth-1 table {a <-> b} is repeated equivariantly below the swapped
+    vertices: a word a*u maps to b*sigma(u), with sigma the letterwise
+    relabel a <-> b.  This is a tree automorphism of the Cayley tree, hence
     an exact isometry, but neither a translation nor a group automorphism
     (words starting with an inverse generator are fixed).
     """
 
     model: FreeGroup
-    i: int = 1
-    j: int = 2
-    claimed_nu: float = 1.0
+    claimed_nu = 1.0
 
     def __post_init__(self):
         if not isinstance(self.model, FreeGroup):
             raise ChainError("branch swaps live on free groups")
-        if self.i == self.j or min(self.i, self.j) < 1 or max(self.i, self.j) > self.model.rank:
+        if self.model.rank < 2:
             raise ChainError("branch swap needs two distinct positive generators")
-
-    def _sigma(self, letters: tuple[int, ...]) -> tuple[int, ...]:
-        table = {self.i: self.j, self.j: self.i, -self.i: -self.j, -self.j: -self.i}
-        return tuple(table.get(l, l) for l in letters)
 
     def apply(self, w: Word) -> Word:
         ls = w.letters
-        if ls and ls[0] in (self.i, self.j):
-            head = self.j if ls[0] == self.i else self.i
-            return Word(self.model, (head,) + self._sigma(ls[1:]))
+        if ls and ls[0] in (1, 2):
+            sigma = {1: 2, 2: 1, -1: -2, -2: -1}
+            return Word(self.model, tuple(sigma.get(l, l) for l in ls))
         return w
 
     def inverse(self) -> "BranchSwap":
         return self
 
 
-def branch_swap(model: FreeGroup, i: int = 1, j: int = 2) -> BranchSwap:
-    """Depth-1 branch swap transposing the subtrees of generators i and j."""
-    return BranchSwap(model, i, j)
+def branch_swap(model: FreeGroup) -> BranchSwap:
+    """Depth-1 branch swap transposing the subtrees of a and b."""
+    return BranchSwap(model)
 
 
 # ---------------------------------------------------------------------------
@@ -230,16 +224,16 @@ class MarkovKernel:
         """Ordered (target, probability) pairs; probabilities sum to 1."""
         raise NotImplementedError
 
-    def jump_bound(self, radius: int = 3) -> int:
-        """Max jump length over a sample window of states, measured once per
-        kernel and radius (it rebuilds the law at every state of the ball)."""
-        known = self.__dict__.setdefault("_jump_bounds", {})
-        if radius not in known:
+    def jump_bound(self) -> int:
+        """Max jump length over the states of the radius-3 ball, measured once
+        per kernel (it rebuilds the law at every state of the ball)."""
+        known = self.__dict__
+        if "_jump_bound" not in known:
             best = 0
-            for st in ball(self.model, self.model.identity(), radius):
+            for st in ball(self.model, self.model.identity(), 3):
                 best = max([best, *distance_row(self.model, st, [tgt for tgt, _ in self.law(st)])])
-            known[radius] = best
-        return known[radius]
+            known["_jump_bound"] = best
+        return known["_jump_bound"]
 
     def law_dict(self, state: Word) -> dict[Word, Fraction]:
         out: dict[Word, Fraction] = {}
@@ -270,7 +264,7 @@ class InvariantKernel(MarkovKernel):
     def cdf(self) -> np.ndarray:
         return _cdf(p for _, p in self.measure)
 
-    def jump_bound(self, radius: int = 3) -> int:
+    def jump_bound(self) -> int:
         """Exact for an invariant chain: the longest word of the measure."""
         return max(len(s) for s, _ in self.measure)
 
@@ -668,14 +662,12 @@ class DecayReport:
     verdict: str
 
 
-def estimate_nonamenability(
-    kernel: MarkovKernel,
-    n_list: Sequence[int],
-    samples: int = 0,
-    seed: int = 0,
-    support_cap: int = 60000,
-) -> DecayReport:
-    """Exact sup of point probabilities where feasible, Monte Carlo beyond.
+_DECAY_SUPPORT_CAP = 60000  # states the exact DP of `estimate_nonamenability` may hold
+
+
+def estimate_nonamenability(kernel: MarkovKernel, n_list: Sequence[int]) -> DecayReport:
+    """Exact sup of point probabilities where feasible, reported as skipped
+    beyond the support cap.
 
     Fits log sup against n on the first and second halves of the grid; the
     verdict is "consistent with nonamenability" when the tail rate stays
@@ -694,32 +686,18 @@ def estimate_nonamenability(
     else:
         # one incremental pass, snapshotting the sup at each grid point
         law = ExactLaw(kernel, model.identity())
-        exact: dict[int, float] = {}
         step = 0
         for n in grid:
-            while step < n and len(law) <= support_cap:
+            while step < n and len(law) <= _DECAY_SUPPORT_CAP:
                 law.step()
                 step += 1
-            if len(law) > support_cap:
-                break
-            exact[n] = float(law.sup())
-        for n in grid:
-            if n in exact:
-                entries.append((n, exact[n], "exact-dp"))
-            elif samples:
-                hits = 0
-                start = model.identity()
-                for i in range(samples):
-                    walk = Walk(kernel, start, seed, i)
-                    walk.steps(n)
-                    if walk.state() == start:
-                        hits += 1
-                entries.append((n, hits / samples, "mc-return"))
-            else:
+            if len(law) > _DECAY_SUPPORT_CAP:
                 entries.append((n, float("nan"), "skipped"))
+            else:
+                entries.append((n, float(law.sup()), "exact-dp"))
 
     def rate(pairs: list[tuple[int, float]]) -> float | None:
-        fitted = fit_log_linear([(n, v) for n, v in pairs if v and v == v])
+        fitted = fit_log_linear([(n, v) for n, v in pairs if v])
         return float(np.exp(fitted[0])) if fitted else None
 
     usable = [(n, v) for n, v, m in entries if m != "skipped"]
@@ -747,9 +725,7 @@ class WitnessReport:
     exact: bool
 
 
-def quasi_homogeneity_witness(
-    kernel: MarkovKernel, p: Word, q: Word, sample_states: Sequence[Word] | None = None
-) -> tuple[BijectiveQI, WitnessReport]:
+def quasi_homogeneity_witness(kernel: MarkovKernel, p: Word, q: Word) -> tuple[BijectiveQI, WitnessReport]:
     """A bijective QI carrying p to q that pushes the chain to itself.
 
     Invariant chains use the left translation by q p^-1; push-forwards
@@ -768,9 +744,8 @@ def quasi_homogeneity_witness(
         raise WitnessError("no witness constructor for chains without declared symmetry")
     if phi.apply(p) != q:
         raise WitnessError("constructed map does not carry p to q")  # pragma: no cover
-    if sample_states is None:
-        pts = ball(model, model.identity(), 2)
-        sample_states = pts[:: max(1, len(pts) // 20)][:20]
+    pts = ball(model, model.identity(), 2)
+    sample_states = pts[:: max(1, len(pts) // 20)][:20]
     exact = True
     for o in sample_states:
         pushed = {}
@@ -794,14 +769,14 @@ class ComparisonResult:
 
 
 def qi_projection_comparison(
-    orbit, qi: BijectiveQI, axis, p_prime: Word, sample: Sequence[Word], window: int = 16
+    orbit, qi: BijectiveQI, axis, p_prime: Word, sample: Sequence[Word]
 ) -> ComparisonResult:
     """Fit the smallest A with d_image(f p', f h) > d_axis(p', h)/A - A.
 
     The image of the axis under the QI is handled as an explicit point set,
     grown until the sampled projections stabilize.
     """
-    from .projections import coset_distance, project_to_set
+    from .projections import _diam_x, coset_distance, project_to_set
 
     p = qi.apply(p_prime)
 
@@ -812,8 +787,6 @@ def qi_projection_comparison(
         pts = image_pts(wdw)
         pa = project_to_set(orbit, p, pts).points
         pb = project_to_set(orbit, qi.apply(h), pts).points
-        from .projections import _diam_x
-
         return _diam_x(orbit, set(pa) | set(pb))
 
     best_a = 1.0
@@ -821,9 +794,9 @@ def qi_projection_comparison(
     pairs = []
     for h in sample:
         u = coset_distance(orbit, axis, p_prime, h)
-        v = spread_on_image(window, h)
-        if spread_on_image(2 * window, h) != v:
-            v = spread_on_image(4 * window, h)
+        v = spread_on_image(16, h)
+        if spread_on_image(32, h) != v:
+            v = spread_on_image(64, h)
         pairs.append((u, v))
         a_h = (-v + (v * v + 4 * u) ** 0.5) / 2
         if a_h > best_a:
@@ -840,9 +813,10 @@ class ReachResult:
     table: tuple[tuple[int, Fraction], ...]
 
 
-def reach_probability(
-    kernel: MarkovKernel, p: Word, q: Word, steps_factor: int = 3, support_cap: int = 300000
-) -> ReachResult:
+_REACH_SUPPORT_CAP = 300000  # states the exact DP of `reach_probability` may hold
+
+
+def reach_probability(kernel: MarkovKernel, p: Word, q: Word, steps_factor: int = 3) -> ReachResult:
     """Exact best probability of standing at p within steps_factor * d steps.
 
     Dynamic programming from q with dead-state pruning: a state farther
@@ -863,7 +837,7 @@ def reach_probability(
     for t in range(1, horizon + 1):
         remaining = horizon - t
         law.step(lambda tgt: to_p(tgt) <= jump * remaining)
-        if len(law) > support_cap:
+        if len(law) > _REACH_SUPPORT_CAP:
             raise ChainError("reachability DP budget exceeded")
         table.append((t, law.prob(p)))
     best_t, best_p = max(table, key=lambda tp: (tp[1], -tp[0]))

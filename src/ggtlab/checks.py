@@ -212,7 +212,7 @@ REGISTRY: list[tuple[str, Callable[[], tuple[bool, str]]]] = [
 ]
 
 
-def run_all(verbose: bool = True) -> int:
+def run_all() -> int:
     """Run every registered check; returns the number of failures."""
     failures = 0
     for name, fn in REGISTRY:
@@ -220,8 +220,7 @@ def run_all(verbose: bool = True) -> int:
             ok, detail = fn()
         except Exception as exc:  # noqa: BLE001 - report, then count as failure
             ok, detail = False, f"raised {type(exc).__name__}: {exc}"
-        if verbose:
-            print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
+        print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
         if not ok:
             failures += 1
     return failures

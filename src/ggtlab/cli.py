@@ -76,15 +76,6 @@ def _emit(args, name: str, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _header(seed=None, extra: str = "") -> str:
-    base = f"# ggtlab {__version__}"
-    if seed is not None:
-        base += f" seed={seed}"
-    if extra:
-        base += f" {extra}"
-    return base + "\n"
-
-
 def _setup_tree(model_text: str, space: str):
     model = model_from_descriptor(model_text)
     if space == "cayley":
@@ -123,7 +114,7 @@ def cmd_ball(args) -> int:
     center = parse_word(model, args.center)
     elems = ball(model, center, args.radius, cap=max(args.radius, 10))
     lines = [str(w) for w in elems]
-    _emit(args, "ball.txt", _header() + "\n".join(lines) + f"\n# count={len(elems)}\n")
+    _emit(args, "ball.txt", f"# ggtlab {__version__}\n" + "\n".join(lines) + f"\n# count={len(elems)}\n")
     print(f"{len(elems)} elements")
     return EXIT_OK
 

@@ -319,14 +319,14 @@ class BoundedProjectionResult:
         return "\n".join(lines) + "\n"
 
 
-def default_projection_cells(config: ExperimentConfig, count: int = 20) -> list[tuple[Word, Word]]:
+def default_projection_cells(config: ExperimentConfig) -> list[tuple[Word, Word]]:
     model, orbit, _, axis = resolve_setup(config)
     rng = np.random.default_rng(config.require_seed() ^ 0x9E3779B9)
     starts = ball(model, model.identity(), 2)
     shifts = ball(model, model.identity(), 4)
     cells: list[tuple[Word, Word]] = []
     seen = set()
-    while len(cells) < count:
+    while len(cells) < 20:
         p = starts[int(rng.integers(len(starts)))]
         h = shifts[int(rng.integers(len(shifts)))]
         key = (p.letters, axis.translate(h).rep.letters)
@@ -400,12 +400,13 @@ class TailCurve:
     def f(self) -> np.ndarray:
         return np.array(self.f_counts) / self.samples
 
-    def envelope_ok(self, min_successes: int = 10) -> bool:
+    def envelope_ok(self) -> bool:
+        """Whether g(t) <= 2 exp(-t/C') at every t with at least 10 successes."""
         if self.c_prime is None:
             return False
         g = self.g()
         for t, cnt in zip(self.t_values, self.g_counts):
-            if cnt >= min_successes and g[t] > 2 * math.exp(-t / self.c_prime) + 1e-12:
+            if cnt >= 10 and g[t] > 2 * math.exp(-t / self.c_prime) + 1e-12:
                 return False
         return True
 
@@ -427,9 +428,9 @@ def tail_experiment(
     o: Word | None = None,
     p: Word | None = None,
     n: int = 200,
-    t_max: int | None = None,
 ) -> TailCurve:
-    """Estimate g(t) = P[some partial sum >= t] and f(t) = P[final sum >= t].
+    """Estimate g(t) = P[some partial sum >= t] and f(t) = P[final sum >= t]
+    for t <= 3n/4.
 
     Both curves are computed on the same trajectory ensemble, so the
     containment g >= f holds exactly sample-by-sample.  The reported C' is
@@ -452,8 +453,7 @@ def tail_experiment(
         raise ExperimentError("coset enumeration must be certified for tail sums")
     axes = [e.axis for e in record.entries]
     bases = [line_positions(ax, p)[0] for ax in axes]
-    if t_max is None:
-        t_max = 3 * n // 4
+    t_max = 3 * n // 4
     g_counts = np.zeros(t_max + 1, dtype=np.int64)
     f_counts = np.zeros(t_max + 1, dtype=np.int64)
     templates = [AxisTracker(model, ax, p) for ax in axes]

@@ -466,9 +466,9 @@ def ball(model: GroupModel, center: Word, radius: int, cap: int = DEFAULT_RADIUS
     return out
 
 
-def sphere(model: GroupModel, center: Word, radius: int, cap: int = DEFAULT_RADIUS_CAP) -> list[Word]:
+def sphere(model: GroupModel, center: Word, radius: int) -> list[Word]:
     """All h with d(center, h) == radius exactly."""
-    b = ball(model, center, radius, cap=cap)
+    b = ball(model, center, radius)
     return [w for w, d in zip(b, distance_row(model, center, b)) if d == radius]
 
 

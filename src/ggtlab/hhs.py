@@ -69,9 +69,6 @@ class HHSSkeleton:
 
     def downward_closure(self, seed: Sequence[str]) -> frozenset:
         out = set(seed)
-        for c, p in self.nesting:
-            if p in out:
-                out.add(c)
         changed = True
         while changed:
             changed = False
@@ -436,10 +433,7 @@ def factored_ball(
             families.append(region_map[d].family)
         else:
             warnings.warn(f"removed domain {d!r} has no region; skipped")
-    graph = cone_off(model, radius, families, cap=cap)
-    graph.metadata["round"] = round_index
-    graph.metadata["regions_coned"] = tuple(f.label for f in families)
-    return graph
+    return cone_off(model, radius, families, cap=cap)
 
 
 # ---------------------------------------------------------------------------

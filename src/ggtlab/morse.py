@@ -30,7 +30,7 @@ from .groups import (
     neighbours,
     word_diameter,
 )
-from .projections import _diam_x, project_to_set
+from .projections import _diam_x, projection_of_set
 from .spaces import OrbitMap, space_distance
 
 
@@ -174,20 +174,23 @@ def _relaxed_cell(
     lam: float,
     eps: float,
     anchors: Sequence[tuple[int, int]],
-    state_budget: int,
 ) -> CellResult:
+    t_maxes = [int(lam * (win.rows[ai][segment[bi].letters] + eps)) for ai, bi in anchors]
+    if max(t_maxes) * len(win.detour) > _STATE_BUDGET:
+        return CellResult(0, "skipped", None)
+    # layered prefix/suffix feasibility: necessary conditions against the
+    # anchors only (a relaxation of the full pair condition).  A source's
+    # layers out to a shorter t_max are a prefix of those out to a longer one,
+    # so each source is layered once, out to the longest t_max it serves.
+    horizon: dict[int, int] = {}
+    for (ai, bi), t_max in zip(anchors, t_maxes):
+        for i in (ai, bi):
+            horizon[i] = max(horizon.get(i, 0), t_max)
+    layers = {i: _layers(segment[i].letters, win.rows[i], win.adj, t, lam, eps) for i, t in horizon.items()}
     best = 0
     best_path = None
-    for ai, bi in anchors:
-        x, y = segment[ai].letters, segment[bi].letters
-        dxy = win.rows[ai][y]
-        t_max = int(lam * (dxy + eps))
-        if t_max * len(win.detour) > state_budget:
-            return CellResult(0, "skipped", None)
-        # layered prefix/suffix feasibility: necessary conditions against
-        # the anchors only (a relaxation of the full pair condition)
-        fwd, reach_i = _layers(x, win.rows[ai], win.adj, t_max, lam, eps)
-        bwd, reach_j = _layers(y, win.rows[bi], win.adj, t_max, lam, eps)
+    for (ai, bi), t_max in zip(anchors, t_maxes):
+        (fwd, reach_i), (bwd, reach_j) = layers[ai], layers[bi]
         for v, detour in win.detour.items():
             if detour > best and v in reach_i and v in reach_j and reach_i[v] + reach_j[v] <= t_max:
                 best = detour
@@ -211,12 +214,14 @@ def _trace(tgt, steps: int, layers, adj) -> list:
     return path[::-1]
 
 
+_STATE_BUDGET = 2_000_000  # layer states a relaxed Morse cell may build
+
+
 def morse_certificate(
     model: GroupModel,
     segment: GeodesicPath | Sequence[Word],
     grid: Sequence[tuple[float, float]],
     window: int,
-    state_budget: int = 2_000_000,
 ) -> MorseCertificate:
     """Window-scoped detour table over a grid of quasi-geodesic parameters."""
     seg = tuple(segment.vertices if isinstance(segment, GeodesicPath) else segment)
@@ -232,9 +237,7 @@ def morse_certificate(
         if (lam, eps) == (1, 0):
             cells[(lam, eps)] = _exact_geodesic_cell(model, seg, window, win)
         else:
-            cells[(lam, eps)] = _relaxed_cell(
-                model, seg, window, win, lam, eps, anchors, state_budget
-            )
+            cells[(lam, eps)] = _relaxed_cell(model, seg, window, win, lam, eps, anchors)
     # detour tables must be monotone in both parameters
     keys = sorted(cells)
     for a in keys:
@@ -298,13 +301,15 @@ class IncompatibilityWitness:
         return d - (gauge(k, c + 2 * self.kappa) + 2 * self.kappa) == self.margin
 
 
+_WITNESS_BUDGET = 4000  # ray-vertex pairs `incompatibility_witness` examines
+
+
 def incompatibility_witness(
     model: GroupModel,
     beta: Sequence[Word],
     gauge: Callable[[float, float], int],
     kappa: int,
     prefix_bound: int,
-    budget: int = 4000,
 ) -> IncompatibilityWitness | None:
     """Search for a geodesic detour witnessing incompatibility of the ray.
 
@@ -323,7 +328,7 @@ def incompatibility_witness(
     examined = 0
     for i in range(prefix_bound + 1):
         for j in range(i + 2, prefix_bound + 1):
-            if examined >= budget:
+            if examined >= _WITNESS_BUDGET:
                 return best
             examined += 1
             for reverse in (False, True):
@@ -384,19 +389,12 @@ def mutual_projection_check(
     each prefix window.
     """
     model = orbit.group
-
-    def proj_union(src: Sequence[Word], tgt: Sequence[Word]) -> set[Word]:
-        out: set[Word] = set()
-        for v in src:
-            out.update(project_to_set(orbit, v, list(tgt)).points)
-        return out
-
-    ab = proj_union(beta, alpha)  # projection of beta onto alpha
-    ba = proj_union(alpha, beta)
+    ab = projection_of_set(orbit, beta, alpha)  # projection of beta onto alpha
+    ba = projection_of_set(orbit, alpha, beta)
     k_a = max(1, 3 * len(alpha) // 4)
     k_b = max(1, 3 * len(beta) // 4)
-    ab_short = proj_union(beta[:k_b], alpha)
-    ba_short = proj_union(alpha[:k_a], beta)
+    ab_short = projection_of_set(orbit, beta[:k_b], alpha)
+    ba_short = projection_of_set(orbit, alpha[:k_a], beta)
     stabilized = ab == ab_short and ba == ba_short
     overlap = len(set(alpha) & set(beta))
     same_ray = overlap > min(len(alpha), len(beta)) // 2

@@ -23,7 +23,7 @@ the same way.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache, partial
 from typing import Iterable, Iterator, Sequence
 
@@ -394,13 +394,15 @@ def projection_of_set(orbit: OrbitMap, pts: Iterable[Word], target) -> frozenset
     return frozenset(out)
 
 
-def project_axis_onto(
-    orbit: OrbitMap, src: Axis, target, window: int = 8, cap: int = 512
-) -> tuple[frozenset[Word], bool, int]:
-    """Projection of a whole axis, grown until the point set stabilizes."""
+_AXIS_WINDOW_CAP = 512  # widest window `project_axis_onto` scans
+
+
+def project_axis_onto(orbit: OrbitMap, src: Axis, target) -> tuple[frozenset[Word], bool, int]:
+    """Projection of a whole axis, grown from window 8 until the point set
+    stabilizes."""
     prev: frozenset[Word] | None = None
-    w = window
-    while w <= cap:
+    w = 8
+    while w <= _AXIS_WINDOW_CAP:
         cur = projection_of_set(orbit, src.points(w), target)
         if prev is not None and cur == prev:
             return cur, True, w
@@ -522,7 +524,6 @@ class CosetRecord:
     threshold: int
     entries: list[CosetEntry]
     certified: bool
-    search: dict = field(default_factory=dict)
 
     def to_jsonl(self) -> str:
         lines = []
@@ -594,12 +595,10 @@ def enumerate_cosets(orbit: OrbitMap, g: Word, o: Word, p: Word, threshold: int,
         if window is not None and not certified:
             for w in ball(model, model.identity(), window, cap=max(window, 10)):
                 add_candidate(w)
-            certified = False
     else:
         w = window if window is not None else word_distance(model, o, p) + threshold
         for cand in ball(model, model.identity(), w, cap=max(w, 10)):
             add_candidate(cand)
-        certified = False
 
     entries = []
     for ax in axes:
@@ -620,16 +619,7 @@ def enumerate_cosets(orbit: OrbitMap, g: Word, o: Word, p: Word, threshold: int,
         CosetEntry(ax, value, position(po), po, pp) for ax, value, po, pp in entries
     ]
     full.sort(key=lambda e: (e.position, e.axis.rep.sort_key()))
-    return CosetRecord(
-        orbit,
-        g,
-        o,
-        p,
-        threshold,
-        full,
-        certified,
-        search={"kind": "geodesic-neighbourhood" if tree_exact else "ball", "window": window},
-    )
+    return CosetRecord(orbit, g, o, p, threshold, full, certified)
 
 
 def distance_formula_sum(record: CosetRecord, x: Word, y: Word) -> int:
@@ -657,7 +647,7 @@ class OrderReport:
         return not self.disagreements
 
 
-def linear_order(record: CosetRecord, bound: int = 2) -> tuple[list[CosetEntry], OrderReport]:
+def linear_order(record: CosetRecord) -> tuple[list[CosetEntry], OrderReport]:
     """Entries ordered along [o, p], with the four order criteria cross-checked.
 
     For every ordered pair the report evaluates: (1) o projects far from the
@@ -665,7 +655,7 @@ def linear_order(record: CosetRecord, bound: int = 2) -> tuple[list[CosetEntry],
     identical projections on the later one, (3) p projects far from the
     earlier coset's shadow on the later one, (4) p and the later coset have
     identical projections on the earlier one.  Any disagreement among the
-    four is recorded (data, not an error).
+    four is recorded (data, not an error).  "Far" means a diameter above 2.
     """
     orbit = record.orbit
     entries = record.entries
@@ -675,9 +665,9 @@ def linear_order(record: CosetRecord, bound: int = 2) -> tuple[list[CosetEntry],
             a_i, a_j = entries[i].axis, entries[j].axis
             shadow_ij, _, _ = project_axis_onto(orbit, a_j, a_i)  # a_j seen on a_i
             shadow_ji, _, _ = project_axis_onto(orbit, a_i, a_j)
-            c1 = _diam_x(orbit, set(entries[i].proj_o) | set(shadow_ij)) > bound
+            c1 = _diam_x(orbit, set(entries[i].proj_o) | set(shadow_ij)) > 2
             c2 = frozenset(entries[j].proj_o) == shadow_ji
-            c3 = _diam_x(orbit, set(entries[j].proj_p) | set(shadow_ji)) > bound
+            c3 = _diam_x(orbit, set(entries[j].proj_p) | set(shadow_ji)) > 2
             c4 = frozenset(entries[i].proj_p) == shadow_ij
             if not (c1 and c2 and c3 and c4):
                 disagreements.append(((i, j), (c1, c2, c3, c4)))
@@ -733,7 +723,6 @@ def pivot(
     h_axis: Axis,
     s: int,
     bound: int = 4,
-    seeds: tuple[Word, Word] | None = None,
 ) -> PivotResult:
     """Search a small ball for a translate that uncouples a path from an axis.
 
@@ -747,8 +736,6 @@ def pivot(
     p = alpha.vertices[0]
     if q not in set(alpha.vertices):
         raise GroupError("pivot: q must lie on the path")
-    if seeds is None:
-        seeds = default_independent_loxodromics(model)
 
     def values(qp: Word) -> tuple[int, int]:
         t = qp * q.inverse()
@@ -763,7 +750,7 @@ def pivot(
         return v1, v2
 
     candidates: list[Word] = [p]
-    for g0 in seeds:
+    for g0 in default_independent_loxodromics(model):
         j = 1
         while j * len(g0) <= s:
             candidates.append(p * g0**j)
@@ -801,10 +788,9 @@ def line_signature(axis: Axis):
     return (anchor.letters, direction)
 
 
-def translate_axis_pool(
-    tree: CayleyTree, g: Word, count: int, seed: int, element_radius: int = 5
-) -> list[Axis]:
-    """Distinct random translates h·<root(g)> of one elementary closure.
+def translate_axis_pool(tree: CayleyTree, g: Word, count: int, seed: int) -> list[Axis]:
+    """Distinct random translates h·<root(g)> of one elementary closure, h in
+    the radius-5 ball.
 
     The sharp two-sided projection constants (and the exact identification of
     far projections with the gate shadow) hold for translates of a single
@@ -818,7 +804,7 @@ def translate_axis_pool(
     model = tree.model
     base = axis_of(tree, g)
     rng = np.random.default_rng(seed)
-    candidates = ball(model, model.identity(), element_radius)
+    candidates = ball(model, model.identity(), 5)
     pool: list[Axis] = []
     seen = set()
     while len(pool) < count:
@@ -831,15 +817,9 @@ def translate_axis_pool(
     return pool
 
 
-def default_axis_pool(
-    tree: CayleyTree,
-    count: int,
-    seed: int,
-    max_root_len: int = 2,
-    element_radius: int = 5,
-    distinct_lines: bool = True,
-) -> list[Axis]:
-    """A reproducible pool of axes with short roots and pairwise distinct lines.
+def default_axis_pool(tree: CayleyTree, count: int, seed: int, max_root_len: int = 2) -> list[Axis]:
+    """A reproducible pool of axes with short roots and pairwise distinct lines,
+    drawn from the elements of the radius-5 ball.
 
     Roots longer than two letters are excluded because translates of such
     axes can overlap along segments comparable to the root length, which
@@ -851,9 +831,8 @@ def default_axis_pool(
     model = tree.model
     rng = np.random.default_rng(seed)
     pool: list[Axis] = []
-    seen_axes = set()
     seen_lines = set()
-    candidates = [w for w in ball(model, model.identity(), element_radius) if not w.is_identity()]
+    candidates = [w for w in ball(model, model.identity(), 5) if not w.is_identity()]
     while len(pool) < count:
         w = candidates[int(rng.integers(len(candidates)))]
         try:
@@ -862,14 +841,9 @@ def default_axis_pool(
             continue
         if len(ax.root) > max_root_len:
             continue
-        key = (ax.root.letters, ax.rep.letters)
-        if key in seen_axes:
+        sig = line_signature(ax)
+        if sig in seen_lines:
             continue
-        if distinct_lines:
-            sig = line_signature(ax)
-            if sig in seen_lines:
-                continue
-            seen_lines.add(sig)
-        seen_axes.add(key)
+        seen_lines.add(sig)
         pool.append(ax)
     return pool

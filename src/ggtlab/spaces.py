@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Sequence
 
 import numpy as np
@@ -131,13 +131,9 @@ class FiniteGraphSpace:
     vertices: tuple[Hashable, ...]
     base_adjacency: dict
     cliques: tuple[tuple[Hashable, ...], ...] = ()
-    basepoint: Hashable = None
-    metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self._index = index = {v: i for i, v in enumerate(self.vertices)}
-        if self.basepoint is None and self.vertices:
-            self.basepoint = self.vertices[0]
         try:
             self._nbrs = [[index[u] for u in self.base_adjacency.get(v, ())] for v in self.vertices]
             self._clique_ids = [[index[u] for u in members] for members in self.cliques]
@@ -211,13 +207,13 @@ class FiniteGraphSpace:
         key = [repr(v) for v in verts]  # neighbours in repr order
         return {v: tuple(verts[j] for j in sorted(ns, key=key.__getitem__)) for v, ns in zip(verts, adj)}
 
-    def serialize(self, labeller: Callable[[Hashable], str] = str) -> str:
+    def serialize(self) -> str:
         """Adjacency-list text: one line per vertex `id: n1 n2 ...`."""
         adj = self.expanded_adjacency()
         lines = []
         for v in self.vertices:
-            ns = " ".join(labeller(u) for u in adj[v])
-            lines.append(f"{labeller(v)}: {ns}")
+            ns = " ".join(str(u) for u in adj[v])
+            lines.append(f"{v}: {ns}")
         return "\n".join(lines) + "\n"
 
 
@@ -265,8 +261,8 @@ def identity_orbit(tree: CayleyTree) -> OrbitMap:
     return OrbitMap(tree.model, tree, lambda w: w, name="identity")
 
 
-def bass_serre_orbit(tree: BassSerreTree, factor: int = 0) -> OrbitMap:
-    return OrbitMap(tree.model, tree, lambda w: tree.vertex(factor, w), name=f"coset-F{factor}")
+def bass_serre_orbit(tree: BassSerreTree) -> OrbitMap:
+    return OrbitMap(tree.model, tree, lambda w: tree.vertex(0, w), name="coset-F0")
 
 
 def left_component(model: DirectProduct, w: Word) -> Word:
@@ -380,7 +376,6 @@ class CosetFamily:
 
     label: str
     class_key: Callable[[Word], Hashable]
-    enumerate_class: Callable[[Word, int], list[Word]] | None = None
 
 
 def cyclic_coset_family(model: GroupModel, root: Word, single_rep: Word | None = None) -> CosetFamily:
@@ -406,14 +401,12 @@ def cone_off(
     radius: int,
     families: Iterable[CosetFamily],
     cap: int = 10,
-    basepoint: Word | None = None,
 ) -> FiniteGraphSpace:
     """Ball of the group with every coset of the given families made diameter 1."""
     verts = ball(model, model.identity(), radius, cap=cap)
     vset = {w.letters for w in verts}
     adj = {w: [u for u in neighbours(model, w) if u.letters in vset] for w in verts}
     cliques: list[tuple[Word, ...]] = []
-    labels = []
     for fam in families:
         classes: dict = {}
         for w in verts:
@@ -427,18 +420,7 @@ def cone_off(
                 nontrivial += 1
         if nontrivial == 0:
             warnings.warn(f"coset family {fam.label!r} meets the ball trivially; skipped")
-        labels.append(fam.label)
-    return FiniteGraphSpace(
-        vertices=tuple(verts),
-        base_adjacency=adj,
-        cliques=tuple(cliques),
-        basepoint=basepoint or model.identity(),
-        metadata={
-            "radius": radius,
-            "coned_families": tuple(labels),
-            "coning": "diameter-1 completion",
-        },
-    )
+    return FiniteGraphSpace(vertices=tuple(verts), base_adjacency=adj, cliques=tuple(cliques))
 
 
 # ---------------------------------------------------------------------------
@@ -462,7 +444,6 @@ def fibre_separation_profile(
     r: int,
     s: int,
     truncations: Sequence[int],
-    cap: int = 12,
 ) -> SeparationProfile:
     """Diameter of N_s(preimage of B_r(x)) ∩ preimage of B_r(y), per truncation.
 
@@ -476,7 +457,7 @@ def fibre_separation_profile(
     if not truncs:
         raise SpaceError("need at least one truncation radius")
     model = orbit.group
-    big = ball(model, model.identity(), truncs[-1], cap=max(cap, truncs[-1]))
+    big = ball(model, model.identity(), truncs[-1], cap=truncs[-1])
     images = {w: orbit(w) for w in big}
     pairs = []
     for R in truncs:

@@ -228,6 +228,28 @@ def test_decay_f2_vs_z2(f2k):
     assert "amenable-like" in rep2.verdict
 
 
+def test_decay_grid_points_past_the_support_cap_are_skipped(monkeypatch):
+    import math
+
+    import ggtlab.chains
+
+    # the SRW on Z^2 stands on (n + 1)^2 states after n steps: 49 after 6, 64 after 7
+    walk = srw(model_from_descriptor("Z^2"))
+    exact = estimate_nonamenability(walk, [2, 4, 6])
+    monkeypatch.setattr(ggtlab.chains, "_DECAY_SUPPORT_CAP", 50)
+    rep = estimate_nonamenability(walk, [2, 4, 6, 8, 10])
+    assert rep.entries[:3] == exact.entries
+    assert [(n, m) for n, _, m in rep.entries[3:]] == [(8, "skipped"), (10, "skipped")]
+    assert all(math.isnan(v) for _, v, _ in rep.entries[3:])
+    # the fits and the verdict come from the exact rows only
+    assert (rep.rho_head, rep.rho_tail, rep.rho_hat, rep.verdict) == (
+        exact.rho_head,
+        exact.rho_tail,
+        exact.rho_hat,
+        exact.verdict,
+    )
+
+
 # --- quasi-homogeneity witnesses -------------------------------------------------
 
 

@@ -9,6 +9,7 @@ from pathlib import Path
 import ggtlab
 
 SRC = Path(ggtlab.__file__).parent
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def unused_imports(tree: ast.Module) -> list[str]:
@@ -79,3 +80,60 @@ def test_cli_import_leaves_networkx_out():
     env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def defaulted_parameters(fn: ast.FunctionDef) -> list[tuple[int | None, str]]:
+    """(position, name) of each parameter with a default; keyword-only ones
+    have no position."""
+    a = fn.args
+    pos = a.posonlyargs + a.args
+    found = [(i, p.arg) for i, p in enumerate(pos) if i >= len(pos) - len(a.defaults)]
+    return found + [(None, p.arg) for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+
+
+def _passes(call: ast.Call, position: int | None, name: str) -> bool:
+    # a `*` or `**` argument passes nothing: a parameter counts as set only
+    # where a call is seen to set it
+    plain = next((i for i, arg in enumerate(call.args) if isinstance(arg, ast.Starred)), len(call.args))
+    return any(k.arg == name for k in call.keywords) or (position is not None and position < plain)
+
+
+def unset_defaults(modules: dict[str, ast.Module], callers: list[ast.Module]) -> list[str]:
+    """`module.function(parameter)` for each defaulted parameter of a
+    module-level function that no call of the function's name passes, by
+    keyword or by position.  Calls are matched by name alone, so methods,
+    called through instances, are out of scope."""
+    calls: dict[str, list[ast.Call]] = {}
+    for tree in callers:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                f = node.func
+                name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                calls.setdefault(name, []).append(node)
+    found = []
+    for mod, tree in modules.items():
+        for fn in tree.body:
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for position, name in defaulted_parameters(fn):
+                    if not any(_passes(c, position, name) for c in calls.get(fn.name, ())):
+                        found.append(f"{mod}.{fn.name}({name})")
+    return found
+
+
+def test_every_default_of_a_module_level_function_is_passed_somewhere():
+    modules = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    callers = [
+        ast.parse(path.read_text())
+        for folder in ("src", "perfbench", "tests")
+        for path in sorted((ROOT / folder).rglob("*.py"))
+    ]
+    assert unset_defaults(modules, callers) == []
+
+
+def test_unset_default_detector():
+    mod = ast.parse(
+        "def f(a, b=1, *, c=2, d=3):\n    pass\ndef g(x=0, y=1):\n    pass\n"
+        "class C:\n    def f(self, e=4):\n        pass\n"
+    )
+    uses = ast.parse("f(0, d=1)\nm.g(0, *xs)\nf(0, **kw)\n")
+    assert unset_defaults({"m": mod}, [uses]) == ["m.f(b)", "m.f(c)", "m.g(y)"]
