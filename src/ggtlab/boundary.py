@@ -11,7 +11,6 @@ points a plain data comparison.  Only free-group Cayley trees are supported.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 from .groups import FreeGroup, GroupError, Word, distance_row, geodesic, word_diameter, word_distance
 
@@ -96,14 +95,12 @@ class CenterSet:
     diameter: int
 
 
-def _stable_median(
-    model: FreeGroup, a: BoundaryPoint, b: BoundaryPoint, c: BoundaryPoint, t0: int, image=None
-) -> Word:
-    """Median of the depth-t vertices of three rays (or of their images under
-    `image`), taken once it stops changing as t grows."""
+def _stable_median(model: FreeGroup, a: BoundaryPoint, b: BoundaryPoint, c: BoundaryPoint, t0: int) -> Word:
+    """Median of the depth-t vertices of three rays, taken once it stops
+    changing as t grows."""
 
     def median_at(t: int) -> Word:
-        av, bv, cv = (p.vertex(t) if image is None else image(p.vertex(t)) for p in (a, b, c))
+        av, bv, cv = (p.vertex(t) for p in (a, b, c))
         dab = word_distance(model, av, bv)
         dac = word_distance(model, av, cv)
         dbc = word_distance(model, bv, cv)
@@ -164,72 +161,3 @@ def cross_ratio(
     m1 = tripod_centers(model, a, b, c)
     m2 = tripod_centers(model, a, d, c)
     return word_diameter(model, set(m1.points + m2.points))
-
-
-# ---------------------------------------------------------------------------
-# distortion under bijective QIs
-
-
-@dataclass(frozen=True)
-class DistortionResult:
-    lambda_prime: float
-    eps_prime: int
-    witness: tuple | None
-    skipped: int
-    pairs: tuple[tuple[int, int], ...]
-
-
-def cross_ratio_distortion(model: FreeGroup, qi, quadruples: Sequence[tuple]) -> DistortionResult:
-    """Fit the additive distortion of cross-ratios under a bijective QI.
-
-    Image cross-ratios are recomputed from scratch: the centers of the image
-    ideal triples are medians of QI-images of deep ray truncations.  The
-    reported pair is (1, eps') with eps' the largest observed excess; the
-    multiplicative constant stays 1 for every shipped QI kind.
-    """
-    eps = 0
-    witness = None
-    skipped = 0
-    pairs: list[tuple[int, int]] = []
-    for quad in quadruples:
-        a, b, c, d = quad
-        try:
-            base = cross_ratio(model, a, b, c, d)
-            t0 = 2 * max(_descriptor_size(p) for p in quad) + 8
-            m1 = _stable_median(model, a, b, c, t0, qi.apply)
-            m2 = _stable_median(model, a, d, c, t0, qi.apply)
-            img = word_distance(model, m1, m2)
-        except BoundaryError:
-            skipped += 1
-            continue
-        pairs.append((base, img))
-        if img - base > eps:
-            eps = img - base
-            witness = quad
-    return DistortionResult(1.0, eps, witness, skipped, tuple(pairs))
-
-
-def random_boundary_points(model: FreeGroup, count: int, seed: int) -> list[BoundaryPoint]:
-    """Distinct random eventually periodic rays with short descriptors."""
-    import numpy as np
-
-    from .groups import ball
-
-    rng = np.random.default_rng(seed)
-    prefixes = ball(model, model.identity(), 2)
-    periods = [w for w in ball(model, model.identity(), 2) if not w.is_identity()]
-    periods = [w for w in periods if not w.letters or w.letters[0] != -w.letters[-1]]
-    out: list[BoundaryPoint] = []
-    seen: set = set()
-    while len(out) < count:
-        pre = prefixes[int(rng.integers(len(prefixes)))]
-        per = periods[int(rng.integers(len(periods)))]
-        try:
-            bp = make_boundary_point(model, pre, per)
-        except BoundaryError:
-            continue
-        key = (bp.prefix, bp.period)
-        if key not in seen:
-            seen.add(key)
-            out.append(bp)
-    return out

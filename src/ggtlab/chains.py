@@ -1,13 +1,12 @@
 """Markov chains with bounded jumps on group models, and bijective QIs.
 
-Kernels come in three flavours: group-invariant step laws (random walks),
-push-forwards of a kernel through a bijective quasi-isometry, and local rules
-(a bounded-radius state classifier choosing among finitely many step laws).
-Transition probabilities are exact fractions.  One engine, `Walk`, samples
-every kernel from each trajectory's own counter-based stream, so runs are
-reproducible independently of scheduling.  One engine, `ExactLaw`, advances
-exact distributions in integer weights over a running denominator; it serves
-the tameness diagnostics (irreducibility, decay of point probabilities,
+Kernels come in two flavours: group-invariant step laws (random walks) and
+push-forwards of a kernel through a bijective quasi-isometry.  Transition
+probabilities are exact fractions.  One engine, `Walk`, samples every kernel
+from each trajectory's own counter-based stream, so runs are reproducible
+independently of scheduling.  One engine, `ExactLaw`, advances exact
+distributions in integer weights over a running denominator; it serves the
+tameness diagnostics (irreducibility, decay of point probabilities,
 reachability).  Both run a push-forward of an invariant kernel by
 conjugation: the base chain runs from f^-1(start) and f maps what is read.
 """
@@ -52,7 +51,7 @@ class BijectiveQI:
     def __call__(self, w: Word) -> Word:
         return self.apply(w)
 
-    def check_bijective(self, radius: int = 4) -> bool:
+    def check_bijective(self, radius: int) -> bool:
         pts = ball(self.model, self.model.identity(), radius)
         images = [self.apply(w) for w in pts]
         if len(set(images)) != len(images):
@@ -60,7 +59,7 @@ class BijectiveQI:
         inv = self.inverse()
         return all(inv.apply(img) == w for w, img in zip(pts, images))
 
-    def measured_qi_constants(self, radius: int = 4) -> float:
+    def measured_qi_constants(self, radius: int) -> float:
         """Smallest nu with d/nu - nu <= d(images) <= nu*d + nu on the ball."""
         pts = ball(self.model, self.model.identity(), radius)
         images = [self.apply(w) for w in pts]
@@ -114,42 +113,6 @@ class GeneratorPermutation(BijectiveQI):
         for i, img in enumerate(self.images):
             inv[abs(img) - 1] = (i + 1) if img > 0 else -(i + 1)
         return GeneratorPermutation(self.model, tuple(inv))
-
-
-@dataclass(frozen=True)
-class FiniteSwap(BijectiveQI):
-    """Transposes finitely many explicit element pairs, identity elsewhere.
-
-    A bounded-displacement bijection; it is (1, 2*max displacement)-quasi
-    isometric and acts as the identity at infinity.
-    """
-
-    model: GroupModel
-    pairs: tuple[tuple[Word, Word], ...]
-
-    def __post_init__(self):
-        seen: set = set()
-        for a, b in self.pairs:
-            if a == b or a in seen or b in seen:
-                raise ChainError("swap table entries must be disjoint")
-            seen.add(a)
-            seen.add(b)
-
-    @property
-    def claimed_nu(self) -> float:  # type: ignore[override]
-        disp = max(word_distance(self.model, a, b) for a, b in self.pairs)
-        return 1 + 2 * disp
-
-    def apply(self, w: Word) -> Word:
-        for a, b in self.pairs:
-            if w == a:
-                return b
-            if w == b:
-                return a
-        return w
-
-    def inverse(self) -> "FiniteSwap":
-        return self
 
 
 @dataclass(frozen=True)
@@ -317,22 +280,6 @@ class PushForwardKernel(MarkovKernel):
         return [(t, out[t]) for t in order]
 
 
-@dataclass(frozen=True)
-class LocalRuleKernel(MarkovKernel):
-    """State-classified chain: a bounded-radius classifier picks the law."""
-
-    model: GroupModel
-    classifier: Callable[[Word], object]
-    table: tuple[tuple[object, tuple[tuple[Word, Fraction], ...]], ...]
-
-    def law(self, state: Word) -> list[tuple[Word, Fraction]]:
-        key = self.classifier(state)
-        for k, measure in self.table:
-            if k == key:
-                return [(state * s, p) for s, p in measure]
-        raise ChainError(f"classifier produced unknown key {key!r}")
-
-
 def push_forward(kernel: MarkovKernel, qi: BijectiveQI) -> PushForwardKernel:
     """Push a chain through a bijective QI (checked bijective on a window)."""
     return PushForwardKernel(kernel, qi)
@@ -351,12 +298,6 @@ class Trajectory:
 
     def __len__(self) -> int:
         return len(self.states) - 1
-
-    def validate(self, kernel: MarkovKernel) -> bool:
-        for s, t in zip(self.states, self.states[1:]):
-            if all(p == 0 or tgt != t for tgt, p in kernel.law(s)):
-                return False
-        return True
 
     def to_json(self) -> str:
         import json
@@ -728,9 +669,9 @@ class WitnessReport:
 def quasi_homogeneity_witness(kernel: MarkovKernel, p: Word, q: Word) -> tuple[BijectiveQI, WitnessReport]:
     """A bijective QI carrying p to q that pushes the chain to itself.
 
-    Invariant chains use the left translation by q p^-1; push-forwards
-    conjugate that translation through the defining QI.  Local-rule chains
-    carry no declared symmetry, so no constructor applies.
+    Invariant chains use the left translation by q p^-1; push-forwards of
+    an invariant chain conjugate that translation through the defining QI.
+    Other chains carry no declared symmetry, so no constructor applies.
     """
     model = kernel.model
     if isinstance(kernel, InvariantKernel):
@@ -758,51 +699,7 @@ def quasi_homogeneity_witness(kernel: MarkovKernel, p: Word, q: Word) -> tuple[B
 
 
 # ---------------------------------------------------------------------------
-# projections under QIs, and reachability
-
-
-@dataclass(frozen=True)
-class ComparisonResult:
-    fitted_a: float
-    witness: Word
-    pairs: tuple[tuple[int, int], ...]
-
-
-def qi_projection_comparison(
-    orbit, qi: BijectiveQI, axis, p_prime: Word, sample: Sequence[Word]
-) -> ComparisonResult:
-    """Fit the smallest A with d_image(f p', f h) > d_axis(p', h)/A - A.
-
-    The image of the axis under the QI is handled as an explicit point set,
-    grown until the sampled projections stabilize.
-    """
-    from .projections import _diam_x, coset_distance, project_to_set
-
-    p = qi.apply(p_prime)
-
-    def image_pts(wdw: int) -> list[Word]:
-        return [qi.apply(pt) for pt in axis.points(wdw)]
-
-    def spread_on_image(wdw: int, h: Word) -> int:
-        pts = image_pts(wdw)
-        pa = project_to_set(orbit, p, pts).points
-        pb = project_to_set(orbit, qi.apply(h), pts).points
-        return _diam_x(orbit, set(pa) | set(pb))
-
-    best_a = 1.0
-    witness = p_prime
-    pairs = []
-    for h in sample:
-        u = coset_distance(orbit, axis, p_prime, h)
-        v = spread_on_image(16, h)
-        if spread_on_image(32, h) != v:
-            v = spread_on_image(64, h)
-        pairs.append((u, v))
-        a_h = (-v + (v * v + 4 * u) ** 0.5) / 2
-        if a_h > best_a:
-            best_a = a_h
-            witness = h
-    return ComparisonResult(best_a, witness, tuple(pairs))
+# reachability
 
 
 @dataclass(frozen=True)

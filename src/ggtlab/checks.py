@@ -10,7 +10,16 @@ from fractions import Fraction
 from typing import Callable
 
 from .boundary import cross_ratio, make_boundary_point
-from .chains import branch_swap, check_irreducibility, push_forward, quasi_homogeneity_witness, simulate, srw
+from .chains import (
+    GeneratorPermutation,
+    LeftTranslation,
+    branch_swap,
+    check_irreducibility,
+    push_forward,
+    quasi_homogeneity_witness,
+    simulate,
+    srw,
+)
 from .groups import ball, geodesic, model_from_descriptor, parse_word, word_distance
 from .hhs import coning_schedule, figure_skeleton
 from .morse import mutual_projection_check
@@ -159,6 +168,15 @@ def check_pushforward_and_witness() -> tuple[bool, str]:
     return rep.exact, "conjugated translation matches the pushed chain exactly"
 
 
+def check_qi_constants() -> tuple[bool, str]:
+    f2, _, _ = _setup()
+    for qi in (LeftTranslation(f2, parse_word(f2, "a b")), GeneratorPermutation(f2, (2, 1)), branch_swap(f2)):
+        nu = qi.measured_qi_constants(3)
+        if nu > qi.claimed_nu:
+            return False, f"{type(qi).__name__} measures nu = {nu} above its claimed {qi.claimed_nu}"
+    return True, "translation, generator swap and branch swap stay within their claimed nu on B(3)"
+
+
 def check_irreducibility_quick() -> tuple[bool, str]:
     f2, _, _ = _setup()
     res = check_irreducibility(srw(f2), parse_word(f2, "a"), 2)
@@ -205,6 +223,7 @@ REGISTRY: list[tuple[str, Callable[[], tuple[bool, str]]]] = [
     ("lower-bound", check_lower_bound),
     ("chain-invariance", check_chain_invariance),
     ("pushforward-witness", check_pushforward_and_witness),
+    ("qi-constants", check_qi_constants),
     ("irreducibility", check_irreducibility_quick),
     ("coning-rounds", check_coning_rounds),
     ("cross-ratios", check_cross_ratios),

@@ -190,30 +190,6 @@ class AxisTracker:
 
 
 # ---------------------------------------------------------------------------
-# drift oracle
-
-
-def drift_oracle_free_srw(n: int, rank: int = 2) -> float:
-    """Exact expected distance-to-start rate of the SRW on a free group.
-
-    Radial birth-death dynamic programming: from radius r >= 1 the walk
-    moves out with probability (2k-1)/2k and in with probability 1/2k.
-    """
-    deg = 2 * rank
-    up, down = (deg - 1) / deg, 1 / deg
-    probs = np.zeros(n + 1)
-    probs[0] = 1.0
-    for _ in range(n):
-        nxt = np.zeros_like(probs)
-        nxt[1] += probs[0]
-        nxt[2:] += probs[1:-1] * up
-        nxt[0:-2] += probs[1:-1] * down
-        nxt[-1] += probs[-1]  # absorbing guard; never reached for steps < n
-        probs = nxt
-    return float(np.dot(probs, np.arange(n + 1))) / n
-
-
-# ---------------------------------------------------------------------------
 # linear progress
 
 

@@ -466,12 +466,6 @@ def ball(model: GroupModel, center: Word, radius: int, cap: int = DEFAULT_RADIUS
     return out
 
 
-def sphere(model: GroupModel, center: Word, radius: int) -> list[Word]:
-    """All h with d(center, h) == radius exactly."""
-    b = ball(model, center, radius)
-    return [w for w, d in zip(b, distance_row(model, center, b)) if d == radius]
-
-
 @dataclass(frozen=True)
 class GeodesicPath:
     """A unit-speed geodesic: consecutive vertices differ by one generator."""

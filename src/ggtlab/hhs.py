@@ -1,10 +1,12 @@
 """Domain posets with orthogonality, iterative coning, and factored balls.
 
-Skeletons are user-supplied data: a finite set of domains with a nesting
-partial order, a symmetric orthogonality relation on incomparable pairs, and
-per-domain unboundedness flags.  The coning schedule repeatedly removes the
-downward closure of the union of all maximum-size cliques of the
-orthogonality graph until no edges remain; each round is recorded.
+A skeleton is a finite set of domains with a nesting partial order, a
+symmetric orthogonality relation on incomparable pairs, and per-domain
+unboundedness flags.  Two skeletons are shipped: a toy skeleton of
+(Z^2 * Z) x Z with its region map, and an abstract one whose schedule takes
+three rounds.  The coning schedule repeatedly removes the downward closure
+of the union of all maximum-size cliques of the orthogonality graph until no
+edges remain; each round is recorded.
 
 A region map ties removed domains to coset families of a concrete group
 model, so the schedule can be materialized as a coned-off ball (the factored
@@ -64,9 +66,6 @@ class HHSSkeleton:
         if not self.unbounded <= dset:
             raise SkeletonError("unbounded flags reference unknown domains")
 
-    def is_nested(self, child: str, parent: str) -> bool:
-        return child == parent or (child, parent) in self.nesting
-
     def downward_closure(self, seed: Sequence[str]) -> frozenset:
         out = set(seed)
         changed = True
@@ -111,49 +110,6 @@ def make_skeleton(
     return sk
 
 
-def parse_skeleton(text: str) -> HHSSkeleton:
-    """Line format: ``domain NAME [unbounded|bounded]``, ``nest A B``,
-    ``orth A B``, ``maximal NAME``; # starts a comment."""
-    domains: list[str] = []
-    unbounded: list[str] = []
-    nest: list[tuple[str, str]] = []
-    orth: list[tuple[str, str]] = []
-    maximal: str | None = None
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if parts[0] == "domain":
-            domains.append(parts[1])
-            if "bounded" not in parts[2:]:
-                unbounded.append(parts[1])
-        elif parts[0] == "nest":
-            nest.append((parts[1], parts[2]))
-        elif parts[0] == "orth":
-            orth.append((parts[1], parts[2]))
-        elif parts[0] == "maximal":
-            maximal = parts[1]
-        else:
-            raise SkeletonError(f"unknown directive {parts[0]!r}")
-    if maximal is None:
-        raise SkeletonError("skeleton file must declare a maximal domain")
-    return make_skeleton(domains, maximal, nest, orth, unbounded)
-
-
-def skeleton_to_text(sk: HHSSkeleton) -> str:
-    lines = [f"maximal {sk.maximal}"]
-    for d in sk.domains:
-        flag = "" if d in sk.unbounded else " bounded"
-        lines.append(f"domain {d}{flag}")
-    for c, p in sorted(sk.nesting):
-        if p != sk.maximal:
-            lines.append(f"nest {c} {p}")
-    for pair in sorted(map(sorted, sk.orth)):
-        lines.append(f"orth {pair[0]} {pair[1]}")
-    return "\n".join(lines) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # orthogonality graph and schedules
 
@@ -188,10 +144,6 @@ class OrthGraph:
 
         expand([], set(self.vertices), set())
         return out
-
-    def isolated(self) -> tuple[str, ...]:
-        touched = {v for e in self.edges for v in e}
-        return tuple(v for v in self.vertices if v not in touched)
 
 
 def orthogonality_graph(sk: HHSSkeleton, restrict: frozenset | None = None) -> OrthGraph:
@@ -280,32 +232,6 @@ def coning_schedule(sk: HHSSkeleton) -> ConingSchedule:
     return ConingSchedule(sk, tuple(rounds), frozenset(sk.domains) - current)
 
 
-def random_skeleton(seed: int, max_domains: int = 12) -> HHSSkeleton:
-    """A random valid skeleton for property tests."""
-    import numpy as np
-
-    rng = np.random.default_rng(seed)
-    n = int(rng.integers(2, max_domains))
-    names = [f"D{i}" for i in range(n)]
-    maximal = "S"
-    domains = [maximal] + names
-    nest: list[tuple[str, str]] = []
-    for i, d in enumerate(names):
-        if i > 0 and rng.random() < 0.3:
-            nest.append((d, names[int(rng.integers(0, i))]))
-    sk0 = make_skeleton(domains, maximal, nest, (), domains)
-    orth = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            u, v = names[i], names[j]
-            if sk0.is_nested(u, v) or sk0.is_nested(v, u):
-                continue
-            if rng.random() < 0.35:
-                orth.append((u, v))
-    unbounded = [maximal] + [d for d in names if rng.random() < 0.8]
-    return make_skeleton(domains, maximal, nest, orth, unbounded)
-
-
 # ---------------------------------------------------------------------------
 # shipped skeletons and region maps
 
@@ -360,31 +286,6 @@ def product_free_regions(model: DirectProduct) -> dict[str, Region]:
         "W": Region(CosetFamily("z-line slices", w_key)),
         "V": Region(CosetFamily("central lines", v_key)),
     }
-
-
-def fibered_tree_skeleton() -> HHSSkeleton:
-    """Toy skeleton of F2 x Z: the tree direction and the fibre direction."""
-    return make_skeleton(
-        domains=("S", "A", "V"),
-        maximal="S",
-        orth_pairs=(("A", "V"),),
-        unbounded=("S", "A", "V"),
-    )
-
-
-def fibered_tree_regions(model: DirectProduct) -> dict[str, Region]:
-    """Region map for F2 x Z: only the fibre family V = {g} x Z is assigned.
-
-    The tree-direction domain A has no region here (its product structure is
-    a single unbounded tree slice), so factoring with this map cones the
-    fibres only; fibre parallelism checks are not available (the flats of A
-    are not two-sided)."""
-
-    def v_key(w: Word):
-        ls, _ = model.split(w.letters)
-        return ls
-
-    return {"V": Region(CosetFamily("tree fibres", v_key))}
 
 
 def figure_skeleton() -> HHSSkeleton:

@@ -13,9 +13,7 @@ the cell is marked as a found witness.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Sequence
 
 from .groups import (
@@ -24,14 +22,13 @@ from .groups import (
     GroupModel,
     Word,
     ball,
-    diameter,
     distance_row,
     geodesic,
     neighbours,
     word_diameter,
 )
 from .projections import _diam_x, projection_of_set
-from .spaces import OrbitMap, space_distance
+from .spaces import OrbitMap
 
 
 def tree_gauge(lam: float, eps: float) -> int:
@@ -253,34 +250,6 @@ def morse_certificate(
 
 
 # ---------------------------------------------------------------------------
-# detectability
-
-
-@dataclass(frozen=True)
-class DetectabilityResult:
-    lambda_best: float
-    verdict: str  # "parametrized-qg" | "degenerate"
-    image_diameter: int
-
-
-def detectability_check(orbit: OrbitMap, segment: GeodesicPath | Sequence[Word]) -> DetectabilityResult:
-    """Least lambda making the orbit image a parametrized (lambda, lambda)-QG."""
-    seg = tuple(segment.vertices if isinstance(segment, GeodesicPath) else segment)
-    imgs = [orbit(v) for v in seg]
-    diam = diameter(imgs, partial(space_distance, orbit.space))
-    if diam <= 2:
-        return DetectabilityResult(float("inf"), "degenerate", diam)
-    lam = 1.0
-    for i in range(len(imgs)):
-        for j in range(i + 1, len(imgs)):
-            d = space_distance(orbit.space, imgs[i], imgs[j])
-            gap = j - i
-            lam = max(lam, d / (gap + 1))
-            lam = max(lam, (-d + math.sqrt(d * d + 4 * gap)) / 2)
-    return DetectabilityResult(lam, "parametrized-qg", diam)
-
-
-# ---------------------------------------------------------------------------
 # incompatibility witnesses
 
 
@@ -292,13 +261,6 @@ class IncompatibilityWitness:
     margin: int
     kappa: int
     prefix_bound: int
-
-    def revalidate(self, model: GroupModel, beta: Sequence[Word], gauge) -> bool:
-        k, c = self.params
-        if not _is_quasi_geodesic(model, self.mu, k, c):
-            return False
-        d = min(distance_row(model, self.point, beta))
-        return d - (gauge(k, c + 2 * self.kappa) + 2 * self.kappa) == self.margin
 
 
 _WITNESS_BUDGET = 4000  # ray-vertex pairs `incompatibility_witness` examines

@@ -137,7 +137,9 @@ def coset_rep_key(root: Word, h: Word) -> tuple[int, ...]:
     the two is nonzero) and k0 = m // |r|.  Then h r^±k drops |r| letters
     per step up to k0 and grows from k0 + 1 on, and the other direction only
     grows, so the minimum is h r^±k0 or h r^±(k0+1).  Other models and roots
-    walk the coset out to h r^±(2|h|/|r| + 2).
+    walk the coset out to h r^±(2|h|/q + 2), q the length of the cyclically
+    reduced core of r on a free group (where |r^k| >= |k| q, so no point past
+    that window is shorter than h) and |r| elsewhere.
     """
     r, letters = root.letters, h.letters
     if isinstance(root.model, FreeGroup) and r and r[0] != -r[-1]:
@@ -155,7 +157,8 @@ def coset_rep_key(root: Word, h: Word) -> tuple[int, ...]:
         near = letters[: n - k0 * q]
         far = letters[: n - m] + (r * (k0 + 1))[m:]
         return min(near, far, key=lambda t: Word(root.model, t).sort_key())
-    walk = _coset_walk(h, root, 2 * (len(h) // max(1, len(root))) + 2)
+    q = len(_cyclic_reduce_free(r)[1]) if isinstance(root.model, FreeGroup) else len(r)
+    walk = _coset_walk(h, root, 2 * (len(h) // max(1, q)) + 2)
     best = next(walk)
     best_key = best.sort_key()
     for cand in walk:
@@ -421,8 +424,9 @@ def _setdist_x(orbit: OrbitMap, a: Iterable[Word], b: Iterable[Word]) -> int:
     return min(space_distance(orbit.space, u, v) for u in pa for v in pb)
 
 
-def coset_distance(orbit: OrbitMap, axis: Axis, x, y) -> int:
-    """diam_X of the union of the projections of x and y onto the axis.
+def coset_distance(orbit: OrbitMap, axis, x, y) -> int:
+    """diam_X of the union of the projections of x and y onto `axis`, an
+    axis or a finite target set.
 
     x and y may be single elements or finite iterables of elements.
     """
@@ -430,23 +434,6 @@ def coset_distance(orbit: OrbitMap, axis: Axis, x, y) -> int:
     ys = [y] if isinstance(y, Word) else list(y)
     union = set(projection_of_set(orbit, xs, axis)) | set(projection_of_set(orbit, ys, axis))
     return _diam_x(orbit, union)
-
-
-def strong_projection(orbit: OrbitMap, axis: Axis, x: Word) -> ProjectionValue:
-    """Equivariant nearest-point projection; exact on tree models.
-
-    On trees the nearest-point set itself is equivariant (left translations
-    are graph automorphisms), so this coincides with project_to_set; on other
-    models the value is still returned but flagged, since the stronger
-    projection identity is only checked, not guaranteed.
-    """
-    val = project_to_set(orbit, x, axis)
-    if isinstance(orbit.space, (CayleyTree, BassSerreTree)):
-        return val
-    import warnings
-
-    warnings.warn("strong_projection on a non-tree model: property checked, not guaranteed")
-    return val
 
 
 # ---------------------------------------------------------------------------
@@ -482,22 +469,6 @@ def behrstock_alternative(
             if _setdist_x(orbit, q2, p21) > bound:
                 violations.append(x)
     return AlternativeReport(len(xs), tuple(violations), bound)
-
-
-def strong_alternative_violations(
-    orbit: OrbitMap, a1: Axis, a2: Axis, xs: Sequence[Word], bound: int = 2
-) -> list[Word]:
-    """Exact-identification form: far on a1 forces proj onto a2 to equal the gate."""
-    p12, _, _ = project_axis_onto(orbit, a2, a1)
-    p21, _, _ = project_axis_onto(orbit, a1, a2)
-    bad = []
-    for x in xs:
-        q1 = project_to_set(orbit, x, a1).points
-        if _setdist_x(orbit, q1, p12) > bound:
-            q2 = frozenset(project_to_set(orbit, x, a2).points)
-            if q2 != p21:
-                bad.append(x)
-    return bad
 
 
 # ---------------------------------------------------------------------------
@@ -740,14 +711,8 @@ def pivot(
     def values(qp: Word) -> tuple[int, int]:
         t = qp * q.inverse()
         moved = [t * v for v in alpha.vertices]
-        proj_path = projection_of_set(orbit, moved, h_axis)
-        proj_p = project_to_set(orbit, p, h_axis).points
-        v1 = _diam_x(orbit, set(proj_path) | set(proj_p))
         axis_pts = h_axis.points(max(8, 2 * (len(p) + len(q) + s)))
-        proj_axis = projection_of_set(orbit, axis_pts, moved)
-        proj_qp = project_to_set(orbit, qp, moved).points
-        v2 = _diam_x(orbit, set(proj_axis) | set(proj_qp))
-        return v1, v2
+        return coset_distance(orbit, h_axis, moved, p), coset_distance(orbit, moved, axis_pts, qp)
 
     candidates: list[Word] = [p]
     for g0 in default_independent_loxodromics(model):
@@ -782,12 +747,6 @@ def pivot(
 # axis pools
 
 
-def line_signature(axis: Axis):
-    """A key identifying the hull line of an axis (ignoring the coset phase)."""
-    anchor, direction, _ = _line_data(axis.model, axis.root.letters, axis.rep.letters)
-    return (anchor.letters, direction)
-
-
 def translate_axis_pool(tree: CayleyTree, g: Word, count: int, seed: int) -> list[Axis]:
     """Distinct random translates h·<root(g)> of one elementary closure, h in
     the radius-5 ball.
@@ -804,46 +763,16 @@ def translate_axis_pool(tree: CayleyTree, g: Word, count: int, seed: int) -> lis
     model = tree.model
     base = axis_of(tree, g)
     rng = np.random.default_rng(seed)
-    candidates = ball(model, model.identity(), 5)
+    translates = [base.translate(h) for h in ball(model, model.identity(), 5)]
+    distinct = len({(ax.root.letters, ax.rep.letters) for ax in translates})
+    if count > distinct:
+        raise GroupError(f"the radius-5 ball gives {distinct} distinct translates of {base}, fewer than {count}")
     pool: list[Axis] = []
     seen = set()
     while len(pool) < count:
-        h = candidates[int(rng.integers(len(candidates)))]
-        ax = base.translate(h)
+        ax = translates[int(rng.integers(len(translates)))]
         key = (ax.root.letters, ax.rep.letters)
         if key not in seen:
             seen.add(key)
             pool.append(ax)
-    return pool
-
-
-def default_axis_pool(tree: CayleyTree, count: int, seed: int, max_root_len: int = 2) -> list[Axis]:
-    """A reproducible pool of axes with short roots and pairwise distinct lines,
-    drawn from the elements of the radius-5 ball.
-
-    Roots longer than two letters are excluded because translates of such
-    axes can overlap along segments comparable to the root length, which
-    breaks the sharp two-sided projection constants that hold for short
-    roots on trees.
-    """
-    import numpy as np
-
-    model = tree.model
-    rng = np.random.default_rng(seed)
-    pool: list[Axis] = []
-    seen_lines = set()
-    candidates = [w for w in ball(model, model.identity(), 5) if not w.is_identity()]
-    while len(pool) < count:
-        w = candidates[int(rng.integers(len(candidates)))]
-        try:
-            ax = axis_of(tree, w)
-        except NotLoxodromicError:  # pragma: no cover - free groups have none
-            continue
-        if len(ax.root) > max_root_len:
-            continue
-        sig = line_signature(ax)
-        if sig in seen_lines:
-            continue
-        seen_lines.add(sig)
-        pool.append(ax)
     return pool

@@ -1,4 +1,4 @@
-"""Hyperbolic-space models with basepoints and orbit maps.
+"""Hyperbolic-space models and orbit maps.
 
 Three space kinds are shipped:
 
@@ -57,10 +57,6 @@ class CayleyTree:
         if not isinstance(self.model, FreeGroup):
             raise SpaceError("CayleyTree requires a free group model")
 
-    @property
-    def basepoint(self) -> Word:
-        return self.model.identity()
-
 
 @dataclass(frozen=True)
 class BSVertex:
@@ -87,10 +83,6 @@ class BassSerreTree:
     def __post_init__(self):
         if not isinstance(self.model, FreeProduct) or len(self.model.factors) != 2:
             raise SpaceError("BassSerreTree requires a two-factor free product")
-
-    @property
-    def basepoint(self) -> BSVertex:
-        return self.vertex(0, self.model.identity())
 
     def strip(self, factor: int, w: Word) -> Word:
         """w without its last syllable when that syllable lies in F_factor."""
@@ -119,9 +111,6 @@ class BassSerreTree:
     def distance(self, v1: BSVertex, v2: BSVertex) -> int:
         w = v1.rep.inverse() * v2.rep
         return self._dist_from_root(v1.factor, v2.factor, w)
-
-    def translate(self, g: Word, v: BSVertex) -> BSVertex:
-        return self.vertex(v.factor, g * v.rep)
 
 
 @dataclass
@@ -246,15 +235,6 @@ class OrbitMap:
 
     def __call__(self, w: Word) -> Hashable:
         return self.rule(w)
-
-    def measured_lipschitz(self, radius: int = 3) -> int:
-        """Max displacement of a single generator step within a ball."""
-        best = 0
-        for w in ball(self.group, self.group.identity(), radius):
-            pw = self.rule(w)
-            for u in neighbours(self.group, w):
-                best = max(best, space_distance(self.space, pw, self.rule(u)))
-        return best
 
 
 def identity_orbit(tree: CayleyTree) -> OrbitMap:
@@ -432,9 +412,6 @@ class SeparationProfile:
     pairs: tuple[tuple[int, int], ...]  # (truncation radius, observed diameter)
     verdict: str  # "bounded" | "growing"
     params: dict
-
-    def diameters(self) -> list[int]:
-        return [d for _, d in self.pairs]
 
 
 def fibre_separation_profile(

@@ -3,8 +3,9 @@
 Everything here deliberately avoids the library's fast paths: distances come
 from explicit breadth-first searches on explicitly built graphs, ball sizes
 from closed-form growth formulas, projections from windowed argmin scans
-with a linear-escape certificate, and exact chain laws from `Fraction` sums
-over each state's own step law.
+with a linear-escape certificate, exact chain laws from `Fraction` sums
+over each state's own step law, and the free-group SRW drift from the
+radial birth-death recursion.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ from __future__ import annotations
 from collections import deque
 from fractions import Fraction
 from itertools import combinations
+
+import numpy as np
 
 from ggtlab.groups import GroupModel, Word, word_distance
 from ggtlab.spaces import BassSerreTree
@@ -136,3 +139,23 @@ def fraction_step(kernel, dist: dict, keep=None) -> dict:
             if p and (keep is None or keep(tgt)):
                 nxt[tgt] = nxt.get(tgt, Fraction(0)) + pr * p
     return nxt
+
+
+def drift_oracle_free_srw(n: int, rank: int = 2) -> float:
+    """Exact expected distance-to-start rate of the SRW on a free group.
+
+    Radial birth-death dynamic programming: from radius r >= 1 the walk
+    moves out with probability (2k-1)/2k and in with probability 1/2k.
+    """
+    deg = 2 * rank
+    up, down = (deg - 1) / deg, 1 / deg
+    probs = np.zeros(n + 1)
+    probs[0] = 1.0
+    for _ in range(n):
+        nxt = np.zeros_like(probs)
+        nxt[1] += probs[0]
+        nxt[2:] += probs[1:-1] * up
+        nxt[0:-2] += probs[1:-1] * down
+        nxt[-1] += probs[-1]  # absorbing guard; never reached for steps < n
+        probs = nxt
+    return float(np.dot(probs, np.arange(n + 1))) / n

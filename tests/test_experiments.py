@@ -14,7 +14,6 @@ from ggtlab.experiments import (
     TailCurve,
     bounded_projection_experiment,
     default_projection_cells,
-    drift_oracle_free_srw,
     linear_progress_experiment,
     parse_config,
     recursion_check,
@@ -23,6 +22,7 @@ from ggtlab.experiments import (
 from ggtlab.projections import axis_of, coset_distance, line_positions
 
 from conftest import w
+from oracles import drift_oracle_free_srw
 
 
 # --- configs -----------------------------------------------------------------

@@ -20,7 +20,6 @@ from ggtlab.groups import (
     normal_form,
     parse_model,
     parse_word,
-    sphere,
     word_diameter,
     word_distance,
 )
@@ -197,10 +196,6 @@ def test_ball_cap(f2):
     with pytest.raises(BallCapError):
         ball(f2, f2.identity(), 11)
     assert len(ball(f2, f2.identity(), 11, cap=11)) == free_ball_size(2, 11)
-
-
-def test_sphere(f2):
-    assert len(sphere(f2, f2.identity(), 3)) == 36
 
 
 # --- geodesics --------------------------------------------------------

@@ -4,6 +4,7 @@ import ast
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import ggtlab
@@ -137,3 +138,65 @@ def test_unset_default_detector():
     )
     uses = ast.parse("f(0, d=1)\nm.g(0, *xs)\nf(0, **kw)\n")
     assert unset_defaults({"m": mod}, [uses]) == ["m.f(b)", "m.f(c)", "m.g(y)"]
+
+
+def public_definitions(tree: ast.Module):
+    """(name, node) of each public module-level function and class, and of
+    each public method of a module-level class."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if not node.name.startswith("_"):
+                yield node.name, node
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not item.name.startswith("_"):
+                        yield f"{node.name}.{item.name}", item
+
+
+def references(node: ast.AST) -> Counter:
+    """Names the node reads: plain names, attributes and imported names."""
+    found = Counter()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            found[n.id] += 1
+        elif isinstance(n, ast.Attribute):
+            found[n.attr] += 1
+        elif isinstance(n, ast.alias):
+            found[n.name.split(".")[-1]] += 1
+    return found
+
+
+def unreferenced_definitions(modules: dict[str, ast.Module], users: list[ast.Module]) -> list[str]:
+    """`module.name` of each public definition in `modules` that no tree of
+    `users` references outside the definition itself.  References are matched
+    by name alone, so any attribute `x.f` counts for every method `f`."""
+    total = Counter()
+    for tree in users:
+        total += references(tree)
+    return [
+        f"{mod}.{name}"
+        for mod, tree in modules.items()
+        for name, node in public_definitions(tree)
+        if total[node.name] - references(node)[node.name] <= 0
+    ]
+
+
+def test_every_public_definition_has_a_caller_in_the_program():
+    modules = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    users = list(modules.values()) + [
+        ast.parse(path.read_text()) for path in sorted((ROOT / "perfbench").rglob("*.py"))
+    ]
+    assert unreferenced_definitions(modules, users) == []
+
+
+def test_unreferenced_definition_detector():
+    mod = ast.parse(
+        "from x import g as h\n"
+        "def f(n):\n    return f(n - 1)\n"
+        "def g():\n    pass\n"
+        "def _private():\n    pass\n"
+        "class C:\n    def m(self):\n        return self.m()\n    def k(self):\n        pass\n"
+        "class D:\n    pass\n"
+        "D().k()\n"
+    )
+    assert unreferenced_definitions({"m": mod}, [mod]) == ["m.f", "m.C", "m.C.m"]

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ggtlab.groups import Word, ball, geodesic, model_from_descriptor, normal_form, word_distance
+from ggtlab.groups import GroupError, Word, ball, geodesic, model_from_descriptor, normal_form, word_distance
 from ggtlab.projections import (
     Axis,
     CertificationError,
@@ -14,10 +14,10 @@ from ggtlab.projections import (
     axis_of,
     behrstock_alternative,
     coset_distance,
-    default_axis_pool,
     distance_formula_sum,
     enumerate_cosets,
-    line_signature,
+    _line_data,
+    _setdist_x,
     linear_order,
     lower_bound_check,
     make_axis,
@@ -25,8 +25,6 @@ from ggtlab.projections import (
     project_axis_onto,
     project_to_set,
     projection_of_set,
-    strong_alternative_violations,
-    strong_projection,
     translate_axis_pool,
 )
 from ggtlab.spaces import space_distance
@@ -67,7 +65,8 @@ def test_interleaved_cosets_share_a_line(f2, f2_tree):
     a1 = axis_of(f2_tree, w(f2, "a b"))
     a2 = make_axis(f2, w(f2, "b a"), w(f2, "a"))
     assert a1 != a2
-    assert line_signature(a1) == line_signature(a2)
+    anchor_direction = [_line_data(f2, ax.root.letters, ax.rep.letters)[:2] for ax in (a1, a2)]
+    assert anchor_direction[0] == anchor_direction[1]
 
 
 # --- projections --------------------------------------------------------------
@@ -89,7 +88,19 @@ def test_projection_is_retraction(f2, f2_tree, f2_orbit):
 
 
 def test_projection_matches_scan_oracle(f2, f2_tree, f2_orbit):
-    pool = default_axis_pool(f2_tree, 6, seed=2, max_root_len=4)
+    # the six axes `default_axis_pool(f2_tree, 6, seed=2, max_root_len=4)`
+    # drew before that pool was removed
+    pool = [
+        make_axis(f2, w(f2, root), w(f2, rep))
+        for root, rep in [
+            ("a^-1 b^-1", "b"),
+            ("a", "e"),
+            ("b a^2 b", "e"),
+            ("b a^-1 b", "a"),
+            ("a", "a b^-1"),
+            ("a", "b^-1"),
+        ]
+    ]
     for ax in pool:
         for x in ball(f2, f2.identity(), 4):
             got = set(project_to_set(f2_orbit, x, ax).points)
@@ -152,8 +163,8 @@ def test_coset_distance_examples(f2, f2_tree, f2_orbit):
 def test_strong_projection_equivariance(f2, f2_tree, f2_orbit):
     ax = axis_of(f2_tree, w(f2, "a"))
     g, x = w(f2, "a b"), w(f2, "b^2")
-    lhs = strong_projection(f2_orbit, ax.translate(g), g * x).points
-    rhs = tuple(sorted((g * p for p in strong_projection(f2_orbit, ax, x).points), key=lambda u: u.sort_key()))
+    lhs = project_to_set(f2_orbit, g * x, ax.translate(g)).points
+    rhs = tuple(sorted((g * p for p in project_to_set(f2_orbit, x, ax).points), key=lambda u: u.sort_key()))
     assert lhs == rhs
 
 
@@ -163,6 +174,20 @@ def test_far_point_projects_to_gate(f2, f2_tree, f2_orbit):
     shadow, certified, _ = project_axis_onto(f2_orbit, bax, ax)
     assert certified and {str(p) for p in shadow} == {"e"}
     assert set(project_to_set(f2_orbit, w(f2, "b a^3"), ax).points) == set(shadow)
+
+
+def strong_alternative_violations(orbit, a1, a2, xs, bound: int) -> list[Word]:
+    """Exact-identification form of the two-sided alternative: far on a1
+    forces the projection onto a2 to equal a1's whole shadow on a2."""
+    p12, _, _ = project_axis_onto(orbit, a2, a1)
+    p21, _, _ = project_axis_onto(orbit, a1, a2)
+    bad = []
+    for x in xs:
+        q1 = project_to_set(orbit, x, a1).points
+        if _setdist_x(orbit, q1, p12) > bound:
+            if frozenset(project_to_set(orbit, x, a2).points) != p21:
+                bad.append(x)
+    return bad
 
 
 def test_behrstock_translate_pool_small(f2, f2_tree, f2_orbit):
@@ -451,13 +476,21 @@ def test_golden_linear_orders(f2, z2z, f2_orbit, bs_orbit):
 
 
 def test_golden_axis_pools(f2, f2_tree):
+    # sha256 of the translate-pool lines alone, re-recorded when the pools
+    # of distinct lines were removed; the translate pools must not move
     lines = []
     for seed in (0, 1, 2, 7):
-        for max_root_len in (1, 2, 4):
-            lines.append(str([str(ax) for ax in default_axis_pool(f2_tree, 6, seed, max_root_len=max_root_len)]))
-        lines.append(str([str(ax) for ax in default_axis_pool(f2_tree, 8, seed)]))
         for g in ("a", "a b", "b a^-1 b"):
             lines.append(str([str(ax) for ax in translate_axis_pool(f2_tree, w(f2, g), 6, seed)]))
     assert _sha(lines) == (
-        "0c84d0c464815b301fbdc804549d0e454e4e419488475040ba8572c41e368aeb"
+        "f1a15befce0842d4285186bf9abef28b06bde5916c522464b59f9ba319434f60"
     )
+
+
+def test_translate_pool_larger_than_the_ball_offers_raises(f2, f2_tree):
+    import time
+
+    start = time.perf_counter()
+    with pytest.raises(GroupError, match="distinct translates"):
+        translate_axis_pool(f2_tree, w(f2, "a"), 10**4, 0)
+    assert time.perf_counter() - start < 1.0
