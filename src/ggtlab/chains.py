@@ -1,19 +1,19 @@
 """Markov chains with bounded jumps on group models, and bijective QIs.
 
-Kernels come in two flavours: group-invariant step laws (random walks) and
-push-forwards of a kernel through a bijective quasi-isometry.  Transition
-probabilities are exact fractions.  One engine, `Walk`, samples every kernel
-from each trajectory's own counter-based stream, so runs are reproducible
-independently of scheduling.  One engine, `ExactLaw`, advances exact
-distributions in integer weights over a running denominator; it serves the
-tameness diagnostics (irreducibility, decay of point probabilities,
-reachability).  Both run a push-forward of an invariant kernel by
-conjugation: the base chain runs from f^-1(start) and f maps what is read.
+Every chain is a `Kernel`: a group-invariant step law (a random walk),
+optionally pushed forward through a bijective quasi-isometry f.
+Transition probabilities are exact fractions.  One engine, `Walk`, samples
+a kernel from each trajectory's own counter-based stream, so runs are
+reproducible independently of scheduling.  One engine, `ExactLaw`, advances
+exact distributions in integer weights over a running denominator; it
+serves the tameness diagnostics (irreducibility, decay of point
+probabilities, reachability).  Both run a push-forward by conjugation: the
+walk runs from f^-1(start) and f maps what is read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
@@ -29,7 +29,7 @@ class ChainError(ValueError):
 
 
 class WitnessError(ChainError):
-    """No symmetry witness constructor applies to the chain."""
+    """A constructed symmetry witness does not carry p to q."""
 
 
 # ---------------------------------------------------------------------------
@@ -178,18 +178,49 @@ def branch_swap(model: FreeGroup) -> BranchSwap:
 # kernels
 
 
-class MarkovKernel:
-    """Base: a step law per state, with jumps contained in a finite set."""
+@dataclass(frozen=True)
+class Kernel:
+    """A random walk pushed through an optional bijective QI f.
+
+    The walk is one invariant step measure mu on an ordered set of distinct
+    jump words.  Its push-forward moves from x to f(f^-1(x) s) with
+    probability mu(s), i.e. q(x, y) = p(f^-1 x, f^-1 y); without f the
+    chain is the walk itself.  `push_forward` sets f, checked bijective.
+    """
 
     model: GroupModel
+    measure: tuple[tuple[Word, Fraction], ...]
+    qi: BijectiveQI | None = None
+
+    def __post_init__(self):
+        total = sum(p for _, p in self.measure)
+        if total != 1:
+            raise ChainError(f"step measure sums to {total}, not 1")
+        if any(p < 0 for _, p in self.measure):
+            raise ChainError("negative probability")
+        # distinct jumps keep the pushed law free of merged targets, in the
+        # measure's order, which walking by conjugation relies on
+        if len({s for s, _ in self.measure}) != len(self.measure):
+            raise ChainError("jump words must be distinct")
+
+    @cached_property
+    def cdf(self) -> np.ndarray:
+        return _cdf(p for _, p in self.measure)
 
     def law(self, state: Word) -> list[tuple[Word, Fraction]]:
         """Ordered (target, probability) pairs; probabilities sum to 1."""
-        raise NotImplementedError
+        f = self.qi
+        if f is None:
+            return [(state * s, p) for s, p in self.measure]
+        src = f.inverse().apply(state)
+        return [(f.apply(src * s), p) for s, p in self.measure]
 
     def jump_bound(self) -> int:
-        """Max jump length over the states of the radius-3 ball, measured once
-        per kernel (it rebuilds the law at every state of the ball)."""
+        """Longest jump: the longest word of the measure without a QI, else
+        the longest over the states of the radius-3 ball, measured once per
+        kernel (it rebuilds the law at every state of the ball)."""
+        if self.qi is None:
+            return max(len(s) for s, _ in self.measure)
         known = self.__dict__
         if "_jump_bound" not in known:
             best = 0
@@ -198,49 +229,13 @@ class MarkovKernel:
             known["_jump_bound"] = best
         return known["_jump_bound"]
 
-    def law_dict(self, state: Word) -> dict[Word, Fraction]:
-        out: dict[Word, Fraction] = {}
-        for tgt, pr in self.law(state):
-            out[tgt] = out.get(tgt, Fraction(0)) + pr
-        return out
 
-
-@dataclass(frozen=True)
-class InvariantKernel(MarkovKernel):
-    """Group-invariant chain: one fixed measure on an ordered jump set."""
-
-    model: GroupModel
-    measure: tuple[tuple[Word, Fraction], ...]
-
-    def __post_init__(self):
-        total = sum(p for _, p in self.measure)
-        if total != 1:
-            raise ChainError(f"step measure sums to {total}, not 1")
-        if any(p < 0 for _, p in self.measure):
-            raise ChainError("negative probability")
-        # a repeated jump would merge in a push-forward's law and change its
-        # order, which walking by conjugation relies on
-        if len({s for s, _ in self.measure}) != len(self.measure):
-            raise ChainError("jump words must be distinct")
-
-    @cached_property
-    def cdf(self) -> np.ndarray:
-        return _cdf(p for _, p in self.measure)
-
-    def jump_bound(self) -> int:
-        """Exact for an invariant chain: the longest word of the measure."""
-        return max(len(s) for s, _ in self.measure)
-
-    def law(self, state: Word) -> list[tuple[Word, Fraction]]:
-        return [(state * s, p) for s, p in self.measure]
-
-
-def make_invariant(model: GroupModel, weights: dict[Word, Fraction]) -> InvariantKernel:
+def make_invariant(model: GroupModel, weights: dict[Word, Fraction]) -> Kernel:
     items = sorted(weights.items(), key=lambda kv: kv[0].sort_key())
-    return InvariantKernel(model, tuple(items))
+    return Kernel(model, tuple(items))
 
 
-def srw(model: GroupModel, stay: Fraction = Fraction(0)) -> InvariantKernel:
+def srw(model: GroupModel, stay: Fraction = Fraction(0)) -> Kernel:
     """Simple random walk, uniform on generators and inverses; optional laziness."""
     gens = []
     for g in model.generators():
@@ -252,37 +247,14 @@ def srw(model: GroupModel, stay: Fraction = Fraction(0)) -> InvariantKernel:
     return make_invariant(model, weights)
 
 
-@dataclass(frozen=True)
-class PushForwardKernel(MarkovKernel):
-    """Image of a chain under a bijective QI: q(g, h) = p(f^-1 g, f^-1 h)."""
-
-    base: MarkovKernel
-    qi: BijectiveQI
-
-    def __post_init__(self):
-        if not self.qi.check_bijective(3):
-            raise ChainError("push-forward map is not bijective on the check window")
-
-    @property
-    def model(self) -> GroupModel:  # type: ignore[override]
-        return self.base.model
-
-    def law(self, state: Word) -> list[tuple[Word, Fraction]]:
-        src = self.qi.inverse().apply(state)
-        out: dict[Word, Fraction] = {}
-        order: list[Word] = []
-        for tgt, p in self.base.law(src):
-            img = self.qi.apply(tgt)
-            if img not in out:
-                out[img] = Fraction(0)
-                order.append(img)
-            out[img] += p
-        return [(t, out[t]) for t in order]
-
-
-def push_forward(kernel: MarkovKernel, qi: BijectiveQI) -> PushForwardKernel:
-    """Push a chain through a bijective QI (checked bijective on a window)."""
-    return PushForwardKernel(kernel, qi)
+def push_forward(kernel: Kernel, qi: BijectiveQI) -> Kernel:
+    """Push a chain through a bijective QI (checked bijective on a window);
+    a pushed chain's QI is composed with the new one."""
+    if not qi.check_bijective(3):
+        raise ChainError("push-forward map is not bijective on the check window")
+    if kernel.qi is not None:
+        qi = CompositionQI(kernel.model, (qi, kernel.qi))
+    return replace(kernel, qi=qi)
 
 
 # ---------------------------------------------------------------------------
@@ -336,28 +308,22 @@ class Walk:
     """One seeded trajectory of a kernel: the only stepping engine.
 
     Step i maps uniform i of the (seed, index) Philox stream through the
-    inverse CDF of the ordered law at the current state.  An invariant
-    kernel has one law, so a block of steps is one lookup; the increments go
-    onto a letter stack on free groups (attached trackers see every letter)
-    and into word products elsewhere.  A push-forward of an invariant kernel
-    walks by conjugation: the base walk runs from f^-1(start) and only the
-    states read are mapped by f, which gives the pushed law's own path since
-    that law keeps the base law's order and probabilities and f is
-    injective.  Other kernels rebuild their law at every state.
+    inverse CDF of the step measure, so a block of steps is one lookup.  The
+    increments go onto a letter stack on free groups (attached trackers see
+    every letter) and into word products elsewhere.  A push-forward walks by
+    conjugation: the walk runs from f^-1(start) and only the states read are
+    mapped by f, which gives the pushed law's own path since that law keeps
+    the measure's order and probabilities and f is injective.
     """
 
-    def __init__(self, kernel: MarkovKernel, start: Word, seed: int, index: int = 0):
-        self.qi: BijectiveQI | None = None
-        if isinstance(kernel, PushForwardKernel) and isinstance(kernel.base, InvariantKernel):
-            self.qi = kernel.qi
-            kernel = kernel.base
-            start = self.qi.inverse().apply(start)
+    def __init__(self, kernel: Kernel, start: Word, seed: int, index: int = 0):
         self.kernel = kernel
+        self.qi = kernel.qi
+        if self.qi is not None:
+            start = self.qi.inverse().apply(start)
         self.rng = trajectory_rng(seed, index)
         self.cur = start
-        self.stack: list[int] | None = None
-        if isinstance(kernel, InvariantKernel) and isinstance(kernel.model, FreeGroup):
-            self.stack = list(start.letters)
+        self.stack = list(start.letters) if isinstance(kernel.model, FreeGroup) else None
         self.trackers: list = []
 
     def attach(self, tracker) -> None:
@@ -370,22 +336,15 @@ class Walk:
         """Advance `count` steps, yielding after each one."""
         if count < 0:
             raise ChainError(f"step count must be >= 0, got {count}")
-        us = self.rng.random(count)
-        kernel = self.kernel
-        if not isinstance(kernel, InvariantKernel):
-            for u in us:
-                pairs = kernel.law(self.cur)
-                self.cur = pairs[_pick(_cdf(p for _, p in pairs), u)][0]
-                yield
-            return
-        picks = _pick(kernel.cdf, us).tolist()
+        measure = self.kernel.measure
+        picks = _pick(self.kernel.cdf, self.rng.random(count)).tolist()
         if self.stack is None:
             for i in picks:
-                self.cur = self.cur * kernel.measure[i][0]
+                self.cur = self.cur * measure[i][0]
                 yield
             return
         stack, trackers = self.stack, self.trackers
-        increments = [s.letters for s, _ in kernel.measure]
+        increments = [s.letters for s, _ in measure]
         for i in picks:
             for letter in increments[i]:
                 if stack and stack[-1] == -letter:
@@ -405,7 +364,7 @@ class Walk:
         return cur if self.qi is None else self.qi.apply(cur)
 
 
-def simulate(kernel: MarkovKernel, start: Word, n: int, seed: int, index: int = 0) -> Trajectory:
+def simulate(kernel: Kernel, start: Word, n: int, seed: int, index: int = 0) -> Trajectory:
     walk = Walk(kernel, start, seed, index)
     states = [start]
     for _ in walk.run(n):
@@ -422,64 +381,44 @@ class ExactLaw:
 
     Probabilities are integer weights over one running denominator, keyed by
     normal-form letter tuples; a read builds one `Fraction`, so the step
-    itself does no rational arithmetic.  Dispatch follows `Walk`.  An
-    invariant kernel steps through a fixed table of (increment letters,
-    numerator over the lcm of the measure's denominators).  A push-forward of
-    an invariant kernel runs by conjugation, since q^t(x, y) = p^t(f^-1 x,
-    f^-1 y): the base law runs from f^-1(start), a read looks up f^-1 of the
-    state asked for, and the support size and the sup are those of the
-    pushed law because f is a bijection.  Other kernels call `law` at every
-    state, the step's denominator being the lcm of that step's law
-    denominators.
+    itself does no rational arithmetic.  A step goes through a fixed table
+    of (increment letters, numerator over the lcm of the measure's
+    denominators).  As in `Walk`, a push-forward runs by conjugation, since
+    q^t(x, y) = p^t(f^-1 x, f^-1 y): the walk's law runs from f^-1(start), a
+    read looks up f^-1 of the state asked for, and the support size and the
+    sup are those of the pushed law because f is a bijection.
     """
 
-    def __init__(self, kernel: MarkovKernel, start: Word):
-        self.qi: BijectiveQI | None = None
-        if isinstance(kernel, PushForwardKernel) and isinstance(kernel.base, InvariantKernel):
-            self.qi = kernel.qi
-            self.qi_inv = kernel.qi.inverse()
-            kernel = kernel.base
+    def __init__(self, kernel: Kernel, start: Word):
+        self.model = kernel.model
+        self.qi = kernel.qi
+        if self.qi is not None:
+            self.qi_inv = self.qi.inverse()
             start = self.qi_inv.apply(start)
-        self.kernel = kernel
         self.weights: dict[tuple[int, ...], int] = {start.letters: 1}
         self.denom = 1
-        self.table: list[tuple[tuple[int, ...], int]] | None = None
-        if isinstance(kernel, InvariantKernel):
-            self.step_denom = lcm(*(p.denominator for _, p in kernel.measure))
-            self.table = [
-                (s.letters, p.numerator * (self.step_denom // p.denominator))
-                for s, p in kernel.measure
-                if p
-            ]
+        self.step_denom = lcm(*(p.denominator for _, p in kernel.measure))
+        self.table = [
+            (s.letters, p.numerator * (self.step_denom // p.denominator)) for s, p in kernel.measure if p
+        ]
 
     def __len__(self) -> int:
         return len(self.weights)
 
     def _state(self, letters: tuple[int, ...]) -> Word:
-        w = Word(self.kernel.model, letters)
+        w = Word(self.model, letters)
         return w if self.qi is None else self.qi.apply(w)
 
     def step(self, keep: Callable[[Word], bool] | None = None) -> None:
         """Advance one step; targets failing `keep` are dropped."""
         nxt: dict[tuple[int, ...], int] = {}
         get = nxt.get
-        if self.table is not None:
-            product, table = self.kernel.model.product, self.table
-            for st, wt in self.weights.items():
-                for inc, num in table:
-                    tgt = product(st, inc)
-                    nxt[tgt] = get(tgt, 0) + wt * num
-            self.denom *= self.step_denom
-        else:
-            model = self.kernel.model
-            laws = [(wt, self.kernel.law(Word(model, st))) for st, wt in self.weights.items()]
-            d = lcm(*(p.denominator for _, law in laws for _, p in law))
-            for wt, law in laws:
-                for tgt, p in law:
-                    if p:
-                        key = tgt.letters
-                        nxt[key] = get(key, 0) + wt * p.numerator * (d // p.denominator)
-            self.denom *= d
+        product, table = self.model.product, self.table
+        for st, wt in self.weights.items():
+            for inc, num in table:
+                tgt = product(st, inc)
+                nxt[tgt] = get(tgt, 0) + wt * num
+        self.denom *= self.step_denom
         if keep is not None:
             # each target is a key once, so `keep` runs once per state per step
             nxt = {st: wt for st, wt in nxt.items() if keep(self._state(st))}
@@ -516,7 +455,7 @@ class IrreducibilityResult:
 
 
 def check_irreducibility(
-    kernel: MarkovKernel, s: Word, k_max: int, base_points: Sequence[Word] | None = None
+    kernel: Kernel, s: Word, k_max: int, base_points: Sequence[Word] | None = None
 ) -> IrreducibilityResult:
     """Exact k-step probabilities of reaching g*s from sampled base points g."""
     model = kernel.model
@@ -540,9 +479,9 @@ def check_irreducibility(
     return IrreducibilityResult(s, best[0], best[1], tuple(base_points))
 
 
-def _is_uniform_free_walk(kernel: MarkovKernel) -> tuple[bool, Fraction]:
+def _is_uniform_free_walk(kernel: Kernel) -> tuple[bool, Fraction]:
     """Detect an SRW (optionally lazy) on a free group, for the radial DP."""
-    if not isinstance(kernel, InvariantKernel) or not isinstance(kernel.model, FreeGroup):
+    if kernel.qi is not None or not isinstance(kernel.model, FreeGroup):
         return False, Fraction(0)
     stay = Fraction(0)
     move: set[Fraction] = set()
@@ -563,7 +502,7 @@ def _is_uniform_free_walk(kernel: MarkovKernel) -> tuple[bool, Fraction]:
     return True, stay
 
 
-def _radial_sup(kernel: InvariantKernel, n: int, stay: Fraction) -> Fraction:
+def _radial_sup(kernel: Kernel, n: int, stay: Fraction) -> Fraction:
     """Exact sup_h P[w_n = h] for a (lazy) SRW on a free group."""
     k = kernel.model.rank
     deg = 2 * k
@@ -606,7 +545,7 @@ class DecayReport:
 _DECAY_SUPPORT_CAP = 60000  # states the exact DP of `estimate_nonamenability` may hold
 
 
-def estimate_nonamenability(kernel: MarkovKernel, n_list: Sequence[int]) -> DecayReport:
+def estimate_nonamenability(kernel: Kernel, n_list: Sequence[int]) -> DecayReport:
     """Exact sup of point probabilities where feasible, reported as skipped
     beyond the support cap.
 
@@ -666,23 +605,20 @@ class WitnessReport:
     exact: bool
 
 
-def quasi_homogeneity_witness(kernel: MarkovKernel, p: Word, q: Word) -> tuple[BijectiveQI, WitnessReport]:
+def quasi_homogeneity_witness(kernel: Kernel, p: Word, q: Word) -> tuple[BijectiveQI, WitnessReport]:
     """A bijective QI carrying p to q that pushes the chain to itself.
 
-    Invariant chains use the left translation by q p^-1; push-forwards of
-    an invariant chain conjugate that translation through the defining QI.
-    Other chains carry no declared symmetry, so no constructor applies.
+    A walk uses the left translation by q p^-1; a push-forward through f
+    conjugates the translation by f^-1(q) f^-1(p)^-1 through f.
     """
     model = kernel.model
-    if isinstance(kernel, InvariantKernel):
+    psi = kernel.qi
+    if psi is None:
         phi: BijectiveQI = LeftTranslation(model, q * p.inverse())
-    elif isinstance(kernel, PushForwardKernel) and isinstance(kernel.base, InvariantKernel):
-        psi = kernel.qi
+    else:
         psi_inv = psi.inverse()
         t = psi_inv.apply(q) * psi_inv.apply(p).inverse()
         phi = CompositionQI(model, (psi, LeftTranslation(model, t), psi_inv))
-    else:
-        raise WitnessError("no witness constructor for chains without declared symmetry")
     if phi.apply(p) != q:
         raise WitnessError("constructed map does not carry p to q")  # pragma: no cover
     pts = ball(model, model.identity(), 2)
@@ -693,7 +629,7 @@ def quasi_homogeneity_witness(kernel: MarkovKernel, p: Word, q: Word) -> tuple[B
         for tgt, pr in kernel.law(o):
             img = phi.apply(tgt)
             pushed[img] = pushed.get(img, Fraction(0)) + pr
-        if pushed != kernel.law_dict(phi.apply(o)):
+        if pushed != dict(kernel.law(phi.apply(o))):
             exact = False
     return phi, WitnessReport(tuple(sample_states), exact)
 
@@ -713,14 +649,14 @@ class ReachResult:
 _REACH_SUPPORT_CAP = 300000  # states the exact DP of `reach_probability` may hold
 
 
-def reach_probability(kernel: MarkovKernel, p: Word, q: Word, steps_factor: int = 3) -> ReachResult:
+def reach_probability(kernel: Kernel, p: Word, q: Word, steps_factor: int = 3) -> ReachResult:
     """Exact best probability of standing at p within steps_factor * d steps.
 
     Dynamic programming from q with dead-state pruning: a state farther
     from p than J times the remaining steps, J the kernel's jump bound, is
     dropped, which keeps the support near min(ball(q, t), ball(p, T - t)).
-    J is exact for invariant kernels and measured on a window of states
-    (`MarkovKernel.jump_bound`) for the others.
+    J is exact for a walk and measured on a window of states for a
+    push-forward (`Kernel.jump_bound`).
     """
     model = kernel.model
     d = word_distance(model, p, q)

@@ -19,6 +19,7 @@ from .experiments import (
     ExperimentConfig,
     ExperimentError,
     bounded_projection_experiment,
+    check_recursion_inputs,
     linear_progress_experiment,
     parse_config,
     recursion_check,
@@ -211,6 +212,7 @@ def cmd_tail(args) -> int:
     model = model_from_descriptor(cfg.model)
     o = parse_word(model, args.o) if args.o else None
     p = parse_word(model, args.p) if args.p else None
+    check_recursion_inputs(args.steps, args.gap, args.eps)
     curve = tail_experiment(cfg, o=o, p=p, n=args.steps)
     rep = recursion_check(curve, gap=args.gap, eps=args.eps)
     if curve.c_prime is None:

@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from . import __version__
-from .chains import InvariantKernel, MarkovKernel, Walk, branch_swap, fit_log_linear, push_forward, srw
+from .chains import Kernel, Walk, branch_swap, fit_log_linear, push_forward, srw
 from .groups import FreeGroup, GroupModel, Word, ball, model_from_descriptor, parse_word
 from .projections import Axis, _lcp, _line_data, _spell, axis_of, enumerate_cosets, line_positions, nearest_positions
 from .spaces import CayleyTree, OrbitMap, identity_orbit
@@ -115,7 +115,7 @@ def parse_config(text: str, **overrides) -> ExperimentConfig:
     return cfg
 
 
-def resolve_kernel(model: GroupModel, spec: str) -> MarkovKernel:
+def resolve_kernel(model: GroupModel, spec: str) -> Kernel:
     if spec == "srw":
         return srw(model)
     if spec.startswith("lazy:"):
@@ -127,7 +127,7 @@ def resolve_kernel(model: GroupModel, spec: str) -> MarkovKernel:
     raise ExperimentError(f"unknown kernel spec {spec!r}")
 
 
-def resolve_setup(config: ExperimentConfig) -> tuple[GroupModel, OrbitMap, MarkovKernel, Axis]:
+def resolve_setup(config: ExperimentConfig) -> tuple[GroupModel, OrbitMap, Kernel, Axis]:
     model = model_from_descriptor(config.model)
     if not isinstance(model, FreeGroup):
         raise ExperimentError("experiments are shipped for free-group Cayley trees")
@@ -326,8 +326,10 @@ def bounded_projection_experiment(
     ensemble per cell via checkpoints.
     """
     seed = config.require_seed()
+    if not 0 <= bound < math.inf:
+        raise ExperimentError(f"bound must be a finite number >= 0, got {bound}")
     _, _, kernel, axis = resolve_setup(config)
-    if not isinstance(kernel, InvariantKernel):
+    if kernel.qi is not None:
         raise ExperimentError("bounded-projection experiment needs an invariant kernel")
     if cells is None:
         cells = default_projection_cells(config)
@@ -418,7 +420,7 @@ def tail_experiment(
     if n < 1:
         raise ExperimentError(f"tail walks need at least one step, got {n}")
     model, orbit, kernel, axis = resolve_setup(config)
-    if not isinstance(kernel, InvariantKernel):
+    if kernel.qi is not None:
         raise ExperimentError("tail experiment needs an invariant kernel")
     if o is None:
         o = model.identity()
@@ -505,17 +507,26 @@ class RecursionReport:
         return sum(v.passed for v in self.verdicts) / len(self.verdicts)
 
 
+def check_recursion_inputs(n: int, gap: int, eps: float) -> None:
+    """Refuse a recursion check on the curve of an n-step tail experiment
+    that has no t with [t - gap, t + gap] inside [0, 3n/4], or whose eps is
+    negative, infinite or nan (at eps = 0 the check passes vacuously)."""
+    if gap < 1:
+        raise ExperimentError(f"gap must be >= 1, got {gap}")
+    if not 0 <= eps < math.inf:
+        raise ExperimentError(f"eps must be a finite number >= 0, got {eps}")
+    if 2 * gap > 3 * n // 4:
+        raise ExperimentError("curve does not cover [t - gap, t + gap]")
+
+
 def recursion_check(curve: TailCurve, gap: int, eps: float) -> RecursionReport:
     """Check eps * g(t) <= f(t - gap) - f(t + gap) at 95% confidence per t.
 
     The implied decay constant 2*gap / log(1 + eps) is reported next to the
     curve's fitted constant.
     """
-    if gap < 1:
-        raise ExperimentError("gap must be >= 1")
+    check_recursion_inputs(curve.n, gap, eps)
     ts = [t for t in curve.t_values if t - gap >= 0 and t + gap <= curve.t_values[-1]]
-    if not ts:
-        raise ExperimentError("curve does not cover [t - gap, t + gap]")
     g, f = curve.g(), curve.f()
     nsamp = curve.samples
     verdicts = []

@@ -16,7 +16,6 @@ coset slices named by the region map.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -184,22 +183,6 @@ class ConingSchedule:
         for r in self.rounds[:round_index]:
             out |= r.removed
         return frozenset(out)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "rounds": [
-                    {
-                        "index": r.index,
-                        "largestCliques": [list(c) for c in r.largest_cliques],
-                        "removed": sorted(r.removed),
-                        "remaining": sorted(r.remaining),
-                    }
-                    for r in self.rounds
-                ],
-                "removedTotal": sorted(self.removed_total),
-            }
-        )
 
 
 def coning_schedule(sk: HHSSkeleton) -> ConingSchedule:

@@ -281,6 +281,9 @@ def incompatibility_witness(
     ray over the gauge threshold.  Returns the max-margin witness, or None if
     no candidate in the family has positive margin within the budget.
     """
+    if kappa < 0 or prefix_bound < 2:
+        # below 2 no pair of ray vertices is two apart: the family is empty
+        raise GroupError(f"need kappa >= 0 and prefix bound >= 2, got {kappa} and {prefix_bound}")
     if len(beta) <= prefix_bound:
         raise GroupError("ray prefix shorter than the requested bound")
     threshold = gauge(1, 0 + 2 * kappa) + 2 * kappa

@@ -428,6 +428,8 @@ def fibre_separation_profile(
     truncation radius.  The verdict is "bounded" when the two largest
     truncations agree, and "growing" otherwise.
     """
+    if r < 0 or s < 0:
+        raise SpaceError(f"r and s must be >= 0, got {r} and {s}")
     if space_distance(orbit.space, x, y) <= 2 * r:
         raise SpaceError("fibre separation requires d_X(x, y) > 2r")
     truncs = sorted(truncations)

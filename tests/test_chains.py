@@ -1,8 +1,6 @@
 """Kernels, push-forwards, tameness diagnostics and symmetry witnesses."""
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
 
 import pytest
 
@@ -11,11 +9,8 @@ from ggtlab.chains import (
     CompositionQI,
     ExactLaw,
     GeneratorPermutation,
-    InvariantKernel,
+    Kernel,
     LeftTranslation,
-    MarkovKernel,
-    PushForwardKernel,
-    WitnessError,
     branch_swap,
     check_irreducibility,
     estimate_nonamenability,
@@ -27,29 +22,11 @@ from ggtlab.chains import (
     srw,
     trajectory_rng,
 )
-from ggtlab.groups import GroupModel, Word, ball, model_from_descriptor, word_distance
+from ggtlab.experiments import resolve_kernel
+from ggtlab.groups import ball, model_from_descriptor, word_distance
 
 from conftest import w
 from oracles import fraction_step
-
-
-@dataclass(frozen=True)
-class LocalRuleKernel(MarkovKernel):
-    """State-classified chain: a bounded-radius classifier picks the law.
-
-    It has no symmetry the engines know of, so `Walk` and `ExactLaw` rebuild
-    its law at every state."""
-
-    model: GroupModel
-    classifier: Callable[[Word], object]
-    table: tuple[tuple[object, tuple[tuple[Word, Fraction], ...]], ...]
-
-    def law(self, state: Word) -> list[tuple[Word, Fraction]]:
-        key = self.classifier(state)
-        for k, measure in self.table:
-            if k == key:
-                return [(state * s, p) for s, p in measure]
-        raise ChainError(f"classifier produced unknown key {key!r}")
 
 
 def validates(trajectory, kernel) -> bool:
@@ -118,20 +95,10 @@ def law_path(kernel, start, n, seed, index):
     return tuple(states)
 
 
-def test_local_rule_trajectory_validates(f2k):
-    gens = sorted([w(f2k, "a"), w(f2k, "a^-1"), w(f2k, "b"), w(f2k, "b^-1")], key=lambda u: u.sort_key())
-    uniform = tuple((g, Fraction(1, 4)) for g in gens)
-    lazy = ((f2k.identity(), Fraction(1, 2)),) + tuple((g, Fraction(1, 8)) for g in gens)
-    kernel = LocalRuleKernel(f2k, classifier=lambda st: len(st) % 2, table=((0, uniform), (1, lazy)))
-    t = simulate(kernel, w(f2k, "a b"), 40, seed=4, index=2)
-    assert validates(t, kernel)
-    assert t.states == law_path(kernel, w(f2k, "a b"), 40, 4, 2)
-
-
 def test_invariant_kernel_rejects_repeated_jumps(f2k):
     half = Fraction(1, 2)
     with pytest.raises(ChainError):
-        InvariantKernel(f2k, ((w(f2k, "a"), half), (w(f2k, "a"), half)))
+        Kernel(f2k, ((w(f2k, "a"), half), (w(f2k, "a"), half)))
 
 
 # --- push-forwards -----------------------------------------------------------
@@ -142,7 +109,7 @@ def test_push_forward_identity_translation(f2k, walk):
     pushed = push_forward(walk, phi)
     # invariant law: the increments are unchanged by a translation
     for st in ball(f2k, f2k.identity(), 2)[:6]:
-        assert pushed.law_dict(st) == walk.law_dict(st)
+        assert dict(pushed.law(st)) == dict(walk.law(st))
 
 
 def test_push_forward_branch_swap_permutes_law(f2k):
@@ -156,7 +123,7 @@ def test_push_forward_branch_swap_permutes_law(f2k):
         },
     )
     pushed = push_forward(biased, branch_swap(f2k))
-    law = pushed.law_dict(f2k.identity())
+    law = dict(pushed.law(f2k.identity()))
     assert law[w(f2k, "b")] == Fraction(1, 2)
     assert law[w(f2k, "a")] == Fraction(1, 6)
 
@@ -171,9 +138,9 @@ def test_push_forward_law_identity_random(f2k, walk):
     inv = phi.inverse()
     for _ in range(200):
         st = pts[int(rng.integers(len(pts)))]
-        law = pushed.law_dict(st)
+        law = dict(pushed.law(st))
         src = inv.apply(st)
-        base = walk.law_dict(src)
+        base = dict(walk.law(src))
         for tgt, pr in law.items():
             assert base.get(inv.apply(tgt), Fraction(0)) == pr
 
@@ -298,20 +265,6 @@ def test_witness_pushforward(f2k, walk):
     assert rep.exact
 
 
-def test_witness_local_rule_fails(f2k):
-    from fractions import Fraction as F
-
-    uniform = tuple(
-        (g, F(1, 4)) for g in sorted(
-            [w(f2k, "a"), w(f2k, "a^-1"), w(f2k, "b"), w(f2k, "b^-1")],
-            key=lambda u: u.sort_key(),
-        )
-    )
-    kernel = LocalRuleKernel(f2k, classifier=lambda st: len(st) % 2, table=((0, uniform), (1, uniform)))
-    with pytest.raises(WitnessError):
-        quasi_homogeneity_witness(kernel, f2k.identity(), w(f2k, "a"))
-
-
 # --- reachability -------------------------------------------------------------------
 
 
@@ -369,9 +322,6 @@ def test_reach_long_jumps_keep_every_live_state(f2k):
 
 def kernel_family(model, name):
     quarter = Fraction(1, 4)
-    gens = sorted(
-        (g for g0 in model.generators() for g in (g0, g0.inverse())), key=lambda u: u.sort_key()
-    )
     if name == "srw":
         return srw(model)
     if name == "lazy":
@@ -383,14 +333,10 @@ def kernel_family(model, name):
     if name == "nested":
         lazy_swap = push_forward(srw(model, stay=Fraction(1, 3)), branch_swap(model))
         return push_forward(lazy_swap, LeftTranslation(model, w(model, "a b^-1")))
-    if name == "local-rule":
-        uniform = tuple((g, Fraction(1, len(gens))) for g in gens)
-        lazy = ((model.identity(), Fraction(1, 3)),) + tuple((g, Fraction(1, 6)) for g in gens)
-        return LocalRuleKernel(model, classifier=lambda st: len(st) % 2, table=((0, uniform), (1, lazy)))
     raise AssertionError(name)
 
 
-FAMILIES = ("srw", "lazy", "long-jumps", "branch-swap", "nested", "local-rule")
+FAMILIES = ("srw", "lazy", "long-jumps", "branch-swap", "nested")
 
 
 @pytest.mark.parametrize("name", FAMILIES)
@@ -405,6 +351,28 @@ def test_exact_law_matches_fraction_step(f2k, name):
             assert len(law) == len(ref)
             assert all(law.prob(x) == pr for x, pr in ref.items())
             assert law.sup() == max(ref.values())
+
+
+@pytest.mark.parametrize("name", ["srw", "lazy:1/3", "srw-branch-swap", "nested"])
+def test_engines_step_without_rebuilding_a_law(f2k, name, monkeypatch):
+    # both engines step every kernel through its measure, a push-forward of
+    # a push-forward by conjugation too, so neither calls `law`
+    kernel = kernel_family(f2k, "nested") if name == "nested" else resolve_kernel(f2k, name)
+    start = w(f2k, "b a^-1")
+    path = law_path(kernel, start, 30, 3, 1)
+    ref = {start: Fraction(1)}
+    for _ in range(4):
+        ref = fraction_step(kernel, ref)
+
+    def refuse(self, state):
+        raise AssertionError("an engine rebuilt a law")
+
+    monkeypatch.setattr(Kernel, "law", refuse)
+    assert simulate(kernel, start, 30, seed=3, index=1).states == path
+    law = ExactLaw(kernel, start)
+    for _ in range(4):
+        law.step()
+    assert len(law) == len(ref) and all(law.prob(x) == pr for x, pr in ref.items())
 
 
 def test_exact_law_on_a_free_product():
@@ -423,8 +391,8 @@ def test_reach_measures_the_jump_bound_once(f2k, walk, monkeypatch):
     # exact DP walks by conjugation, so a second query makes no law call
     kernel = push_forward(walk, branch_swap(f2k))
     calls = []
-    law = PushForwardKernel.law
-    monkeypatch.setattr(PushForwardKernel, "law", lambda self, st: calls.append(st) or law(self, st))
+    law = Kernel.law
+    monkeypatch.setattr(Kernel, "law", lambda self, st: calls.append(st) or law(self, st))
     first = reach_probability(kernel, w(f2k, "a b"), f2k.identity())
     assert len(calls) == len(ball(f2k, f2k.identity(), 3))
     calls.clear()

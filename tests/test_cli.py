@@ -185,6 +185,30 @@ def test_certification_refused_before_enumerating(monkeypatch, capsys):
     assert code == 1 and out == "" and err.startswith("error: validation:")
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--gap", "0"],
+        ["--eps", "nan"],
+        ["--eps", "-5"],
+        ["--eps", "inf"],
+        # 2 * gap = 32 > 3 * 40 // 4 = 30: no t has [t - gap, t + gap] on the curve
+        ["--steps", "40", "--gap", "16"],
+    ],
+    ids=" ".join,
+)
+def test_tail_refused_before_walking(monkeypatch, capsys, flags):
+    import ggtlab.cli
+
+    def fail(*args, **kwargs):
+        raise AssertionError("tail_experiment called for a refused recursion check")
+
+    monkeypatch.setattr(ggtlab.cli, "tail_experiment", fail)
+    code, out, err = run(capsys, "tail", "--seed", "1", "--samples", "50", *flags)
+    assert code == 1 and out == ""
+    assert err.startswith("error: validation:") and err.count("\n") == 1
+
+
 def test_order_refused_before_enumerating(monkeypatch, capsys):
     import ggtlab.cli
 
@@ -220,6 +244,14 @@ def test_order_refused_before_enumerating(monkeypatch, capsys):
         (["tail", "--seed", "1", "--steps", "20", "--samples", "50"], 1, "validation"),
         # five samples leave no cell with the 10 successes the C' fit needs
         (["tail", "--seed", "1", "--samples", "5", "--steps", "40"], 2, "certification"),
+        (["bounded-proj", "--seed", "1", "--samples", "5", "--bound", "nan"], 1, "validation"),
+        (["bounded-proj", "--seed", "1", "--samples", "5", "--bound", "-1"], 1, "validation"),
+        (["separation", "--x", "a^3", "--y", "b^3", "--r", "-1"], 1, "validation"),
+        (["separation", "--x", "a^3", "--y", "b^3", "--s", "-2"], 1, "validation"),
+        (["incompat", "--kappa", "-3"], 1, "validation"),
+        # below 2 the search family is empty
+        (["incompat", "--L", "-1"], 1, "validation"),
+        (["incompat", "--L", "1"], 1, "validation"),
     ],
 )
 def test_refused_inputs_write_nothing(tmp_path, capsys, argv, code, kind):
