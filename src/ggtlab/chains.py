@@ -4,7 +4,8 @@ Every chain is a `Kernel`: a group-invariant step law (a random walk),
 optionally pushed forward through a bijective quasi-isometry f.
 Transition probabilities are exact fractions.  One engine, `Walk`, samples
 a kernel from each trajectory's own counter-based stream, so runs are
-reproducible independently of scheduling.  One engine, `ExactLaw`, advances
+reproducible independently of scheduling; an `ensemble` of walks re-keys one
+generator per trajectory.  One engine, `ExactLaw`, advances
 exact distributions in integer weights over a running denominator; it
 serves the tameness diagnostics (irreducibility, decay of point
 probabilities, reachability).  Both run a push-forward by conjugation: the
@@ -285,11 +286,15 @@ class Trajectory:
         )
 
 
-def trajectory_rng(seed: int, index: int = 0) -> np.random.Generator:
-    """Counter-based per-trajectory stream: independent of scheduling order."""
+def _key(seed: int, index: int) -> np.ndarray:
     if not (0 <= seed < 2**64 and 0 <= index < 2**64):
         raise ChainError(f"seed and index must lie in [0, 2^64), got {seed} and {index}")
-    return np.random.Generator(np.random.Philox(key=np.array([seed, index], dtype=np.uint64)))
+    return np.array([seed, index], dtype=np.uint64)
+
+
+def trajectory_rng(seed: int, index: int = 0) -> np.random.Generator:
+    """Counter-based per-trajectory stream: independent of scheduling order."""
+    return np.random.Generator(np.random.Philox(key=_key(seed, index)))
 
 
 def _cdf(probs: Iterable[Fraction]) -> np.ndarray:
@@ -307,23 +312,29 @@ def _pick(cdf: np.ndarray, us):
 class Walk:
     """One seeded trajectory of a kernel: the only stepping engine.
 
-    Step i maps uniform i of the (seed, index) Philox stream through the
-    inverse CDF of the step measure, so a block of steps is one lookup.  The
-    increments go onto a letter stack on free groups (attached trackers see
-    every letter) and into word products elsewhere.  A push-forward walks by
-    conjugation: the walk runs from f^-1(start) and only the states read are
-    mapped by f, which gives the pushed law's own path since that law keeps
-    the measure's order and probabilities and f is injective.
+    A walk is told its horizon, the most steps it will run; on creation it
+    maps that many uniforms of `rng` through the inverse CDF of the step
+    measure in one draw and one lookup, and stepping past the horizon raises
+    ChainError.  The increments go onto a letter stack on free groups
+    (attached trackers see every letter) and into word products elsewhere.
+    A push-forward walks by conjugation: the walk runs from f^-1(start) and
+    only the states read are mapped by f, which gives the pushed law's own
+    path since that law keeps the measure's order and probabilities and f is
+    injective.
     """
 
-    def __init__(self, kernel: Kernel, start: Word, seed: int, index: int = 0):
+    def __init__(self, kernel: Kernel, start: Word, rng: np.random.Generator, horizon: int):
+        if horizon < 0:
+            raise ChainError(f"step count must be >= 0, got {horizon}")
         self.kernel = kernel
         self.qi = kernel.qi
         if self.qi is not None:
             start = self.qi.inverse().apply(start)
-        self.rng = trajectory_rng(seed, index)
+        self.picks = _pick(kernel.cdf, rng.random(horizon)).tolist()
+        self.done = 0
         self.cur = start
         self.stack = list(start.letters) if isinstance(kernel.model, FreeGroup) else None
+        self.increments = [s.letters for s, _ in kernel.measure]
         self.trackers: list = []
 
     def attach(self, tracker) -> None:
@@ -332,19 +343,26 @@ class Walk:
             raise ChainError("trackers follow invariant walks on free groups")
         self.trackers.append(tracker)
 
-    def run(self, count: int) -> Iterator[None]:
-        """Advance `count` steps, yielding after each one."""
+    def _take(self, count: int) -> list[int]:
+        """The measure indices of the next `count` steps."""
         if count < 0:
             raise ChainError(f"step count must be >= 0, got {count}")
-        measure = self.kernel.measure
-        picks = _pick(self.kernel.cdf, self.rng.random(count)).tolist()
+        end = self.done + count
+        if end > len(self.picks):
+            raise ChainError(f"step {end} lies past the walk's horizon of {len(self.picks)}")
+        picks, self.done = self.picks[self.done : end], end
+        return picks
+
+    def run(self, count: int) -> Iterator[None]:
+        """Advance `count` steps, yielding after each one."""
+        picks = self._take(count)
         if self.stack is None:
+            measure = self.kernel.measure
             for i in picks:
                 self.cur = self.cur * measure[i][0]
                 yield
             return
-        stack, trackers = self.stack, self.trackers
-        increments = [s.letters for s, _ in measure]
+        stack, trackers, increments = self.stack, self.trackers, self.increments
         for i in picks:
             for letter in increments[i]:
                 if stack and stack[-1] == -letter:
@@ -356,16 +374,38 @@ class Walk:
             yield
 
     def steps(self, count: int) -> None:
-        for _ in self.run(count):
-            pass
+        """Advance `count` steps; without trackers, a stack loop with no yield."""
+        if self.stack is None or self.trackers:
+            for _ in self.run(count):
+                pass
+            return
+        stack, increments = self.stack, self.increments
+        for i in self._take(count):
+            for letter in increments[i]:
+                if stack and stack[-1] == -letter:
+                    stack.pop()
+                else:
+                    stack.append(letter)
 
     def state(self) -> Word:
         cur = self.cur if self.stack is None else Word(self.kernel.model, tuple(self.stack))
         return cur if self.qi is None else self.qi.apply(cur)
 
 
+def ensemble(kernel: Kernel, start: Word, seed: int, indices: Iterable[int], horizon: int) -> Iterator[Walk]:
+    """The walks of one seed's trajectories `indices`, made one at a time and
+    each told `horizon`, from one generator: re-keying it through the public
+    state setter restarts it exactly at `trajectory_rng(seed, i)`'s stream."""
+    rng = trajectory_rng(seed)
+    fresh = rng.bit_generator.state
+    for i in indices:
+        fresh["state"]["key"] = _key(seed, i)
+        rng.bit_generator.state = fresh
+        yield Walk(kernel, start, rng, horizon)
+
+
 def simulate(kernel: Kernel, start: Word, n: int, seed: int, index: int = 0) -> Trajectory:
-    walk = Walk(kernel, start, seed, index)
+    walk = Walk(kernel, start, trajectory_rng(seed, index), n)
     states = [start]
     for _ in walk.run(n):
         states.append(walk.state())

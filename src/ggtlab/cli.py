@@ -9,6 +9,7 @@ failure, 3 property-suite failure.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -267,6 +268,8 @@ def cmd_cone(args) -> int:
 
 
 def cmd_fibers(args) -> int:
+    if not 0 <= args.bound < math.inf:
+        raise GroupError(f"--bound must be a finite number >= 0, got {args.bound}")
     model = model_from_descriptor(args.model)
     sched = coning_schedule(product_free_skeleton())
     regions = product_free_regions(model)

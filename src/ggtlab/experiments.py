@@ -1,14 +1,15 @@
 """Seeded statistical experiments tying chains to projections.
 
 Everything is driven by a plain-text config with a mandatory seed, checked
-when the config is built; every walk is a `chains.Walk`, whose trajectories
-draw from their own counter-based streams, so outputs are byte-identical
-across runs.  Bounded projections read the nearest coset positions of the
-walk's state at their checkpoints (`projections.line_positions`).  Tail sums
-need every step, so there an AxisTracker attached to the walk sees every
-letter, maintains the reduced word and its overlap with an axis line, and
-makes the per-step projection distance O(1) amortized instead of a fresh
-projection per step.
+when the config is built.  Each experiment samples one `chains.ensemble` of
+walks per seed: one generator re-keyed per trajectory, one draw of the
+horizon's uniforms per walk, every trajectory on its own counter-based
+stream, so outputs are byte-identical across runs.  Bounded projections read
+the nearest coset positions of the walk's state at their checkpoints
+(`projections.line_positions`).  Tail sums need every step, so there an
+AxisTracker attached to the walk sees every letter and keeps the reduced word
+and its overlap with an axis line; the per-step projection distance is one
+lookup of the spread memoized by that overlap.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from . import __version__
-from .chains import Kernel, Walk, branch_swap, fit_log_linear, push_forward, srw
+from .chains import Kernel, branch_swap, ensemble, fit_log_linear, push_forward, srw
 from .groups import FreeGroup, GroupModel, Word, ball, model_from_descriptor, parse_word
 from .projections import Axis, _lcp, _line_data, _spell, axis_of, enumerate_cosets, line_positions, nearest_positions
 from .spaces import CayleyTree, OrbitMap, identity_orbit
@@ -119,7 +120,10 @@ def resolve_kernel(model: GroupModel, spec: str) -> Kernel:
     if spec == "srw":
         return srw(model)
     if spec.startswith("lazy:"):
-        return srw(model, stay=Fraction(spec.split(":", 1)[1]))
+        try:
+            return srw(model, stay=Fraction(spec.split(":", 1)[1]))
+        except ZeroDivisionError:
+            raise ExperimentError(f"laziness {spec[5:]!r} has a zero denominator") from None
     if spec == "srw-branch-swap":
         if not isinstance(model, FreeGroup):
             raise ExperimentError("branch-swap push-forward needs a free group")
@@ -236,8 +240,8 @@ def linear_progress_experiment(config: ExperimentConfig) -> ProgressResult:
     model, orbit, kernel, _ = resolve_setup(config)
     grid = sorted(config.n_grid)
     dists = np.zeros((config.samples, len(grid)), dtype=np.int64)
-    for i in range(config.samples):
-        walk = Walk(kernel, model.identity(), seed, i)
+    walks = ensemble(kernel, model.identity(), seed, range(config.samples), grid[-1])
+    for i, walk in enumerate(walks):
         prev = 0
         for j, n in enumerate(grid):
             walk.steps(n - prev)
@@ -339,8 +343,7 @@ def bounded_projection_experiment(
         cell_axis = axis.translate(h)
         base = line_positions(cell_axis, p)[0]
         hits = np.zeros(len(ns), dtype=np.int64)
-        for i in range(config.samples):
-            walk = Walk(kernel, p, seed + 1000 * ci, i)
+        for walk in ensemble(kernel, p, seed + 1000 * ci, range(config.samples), max(ns, default=0)):
             prev = 0
             for j, n in enumerate(ns):
                 walk.steps(n - prev)
@@ -435,8 +438,9 @@ def tail_experiment(
     g_counts = np.zeros(t_max + 1, dtype=np.int64)
     f_counts = np.zeros(t_max + 1, dtype=np.int64)
     templates = [AxisTracker(model, ax, p) for ax in axes]
-    for i in range(config.samples):
-        walk = Walk(kernel, p, seed, i)
+    # phase, q and base are fixed per axis: a spread is a function of fwd or -bwd
+    spreads: list[dict[int, int]] = [{} for _ in axes]
+    for walk in ensemble(kernel, p, seed, range(config.samples), n):
         trackers = [tr.copy() for tr in templates]
         for tr in trackers:
             walk.attach(tr)
@@ -444,10 +448,12 @@ def tail_experiment(
         final = 0
         for _ in walk.run(n):
             total = 0
-            for tr, base in zip(trackers, bases):
-                pos = tr.positions()
-                if pos != base:
-                    total += max(pos + base) - min(pos + base)
+            for tr, memo, base in zip(trackers, spreads, bases):
+                spread = memo.get(tr.fwd or -tr.bwd)
+                if spread is None:
+                    pos = tr.positions()
+                    spread = memo[tr.fwd or -tr.bwd] = 0 if pos == base else max(pos + base) - min(pos + base)
+                total += spread
             running_max = max(running_max, total)
             final = total
         g_counts[: min(running_max, t_max) + 1] += 1

@@ -23,6 +23,7 @@ the same way.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from typing import Iterable, Iterator, Sequence
@@ -703,6 +704,8 @@ def pivot(
     The search tries powers of the model's independent loxodromics first and
     then the whole ball, stopping early once both values are <= bound.
     """
+    if not 0 <= bound < math.inf:
+        raise GroupError(f"pivot: bound must be a finite number >= 0, got {bound}")
     model = orbit.group
     p = alpha.vertices[0]
     if q not in set(alpha.vertices):

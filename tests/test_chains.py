@@ -4,6 +4,9 @@ from fractions import Fraction
 
 import pytest
 
+import numpy as np
+
+from ggtlab import experiments
 from ggtlab.chains import (
     ChainError,
     CompositionQI,
@@ -12,7 +15,10 @@ from ggtlab.chains import (
     Kernel,
     LeftTranslation,
     branch_swap,
+    Walk,
+    _pick,
     check_irreducibility,
+    ensemble,
     estimate_nonamenability,
     make_invariant,
     push_forward,
@@ -81,6 +87,53 @@ def test_distinct_indices_decouple(f2k, walk):
     t2 = simulate(walk, f2k.identity(), 10, seed=5, index=1)
     assert t1.states != t2.states
 
+
+
+# --- walk ensembles ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("seed", [0, 2**63 - 1 + 1000 * 34, 2**64 - 1])
+def test_ensemble_walks_draw_each_trajectorys_own_stream(f2k, walk, seed):
+    indices = [0, 1, 2**64 - 1]
+    for horizon in (1, 3, 4, 5, 200):
+        walks = list(ensemble(walk, f2k.identity(), seed, indices, horizon))
+        for i, got in zip(indices, walks):
+            assert got.picks == _pick(walk.cdf, trajectory_rng(seed, i).random(horizon)).tolist()
+
+
+def test_walks_refuse_steps_past_their_horizon(f2k, walk):
+    z2 = model_from_descriptor("Z^2")
+    for kernel, start in ((walk, f2k.identity()), (srw(z2), z2.identity())):
+        stepped = Walk(kernel, start, trajectory_rng(4), 5)
+        stepped.steps(3)
+        with pytest.raises(ChainError, match="horizon"):
+            stepped.steps(3)
+        run = Walk(kernel, start, trajectory_rng(4), 5)
+        with pytest.raises(ChainError, match="horizon"):
+            list(run.run(6))
+    with pytest.raises(ChainError):
+        list(ensemble(walk, f2k.identity(), 1, [2**64], 3))
+
+
+def test_one_philox_per_ensemble(monkeypatch, f2k, walk):
+    made = []
+    real = np.random.Philox
+
+    def counted(*args, **kwargs):
+        made.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "Philox", counted)
+    assert len(list(ensemble(walk, f2k.identity(), 3, range(40), 10))) == 40
+    assert len(made) == 1
+    made.clear()
+    cfg = experiments.ExperimentConfig(samples=30, seed=5, n_grid=(5, 20))
+    experiments.linear_progress_experiment(cfg)
+    experiments.tail_experiment(cfg, n=20)
+    cells = [(w(f2k, "a"), w(f2k, "b")), (w(f2k, "b"), w(f2k, "a b"))]
+    experiments.bounded_projection_experiment(cfg, cells=cells, n_list=(4, 8))
+    # one for progress, one for tail, one per bounded-projection cell
+    assert len(made) == 4
 
 def law_path(kernel, start, n, seed, index):
     """Reference sampler: step the kernel's own law at every state."""

@@ -252,6 +252,12 @@ def test_order_refused_before_enumerating(monkeypatch, capsys):
         # below 2 the search family is empty
         (["incompat", "--L", "-1"], 1, "validation"),
         (["incompat", "--L", "1"], 1, "validation"),
+        # Fraction("1/0") raises ZeroDivisionError, which is no ValueError
+        (["simulate", "--seed", "1", "--steps", "3", "--kernel", "lazy:1/0"], 1, "validation"),
+        (["progress", "--seed", "1", "--samples", "5", "--kernel", "lazy:1/0"], 1, "validation"),
+        # no Hausdorff bound below 0 can hold
+        (["fibers", "--x", "x", "--y", "y", "--bound", "-1"], 1, "validation"),
+        (["pivot", "--alpha", "a^3", "--bound", "-1"], 1, "validation"),
     ],
 )
 def test_refused_inputs_write_nothing(tmp_path, capsys, argv, code, kind):
@@ -260,6 +266,57 @@ def test_refused_inputs_write_nothing(tmp_path, capsys, argv, code, kind):
     assert got == code
     assert err.startswith(f"error: {kind}:") and err.count("\n") == 1
     assert out == "" and not outdir.exists()
+
+
+# sha256 of stdout (the output directory spelled OUT) followed by the written
+# file, recorded before the walks of an experiment shared one generator; the
+# seeds are none that the benchmark draws, and bounded-proj runs its default
+# cells
+_WALK_RUNS = {
+    "progress": (["--samples", "300", "--n", "7,30,64,150", "--C", "3,5"], "progress.csv"),
+    "tail": (["--samples", "200", "--steps", "100"], "tail.csv"),
+    "bounded-proj": (["--samples", "10"], "bounded_proj.csv"),
+    "simulate": (["--steps", "40", "--count", "3"], "trajectories.jsonl"),
+}
+
+
+@pytest.mark.parametrize(
+    "command, kernel, seed, pin",
+    [
+        ("progress", "srw", 7_000_003, "f02943fe15fa54531c0881558d57a4dd15f9369ef76ce623d26e29ed1d25c62e"),
+        ("tail", "srw", 7_000_003, "74ecaca57124dfb07c83e7cdcaf867e3ee72f7669cb078513a3f7396ec4b5f9e"),
+        ("bounded-proj", "srw", 7_000_003, "0f207286111cf82dedbfb78b0887ecf0a1d45d3ebc420d423a1305416bc39502"),
+        ("simulate", "srw", 7_000_003, "ae232bcc719d8272012ba3a4bf0237bb6301d6cb743d68addd2300b7f93c0893"),
+        ("progress", "srw", 424_242_424_242, "d25f6e77e95e11d96cead1389a5d1480fe05591934ded759fe3ff119934fefdc"),
+        ("tail", "srw", 424_242_424_242, "d212d0c93a36e9bf5c19f57f853348b0b67581ea2702afd3065c63de3f7d5272"),
+        ("bounded-proj", "srw", 424_242_424_242, "2169fec832bc9539b637b97523a7b7b7e8a3acf94529e2aeb44154c774e25de6"),
+        ("simulate", "srw", 424_242_424_242, "b5ddabd43357a0b88f9cd36b1f593199c0d6ee596e32a575b38d43be61e75e90"),
+        ("progress", "srw", 2**63 - 1, "aa1a94873c551b92501ce432ffed6b65e4ab52da6695ef7b39c7d5cefe1e242b"),
+        ("tail", "srw", 2**63 - 1, "5f0c0fbbedb00ca4a7c1684cb8954183c33817dfc9ae672fe102de8687a1581e"),
+        ("bounded-proj", "srw", 2**63 - 1, "221bbc03bc7ef103ccff70fb94b9061802d65dc1211237ac4ad4e2d1516f13ff"),
+        ("simulate", "srw", 2**63 - 1, "b23b0d640c9eec18fb863dbfdcbb5d41e273920293b18127aab2a6f6d4fa293f"),
+        ("progress", "lazy:1/2", 7_000_003, "df04d427444efc463f6a181268ad7a5ff4202eb6e0f3eb3c84ed55b5d0f383ae"),
+        ("tail", "lazy:1/2", 7_000_003, "637d21656a0c8d495e53cd014dbfa43ed4a8af2086f21b2bfcadb1771ed27a10"),
+        ("bounded-proj", "lazy:1/2", 7_000_003, "176639558b3f4da147c7b3c6ab80028358fffffce5613df434cb9fcee3c94516"),
+        ("simulate", "lazy:1/2", 7_000_003, "6c2dec808b6f205845364dbc5706b2a4055125e942e581b9b7609ec4f3809da0"),
+        ("progress", "lazy:1/2", 424_242_424_242, "46e1ca44f6aa4ea0d7d3d97725c246afd9eac6e25e125cfd2c5cf0848df268de"),
+        ("tail", "lazy:1/2", 424_242_424_242, "ed571e396a5fb8ce04a1d6ba7f193f21e74f345a2e26794ff185db88120db0b0"),
+        ("bounded-proj", "lazy:1/2", 424_242_424_242, "ccc801b208cd0b3058755c22002dd47e89a4851208687c6db74436758133932b"),
+        ("simulate", "lazy:1/2", 424_242_424_242, "8037a733a9b3e7752be54dbad2c707dfdd9bc1e399ceccb6de44fce6942de529"),
+        ("progress", "lazy:1/2", 2**63 - 1, "e80a702c1a5e9f5f720ebff58a332e418e0840e4894351dc1302d6207980ff8e"),
+        ("tail", "lazy:1/2", 2**63 - 1, "301938913361c82d1d908a57141f263c4037917438cfc15038707566236b4035"),
+        ("bounded-proj", "lazy:1/2", 2**63 - 1, "97a607b4000d038322316cd1b37cc37065c6ea73dc8195cc7aed44fe292d4455"),
+        ("simulate", "lazy:1/2", 2**63 - 1, "be331f98cefc4e6173ab4958aa3a6ec85c4186caef5a1397e4b976eff8742e52"),
+    ],
+)
+def test_golden_walk_outputs(tmp_path, capsys, command, kernel, seed, pin):
+    import hashlib
+
+    flags, name = _WALK_RUNS[command]
+    code, out, _ = run(capsys, command, "--seed", str(seed), "--kernel", kernel, *flags, "--out", str(tmp_path))
+    assert code == 0
+    text = out.replace(str(tmp_path), "OUT") + (tmp_path / name).read_text()
+    assert hashlib.sha256(text.encode()).hexdigest() == pin
 
 
 def full_parser_run(capsys, argv):

@@ -56,7 +56,7 @@ def test_free_walk_matches_simulate(f2):
     cdf = np.cumsum([float(p) for _, p in kernel.measure])
     cdf[-1] = 1.0
     for idx in range(4):
-        walk = Walk(kernel, start, seed=9, index=idx)
+        walk = Walk(kernel, start, trajectory_rng(9, idx), 25)
         walk.steps(10)
         walk.steps(15)
         traj = simulate(kernel, start, 25, seed=9, index=idx)
@@ -79,7 +79,7 @@ def test_tracker_matches_projection_distance(f2, f2_tree, f2_orbit):
         ax = axis_of(f2_tree, w(f2, root)).translate(w(f2, shift))
         p = w(f2, "a b")
         base = line_positions(ax, p)[0]
-        walk = Walk(kernel, p, seed=seed, index=0)
+        walk = Walk(kernel, p, trajectory_rng(seed), 150)
         tracker = AxisTracker(f2, ax, p)
         walk.attach(tracker)
         for _ in walk.run(150):

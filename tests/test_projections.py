@@ -322,6 +322,20 @@ def test_pivot_b_powers_uncouple_a_axis(f2, f2_tree, f2_orbit):
     assert max(res.values) <= 2
 
 
+
+@pytest.mark.parametrize("bound", [-1, float("inf"), float("nan")])
+def test_pivot_refuses_a_bound_before_searching(monkeypatch, f2, f2_tree, f2_orbit, bound):
+    import ggtlab.projections
+
+    def fail(*args, **kwargs):
+        raise AssertionError("pivot searched for a refused bound")
+
+    monkeypatch.setattr(ggtlab.projections, "ball", fail)
+    monkeypatch.setattr(ggtlab.projections, "coset_distance", fail)
+    alpha = geodesic(f2, f2.identity(), w(f2, "a^3"))
+    with pytest.raises(GroupError, match="bound"):
+        pivot(f2_orbit, alpha, w(f2, "a^3"), axis_of(f2_tree, w(f2, "a")), s=3, bound=bound)
+
 def test_pivot_bass_serre(z2z, bs_tree, bs_orbit):
     from ggtlab.groups import geodesic as geo
 
