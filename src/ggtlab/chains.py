@@ -473,8 +473,8 @@ class ExactLaw:
 
 
 def fit_log_linear(points: Sequence[tuple[int, float]]) -> tuple[float, float] | None:
-    """Least-squares line through (n, log v): (slope, R^2); None below two points."""
-    if len(points) < 2:
+    """Least-squares line through (n, log v): (slope, R^2); None below two distinct n."""
+    if len({n for n, _ in points}) < 2:
         return None
     xs = np.array([n for n, _ in points], dtype=float)
     ys = np.log([v for _, v in points])
@@ -491,7 +491,6 @@ class IrreducibilityResult:
     target: Word
     eps: Fraction
     k: int
-    base_points: tuple[Word, ...]
 
 
 def check_irreducibility(
@@ -516,7 +515,7 @@ def check_irreducibility(
             best = (worst, k)
     if best is None:
         raise ChainError(f"no positive probability of the step {s} within {k_max} steps")
-    return IrreducibilityResult(s, best[0], best[1], tuple(base_points))
+    return IrreducibilityResult(s, best[0], best[1])
 
 
 def _is_uniform_free_walk(kernel: Kernel) -> tuple[bool, Fraction]:

@@ -33,13 +33,12 @@ from .projections import (
     project_to_set,
     translate_axis_pool,
 )
-from .spaces import BassSerreTree, CayleyTree, cone_off, cyclic_coset_family, delta_estimate, identity_orbit
+from .spaces import BassSerreTree, cone_off, cyclic_coset_family, delta_estimate, top_level_orbit
 
 
 def _setup():
-    f2 = model_from_descriptor("F2")
-    tree = CayleyTree(f2)
-    return f2, tree, identity_orbit(tree)
+    orbit = top_level_orbit(model_from_descriptor("F2"))
+    return orbit.group, orbit.space, orbit
 
 
 def check_ball_counts() -> tuple[bool, str]:

@@ -2,8 +2,11 @@
 
 One subcommand per capability; stochastic subcommands require a seed (from
 --seed or the config file) and produce byte-identical outputs for identical
-(config, seed).  Exit codes: 0 success, 1 validation error, 2 certification
-failure, 3 property-suite failure.
+(config, seed).  Only stochastic subcommands take --config, and only those
+that write files take --out.  Subcommands that work in a tree use the
+model's top-level tree (`spaces.top_level_orbit`); their --space flag may
+only name that tree.  Exit codes: 0 success, 1 validation error, 2
+certification failure, 3 property-suite failure.
 """
 
 from __future__ import annotations
@@ -54,12 +57,12 @@ from .projections import (
 from .spaces import (
     BassSerreTree,
     CayleyTree,
-    bass_serre_orbit,
+    OrbitMap,
+    SpaceError,
     cone_off,
     cyclic_coset_family,
     fibre_separation_profile,
-    first_factor_orbit,
-    identity_orbit,
+    top_level_orbit,
 )
 
 EXIT_OK = 0
@@ -78,15 +81,15 @@ def _emit(args, name: str, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _setup_tree(model_text: str, space: str):
-    model = model_from_descriptor(model_text)
-    if space == "cayley":
-        tree = CayleyTree(model)
-        return model, tree, identity_orbit(tree)
-    if space == "bass-serre":
-        tree = BassSerreTree(model)
-        return model, tree, bass_serre_orbit(tree)
-    raise GroupError(f"unknown space {space!r}")
+_SPACES = {"cayley": CayleyTree, "bass-serre": BassSerreTree}
+
+
+def _orbit(args) -> OrbitMap:
+    """The model's top-level orbit map; an explicit --space must name its tree."""
+    orbit = top_level_orbit(model_from_descriptor(args.model))
+    if args.space is not None and not isinstance(orbit.space, _SPACES[args.space]):
+        raise SpaceError(f"--space {args.space} is not the top-level tree of {args.model}")
+    return orbit
 
 
 def _load_config(args) -> ExperimentConfig:
@@ -122,7 +125,8 @@ def cmd_ball(args) -> int:
 
 
 def cmd_project(args) -> int:
-    model, tree, orbit = _setup_tree(args.model, args.space)
+    orbit = _orbit(args)
+    model = orbit.group
     ax = make_axis(model, parse_word(model, args.axis_root), parse_word(model, args.axis_rep))
     from .projections import project_to_set
 
@@ -135,10 +139,11 @@ def cmd_project(args) -> int:
 def _coset_search(args):
     """The orbit map and g, o, p of a coset search, refused before it
     enumerates when `enumerate_cosets` could not certify the record."""
-    model, tree, orbit = _setup_tree(args.model, args.space)
+    orbit = _orbit(args)
+    model = orbit.group
     g = parse_word(model, args.g)
     o, p = parse_word(model, args.o), parse_word(model, args.p)
-    if not enumeration_certifiable(orbit, args.T, len(axis_of(tree, g).root)):
+    if not enumeration_certifiable(orbit, args.T, len(axis_of(orbit.space, g).root)):
         raise CertificationError("enumeration window insufficient")
     return orbit, g, o, p
 
@@ -162,10 +167,11 @@ def cmd_order(args) -> int:
 
 
 def cmd_pivot(args) -> int:
-    model, tree, orbit = _setup_tree(args.model, args.space)
+    orbit = _orbit(args)
+    model = orbit.group
     target = parse_word(model, args.alpha)
     path = geodesic(model, model.identity(), target)
-    h_axis = axis_of(tree, parse_word(model, args.h)).translate(parse_word(model, args.h_rep))
+    h_axis = axis_of(orbit.space, parse_word(model, args.h)).translate(parse_word(model, args.h_rep))
     res = pivot(orbit, path, target, h_axis, args.s, bound=args.bound)
     verdict = "pass" if res.passed else "no pivot within bound (best shown)"
     print(f"pivot: q' = [{res.pivot}] values={res.values} {verdict} (examined {res.examined})")
@@ -195,8 +201,9 @@ def cmd_progress(args) -> int:
     _emit(args, "progress.csv", res.csv())
     for n, drift in res.drifts:
         print(f"n={n}: drift {drift:.4f}")
-    if res.fit.slope is not None:
-        print(f"failure decay slope {res.fit.slope:.4f} (R^2 {res.fit.r_squared:.3f})")
+    if res.fit is not None:
+        slope, r_squared = res.fit
+        print(f"failure decay slope {slope:.4f} (R^2 {r_squared:.3f})")
     return EXIT_OK
 
 
@@ -232,8 +239,11 @@ def cmd_morse(args) -> int:
     seg = geodesic(model, model.identity(), target)
     grid = []
     for cell in args.grid.split(";"):
-        lam, eps = cell.split(",")
-        grid.append((float(lam), float(eps)))
+        try:
+            lam, eps = map(float, cell.split(","))
+        except ValueError:
+            raise GroupError(f"--grid cell {cell!r} is not two numbers lam,eps") from None
+        grid.append((lam, eps))
     cert = morse_certificate(model, seg, grid, args.window)
     _emit(args, "morse.csv", cert.to_csv())
     for (lam, eps), cell in sorted(cert.cells.items()):
@@ -282,18 +292,8 @@ def cmd_fibers(args) -> int:
 
 
 def cmd_separation(args) -> int:
-    model = model_from_descriptor(args.model)
-    if args.model == "F2":
-        tree = CayleyTree(model)
-        orbit = identity_orbit(tree)
-        x = parse_word(model, args.x)
-        y = parse_word(model, args.y)
-    else:
-        inner_model = model.left
-        tree = CayleyTree(inner_model)
-        orbit = first_factor_orbit(model, identity_orbit(tree))
-        x = parse_word(inner_model, args.x)
-        y = parse_word(inner_model, args.y)
+    orbit = top_level_orbit(model_from_descriptor(args.model))
+    x, y = (parse_word(orbit.space.model, t) for t in (args.x, args.y))
     truncs = [int(t) for t in args.truncations.split(",")]
     prof = fibre_separation_profile(orbit, x, y, args.r, args.s, truncs)
     print(f"profile {prof.pairs}; verdict {prof.verdict}")
@@ -323,13 +323,15 @@ def cmd_check(args) -> int:
 
 
 _MODEL = ("--model", {"default": "F2"})
-_SPACE = ("--space", {"default": "cayley", "choices": ["cayley", "bass-serre"]})
+_SPACE = ("--space", {"default": None, "choices": list(_SPACES), "help": "the model's top-level tree (default)"})
+_OUT = ("--out", {"help": "output directory"})
 _EXPERIMENT = (("--model", {"default": None}), ("--kernel", {"default": None}))
 _SAMPLES = ("--samples", {"type": int, "default": None})
 
-# name -> (handler, help, takes --seed, arguments after --config/--out)
+# name -> (handler, help, stochastic: takes --config and --seed, arguments after those)
 _COMMANDS = {
     "ball": (cmd_ball, "enumerate a metric ball", False, (
+        _OUT,
         _MODEL,
         ("--center", {"default": "e"}),
         ("--radius", {"type": int, "required": True}),
@@ -342,6 +344,7 @@ _COMMANDS = {
         ("--axis-rep", {"default": "e"}),
     )),
     "htsum": (cmd_htsum, "threshold cosets and their distance sum", False, (
+        _OUT,
         _MODEL,
         _SPACE,
         ("--g", {"default": "a"}),
@@ -368,23 +371,27 @@ _COMMANDS = {
         ("--bound", {"type": int, "default": 4}),
     )),
     "simulate": (cmd_simulate, "sample seeded trajectories", True, (
+        _OUT,
         *_EXPERIMENT,
         ("--start", {"default": "e"}),
         ("--steps", {"type": int, "required": True}),
         ("--count", {"type": int, "default": 1}),
     )),
     "progress": (cmd_progress, "linear-progress experiment", True, (
+        _OUT,
         *_EXPERIMENT,
         _SAMPLES,
         ("--n", {"default": None, "help": "comma-separated checkpoints"}),
         ("--C", {"default": None, "help": "comma-separated divisors"}),
     )),
     "bounded-proj": (cmd_bounded_proj, "bounded-projection probability experiment", True, (
+        _OUT,
         *_EXPERIMENT,
         _SAMPLES,
         ("--bound", {"type": float, "default": 2.0}),
     )),
     "tail": (cmd_tail, "tail-curve experiment with recursion check", True, (
+        _OUT,
         *_EXPERIMENT,
         _SAMPLES,
         ("--T", {"type": int, "default": None}),
@@ -395,6 +402,7 @@ _COMMANDS = {
         ("--eps", {"type": float, "default": 0.2}),
     )),
     "morse": (cmd_morse, "windowed Morse certificate", False, (
+        _OUT,
         _MODEL,
         ("--segment", {"required": True, "help": "segment target word"}),
         ("--grid", {"default": "1,0;1,2;2,2"}),
@@ -408,6 +416,7 @@ _COMMANDS = {
         ("--L", {"type": int, "default": 24}),
     )),
     "cone": (cmd_cone, "coned-off metric ball", False, (
+        _OUT,
         _MODEL,
         ("--radius", {"type": int, "required": True}),
         ("--cone", {"action": "append", "help": "root whose cosets get coned (repeatable)"}),
@@ -457,9 +466,8 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         if command is not None and name != command:
             continue
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", help="plain-text key=value config file")
-        p.add_argument("--out", help="output directory")
         if stochastic:
+            p.add_argument("--config", help="plain-text key=value config file")
             p.add_argument("--seed", type=int, default=None, help="mandatory for stochastic runs")
         for flag, kwargs in arguments:
             p.add_argument(flag, **kwargs)

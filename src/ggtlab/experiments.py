@@ -26,7 +26,7 @@ from . import __version__
 from .chains import Kernel, branch_swap, ensemble, fit_log_linear, push_forward, srw
 from .groups import FreeGroup, GroupModel, Word, ball, model_from_descriptor, parse_word
 from .projections import Axis, _lcp, _line_data, _spell, axis_of, enumerate_cosets, line_positions, nearest_positions
-from .spaces import CayleyTree, OrbitMap, identity_orbit
+from .spaces import OrbitMap, top_level_orbit
 
 
 class ExperimentError(ValueError):
@@ -133,12 +133,11 @@ def resolve_kernel(model: GroupModel, spec: str) -> Kernel:
 
 def resolve_setup(config: ExperimentConfig) -> tuple[GroupModel, OrbitMap, Kernel, Axis]:
     model = model_from_descriptor(config.model)
-    if not isinstance(model, FreeGroup):
+    orbit = top_level_orbit(model)
+    if not orbit.is_identity:
         raise ExperimentError("experiments are shipped for free-group Cayley trees")
-    tree = CayleyTree(model)
-    orbit = identity_orbit(tree)
     kernel = resolve_kernel(model, config.kernel)
-    axis = axis_of(tree, parse_word(model, config.g))
+    axis = axis_of(orbit.space, parse_word(model, config.g))
     return model, orbit, kernel, axis
 
 
@@ -207,19 +206,11 @@ class ProgressRow:
 
 
 @dataclass(frozen=True)
-class FailureFit:
-    slope: float | None
-    r_squared: float | None
-    cells_used: int
-    excluded: tuple[tuple[int, float], ...]
-
-
-@dataclass(frozen=True)
 class ProgressResult:
     config: ExperimentConfig
     rows: tuple[ProgressRow, ...]
     drifts: tuple[tuple[int, float], ...]
-    fit: FailureFit
+    fit: tuple[float, float] | None  # failure-decay (slope, R^2)
 
     def csv(self) -> str:
         lines = [
@@ -257,21 +248,11 @@ def linear_progress_experiment(config: ExperimentConfig) -> ProgressResult:
             rows.append(ProgressRow(n, c, p_hat, se, hits))
     drifts = tuple((n, float(dists[:, j].mean()) / n) for j, n in enumerate(grid))
     # failure-probability decay, cells with at least 10 failures
-    fit_cells = []
-    excluded = []
-    for r in rows:
-        failures = config.samples - r.successes
-        if failures >= 10:
-            fit_cells.append((r.n, failures / config.samples))
-        else:
-            excluded.append((r.n, r.c))
-    fitted = fit_log_linear(fit_cells)
-    fit = FailureFit(
-        fitted[0] if fitted else None,
-        fitted[1] if fitted else None,
-        len(fit_cells),
-        tuple(excluded),
-    )
+    fit = fit_log_linear([
+        (r.n, (config.samples - r.successes) / config.samples)
+        for r in rows
+        if config.samples - r.successes >= 10
+    ])
     return ProgressResult(config, tuple(rows), drifts, fit)
 
 
@@ -283,7 +264,6 @@ def linear_progress_experiment(config: ExperimentConfig) -> ProgressResult:
 class BoundedProjectionResult:
     config: ExperimentConfig
     cells: tuple[tuple[Word, Word], ...]
-    n_list: tuple[int, ...]
     bound: float
     table: dict
     min_probability: float
@@ -354,7 +334,7 @@ def bounded_projection_experiment(
         for j, n in enumerate(ns):
             table[(ci, n)] = hits[j] / config.samples
     min_prob = min(table.values())
-    return BoundedProjectionResult(config, tuple(cells), ns, bound, table, float(min_prob))
+    return BoundedProjectionResult(config, tuple(cells), bound, table, float(min_prob))
 
 
 # ---------------------------------------------------------------------------
@@ -371,8 +351,6 @@ class TailCurve:
     g_counts: tuple[int, ...]
     f_counts: tuple[int, ...]
     samples: int
-    c_fit: float | None
-    c_envelope: float | None
     c_prime: float | None
 
     def g(self) -> np.ndarray:
@@ -462,17 +440,8 @@ def tail_experiment(
     fit_pts = [(t, g_hat[t]) for t in range(1, t_max + 1) if g_counts[t] >= 10]
     fitted = fit_log_linear(fit_pts)
     c_fit = -1.0 / fitted[0] if fitted and fitted[0] < 0 else None
-    c_env = None
-    env_candidates = [
-        t / math.log(2 / g_hat[t]) for t, _ in fit_pts if g_hat[t] < 2
-    ]
-    if env_candidates:
-        c_env = max(env_candidates)
-    c_prime: float | None
-    if c_fit is not None and c_env is not None:
-        c_prime = max(c_fit, c_env)
-    else:
-        c_prime = c_fit if c_fit is not None else c_env
+    c_env = [t / math.log(2 / g_hat[t]) for t, _ in fit_pts if g_hat[t] < 2]
+    c_prime = max(c_env + ([] if c_fit is None else [c_fit]), default=None)
     return TailCurve(
         config,
         o,
@@ -482,8 +451,6 @@ def tail_experiment(
         tuple(int(x) for x in g_counts),
         tuple(int(x) for x in f_counts),
         config.samples,
-        c_fit,
-        c_env,
         c_prime,
     )
 

@@ -545,6 +545,8 @@ def _tokenize_model(text: str) -> list[str]:
             j = i
             while j < len(text) and (text[j].isalnum() or text[j] == "^"):
                 j += 1
+            if j == i:
+                raise GroupError(f"unexpected character {ch!r} in model descriptor {text!r}")
             toks.append(text[i:j])
             i = j
     return toks

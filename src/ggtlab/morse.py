@@ -13,6 +13,7 @@ the cell is marked as a found witness.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -224,13 +225,14 @@ def morse_certificate(
     seg = tuple(segment.vertices if isinstance(segment, GeodesicPath) else segment)
     if len(seg) < 2:
         raise GroupError("segment must have at least two vertices")
+    for lam, eps in grid:
+        if not (1 <= lam < math.inf and 0 <= eps < math.inf):
+            raise GroupError(f"grid cells need 1 <= lambda < inf and 0 <= eps < inf, got ({lam}, {eps})")
     win = _window(model, seg, window)
     cells: dict = {}
     n = len(seg) - 1
     anchors = [(0, n), (0, n // 2), (n // 2, n)] if n >= 2 else [(0, n)]
     for lam, eps in grid:
-        if lam < 1 or eps < 0:
-            raise GroupError("grid cells need lambda >= 1 and eps >= 0")
         if (lam, eps) == (1, 0):
             cells[(lam, eps)] = _exact_geodesic_cell(model, seg, window, win)
         else:
@@ -260,7 +262,6 @@ class IncompatibilityWitness:
     point: Word
     margin: int
     kappa: int
-    prefix_bound: int
 
 
 _WITNESS_BUDGET = 4000  # ray-vertex pairs `incompatibility_witness` examines
@@ -304,9 +305,7 @@ def incompatibility_witness(
                         d = to_beta[p.letters] = min(distance_row(model, p, beta))
                     margin = d - threshold
                     if margin > 0 and (best is None or margin > best.margin):
-                        best = IncompatibilityWitness(
-                            mu, (1, 0), p, margin, kappa, prefix_bound
-                        )
+                        best = IncompatibilityWitness(mu, (1, 0), p, margin, kappa)
     return best
 
 

@@ -344,7 +344,6 @@ def _project_cayley(axis: Axis, x: Word) -> tuple[tuple[Word, ...], int]:
 
 @dataclass(frozen=True)
 class ProjectionValue:
-    source: Word
     points: tuple[Word, ...]
     distance: int
     method: str
@@ -369,9 +368,9 @@ def project_to_set(orbit: OrbitMap, x: Word, target) -> ProjectionValue:
     a window, which is wide enough that the axis has provably escaped past
     the distance of its representative.
     """
-    if isinstance(target, Axis) and isinstance(orbit.space, CayleyTree) and orbit.name == "identity":
+    if orbit.is_identity and isinstance(target, Axis):
         pts, dist = _project_cayley(target, x)
-        return ProjectionValue(x, pts, dist, "analytic")
+        return ProjectionValue(pts, dist, "analytic")
     px = orbit(x)
     window = None
     if isinstance(target, Axis):
@@ -387,7 +386,7 @@ def project_to_set(orbit: OrbitMap, x: Word, target) -> ProjectionValue:
         dists = [space_distance(orbit.space, px, orbit(p)) for p in pts]
     m = min(dists)
     chosen = tuple(sorted((p for p, d in zip(pts, dists) if d == m), key=Word.sort_key))
-    return ProjectionValue(x, chosen, m, "scan-finite" if window is None else "scan-axis", window)
+    return ProjectionValue(chosen, m, "scan-finite" if window is None else "scan-axis", window)
 
 
 def projection_of_set(orbit: OrbitMap, pts: Iterable[Word], target) -> frozenset[Word]:
@@ -443,7 +442,6 @@ def coset_distance(orbit: OrbitMap, axis, x, y) -> int:
 
 @dataclass(frozen=True)
 class AlternativeReport:
-    checked: int
     violations: tuple
     bound: int
 
@@ -469,7 +467,7 @@ def behrstock_alternative(
             q2 = project_to_set(orbit, x, a2).points
             if _setdist_x(orbit, q2, p21) > bound:
                 violations.append(x)
-    return AlternativeReport(len(xs), tuple(violations), bound)
+    return AlternativeReport(tuple(violations), bound)
 
 
 # ---------------------------------------------------------------------------
@@ -526,8 +524,7 @@ def enumeration_certifiable(orbit: OrbitMap, threshold: int, root_length: int) -
     if threshold < 1:
         raise GroupError("threshold must be >= 1")
     q = root_length
-    tree_exact = isinstance(orbit.space, CayleyTree) and orbit.name == "identity"
-    return tree_exact and threshold > 2 * (q // 2) and threshold >= (q - 1) + 2 * (q // 2)
+    return orbit.is_identity and threshold > 2 * (q // 2) and threshold >= (q - 1) + 2 * (q // 2)
 
 
 def enumerate_cosets(orbit: OrbitMap, g: Word, o: Word, p: Word, threshold: int, window: int | None = None) -> CosetRecord:
@@ -546,7 +543,6 @@ def enumerate_cosets(orbit: OrbitMap, g: Word, o: Word, p: Word, threshold: int,
     base = axis_of(orbit.space, g)
     root = base.root
     q = len(root)
-    tree_exact = isinstance(orbit.space, CayleyTree) and orbit.name == "identity"
     certified = enumeration_certifiable(orbit, threshold, q)
     geo = geodesic(model, o, p).vertices
     seen: set[tuple[int, ...]] = set()
@@ -558,7 +554,7 @@ def enumerate_cosets(orbit: OrbitMap, g: Word, o: Word, p: Word, threshold: int,
             seen.add(key)
             axes.append(Axis(model, root, Word(model, key)))
 
-    if tree_exact:
+    if orbit.is_identity:
         rho0 = q // 2 + 1
         pad = ball(model, model.identity(), rho0, cap=max(rho0, 10))
         for v in geo:

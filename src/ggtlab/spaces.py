@@ -8,6 +8,10 @@ Three space kinds are shipped:
   with exact distances counted from syllables;
 * ``FiniteGraphSpace``: an explicit finite graph, used for coned-off balls.
 
+``top_level_orbit(model)`` is the one place that decides which tree a model
+acts on: the tree the lab takes as its maximal hyperbolic space.  Every
+orbit map comes from it.
+
 Coning is implemented as diameter-1 completion: each coned coset becomes a
 clique.  Cliques are stored implicitly (never expanded to edge lists) and the
 BFS treats a clique as a unit-cost hop, which gives exactly the metric of the
@@ -21,7 +25,7 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Hashable, Iterable, Sequence
 
 import numpy as np
@@ -226,23 +230,25 @@ def space_distance(space: SpaceModel, x, y) -> int:
 
 @dataclass(frozen=True)
 class OrbitMap:
-    """A rule g -> point of X; by convention rule(e) is the basepoint."""
+    """A rule g -> point of X; by convention rule(e) is the basepoint.
+
+    ``is_identity`` holds when the rule is the identity of a free group onto
+    its own Cayley tree, where projections have closed forms in the words.
+    It is set once, here, so the hot paths that branch on it read a field.
+    """
 
     group: GroupModel
     space: SpaceModel
     rule: Callable[[Word], Hashable]
-    name: str = "orbit"
+    name: str
+    is_identity: bool = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        tree = isinstance(self.space, CayleyTree)
+        object.__setattr__(self, "is_identity", tree and self.group is self.space.model)
 
     def __call__(self, w: Word) -> Hashable:
         return self.rule(w)
-
-
-def identity_orbit(tree: CayleyTree) -> OrbitMap:
-    return OrbitMap(tree.model, tree, lambda w: w, name="identity")
-
-
-def bass_serre_orbit(tree: BassSerreTree) -> OrbitMap:
-    return OrbitMap(tree.model, tree, lambda w: tree.vertex(0, w), name="coset-F0")
 
 
 def left_component(model: DirectProduct, w: Word) -> Word:
@@ -251,13 +257,29 @@ def left_component(model: DirectProduct, w: Word) -> Word:
     return Word(model.left, left_letters)
 
 
-def first_factor_orbit(model: DirectProduct, inner: OrbitMap) -> OrbitMap:
-    """Project G x Z onto G and apply an orbit map of G."""
-    if inner.group != model.left:
-        raise SpaceError("inner orbit map must live on the left factor")
-    return OrbitMap(
-        model, inner.space, lambda w: inner.rule(left_component(model, w)), name=f"proj+{inner.name}"
-    )
+def top_level_orbit(model: GroupModel) -> OrbitMap:
+    """The orbit map onto the tree the lab takes as the model's maximal
+    hyperbolic space.
+
+    * A free group maps by the identity onto its Cayley tree ("identity").
+    * A two-factor free product maps by g -> g·F0 onto its Bass-Serre tree
+      ("coset-F0").
+    * G x Z drops the central letters, then applies G's map ("proj+<inner>").
+
+    Any other model raises SpaceError.
+    """
+    if isinstance(model, FreeGroup):
+        return OrbitMap(model, CayleyTree(model), lambda w: w, "identity")
+    if isinstance(model, FreeProduct):
+        tree = BassSerreTree(model)  # refuses a product of more than two factors
+        return OrbitMap(model, tree, lambda w: tree.vertex(0, w), "coset-F0")
+    if isinstance(model, DirectProduct):
+        inner = top_level_orbit(model.left)
+        return OrbitMap(
+            model, inner.space, lambda w: inner.rule(left_component(model, w)), f"proj+{inner.name}"
+        )
+    raise SpaceError(f"no top-level tree for {model.describe()}: the lab has one for free groups, "
+                     "two-factor free products and their products with Z")
 
 
 # ---------------------------------------------------------------------------

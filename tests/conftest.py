@@ -6,7 +6,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from ggtlab.groups import model_from_descriptor, parse_word
-from ggtlab.spaces import BassSerreTree, CayleyTree, bass_serre_orbit, identity_orbit
+from ggtlab.spaces import top_level_orbit
 
 
 @pytest.fixture(scope="session")
@@ -35,23 +35,23 @@ def f2xz():
 
 
 @pytest.fixture(scope="session")
-def f2_tree(f2):
-    return CayleyTree(f2)
+def f2_orbit(f2):
+    return top_level_orbit(f2)
 
 
 @pytest.fixture(scope="session")
-def f2_orbit(f2_tree):
-    return identity_orbit(f2_tree)
+def f2_tree(f2_orbit):
+    return f2_orbit.space
 
 
 @pytest.fixture(scope="session")
-def bs_tree(z2z):
-    return BassSerreTree(z2z)
+def bs_orbit(z2z):
+    return top_level_orbit(z2z)
 
 
 @pytest.fixture(scope="session")
-def bs_orbit(bs_tree):
-    return bass_serre_orbit(bs_tree)
+def bs_tree(bs_orbit):
+    return bs_orbit.space
 
 
 def w(model, text):

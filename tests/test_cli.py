@@ -9,6 +9,9 @@ COMMANDS = (
     "ball", "project", "htsum", "order", "pivot", "simulate", "progress", "bounded-proj",
     "tail", "morse", "incompat", "cone", "fibers", "separation", "crossratio", "check",
 )
+# the subcommands that write files, and so take --out
+WRITERS = ("ball", "htsum", "simulate", "progress", "bounded-proj", "tail", "morse", "cone")
+STOCHASTIC = ("simulate", "progress", "bounded-proj", "tail")
 
 
 def run(capsys, *argv):
@@ -258,14 +261,72 @@ def test_order_refused_before_enumerating(monkeypatch, capsys):
         # no Hausdorff bound below 0 can hold
         (["fibers", "--x", "x", "--y", "y", "--bound", "-1"], 1, "validation"),
         (["pivot", "--alpha", "a^3", "--bound", "-1"], 1, "validation"),
+        # a character that starts no token once made the descriptor parser loop
+        (["ball", "--model", "F2.", "--radius", "1"], 1, "validation"),
+        # each --space value names the other tree
+        (["project", "--model", "Z^2 * Z", "--space", "cayley", "--x", "x", "--axis-root", "x z"], 1, "validation"),
+        (["project", "--space", "bass-serre", "--x", "a", "--axis-root", "b"], 1, "validation"),
+        # Z^2 acts on no tree of the lab
+        (["project", "--model", "Z^2", "--x", "x", "--axis-root", "y"], 1, "validation"),
+        # infinite or nan cells once failed inside the window search
+        (["morse", "--segment", "a^3", "--grid", "inf,0"], 1, "validation"),
+        (["morse", "--segment", "a^3", "--grid", "1,inf"], 1, "validation"),
+        (["morse", "--segment", "a^3", "--grid", "nan,0"], 1, "validation"),
+        (["morse", "--segment", "a^3", "--grid", "1,0;1"], 1, "validation"),
+        (["morse", "--segment", "a^3", "--grid", "1,0,2"], 1, "validation"),
     ],
 )
 def test_refused_inputs_write_nothing(tmp_path, capsys, argv, code, kind):
     outdir = tmp_path / "out"
-    got, out, err = run(capsys, *argv, "--out", str(outdir))
+    out_flag = ["--out", str(outdir)] if argv[0] in WRITERS else []
+    got, out, err = run(capsys, *argv, *out_flag)
     assert got == code
     assert err.startswith(f"error: {kind}:") and err.count("\n") == 1
     assert out == "" and not outdir.exists()
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_config_and_out_only_where_read(capsys, command):
+    code, out, _ = run(capsys, command, "--help")
+    assert code == 0
+    assert ("--config" in out) == (command in STOCHASTIC)
+    assert ("--out" in out) == (command in WRITERS)
+
+
+def test_space_defaults_to_the_top_level_tree(capsys):
+    argv = ["project", "--model", "Z^2 * Z", "--x", "x z y", "--axis-root", "x z"]
+    derived = run(capsys, *argv)
+    assert derived[0] == 0 and derived == run(capsys, *argv, "--space", "bass-serre")
+    assert run(capsys, "project", "--x", "b a", "--axis-root", "a") == run(
+        capsys, "project", "--x", "b a", "--axis-root", "a", "--space", "cayley"
+    )
+    code, out, err = run(capsys, "project", "--model", "(Z^2 * Z) x Z", "--x", "x t z", "--axis-root", "x z")
+    assert code == 0 and err == "" and "(scan-axis)" in out
+
+
+def test_golden_separation_stdout(capsys):
+    # sha256 of the stdout, recorded while the subcommand chose its orbit map
+    # by the model's name; F2 x Z reads the same Cayley tree of F2
+    cases = [("e", "a b a b", "1", "2", "4,6"), ("a", "b a^-2 b", "0", "1", "3,5,7"),
+             ("b", "a^2 b^-1 a", "1", "1", "3,5,7"), ("e", "a", "0", "1", "4,6,8")]
+    assert _pinned_stdout(capsys, [
+        ("separation", "--model", m, "--x", x, "--y", y, "--r", r, "--s", s, "--truncations", t)
+        for m in ("F2", "F2 x Z") for x, y, r, s, t in cases
+    ]) == "8b6c8ac91a0e469e88c5c67744e2cf9e13cd814e901efef324630be6ce08d040"
+
+
+def test_progress_prints_no_slope_over_one_n(capsys):
+    # only the n = 7 cells have 10 failures, so no failure-decay line can be fitted
+    import warnings
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(
+            capsys, "progress", "--seed", "7000003", "--kernel", "srw", "--samples", "120",
+            "--n", "7,30,64", "--C", "3,5",
+        )
+    assert code == 0 and err == ""
+    assert "drift" in out and "slope" not in out
 
 
 # sha256 of stdout (the output directory spelled OUT) followed by the written

@@ -215,8 +215,6 @@ def test_recursion_flat_region_flags_nonzero_g():
         tuple([10000] * (n_t + 1)),
         tuple([5000] * (n_t + 1)),
         10000,
-        None,
-        None,
         10.0,
     )
     rep = recursion_check(curve, gap=2, eps=0.5)
@@ -233,8 +231,8 @@ def test_csv_headers_share_one_line_with_the_package_version(f2):
     header = f"# config={cfg.digest()} seed=5 version={ggtlab.__version__}"
     assert cfg.csv_header() == header
     progress = ProgressResult(cfg, (), (), None)
-    bounded = BoundedProjectionResult(cfg, (), (), 0.0, {}, 0.0)
-    tail = TailCurve(cfg, f2.identity(), w(f2, "a"), 4, (), (), (), 1, None, None, None)
+    bounded = BoundedProjectionResult(cfg, (), 0.0, {}, 0.0)
+    tail = TailCurve(cfg, f2.identity(), w(f2, "a"), 4, (), (), (), 1, None)
     for csv in (progress.csv(), bounded.csv()):
         assert csv.splitlines()[0] == header
     assert tail.csv().splitlines()[0] == f"{header} o=e p=a n=4 Cprime=None"

@@ -52,6 +52,33 @@ def test_parse_rejects_garbage():
         parse_model("(Z^2 * Z")
 
 
+@pytest.mark.parametrize("text, char", [("F2.", "."), ("F2,", ","), ("Z^2 - Z", "-")])
+def test_stray_character_in_a_descriptor_is_refused(text, char):
+    # a character that starts no token once made the tokenizer loop without
+    # advancing; a child process with a time and memory limit turns such a
+    # regression into a failure instead of a hung suite
+    import resource
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import ggtlab
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (2**28, 2**28))
+
+    code = (
+        "from ggtlab.groups import GroupError, parse_model\n"
+        "try:\n    parse_model(input())\nexcept GroupError as exc:\n    print(exc)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], input=text, capture_output=True, text=True, timeout=10,
+        env={"PYTHONPATH": str(Path(ggtlab.__file__).parents[1])}, preexec_fn=limit_memory,
+    )
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert proc.stdout == f"unexpected character {char!r} in model descriptor {text!r}\n"
+
+
 def test_parse_word_and_str(f2):
     word = parse_word(f2, "b a^5 b")
     assert str(word) == "b a^5 b"

@@ -13,7 +13,6 @@ from ggtlab.morse import (
     tree_gauge,
 )
 from ggtlab.projections import axis_of
-from ggtlab.spaces import bass_serre_orbit
 
 from conftest import w
 from oracles import naive_ball
@@ -63,6 +62,21 @@ def test_free_product_z_segment(z2z):
     seg = geodesic(z2z, z2z.identity(), w(z2z, "z^6"))
     cert = morse_certificate(z2z, seg, [(1, 0)], window=3)
     assert cert.cells[(1, 0)].max_detour == 0
+
+
+@pytest.mark.parametrize(
+    "cell", [(float("inf"), 0), (1, float("inf")), (float("nan"), 0), (1, float("nan")), (0.5, 0), (1, -1)]
+)
+def test_bad_grid_cell_refused_before_the_window(monkeypatch, f2, cell):
+    import ggtlab.morse
+
+    def fail(*args, **kwargs):
+        raise AssertionError("window built for a refused grid")
+
+    monkeypatch.setattr(ggtlab.morse, "_window", fail)
+    seg = geodesic(f2, f2.identity(), w(f2, "a^3"))
+    with pytest.raises(GroupError, match="grid cells need"):
+        morse_certificate(f2, seg, [(1, 0), cell], window=3)
 
 
 def test_certificate_monotone_and_gauge(f2):

@@ -364,12 +364,12 @@ def _projection_lines(orbit, axes, xs, target=None):
 
 
 def test_golden_scan_projections(z2z, z2z_by_z, bs_tree, bs_orbit):
-    from ggtlab.spaces import first_factor_orbit
+    from ggtlab.spaces import top_level_orbit
 
     roots = ["x z", "y z^-1", "x y z", "z x^-1 z"]
     axes = [axis_of(bs_tree, w(z2z, r)).translate(w(z2z, h)) for r in roots for h in ("e", "z y", "x^-1 z")]
     bs_lines = list(_projection_lines(bs_orbit, axes, ball(z2z, z2z.identity(), 3)))
-    prod_orbit = first_factor_orbit(z2z_by_z, bs_orbit)
+    prod_orbit = top_level_orbit(z2z_by_z)
     prod_axes = [axis_of(bs_tree, w(z2z_by_z, r)) for r in ("x z", "x z t", "y z t^-2", "x z x^-1 z t")]
     prod_lines = list(_projection_lines(prod_orbit, prod_axes, ball(z2z_by_z, z2z_by_z.identity(), 2)))
     finite = ball(z2z, w(z2z, "z x"), 2)

@@ -12,19 +12,15 @@ from hypothesis import strategies as st
 from ggtlab import spaces
 from ggtlab.groups import Word, ball, neighbours, word_distance
 from ggtlab.spaces import (
-    BassSerreTree,
-    CayleyTree,
     FiniteGraphSpace,
     SpaceError,
-    bass_serre_orbit,
     cone_off,
     cyclic_coset_family,
     delta_estimate,
     fibre_separation_profile,
-    first_factor_orbit,
-    identity_orbit,
     left_component,
     space_distance,
+    top_level_orbit,
 )
 
 from conftest import w
@@ -113,8 +109,7 @@ def test_orbit_lipschitz_constants(f2_orbit, bs_orbit):
 
 
 def test_first_factor_orbit(f2xz):
-    inner = identity_orbit(CayleyTree(f2xz.left))
-    orbit = first_factor_orbit(f2xz, inner)
+    orbit = top_level_orbit(f2xz)
     word = w(f2xz, "a t^3 b")
     assert orbit(word) == w(f2xz.left, "a b")
     assert left_component(f2xz, word) == w(f2xz.left, "a b")
@@ -322,8 +317,7 @@ def test_fibre_separation_identity_orbit_bounded(f2, f2_orbit):
 def test_fibre_separation_fibered_growing(f2xz):
     # fibres are {g} x Z; for adjacent base points the s-thickened fibre of x
     # meets the fibre of y in a whole line, so the truncated diameter grows
-    inner = identity_orbit(CayleyTree(f2xz.left))
-    orbit = first_factor_orbit(f2xz, inner)
+    orbit = top_level_orbit(f2xz)
     x = f2xz.left.identity()
     y = w(f2xz.left, "a")
     prof = fibre_separation_profile(orbit, x, y, r=0, s=1, truncations=[4, 6, 8])
@@ -349,7 +343,7 @@ def test_golden_fibre_separation_profiles(f2, f2xz, z2z, f2_orbit, bs_tree, bs_o
     # sha256 recorded before `fibre_separation_profile` lost its unused `cap`
     import hashlib
 
-    fibred = first_factor_orbit(f2xz, identity_orbit(CayleyTree(f2xz.left)))
+    fibred = top_level_orbit(f2xz)
     cases = [
         (f2_orbit, f2.identity(), w(f2, "a b a b"), 1, 2, [4, 6, 8]),
         (f2_orbit, w(f2, "b"), w(f2, "a^2 b^-1 a"), 1, 1, [3, 5, 7]),
