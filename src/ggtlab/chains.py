@@ -9,7 +9,11 @@ generator per trajectory.  One engine, `ExactLaw`, advances
 exact distributions in integer weights over a running denominator; it
 serves the tameness diagnostics (irreducibility, decay of point
 probabilities, reachability).  Both run a push-forward by conjugation: the
-walk runs from f^-1(start) and f maps what is read.
+walk runs from f^-1(start) and f maps what is read.  `simulate` reads every
+state, so each step of a pushed trajectory is one `Word` that f maps (the
+branch swap through a letter table), and `Trajectory.to_json` spells the
+states with `groups.spell_path`, which re-spells a state only past the
+prefix it shares with the one before it.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .groups import FreeGroup, GroupModel, Word, ball, distance_from, distance_row, word_distance
+from .groups import FreeGroup, GroupModel, Word, ball, distance_from, distance_row, spell_path, word_distance
 
 
 class ChainError(ValueError):
@@ -145,9 +149,11 @@ class BranchSwap(BijectiveQI):
 
     The depth-1 table {a <-> b} is repeated equivariantly below the swapped
     vertices: a word a*u maps to b*sigma(u), with sigma the letterwise
-    relabel a <-> b.  This is a tree automorphism of the Cayley tree, hence
-    an exact isometry, but neither a translation nor a group automorphism
-    (words starting with an inverse generator are fixed).
+    relabel a <-> b, read from a table of all signed letters built once per
+    swap (c, d, ... of a larger rank map to themselves).  This is a tree
+    automorphism of the Cayley tree, hence an exact isometry, but neither a
+    translation nor a group automorphism (words starting with an inverse
+    generator, or with c, d, ..., are fixed).
     """
 
     model: FreeGroup
@@ -158,12 +164,16 @@ class BranchSwap(BijectiveQI):
             raise ChainError("branch swaps live on free groups")
         if self.model.rank < 2:
             raise ChainError("branch swap needs two distinct positive generators")
+        # sigma[l] for every signed letter l, negative letters indexing from the end
+        r = self.model.rank
+        sigma = [*range(r + 1), *range(-r, 0)]
+        sigma[1], sigma[2], sigma[-1], sigma[-2] = 2, 1, -2, -1
+        object.__setattr__(self, "_sigma", tuple(sigma).__getitem__)
 
     def apply(self, w: Word) -> Word:
         ls = w.letters
         if ls and ls[0] in (1, 2):
-            sigma = {1: 2, 2: 1, -1: -2, -2: -1}
-            return Word(self.model, tuple(sigma.get(l, l) for l in ls))
+            return Word(self.model, tuple(map(self._sigma, ls)))
         return w
 
     def inverse(self) -> "BranchSwap":
@@ -273,6 +283,8 @@ class Trajectory:
         return len(self.states) - 1
 
     def to_json(self) -> str:
+        """One JSON line; the states are spelled by `spell_path`, which
+        re-spells only where a state leaves the one before it."""
         import json
 
         return json.dumps(
@@ -281,7 +293,7 @@ class Trajectory:
                 "index": self.index,
                 "start": str(self.start),
                 "n": len(self),
-                "states": [str(s) for s in self.states],
+                "states": spell_path(self.states),
             }
         )
 

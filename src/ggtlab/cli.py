@@ -136,10 +136,24 @@ def cmd_project(args) -> int:
     return EXIT_OK
 
 
+def _search_orbit(args) -> OrbitMap:
+    """The top-level orbit map of a coset search (htsum, order, pivot).
+
+    On G x Z the axes of g live in a Bass-Serre tree only; with G free the
+    top-level tree is G's Cayley tree, so the search is refused up front."""
+    orbit = _orbit(args)
+    if isinstance(orbit.space, CayleyTree) and not orbit.is_identity:
+        raise SpaceError(
+            f"coset searches on {orbit.group.describe()} need a Bass-Serre top-level tree; "
+            f"its top-level tree is the Cayley tree of {orbit.space.model.describe()}"
+        )
+    return orbit
+
+
 def _coset_search(args):
     """The orbit map and g, o, p of a coset search, refused before it
     enumerates when `enumerate_cosets` could not certify the record."""
-    orbit = _orbit(args)
+    orbit = _search_orbit(args)
     model = orbit.group
     g = parse_word(model, args.g)
     o, p = parse_word(model, args.o), parse_word(model, args.p)
@@ -167,7 +181,7 @@ def cmd_order(args) -> int:
 
 
 def cmd_pivot(args) -> int:
-    orbit = _orbit(args)
+    orbit = _search_orbit(args)
     model = orbit.group
     target = parse_word(model, args.alpha)
     path = geodesic(model, model.identity(), target)

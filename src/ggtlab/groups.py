@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations, groupby
-from operator import neg
+from operator import ne, neg
 from typing import Callable, Iterable, Iterator, Sequence
 
 
@@ -84,17 +84,21 @@ class GroupModel:
 
     def _build_tables(self) -> None:
         """Per-model constants, set once at construction: the hash, and per
-        letter its sort rank (generator i -> 2i, its inverse -> 2i+1) and its
-        generator's name.  Tables indexed by a signed letter use Python's
-        negative indexing."""
+        letter its sort rank (generator i -> 2i, its inverse -> 2i+1), its
+        generator's name and the spelling of a run of that one letter ("a",
+        "a^-1").  Tables indexed by a signed letter use Python's negative
+        indexing."""
         n = self.rank
         rank = [0] * (2 * n + 1)
         names = [""] * (2 * n + 1)
+        singles = [""] * (2 * n + 1)
         for i, name in enumerate(self.generator_names, 1):
             rank[i], rank[-i] = 2 * i, 2 * i + 1
-            names[i] = names[-i] = name
+            names[i] = names[-i] = singles[i] = name
+            singles[-i] = f"{name}^-1"
         object.__setattr__(self, "_sort_rank", rank)
         object.__setattr__(self, "_letter_names", names)
+        object.__setattr__(self, "_single_runs", singles)
         key = (type(self).__name__, self.describe(), self.generator_names)
         object.__setattr__(self, "_hash", hash(key))
 
@@ -379,20 +383,62 @@ class Word:
         return (len(self.letters), *map(self.model._sort_rank.__getitem__, self.letters))
 
     def __str__(self) -> str:
-        letters = self.letters
-        if not letters:
+        if not self.letters:
             return "e"
-        names = self.model._letter_names
         parts: list[str] = []
-        run, n = letters[0], 0
-        for ell in letters + (0,):  # 0 is no letter: it closes the last run
-            if ell == run:
-                n += 1
-                continue
-            exp = n if run > 0 else -n
-            parts.append(names[run] if exp == 1 else f"{names[run]}^{exp}")
-            run, n = ell, 1
+        _spell_runs(self.model, self.letters, 0, parts)
         return " ".join(parts)
+
+
+def _spell_runs(model: GroupModel, letters: tuple[int, ...], i: int, parts: list[str]) -> None:
+    """Append the spelling of each run of equal letters in letters[i:] ("a",
+    "b^-1", "a^3") to parts; letters[i:] must not be empty.  The one speller
+    of words: `Word.__str__` and `spell_path` join its parts with spaces."""
+    names, singles = model._letter_names, model._single_runs
+    run, n = letters[i], 0
+    for ell in letters[i:] + (0,):  # 0 is no letter: it closes the last run
+        if ell == run:
+            n += 1
+            continue
+        parts.append(singles[run] if n == 1 else f"{names[run]}^{n if run > 0 else -n}")
+        run, n = ell, 1
+
+
+def spell_path(words: Iterable[Word]) -> list[str]:
+    """[str(w) for w in words], with each word's spelling reusing the parts
+    of the word before it over a prefix the two share.
+
+    The shared prefix is found by slice compares at the shorter length and
+    then 1, 3, 7, ... letters below it, so it falls short of the longest
+    one by fewer letters than the words run past that; for a walk's
+    consecutive states, which differ only at their last letter or two, it is
+    the longest.  The run through the last shared letter (which may grow or
+    shrink) and the runs after it are spelled again, so a walk's next state
+    costs a run or two and a join, not a spelling of the whole word.  A word
+    of another model than the one before it is spelled afresh."""
+    out: list[str] = []
+    model, prev, parts = None, (), []
+    for w in words:
+        letters = w.letters
+        if w.model is not model:
+            model, prev = w.model, ()
+        k, gap = min(len(prev), len(letters)), 1
+        while prev[:k] != letters[:k]:
+            k, gap = max(0, k - gap), 2 * gap
+        if k:
+            # s: the start of prev's run through letter k - 1; prev[s:] held
+            # one part per run, 1 + its changes of letter, and they go
+            s, ell = k - 1, prev[k - 1]
+            while s and prev[s - 1] == ell:
+                s -= 1
+            del parts[len(parts) - 1 - sum(map(ne, prev[s:], prev[s + 1 :])) :]
+        else:
+            s, parts = 0, []
+        if letters:
+            _spell_runs(model, letters, s, parts)
+        out.append(" ".join(parts) if parts else "e")
+        prev = letters
+    return out
 
 
 def normal_form(model: GroupModel, raw: Sequence[int]) -> Word:

@@ -8,6 +8,7 @@ import numpy as np
 
 from ggtlab import experiments
 from ggtlab.chains import (
+    BijectiveQI,
     ChainError,
     CompositionQI,
     ExactLaw,
@@ -210,6 +211,45 @@ def test_push_forward_walks_by_conjugation(f2k, stay):
             ref = simulate(base, phi.inverse().apply(s), 40, seed, index)
             assert t.states == tuple(map(phi, ref.states))
             assert t.states == law_path(pushed, s, 40, seed, index)
+
+
+def test_branch_swap_is_the_letterwise_relabel_on_f3():
+    # a u -> b sigma(u) and b u -> a sigma(u), sigma relabelling a <-> b
+    # letterwise; c and c^-1 are fixed everywhere, and so is a word starting
+    # with an inverse generator or with c
+    f3 = model_from_descriptor("F3")
+    swap = branch_swap(f3)
+    sigma = {"a": "b", "b": "a", "c": "c"}
+    for u in ball(f3, f3.identity(), 3):
+        tokens = str(u).split()
+        if tokens[0][0] in "ab" and "^-" not in tokens[0]:
+            tokens = [sigma[tok[0]] + tok[1:] for tok in tokens]
+        assert swap.apply(u) == w(f3, " ".join(tokens))
+        assert [abs(l) == 3 for l in swap.apply(u).letters] == [abs(l) == 3 for l in u.letters]
+    assert swap.check_bijective(3)
+
+
+class _MergeAtRadiusThree(BijectiveQI):
+    """Swaps a^3 and b^3 but sends b^-3 to a^3 too: a bijection on the
+    radius-2 ball, not injective on the radius-3 ball."""
+
+    def __init__(self, model):
+        self.model = model
+        self.moves = {w(model, "a^3"): w(model, "b^3"), w(model, "b^3"): w(model, "a^3"),
+                      w(model, "b^-3"): w(model, "a^3")}
+
+    def apply(self, u):
+        return self.moves.get(u, u)
+
+    def inverse(self):
+        return self
+
+
+def test_push_forward_refuses_a_map_not_injective_on_the_radius_three_ball(f2k, walk):
+    merge = _MergeAtRadiusThree(f2k)
+    assert merge.check_bijective(2) and not merge.check_bijective(3)
+    with pytest.raises(ChainError, match="not bijective"):
+        push_forward(walk, merge)
 
 
 def test_qi_constants(f2k):
@@ -521,4 +561,24 @@ def test_golden_witness_reports(f2k, walk):
             lines.append(str([str(phi.apply(x)) for x in pts]))
     assert _sha(lines) == (
         "db118d734de672250aa1514bc741dcda2a442726613b871e2c26b16925fd8b93"
+    )
+
+
+def test_golden_pushed_kernel_diagnostics():
+    # sha256 recorded before the branch swap relabelled letters through a table
+    lines = []
+    for desc in ("F2", "F3"):
+        m = model_from_descriptor(desc)
+        for stay in (Fraction(0), Fraction(1, 3)):
+            kernel = push_forward(srw(m, stay=stay), branch_swap(m))
+            for p, q in (("a", "e"), ("a b", "b^-1"), ("b a^-1 b", "a")):
+                r = reach_probability(kernel, w(m, p), w(m, q))
+                lines.append(repr((r.t, r.probability, r.eps0, r.table)))
+            for s in ("a", "b a", "a^-1 b^-1"):
+                r = check_irreducibility(kernel, w(m, s), 3, [w(m, "e"), w(m, "a b"), w(m, "b^-1 a^2")])
+                lines.append(repr((str(r.target), r.eps, r.k)))
+            rep = estimate_nonamenability(kernel, [1, 2, 3, 5] if desc == "F3" else [1, 2, 4, 6])
+            lines.append(repr((rep.entries, rep.rho_head, rep.rho_tail, rep.rho_hat, rep.verdict)))
+    assert _sha(lines) == (
+        "b81dc7795a08941ebc7f14eee248fec5dad6d960966f331228eb020121ed8c08"
     )

@@ -266,6 +266,10 @@ def test_order_refused_before_enumerating(monkeypatch, capsys):
         # each --space value names the other tree
         (["project", "--model", "Z^2 * Z", "--space", "cayley", "--x", "x", "--axis-root", "x z"], 1, "validation"),
         (["project", "--space", "bass-serre", "--x", "a", "--axis-root", "b"], 1, "validation"),
+        # the top-level tree of F2 x Z is the Cayley tree of F2, where G x Z has no axes
+        (["htsum", "--model", "F2 x Z", "--o", "e", "--p", "a b", "--T", "3"], 1, "validation"),
+        (["order", "--model", "F2 x Z", "--o", "e", "--p", "a b", "--T", "3"], 1, "validation"),
+        (["pivot", "--model", "F2 x Z", "--alpha", "a^3"], 1, "validation"),
         # Z^2 acts on no tree of the lab
         (["project", "--model", "Z^2", "--x", "x", "--axis-root", "y"], 1, "validation"),
         # infinite or nan cells once failed inside the window search
@@ -378,6 +382,65 @@ def test_golden_walk_outputs(tmp_path, capsys, command, kernel, seed, pin):
     assert code == 0
     text = out.replace(str(tmp_path), "OUT") + (tmp_path / name).read_text()
     assert hashlib.sha256(text.encode()).hexdigest() == pin
+
+
+# sha256 of the stdout of `simulate --count 3 --steps 60`, recorded before the
+# branch swap relabelled letters through a table and trajectories were spelled
+# by `spell_path`.  The srw rows are the word-product walks, whose consecutive
+# states also change letters before their last one.
+@pytest.mark.parametrize(
+    "model, kernel, start, seed, pin",
+    [
+        ("F2", "srw-branch-swap", "e", 7_000_003, "1ff54b4cc4606afe40bdc584ab38d35ebaa45230c78bc03c616aed877659ed26"),
+        ("F2", "srw-branch-swap", "e", 2**63 - 1, "61d1d320fea5e2c0015da7718509ae2a056fe0d9d37b5c381772b057f028d1c7"),
+        ("F2", "srw-branch-swap", "a b^-1", 7_000_003, "8c3f01928c2c7eaebba366cf296326cff71a4645a927bfa927b13db40e805da5"),
+        ("F2", "srw-branch-swap", "a b^-1", 2**63 - 1, "2ca3fd55d6946555c22c7614f724ba7e44d6cda1e2ba97a83877fee77730d82a"),
+        ("F3", "srw-branch-swap", "e", 7_000_003, "d8bc6f667e112b2cb58743785077bd8816618ac42d3b3b1e25273db7963bbef0"),
+        ("F3", "srw-branch-swap", "e", 2**63 - 1, "b243bf7b7c65151c0662d51c898fe4b90f8f6f2b04d5c74b0b3b111666179800"),
+        ("F3", "srw-branch-swap", "a b^-1", 7_000_003, "3bb8d252d9e7d69d7a547ce2eda204013abf2a56e6c2aebae1e9ab6f988805c7"),
+        ("F3", "srw-branch-swap", "a b^-1", 2**63 - 1, "ebbe6d428bb0c53c47fc81225e4db7d8a46c38a8587242e830b83615084cb25f"),
+        ("F2 x Z", "srw", "e", 7_000_003, "97236b2ef1b7c0fee91251c1a1657045280eba3b140023b9fd23b8a4f79e4926"),
+        ("F2 x Z", "srw", "e", 2**63 - 1, "01d7311c18d4e56e0767e8a5ac4abfb77232d0b4e0e7fa4a6ce0c7667ee50438"),
+        ("F2 x Z", "srw", "a t^-2", 7_000_003, "afd8fc88a8fc2a28adef209e4a1d2c33d39a4713e563a6bcee67a59525298264"),
+        ("F2 x Z", "srw", "a t^-2", 2**63 - 1, "c8f65b637368cabecfad1d426e67f740b84a71431599c13eca89bca8d3dcc821"),
+        ("Z^2 * Z", "srw", "e", 7_000_003, "bbd2ab761781bd5a1995a977aad6f9fc56f635c980a1e5b085e80b862b22882f"),
+        ("Z^2 * Z", "srw", "e", 2**63 - 1, "87fd6e38254515a96bfd6f04ab974294d799460c353a0ff85d04e08594151e5f"),
+        ("Z^2 * Z", "srw", "x^2 z y^-1", 7_000_003, "11b74c6e6cad8be3dfbdff67e03a957c0238f817b23577afacf8bafe97b3ca8e"),
+        ("Z^2 * Z", "srw", "x^2 z y^-1", 2**63 - 1, "dbb8e71c4d92c5e25e56e5c39766668657d2a18b5ebe75ba1021ead7ae829747"),
+        ("(Z^2 * Z) x Z", "srw", "e", 7_000_003, "abc9cccabc9220acc6bdba680e004503d826b6a8841eda8ef4fb7c88f78ffefe"),
+        ("(Z^2 * Z) x Z", "srw", "e", 2**63 - 1, "4ca59e457a6837abc6d40a149da6ebabb0aefea1af9b1b1a4a16249a36e66b99"),
+        ("(Z^2 * Z) x Z", "srw", "z x t", 7_000_003, "191a761bd8b176371d84d7d7bf583ac89d7ef51eb00d633e819c127d9391a08e"),
+        ("(Z^2 * Z) x Z", "srw", "z x t", 2**63 - 1, "51ff8490e0627a06e78c3c062b5fec968093fb20c5f443534312fb0a3c6e691e"),
+    ],
+)
+def test_golden_trajectories(capsys, model, kernel, start, seed, pin):
+    import hashlib
+
+    code, out, _ = run(
+        capsys, "simulate", "--model", model, "--kernel", kernel, "--start", start,
+        "--seed", str(seed), "--count", "3", "--steps", "60",
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == pin
+
+
+@pytest.mark.parametrize(
+    "seed, pin",
+    [
+        (7_000_003, "d213965097ca32363d0f589b468771e81ccb6e3e6eca6b50ebdd811d5cecb5d2"),
+        (2**63 - 1, "c358d8219a0867b57200e2dc58578212d8aad353316e9d7612ff217cd6ed7f3a"),
+    ],
+)
+def test_golden_pushed_progress(capsys, seed, pin):
+    # sha256 of the stdout, recorded with the trajectories above
+    import hashlib
+
+    code, out, _ = run(
+        capsys, "progress", "--kernel", "srw-branch-swap", "--seed", str(seed),
+        "--samples", "40", "--n", "10,20,40", "--C", "2,3",
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == pin
 
 
 def full_parser_run(capsys, argv):

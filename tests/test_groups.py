@@ -20,6 +20,7 @@ from ggtlab.groups import (
     normal_form,
     parse_model,
     parse_word,
+    spell_path,
     word_diameter,
     word_distance,
 )
@@ -336,6 +337,68 @@ def test_str_spells_runs_and_parses_back(desc, runs):
         tokens.append(name if exp == 1 else f"{name}^{exp}")
     assert str(word) == (" ".join(tokens) or "e")
     assert parse_word(m, str(word)) == word
+
+
+SPELL_MODELS = ["F2", "F3", "Z^2", "Z^2 * Z", "F2 x Z", "(Z^2 * Z) x Z"]
+
+# one move of a path of words: a one-letter step, a power of one letter (so
+# runs grow, shrink and change sign), an arbitrary jump, a return to the
+# identity, or the same letters read in another model
+_moves = st.one_of(
+    st.tuples(st.just("step"), st.integers(-8, 8).filter(bool)),
+    st.tuples(st.just("power"), st.integers(-8, 8).filter(bool), st.integers(-6, 6)),
+    st.tuples(st.just("jump"), _draws),
+    st.tuples(st.just("identity")),
+    st.tuples(st.just("model"), st.sampled_from(SPELL_MODELS)),
+)
+
+
+@given(st.sampled_from(SPELL_MODELS), _draws, st.lists(_moves, max_size=30))
+@settings(max_examples=300, deadline=None)
+def test_spell_path_spells_every_word(desc, start, moves):
+    m = model_from_descriptor(desc)
+    cur = normal_form(m, _raw(m, start))
+    path = [cur]
+    for kind, *arg in moves:
+        if kind == "step":
+            cur = cur * normal_form(m, _raw(m, arg))
+        elif kind == "power":
+            cur = cur * normal_form(m, _raw(m, arg[:1])) ** arg[1]
+        elif kind == "jump":
+            cur = cur * normal_form(m, _raw(m, arg[0]))
+        elif kind == "identity":
+            cur = m.identity()
+        else:
+            # the letters the new model has, so the two words share a prefix
+            m = model_from_descriptor(arg[0])
+            cur = normal_form(m, [l for l in cur.letters if abs(l) <= m.rank])
+        path.append(cur)
+    assert spell_path(path) == [str(u) for u in path]
+
+
+@pytest.mark.parametrize(
+    "desc, texts",
+    [
+        # a run that grows, shrinks, vanishes and comes back with the other sign
+        ("F2", ["a", "a^2", "a^3", "a^2", "a^2 b", "a^2", "a", "e", "a^-1", "a^-2", "a^-2 b^3"]),
+        # runs that start the word, and a change of the first letter
+        ("F2", ["a^2 b", "a^3 b", "b^-1 a", "a^2 b^-1", "a^2", "b^2"]),
+        # an abelian syllable grows inside the word, not at its end
+        ("Z^2 * Z", ["x y", "x^2 y", "x^2 y z", "x^2 y^2 z", "x^2 y^2", "y^2"]),
+        # the central letters stay last while the left letters change
+        ("F2 x Z", ["a t", "a b t", "a b t^2", "a t^2", "t^2", "a^-1 t^2", "e"]),
+    ],
+)
+def test_spell_path_keeps_only_what_the_words_share(desc, texts):
+    m = model_from_descriptor(desc)
+    assert spell_path([parse_word(m, t) for t in texts]) == texts
+
+
+def test_spell_path_spells_each_word_with_its_own_model(f2, z2):
+    # the same letters in two models: a, b and x, y
+    path = [w(f2, "a b^2"), w(z2, "x y^2"), w(z2, "x y^3"), w(f2, "a b^3"), w(f2, "a b^3")]
+    assert spell_path(path) == ["a b^2", "x y^2", "x y^3", "a b^3", "a b^3"]
+    assert spell_path([]) == []
 
 
 def test_junction_cancels_whole_syllables(z2z, z2z_by_z):
