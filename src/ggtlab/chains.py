@@ -5,7 +5,8 @@ optionally pushed forward through a bijective quasi-isometry f.
 Transition probabilities are exact fractions.  One engine, `Walk`, samples
 a kernel from each trajectory's own counter-based stream, so runs are
 reproducible independently of scheduling; an `ensemble` of walks re-keys one
-generator per trajectory.  One engine, `ExactLaw`, advances
+generator per trajectory and draws the walks' steps in blocks.  One engine,
+`ExactLaw`, advances
 exact distributions in integer weights over a running denominator; it
 serves the tameness diagnostics (irreducibility, decay of point
 probabilities, reachability).  Both run a push-forward by conjugation: the
@@ -21,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
+from itertools import islice
 from math import lcm
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -218,6 +220,11 @@ class Kernel:
     def cdf(self) -> np.ndarray:
         return _cdf(p for _, p in self.measure)
 
+    @cached_property
+    def jump_letters(self) -> tuple[tuple[int, ...], ...]:
+        """The letters of each jump word, in the measure's order."""
+        return tuple(s.letters for s, _ in self.measure)
+
     def law(self, state: Word) -> list[tuple[Word, Fraction]]:
         """Ordered (target, probability) pairs; probabilities sum to 1."""
         f = self.qi
@@ -321,39 +328,35 @@ def _pick(cdf: np.ndarray, us):
     return np.minimum(np.searchsorted(cdf, us, side="right"), len(cdf) - 1)
 
 
+HORIZON_CAP = 10**7  # most steps a walk may be told; its uniforms take 8 bytes a step
+
+_BLOCK_DRAWS = 2**16  # uniforms an ensemble draws into one array, unless one horizon is longer
+
+
 class Walk:
     """One seeded trajectory of a kernel: the only stepping engine.
 
-    A walk is told its horizon, the most steps it will run; on creation it
-    maps that many uniforms of `rng` through the inverse CDF of the step
-    measure in one draw and one lookup, and stepping past the horizon raises
-    ChainError.  The increments go onto a letter stack on free groups
-    (attached trackers see every letter) and into word products elsewhere.
-    A push-forward walks by conjugation: the walk runs from f^-1(start) and
-    only the states read are mapped by f, which gives the pushed law's own
-    path since that law keeps the measure's order and probabilities and f is
-    injective.
+    A walk is handed its row of picks, the measure indices of all the steps
+    it will take (`ensemble` draws them), and stepping past that horizon
+    raises ChainError.  `steps` applies the increments onto a letter stack
+    on free groups and through the model's product elsewhere; `increments`
+    hands out the letter tuples of the next steps without applying them, for
+    a caller that follows the walk on its own (`simulate`, which reads every
+    state, and the tail experiment's trackers).  A push-forward walks by
+    conjugation: the walk runs from f^-1(start) and only the states read are
+    mapped by f, which gives the pushed law's own path since that law keeps
+    the measure's order and probabilities and f is injective.
     """
 
-    def __init__(self, kernel: Kernel, start: Word, rng: np.random.Generator, horizon: int):
-        if horizon < 0:
-            raise ChainError(f"step count must be >= 0, got {horizon}")
+    def __init__(self, kernel: Kernel, start: Word, picks: list[int]):
         self.kernel = kernel
         self.qi = kernel.qi
         if self.qi is not None:
             start = self.qi.inverse().apply(start)
-        self.picks = _pick(kernel.cdf, rng.random(horizon)).tolist()
+        self.picks = picks
         self.done = 0
-        self.cur = start
         self.stack = list(start.letters) if isinstance(kernel.model, FreeGroup) else None
-        self.increments = [s.letters for s, _ in kernel.measure]
-        self.trackers: list = []
-
-    def attach(self, tracker) -> None:
-        """Call tracker.push(letter) for every letter the stack walk applies."""
-        if self.stack is None or self.qi is not None:
-            raise ChainError("trackers follow invariant walks on free groups")
-        self.trackers.append(tracker)
+        self.cur = start.letters
 
     def _take(self, count: int) -> list[int]:
         """The measure indices of the next `count` steps."""
@@ -365,62 +368,69 @@ class Walk:
         picks, self.done = self.picks[self.done : end], end
         return picks
 
-    def run(self, count: int) -> Iterator[None]:
-        """Advance `count` steps, yielding after each one."""
-        picks = self._take(count)
-        if self.stack is None:
-            measure = self.kernel.measure
-            for i in picks:
-                self.cur = self.cur * measure[i][0]
-                yield
-            return
-        stack, trackers, increments = self.stack, self.trackers, self.increments
-        for i in picks:
-            for letter in increments[i]:
-                if stack and stack[-1] == -letter:
-                    stack.pop()
-                else:
-                    stack.append(letter)
-                for tr in trackers:
-                    tr.push(letter)
-            yield
+    def increments(self, count: int) -> list[tuple[int, ...]]:
+        """The letter tuples of the next `count` steps, counted as taken but
+        not applied: the walk's own state stays where it was."""
+        return list(map(self.kernel.jump_letters.__getitem__, self._take(count)))
 
     def steps(self, count: int) -> None:
-        """Advance `count` steps; without trackers, a stack loop with no yield."""
-        if self.stack is None or self.trackers:
-            for _ in self.run(count):
-                pass
+        """Advance `count` steps."""
+        letters = self.kernel.jump_letters
+        if self.stack is None:
+            product, cur = self.kernel.model.product, self.cur
+            for i in self._take(count):
+                cur = product(cur, letters[i])
+            self.cur = cur
             return
-        stack, increments = self.stack, self.increments
+        stack = self.stack
         for i in self._take(count):
-            for letter in increments[i]:
+            for letter in letters[i]:
                 if stack and stack[-1] == -letter:
                     stack.pop()
                 else:
                     stack.append(letter)
 
     def state(self) -> Word:
-        cur = self.cur if self.stack is None else Word(self.kernel.model, tuple(self.stack))
+        cur = Word(self.kernel.model, self.cur if self.stack is None else tuple(self.stack))
         return cur if self.qi is None else self.qi.apply(cur)
 
 
 def ensemble(kernel: Kernel, start: Word, seed: int, indices: Iterable[int], horizon: int) -> Iterator[Walk]:
-    """The walks of one seed's trajectories `indices`, made one at a time and
-    each told `horizon`, from one generator: re-keying it through the public
-    state setter restarts it exactly at `trajectory_rng(seed, i)`'s stream."""
+    """The walks of one seed's trajectories `indices`, each told `horizon`.
+
+    One generator serves them all: re-keying it through the public state
+    setter restarts it exactly at `trajectory_rng(seed, i)`'s stream.  The
+    walks are drawn in blocks of about `_BLOCK_DRAWS` uniforms, one row per
+    walk, with one inverse-CDF lookup and one conversion to lists per block,
+    so memory stays at one block however many walks there are.  A horizon
+    above HORIZON_CAP is refused before anything is drawn.
+    """
+    if not 0 <= horizon <= HORIZON_CAP:
+        raise ChainError(f"horizon must lie in [0, {HORIZON_CAP}], got {horizon}")
     rng = trajectory_rng(seed)
     fresh = rng.bit_generator.state
-    for i in indices:
-        fresh["state"]["key"] = _key(seed, i)
-        rng.bit_generator.state = fresh
-        yield Walk(kernel, start, rng, horizon)
+    rows = max(1, _BLOCK_DRAWS // max(horizon, 1))
+    todo = iter(indices)
+    while block := list(islice(todo, rows)):
+        us = np.empty((len(block), horizon))
+        for i, row in zip(block, us):
+            fresh["state"]["key"] = _key(seed, i)
+            rng.bit_generator.state = fresh
+            rng.random(out=row)
+        for picks in _pick(kernel.cdf, us).tolist():
+            yield Walk(kernel, start, picks)
 
 
 def simulate(kernel: Kernel, start: Word, n: int, seed: int, index: int = 0) -> Trajectory:
-    walk = Walk(kernel, start, trajectory_rng(seed, index), n)
+    """One trajectory with every state: the walk's increments folded through
+    the model's product, each state mapped by f as `Walk.state` maps it."""
+    walk = next(ensemble(kernel, start, seed, (index,), n))
+    model, f, cur = kernel.model, kernel.qi, walk.cur
     states = [start]
-    for _ in walk.run(n):
-        states.append(walk.state())
+    for inc in walk.increments(n):
+        cur = model.product(cur, inc)
+        w = Word(model, cur)
+        states.append(w if f is None else f.apply(w))
     return Trajectory(seed, index, start, tuple(states))
 
 

@@ -47,6 +47,7 @@ from .morse import (
 from .projections import (
     CertificationError,
     axis_of,
+    default_independent_loxodromics,
     distance_formula_sum,
     enumerate_cosets,
     enumeration_certifiable,
@@ -183,6 +184,7 @@ def cmd_order(args) -> int:
 def cmd_pivot(args) -> int:
     orbit = _search_orbit(args)
     model = orbit.group
+    default_independent_loxodromics(model)  # refuses a model without a shipped pair, before any set-up
     target = parse_word(model, args.alpha)
     path = geodesic(model, model.identity(), target)
     h_axis = axis_of(orbit.space, parse_word(model, args.h)).translate(parse_word(model, args.h_rep))

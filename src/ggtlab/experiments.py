@@ -2,14 +2,15 @@
 
 Everything is driven by a plain-text config with a mandatory seed, checked
 when the config is built.  Each experiment samples one `chains.ensemble` of
-walks per seed: one generator re-keyed per trajectory, one draw of the
-horizon's uniforms per walk, every trajectory on its own counter-based
-stream, so outputs are byte-identical across runs.  Bounded projections read
-the nearest coset positions of the walk's state at their checkpoints
-(`projections.line_positions`).  Tail sums need every step, so there an
-AxisTracker attached to the walk sees every letter and keeps the reduced word
-and its overlap with an axis line; the per-step projection distance is one
-lookup of the spread memoized by that overlap.
+walks per seed: one generator re-keyed per trajectory, the uniforms drawn in
+blocks of walks, every trajectory on its own counter-based stream, so
+outputs are byte-identical across runs.  Bounded projections read the
+nearest coset positions of the walk's state at their checkpoints
+(`projections.line_positions`).  Tail sums need every step, so there the
+walk hands its increments to one AxisTracker per threshold coset, which
+follows the reduced word and its overlap with the coset's line in one pass;
+the per-step projection distance is one lookup of the spread memoized by
+that overlap.
 """
 
 from __future__ import annotations
@@ -58,6 +59,9 @@ class ExperimentConfig:
             raise ExperimentError(f"n grid must be positive integers, got {self.n_grid}")
         if not self.c_grid or not all(0 < c < math.inf for c in self.c_grid):
             raise ExperimentError(f"C grid must be positive finite numbers, got {self.c_grid}")
+        for name, grid in (("n", self.n_grid), ("C", self.c_grid)):
+            if len(set(grid)) != len(grid):
+                raise ExperimentError(f"{name} grid repeats a value: {grid}")
 
     def require_seed(self) -> int:
         if self.seed is None:
@@ -146,11 +150,14 @@ def resolve_setup(config: ExperimentConfig) -> tuple[GroupModel, OrbitMap, Kerne
 
 
 class AxisTracker:
-    """Incrementally tracked projection of a walking word onto an axis line.
+    """The projection of a free-group walk onto an axis line, followed step by step.
 
-    Maintains the reduced letters of anchor^-1 * w and the overlap lengths
-    with the two line directions; pushes and pops are O(1), and the nearest
-    coset positions follow from the overlap and the coset phase.
+    Built at the walk's start, it holds the reduced letters of
+    anchor^-1 * start, their overlap lengths `fwd` and `bwd` with the two
+    line directions, and the start's nearest coset positions `base`.  The
+    nearest positions of any state follow from its overlap and the coset
+    phase, so the spread of a state's positions against `base` is a function
+    of `fwd or -bwd`, memoised on the tracker across walks.
     """
 
     def __init__(self, model: GroupModel, axis: Axis, start: Word):
@@ -162,34 +169,49 @@ class AxisTracker:
         n = len(self.stack)
         self.fwd = _lcp(self.stack, _spell(direction, n))
         self.bwd = _lcp(self.stack, _spell(direction, -n))
+        self.base = nearest_positions(self.fwd or -self.bwd, phase, self.q)
+        self.memo: dict[int, int] = {}
 
-    def push(self, letter: int) -> None:
-        if self.stack and self.stack[-1] == -letter:
-            self.stack.pop()
-            n = len(self.stack)
-            self.fwd = min(self.fwd, n)
-            self.bwd = min(self.bwd, n)
-            return
-        n = len(self.stack)
-        self.stack.append(letter)
-        if self.fwd == n and letter == self.dir[n % self.q]:
-            self.fwd += 1
-        if self.bwd == n and letter == -self.dir[(-1 - n) % self.q]:
-            self.bwd += 1
+    def _spread(self, key: int) -> int:
+        """The spread of the positions at line key `key` against `base`
+        (0 where they coincide), memoised."""
+        pos, base = nearest_positions(key, self.phase, self.q), self.base
+        spread = self.memo[key] = 0 if pos == base else max(pos + base) - min(pos + base)
+        return spread
 
-    def copy(self) -> "AxisTracker":
-        """A tracker in the same state, with a stack of its own."""
-        # set in __init__'s order, the attributes keep the compact instance
-        # layout; `copy.copy` fills a plain __dict__, on which every attribute
-        # read and write in `push` is slower
-        out = AxisTracker.__new__(AxisTracker)
-        out.q, out.dir, out.phase = self.q, self.dir, self.phase
-        out.stack, out.fwd, out.bwd = self.stack.copy(), self.fwd, self.bwd
+    def spreads(self, increments: Sequence[tuple[int, ...]]) -> list[int]:
+        """The spread after each of `increments`, one walk from the start.
+
+        The stack and overlaps live in locals, so the tracker itself stays
+        at the start for the next walk; pushes and pops are O(1), and a
+        letterless (lazy) step repeats the last spread.
+        """
+        stack, fwd, bwd = self.stack.copy(), self.fwd, self.bwd
+        direction, q, memo = self.dir, self.q, self.memo
+        n = len(stack)
+        spread = 0  # the start's own positions are `base`
+        out = []
+        for inc in increments:
+            if inc:
+                for letter in inc:
+                    if n and stack[-1] == -letter:
+                        stack.pop()
+                        n -= 1
+                        if fwd > n:
+                            fwd = n
+                        if bwd > n:
+                            bwd = n
+                    else:
+                        stack.append(letter)
+                        if fwd == n and letter == direction[n % q]:
+                            fwd += 1
+                        if bwd == n and letter == -direction[(-1 - n) % q]:
+                            bwd += 1
+                        n += 1
+                key = fwd or -bwd
+                spread = memo[key] if key in memo else self._spread(key)
+            out.append(spread)
         return out
-
-    def positions(self) -> tuple[int, ...]:
-        """Positions of the nearest coset points along the line."""
-        return nearest_positions(self.fwd or -self.bwd, self.phase, self.q)
 
 
 # ---------------------------------------------------------------------------
@@ -382,6 +404,11 @@ class TailCurve:
         return "\n".join(lines) + "\n"
 
 
+def _at_least(values: list[int], t_max: int) -> np.ndarray:
+    """counts[t] = how many of `values` are >= t, for t = 0, ..., t_max."""
+    return np.bincount(np.minimum(values, t_max), minlength=t_max + 1)[::-1].cumsum()[::-1]
+
+
 def tail_experiment(
     config: ExperimentConfig,
     o: Word | None = None,
@@ -392,7 +419,10 @@ def tail_experiment(
     for t <= 3n/4.
 
     Both curves are computed on the same trajectory ensemble, so the
-    containment g >= f holds exactly sample-by-sample.  The reported C' is
+    containment g >= f holds exactly sample-by-sample.  Each sample's
+    increments go once through each coset's AxisTracker, whose spreads sum
+    to the distance sum after every step; the counts come from the samples'
+    running maxima and final sums after the loop.  The reported C' is
     the larger of the least-squares decay fit of g and the minimal constant
     making the 2 exp(-t/C') envelope hold at every cell with enough
     successes.
@@ -400,7 +430,7 @@ def tail_experiment(
     seed = config.require_seed()
     if n < 1:
         raise ExperimentError(f"tail walks need at least one step, got {n}")
-    model, orbit, kernel, axis = resolve_setup(config)
+    model, orbit, kernel, _ = resolve_setup(config)
     if kernel.qi is not None:
         raise ExperimentError("tail experiment needs an invariant kernel")
     if o is None:
@@ -410,32 +440,17 @@ def tail_experiment(
     record = enumerate_cosets(orbit, parse_word(model, config.g), o, p, config.threshold)
     if not record.certified:
         raise ExperimentError("coset enumeration must be certified for tail sums")
-    axes = [e.axis for e in record.entries]
-    bases = [line_positions(ax, p)[0] for ax in axes]
     t_max = 3 * n // 4
-    g_counts = np.zeros(t_max + 1, dtype=np.int64)
-    f_counts = np.zeros(t_max + 1, dtype=np.int64)
-    templates = [AxisTracker(model, ax, p) for ax in axes]
-    # phase, q and base are fixed per axis: a spread is a function of fwd or -bwd
-    spreads: list[dict[int, int]] = [{} for _ in axes]
+    trackers = [AxisTracker(model, e.axis, p) for e in record.entries]
+    maxima, finals = [], []
     for walk in ensemble(kernel, p, seed, range(config.samples), n):
-        trackers = [tr.copy() for tr in templates]
-        for tr in trackers:
-            walk.attach(tr)
-        running_max = 0
-        final = 0
-        for _ in walk.run(n):
-            total = 0
-            for tr, memo, base in zip(trackers, spreads, bases):
-                spread = memo.get(tr.fwd or -tr.bwd)
-                if spread is None:
-                    pos = tr.positions()
-                    spread = memo[tr.fwd or -tr.bwd] = 0 if pos == base else max(pos + base) - min(pos + base)
-                total += spread
-            running_max = max(running_max, total)
-            final = total
-        g_counts[: min(running_max, t_max) + 1] += 1
-        f_counts[: min(final, t_max) + 1] += 1
+        steps = walk.increments(n)
+        rows = [tr.spreads(steps) for tr in trackers] or [[0]]
+        # the threshold-coset distance sum after each step
+        sums = rows[0] if len(rows) == 1 else list(map(sum, zip(*rows)))
+        maxima.append(max(sums))
+        finals.append(sums[-1])
+    g_counts, f_counts = _at_least(maxima, t_max), _at_least(finals, t_max)
     g_hat = g_counts / config.samples
     fit_pts = [(t, g_hat[t]) for t in range(1, t_max + 1) if g_counts[t] >= 10]
     fitted = fit_log_linear(fit_pts)

@@ -6,7 +6,7 @@ import pytest
 
 import numpy as np
 
-from ggtlab import experiments
+from ggtlab import chains, experiments
 from ggtlab.chains import (
     BijectiveQI,
     ChainError,
@@ -16,7 +16,6 @@ from ggtlab.chains import (
     Kernel,
     LeftTranslation,
     branch_swap,
-    Walk,
     _pick,
     check_irreducibility,
     ensemble,
@@ -105,15 +104,56 @@ def test_ensemble_walks_draw_each_trajectorys_own_stream(f2k, walk, seed):
 def test_walks_refuse_steps_past_their_horizon(f2k, walk):
     z2 = model_from_descriptor("Z^2")
     for kernel, start in ((walk, f2k.identity()), (srw(z2), z2.identity())):
-        stepped = Walk(kernel, start, trajectory_rng(4), 5)
+        stepped = next(ensemble(kernel, start, 4, (0,), 5))
         stepped.steps(3)
         with pytest.raises(ChainError, match="horizon"):
             stepped.steps(3)
-        run = Walk(kernel, start, trajectory_rng(4), 5)
+        handed = next(ensemble(kernel, start, 4, (0,), 5))
         with pytest.raises(ChainError, match="horizon"):
-            list(run.run(6))
+            handed.increments(6)
     with pytest.raises(ChainError):
         list(ensemble(walk, f2k.identity(), 1, [2**64], 3))
+
+
+def test_ensemble_refuses_a_horizon_past_the_cap_before_drawing(monkeypatch, f2k, walk):
+    def fail(*args, **kwargs):
+        raise AssertionError("a generator was made for a refused horizon")
+
+    monkeypatch.setattr(chains, "trajectory_rng", fail)
+    for horizon in (-1, chains.HORIZON_CAP + 1):
+        with pytest.raises(ChainError, match="horizon"):
+            next(ensemble(walk, f2k.identity(), 1, range(3), horizon))
+
+
+def test_ensemble_blocks_keep_every_stream(monkeypatch, f2k, walk):
+    # seven uniforms a block: one row each at horizons 5 and 200, several rows at 1 and 3
+    monkeypatch.setattr(chains, "_BLOCK_DRAWS", 7)
+    indices = [*range(9), 2**64 - 1]
+    for horizon in (0, 1, 3, 5, 200):
+        walks = list(ensemble(walk, f2k.identity(), 11, indices, horizon))
+        assert len(walks) == len(indices)
+        for i, got in zip(indices, walks):
+            assert got.picks == _pick(walk.cdf, trajectory_rng(11, i).random(horizon)).tolist()
+    # an ensemble of many blocks still makes one Philox
+    test_one_philox_per_ensemble(monkeypatch, f2k, walk)
+
+
+def test_ensemble_memory_stays_at_one_block(f2k, walk):
+    import tracemalloc
+
+    def peak(count: int) -> int:
+        tracemalloc.start()
+        try:
+            for _ in ensemble(walk, f2k.identity(), 2, range(count), 2000):
+                pass
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(1)  # the kernel's cached CDF and letters are made once, outside the measured runs
+    block = peak(chains._BLOCK_DRAWS // 2000)
+    # drawn at once, the uniforms of 1000 walks alone would take 16 MB
+    assert peak(1000) < 2 * block < 8 * 2000 * 1000
 
 
 def test_one_philox_per_ensemble(monkeypatch, f2k, walk):

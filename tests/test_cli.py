@@ -3,6 +3,7 @@
 import pytest
 
 from ggtlab import __version__
+from ggtlab.chains import HORIZON_CAP
 from ggtlab.cli import build_parser, main
 
 COMMANDS = (
@@ -232,6 +233,43 @@ def test_order_refused_before_enumerating(monkeypatch, capsys):
     assert code == 1 and out == "" and err.startswith("error: validation:")
 
 
+def test_pivot_refused_before_its_path(monkeypatch, capsys):
+    import ggtlab.cli
+
+    def fail(*args, **kwargs):
+        raise AssertionError("geodesic built for a model without a shipped loxodromic pair")
+
+    monkeypatch.setattr(ggtlab.cli, "geodesic", fail)
+    code, out, err = run(capsys, "pivot", "--model", "(Z^2 * Z) x Z", "--alpha", "x z", "--h", "x z")
+    assert code == 1 and out == ""
+    assert err == "error: validation: no default loxodromic pair shipped for (Z^2 * Z) x Z\n"
+
+
+_PAST_CAP = str(HORIZON_CAP + 1)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["progress", "--samples", "1", "--n", _PAST_CAP],
+        ["simulate", "--steps", _PAST_CAP],
+        ["tail", "--samples", "1", "--steps", _PAST_CAP],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_horizons_past_the_cap_refused_before_drawing(monkeypatch, tmp_path, capsys, argv):
+    from ggtlab import chains
+
+    def fail(*args, **kwargs):
+        raise AssertionError("a generator was made for a refused horizon")
+
+    monkeypatch.setattr(chains, "trajectory_rng", fail)
+    outdir = tmp_path / "out"
+    code, out, err = run(capsys, *argv, "--seed", "1", "--out", str(outdir))
+    assert code == 1 and out == "" and not outdir.exists()
+    assert err == f"error: validation: horizon must lie in [0, {HORIZON_CAP}], got {_PAST_CAP}\n"
+
+
 @pytest.mark.parametrize(
     "argv, code, kind",
     [
@@ -278,6 +316,11 @@ def test_order_refused_before_enumerating(monkeypatch, capsys):
         (["morse", "--segment", "a^3", "--grid", "nan,0"], 1, "validation"),
         (["morse", "--segment", "a^3", "--grid", "1,0;1"], 1, "validation"),
         (["morse", "--segment", "a^3", "--grid", "1,0,2"], 1, "validation"),
+        # a repeated checkpoint or divisor once printed its rows twice
+        (["progress", "--seed", "1", "--samples", "5", "--n", "5,5"], 1, "validation"),
+        (["progress", "--seed", "1", "--samples", "5", "--n", "5", "--C", "3,3"], 1, "validation"),
+        # no pair of independent loxodromics is shipped for (Z^2 * Z) x Z
+        (["pivot", "--model", "(Z^2 * Z) x Z", "--alpha", "x z", "--h", "x z"], 1, "validation"),
     ],
 )
 def test_refused_inputs_write_nothing(tmp_path, capsys, argv, code, kind):

@@ -1,10 +1,15 @@
 """Config plumbing, fast walks, and the statistical experiment harness."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 import ggtlab
-from ggtlab.chains import Walk, simulate, srw, trajectory_rng
+from ggtlab import chains
+from ggtlab.chains import HORIZON_CAP, ChainError, ensemble, make_invariant, simulate, srw, trajectory_rng
 from ggtlab.experiments import (
     AxisTracker,
     BoundedProjectionResult,
@@ -17,9 +22,12 @@ from ggtlab.experiments import (
     linear_progress_experiment,
     parse_config,
     recursion_check,
+    resolve_kernel,
     tail_experiment,
 )
-from ggtlab.projections import axis_of, coset_distance, line_positions
+from ggtlab.groups import Word, model_from_descriptor
+from ggtlab.projections import axis_of, coset_distance, project_to_set
+from ggtlab.spaces import top_level_orbit
 
 from conftest import w
 from oracles import drift_oracle_free_srw
@@ -56,7 +64,7 @@ def test_free_walk_matches_simulate(f2):
     cdf = np.cumsum([float(p) for _, p in kernel.measure])
     cdf[-1] = 1.0
     for idx in range(4):
-        walk = Walk(kernel, start, trajectory_rng(9, idx), 25)
+        walk = next(ensemble(kernel, start, 9, (idx,), 25))
         walk.steps(10)
         walk.steps(15)
         traj = simulate(kernel, start, 25, seed=9, index=idx)
@@ -68,22 +76,74 @@ def test_free_walk_matches_simulate(f2):
             assert cur == state
 
 
-def spread_against(tracker: AxisTracker, base: tuple[int, ...]) -> int:
-    pos = tracker.positions() + base
-    return max(pos) - min(pos)
+def tail_distance(orbit, axis, p, x) -> int:
+    """The coset distance of p and x, read as 0 where they project to the
+    same points, as the tail sums read it (a tie's two points are q apart)."""
+    if project_to_set(orbit, x, axis).points == project_to_set(orbit, p, axis).points:
+        return 0
+    return coset_distance(orbit, axis, p, x)
+
+
+def assert_tracked(orbit, kernel, axes, p, seed, n, distance=tail_distance):
+    """Drive one tracker per axis as `tail_experiment` does, over one walk's
+    increments, and check every step's spread against `distance`."""
+    model = kernel.model
+    steps = next(ensemble(kernel, p, seed, (0,), n)).increments(n)
+    rows = [AxisTracker(model, ax, p).spreads(steps) for ax in axes]
+    cur = p
+    for j, inc in enumerate(steps):
+        cur = cur * Word(model, inc)
+        assert [row[j] for row in rows] == [distance(orbit, ax, p, cur) for ax in axes]
 
 
 def test_tracker_matches_projection_distance(f2, f2_tree, f2_orbit):
-    kernel = srw(f2)
-    for root, shift, seed in [("a", "b", 3), ("a b", "b^2 a", 8)]:
-        ax = axis_of(f2_tree, w(f2, root)).translate(w(f2, shift))
-        p = w(f2, "a b")
-        base = line_positions(ax, p)[0]
-        walk = Walk(kernel, p, trajectory_rng(seed), 150)
-        tracker = AxisTracker(f2, ax, p)
-        walk.attach(tracker)
-        for _ in walk.run(150):
-            assert spread_against(tracker, base) == coset_distance(f2_orbit, ax, p, walk.state())
+    p = w(f2, "a b")
+    lazy = srw(f2, Fraction(1, 3))
+    # the first step of seed 0 under the lazy walk is a stay
+    assert next(ensemble(lazy, p, 0, (0,), 1)).increments(1) == [()]
+    for kernel in (srw(f2), lazy):
+        for root, shift, seed in [("a", "b", 3), ("a b", "b^2 a", 8), ("a b", "e", 0)]:
+            ax = axis_of(f2_tree, w(f2, root)).translate(w(f2, shift))
+            # no state of these walks projects onto a tie of p's own
+            assert_tracked(f2_orbit, kernel, [ax], p, seed, 150, coset_distance)
+
+
+_signed = st.sampled_from([1, -1, 2, -2, 3, -3])
+
+
+@given(
+    st.sampled_from(["F2", "F3"]),
+    st.sampled_from(["srw", "lazy:1/3", "jumps"]),
+    st.lists(st.lists(_signed, min_size=1, max_size=3), min_size=1, max_size=3),
+    st.lists(
+        st.tuples(st.lists(_signed, min_size=1, max_size=3), st.lists(_signed, max_size=3)), min_size=1, max_size=3
+    ),
+    st.lists(_signed, max_size=4),
+    st.integers(0, 2**32),
+)
+# a first step that stays (as in test_tracker_matches_projection_distance), two trackers
+@example("F2", "lazy:1/3", [[1]], [([1], [2]), ([1, 2], [])], [1, 2], 0)
+@settings(max_examples=60, deadline=None)
+def test_trackers_match_projection_distances(desc, spec, jumps_raw, axes_raw, p_raw, seed):
+    model = model_from_descriptor(desc)
+    orbit = top_level_orbit(model)
+
+    def word(raw):  # onto the model's letters
+        fit = [(abs(x) - 1) % model.rank + 1 if x > 0 else -((abs(x) - 1) % model.rank + 1) for x in raw]
+        return Word(model, model.normalize(tuple(fit)))
+
+    if spec == "jumps":
+        # jumps of length 2 and 3 with their inverses, uniformly weighted
+        jumps = {s for raw in jumps_raw if len(s := word(raw + raw[:1])) in (2, 3)}
+        assume(jumps)
+        jumps |= {s.inverse() for s in jumps}
+        kernel = make_invariant(model, {s: Fraction(1, len(jumps)) for s in jumps})
+    else:
+        kernel = resolve_kernel(model, spec)
+    roots = [(word(r), word(h)) for r, h in axes_raw]
+    assume(all(not r.is_identity() for r, _ in roots))
+    axes = [axis_of(orbit.space, r).translate(h) for r, h in roots]
+    assert_tracked(orbit, kernel, axes, word(p_raw), seed, 40)
 
 
 # --- drift oracle ----------------------------------------------------------------
@@ -131,6 +191,17 @@ def test_bounded_projection_zero_steps(f2):
     cells = [(f2.identity(), w(f2, "b"))]
     res = bounded_projection_experiment(cfg, cells=cells, n_list=(0, 10))
     assert res.table[(0, 0)] == 1.0
+
+
+def test_bounded_projection_refuses_a_horizon_past_the_cap_before_drawing(monkeypatch, f2):
+    # the CLI runs the default checkpoints; a library caller sets its own
+    def fail(*args, **kwargs):
+        raise AssertionError("a generator was made for a refused horizon")
+
+    monkeypatch.setattr(chains, "trajectory_rng", fail)
+    cfg = ExperimentConfig(seed=5, samples=1)
+    with pytest.raises(ChainError, match="horizon"):
+        bounded_projection_experiment(cfg, cells=[(f2.identity(), w(f2, "b"))], n_list=(10, HORIZON_CAP + 1))
 
 
 def test_bounded_projection_min_positive():
@@ -271,12 +342,13 @@ def test_golden_tail_tables(f2):
     )
 
 
-def test_tracker_copy_keeps_its_own_stack(f2, f2_tree):
+def test_tracker_spreads_leave_the_tracker_at_its_start(f2, f2_tree):
     ax = axis_of(f2_tree, w(f2, "a"))
-    template = AxisTracker(f2, ax, w(f2, "b a"))
-    walked = template.copy()
-    for letter in w(f2, "a a b^-1").letters:
-        walked.push(letter)
-    fresh = AxisTracker(f2, ax, w(f2, "b a^3 b^-1"))
-    assert (walked.stack, walked.fwd, walked.bwd) == (fresh.stack, fresh.fwd, fresh.bwd)
-    assert template.copy().stack == AxisTracker(f2, ax, w(f2, "b a")).stack
+    tracker = AxisTracker(f2, ax, w(f2, "a"))
+    steps = [(1,), (), (1,), (-2,), (2,)]
+    first = tracker.spreads(steps)
+    assert tracker.spreads(steps) == first
+    fresh = AxisTracker(f2, ax, w(f2, "a"))
+    assert (tracker.stack, tracker.fwd, tracker.bwd) == (fresh.stack, fresh.fwd, fresh.bwd)
+    # a^3 b^-1 leaves the line at a^3 and projects there, as a^3 does
+    assert first == [1, 1, 2, 2, 2]
