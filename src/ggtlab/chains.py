@@ -10,11 +10,14 @@ generator per trajectory and draws the walks' steps in blocks.  One engine,
 exact distributions in integer weights over a running denominator; it
 serves the tameness diagnostics (irreducibility, decay of point
 probabilities, reachability).  Both run a push-forward by conjugation: the
-walk runs from f^-1(start) and f maps what is read.  `simulate` reads every
-state, so each step of a pushed trajectory is one `Word` that f maps (the
-branch swap through a letter table), and `Trajectory.to_json` spells the
-states with `groups.spell_path`, which re-spells a state only past the
-prefix it shares with the one before it.
+walk runs from f^-1(start) and f maps what is read.  Letter tuples are the
+currency of this layer: every QI maps letters (`BijectiveQI.map`; the
+branch swap through one lookup in a letter table), and a `Word` is built
+only where a caller reads one.  `simulate` reads every state, so a pushed
+trajectory keeps the letters of each state, folded through the model's
+product and mapped by f, and `Trajectory.to_json` spells them with
+`groups.spell_letters`, which re-spells a state only past the prefix it
+shares with the one before it.
 """
 
 from __future__ import annotations
@@ -22,13 +25,24 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
-from itertools import islice
+from itertools import accumulate, islice
 from math import lcm
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .groups import FreeGroup, GroupModel, Word, ball, distance_from, distance_row, spell_path, word_distance
+from .groups import (
+    FreeGroup,
+    GroupModel,
+    Word,
+    ball,
+    ball_letters,
+    distance_from,
+    distance_row,
+    spell_letters,
+    word_distance,
+)
 
 
 class ChainError(ValueError):
@@ -44,13 +58,21 @@ class WitnessError(ChainError):
 
 
 class BijectiveQI:
-    """Base class for the shipped bijective self-quasi-isometries."""
+    """Base class for the shipped bijective self-quasi-isometries.
+
+    Each map implements `map`, which takes the letters of a normal form and
+    returns the letters of its image, also a normal form: the chains work on
+    letter tuples and build a `Word` only where a caller reads one.  `apply`
+    is the same map on words."""
 
     model: GroupModel
     claimed_nu: float
 
-    def apply(self, w: Word) -> Word:
+    def map(self, letters: tuple[int, ...]) -> tuple[int, ...]:
         raise NotImplementedError
+
+    def apply(self, w: Word) -> Word:
+        return Word(self.model, self.map(w.letters))
 
     def inverse(self) -> "BijectiveQI":
         raise NotImplementedError
@@ -59,12 +81,11 @@ class BijectiveQI:
         return self.apply(w)
 
     def check_bijective(self, radius: int) -> bool:
-        pts = ball(self.model, self.model.identity(), radius)
-        images = [self.apply(w) for w in pts]
+        pts = ball_letters(self.model, self.model.identity(), radius)
+        images = list(map(self.map, pts))
         if len(set(images)) != len(images):
             return False
-        inv = self.inverse()
-        return all(inv.apply(img) == w for w, img in zip(pts, images))
+        return list(map(self.inverse().map, images)) == pts
 
     def measured_qi_constants(self, radius: int) -> float:
         """Smallest nu with d/nu - nu <= d(images) <= nu*d + nu on the ball."""
@@ -84,14 +105,29 @@ class BijectiveQI:
         return nu
 
 
+def _letter_table(images: Sequence[int]) -> tuple[int, ...]:
+    """The image of every signed letter under generator i -> images[i - 1]
+    (inverses to inverses), indexed like the models' letter tables: negative
+    letters from the end."""
+    return (0, *images, *(-ell for ell in reversed(images)))
+
+
+def _relabel(table: tuple[int, ...], letters: tuple[int, ...]) -> tuple[int, ...]:
+    """The letters read through the table, by one C-level lookup (which
+    returns a bare letter, not a tuple, for a single index)."""
+    if len(letters) > 1:
+        return itemgetter(*letters)(table)
+    return (table[letters[0]],) if letters else ()
+
+
 @dataclass(frozen=True)
 class LeftTranslation(BijectiveQI):
     model: GroupModel
     g: Word
     claimed_nu = 1.0
 
-    def apply(self, w: Word) -> Word:
-        return self.g * w
+    def map(self, letters: tuple[int, ...]) -> tuple[int, ...]:
+        return self.model.product(self.g.letters, letters)
 
     def inverse(self) -> "LeftTranslation":
         return LeftTranslation(self.model, self.g.inverse())
@@ -108,12 +144,10 @@ class GeneratorPermutation(BijectiveQI):
     def __post_init__(self):
         if sorted(abs(i) for i in self.images) != list(range(1, self.model.rank + 1)):
             raise ChainError("generator images must form a signed permutation")
+        object.__setattr__(self, "_table", _letter_table(self.images))
 
-    def apply(self, w: Word) -> Word:
-        out = tuple(
-            self.images[ell - 1] if ell > 0 else -self.images[-ell - 1] for ell in w.letters
-        )
-        return Word(self.model, self.model.normalize(out))
+    def map(self, letters: tuple[int, ...]) -> tuple[int, ...]:
+        return self.model.normalize(_relabel(self._table, letters))
 
     def inverse(self) -> "GeneratorPermutation":
         inv = [0] * self.model.rank
@@ -136,10 +170,10 @@ class CompositionQI(BijectiveQI):
             nu = nu * p.claimed_nu + p.claimed_nu
         return nu
 
-    def apply(self, w: Word) -> Word:
+    def map(self, letters: tuple[int, ...]) -> tuple[int, ...]:
         for p in reversed(self.parts):
-            w = p.apply(w)
-        return w
+            letters = p.map(letters)
+        return letters
 
     def inverse(self) -> "CompositionQI":
         return CompositionQI(self.model, tuple(p.inverse() for p in reversed(self.parts)))
@@ -152,10 +186,11 @@ class BranchSwap(BijectiveQI):
     The depth-1 table {a <-> b} is repeated equivariantly below the swapped
     vertices: a word a*u maps to b*sigma(u), with sigma the letterwise
     relabel a <-> b, read from a table of all signed letters built once per
-    swap (c, d, ... of a larger rank map to themselves).  This is a tree
-    automorphism of the Cayley tree, hence an exact isometry, but neither a
-    translation nor a group automorphism (words starting with an inverse
-    generator, or with c, d, ..., are fixed).
+    swap (c, d, ... of a larger rank map to themselves).  Relabelling keeps
+    a reduced word reduced, so the image needs no normalising.  This is a
+    tree automorphism of the Cayley tree, hence an exact isometry, but
+    neither a translation nor a group automorphism (words starting with an
+    inverse generator, or with c, d, ..., are fixed).
     """
 
     model: FreeGroup
@@ -166,17 +201,12 @@ class BranchSwap(BijectiveQI):
             raise ChainError("branch swaps live on free groups")
         if self.model.rank < 2:
             raise ChainError("branch swap needs two distinct positive generators")
-        # sigma[l] for every signed letter l, negative letters indexing from the end
-        r = self.model.rank
-        sigma = [*range(r + 1), *range(-r, 0)]
-        sigma[1], sigma[2], sigma[-1], sigma[-2] = 2, 1, -2, -1
-        object.__setattr__(self, "_sigma", tuple(sigma).__getitem__)
+        object.__setattr__(self, "_table", _letter_table((2, 1, *range(3, self.model.rank + 1))))
 
-    def apply(self, w: Word) -> Word:
-        ls = w.letters
-        if ls and ls[0] in (1, 2):
-            return Word(self.model, tuple(map(self._sigma, ls)))
-        return w
+    def map(self, letters: tuple[int, ...]) -> tuple[int, ...]:
+        if letters and letters[0] in (1, 2):
+            return _relabel(self._table, letters)
+        return letters
 
     def inverse(self) -> "BranchSwap":
         return self
@@ -230,8 +260,8 @@ class Kernel:
         f = self.qi
         if f is None:
             return [(state * s, p) for s, p in self.measure]
-        src = f.inverse().apply(state)
-        return [(f.apply(src * s), p) for s, p in self.measure]
+        model, src = self.model, f.inverse().map(state.letters)
+        return [(Word(model, f.map(model.product(src, s.letters))), p) for s, p in self.measure]
 
     def jump_bound(self) -> int:
         """Longest jump: the longest word of the measure without a QI, else
@@ -281,16 +311,25 @@ def push_forward(kernel: Kernel, qi: BijectiveQI) -> Kernel:
 
 @dataclass(frozen=True)
 class Trajectory:
+    """A seeded run of a chain: `path` holds the letters of every state,
+    the start first; `states` builds their `Word`s for a caller that reads
+    them."""
+
     seed: int
     index: int
     start: Word
-    states: tuple[Word, ...]
+    path: tuple[tuple[int, ...], ...]
+
+    @property
+    def states(self) -> tuple[Word, ...]:
+        model = self.start.model
+        return tuple(Word(model, ls) for ls in self.path)
 
     def __len__(self) -> int:
-        return len(self.states) - 1
+        return len(self.path) - 1
 
     def to_json(self) -> str:
-        """One JSON line; the states are spelled by `spell_path`, which
+        """One JSON line; the states are spelled by `spell_letters`, which
         re-spells only where a state leaves the one before it."""
         import json
 
@@ -300,7 +339,7 @@ class Trajectory:
                 "index": self.index,
                 "start": str(self.start),
                 "n": len(self),
-                "states": spell_path(self.states),
+                "states": spell_letters(self.start.model, self.path),
             }
         )
 
@@ -351,12 +390,11 @@ class Walk:
     def __init__(self, kernel: Kernel, start: Word, picks: list[int]):
         self.kernel = kernel
         self.qi = kernel.qi
-        if self.qi is not None:
-            start = self.qi.inverse().apply(start)
+        cur = start.letters if self.qi is None else self.qi.inverse().map(start.letters)
         self.picks = picks
         self.done = 0
-        self.stack = list(start.letters) if isinstance(kernel.model, FreeGroup) else None
-        self.cur = start.letters
+        self.stack = list(cur) if isinstance(kernel.model, FreeGroup) else None
+        self.cur = cur
 
     def _take(self, count: int) -> list[int]:
         """The measure indices of the next `count` steps."""
@@ -391,8 +429,8 @@ class Walk:
                     stack.append(letter)
 
     def state(self) -> Word:
-        cur = Word(self.kernel.model, self.cur if self.stack is None else tuple(self.stack))
-        return cur if self.qi is None else self.qi.apply(cur)
+        cur = self.cur if self.stack is None else tuple(self.stack)
+        return Word(self.kernel.model, cur if self.qi is None else self.qi.map(cur))
 
 
 def ensemble(kernel: Kernel, start: Word, seed: int, indices: Iterable[int], horizon: int) -> Iterator[Walk]:
@@ -422,16 +460,13 @@ def ensemble(kernel: Kernel, start: Word, seed: int, indices: Iterable[int], hor
 
 
 def simulate(kernel: Kernel, start: Word, n: int, seed: int, index: int = 0) -> Trajectory:
-    """One trajectory with every state: the walk's increments folded through
-    the model's product, each state mapped by f as `Walk.state` maps it."""
+    """One trajectory with every state, kept as letters: the walk's
+    increments folded through the model's product from f^-1(start), each
+    state mapped by `f.map` as `Walk.state` maps it; no `Word` is built."""
     walk = next(ensemble(kernel, start, seed, (index,), n))
-    model, f, cur = kernel.model, kernel.qi, walk.cur
-    states = [start]
-    for inc in walk.increments(n):
-        cur = model.product(cur, inc)
-        w = Word(model, cur)
-        states.append(w if f is None else f.apply(w))
-    return Trajectory(seed, index, start, tuple(states))
+    path = accumulate(walk.increments(n), kernel.model.product, initial=walk.cur)
+    f = kernel.qi
+    return Trajectory(seed, index, start, tuple(path if f is None else map(f.map, path)))
 
 
 # ---------------------------------------------------------------------------
@@ -454,10 +489,11 @@ class ExactLaw:
     def __init__(self, kernel: Kernel, start: Word):
         self.model = kernel.model
         self.qi = kernel.qi
+        start_letters = start.letters
         if self.qi is not None:
             self.qi_inv = self.qi.inverse()
-            start = self.qi_inv.apply(start)
-        self.weights: dict[tuple[int, ...], int] = {start.letters: 1}
+            start_letters = self.qi_inv.map(start_letters)
+        self.weights: dict[tuple[int, ...], int] = {start_letters: 1}
         self.denom = 1
         self.step_denom = lcm(*(p.denominator for _, p in kernel.measure))
         self.table = [
@@ -468,8 +504,7 @@ class ExactLaw:
         return len(self.weights)
 
     def _state(self, letters: tuple[int, ...]) -> Word:
-        w = Word(self.model, letters)
-        return w if self.qi is None else self.qi.apply(w)
+        return Word(self.model, letters if self.qi is None else self.qi.map(letters))
 
     def step(self, keep: Callable[[Word], bool] | None = None) -> None:
         """Advance one step; targets failing `keep` are dropped."""
@@ -487,7 +522,7 @@ class ExactLaw:
         self.weights = nxt
 
     def prob(self, w: Word) -> Fraction:
-        key = (w if self.qi is None else self.qi_inv.apply(w)).letters
+        key = w.letters if self.qi is None else self.qi_inv.map(w.letters)
         return Fraction(self.weights.get(key, 0), self.denom)
 
     def sup(self) -> Fraction:

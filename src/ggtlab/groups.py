@@ -76,6 +76,10 @@ class GroupModel:
             if ell == 0 or abs(ell) > n:
                 raise GroupError(f"letter {ell} does not index a generator of {self.describe()}")
 
+    def sort_key(self, letters: tuple[int, ...]) -> tuple[int, ...]:
+        """Length-lexicographic key of a normal form (see `Word.sort_key`)."""
+        return (len(letters), *map(self._sort_rank.__getitem__, letters))
+
     def identity(self) -> "Word":
         return Word(self, ())
 
@@ -335,12 +339,42 @@ class DirectProduct(GroupModel):
 # words
 
 
-@dataclass(frozen=True)
 class Word:
-    """A group element in canonical normal form for its model."""
+    """A group element in canonical normal form for its model.
+
+    An immutable slotted pair (model, letters): `__init__` writes the two
+    slots through their descriptors and any later assignment or deletion
+    raises.  Equality compares the model and the letters, the hash is the
+    letters' hash, and `repr` reads `Word(model=..., letters=...)`.  The
+    chain and ball code works on letter tuples and builds a `Word` only
+    where a caller reads one.
+    """
+
+    __slots__ = ("model", "letters")
 
     model: GroupModel
     letters: tuple[int, ...]
+
+    def __init__(self, model: GroupModel, letters: tuple[int, ...]) -> None:
+        _set_word_model(self, model)
+        _set_word_letters(self, letters)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable Word")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r} of an immutable Word")
+
+    def __reduce__(self):
+        return Word, (self.model, self.letters)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not Word:
+            return NotImplemented
+        return (self.model, self.letters) == (other.model, other.letters)
+
+    def __repr__(self) -> str:
+        return f"Word(model={self.model!r}, letters={self.letters!r})"
 
     def __len__(self) -> int:
         # geodesic word length; for all shipped models this is the canonical
@@ -380,7 +414,7 @@ class Word:
 
         A flat tuple: the length, then each letter's rank (generator i ranks
         2i, its inverse 2i+1)."""
-        return (len(self.letters), *map(self.model._sort_rank.__getitem__, self.letters))
+        return self.model.sort_key(self.letters)
 
     def __str__(self) -> str:
         if not self.letters:
@@ -390,10 +424,13 @@ class Word:
         return " ".join(parts)
 
 
+_set_word_model, _set_word_letters = Word.model.__set__, Word.letters.__set__
+
+
 def _spell_runs(model: GroupModel, letters: tuple[int, ...], i: int, parts: list[str]) -> None:
     """Append the spelling of each run of equal letters in letters[i:] ("a",
     "b^-1", "a^3") to parts; letters[i:] must not be empty.  The one speller
-    of words: `Word.__str__` and `spell_path` join its parts with spaces."""
+    of words: `Word.__str__` and `spell_letters` join its parts with spaces."""
     names, singles = model._letter_names, model._single_runs
     run, n = letters[i], 0
     for ell in letters[i:] + (0,):  # 0 is no letter: it closes the last run
@@ -404,24 +441,21 @@ def _spell_runs(model: GroupModel, letters: tuple[int, ...], i: int, parts: list
         run, n = ell, 1
 
 
-def spell_path(words: Iterable[Word]) -> list[str]:
-    """[str(w) for w in words], with each word's spelling reusing the parts
-    of the word before it over a prefix the two share.
+def spell_letters(model: GroupModel, paths: Iterable[tuple[int, ...]]) -> list[str]:
+    """[str(Word(model, ls)) for ls in paths], with each normal form's
+    spelling reusing the parts of the one before it over a prefix the two
+    share.
 
     The shared prefix is found by slice compares at the shorter length and
     then 1, 3, 7, ... letters below it, so it falls short of the longest
-    one by fewer letters than the words run past that; for a walk's
+    one by fewer letters than the tuples run past that; for a walk's
     consecutive states, which differ only at their last letter or two, it is
     the longest.  The run through the last shared letter (which may grow or
     shrink) and the runs after it are spelled again, so a walk's next state
-    costs a run or two and a join, not a spelling of the whole word.  A word
-    of another model than the one before it is spelled afresh."""
+    costs a run or two and a join, not a spelling of the whole word."""
     out: list[str] = []
-    model, prev, parts = None, (), []
-    for w in words:
-        letters = w.letters
-        if w.model is not model:
-            model, prev = w.model, ()
+    prev, parts = (), []
+    for letters in paths:
         k, gap = min(len(prev), len(letters)), 1
         while prev[:k] != letters[:k]:
             k, gap = max(0, k - gap), 2 * gap
@@ -488,28 +522,41 @@ def diameter(points: Iterable, dist: Callable[[object, object], int]) -> int:
     return max((dist(p, q) for p, q in combinations(list(points), 2)), default=0)
 
 
-def ball(model: GroupModel, center: Word, radius: int, cap: int = DEFAULT_RADIUS_CAP) -> list[Word]:
-    """All h with d(center, h) <= radius, in length-lexicographic order."""
+def ball_letters(
+    model: GroupModel, center: Word, radius: int, cap: int = DEFAULT_RADIUS_CAP
+) -> list[tuple[int, ...]]:
+    """The letters of all h with d(center, h) <= radius, in length-
+    lexicographic order (`Word.sort_key`), with no `Word` built.
+
+    The search runs on letter tuples, each vertex's neighbours its products
+    with one signed generator."""
     if radius < 0:
         raise GroupError("radius must be >= 0")
     if radius > cap:
         raise BallCapError(f"radius {radius} exceeds cap {cap}; pass cap= to raise it")
     if center.model != model:
         raise GroupError("ball: model mismatch")
+    product = model.product
+    steps = [(s,) for i in range(1, model.rank + 1) for s in (i, -i)]
     seen = {center.letters}
-    frontier = [center]
-    out = [center]
+    frontier = [center.letters]
     for _ in range(radius):
         nxt = []
-        for w in frontier:
-            for v in neighbours(model, w):
-                if v.letters not in seen:
-                    seen.add(v.letters)
+        for ls in frontier:
+            for s in steps:
+                v = product(ls, s)
+                if v not in seen:
+                    seen.add(v)
                     nxt.append(v)
         frontier = nxt
-        out.extend(nxt)
-    out.sort(key=Word.sort_key)
-    return out
+    # the keys are distinct, so the order does not depend on the set's
+    return sorted(seen, key=model.sort_key)
+
+
+def ball(model: GroupModel, center: Word, radius: int, cap: int = DEFAULT_RADIUS_CAP) -> list[Word]:
+    """All h with d(center, h) <= radius, in length-lexicographic order: one
+    `Word` per vertex of `ball_letters`."""
+    return [Word(model, ls) for ls in ball_letters(model, center, radius, cap)]
 
 
 @dataclass(frozen=True)

@@ -157,7 +157,7 @@ def coset_rep_key(root: Word, h: Word) -> tuple[int, ...]:
         k0 = m // q
         near = letters[: n - k0 * q]
         far = letters[: n - m] + (r * (k0 + 1))[m:]
-        return min(near, far, key=lambda t: Word(root.model, t).sort_key())
+        return min(near, far, key=root.model.sort_key)
     q = len(_cyclic_reduce_free(r)[1]) if isinstance(root.model, FreeGroup) else len(r)
     walk = _coset_walk(h, root, 2 * (len(h) // max(1, q)) + 2)
     best = next(walk)

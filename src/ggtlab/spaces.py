@@ -186,27 +186,23 @@ class FiniteGraphSpace:
             raise SpaceError("graph is not connected between the given points")
         return d
 
-    def expanded_adjacency(self) -> dict:
-        """Adjacency with cliques expanded to edges (small graphs only)."""
+    def serialize(self) -> str:
+        """Adjacency-list text: one line per vertex `id: n1 n2 ...`, with
+        cliques expanded to edges and each list in its vertices' repr order
+        (small graphs only).  Each vertex is spelled once."""
         total = sum(len(c) * (len(c) - 1) for c in self.cliques)
         if total > 400_000:
             raise SpaceError("graph too large to expand cliques explicitly")
-        verts = self.vertices
         adj = [set(ns) for ns in self._nbrs]
         for ids in self._clique_ids:
             for a, b in itertools.combinations(ids, 2):
                 adj[a].add(b)
                 adj[b].add(a)
-        key = [repr(v) for v in verts]  # neighbours in repr order
-        return {v: tuple(verts[j] for j in sorted(ns, key=key.__getitem__)) for v, ns in zip(verts, adj)}
-
-    def serialize(self) -> str:
-        """Adjacency-list text: one line per vertex `id: n1 n2 ...`."""
-        adj = self.expanded_adjacency()
-        lines = []
-        for v in self.vertices:
-            ns = " ".join(str(u) for u in adj[v])
-            lines.append(f"{v}: {ns}")
+        key = [repr(v) for v in self.vertices]
+        names = [str(v) for v in self.vertices]
+        lines = [
+            f"{name}: {' '.join(names[j] for j in sorted(ns, key=key.__getitem__))}" for name, ns in zip(names, adj)
+        ]
         return "\n".join(lines) + "\n"
 
 

@@ -52,6 +52,17 @@ def naive_ball(model: GroupModel, center: Word, radius: int) -> set[Word]:
     return seen
 
 
+def expanded_adjacency(space) -> dict:
+    """A finite graph space's adjacency with its cliques expanded to edges,
+    each neighbour list in repr order, from its public fields."""
+    adj = {v: set(space.base_adjacency.get(v, ())) for v in space.vertices}
+    for members in space.cliques:
+        for a, b in combinations(members, 2):
+            adj[a].add(b)
+            adj[b].add(a)
+    return {v: sorted(ns, key=repr) for v, ns in adj.items()}
+
+
 def graph_bfs(adjacency: dict, src):
     """Distances from src over an explicit adjacency dict."""
     dist = {src: 0}

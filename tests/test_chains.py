@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import numpy as np
 
@@ -29,7 +31,7 @@ from ggtlab.chains import (
     trajectory_rng,
 )
 from ggtlab.experiments import resolve_kernel
-from ggtlab.groups import ball, model_from_descriptor, word_distance
+from ggtlab.groups import Word, ball, model_from_descriptor, word_distance
 
 from conftest import w
 from oracles import fraction_step
@@ -275,11 +277,10 @@ class _MergeAtRadiusThree(BijectiveQI):
 
     def __init__(self, model):
         self.model = model
-        self.moves = {w(model, "a^3"): w(model, "b^3"), w(model, "b^3"): w(model, "a^3"),
-                      w(model, "b^-3"): w(model, "a^3")}
+        self.moves = {(1, 1, 1): (2, 2, 2), (2, 2, 2): (1, 1, 1), (-2, -2, -2): (1, 1, 1)}
 
-    def apply(self, u):
-        return self.moves.get(u, u)
+    def map(self, letters):
+        return self.moves.get(letters, letters)
 
     def inverse(self):
         return self
@@ -290,6 +291,40 @@ def test_push_forward_refuses_a_map_not_injective_on_the_radius_three_ball(f2k, 
     assert merge.check_bijective(2) and not merge.check_bijective(3)
     with pytest.raises(ChainError, match="not bijective"):
         push_forward(walk, merge)
+
+
+def _shipped_qis():
+    """Every shipped map by name: translations and branch swaps on F2 and
+    F3, generator permutations on F2 and Z^2, and a composition."""
+    f2, f3, z2 = (model_from_descriptor(d) for d in ("F2", "F3", "Z^2"))
+    return {
+        "translation-F2": LeftTranslation(f2, w(f2, "a b^-1 a")),
+        "translation-F3": LeftTranslation(f3, w(f3, "c^-1 b")),
+        "swap-F2": branch_swap(f2),
+        "swap-F3": branch_swap(f3),
+        "permutation-F2": GeneratorPermutation(f2, (-2, 1)),
+        "permutation-Z2": GeneratorPermutation(z2, (2, -1)),
+        "composition-F2": CompositionQI(f2, (branch_swap(f2), LeftTranslation(f2, w(f2, "b a")))),
+    }
+
+
+SHIPPED_QIS = _shipped_qis()
+
+
+@pytest.mark.parametrize("qi", SHIPPED_QIS.values(), ids=list(SHIPPED_QIS))
+@given(draws=st.lists(st.integers(-3, 3).filter(bool), max_size=10))
+@settings(max_examples=150, deadline=None)
+def test_qi_maps_normal_forms_like_apply_and_inverts(qi, draws):
+    # the empty word and every one-letter word, then words drawn from letters
+    model = qi.model
+    words = [(), *((s,) for i in range(1, model.rank + 1) for s in (i, -i))]
+    words.append(model.normalize([((abs(d) - 1) % model.rank + 1) * (1 if d > 0 else -1) for d in draws]))
+    inv = qi.inverse()
+    for x in words:
+        y = qi.map(x)
+        assert qi.apply(Word(model, x)).letters == y
+        assert model.normalize(y) == y
+        assert inv.map(y) == x
 
 
 def test_qi_constants(f2k):
@@ -506,6 +541,33 @@ def test_engines_step_without_rebuilding_a_law(f2k, name, monkeypatch):
     for _ in range(4):
         law.step()
     assert len(law) == len(ref) and all(law.prob(x) == pr for x, pr in ref.items())
+
+
+@pytest.mark.parametrize(
+    "desc, name, start",
+    [
+        ("F2", "srw", "b a^-1"),
+        ("F2", "lazy", "a^2"),
+        ("F2", "branch-swap", "e"),
+        ("F2", "branch-swap", "a b^-1"),
+        ("F2", "nested", "b^2 a"),
+        ("Z^2 * Z", "srw", "x z y^-1"),
+        ("(Z^2 * Z) x Z", "lazy", "z t"),
+    ],
+)
+def test_trajectory_json_spells_every_state(desc, name, start):
+    import json
+
+    model = model_from_descriptor(desc)
+    if name in ("srw", "lazy"):
+        kernel = srw(model, stay=Fraction(1, 2) if name == "lazy" else Fraction(0))
+    else:
+        kernel = kernel_family(model, name)
+    traj = simulate(kernel, w(model, start), 80, seed=11, index=2)
+    row = json.loads(traj.to_json())
+    assert row["states"] == [str(u) for u in traj.states]
+    assert (row["start"], row["n"], len(traj.states)) == (start, 80, 81)
+    assert traj.states[0] == w(model, start) and all(u.model is model for u in traj.states)
 
 
 def test_exact_law_on_a_free_product():

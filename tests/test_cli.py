@@ -429,7 +429,7 @@ def test_golden_walk_outputs(tmp_path, capsys, command, kernel, seed, pin):
 
 # sha256 of the stdout of `simulate --count 3 --steps 60`, recorded before the
 # branch swap relabelled letters through a table and trajectories were spelled
-# by `spell_path`.  The srw rows are the word-product walks, whose consecutive
+# by a prefix-sharing speller (now `groups.spell_letters`).  The srw rows are the word-product walks, whose consecutive
 # states also change letters before their last one.
 @pytest.mark.parametrize(
     "model, kernel, start, seed, pin",

@@ -20,7 +20,7 @@ from ggtlab.groups import (
     normal_form,
     parse_model,
     parse_word,
-    spell_path,
+    spell_letters,
     word_diameter,
     word_distance,
 )
@@ -208,9 +208,16 @@ def test_ball_against_formula_oracle(f2, z2):
         assert len(ball(z2, z2.identity(), r)) == abelian2_ball_size(r)
 
 
-def test_ball_against_naive_bfs(z2z):
-    got = set(ball(z2z, z2z.identity(), 3))
-    assert got == naive_ball(z2z, z2z.identity(), 3)
+def test_ball_against_naive_bfs(f2, z2, z2z, z2z_by_z):
+    # the oracle's vertices in length-lexicographic order by an independent
+    # key: positive letters before their inverses, generators in index order
+    def pair_key(u):
+        return (len(u.letters), tuple((abs(l), 0 if l > 0 else 1) for l in u.letters))
+
+    for model, centre in ((f2, "b a^-1"), (z2, "x y^-2"), (z2z, "x z y^-1"), (z2z_by_z, "z x t^-1")):
+        c = w(model, centre)
+        for r in range(4):
+            assert ball(model, c, r) == sorted(naive_ball(model, c, r), key=pair_key)
 
 
 def test_ball_order_deterministic(f2):
@@ -224,6 +231,38 @@ def test_ball_cap(f2):
     with pytest.raises(BallCapError):
         ball(f2, f2.identity(), 11)
     assert len(ball(f2, f2.identity(), 11, cap=11)) == free_ball_size(2, 11)
+
+
+# --- words ----------------------------------------------------------------
+
+
+def test_words_are_immutable(f2):
+    import copy
+    import pickle
+
+    u = w(f2, "a b")
+    for name in ("letters", "model", "other"):
+        with pytest.raises(AttributeError):
+            setattr(u, name, ())
+        with pytest.raises(AttributeError):
+            delattr(u, name)
+    assert u.letters == (1, 2) and u.model is f2
+    assert copy.copy(u) == u and pickle.loads(pickle.dumps(u)) == u
+
+
+def test_word_repr_text(f2, z2z_by_z):
+    assert repr(w(f2, "a b^-1")) == "Word(model=<FreeGroup F2>, letters=(1, -2))"
+    assert repr(Word(f2, (1,))) == "Word(model=<FreeGroup F2>, letters=(1,))"
+    assert repr(z2z_by_z.identity()) == "Word(model=<DirectProduct (Z^2 * Z) x Z>, letters=())"
+
+
+def test_words_of_equal_models_are_equal_and_hash_as_their_letters():
+    m1, m2 = parse_model("Z^2 * Z"), parse_model("Z^2 * Z")
+    u, v = Word(m1, (1, 3, -2)), Word(m2, (1, 3, -2))
+    assert m1 is not m2 and u == v and not u != v
+    assert hash(u) == hash(u.letters) == hash(v)
+    assert u != Word(m1, (1, 3)) and u != Word(parse_model("F3"), (1, 3, -2))
+    assert u != (1, 3, -2)
 
 
 # --- geodesics --------------------------------------------------------
@@ -342,14 +381,13 @@ def test_str_spells_runs_and_parses_back(desc, runs):
 SPELL_MODELS = ["F2", "F3", "Z^2", "Z^2 * Z", "F2 x Z", "(Z^2 * Z) x Z"]
 
 # one move of a path of words: a one-letter step, a power of one letter (so
-# runs grow, shrink and change sign), an arbitrary jump, a return to the
-# identity, or the same letters read in another model
+# runs grow, shrink and change sign), an arbitrary jump, or a return to the
+# identity
 _moves = st.one_of(
     st.tuples(st.just("step"), st.integers(-8, 8).filter(bool)),
     st.tuples(st.just("power"), st.integers(-8, 8).filter(bool), st.integers(-6, 6)),
     st.tuples(st.just("jump"), _draws),
     st.tuples(st.just("identity")),
-    st.tuples(st.just("model"), st.sampled_from(SPELL_MODELS)),
 )
 
 
@@ -366,14 +404,10 @@ def test_spell_path_spells_every_word(desc, start, moves):
             cur = cur * normal_form(m, _raw(m, arg[:1])) ** arg[1]
         elif kind == "jump":
             cur = cur * normal_form(m, _raw(m, arg[0]))
-        elif kind == "identity":
-            cur = m.identity()
         else:
-            # the letters the new model has, so the two words share a prefix
-            m = model_from_descriptor(arg[0])
-            cur = normal_form(m, [l for l in cur.letters if abs(l) <= m.rank])
+            cur = m.identity()
         path.append(cur)
-    assert spell_path(path) == [str(u) for u in path]
+    assert spell_letters(m, [u.letters for u in path]) == [str(u) for u in path]
 
 
 @pytest.mark.parametrize(
@@ -391,14 +425,8 @@ def test_spell_path_spells_every_word(desc, start, moves):
 )
 def test_spell_path_keeps_only_what_the_words_share(desc, texts):
     m = model_from_descriptor(desc)
-    assert spell_path([parse_word(m, t) for t in texts]) == texts
-
-
-def test_spell_path_spells_each_word_with_its_own_model(f2, z2):
-    # the same letters in two models: a, b and x, y
-    path = [w(f2, "a b^2"), w(z2, "x y^2"), w(z2, "x y^3"), w(f2, "a b^3"), w(f2, "a b^3")]
-    assert spell_path(path) == ["a b^2", "x y^2", "x y^3", "a b^3", "a b^3"]
-    assert spell_path([]) == []
+    assert spell_letters(m, [parse_word(m, t).letters for t in texts]) == texts
+    assert spell_letters(m, []) == []
 
 
 def test_junction_cancels_whole_syllables(z2z, z2z_by_z):

@@ -24,7 +24,7 @@ from ggtlab.spaces import (
 )
 
 from conftest import w
-from oracles import bs_tree_adjacency, cayley_graph_adjacency, four_point_delta, graph_bfs
+from oracles import bs_tree_adjacency, cayley_graph_adjacency, expanded_adjacency, four_point_delta, graph_bfs
 
 
 # --- distances -------------------------------------------------------------
@@ -296,10 +296,18 @@ def test_serialize_roundtrip_line_format():
     assert text.splitlines() == ["p: q", "q: p"]
 
 
+def test_serialize_spells_each_expanded_neighbour_list(f2, z2z):
+    # each vertex is spelled once and its spelling reused in every list
+    for model, root in ((f2, "a b"), (z2z, "x z")):
+        coned = cone_off(model, 3, [cyclic_coset_family(model, w(model, root))])
+        adj = expanded_adjacency(coned)
+        assert coned.serialize() == "".join(f"{v}: {' '.join(str(u) for u in adj[v])}\n" for v in coned.vertices)
+
+
 def test_clique_bfs_matches_expanded_bfs(f2):
     fam = cyclic_coset_family(f2, w(f2, "a"))
     coned = cone_off(f2, 3, [fam])
-    adj = coned.expanded_adjacency()
+    adj = expanded_adjacency(coned)
     for src in list(coned.vertices)[:10]:
         assert coned.distances_from(src) == graph_bfs(adj, src)
 
