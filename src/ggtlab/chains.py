@@ -40,6 +40,7 @@ from .groups import (
     ball_letters,
     distance_from,
     distance_row,
+    neighbours,
     spell_letters,
     word_distance,
 )
@@ -263,19 +264,17 @@ class Kernel:
         model, src = self.model, f.inverse().map(state.letters)
         return [(Word(model, f.map(model.product(src, s.letters))), p) for s, p in self.measure]
 
+    @cached_property
     def jump_bound(self) -> int:
         """Longest jump: the longest word of the measure without a QI, else
         the longest over the states of the radius-3 ball, measured once per
         kernel (it rebuilds the law at every state of the ball)."""
         if self.qi is None:
             return max(len(s) for s, _ in self.measure)
-        known = self.__dict__
-        if "_jump_bound" not in known:
-            best = 0
-            for st in ball(self.model, self.model.identity(), 3):
-                best = max([best, *distance_row(self.model, st, [tgt for tgt, _ in self.law(st)])])
-            known["_jump_bound"] = best
-        return known["_jump_bound"]
+        best = 0
+        for st in ball(self.model, self.model.identity(), 3):
+            best = max([best, *distance_row(self.model, st, [tgt for tgt, _ in self.law(st)])])
+        return best
 
 
 def make_invariant(model: GroupModel, weights: dict[Word, Fraction]) -> Kernel:
@@ -285,9 +284,7 @@ def make_invariant(model: GroupModel, weights: dict[Word, Fraction]) -> Kernel:
 
 def srw(model: GroupModel, stay: Fraction = Fraction(0)) -> Kernel:
     """Simple random walk, uniform on generators and inverses; optional laziness."""
-    gens = []
-    for g in model.generators():
-        gens.extend([g, g.inverse()])
+    gens = [Word(model, s) for s in neighbours(model, ())]  # the identity's neighbours
     move = (1 - stay) / len(gens)
     weights = {s: move for s in gens}
     if stay:
@@ -581,9 +578,7 @@ def _is_uniform_free_walk(kernel: Kernel) -> tuple[bool, Fraction]:
         return False, Fraction(0)
     stay = Fraction(0)
     move: set[Fraction] = set()
-    expected = {(i,) for i in range(1, kernel.model.rank + 1)} | {
-        (-i,) for i in range(1, kernel.model.rank + 1)
-    }
+    expected = set(neighbours(kernel.model, ()))
     seen = set()
     for s, p in kernel.measure:
         if s.is_identity():
@@ -759,7 +754,7 @@ def reach_probability(kernel: Kernel, p: Word, q: Word, steps_factor: int = 3) -
     if d > 6:
         raise ChainError("exact reachability DP is limited to d <= 6")
     horizon = max(1, d * steps_factor)
-    jump = kernel.jump_bound()
+    jump = kernel.jump_bound
     to_p = distance_from(model, p)
     law = ExactLaw(kernel, q)
     table: list[tuple[int, Fraction]] = [(0, Fraction(1) if d == 0 else Fraction(0))]

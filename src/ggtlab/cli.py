@@ -54,6 +54,7 @@ from .projections import (
     linear_order,
     make_axis,
     pivot,
+    project_to_set,
 )
 from .spaces import (
     BassSerreTree,
@@ -118,7 +119,7 @@ def _load_config(args) -> ExperimentConfig:
 def cmd_ball(args) -> int:
     model = model_from_descriptor(args.model)
     center = parse_word(model, args.center)
-    elems = ball(model, center, args.radius, cap=max(args.radius, 10))
+    elems = ball(model, center, args.radius)
     lines = [str(w) for w in elems]
     _emit(args, "ball.txt", f"# ggtlab {__version__}\n" + "\n".join(lines) + f"\n# count={len(elems)}\n")
     print(f"{len(elems)} elements")
@@ -129,8 +130,6 @@ def cmd_project(args) -> int:
     orbit = _orbit(args)
     model = orbit.group
     ax = make_axis(model, parse_word(model, args.axis_root), parse_word(model, args.axis_rep))
-    from .projections import project_to_set
-
     val = project_to_set(orbit, parse_word(model, args.x), ax)
     pts = " ".join(f"[{p}]" for p in val.points)
     print(f"projection of [{args.x}] onto {ax}: {pts} at distance {val.distance} ({val.method})")
@@ -285,7 +284,7 @@ def cmd_cone(args) -> int:
     families = []
     for root in args.cone or []:
         families.append(cyclic_coset_family(model, parse_word(model, root)))
-    graph = cone_off(model, args.radius, families, cap=max(args.radius, 10))
+    graph = cone_off(model, args.radius, families)
     text = graph.serialize() if len(graph) <= args.serialize_limit else ""
     if text:
         _emit(args, "cone.adj", text)
@@ -299,7 +298,7 @@ def cmd_fibers(args) -> int:
     model = model_from_descriptor(args.model)
     sched = coning_schedule(product_free_skeleton())
     regions = product_free_regions(model)
-    fb = factored_ball(model, args.radius, sched, sched.termination_round, regions, cap=args.radius)
+    fb = factored_ball(model, args.radius, sched, sched.termination_round, regions)
     res = fiber_parallelism_check(
         model, fb, parse_word(model, args.x), parse_word(model, args.y), args.bound, regions
     )

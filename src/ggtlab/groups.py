@@ -28,10 +28,12 @@ class GroupError(ValueError):
 
 
 class BallCapError(GroupError):
-    """A ball enumeration exceeded its configured radius cap."""
+    """A ball enumeration found more vertices than `BALL_VERTEX_BUDGET`."""
 
 
-DEFAULT_RADIUS_CAP = 10
+# vertices a ball enumeration may hold (about 300 bytes each); F2's radius-12
+# ball (1062881 vertices) fits, its radius-13 ball does not
+BALL_VERTEX_BUDGET = 2_000_000
 
 _FREE_NAME_POOL = "abcdfghjklmn"
 _ABELIAN_NAME_POOL = "xyzwuv"
@@ -87,12 +89,15 @@ class GroupModel:
         return [Word(self, (i + 1,)) for i in range(self.rank)]
 
     def _build_tables(self) -> None:
-        """Per-model constants, set once at construction: the hash, and per
-        letter its sort rank (generator i -> 2i, its inverse -> 2i+1), its
-        generator's name and the spelling of a run of that one letter ("a",
-        "a^-1").  Tables indexed by a signed letter use Python's negative
-        indexing."""
+        """Per-model constants, set once at construction: the hash, the
+        Cayley-graph step set (one-letter tuples a, a^-1, b, b^-1, ..., the
+        one spelling of the signed generators that `neighbours` and the ball
+        search step by), and per letter its sort rank (generator i -> 2i, its
+        inverse -> 2i+1), its generator's name and the spelling of a run of
+        that one letter ("a", "a^-1").  Tables indexed by a signed letter use
+        Python's negative indexing."""
         n = self.rank
+        object.__setattr__(self, "_steps", tuple((s,) for i in range(1, n + 1) for s in (i, -i)))
         rank = [0] * (2 * n + 1)
         names = [""] * (2 * n + 1)
         singles = [""] * (2 * n + 1)
@@ -510,11 +515,12 @@ def word_diameter(model: GroupModel, points: Iterable[Word]) -> int:
     return max((d for i, p in enumerate(pts) for d in distance_row(model, p, pts[i + 1 :])), default=0)
 
 
-def neighbours(model: GroupModel, w: Word) -> Iterator[Word]:
-    """The Cayley-graph neighbours w s, for s = a, a^-1, b, b^-1, ... (sort_key order)."""
-    for i in range(1, model.rank + 1):
-        for s in (i, -i):
-            yield Word(model, model.product(w.letters, (s,)))
+def neighbours(model: GroupModel, letters: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The letters of the Cayley-graph neighbours w s of the normal form w,
+    for s = a, a^-1, b, b^-1, ... (sort_key order): the products with the
+    model's step set, which lives in one per-model table."""
+    product = model.product
+    return [product(letters, s) for s in model._steps]
 
 
 def diameter(points: Iterable, dist: Callable[[object, object], int]) -> int:
@@ -522,41 +528,41 @@ def diameter(points: Iterable, dist: Callable[[object, object], int]) -> int:
     return max((dist(p, q) for p, q in combinations(list(points), 2)), default=0)
 
 
-def ball_letters(
-    model: GroupModel, center: Word, radius: int, cap: int = DEFAULT_RADIUS_CAP
-) -> list[tuple[int, ...]]:
+def ball_letters(model: GroupModel, center: Word, radius: int) -> list[tuple[int, ...]]:
     """The letters of all h with d(center, h) <= radius, in length-
     lexicographic order (`Word.sort_key`), with no `Word` built.
 
-    The search runs on letter tuples, each vertex's neighbours its products
-    with one signed generator."""
+    The search runs on letter tuples, each vertex's neighbours its
+    `neighbours`.  It raises BallCapError as soon as it has found more than
+    `BALL_VERTEX_BUDGET` vertices, checked once per frontier vertex."""
     if radius < 0:
         raise GroupError("radius must be >= 0")
-    if radius > cap:
-        raise BallCapError(f"radius {radius} exceeds cap {cap}; pass cap= to raise it")
     if center.model != model:
         raise GroupError("ball: model mismatch")
-    product = model.product
-    steps = [(s,) for i in range(1, model.rank + 1) for s in (i, -i)]
+    budget = BALL_VERTEX_BUDGET
     seen = {center.letters}
     frontier = [center.letters]
     for _ in range(radius):
         nxt = []
         for ls in frontier:
-            for s in steps:
-                v = product(ls, s)
+            for v in neighbours(model, ls):
                 if v not in seen:
                     seen.add(v)
                     nxt.append(v)
+            if len(seen) > budget:
+                raise BallCapError(
+                    f"the radius-{radius} ball of {model.describe()} has more than {budget} vertices"
+                )
         frontier = nxt
     # the keys are distinct, so the order does not depend on the set's
     return sorted(seen, key=model.sort_key)
 
 
-def ball(model: GroupModel, center: Word, radius: int, cap: int = DEFAULT_RADIUS_CAP) -> list[Word]:
+def ball(model: GroupModel, center: Word, radius: int) -> list[Word]:
     """All h with d(center, h) <= radius, in length-lexicographic order: one
-    `Word` per vertex of `ball_letters`."""
-    return [Word(model, ls) for ls in ball_letters(model, center, radius, cap)]
+    `Word` per vertex of `ball_letters`, whose steps come from the model's
+    one step table (see `neighbours`)."""
+    return [Word(model, ls) for ls in ball_letters(model, center, radius)]
 
 
 @dataclass(frozen=True)
@@ -577,18 +583,16 @@ def geodesic(model: GroupModel, g: Word, h: Word, reverse: bool = False) -> Geod
     `neighbours` order (the last one with ``reverse``) that is closer to h."""
     if g.model != model or h.model != model:
         raise GroupError("geodesic: model mismatch")
-    path = [g]
-    to_h = distance_from(model, h)  # d(v, h) = d(h, v): h is inverted once
+    h_inv, product = model.inverse(h.letters), model.product  # d(v, h) = |h^-1 v|
+    path = [g.letters]
     # a connected Cayley graph always has a distance-decreasing step
-    for remaining in range(to_h(g) - 1, -1, -1):
+    for remaining in range(len(product(h_inv, g.letters)) - 1, -1, -1):
         steps = neighbours(model, path[-1])
-        if reverse:
-            steps = reversed(list(steps))
-        for v in steps:
-            if to_h(v) == remaining:
+        for v in reversed(steps) if reverse else steps:
+            if len(product(h_inv, v)) == remaining:
                 break
         path.append(v)
-    return GeodesicPath(tuple(path))
+    return GeodesicPath(tuple(Word(model, ls) for ls in path))
 
 
 # ---------------------------------------------------------------------------

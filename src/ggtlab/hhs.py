@@ -261,7 +261,7 @@ def product_free_regions(model: DirectProduct) -> dict[str, Region]:
 
     def flat_fiber(x: Word, radius: int) -> list[Word]:
         # the flat factor's letters are the model's first letters
-        pad = ball(flat, flat.identity(), radius, cap=max(radius, 10))
+        pad = ball(flat, flat.identity(), radius)
         return [Word(model, model.normalize(x.letters + w2.letters)) for w2 in pad]
 
     return {
@@ -302,7 +302,6 @@ def factored_ball(
     schedule: ConingSchedule,
     round_index: int,
     region_map: dict[str, Region],
-    cap: int = 10,
 ) -> FiniteGraphSpace:
     """Ball of the model with the regions of all removed domains coned.
 
@@ -317,7 +316,7 @@ def factored_ball(
             families.append(region_map[d].family)
         else:
             warnings.warn(f"removed domain {d!r} has no region; skipped")
-    return cone_off(model, radius, families, cap=cap)
+    return cone_off(model, radius, families)
 
 
 # ---------------------------------------------------------------------------

@@ -55,24 +55,6 @@ class MorseCertificate:
     window: int
     cells: dict
 
-    def table(self) -> dict:
-        return {k: v.max_detour for k, v in self.cells.items()}
-
-    def gauge(self) -> Callable[[float, float], int]:
-        """Interpolating gauge: the max recorded detour over dominated cells."""
-
-        def m(lam: float, eps: float) -> int:
-            vals = [
-                v.max_detour
-                for (l, e), v in self.cells.items()
-                if l >= lam and e >= eps and v.status != "skipped"
-            ]
-            if not vals:
-                raise GroupError(f"no certified cell dominates ({lam}, {eps})")
-            return min(vals)
-
-        return m
-
     def to_csv(self) -> str:
         lines = ["lambda,eps,maxDetour,status"]
         for (l, e), v in sorted(self.cells.items()):
@@ -93,7 +75,7 @@ class _Window:
 
 
 def _window(model: GroupModel, segment: Sequence[Word], window: int) -> _Window:
-    pad = ball(model, model.identity(), window, cap=max(10, window))
+    pad = ball(model, model.identity(), window)
     product = model.product
     inverses = [model.inverse(s.letters) for s in segment]
     rows: list[dict] = [{} for _ in segment]
@@ -104,8 +86,8 @@ def _window(model: GroupModel, segment: Sequence[Word], window: int) -> _Window:
                 for row, inv in zip(rows, inverses):
                     row[cand] = len(product(inv, cand))
     detour = {v: min(row[v] for row in rows) for v in rows[0]}
-    steps = {v: [u.letters for u in neighbours(model, Word(model, v))] for v in detour}
-    return _Window(detour, {v: [u for u in ns if u in detour] for v, ns in steps.items()}, rows)
+    adj = {v: [u for u in neighbours(model, v) if u in detour] for v in detour}
+    return _Window(detour, adj, rows)
 
 
 def _exact_geodesic_cell(model: GroupModel, segment: Sequence[Word], window: int, win: _Window) -> CellResult:

@@ -25,8 +25,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
-from typing import Iterable, Iterator, Sequence
+from functools import lru_cache
+from typing import Collection, Iterable, Iterator, Sequence
 
 from .groups import (
     DirectProduct,
@@ -48,7 +48,6 @@ from .spaces import (
     OrbitMap,
     SpaceError,
     left_component,
-    space_distance,
 )
 
 
@@ -231,8 +230,6 @@ def _axis_free_product(model: FreeProduct, g: Word) -> Axis:
 
 def _axis_direct_product(space: BassSerreTree, g: Word) -> Axis:
     """Axis of (u, k) in G x Z acting on the Bass-Serre tree of G."""
-    import math
-
     model: DirectProduct = g.model
     if space.model != model.left:
         raise GroupError("axis_of: Bass-Serre tree does not match the left factor")
@@ -354,7 +351,7 @@ class ProjectionValue:
 
 
 def _orbit_spacing(orbit: OrbitMap, axis: Axis) -> int:
-    s = space_distance(orbit.space, orbit(axis.rep), orbit(axis.rep * axis.root))
+    s = orbit.distance(axis.rep, axis.rep * axis.root)
     if s == 0:
         raise NotLoxodromicError(f"axis {axis} has zero translation length in the space")
     return s
@@ -371,19 +368,18 @@ def project_to_set(orbit: OrbitMap, x: Word, target) -> ProjectionValue:
     if orbit.is_identity and isinstance(target, Axis):
         pts, dist = _project_cayley(target, x)
         return ProjectionValue(pts, dist, "analytic")
-    px = orbit(x)
     window = None
     if isinstance(target, Axis):
-        d_rep = space_distance(orbit.space, px, orbit(target.rep))
+        d_rep = orbit.distance(x, target.rep)
         window = (2 * d_rep + 2) // _orbit_spacing(orbit, target) + 2
         # the walk yields rep first, whose distance is already known
         pts = target.points(window)
-        dists = [d_rep] + [space_distance(orbit.space, px, orbit(p)) for p in pts[1:]]
+        dists = [d_rep] + [orbit.distance(x, p) for p in pts[1:]]
     else:
         pts = list(target)
         if not pts:
             raise SpaceError("cannot project to an empty set")
-        dists = [space_distance(orbit.space, px, orbit(p)) for p in pts]
+        dists = [orbit.distance(x, p) for p in pts]
     m = min(dists)
     chosen = tuple(sorted((p for p, d in zip(pts, dists) if d == m), key=Word.sort_key))
     return ProjectionValue(chosen, m, "scan-finite" if window is None else "scan-axis", window)
@@ -415,13 +411,11 @@ def project_axis_onto(orbit: OrbitMap, src: Axis, target) -> tuple[frozenset[Wor
 
 
 def _diam_x(orbit: OrbitMap, pts: Iterable[Word]) -> int:
-    return diameter([orbit(p) for p in pts], partial(space_distance, orbit.space))
+    return diameter(pts, orbit.distance)
 
 
-def _setdist_x(orbit: OrbitMap, a: Iterable[Word], b: Iterable[Word]) -> int:
-    pa = [orbit(p) for p in a]
-    pb = [orbit(p) for p in b]
-    return min(space_distance(orbit.space, u, v) for u in pa for v in pb)
+def _setdist_x(orbit: OrbitMap, a: Iterable[Word], b: Collection[Word]) -> int:
+    return min(orbit.distance(u, v) for u in a for v in b)
 
 
 def coset_distance(orbit: OrbitMap, axis, x, y) -> int:
@@ -556,16 +550,16 @@ def enumerate_cosets(orbit: OrbitMap, g: Word, o: Word, p: Word, threshold: int,
 
     if orbit.is_identity:
         rho0 = q // 2 + 1
-        pad = ball(model, model.identity(), rho0, cap=max(rho0, 10))
+        pad = ball(model, model.identity(), rho0)
         for v in geo:
             for u in pad:
                 add_candidate(v * u)
         if window is not None and not certified:
-            for w in ball(model, model.identity(), window, cap=max(window, 10)):
+            for w in ball(model, model.identity(), window):
                 add_candidate(w)
     else:
         w = window if window is not None else word_distance(model, o, p) + threshold
-        for cand in ball(model, model.identity(), w, cap=max(w, 10)):
+        for cand in ball(model, model.identity(), w):
             add_candidate(cand)
 
     entries = []
@@ -576,11 +570,8 @@ def enumerate_cosets(orbit: OrbitMap, g: Word, o: Word, p: Word, threshold: int,
         if value >= threshold:
             entries.append((ax, value, po.points, pp.points))
 
-    geo_imgs = [orbit(v) for v in geo]
-
     def position(pts: tuple[Word, ...]) -> int:
-        img = orbit(pts[0])
-        dists = [space_distance(orbit.space, img, gv) for gv in geo_imgs]
+        dists = [orbit.distance(pts[0], v) for v in geo]
         return dists.index(min(dists))
 
     full = [
@@ -653,7 +644,7 @@ class LowerBoundResult:
 def lower_bound_check(orbit: OrbitMap, g: Word, a: Word, b: Word, threshold: int) -> LowerBoundResult:
     """Check d_X(a x0, b x0) >= half the distance-formula sum of (a, b)."""
     record = enumerate_cosets(orbit, g, a, b, threshold)
-    lhs = space_distance(orbit.space, orbit(a), orbit(b))
+    lhs = orbit.distance(a, b)
     rhs = 0.5 * distance_formula_sum(record, a, b)
     return LowerBoundResult(lhs, rhs, lhs >= rhs)
 
@@ -720,7 +711,7 @@ def pivot(
             candidates.append(p * g0**j)
             candidates.append(p * g0**-j)
             j += 1
-    for w in ball(model, model.identity(), s, cap=max(s, 10)):
+    for w in ball(model, model.identity(), s):
         candidates.append(p * w)
 
     seen: set[tuple[int, ...]] = set()

@@ -8,9 +8,11 @@ Three space kinds are shipped:
   with exact distances counted from syllables;
 * ``FiniteGraphSpace``: an explicit finite graph, used for coned-off balls.
 
+Every space answers ``.distance(x, y)``, its exact graph metric.
 ``top_level_orbit(model)`` is the one place that decides which tree a model
 acts on: the tree the lab takes as its maximal hyperbolic space.  Every
-orbit map comes from it.
+orbit map comes from it, and its ``OrbitMap.distance(g, h)`` is the one
+top-level metric on group elements.
 
 Coning is implemented as diameter-1 completion: each coned coset becomes a
 clique.  Cliques are stored implicitly (never expanded to edge lists) and the
@@ -36,7 +38,7 @@ from .groups import (
     FreeProduct,
     GroupModel,
     Word,
-    ball,
+    ball_letters,
     neighbours,
     word_diameter,
     word_distance,
@@ -60,6 +62,9 @@ class CayleyTree:
     def __post_init__(self):
         if not isinstance(self.model, FreeGroup):
             raise SpaceError("CayleyTree requires a free group model")
+
+    def distance(self, x: Word, y: Word) -> int:
+        return word_distance(self.model, x, y)
 
 
 @dataclass(frozen=True)
@@ -101,19 +106,23 @@ class BassSerreTree:
             raise SpaceError("factor index must be 0 or 1")
         return BSVertex(factor, self.strip(factor, w))
 
-    def _dist_from_root(self, i: int, j: int, w: Word) -> int:
-        """Distance between the vertex e·F_i and the vertex w·F_j.
+    def _dist_from_root(self, i: int, j: int, letters: tuple[int, ...]) -> int:
+        """Distance between the vertex e·F_i and the vertex w·F_j, w the
+        normal form `letters`.
 
         With w' = strip(j, w) of k syllables, the path from e·F_i crosses one
         edge per syllable of w', plus one first when w' does not start in F_i.
         """
-        runs = self.model.syllables(self.strip(j, w).letters)
+        runs = self.model.syllables(letters)
+        if runs and runs[-1][0] == j:
+            runs.pop()
         if not runs:
             return int(i != j)
         return len(runs) + (runs[0][0] != i)
 
     def distance(self, v1: BSVertex, v2: BSVertex) -> int:
-        w = v1.rep.inverse() * v2.rep
+        model = self.model
+        w = model.product(model.inverse(v1.rep.letters), v2.rep.letters)
         return self._dist_from_root(v1.factor, v2.factor, w)
 
 
@@ -209,17 +218,6 @@ class FiniteGraphSpace:
 SpaceModel = CayleyTree | BassSerreTree | FiniteGraphSpace
 
 
-def space_distance(space: SpaceModel, x, y) -> int:
-    """Exact graph distance between two points of a space model."""
-    if isinstance(space, CayleyTree):
-        return word_distance(space.model, x, y)
-    if isinstance(space, BassSerreTree):
-        return space.distance(x, y)
-    if isinstance(space, FiniteGraphSpace):
-        return space.distance(x, y)
-    raise SpaceError(f"unknown space model {space!r}")
-
-
 # ---------------------------------------------------------------------------
 # orbit maps
 
@@ -228,15 +226,18 @@ def space_distance(space: SpaceModel, x, y) -> int:
 class OrbitMap:
     """A rule g -> point of X; by convention rule(e) is the basepoint.
 
-    ``is_identity`` holds when the rule is the identity of a free group onto
-    its own Cayley tree, where projections have closed forms in the words.
-    It is set once, here, so the hot paths that branch on it read a field.
+    ``displacement`` maps the letters of g to d_X(x0, g x0), x0 the
+    basepoint.  ``is_identity`` holds when the rule is the identity of a
+    free group onto its own Cayley tree, where projections have closed forms
+    in the words.  It is set once, here, so the hot paths that branch on it
+    read a field.
     """
 
     group: GroupModel
     space: SpaceModel
     rule: Callable[[Word], Hashable]
     name: str
+    displacement: Callable[[tuple[int, ...]], int]
     is_identity: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -245,6 +246,12 @@ class OrbitMap:
 
     def __call__(self, w: Word) -> Hashable:
         return self.rule(w)
+
+    def distance(self, g: Word, h: Word) -> int:
+        """d_X(g x0, h x0), read as the displacement of g^-1 h (the action is
+        by isometries): the one top-level metric on group elements."""
+        group = self.group
+        return self.displacement(group.product(group.inverse(g.letters), h.letters))
 
 
 def left_component(model: DirectProduct, w: Word) -> Word:
@@ -257,22 +264,30 @@ def top_level_orbit(model: GroupModel) -> OrbitMap:
     """The orbit map onto the tree the lab takes as the model's maximal
     hyperbolic space.
 
-    * A free group maps by the identity onto its Cayley tree ("identity").
+    * A free group maps by the identity onto its Cayley tree ("identity");
+      the displacement of g is |g|.
     * A two-factor free product maps by g -> g·F0 onto its Bass-Serre tree
-      ("coset-F0").
-    * G x Z drops the central letters, then applies G's map ("proj+<inner>").
+      ("coset-F0"); the displacement of g is d(e·F0, g·F0).
+    * G x Z drops the central letters, then applies G's map ("proj+<inner>"),
+      and G's displacement to the left letters.
 
     Any other model raises SpaceError.
     """
     if isinstance(model, FreeGroup):
-        return OrbitMap(model, CayleyTree(model), lambda w: w, "identity")
+        return OrbitMap(model, CayleyTree(model), lambda w: w, "identity", len)
     if isinstance(model, FreeProduct):
         tree = BassSerreTree(model)  # refuses a product of more than two factors
-        return OrbitMap(model, tree, lambda w: tree.vertex(0, w), "coset-F0")
+        return OrbitMap(
+            model, tree, lambda w: tree.vertex(0, w), "coset-F0", lambda ls: tree._dist_from_root(0, 0, ls)
+        )
     if isinstance(model, DirectProduct):
         inner = top_level_orbit(model.left)
         return OrbitMap(
-            model, inner.space, lambda w: inner.rule(left_component(model, w)), f"proj+{inner.name}"
+            model,
+            inner.space,
+            lambda w: inner.rule(left_component(model, w)),
+            f"proj+{inner.name}",
+            lambda ls: inner.displacement(model._cut(ls)[0]),
         )
     raise SpaceError(f"no top-level tree for {model.describe()}: the lab has one for free groups, "
                      "two-factor free products and their products with Z")
@@ -344,7 +359,7 @@ def delta_estimate(
         D = np.zeros((n, n), dtype=np.int64)
         for i in range(n):
             for j in range(i + 1, n):
-                D[i, j] = D[j, i] = space_distance(space, pts[i], pts[j])
+                D[i, j] = D[j, i] = space.distance(pts[i], pts[j])
     if n <= exhaustive_limit:
         return DeltaEstimate(_exhaustive_defect(D) / 2.0, math.comb(n, 4), True)
     rng = np.random.default_rng(seed)
@@ -394,16 +409,12 @@ def cyclic_coset_family(model: GroupModel, root: Word, single_rep: Word | None =
     return CosetFamily(f"cosets of <{root}>", key_all)
 
 
-def cone_off(
-    model: GroupModel,
-    radius: int,
-    families: Iterable[CosetFamily],
-    cap: int = 10,
-) -> FiniteGraphSpace:
+def cone_off(model: GroupModel, radius: int, families: Iterable[CosetFamily]) -> FiniteGraphSpace:
     """Ball of the group with every coset of the given families made diameter 1."""
-    verts = ball(model, model.identity(), radius, cap=cap)
-    vset = {w.letters for w in verts}
-    adj = {w: [u for u in neighbours(model, w) if u.letters in vset] for w in verts}
+    letters = ball_letters(model, model.identity(), radius)
+    verts = [Word(model, ls) for ls in letters]
+    word_of = dict(zip(letters, verts))
+    adj = {w: [word_of[u] for u in neighbours(model, w.letters) if u in word_of] for w in verts}
     cliques: list[tuple[Word, ...]] = []
     for fam in families:
         classes: dict = {}
@@ -448,26 +459,26 @@ def fibre_separation_profile(
     """
     if r < 0 or s < 0:
         raise SpaceError(f"r and s must be >= 0, got {r} and {s}")
-    if space_distance(orbit.space, x, y) <= 2 * r:
+    space = orbit.space
+    if space.distance(x, y) <= 2 * r:
         raise SpaceError("fibre separation requires d_X(x, y) > 2r")
     truncs = sorted(truncations)
     if not truncs:
         raise SpaceError("need at least one truncation radius")
     model = orbit.group
-    big = ball(model, model.identity(), truncs[-1], cap=truncs[-1])
-    images = {w: orbit(w) for w in big}
+    big = ball_letters(model, model.identity(), truncs[-1])
+    images = {ls: orbit(Word(model, ls)) for ls in big}
     pairs = []
     for R in truncs:
-        inside = [w for w in big if len(w) <= R]
-        inset = {w.letters for w in inside}
-        s1 = {w for w in inside if space_distance(orbit.space, images[w], x) <= r}
+        inside = {ls for ls in big if len(ls) <= R}
+        s1 = {ls for ls in inside if space.distance(images[ls], x) <= r}
         expanded = set(s1)
         frontier = set(s1)
         for _ in range(s):
-            nxt = {u for v in frontier for u in neighbours(model, v) if u.letters in inset} - expanded
+            nxt = {u for v in frontier for u in neighbours(model, v) if u in inside} - expanded
             expanded |= nxt
             frontier = nxt
-        inter = [w for w in expanded if space_distance(orbit.space, images[w], y) <= r]
+        inter = [Word(model, ls) for ls in expanded if space.distance(images[ls], y) <= r]
         pairs.append((R, word_diameter(model, inter)))
     verdict = "bounded"
     if len(pairs) >= 2 and pairs[-1][1] != pairs[-2][1]:

@@ -464,7 +464,7 @@ def test_reach_long_jumps_keep_every_live_state(f2k):
     # the pruning must scale with the jump bound
     quarter = Fraction(1, 4)
     kernel = make_invariant(f2k, {w(f2k, s): quarter for s in ("a^2", "a^-2", "b", "b^-1")})
-    assert kernel.jump_bound() == 2
+    assert kernel.jump_bound == 2
     p = w(f2k, "a^2")
     res = reach_probability(kernel, p, f2k.identity())
     expected = (
@@ -598,7 +598,7 @@ def test_reach_measures_the_jump_bound_once(f2k, walk, monkeypatch):
 @pytest.mark.parametrize("name", FAMILIES)
 def test_reach_table_matches_pruned_fraction_step(f2k, name):
     kernel = kernel_family(f2k, name)
-    jump = kernel.jump_bound()
+    jump = kernel.jump_bound
     for q, p in [("e", "a b"), ("b", "b a^2 b"), ("a^-1", "a^-1 b^-1")]:
         q, p = w(f2k, q), w(f2k, p)
         d = word_distance(f2k, p, q)

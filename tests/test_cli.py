@@ -2,7 +2,7 @@
 
 import pytest
 
-from ggtlab import __version__
+from ggtlab import __version__, groups
 from ggtlab.chains import HORIZON_CAP
 from ggtlab.cli import build_parser, main
 
@@ -329,6 +329,30 @@ def test_refused_inputs_write_nothing(tmp_path, capsys, argv, code, kind):
     got, out, err = run(capsys, *argv, *out_flag)
     assert got == code
     assert err.startswith(f"error: {kind}:") and err.count("\n") == 1
+    assert out == "" and not outdir.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ball", "--radius", "30"],
+        ["cone", "--radius", "30", "--cone", "a"],
+        ["morse", "--segment", "a^3", "--window", "30"],
+        ["pivot", "--alpha", "a^3", "--s", "30"],
+        ["fibers", "--x", "x", "--y", "y", "--radius", "30"],
+        ["separation", "--x", "a^3", "--y", "b^3", "--truncations", "4,30"],
+    ],
+)
+def test_balls_past_the_vertex_budget_refused(monkeypatch, tmp_path, capsys, argv):
+    # each command enumerates a ball past the budget: one line and exit 1,
+    # not growing until memory runs out
+    monkeypatch.setattr(groups, "BALL_VERTEX_BUDGET", 1000)
+    outdir = tmp_path / "out"
+    out_flag = ["--out", str(outdir)] if argv[0] in WRITERS else []
+    code, out, err = run(capsys, *argv, *out_flag)
+    assert code == 1
+    assert err.startswith("error: validation:") and err.count("\n") == 1
+    assert "more than 1000 vertices" in err
     assert out == "" and not outdir.exists()
 
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ggtlab import groups
 from ggtlab.groups import (
     BallCapError,
     GroupError,
@@ -227,10 +228,12 @@ def test_ball_order_deterministic(f2):
     assert str(b[1]) == "a"
 
 
-def test_ball_cap(f2):
-    with pytest.raises(BallCapError):
-        ball(f2, f2.identity(), 11)
-    assert len(ball(f2, f2.identity(), 11, cap=11)) == free_ball_size(2, 11)
+def test_ball_cap(f2, monkeypatch):
+    # a ball of exactly the budget enumerates; one vertex more is refused
+    monkeypatch.setattr(groups, "BALL_VERTEX_BUDGET", free_ball_size(2, 4))
+    assert len(ball(f2, f2.identity(), 4)) == free_ball_size(2, 4)
+    with pytest.raises(BallCapError, match="more than 161 vertices"):
+        ball(f2, f2.identity(), 5)
 
 
 # --- words ----------------------------------------------------------------

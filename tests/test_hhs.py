@@ -24,7 +24,7 @@ from ggtlab.hhs import (
     product_free_regions,
     product_free_skeleton,
 )
-from ggtlab.spaces import CosetFamily, space_distance, top_level_orbit
+from ggtlab.spaces import CosetFamily, top_level_orbit
 from ggtlab.groups import GroupError
 
 from conftest import w
@@ -227,7 +227,7 @@ def test_product_regions_need_a_two_factor_product(f2xz):
 
 def test_round_zero_is_word_ball(z2z_by_z, product_setup):
     sched, regions = product_setup
-    fb = factored_ball(z2z_by_z, 3, sched, 0, regions, cap=4)
+    fb = factored_ball(z2z_by_z, 3, sched, 0, regions)
     e = z2z_by_z.identity()
     for v in list(fb.vertices)[:60]:
         assert fb.distance(e, v) == word_distance(z2z_by_z, e, v)
@@ -235,7 +235,7 @@ def test_round_zero_is_word_ball(z2z_by_z, product_setup):
 
 def test_factored_never_exceeds_word_distance(z2z_by_z, product_setup):
     sched, regions = product_setup
-    fb = factored_ball(z2z_by_z, 3, sched, sched.termination_round, regions, cap=4)
+    fb = factored_ball(z2z_by_z, 3, sched, sched.termination_round, regions)
     e = z2z_by_z.identity()
     dmap = fb.distances_from(e)
     for v in fb.vertices:
@@ -244,21 +244,21 @@ def test_factored_never_exceeds_word_distance(z2z_by_z, product_setup):
 
 def test_factored_example_distance(z2z_by_z, product_setup):
     sched, regions = product_setup
-    fb = factored_ball(z2z_by_z, 4, sched, sched.termination_round, regions, cap=4)
+    fb = factored_ball(z2z_by_z, 4, sched, sched.termination_round, regions)
     assert fb.distance(z2z_by_z.identity(), w(z2z_by_z, "x y z")) == 2
 
 
 def test_factored_vs_bass_serre_radius_four(z2z_by_z, product_setup):
     # mini version of the tree comparison: all separated pairs at radius 4
     sched, regions = product_setup
-    fb = factored_ball(z2z_by_z, 4, sched, sched.termination_round, regions, cap=4)
+    fb = factored_ball(z2z_by_z, 4, sched, sched.termination_round, regions)
     orbit = top_level_orbit(z2z_by_z)
     vert = {v: orbit(v) for v in fb.vertices}
     sources = list(fb.vertices)[:: max(1, len(fb.vertices) // 120)]
     for u in sources:
         dmap = fb.distances_from(u)
         for v in fb.vertices:
-            d_tree = space_distance(orbit.space, vert[u], vert[v])
+            d_tree = orbit.space.distance(vert[u], vert[v])
             if d_tree >= 2:
                 assert abs(dmap[v] - d_tree) <= 2, (str(u), str(v), dmap[v], d_tree)
 
@@ -268,7 +268,7 @@ def test_fibered_tree_ball_isometric_to_tree(f2xz):
     sched = coning_schedule(sk)
     regions = fibered_tree_regions(f2xz)
     with pytest.warns(UserWarning):
-        fb = factored_ball(f2xz, 4, sched, sched.termination_round, regions, cap=4)
+        fb = factored_ball(f2xz, 4, sched, sched.termination_round, regions)
     from ggtlab.spaces import left_component
 
     f2 = f2xz.left
@@ -284,7 +284,7 @@ def test_fibered_tree_ball_isometric_to_tree(f2xz):
 
 def test_parallelism_same_region(z2z_by_z, product_setup):
     sched, regions = product_setup
-    fb = factored_ball(z2z_by_z, 4, sched, sched.termination_round, regions, cap=4)
+    fb = factored_ball(z2z_by_z, 4, sched, sched.termination_round, regions)
     res = fiber_parallelism_check(z2z_by_z, fb, w(z2z_by_z, "x"), w(z2z_by_z, "y t"), 4, regions)
     assert res.verdict == "same product region"
     assert max(res.fiber_diameters) <= 1
@@ -292,14 +292,14 @@ def test_parallelism_same_region(z2z_by_z, product_setup):
 
 def test_parallelism_degenerate(z2z_by_z, product_setup):
     sched, regions = product_setup
-    fb = factored_ball(z2z_by_z, 3, sched, sched.termination_round, regions, cap=4)
+    fb = factored_ball(z2z_by_z, 3, sched, sched.termination_round, regions)
     res = fiber_parallelism_check(z2z_by_z, fb, w(z2z_by_z, "x"), w(z2z_by_z, "x"), 4, regions)
     assert res.verdict == "same product region"
 
 
 def test_parallelism_far(z2z_by_z, product_setup):
     sched, regions = product_setup
-    fb = factored_ball(z2z_by_z, 4, sched, sched.termination_round, regions, cap=4)
+    fb = factored_ball(z2z_by_z, 4, sched, sched.termination_round, regions)
     res = fiber_parallelism_check(
         z2z_by_z, fb, z2z_by_z.identity(), w(z2z_by_z, "z x z"), 4, regions, sweep=(1, 2, 3)
     )
@@ -313,7 +313,7 @@ def test_parallelism_inverts_once_per_fibre_point(z2z_by_z, product_setup, monke
     from ggtlab.groups import DirectProduct
 
     sched, regions = product_setup
-    fb = factored_ball(z2z_by_z, 3, sched, sched.termination_round, regions, cap=4)
+    fb = factored_ball(z2z_by_z, 3, sched, sched.termination_round, regions)
     x, y, sweep = w(z2z_by_z, "x z"), w(z2z_by_z, "y t^-1"), (2, 4, 6)
     fibre = regions["U"].parallelism_fibers
     allowed = sum(len(fibre(x, r)) + len(fibre(y, r)) for r in sweep)
@@ -334,7 +334,7 @@ def test_parallelism_missing_descriptor(f2xz):
     sched = coning_schedule(sk)
     regions = fibered_tree_regions(f2xz)
     with pytest.warns(UserWarning):
-        fb = factored_ball(f2xz, 3, sched, sched.termination_round, regions, cap=4)
+        fb = factored_ball(f2xz, 3, sched, sched.termination_round, regions)
     with pytest.raises(GroupError):
         fiber_parallelism_check(f2xz, fb, f2xz.identity(), w(f2xz, "a"), 4, regions)
 

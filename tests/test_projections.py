@@ -27,7 +27,7 @@ from ggtlab.projections import (
     projection_of_set,
     translate_axis_pool,
 )
-from ggtlab.spaces import space_distance
+from ggtlab.spaces import OrbitMap
 
 from conftest import w
 from oracles import scan_axis_projection
@@ -117,7 +117,7 @@ def test_projection_coarse_lipschitz_on_tree(f2, f2_tree, f2_orbit):
         for g in f2.generators():
             py = projection_of_set(f2_orbit, [x * g], ax)
             spread = max(
-                space_distance(f2_tree, u, v) for u in px | py for v in px | py
+                f2_tree.distance(u, v) for u in px | py for v in px | py
             )
             assert spread <= max(2, 1 + len(ax.root))
 
@@ -130,15 +130,14 @@ def test_bass_serre_projection_scan(z2z, bs_tree, bs_orbit):
 
 
 def test_scan_axis_measures_each_point_once(monkeypatch, z2z, bs_tree, bs_orbit):
-    from ggtlab import projections
-
     calls = []
+    distance = OrbitMap.distance
 
-    def counted(space, u, v):
+    def counted(orbit, u, v):
         calls.append((u, v))
-        return space_distance(space, u, v)
+        return distance(orbit, u, v)
 
-    monkeypatch.setattr(projections, "space_distance", counted)
+    monkeypatch.setattr(OrbitMap, "distance", counted)
     ax = axis_of(bs_tree, w(z2z, "x z"))
     val = project_to_set(bs_orbit, w(z2z, "z^3 y"), ax)
     # the representative, the spacing rep -> rep·root, then the other 2·window points
@@ -238,7 +237,7 @@ def test_enumerate_complete_vs_ball_bruteforce(f2, f2_orbit, f2_tree):
     rec = enumerate_cosets(f2_orbit, w(f2, "a"), o, p, 4)
     found = {(e.axis.root.letters, e.axis.rep.letters) for e in rec.entries}
     brute = set()
-    for h in ball(f2, f2.identity(), 9, cap=9):
+    for h in ball(f2, f2.identity(), 9):
         key = coset_rep_key(root, h)
         if (root.letters, key) in brute or (root.letters, key) in found:
             continue

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import random
 import tracemalloc
 from unittest import mock
 
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ggtlab import spaces
-from ggtlab.groups import Word, ball, neighbours, word_distance
+from ggtlab.groups import Word, ball, model_from_descriptor, neighbours, normal_form, word_distance
 from ggtlab.spaces import (
     FiniteGraphSpace,
     SpaceError,
@@ -19,7 +20,6 @@ from ggtlab.spaces import (
     delta_estimate,
     fibre_separation_profile,
     left_component,
-    space_distance,
     top_level_orbit,
 )
 
@@ -31,15 +31,15 @@ from oracles import bs_tree_adjacency, cayley_graph_adjacency, expanded_adjacenc
 
 
 def test_cayley_tree_distance(f2, f2_tree):
-    assert space_distance(f2_tree, f2.identity(), w(f2, "a b")) == 2
+    assert f2_tree.distance(f2.identity(), w(f2, "a b")) == 2
 
 
 def test_bass_serre_examples(z2z, bs_tree):
     va = bs_tree.vertex(0, z2z.identity())
-    assert space_distance(bs_tree, va, bs_tree.vertex(0, w(z2z, "z"))) == 2
-    assert space_distance(bs_tree, va, bs_tree.vertex(0, w(z2z, "x"))) == 0
-    assert space_distance(bs_tree, va, bs_tree.vertex(1, z2z.identity())) == 1
-    assert space_distance(bs_tree, va, bs_tree.vertex(1, w(z2z, "x"))) == 1
+    assert bs_tree.distance(va, bs_tree.vertex(0, w(z2z, "z"))) == 2
+    assert bs_tree.distance(va, bs_tree.vertex(0, w(z2z, "x"))) == 0
+    assert bs_tree.distance(va, bs_tree.vertex(1, z2z.identity())) == 1
+    assert bs_tree.distance(va, bs_tree.vertex(1, w(z2z, "x"))) == 1
 
 
 def test_strip_matches_syllable_definition(z2z, bs_tree):
@@ -57,21 +57,21 @@ def test_bass_serre_against_bfs(z2z, bs_tree):
     root = bs_tree.vertex(0, z2z.identity())
     dist = graph_bfs(adj, root)
     for v, d in dist.items():
-        assert space_distance(bs_tree, root, v) == d
+        assert bs_tree.distance(root, v) == d
     # also from a non-root source
     src = bs_tree.vertex(1, w(z2z, "x z"))
     dist = graph_bfs(adj, src)
     for v, d in list(dist.items())[:200]:
-        assert space_distance(bs_tree, src, v) == d
+        assert bs_tree.distance(src, v) == d
 
 
 def test_finite_graph_space_path():
     g = FiniteGraphSpace(
         vertices=("u", "v", "w"), base_adjacency={"u": ["v"], "v": ["u", "w"], "w": ["v"]}
     )
-    assert space_distance(g, "u", "w") == 2
+    assert g.distance("u", "w") == 2
     with pytest.raises(SpaceError):
-        space_distance(g, "u", "missing")
+        g.distance("u", "missing")
 
 
 def test_cayley_tree_formula_vs_bfs(f2, f2_tree):
@@ -79,7 +79,7 @@ def test_cayley_tree_formula_vs_bfs(f2, f2_tree):
     e = f2.identity()
     dist = graph_bfs(adj, e)
     for v, d in dist.items():
-        assert space_distance(f2_tree, e, v) == d
+        assert f2_tree.distance(e, v) == d
 
 
 # --- orbit maps -------------------------------------------------------------
@@ -93,13 +93,29 @@ def test_orbit_equivariance_bass_serre(z2z, bs_tree, bs_orbit):
             assert bs_orbit(g * h) == bs_tree.vertex(v.factor, g * v.rep)
 
 
+@pytest.mark.parametrize("desc", ["F2", "Z * Z", "Z^2 * Z", "F2 x Z", "(Z^2 * Z) x Z"])
+def test_orbit_distance_is_the_distance_of_the_images(desc):
+    # d_X(g x0, h x0) read as the displacement of g^-1 h, on random words
+    model = model_from_descriptor(desc)
+    orbit = top_level_orbit(model)
+    rng = random.Random(0)
+    letters = [s for i in range(1, model.rank + 1) for s in (i, -i)]
+
+    def draw() -> Word:
+        return normal_form(model, [rng.choice(letters) for _ in range(rng.randrange(14))])
+
+    for _ in range(400):
+        g, h = draw(), draw()
+        assert orbit.distance(g, h) == orbit.space.distance(orbit(g), orbit(h))
+
+
 def measured_lipschitz(orbit, radius: int) -> int:
     """Max displacement in the space of a single generator step within a ball."""
     best = 0
     for w in ball(orbit.group, orbit.group.identity(), radius):
         pw = orbit(w)
-        for u in neighbours(orbit.group, w):
-            best = max(best, space_distance(orbit.space, pw, orbit(u)))
+        for u in neighbours(orbit.group, w.letters):
+            best = max(best, orbit.space.distance(pw, orbit(Word(orbit.group, u))))
     return best
 
 
@@ -280,7 +296,7 @@ def test_cone_all_z2_conjugates(z2z):
     from ggtlab.spaces import CosetFamily
 
     fam = CosetFamily("Z^2 cosets", z2_class)
-    coned = cone_off(z2z, 5, [fam], cap=5)
+    coned = cone_off(z2z, 5, [fam])
     assert coned.distance(z2z.identity(), w(z2z, "x y z")) == 2
 
 
@@ -337,7 +353,7 @@ def test_fibre_separation_fibered_growing(f2xz):
 def test_fibre_separation_bass_serre_far_vertices(z2z, bs_tree, bs_orbit):
     x = bs_tree.vertex(0, z2z.identity())
     y = bs_tree.vertex(0, w(z2z, "z x z x^-1 z"))
-    assert space_distance(bs_tree, x, y) == 6
+    assert bs_tree.distance(x, y) == 6
     prof = fibre_separation_profile(bs_orbit, x, y, r=1, s=2, truncations=[4, 6])
     assert prof.verdict == "bounded"
 
