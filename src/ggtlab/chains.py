@@ -18,6 +18,9 @@ trajectory keeps the letters of each state, folded through the model's
 product and mapped by f, and `Trajectory.to_json` spells them with
 `groups.spell_letters`, which re-spells a state only past the prefix it
 shares with the one before it.
+
+numpy loads at first use: each function that draws or fits imports it
+itself, so importing this module leaves numpy out.
 """
 
 from __future__ import annotations
@@ -29,8 +32,6 @@ from itertools import accumulate, islice
 from math import lcm
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
-
-import numpy as np
 
 from .groups import (
     FreeGroup,
@@ -342,6 +343,8 @@ class Trajectory:
 
 
 def _key(seed: int, index: int) -> np.ndarray:
+    import numpy as np
+
     if not (0 <= seed < 2**64 and 0 <= index < 2**64):
         raise ChainError(f"seed and index must lie in [0, 2^64), got {seed} and {index}")
     return np.array([seed, index], dtype=np.uint64)
@@ -349,11 +352,15 @@ def _key(seed: int, index: int) -> np.ndarray:
 
 def trajectory_rng(seed: int, index: int = 0) -> np.random.Generator:
     """Counter-based per-trajectory stream: independent of scheduling order."""
+    import numpy as np
+
     return np.random.Generator(np.random.Philox(key=_key(seed, index)))
 
 
 def _cdf(probs: Iterable[Fraction]) -> np.ndarray:
     """Float CDF of an ordered law; the last entry is exactly 1."""
+    import numpy as np
+
     cum = np.cumsum([float(p) for p in probs])
     cum[-1] = 1.0
     return cum
@@ -361,6 +368,8 @@ def _cdf(probs: Iterable[Fraction]) -> np.ndarray:
 
 def _pick(cdf: np.ndarray, us):
     """Inverse-CDF lookup of uniforms in an ordered law (indices into it)."""
+    import numpy as np
+
     return np.minimum(np.searchsorted(cdf, us, side="right"), len(cdf) - 1)
 
 
@@ -440,6 +449,8 @@ def ensemble(kernel: Kernel, start: Word, seed: int, indices: Iterable[int], hor
     so memory stays at one block however many walks there are.  A horizon
     above HORIZON_CAP is refused before anything is drawn.
     """
+    import numpy as np
+
     if not 0 <= horizon <= HORIZON_CAP:
         raise ChainError(f"horizon must lie in [0, {HORIZON_CAP}], got {horizon}")
     rng = trajectory_rng(seed)
@@ -528,6 +539,8 @@ class ExactLaw:
 
 def fit_log_linear(points: Sequence[tuple[int, float]]) -> tuple[float, float] | None:
     """Least-squares line through (n, log v): (slope, R^2); None below two distinct n."""
+    import numpy as np
+
     if len({n for n, _ in points}) < 2:
         return None
     xs = np.array([n for n, _ in points], dtype=float)
@@ -645,6 +658,8 @@ def estimate_nonamenability(kernel: Kernel, n_list: Sequence[int]) -> DecayRepor
     below 0.97 and does not drift upward, which is a fitted proxy for the
     uniform exponential decay required of a tame chain, never a proof.
     """
+    import numpy as np
+
     if not n_list:
         raise ChainError("n_list must be nonempty")
     model = kernel.model

@@ -7,6 +7,12 @@ that write files take --out.  Subcommands that work in a tree use the
 model's top-level tree (`spaces.top_level_orbit`); their --space flag may
 only name that tree.  Exit codes: 0 success, 1 validation error, 2
 certification failure, 3 property-suite failure.
+
+Import rule: a CLI process is mostly start-up, so this module loads only
+`groups`, `projections` and `spaces`, which the tree commands share.  Each
+handler imports what it needs of `chains`, `experiments`, `boundary`, `hhs`,
+`morse` and `checks` itself, when it runs; numpy loads with the first
+function that draws or fits (see `chains`).
 """
 
 from __future__ import annotations
@@ -17,33 +23,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .boundary import cross_ratio, parse_boundary_point
-from .chains import simulate
-from .experiments import (
-    ExperimentConfig,
-    ExperimentError,
-    bounded_projection_experiment,
-    check_recursion_inputs,
-    linear_progress_experiment,
-    parse_config,
-    recursion_check,
-    resolve_kernel,
-    tail_experiment,
-)
 from .groups import GroupError, ball, geodesic, model_from_descriptor, parse_word
-from .hhs import (
-    coning_schedule,
-    factored_ball,
-    fiber_parallelism_check,
-    product_free_regions,
-    product_free_skeleton,
-)
-from .morse import (
-    diagonal_crossing_ray,
-    incompatibility_witness,
-    morse_certificate,
-    tree_gauge,
-)
 from .projections import (
     CertificationError,
     axis_of,
@@ -72,6 +52,7 @@ EXIT_VALIDATION = 1
 EXIT_CERTIFICATION = 2
 EXIT_PROPERTY = 3
 
+
 def _emit(args, name: str, text: str) -> None:
     if args.out:
         outdir = Path(args.out)
@@ -95,6 +76,8 @@ def _orbit(args) -> OrbitMap:
 
 
 def _load_config(args) -> ExperimentConfig:
+    from .experiments import parse_config
+
     overrides = {}
     for attr in ("model", "kernel", "samples"):
         val = getattr(args, attr, None)
@@ -194,6 +177,9 @@ def cmd_pivot(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from .chains import simulate
+    from .experiments import ExperimentError, resolve_kernel
+
     if args.steps < 0 or args.count < 1:
         raise ExperimentError(f"need --steps >= 0 and --count >= 1, got {args.steps} and {args.count}")
     cfg = _load_config(args)
@@ -211,6 +197,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_progress(args) -> int:
+    from .experiments import linear_progress_experiment
+
     cfg = _load_config(args)
     res = linear_progress_experiment(cfg)
     _emit(args, "progress.csv", res.csv())
@@ -223,6 +211,8 @@ def cmd_progress(args) -> int:
 
 
 def cmd_bounded_proj(args) -> int:
+    from .experiments import bounded_projection_experiment
+
     cfg = _load_config(args)
     res = bounded_projection_experiment(cfg, bound=args.bound)
     _emit(args, "bounded_proj.csv", res.csv())
@@ -231,6 +221,8 @@ def cmd_bounded_proj(args) -> int:
 
 
 def cmd_tail(args) -> int:
+    from .experiments import check_recursion_inputs, recursion_check, tail_experiment
+
     cfg = _load_config(args)
     model = model_from_descriptor(cfg.model)
     o = parse_word(model, args.o) if args.o else None
@@ -249,6 +241,8 @@ def cmd_tail(args) -> int:
 
 
 def cmd_morse(args) -> int:
+    from .morse import morse_certificate
+
     model = model_from_descriptor(args.model)
     target = parse_word(model, args.segment)
     seg = geodesic(model, model.identity(), target)
@@ -267,6 +261,8 @@ def cmd_morse(args) -> int:
 
 
 def cmd_incompat(args) -> int:
+    from .morse import diagonal_crossing_ray, incompatibility_witness, tree_gauge
+
     model = model_from_descriptor(args.model)
     beta = diagonal_crossing_ray(model, flat_size=args.flat_size, tail=args.tail)
     wit = incompatibility_witness(model, beta, tree_gauge, kappa=args.kappa, prefix_bound=args.L)
@@ -293,6 +289,14 @@ def cmd_cone(args) -> int:
 
 
 def cmd_fibers(args) -> int:
+    from .hhs import (
+        coning_schedule,
+        factored_ball,
+        fiber_parallelism_check,
+        product_free_regions,
+        product_free_skeleton,
+    )
+
     if not 0 <= args.bound < math.inf:
         raise GroupError(f"--bound must be a finite number >= 0, got {args.bound}")
     model = model_from_descriptor(args.model)
@@ -316,6 +320,8 @@ def cmd_separation(args) -> int:
 
 
 def cmd_crossratio(args) -> int:
+    from .boundary import cross_ratio, parse_boundary_point
+
     model = model_from_descriptor(args.model)
     pts = [parse_boundary_point(model, t) for t in (args.a, args.b, args.c, args.d)]
     value = cross_ratio(model, *pts)
@@ -469,10 +475,13 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     Building one subparser instead of all of them saves most of the parser's
     construction time.  The reduced parser spells the full command list in
     its usage line, so its usage text and error messages match the full one.
+    Flags must be spelled in full: a prefix such as ``--g`` for ``--gap`` is
+    an unrecognized argument, not a silent abbreviation.
     """
     parser = argparse.ArgumentParser(
         prog="ggtlab",
         description="Exact group metrics, tree projections, coset sums and seeded chain experiments",
+        allow_abbrev=False,
     )
     parser.add_argument("--version", action="version", version=f"ggtlab {__version__}")
     metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
@@ -480,7 +489,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     for name, (fn, help_text, stochastic, arguments) in _COMMANDS.items():
         if command is not None and name != command:
             continue
-        p = sub.add_parser(name, help=help_text)
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
         if stochastic:
             p.add_argument("--config", help="plain-text key=value config file")
             p.add_argument("--seed", type=int, default=None, help="mandatory for stochastic runs")

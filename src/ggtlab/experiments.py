@@ -11,6 +11,8 @@ walk hands its increments to one AxisTracker per threshold coset, which
 follows the reduced word and its overlap with the coset's line in one pass;
 the per-step projection distance is one lookup of the spread memoized by
 that overlap.
+
+numpy loads at first use, inside the experiments that sample or count.
 """
 
 from __future__ import annotations
@@ -20,8 +22,6 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
-
-import numpy as np
 
 from . import __version__
 from .chains import Kernel, branch_swap, ensemble, fit_log_linear, push_forward, srw
@@ -249,6 +249,8 @@ class ProgressResult:
 def linear_progress_experiment(config: ExperimentConfig) -> ProgressResult:
     """Monte Carlo estimates of P[d_X(o, w_n) >= n/C] with one shared
     trajectory ensemble recorded at the n-grid checkpoints."""
+    import numpy as np
+
     seed = config.require_seed()
     model, orbit, kernel, _ = resolve_setup(config)
     grid = sorted(config.n_grid)
@@ -302,6 +304,8 @@ class BoundedProjectionResult:
 
 
 def default_projection_cells(config: ExperimentConfig) -> list[tuple[Word, Word]]:
+    import numpy as np
+
     model, orbit, _, axis = resolve_setup(config)
     rng = np.random.default_rng(config.require_seed() ^ 0x9E3779B9)
     starts = ball(model, model.identity(), 2)
@@ -331,6 +335,8 @@ def bounded_projection_experiment(
     is P[d_{h<root>}(p, w_n) <= bound] for every n in the grid, re-using one
     ensemble per cell via checkpoints.
     """
+    import numpy as np
+
     seed = config.require_seed()
     if not 0 <= bound < math.inf:
         raise ExperimentError(f"bound must be a finite number >= 0, got {bound}")
@@ -376,9 +382,13 @@ class TailCurve:
     c_prime: float | None
 
     def g(self) -> np.ndarray:
+        import numpy as np
+
         return np.array(self.g_counts) / self.samples
 
     def f(self) -> np.ndarray:
+        import numpy as np
+
         return np.array(self.f_counts) / self.samples
 
     def envelope_ok(self) -> bool:
@@ -406,6 +416,8 @@ class TailCurve:
 
 def _at_least(values: list[int], t_max: int) -> np.ndarray:
     """counts[t] = how many of `values` are >= t, for t = 0, ..., t_max."""
+    import numpy as np
+
     return np.bincount(np.minimum(values, t_max), minlength=t_max + 1)[::-1].cumsum()[::-1]
 
 

@@ -35,6 +35,10 @@ class BallCapError(GroupError):
 # ball (1062881 vertices) fits, its radius-13 ball does not
 BALL_VERTEX_BUDGET = 2_000_000
 
+# letters a parsed word may spell before it is reduced (its powers summed),
+# so that a huge power is refused instead of expanded
+WORD_LETTER_BUDGET = 1_000_000
+
 _FREE_NAME_POOL = "abcdfghjklmn"
 _ABELIAN_NAME_POOL = "xyzwuv"
 _CENTRAL_NAME_POOL = "tsr"
@@ -676,12 +680,14 @@ def parse_model(text: str) -> GroupModel:
         if t is None:
             raise GroupError(f"unexpected end of descriptor {text!r}")
         pos += 1
-        if t.startswith("F") and t[1:].isdigit():
-            return ("free", int(t[1:]))
         if t == "Z":
             return ("abelian", 1)
-        if t.startswith("Z^") and t[2:].isdigit():
-            return ("abelian", int(t[2:]))
+        for prefix, kind in (("F", "free"), ("Z^", "abelian")):
+            digits = t[len(prefix):]
+            if t.startswith(prefix) and digits.isdigit():
+                if int(digits) == 0:
+                    raise GroupError(f"model atom {t!r} has rank 0; a factor needs rank >= 1")
+                return (kind, int(digits))
         raise GroupError(f"cannot parse model atom {t!r}")
 
     def expr():
@@ -720,7 +726,7 @@ def parse_word(model: GroupModel, text: str) -> Word:
     if text in ("", "e", "1"):
         return model.identity()
     name_to_idx = {n: i + 1 for i, n in enumerate(model.generator_names)}
-    raw: list[int] = []
+    powers: list[tuple[int, int]] = []
     for tok in text.split():
         if "^" in tok:
             name, _, p = tok.partition("^")
@@ -732,6 +738,11 @@ def parse_word(model: GroupModel, text: str) -> Word:
             name, power = tok, 1
         if name not in name_to_idx:
             raise GroupError(f"unknown generator {name!r} for model {model.describe()}")
-        idx = name_to_idx[name]
+        powers.append((name_to_idx[name], power))
+    length = sum(abs(power) for _, power in powers)
+    if length > WORD_LETTER_BUDGET:
+        raise GroupError(f"word spells {length} letters; at most {WORD_LETTER_BUDGET} are parsed")
+    raw: list[int] = []
+    for idx, power in powers:
         raw.extend([idx if power > 0 else -idx] * abs(power))
     return normal_form(model, raw)

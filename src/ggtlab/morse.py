@@ -294,9 +294,10 @@ def incompatibility_witness(
 def diagonal_crossing_ray(model: GroupModel, flat_size: int = 6, tail: int = 12) -> list[Word]:
     """The shipped ray: staircase across a flat to (n, n), then z-powers.
 
-    Requires a free product whose first factor is 2-abelian and whose second
-    factor is Z (generators x, y, z).
+    Requires Z^2 * Z (generators x, y, z); any other model is refused.
     """
+    if model.describe() != "Z^2 * Z":
+        raise GroupError(f"the crossing ray lives in Z^2 * Z, not in {model.describe()}")
     verts = [model.identity()]
     letters = []
     for k in range(flat_size):

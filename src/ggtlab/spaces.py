@@ -20,6 +20,8 @@ BFS treats a clique as a unit-cost hop, which gives exactly the metric of the
 completed graph.  A ``FiniteGraphSpace`` indexes its vertices once, at
 construction: neighbour lists and cliques become lists of integer ids, the
 BFS runs on ids, and vertices appear again only at the API.
+
+numpy loads at first use, inside the four-point estimate (`delta_estimate`).
 """
 
 from __future__ import annotations
@@ -29,8 +31,6 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Hashable, Iterable, Sequence
-
-import numpy as np
 
 from .groups import (
     DirectProduct,
@@ -314,6 +314,8 @@ def _exhaustive_defect(D: np.ndarray) -> int:
     _DEFECT_BLOCK cells.  The pairing sums and their total stay below 6 max(D), which picks
     the dtype; the largest sum minus the middle one is 2 max + min - total.
     """
+    import numpy as np
+
     n, top6 = len(D), 6 * int(D.max())
     D = D.astype(np.int16 if top6 < 2**15 else np.int32 if top6 < 2**31 else np.int64)
     best = 0
@@ -346,6 +348,8 @@ def delta_estimate(
     blocks of at most _DEFECT_BLOCK rows (rows repeating a point are
     redrawn).  Trees give 0 exactly.
     """
+    import numpy as np
+
     pts = list(points)
     n = len(pts)
     if n < 4:

@@ -202,12 +202,12 @@ def test_certification_refused_before_enumerating(monkeypatch, capsys):
     ids=" ".join,
 )
 def test_tail_refused_before_walking(monkeypatch, capsys, flags):
-    import ggtlab.cli
+    import ggtlab.experiments
 
     def fail(*args, **kwargs):
         raise AssertionError("tail_experiment called for a refused recursion check")
 
-    monkeypatch.setattr(ggtlab.cli, "tail_experiment", fail)
+    monkeypatch.setattr(ggtlab.experiments, "tail_experiment", fail)
     code, out, err = run(capsys, "tail", "--seed", "1", "--samples", "50", *flags)
     assert code == 1 and out == ""
     assert err.startswith("error: validation:") and err.count("\n") == 1
@@ -321,6 +321,18 @@ def test_horizons_past_the_cap_refused_before_drawing(monkeypatch, tmp_path, cap
         (["progress", "--seed", "1", "--samples", "5", "--n", "5", "--C", "3,3"], 1, "validation"),
         # no pair of independent loxodromics is shipped for (Z^2 * Z) x Z
         (["pivot", "--model", "(Z^2 * Z) x Z", "--alpha", "x z", "--h", "x z"], 1, "validation"),
+        # the crossing ray is a staircase in Z^2 * Z only
+        (["incompat", "--model", "Z^2"], 1, "validation"),
+        (["incompat", "--model", "Z"], 1, "validation"),
+        (["incompat", "--model", "F2"], 1, "validation"),
+        (["incompat", "--model", "F2 x Z"], 1, "validation"),
+        (["incompat", "--model", "(Z^2 * Z) x Z"], 1, "validation"),
+        # a huge power is refused before it is expanded
+        (["simulate", "--seed", "1", "--steps", "3", "--start", "a^99999999999999999999"], 1, "validation"),
+        (["ball", "--radius", "0", "--center", "a^300000000"], 1, "validation"),
+        # rank 0 once ran through the generator name pool
+        (["ball", "--model", "F0", "--radius", "1"], 1, "validation"),
+        (["ball", "--model", "Z^0", "--radius", "1"], 1, "validation"),
     ],
 )
 def test_refused_inputs_write_nothing(tmp_path, capsys, argv, code, kind):
@@ -528,11 +540,20 @@ def full_parser_run(capsys, argv):
         ["ball", "--radius", "2", "--version"],
         ["order", "--o", "e"],
         ["separation", "--model", "F3", "--x", "a", "--y", "b"],
+        ["tail", "--seed", "1", "--g", "3"],
     ],
     ids=" ".join,
 )
 def test_subcommand_parser_matches_full_parser(capsys, argv):
     assert run(capsys, *argv) == full_parser_run(capsys, argv)
+
+
+@pytest.mark.parametrize("value", ["3", "e"])
+def test_flag_prefixes_are_not_abbreviations(capsys, value):
+    # a prefix of --gap once set it silently
+    code, out, err = run(capsys, "tail", "--seed", "1", "--g", value)
+    assert code == 1 and out == ""
+    assert err.endswith(f"error: unrecognized arguments: --g {value}\n")
 
 
 def test_top_level_help_version_and_unknown_command(capsys):

@@ -90,6 +90,22 @@ def test_parse_word_and_str(f2):
         parse_word(f2, "c^2")
 
 
+@pytest.mark.parametrize("text", ["F0", "Z^0", "F2 * Z^0", "(F0 * Z) x Z"])
+def test_rank_zero_factor_is_refused_by_its_rank(text):
+    # take(pool, 0) once ran through the whole name pool
+    with pytest.raises(GroupError, match=r"rank 0; a factor needs rank >= 1"):
+        parse_model(text)
+
+
+def test_parse_word_sums_powers_before_expanding(f2, monkeypatch):
+    monkeypatch.setattr(groups, "WORD_LETTER_BUDGET", 10)
+    assert str(parse_word(f2, "a^4 b^-6")) == "a^4 b^-6"
+    assert parse_word(f2, "a^5 a^-5").is_identity()
+    for text in ("a^11", "a^6 a^-5", "a^99999999999999999999"):
+        with pytest.raises(GroupError, match=r"at most 10 are parsed"):
+            parse_word(f2, text)
+
+
 # --- normal forms --------------------------------------------------------
 
 

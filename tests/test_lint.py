@@ -7,6 +7,8 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+import pytest
+
 import ggtlab
 
 SRC = Path(ggtlab.__file__).parent
@@ -59,7 +61,8 @@ def module_level_imports(tree: ast.Module) -> list[tuple[int, str]]:
 
 
 def test_run_time_imports_are_stdlib_numpy_or_own():
-    allowed = set(sys.stdlib_module_names) | {"numpy", "ggtlab", ""}
+    # numpy only inside a function: importing a module must not load it
+    allowed = set(sys.stdlib_module_names) | {"ggtlab", ""}
     found = {}
     for path in sorted(SRC.glob("*.py")):
         for line, mod in module_level_imports(ast.parse(path.read_text())):
@@ -76,11 +79,40 @@ def test_module_level_import_detector():
     assert module_level_imports(tree) == [(1, "os"), (2, ""), (4, "networkx"), (10, "numpy")]
 
 
-def test_cli_import_leaves_networkx_out():
-    code = "import sys, ggtlab.cli; print('networkx' in sys.modules)"
+def _fresh(code: str) -> str:
+    """Standard output of `code` run in a fresh interpreter on the package."""
     env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    return out.stdout
+
+
+def _loaded_after(statement: str) -> str:
+    """The ggtlab modules loaded by `statement` in a fresh interpreter, and
+    whether numpy and networkx are."""
+    return _fresh(
+        f"import sys; {statement}; "
+        "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'ggtlab'), "
+        "'numpy' in sys.modules, 'networkx' in sys.modules)"
+    )
+
+
+def test_cli_import_leaves_networkx_out():
+    # the CLI loads what the tree commands share, and neither numpy nor networkx
+    shared = ["ggtlab", "ggtlab.cli", "ggtlab.groups", "ggtlab.projections", "ggtlab.spaces"]
+    assert _loaded_after("import ggtlab.cli") == f"{shared} False False\n"
+    assert _loaded_after("import ggtlab.chains, ggtlab.experiments, ggtlab.spaces").endswith("] False False\n")
+
+
+@pytest.mark.parametrize(
+    "argv, loads_numpy, line",
+    [
+        (["order", "--o", "e", "--p", "a^2 b a^2", "--T", "1"], False, "order criteria: "),
+        (["progress", "--seed", "1", "--samples", "5", "--n", "5", "--C", "2"], True, "n=5: drift "),
+    ],
+)
+def test_numpy_loads_with_the_first_command_that_draws(argv, loads_numpy, line):
+    out = _fresh(f"import sys; from ggtlab.cli import main; code = main({argv}); print(code, 'numpy' in sys.modules)")
+    assert f"\n{line}" in out and out.endswith(f"\n0 {loads_numpy}\n")
 
 
 def defaulted_parameters(fn: ast.FunctionDef) -> list[tuple[int | None, str]]:
