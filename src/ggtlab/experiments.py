@@ -437,7 +437,8 @@ def tail_experiment(
     running maxima and final sums after the loop.  The reported C' is
     the larger of the least-squares decay fit of g and the minimal constant
     making the 2 exp(-t/C') envelope hold at every cell with enough
-    successes.
+    successes.  A coset search that `enumerate_cosets` cannot certify is
+    refused (CertificationError) before any walk is drawn.
     """
     seed = config.require_seed()
     if n < 1:
@@ -450,8 +451,6 @@ def tail_experiment(
     if p is None:
         p = parse_word(model, "b a^5 b")
     record = enumerate_cosets(orbit, parse_word(model, config.g), o, p, config.threshold)
-    if not record.certified:
-        raise ExperimentError("coset enumeration must be certified for tail sums")
     t_max = 3 * n // 4
     trackers = [AxisTracker(model, e.axis, p) for e in record.entries]
     maxima, finals = [], []

@@ -74,8 +74,15 @@ class _Window:
     rows: list
 
 
+_WINDOW_BUDGET = 10_000_000  # n^3 * |B(window)| a certificate may sweep, n the segment vertices
+
+
 def _window(model: GroupModel, segment: Sequence[Word], window: int) -> _Window:
+    """Refuses, before any row, a segment whose exact cell (n^2 vertex pairs,
+    each over n copies of the window ball) would pass `_WINDOW_BUDGET`."""
     pad = ball(model, model.identity(), window)
+    if len(segment) ** 3 * len(pad) > _WINDOW_BUDGET:
+        raise GroupError(f"a segment of {len(segment)} vertices in a window ball of {len(pad)} vertices is past the Morse budget")
     product = model.product
     inverses = [model.inverse(s.letters) for s in segment]
     rows: list[dict] = [{} for _ in segment]

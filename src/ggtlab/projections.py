@@ -40,7 +40,6 @@ from .groups import (
     diameter,
     distance_from,
     geodesic,
-    word_distance,
 )
 from .spaces import (
     BassSerreTree,
@@ -396,18 +395,20 @@ def projection_of_set(orbit: OrbitMap, pts: Iterable[Word], target) -> frozenset
 _AXIS_WINDOW_CAP = 512  # widest window `project_axis_onto` scans
 
 
-def project_axis_onto(orbit: OrbitMap, src: Axis, target) -> tuple[frozenset[Word], bool, int]:
-    """Projection of a whole axis, grown from window 8 until the point set
-    stabilizes."""
-    prev: frozenset[Word] | None = None
+def project_axis_onto(orbit: OrbitMap, src: Axis, target) -> frozenset[Word]:
+    """Projection of a whole axis: the projection of its points out to
+    window 8, 16, ..., taken once two successive windows agree.
+
+    Raises CertificationError when none agree up to `_AXIS_WINDOW_CAP`."""
+    prev = None
     w = 8
     while w <= _AXIS_WINDOW_CAP:
         cur = projection_of_set(orbit, src.points(w), target)
-        if prev is not None and cur == prev:
-            return cur, True, w
+        if cur == prev:
+            return cur
         prev = cur
         w *= 2
-    return prev if prev is not None else frozenset(), False, w // 2
+    raise CertificationError(f"the projection of {src} did not stabilize within window {_AXIS_WINDOW_CAP}")
 
 
 def _diam_x(orbit: OrbitMap, pts: Iterable[Word]) -> int:
@@ -452,8 +453,8 @@ def behrstock_alternative(
     Hypothesis and conclusion both use point-set distance (min over pairs);
     a violation is an x that is far on both sides.
     """
-    p12, _, _ = project_axis_onto(orbit, a2, a1)
-    p21, _, _ = project_axis_onto(orbit, a1, a2)
+    p12 = project_axis_onto(orbit, a2, a1)
+    p21 = project_axis_onto(orbit, a1, a2)
     violations = []
     for x in xs:
         q1 = project_to_set(orbit, x, a1).points
@@ -479,7 +480,8 @@ class CosetEntry:
 
 @dataclass
 class CosetRecord:
-    """All cosets of <root(g)> where two points project >= threshold apart."""
+    """All cosets of <root(g)> where the projections of o and p lie at least
+    threshold apart; `enumerate_cosets` builds only complete records."""
 
     orbit: OrbitMap
     g: Word
@@ -487,7 +489,6 @@ class CosetRecord:
     p: Word
     threshold: int
     entries: list[CosetEntry]
-    certified: bool
 
     def to_jsonl(self) -> str:
         lines = []
@@ -509,83 +510,44 @@ class CosetRecord:
         return "\n".join(lines) + ("\n" if lines else "")
 
 
-def enumeration_certifiable(orbit: OrbitMap, threshold: int, root_length: int) -> bool:
-    """Whether `enumerate_cosets` certifies its record, known before it searches.
-
-    Only the identity orbit on a Cayley tree is searched completely, and only
-    once the threshold exceeds the coset point spacing plus rounding.
-    """
-    if threshold < 1:
-        raise GroupError("threshold must be >= 1")
-    q = root_length
-    return orbit.is_identity and threshold > 2 * (q // 2) and threshold >= (q - 1) + 2 * (q // 2)
-
-
-def enumerate_cosets(orbit: OrbitMap, g: Word, o: Word, p: Word, threshold: int, window: int | None = None) -> CosetRecord:
+def enumerate_cosets(orbit: OrbitMap, g: Word, o: Word, p: Word, threshold: int) -> CosetRecord:
     """Cosets h<root(g)> with projection distance of (o, p) at least threshold.
 
-    On a Cayley tree with the identity orbit map, candidates are drawn from a
-    small neighbourhood of the geodesic [o, p]: a coset whose projections of
-    o and p are >= threshold apart must cross that geodesic, so the search is
-    certified complete whenever threshold exceeds the coset point spacing
-    plus rounding.  Otherwise a ball of the given window radius is scanned
-    and the record is flagged partial.
+    A coset whose projections of o and p lie >= threshold apart must cross
+    the geodesic [o, p], so on a Cayley tree with the identity orbit map the
+    candidates drawn from a small neighbourhood of that geodesic are complete
+    once threshold exceeds the coset point spacing plus rounding.  Any other
+    search raises CertificationError, after `axis_of` has checked g and
+    before any ball or geodesic is built.
     """
+    root = axis_of(orbit.space, g).root
     if threshold < 1:
         raise GroupError("threshold must be >= 1")
-    model = orbit.group
-    base = axis_of(orbit.space, g)
-    root = base.root
     q = len(root)
-    certified = enumeration_certifiable(orbit, threshold, q)
+    if not (orbit.is_identity and threshold > 2 * (q // 2) and threshold >= (q - 1) + 2 * (q // 2)):
+        raise CertificationError("enumeration window insufficient")
+    model = orbit.group
     geo = geodesic(model, o, p).vertices
-    seen: set[tuple[int, ...]] = set()
-    axes: list[Axis] = []
-
-    def add_candidate(w: Word):
-        key = coset_rep_key(root, w)
-        if key not in seen:
-            seen.add(key)
-            axes.append(Axis(model, root, Word(model, key)))
-
-    if orbit.is_identity:
-        rho0 = q // 2 + 1
-        pad = ball(model, model.identity(), rho0)
-        for v in geo:
-            for u in pad:
-                add_candidate(v * u)
-        if window is not None and not certified:
-            for w in ball(model, model.identity(), window):
-                add_candidate(w)
-    else:
-        w = window if window is not None else word_distance(model, o, p) + threshold
-        for cand in ball(model, model.identity(), w):
-            add_candidate(cand)
-
-    entries = []
-    for ax in axes:
-        po = project_to_set(orbit, o, ax)
-        pp = project_to_set(orbit, p, ax)
-        value = _diam_x(orbit, set(po.points) | set(pp.points))
-        if value >= threshold:
-            entries.append((ax, value, po.points, pp.points))
+    pad = ball(model, model.identity(), q // 2 + 1)
 
     def position(pts: tuple[Word, ...]) -> int:
         dists = [orbit.distance(pts[0], v) for v in geo]
         return dists.index(min(dists))
 
-    full = [
-        CosetEntry(ax, value, position(po), po, pp) for ax, value, po, pp in entries
-    ]
-    full.sort(key=lambda e: (e.position, e.axis.rep.sort_key()))
-    return CosetRecord(orbit, g, o, p, threshold, full, certified)
+    entries = []
+    for key in dict.fromkeys(coset_rep_key(root, v * u) for v in geo for u in pad):
+        ax = Axis(model, root, Word(model, key))
+        po, pp = project_to_set(orbit, o, ax).points, project_to_set(orbit, p, ax).points
+        value = _diam_x(orbit, set(po) | set(pp))
+        if value >= threshold:
+            entries.append(CosetEntry(ax, value, position(po), po, pp))
+    entries.sort(key=lambda e: (e.position, e.axis.rep.sort_key()))
+    return CosetRecord(orbit, g, o, p, threshold, entries)
 
 
 def distance_formula_sum(record: CosetRecord, x: Word, y: Word) -> int:
     """Sum of coset distances of (x, y) over the record's cosets where the
     projections of x and y actually differ."""
-    if not record.certified:
-        raise CertificationError("distance-formula sums require a certified coset record")
     orbit = record.orbit
     total = 0
     for e in record.entries:
@@ -622,8 +584,8 @@ def linear_order(record: CosetRecord) -> tuple[list[CosetEntry], OrderReport]:
     for i in range(len(entries)):
         for j in range(i + 1, len(entries)):
             a_i, a_j = entries[i].axis, entries[j].axis
-            shadow_ij, _, _ = project_axis_onto(orbit, a_j, a_i)  # a_j seen on a_i
-            shadow_ji, _, _ = project_axis_onto(orbit, a_i, a_j)
+            shadow_ij = project_axis_onto(orbit, a_j, a_i)  # a_j seen on a_i
+            shadow_ji = project_axis_onto(orbit, a_i, a_j)
             c1 = _diam_x(orbit, set(entries[i].proj_o) | set(shadow_ij)) > 2
             c2 = frozenset(entries[j].proj_o) == shadow_ji
             c3 = _diam_x(orbit, set(entries[j].proj_p) | set(shadow_ji)) > 2
@@ -642,7 +604,10 @@ class LowerBoundResult:
 
 
 def lower_bound_check(orbit: OrbitMap, g: Word, a: Word, b: Word, threshold: int) -> LowerBoundResult:
-    """Check d_X(a x0, b x0) >= half the distance-formula sum of (a, b)."""
+    """Check d_X(a x0, b x0) >= half the distance-formula sum of (a, b).
+
+    The sum runs over the complete record of `enumerate_cosets`, which raises
+    CertificationError for a search it cannot certify."""
     record = enumerate_cosets(orbit, g, a, b, threshold)
     lhs = orbit.distance(a, b)
     rhs = 0.5 * distance_formula_sum(record, a, b)
@@ -675,6 +640,9 @@ def default_independent_loxodromics(model: GroupModel) -> tuple[Word, Word]:
     raise GroupError(f"no default loxodromic pair shipped for {model.describe()}")
 
 
+_PIVOT_BUDGET = 500_000  # n^2 * |B(s)| a pivot search may take, n the path vertices
+
+
 def pivot(
     orbit: OrbitMap,
     alpha: GeodesicPath,
@@ -690,6 +658,8 @@ def pivot(
     projection spread of the axis on the translated path together with q'.
     The search tries powers of the model's independent loxodromics first and
     then the whole ball, stopping early once both values are <= bound.
+    Each candidate costs about n^2 distances (n the path vertices), so a
+    search past `_PIVOT_BUDGET` is refused before any candidate is valued.
     """
     if not 0 <= bound < math.inf:
         raise GroupError(f"pivot: bound must be a finite number >= 0, got {bound}")
@@ -697,6 +667,9 @@ def pivot(
     p = alpha.vertices[0]
     if q not in set(alpha.vertices):
         raise GroupError("pivot: q must lie on the path")
+    pad = ball(model, model.identity(), s)
+    if len(alpha.vertices) ** 2 * len(pad) > _PIVOT_BUDGET:
+        raise GroupError(f"pivot: a path of {len(alpha.vertices)} vertices with {len(pad)} candidates is past the budget")
 
     def values(qp: Word) -> tuple[int, int]:
         t = qp * q.inverse()
@@ -711,8 +684,7 @@ def pivot(
             candidates.append(p * g0**j)
             candidates.append(p * g0**-j)
             j += 1
-    for w in ball(model, model.identity(), s):
-        candidates.append(p * w)
+    candidates += [p * w for w in pad]
 
     seen: set[tuple[int, ...]] = set()
     best: tuple[int, tuple[int, int], Word] | None = None

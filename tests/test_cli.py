@@ -166,13 +166,19 @@ def test_certification_exit_code(capsys):
     assert code == 2 and "certification" in err
 
 
-def test_certification_refused_before_enumerating(monkeypatch, capsys):
-    import ggtlab.cli
+def _fail_coset_searches(monkeypatch):
+    """Make building any ball or geodesic in `projections` fail the test."""
+    import ggtlab.projections
 
     def fail(*args, **kwargs):
-        raise AssertionError("enumerate_cosets called for an uncertifiable search")
+        raise AssertionError("a ball or geodesic was built for an uncertifiable search")
 
-    monkeypatch.setattr(ggtlab.cli, "enumerate_cosets", fail)
+    monkeypatch.setattr(ggtlab.projections, "ball", fail)
+    monkeypatch.setattr(ggtlab.projections, "geodesic", fail)
+
+
+def test_certification_refused_before_enumerating(monkeypatch, capsys):
+    _fail_coset_searches(monkeypatch)
     code, out, err = run(
         capsys,
         "htsum", "--model", "Z^2 * Z", "--space", "bass-serre",
@@ -214,12 +220,7 @@ def test_tail_refused_before_walking(monkeypatch, capsys, flags):
 
 
 def test_order_refused_before_enumerating(monkeypatch, capsys):
-    import ggtlab.cli
-
-    def fail(*args, **kwargs):
-        raise AssertionError("enumerate_cosets called for an uncertifiable search")
-
-    monkeypatch.setattr(ggtlab.cli, "enumerate_cosets", fail)
+    _fail_coset_searches(monkeypatch)
     bass_serre = ["--model", "Z^2 * Z", "--space", "bass-serre", "--g", "x z", "--o", "e"]
     for argv in (
         ["order", *bass_serre, "--p", "z x z", "--T", "2"],
@@ -231,6 +232,23 @@ def test_order_refused_before_enumerating(monkeypatch, capsys):
         assert err == "error: certification: enumeration window insufficient\n"
     code, out, err = run(capsys, "order", *bass_serre, "--p", "q", "--T", "2")
     assert code == 1 and out == "" and err.startswith("error: validation:")
+
+
+def test_tail_refuses_an_uncertifiable_search_before_walking(monkeypatch, tmp_path, capsys):
+    from ggtlab import chains, experiments
+
+    def fail(*args, **kwargs):
+        raise AssertionError("walks drawn for an uncertifiable coset search")
+
+    monkeypatch.setattr(chains, "ensemble", fail)
+    monkeypatch.setattr(experiments, "ensemble", fail)
+    # root a b^2 spaces coset points 3 apart; T = 3 cannot certify the record
+    config = tmp_path / "tail.cfg"
+    config.write_text("g = a b^2\nT = 3\n")
+    outdir = tmp_path / "out"
+    code, out, err = run(capsys, "tail", "--config", str(config), "--seed", "6", "--samples", "10", "--out", str(outdir))
+    assert (code, out, err) == (2, "", "error: certification: enumeration window insufficient\n")
+    assert not outdir.exists()
 
 
 def test_pivot_refused_before_its_path(monkeypatch, capsys):
@@ -333,6 +351,9 @@ def test_horizons_past_the_cap_refused_before_drawing(monkeypatch, tmp_path, cap
         # rank 0 once ran through the generator name pool
         (["ball", "--model", "F0", "--radius", "1"], 1, "validation"),
         (["ball", "--model", "Z^0", "--radius", "1"], 1, "validation"),
+        # past the work budgets: 101^3 * |B(4)| > 10^7 and 1001^2 * |B(3)| > 5 * 10^5
+        (["morse", "--segment", "a^100"], 1, "validation"),
+        (["pivot", "--alpha", "a^1000"], 1, "validation"),
     ],
 )
 def test_refused_inputs_write_nothing(tmp_path, capsys, argv, code, kind):

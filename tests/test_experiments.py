@@ -26,7 +26,7 @@ from ggtlab.experiments import (
     tail_experiment,
 )
 from ggtlab.groups import Word, model_from_descriptor
-from ggtlab.projections import axis_of, coset_distance, project_to_set
+from ggtlab.projections import CertificationError, axis_of, coset_distance, project_to_set
 from ggtlab.spaces import top_level_orbit
 
 from conftest import w
@@ -248,7 +248,7 @@ def test_tail_envelope(small_curve):
 def test_tail_requires_certified_record():
     # root a b^2 spaces coset points 3 apart; threshold 3 cannot certify
     cfg = ExperimentConfig(seed=6, samples=10, g="a b^2", threshold=3)
-    with pytest.raises(ExperimentError, match="must be certified"):
+    with pytest.raises(CertificationError, match="enumeration window insufficient"):
         tail_experiment(cfg, n=10)
 
 
