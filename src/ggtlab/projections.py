@@ -13,11 +13,12 @@ on trees.
 
 On Cayley trees of free groups projections are computed analytically from
 word overlaps (the line through a coset is re-anchored at its vertex nearest
-the identity, where the parameterization is cancellation-free).  On other
-tree models a projection is a scan: the nearest points among one coset-walk
-window rep·root^n, |n| <= window, wide enough that the linear growth of the
-axis provably dominates the distance of rep.  A finite target set is scanned
-the same way.
+the identity, where the parameterization is cancellation-free); the shadow of
+one axis on another and the threshold cosets of a geodesic are read off the
+same lines, by comparing their letters.  On other tree models a projection
+is a scan: the nearest points among one coset-walk window rep·root^n,
+|n| <= window, wide enough that the linear growth of the axis provably
+dominates the distance of rep.  A finite target set is scanned the same way.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ class NotLoxodromicError(GroupError):
 
 
 class CertificationError(RuntimeError):
-    """A windowed search could not certify completeness of its answer."""
+    """A search could not certify that its answer is complete and bounded."""
 
 
 # ---------------------------------------------------------------------------
@@ -315,23 +316,33 @@ def nearest_positions(t_star: int, phase: int, q: int) -> tuple[int, ...]:
     return (m0, m0 + q)
 
 
+def _line_foot(anchor: Word, direction: tuple[int, ...], x: Word) -> tuple[int, int]:
+    """Position of x's nearest vertex on the line anchor * _spell(direction, t),
+    and x's distance to that vertex, on a Cayley tree."""
+    w = (anchor.inverse() * x).letters
+    t = _lcp(w, _spell(direction, len(w))) or -_lcp(w, _spell(direction, -len(w)))
+    return t, len(w) - abs(t)
+
+
 def line_positions(axis: Axis, x: Word) -> tuple[tuple[int, ...], int]:
     """Line positions (see `_line_data`) of the coset points nearest x, and
     x's distance to them, on a Cayley tree."""
     anchor, direction, phase = _line_data(axis.model, axis.root.letters, axis.rep.letters)
-    w = (anchor.inverse() * x).letters
-    t_star = _lcp(w, _spell(direction, len(w))) or -_lcp(w, _spell(direction, -len(w)))
+    t_star, off = _line_foot(anchor, direction, x)
     positions = nearest_positions(t_star, phase, len(direction))
-    return positions, len(w) - abs(t_star) + abs(t_star - positions[0])
+    return positions, off + abs(t_star - positions[0])
+
+
+def _line_vertex(anchor: Word, direction: tuple[int, ...], t: int) -> Word:
+    """The vertex at position t of the line anchor * _spell(direction, t); the
+    anchoring makes the product cancellation-free."""
+    return Word(anchor.model, anchor.model.product(anchor.letters, _spell(direction, t)))
 
 
 def _project_cayley(axis: Axis, x: Word) -> tuple[tuple[Word, ...], int]:
-    model = axis.model
-    anchor, direction, _ = _line_data(model, axis.root.letters, axis.rep.letters)
+    anchor, direction, _ = _line_data(axis.model, axis.root.letters, axis.rep.letters)
     positions, dist = line_positions(axis, x)
-    # cancellation-free by the anchoring, but normalize defensively
-    line = (Word(model, model.normalize(anchor.letters + _spell(direction, m))) for m in positions)
-    return tuple(sorted(line, key=Word.sort_key)), dist
+    return tuple(sorted((_line_vertex(anchor, direction, m) for m in positions), key=Word.sort_key)), dist
 
 
 # ---------------------------------------------------------------------------
@@ -392,23 +403,54 @@ def projection_of_set(orbit: OrbitMap, pts: Iterable[Word], target) -> frozenset
     return frozenset(out)
 
 
-_AXIS_WINDOW_CAP = 512  # widest window `project_axis_onto` scans
+def project_axis_onto(orbit: OrbitMap, src: Axis, target: Axis) -> frozenset[Word]:
+    """Projection of a whole axis onto another, in closed form on a Cayley tree.
 
+    Two distinct lines of the tree overlap in fewer than q_s + q_t edges
+    (q_s, q_t the root lengths): an overlap that long has both periods, so by
+    Fine and Wilf it has a period dividing both, which primitive roots force
+    to be q_s = q_t, and the two lines then agree everywhere.  The line
+    projection of src's line onto target's is that overlap, or else the
+    single foot of the bridge between disjoint lines.  The projection of
+    target.rep onto src's line, `foot`, lies in the overlap or is the bridge's
+    foot, so comparing edge letters outwards from it reads the overlap in
+    fewer than q_s + q_t steps.  Every point of src beyond the overlap has
+    the line projection of the overlap's end on its side, so src's coset
+    points up to the first one past each end give the whole shadow.  Line
+    positions stay integers; only the shadow's points are spelled.
 
-def project_axis_onto(orbit: OrbitMap, src: Axis, target) -> frozenset[Word]:
-    """Projection of a whole axis: the projection of its points out to
-    window 8, 16, ..., taken once two successive windows agree.
-
-    Raises CertificationError when none agree up to `_AXIS_WINDOW_CAP`."""
-    prev = None
-    w = 8
-    while w <= _AXIS_WINDOW_CAP:
-        cur = projection_of_set(orbit, src.points(w), target)
-        if cur == prev:
-            return cur
-        prev = cur
-        w *= 2
-    raise CertificationError(f"the projection of {src} did not stabilize within window {_AXIS_WINDOW_CAP}")
+    Raises CertificationError, before any projection is computed, when both
+    axes lie on one line (the same coset, or cosets of one line with
+    different coset points), whose shadow is unbounded, and on any orbit map
+    other than the identity on a Cayley tree.
+    """
+    if not orbit.is_identity:
+        raise CertificationError(f"no closed-form projection of {src} onto {target} on {orbit.space!r}")
+    model = src.model
+    anchor_s, d_s, phase_s = _line_data(model, src.root.letters, src.rep.letters)
+    anchor_t, d_t, phase_t = _line_data(model, target.root.letters, target.rep.letters)
+    if (anchor_s, d_s) == (anchor_t, d_t):
+        raise CertificationError(f"{src} and {target} lie on one line, so the projection is unbounded")
+    foot, _ = _line_foot(anchor_s, d_s, target.rep)
+    t0, off = _line_foot(anchor_t, d_t, _line_vertex(anchor_s, d_s, foot))
+    q_s, q_t = len(d_s), len(d_t)
+    sign, lo, hi = 1, foot, foot
+    if off == 0:
+        # both lines read from their shared vertex, src's ahead along target's
+        # forward (sign 1) or backward (sign -1) direction
+        from_s = d_s[foot % q_s :] + d_s[: foot % q_s]
+        from_t = d_t[t0 % q_t :] + d_t[: t0 % q_t]
+        k = q_s + q_t
+        for sg in (1, -1):
+            ahead = _lcp(_spell(from_s, k), _spell(from_t, sg * k))
+            back = _lcp(_spell(from_s, -k), _spell(from_t, -sg * k))
+            if ahead + back > hi - lo:
+                sign, lo, hi = sg, foot - back, foot + ahead
+    first = lo - (lo - phase_s) % q_s
+    positions: set[int] = set()
+    for m in range(first, hi + q_s, q_s):
+        positions.update(nearest_positions(t0 + sign * (min(max(m, lo), hi) - foot), phase_t, q_t))
+    return frozenset(_line_vertex(anchor_t, d_t, t) for t in positions)
 
 
 def _diam_x(orbit: OrbitMap, pts: Iterable[Word]) -> int:
@@ -480,14 +522,13 @@ class CosetEntry:
 
 @dataclass
 class CosetRecord:
-    """All cosets of <root(g)> where the projections of o and p lie at least
-    threshold apart; `enumerate_cosets` builds only complete records."""
+    """All cosets of a root's cyclic subgroup where the projections of o and
+    p lie at least a threshold apart; `enumerate_cosets` builds only complete
+    records."""
 
     orbit: OrbitMap
-    g: Word
     o: Word
     p: Word
-    threshold: int
     entries: list[CosetEntry]
 
     def to_jsonl(self) -> str:
@@ -510,15 +551,37 @@ class CosetRecord:
         return "\n".join(lines) + ("\n" if lines else "")
 
 
+def _block_runs(w: tuple[int, ...], u: tuple[int, ...]) -> list[int]:
+    """For each vertex i = 0..len(w) of the path spelled by w, the length of
+    the longest stretch of the path through i that reads u u u ... with a
+    block boundary at i, in one pass each way."""
+    n, q = len(w), len(u)
+    fwd, bwd = [0] * (n + 1), [0] * (n + 1)
+    for i in range(n - 1, -1, -1):
+        fwd[i] = q + fwd[i + q] if w[i : i + q] == u else _lcp(w[i : i + q], u)
+    u_back = u[::-1]
+    for i in range(1, n + 1):
+        back = w[max(0, i - q) : i][::-1]
+        bwd[i] = q + bwd[i - q] if back == u_back else _lcp(back, u_back)
+    return [f + b for f, b in zip(fwd, bwd)]
+
+
 def enumerate_cosets(orbit: OrbitMap, g: Word, o: Word, p: Word, threshold: int) -> CosetRecord:
     """Cosets h<root(g)> with projection distance of (o, p) at least threshold.
 
-    A coset whose projections of o and p lie >= threshold apart must cross
-    the geodesic [o, p], so on a Cayley tree with the identity orbit map the
-    candidates drawn from a small neighbourhood of that geodesic are complete
-    once threshold exceeds the coset point spacing plus rounding.  Any other
+    Certified only on a Cayley tree with the identity orbit map and for
+    threshold T >= (q - 1) + 2(q//2) with T > 2(q//2), q = |root|; any other
     search raises CertificationError, after `axis_of` has checked g and
-    before any ball or geodesic is built.
+    before any ball or geodesic is built.  Then the coset points nearest o
+    and p lie within q//2 of their projections onto the coset's line, and a
+    diameter of T > q cannot come from one tie pair, so the line of a
+    threshold coset runs along [o, p] for at least T - 2(q//2) >= max(1, q - 1)
+    edges.  The q or more vertices of that stretch hold one of its coset
+    points v, and the line of v<root> is spelled from v by root forward and
+    root^-1 backward.  So one
+    pass over the letters of o^-1 p, keeping each vertex v whose line runs
+    along [o, p] for T - 2(q//2) edges or more, finds every threshold coset;
+    each candidate is then valued by the projections of o and p.
     """
     root = axis_of(orbit.space, g).root
     if threshold < 1:
@@ -528,21 +591,22 @@ def enumerate_cosets(orbit: OrbitMap, g: Word, o: Word, p: Word, threshold: int)
         raise CertificationError("enumeration window insufficient")
     model = orbit.group
     geo = geodesic(model, o, p).vertices
-    pad = ball(model, model.identity(), q // 2 + 1)
-
-    def position(pts: tuple[Word, ...]) -> int:
-        dists = [orbit.distance(pts[0], v) for v in geo]
-        return dists.index(min(dists))
-
+    w = model.product(model.inverse(o.letters), p.letters)
+    need = threshold - 2 * (q // 2)
+    runs = zip(geo, _block_runs(w, root.letters), _block_runs(w, model.inverse(root.letters)))
+    keys = dict.fromkeys(coset_rep_key(root, v) for v, along, against in runs if max(along, against) >= need)
+    to_o, to_p = distance_from(model, o), distance_from(model, p)
     entries = []
-    for key in dict.fromkeys(coset_rep_key(root, v * u) for v in geo for u in pad):
+    for key in keys:
         ax = Axis(model, root, Word(model, key))
         po, pp = project_to_set(orbit, o, ax).points, project_to_set(orbit, p, ax).points
         value = _diam_x(orbit, set(po) | set(pp))
         if value >= threshold:
-            entries.append(CosetEntry(ax, value, position(po), po, pp))
+            # in a tree, x's nearest vertex on [o, p] lies (d(o, x) + d(o, p) - d(p, x)) / 2 from o
+            position = (to_o(po[0]) + len(w) - to_p(po[0])) // 2
+            entries.append(CosetEntry(ax, value, position, po, pp))
     entries.sort(key=lambda e: (e.position, e.axis.rep.sort_key()))
-    return CosetRecord(orbit, g, o, p, threshold, entries)
+    return CosetRecord(orbit, o, p, entries)
 
 
 def distance_formula_sum(record: CosetRecord, x: Word, y: Word) -> int:

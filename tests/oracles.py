@@ -5,7 +5,9 @@ from explicit breadth-first searches on explicitly built graphs, ball sizes
 from closed-form growth formulas, projections from windowed argmin scans
 with a linear-escape certificate, exact chain laws from `Fraction` sums
 over each state's own step law, and the free-group SRW drift from the
-radial birth-death recursion.
+radial birth-death recursion.  Two scans the library replaced by closed
+forms stay here as their oracles: the padded candidate search for threshold
+cosets and the window-doubling projection of a whole axis.
 """
 
 from __future__ import annotations
@@ -16,7 +18,8 @@ from itertools import combinations
 
 import numpy as np
 
-from ggtlab.groups import GroupModel, Word, word_distance
+from ggtlab.groups import GroupModel, Word, ball, diameter, geodesic, word_distance
+from ggtlab.projections import Axis, CosetEntry, axis_of, coset_rep_key, project_to_set, projection_of_set
 from ggtlab.spaces import BassSerreTree
 
 
@@ -139,6 +142,40 @@ def scan_axis_projection(model: GroupModel, axis, x: Word) -> tuple[set[Word], i
             chosen.add(pt)
         pt = pt * step
     return chosen, best
+
+
+def padded_coset_entries(orbit, g: Word, o: Word, p: Word, threshold: int) -> list[CosetEntry]:
+    """Threshold cosets among the candidates coset_rep_key(root, v u), v a
+    vertex of the geodesic [o, p] and u in the radius-(q//2 + 1) ball, q the
+    root length, each valued by the projections of o and p and placed at the
+    geodesic vertex nearest o's first projection point, found by a scan."""
+    root = axis_of(orbit.space, g).root
+    model = orbit.group
+    geo = geodesic(model, o, p).vertices
+    pad = ball(model, model.identity(), len(root) // 2 + 1)
+    entries = []
+    for key in dict.fromkeys(coset_rep_key(root, v * u) for v in geo for u in pad):
+        ax = Axis(model, root, Word(model, key))
+        po, pp = project_to_set(orbit, o, ax).points, project_to_set(orbit, p, ax).points
+        value = diameter(set(po) | set(pp), orbit.distance)
+        if value >= threshold:
+            dists = [orbit.distance(po[0], v) for v in geo]
+            entries.append(CosetEntry(ax, value, dists.index(min(dists)), po, pp))
+    entries.sort(key=lambda e: (e.position, e.axis.rep.sort_key()))
+    return entries
+
+
+def window_axis_projection(orbit, src, target, cap: int):
+    """Projection of the whole axis src onto target: the projections of its
+    points out to window 8, 16, ..., taken once two successive windows agree;
+    None when none agree up to window `cap`."""
+    prev, window = None, 8
+    while window <= cap:
+        cur = projection_of_set(orbit, src.points(window), target)
+        if cur == prev:
+            return cur
+        prev, window = cur, 2 * window
+    return None
 
 
 def fraction_step(kernel, dist: dict, keep=None) -> dict:

@@ -294,3 +294,52 @@ def test_unread_flag_detector():
         "b": (cmd_b, "", False, (("--x", {}), ("--n", {}))),
     }
     assert flags_never_read(source, commands) == ["a --config", "a --seed", "a --m", "b --n"]
+
+
+def process_caches(modules: dict[str, ast.Module]) -> list[str]:
+    """`module.function` for each function, at any depth, decorated with
+    `lru_cache` or `cache`, called or bare, plain or as a `functools.`
+    attribute."""
+    found = []
+    for mod, tree in modules.items():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for dec in node.decorator_list:
+                    target = dec.func if isinstance(dec, ast.Call) else dec
+                    name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", None)
+                    if name in ("lru_cache", "cache"):
+                        found.append(f"{mod}.{node.name}")
+    return sorted(found)
+
+
+def caches_cleared(worker: ast.Module) -> set[str]:
+    """`module.function` for each `getattr(module, "function", ...)` in the
+    body of the worker's `Caches` class."""
+    cls = next(n for n in worker.body if isinstance(n, ast.ClassDef) and n.name == "Caches")
+    return {
+        f"{n.args[0].id}.{n.args[1].value}"
+        for n in ast.walk(cls)
+        if isinstance(n, ast.Call) and getattr(n.func, "id", None) == "getattr"
+        and isinstance(n.args[0], ast.Name) and isinstance(n.args[1], ast.Constant)
+    }
+
+
+def test_every_process_cache_is_cleared_between_benchmark_passes():
+    # a CLI process starts with empty caches, so a benchmark pass must too:
+    # no speed-up may come from state carried from one pass to the next
+    modules = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    cleared = caches_cleared(ast.parse((ROOT / "perfbench" / "worker.py").read_text()))
+    assert [name for name in process_caches(modules) if name not in cleared] == []
+    assert "projections._line_data" in cleared
+
+
+def test_process_cache_detectors():
+    mod = ast.parse(
+        "import functools\nfrom functools import cache, lru_cache\n"
+        "@lru_cache(maxsize=8)\ndef f():\n    pass\n"
+        "@functools.cache\ndef g():\n    pass\n"
+        "class C:\n    @cache\n    def m(self):\n        pass\n    @property\n    def p(self):\n        pass\n"
+    )
+    assert process_caches({"m": mod}) == ["m.f", "m.g", "m.m"]
+    worker = ast.parse("class Caches:\n    def __init__(self, groups):\n        self.fns = [getattr(groups, 'h', None)]\n")
+    assert caches_cleared(worker) == {"groups.h"}

@@ -1,6 +1,7 @@
 """Axes, projections, coset distance sums, linear order, and pivots."""
 
 import json
+import random
 
 import pytest
 from hypothesis import assume, given, settings
@@ -30,7 +31,7 @@ from ggtlab.projections import (
 from ggtlab.spaces import OrbitMap
 
 from conftest import w
-from oracles import scan_axis_projection
+from oracles import padded_coset_entries, scan_axis_projection, window_axis_projection
 
 
 # --- axes -------------------------------------------------------------------
@@ -175,12 +176,77 @@ def test_far_point_projects_to_gate(f2, f2_tree, f2_orbit):
     assert set(project_to_set(f2_orbit, w(f2, "b a^3"), ax).points) == set(shadow)
 
 
-def test_axis_projection_that_never_stabilizes_raises(f2, f2_tree, f2_orbit):
-    # an axis projects onto its own line as every point scanned, so no two
-    # windows agree
+def test_axis_projection_onto_its_own_line_is_refused(monkeypatch, f2, f2_tree, f2_orbit):
+    # an axis projects onto its own line as every one of its points, and two
+    # cosets of one line likewise: refused before any projection is computed
+    import ggtlab.projections
+
+    def fail(*args, **kwargs):
+        raise AssertionError("a projection was computed for an unbounded shadow")
+
+    for name in ("project_to_set", "line_positions", "_line_foot"):
+        monkeypatch.setattr(ggtlab.projections, name, fail)
     ax = axis_of(f2_tree, w(f2, "a"))
-    with pytest.raises(CertificationError, match="did not stabilize within window 512"):
+    with pytest.raises(CertificationError, match="lie on one line"):
         project_axis_onto(f2_orbit, ax, ax)
+    with pytest.raises(CertificationError, match="lie on one line"):
+        project_axis_onto(f2_orbit, ax.translate(w(f2, "a^3")), ax)
+    # e<a b> and a<b a> share the line through ..., e, a, a b, a b a, ...
+    with pytest.raises(CertificationError, match="lie on one line"):
+        project_axis_onto(f2_orbit, make_axis(f2, w(f2, "a b"), f2.identity()), make_axis(f2, w(f2, "b a"), w(f2, "a")))
+
+
+def test_axis_projection_off_the_cayley_tree_is_refused(z2z, bs_tree, bs_orbit):
+    # the closed form reads lines of a Cayley tree; the Bass-Serre tree has none
+    a1, a2 = axis_of(bs_tree, w(z2z, "x z")), axis_of(bs_tree, w(z2z, "y z"))
+    with pytest.raises(CertificationError, match="no closed-form projection"):
+        project_axis_onto(bs_orbit, a1, a2)
+
+
+def random_free_word(f2, rng: random.Random, length: int) -> Word:
+    return Word(f2, f2.normalize([rng.choice((1, -1, 2, -2)) for _ in range(length)]))
+
+
+MIXED_ROOTS = ("a", "b", "a b", "b a", "a b^-1", "a^2 b", "a b a^-1 b^-1")
+
+
+def test_project_axis_onto_matches_window_scan(f2, f2_orbit):
+    rng = random.Random(21)
+    roots = [w(f2, r) for r in MIXED_ROOTS]
+    axes = [make_axis(f2, rng.choice(roots), random_free_word(f2, rng, rng.randint(0, 4))) for _ in range(24)]
+    pairs = [(a1, a2) for a1 in axes for a2 in axes]
+    pairs += [
+        # the documented pair: the lines share the edge from a to a^2
+        (make_axis(f2, w(f2, "a b^-1"), w(f2, "a")), make_axis(f2, w(f2, "a"), f2.identity())),
+        (make_axis(f2, w(f2, "a"), f2.identity()), make_axis(f2, w(f2, "a b^-1"), w(f2, "a"))),
+        # far apart disjoint lines, bridged by b^7 and by a^-3 b^6 a^2
+        (make_axis(f2, w(f2, "a"), f2.identity()), make_axis(f2, w(f2, "a"), w(f2, "b^7"))),
+        (make_axis(f2, w(f2, "a b"), w(f2, "a^-3 b^6 a^2")), make_axis(f2, w(f2, "a^2 b"), f2.identity())),
+    ]
+    refused = 0
+    for src, target in pairs:
+        # these lines part within a few letters; a scan that finds no stable
+        # window up to 64 has found one shared line
+        expected = window_axis_projection(f2_orbit, src, target, cap=64)
+        if expected is None:
+            refused += 1
+            with pytest.raises(CertificationError, match="lie on one line"):
+                project_axis_onto(f2_orbit, src, target)
+        else:
+            assert project_axis_onto(f2_orbit, src, target) == expected, (str(src), str(target))
+    assert 24 <= refused < len(pairs) // 4
+
+
+def test_linear_order_projects_no_axis_points(monkeypatch, f2, f2_orbit):
+    # the 780 pairs of a 40-coset record are ordered from the lines alone
+    rec = enumerate_cosets(f2_orbit, w(f2, "a"), f2.identity(), w(f2, " ".join(["a^4 b"] * 40)), 3)
+
+    def fail(self, window):
+        raise AssertionError("an axis was scanned point by point")
+
+    monkeypatch.setattr(Axis, "points", fail)
+    entries, report = linear_order(rec)
+    assert len(entries) == 40 and report.pairs == 780 and report.consistent
 
 
 def strong_alternative_violations(orbit, a1, a2, xs, bound: int) -> list[Word]:
@@ -266,6 +332,32 @@ def test_enumerate_complete_vs_ball_bruteforce(f2, f2_orbit, f2_tree, g, target,
         if coset_distance(f2_orbit, ax, o, p) >= threshold:
             brute.add((root.letters, key))
     assert not brute  # nothing beyond the certified enumeration
+
+
+def test_enumerate_matches_padded_candidates(f2, f2_tree, f2_orbit):
+    # the threshold cosets read off [o, p] are exactly those found among the
+    # cosets met by a radius-(q//2 + 1) pad around it, on random paths with
+    # planted runs of cyclic conjugates of root^(+-1)
+    rng = random.Random(20)
+    cases, sizes = 0, set()
+    for g in ("a", "b", "a b", "a b^-1", "a^2 b"):
+        root = axis_of(f2_tree, w(f2, g)).root
+        q = len(root)
+        t_min = max(2 * (q // 2) + 1, (q - 1) + 2 * (q // 2))
+        for _ in range(40):
+            o = random_free_word(f2, rng, rng.randint(0, 3))
+            p = o
+            for _ in range(rng.randint(1, 3)):
+                shift = rng.randrange(q)
+                block = root ** rng.choice((1, -1))
+                block = Word(f2, f2.normalize(block.letters[shift:] + block.letters[:shift]))
+                p = p * random_free_word(f2, rng, rng.randint(0, 3)) * block ** rng.randint(1, 4)
+            for threshold in (t_min, t_min + 2, t_min + 4):
+                rec = enumerate_cosets(f2_orbit, w(f2, g), o, p, threshold)
+                assert rec.entries == padded_coset_entries(f2_orbit, w(f2, g), o, p, threshold), (g, str(o), str(p))
+                cases += 1
+                sizes.add(len(rec.entries))
+    assert cases == 600 and {0, 1, 2, 3} <= sizes
 
 
 def test_jsonl_serialization(f2, f2_orbit):
