@@ -8,8 +8,10 @@ model's top-level tree (`spaces.top_level_orbit`); their --space flag may
 only name that tree.  A coset search (htsum, order) runs only where its
 record is provably complete; `projections.enumerate_cosets` refuses any
 other with exit 2 before it enumerates, and htsum's --window still parses
-but has no effect.  Exit codes: 0 success, 1 validation error, 2
-certification failure, 3 property-suite failure.
+but has no effect.  project and pivot use the axis of an element
+(`projections.axis_of`) moved by --axis-rep or --h-rep: --axis-root a^2
+names <a>.  Exit codes: 0 success, 1 validation error, 2 certification
+failure, 3 property-suite failure.
 
 Import rule: a CLI process is mostly start-up, so this module loads only
 `groups`, `projections` and `spaces`, which the tree commands share.  Each
@@ -34,7 +36,6 @@ from .projections import (
     distance_formula_sum,
     enumerate_cosets,
     linear_order,
-    make_axis,
     pivot,
     project_to_set,
 )
@@ -109,7 +110,7 @@ def cmd_ball(args) -> int:
 def cmd_project(args) -> int:
     orbit = _orbit(args)
     model = orbit.group
-    ax = make_axis(model, parse_word(model, args.axis_root), parse_word(model, args.axis_rep))
+    ax = axis_of(orbit.space, parse_word(model, args.axis_root)).translate(parse_word(model, args.axis_rep))
     val = project_to_set(orbit, parse_word(model, args.x), ax)
     pts = " ".join(f"[{p}]" for p in val.points)
     print(f"projection of [{args.x}] onto {ax}: {pts} at distance {val.distance} ({val.method})")

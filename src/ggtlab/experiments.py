@@ -26,7 +26,7 @@ from typing import Sequence
 from . import __version__
 from .chains import Kernel, branch_swap, ensemble, fit_log_linear, push_forward, srw
 from .groups import FreeGroup, GroupModel, Word, ball, model_from_descriptor, parse_word
-from .projections import Axis, _lcp, _line_data, _spell, axis_of, enumerate_cosets, line_positions, nearest_positions
+from .projections import Axis, _line_foot, axis_of, enumerate_cosets, line_positions, nearest_positions
 from .spaces import OrbitMap, top_level_orbit
 
 
@@ -160,16 +160,16 @@ class AxisTracker:
     of `fwd or -bwd`, memoised on the tracker across walks.
     """
 
-    def __init__(self, model: GroupModel, axis: Axis, start: Word):
-        anchor, direction, phase = _line_data(model, axis.root.letters, axis.rep.letters)
+    def __init__(self, axis: Axis, start: Word):
+        anchor, direction, phase = axis.line
         self.q = len(direction)
         self.dir = direction
         self.phase = phase
         self.stack = list((anchor.inverse() * start).letters)
-        n = len(self.stack)
-        self.fwd = _lcp(self.stack, _spell(direction, n))
-        self.bwd = _lcp(self.stack, _spell(direction, -n))
-        self.base = nearest_positions(self.fwd or -self.bwd, phase, self.q)
+        # a cyclically reduced direction meets the stack forwards or backwards, not both
+        foot, _ = _line_foot(anchor, direction, start)
+        self.fwd, self.bwd = max(foot, 0), max(-foot, 0)
+        self.base = nearest_positions(foot, phase, self.q)
         self.memo: dict[int, int] = {}
 
     def _spread(self, key: int) -> int:
@@ -452,7 +452,7 @@ def tail_experiment(
         p = parse_word(model, "b a^5 b")
     record = enumerate_cosets(orbit, parse_word(model, config.g), o, p, config.threshold)
     t_max = 3 * n // 4
-    trackers = [AxisTracker(model, e.axis, p) for e in record.entries]
+    trackers = [AxisTracker(e.axis, p) for e in record.entries]
     maxima, finals = [], []
     for walk in ensemble(kernel, p, seed, range(config.samples), n):
         steps = walk.increments(n)

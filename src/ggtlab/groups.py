@@ -583,20 +583,17 @@ class GeodesicPath:
 
 
 def geodesic(model: GroupModel, g: Word, h: Word, reverse: bool = False) -> GeodesicPath:
-    """A geodesic from g to h, greedy: each step goes to the first neighbour in
-    `neighbours` order (the last one with ``reverse``) that is closer to h."""
+    """The geodesic from g to h through g times each prefix of the normal
+    form of g^-1 h (a normal form too); with ``reverse``, the one from h to g
+    read backwards.  Each step goes to the first neighbour in `neighbours`
+    order that is closer to h, or with ``reverse`` the last."""
     if g.model != model or h.model != model:
         raise GroupError("geodesic: model mismatch")
-    h_inv, product = model.inverse(h.letters), model.product  # d(v, h) = |h^-1 v|
-    path = [g.letters]
-    # a connected Cayley graph always has a distance-decreasing step
-    for remaining in range(len(product(h_inv, g.letters)) - 1, -1, -1):
-        steps = neighbours(model, path[-1])
-        for v in reversed(steps) if reverse else steps:
-            if len(product(h_inv, v)) == remaining:
-                break
-        path.append(v)
-    return GeodesicPath(tuple(Word(model, ls) for ls in path))
+    if reverse:
+        return GeodesicPath(geodesic(model, h, g).vertices[::-1])
+    product, start = model.product, g.letters
+    w = product(model.inverse(start), h.letters)
+    return GeodesicPath(tuple(Word(model, product(start, w[:i])) for i in range(len(w) + 1)))
 
 
 # ---------------------------------------------------------------------------

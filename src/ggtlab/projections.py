@@ -1,9 +1,9 @@
 """Nearest-point projections onto axes, coset distance sums, and pivots.
 
-An *axis* is the coset h<r> of a cyclic subgroup generated by a cyclically
-reduced primitive root, viewed as a point set {h r^n x0} in a space model.
-Projections return the full set of nearest points; coset distances follow the
-diameter-of-union convention
+An *axis* is the coset h<r> of a cyclic subgroup, viewed as a point set
+{h r^n x0} in a space model; `axis_of` takes r primitive and, on a free
+group, cyclically reduced.  Projections return the full set of nearest
+points; coset distances follow the diameter-of-union convention
 
     d_A(x, y) = diam_X( proj_A(x) ∪ proj_A(y) ),
 
@@ -12,13 +12,14 @@ use plain point-set distance (min over pairs), which is the sharp convention
 on trees.
 
 On Cayley trees of free groups projections are computed analytically from
-word overlaps (the line through a coset is re-anchored at its vertex nearest
-the identity, where the parameterization is cancellation-free); the shadow of
-one axis on another and the threshold cosets of a geodesic are read off the
-same lines, by comparing their letters.  On other tree models a projection
-is a scan: the nearest points among one coset-walk window rep·root^n,
-|n| <= window, wide enough that the linear growth of the axis provably
-dominates the distance of rep.  A finite target set is scanned the same way.
+word overlaps: each axis anchors its line at the vertex nearest the identity
+(`Axis.line`), where the parameterization is cancellation-free, and the
+shadow of one axis on another and the threshold cosets of a geodesic are
+read off the same lines, by comparing their letters.  On other tree models
+a projection is a scan: the nearest points among one coset-walk window
+rep·root^n, |n| <= window, wide enough that the linear growth of the axis
+provably dominates the distance of rep.  A finite target set is scanned the
+same way.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 from typing import Collection, Iterable, Iterator, Sequence
 
 from .groups import (
@@ -82,17 +83,14 @@ def _primitive_period(seq: Sequence) -> int:
     return n  # pragma: no cover
 
 
-def _min_word(a: Word, b: Word) -> Word:
-    return a if a.sort_key() <= b.sort_key() else b
-
-
 @dataclass(frozen=True)
 class Axis:
-    """The coset rep·<root> of a cyclic subgroup on a primitive root.
+    """The coset rep·<root> of a cyclic subgroup.
 
     ``root`` is canonical (the smaller of r and r^-1 in length-lex order) and
     ``rep`` is the minimal element of the coset, so equal point sets compare
-    equal.
+    equal.  On a free group the root is cyclically reduced (`make_axis`
+    refuses any other root there).
     """
 
     model: GroupModel
@@ -108,12 +106,26 @@ class Axis:
     def translate(self, g: Word) -> "Axis":
         return make_axis(self.model, self.root, g * self.rep)
 
+    @cached_property
+    def line(self) -> tuple[Word, tuple[int, ...], int]:
+        """(anchor, direction, phase) of the coset's line on a Cayley tree:
+        its vertex at position t is anchor * _spell(direction, t), without
+        cancellation, and the coset points sit at positions ≡ phase (mod
+        |root|).  From rep the line cancels `_cancellation`(root, rep)
+        letters and then grows, so the anchor, its vertex nearest the
+        identity, is rep without them; the direction reads root on from
+        there, in the orientation that spells smaller."""
+        model, r, q = self.model, self.root.letters, len(self.root)
+        t0 = _cancellation(r, self.rep.letters)
+        anchor = Word(model, self.rep.letters[: len(self.rep) - abs(t0)])
+        forward = r[t0 % q :] + r[: t0 % q]
+        backward = model.inverse(forward)
+        if model.sort_key(forward) <= model.sort_key(backward):
+            return anchor, forward, -t0 % q
+        return anchor, backward, t0 % q
+
     def __str__(self) -> str:
         return f"{self.rep}<{self.root}>"
-
-
-def _canonical_root(r: Word) -> Word:
-    return _min_word(r, r.inverse())
 
 
 def _coset_walk(h: Word, root: Word, window: int) -> Iterator[Word]:
@@ -128,36 +140,43 @@ def _coset_walk(h: Word, root: Word, window: int) -> Iterator[Word]:
         yield bwd
 
 
+def _cancellation(root: tuple[int, ...], h: tuple[int, ...]) -> int:
+    """The number of h's last letters that cancel against root root ...,
+    or minus the number that cancel against root^-1 root^-1 ..., in a free
+    group; for a cyclically reduced root at most one of the two is nonzero."""
+    n, q = len(h), len(root)
+    m = 0
+    while m < n and h[-1 - m] == -root[m % q]:
+        m += 1
+    if m:
+        return m
+    while m < n and h[-1 - m] == root[-1 - m % q]:
+        m += 1
+    return -m
+
+
 def coset_rep_key(root: Word, h: Word) -> tuple[int, ...]:
     """Letters of the minimal element (by `Word.sort_key`) of the coset h<root>.
 
-    Closed form, O(|h|) and no products, on a free group with a cyclically
-    reduced root r (r[0] != r[-1]^-1): let m count the letters at the end of
-    h that cancel against r r r ... or against r^-1 r^-1 ... (at most one of
-    the two is nonzero) and k0 = m // |r|.  Then h r^±k drops |r| letters
-    per step up to k0 and grows from k0 + 1 on, and the other direction only
-    grows, so the minimum is h r^±k0 or h r^±(k0+1).  Other models and roots
-    walk the coset out to h r^±(2|h|/q + 2), q the length of the cyclically
-    reduced core of r on a free group (where |r^k| >= |k| q, so no point past
-    that window is shorter than h) and |r| elsewhere.
+    On a free group with a cyclically reduced root r, h r^±k loses |r|
+    letters per step while the m = |`_cancellation`(r, h)| last letters of h
+    cancel and grows after, so the minimum is h r^±k0 or h r^±(k0+1), k0 =
+    m // |r|.  Otherwise the coset is walked out to h r^±(2|h|/q + 2), q the
+    length of the cyclically reduced core of r on a free group and |r|
+    elsewhere, past which no point is shorter than h.
     """
-    r, letters = root.letters, h.letters
-    if isinstance(root.model, FreeGroup) and r and r[0] != -r[-1]:
-        n, q = len(letters), len(r)
-        m = 0
-        while m < n and letters[-1 - m] == -r[m % q]:
-            m += 1
-        if not m:
-            r = tuple(-ell for ell in reversed(r))
-            while m < n and letters[-1 - m] == -r[m % q]:
-                m += 1
+    model, r, letters = root.model, root.letters, h.letters
+    if isinstance(model, FreeGroup) and r and r[0] != -r[-1]:
+        m = _cancellation(r, letters)
         if not m:
             return letters
-        k0 = m // q
-        near = letters[: n - k0 * q]
+        if m < 0:
+            r, m = model.inverse(r), -m
+        n, k0 = len(letters), m // len(r)
+        near = letters[: n - k0 * len(r)]
         far = letters[: n - m] + (r * (k0 + 1))[m:]
-        return min(near, far, key=root.model.sort_key)
-    q = len(_cyclic_reduce_free(r)[1]) if isinstance(root.model, FreeGroup) else len(r)
+        return min(near, far, key=model.sort_key)
+    q = len(_cyclic_reduce_free(r)[1]) if isinstance(model, FreeGroup) else len(r)
     walk = _coset_walk(h, root, 2 * (len(h) // max(1, q)) + 2)
     best = next(walk)
     best_key = best.sort_key()
@@ -173,19 +192,24 @@ def coset_rep_key(root: Word, h: Word) -> tuple[int, ...]:
 def make_axis(model: GroupModel, root: Word, rep: Word) -> Axis:
     if root.is_identity():
         raise NotLoxodromicError("the identity is not loxodromic")
-    root = _canonical_root(root)
+    if isinstance(model, FreeGroup) and root.letters[0] == -root.letters[-1]:
+        raise GroupError(f"the root {root} of an axis is not cyclically reduced")
+    root = min(root, root.inverse(), key=Word.sort_key)
     return Axis(model, root, Word(model, coset_rep_key(root, rep)))
 
 
 def axis_of(space, g: Word) -> Axis:
     """Axis data of a loxodromic element: primitive root and canonical coset.
 
+    On G x Z the axis lives in the tree of G (see `_axis_direct_product`).
     Raises NotLoxodromicError when g fixes a point of the space model (for
     instance an element of a vertex factor acting on a Bass-Serre tree).
     """
     if g.is_identity():
         raise NotLoxodromicError("the identity is not loxodromic")
     model = g.model
+    if isinstance(model, DirectProduct) and isinstance(space, (CayleyTree, BassSerreTree)):
+        return _axis_direct_product(space, g)
     if isinstance(space, CayleyTree):
         if model != space.model:
             raise GroupError("axis_of: model mismatch")
@@ -194,8 +218,6 @@ def axis_of(space, g: Word) -> Axis:
         root = Word(model, core[:p])
         return make_axis(model, root, Word(model, model.normalize(conj)))
     if isinstance(space, BassSerreTree):
-        if isinstance(model, DirectProduct):
-            return _axis_direct_product(space, g)
         if model != space.model:
             raise GroupError("axis_of: model mismatch")
         return _axis_free_product(space.model, g)
@@ -228,15 +250,16 @@ def _axis_free_product(model: FreeProduct, g: Word) -> Axis:
     return make_axis(model, root, conj)
 
 
-def _axis_direct_product(space: BassSerreTree, g: Word) -> Axis:
-    """Axis of (u, k) in G x Z acting on the Bass-Serre tree of G."""
+def _axis_direct_product(space, g: Word) -> Axis:
+    """Axis of (u, k) in G x Z acting on the tree of G (a Cayley or a
+    Bass-Serre tree), built from the axis of u in that tree."""
     model: DirectProduct = g.model
     if space.model != model.left:
-        raise GroupError("axis_of: Bass-Serre tree does not match the left factor")
+        raise GroupError("axis_of: the tree does not match the left factor")
     u = left_component(model, g)
     if u.is_identity():
         raise NotLoxodromicError(f"{g} acts trivially on the quotient tree")
-    inner = _axis_free_product(model.left, u)  # raises if elliptic
+    inner = axis_of(space, u)  # raises if elliptic
     _, k = model.split(g.letters)
     # write u = rep * root^m_signed * rep^-1 (rep may be any coset element)
     core = inner.rep.inverse() * u * inner.rep
@@ -280,32 +303,6 @@ def _spell(direction: tuple[int, ...], t: int) -> tuple[int, ...]:
     return (direction * (t // len(direction) + 1))[:t]
 
 
-@lru_cache(maxsize=4096)
-def _line_data(model: GroupModel, root_letters: tuple[int, ...], rep_letters: tuple[int, ...]):
-    """Anchor the line of a coset at its vertex nearest the identity.
-
-    Returns (anchor Word, direction letters, phase) such that the line's
-    vertex at position t is anchor * _spell(direction, t) without
-    cancellation, and the coset points sit at positions ≡ phase (mod |root|).
-    """
-    q = len(root_letters)
-
-    def vertex(t: int) -> Word:
-        return Word(model, model.normalize(rep_letters + _spell(root_letters, t)))
-
-    step = 1 if len(vertex(1)) < len(rep_letters) else -1
-    t0, cur, nxt = 0, Word(model, rep_letters), vertex(step)
-    while len(nxt) < len(cur):
-        t0 += step
-        cur, nxt = nxt, vertex(t0 + step)
-    dir_plus = tuple(root_letters[(t0 + i) % q] for i in range(q))
-    dir_minus = tuple(-root_letters[(t0 - 1 - i) % q] for i in range(q))
-    rank = model._sort_rank
-    if [rank[l] for l in dir_plus] <= [rank[l] for l in dir_minus]:
-        return cur, dir_plus, (-t0) % q
-    return cur, dir_minus, t0 % q
-
-
 def nearest_positions(t_star: int, phase: int, q: int) -> tuple[int, ...]:
     """The positions ≡ phase (mod q) nearest to t_star: the one below, the
     one above, or both when they tie."""
@@ -325,9 +322,9 @@ def _line_foot(anchor: Word, direction: tuple[int, ...], x: Word) -> tuple[int, 
 
 
 def line_positions(axis: Axis, x: Word) -> tuple[tuple[int, ...], int]:
-    """Line positions (see `_line_data`) of the coset points nearest x, and
+    """Line positions (see `Axis.line`) of the coset points nearest x, and
     x's distance to them, on a Cayley tree."""
-    anchor, direction, phase = _line_data(axis.model, axis.root.letters, axis.rep.letters)
+    anchor, direction, phase = axis.line
     t_star, off = _line_foot(anchor, direction, x)
     positions = nearest_positions(t_star, phase, len(direction))
     return positions, off + abs(t_star - positions[0])
@@ -340,7 +337,7 @@ def _line_vertex(anchor: Word, direction: tuple[int, ...], t: int) -> Word:
 
 
 def _project_cayley(axis: Axis, x: Word) -> tuple[tuple[Word, ...], int]:
-    anchor, direction, _ = _line_data(axis.model, axis.root.letters, axis.rep.letters)
+    anchor, direction, _ = axis.line
     positions, dist = line_positions(axis, x)
     return tuple(sorted((_line_vertex(anchor, direction, m) for m in positions), key=Word.sort_key)), dist
 
@@ -360,13 +357,6 @@ class ProjectionValue:
         return iter(self.points)
 
 
-def _orbit_spacing(orbit: OrbitMap, axis: Axis) -> int:
-    s = orbit.distance(axis.rep, axis.rep * axis.root)
-    if s == 0:
-        raise NotLoxodromicError(f"axis {axis} has zero translation length in the space")
-    return s
-
-
 def project_to_set(orbit: OrbitMap, x: Word, target) -> ProjectionValue:
     """Full nearest-point set of an axis or a finite set of group elements.
 
@@ -381,8 +371,9 @@ def project_to_set(orbit: OrbitMap, x: Word, target) -> ProjectionValue:
     window = None
     if isinstance(target, Axis):
         d_rep = orbit.distance(x, target.rep)
-        window = (2 * d_rep + 2) // _orbit_spacing(orbit, target) + 2
+        # the axis points' spacing is positive, since `axis_of` takes loxodromics only;
         # the walk yields rep first, whose distance is already known
+        window = (2 * d_rep + 2) // orbit.distance(target.rep, target.rep * target.root) + 2
         pts = target.points(window)
         dists = [d_rep] + [orbit.distance(x, p) for p in pts[1:]]
     else:
@@ -426,9 +417,8 @@ def project_axis_onto(orbit: OrbitMap, src: Axis, target: Axis) -> frozenset[Wor
     """
     if not orbit.is_identity:
         raise CertificationError(f"no closed-form projection of {src} onto {target} on {orbit.space!r}")
-    model = src.model
-    anchor_s, d_s, phase_s = _line_data(model, src.root.letters, src.rep.letters)
-    anchor_t, d_t, phase_t = _line_data(model, target.root.letters, target.rep.letters)
+    anchor_s, d_s, phase_s = src.line
+    anchor_t, d_t, phase_t = target.line
     if (anchor_s, d_s) == (anchor_t, d_t):
         raise CertificationError(f"{src} and {target} lie on one line, so the projection is unbounded")
     foot, _ = _line_foot(anchor_s, d_s, target.rep)

@@ -5,9 +5,11 @@ from explicit breadth-first searches on explicitly built graphs, ball sizes
 from closed-form growth formulas, projections from windowed argmin scans
 with a linear-escape certificate, exact chain laws from `Fraction` sums
 over each state's own step law, and the free-group SRW drift from the
-radial birth-death recursion.  Two scans the library replaced by closed
-forms stay here as their oracles: the padded candidate search for threshold
-cosets and the window-doubling projection of a whole axis.
+radial birth-death recursion.  Searches the library replaced by closed
+forms stay here as their oracles: the greedy geodesic, the descent of a
+coset's line to its vertex nearest the identity, the padded candidate
+search for threshold cosets and the window-doubling projection of a whole
+axis.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from itertools import combinations
 
 import numpy as np
 
-from ggtlab.groups import GroupModel, Word, ball, diameter, geodesic, word_distance
+from ggtlab.groups import GroupModel, Word, ball, diameter, geodesic, neighbours, word_distance
 from ggtlab.projections import Axis, CosetEntry, axis_of, coset_rep_key, project_to_set, projection_of_set
 from ggtlab.spaces import BassSerreTree
 
@@ -142,6 +144,43 @@ def scan_axis_projection(model: GroupModel, axis, x: Word) -> tuple[set[Word], i
             chosen.add(pt)
         pt = pt * step
     return chosen, best
+
+
+def greedy_geodesic(model: GroupModel, g: Word, h: Word, reverse: bool = False) -> list[Word]:
+    """A geodesic from g to h: each step goes to the first neighbour in
+    `neighbours` order (the last one with ``reverse``) that is closer to h."""
+    path = [g.letters]
+    for remaining in range(word_distance(model, g, h) - 1, -1, -1):
+        steps = neighbours(model, path[-1])
+        path.append(next(v for v in (reversed(steps) if reverse else steps)
+                         if word_distance(model, Word(model, v), h) == remaining))
+    return [Word(model, ls) for ls in path]
+
+
+def line_vertex(model: GroupModel, start: Word, u: tuple[int, ...], t: int) -> Word:
+    """start times the first t letters of u u u ..., or for t < 0 of
+    u^-1 u^-1 ..., freely reduced."""
+    spelled = [u[i % len(u)] for i in range(t)] if t >= 0 else [-u[(-1 - i) % len(u)] for i in range(-t)]
+    return Word(model, model.normalize(start.letters + tuple(spelled)))
+
+
+def descended_line(axis) -> tuple[Word, tuple[int, ...], int]:
+    """(anchor, direction, phase) of an axis' line on a Cayley tree, found
+    by walking the line from rep one vertex at a time while it gets shorter;
+    the direction is the smaller of the root read forwards and backwards from
+    there, and the coset points sit at positions ≡ phase (mod |root|)."""
+    model, r = axis.model, axis.root.letters
+    q = len(r)
+    step = 1 if len(line_vertex(model, axis.rep, r, 1)) < len(axis.rep) else -1
+    t0 = 0
+    while len(line_vertex(model, axis.rep, r, t0 + step)) < len(line_vertex(model, axis.rep, r, t0)):
+        t0 += step
+    anchor = line_vertex(model, axis.rep, r, t0)
+    dir_plus = tuple(r[(t0 + i) % q] for i in range(q))
+    dir_minus = tuple(-r[(t0 - 1 - i) % q] for i in range(q))
+    if model.sort_key(dir_plus) <= model.sort_key(dir_minus):
+        return anchor, dir_plus, (-t0) % q
+    return anchor, dir_minus, t0 % q
 
 
 def padded_coset_entries(orbit, g: Word, o: Word, p: Word, threshold: int) -> list[CosetEntry]:

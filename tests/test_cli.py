@@ -354,6 +354,8 @@ def test_horizons_past_the_cap_refused_before_drawing(monkeypatch, tmp_path, cap
         # past the work budgets: 101^3 * |B(4)| > 10^7 and 1001^2 * |B(3)| > 5 * 10^5
         (["morse", "--segment", "a^100"], 1, "validation"),
         (["pivot", "--alpha", "a^1000"], 1, "validation"),
+        # z x z^-1 fixes a vertex of the Bass-Serre tree: it has no axis
+        (["project", "--model", "Z^2 * Z", "--x", "z", "--axis-root", "z x z^-1"], 1, "validation"),
     ],
 )
 def test_refused_inputs_write_nothing(tmp_path, capsys, argv, code, kind):
@@ -406,6 +408,21 @@ def test_space_defaults_to_the_top_level_tree(capsys):
     )
     code, out, err = run(capsys, "project", "--model", "(Z^2 * Z) x Z", "--x", "x t z", "--axis-root", "x z")
     assert code == 0 and err == "" and "(scan-axis)" in out
+
+
+def test_project_onto_the_axis_of_the_root(capsys):
+    # the axis of a b a^-1 is the line of a<b>, which passes next to a b^5 a^-1;
+    # a proper power names the axis of its root
+    assert run(capsys, "project", "--x", "a b^5 a^-1", "--axis-root", "a b a^-1") == (
+        0, "projection of [a b^5 a^-1] onto a<b>: [a b^5] at distance 1 (analytic)\n", ""
+    )
+    assert run(capsys, "project", "--x", "a^3 b", "--axis-root", "a^2") == (
+        0, "projection of [a^3 b] onto e<a>: [a^3] at distance 1 (analytic)\n", ""
+    )
+    # on F2 x Z the axis lives in the Cayley tree of F2
+    assert run(capsys, "project", "--model", "F2 x Z", "--x", "a b t", "--axis-root", "b a t^2") == (
+        0, "projection of [a b t] onto e<a^-1 b^-1 t^-2>: [e] at distance 2 (scan-axis)\n", ""
+    )
 
 
 def test_golden_separation_stdout(capsys):

@@ -89,7 +89,7 @@ def assert_tracked(orbit, kernel, axes, p, seed, n, distance=tail_distance):
     increments, and check every step's spread against `distance`."""
     model = kernel.model
     steps = next(ensemble(kernel, p, seed, (0,), n)).increments(n)
-    rows = [AxisTracker(model, ax, p).spreads(steps) for ax in axes]
+    rows = [AxisTracker(ax, p).spreads(steps) for ax in axes]
     cur = p
     for j, inc in enumerate(steps):
         cur = cur * Word(model, inc)
@@ -344,11 +344,11 @@ def test_golden_tail_tables(f2):
 
 def test_tracker_spreads_leave_the_tracker_at_its_start(f2, f2_tree):
     ax = axis_of(f2_tree, w(f2, "a"))
-    tracker = AxisTracker(f2, ax, w(f2, "a"))
+    tracker = AxisTracker(ax, w(f2, "a"))
     steps = [(1,), (), (1,), (-2,), (2,)]
     first = tracker.spreads(steps)
     assert tracker.spreads(steps) == first
-    fresh = AxisTracker(f2, ax, w(f2, "a"))
+    fresh = AxisTracker(ax, w(f2, "a"))
     assert (tracker.stack, tracker.fwd, tracker.bwd) == (fresh.stack, fresh.fwd, fresh.bwd)
     # a^3 b^-1 leaves the line at a^3 and projects there, as a^3 does
     assert first == [1, 1, 2, 2, 2]

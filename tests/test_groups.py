@@ -1,6 +1,7 @@
 """Normal forms, word metrics, balls and geodesics on the shipped models."""
 
 import itertools
+import random
 from functools import partial
 
 import pytest
@@ -27,7 +28,7 @@ from ggtlab.groups import (
 )
 
 from conftest import w
-from oracles import abelian2_ball_size, free_ball_size, naive_ball
+from oracles import abelian2_ball_size, free_ball_size, greedy_geodesic, naive_ball
 
 
 # --- parsing -------------------------------------------------------------
@@ -325,6 +326,21 @@ def test_geodesic_greedy_letter_order(desc, reverse):
             d = word_distance(m, u, h)
             closer = [s for s in order if word_distance(m, u * Word(m, (s,)), h) < d]
             assert v == u * Word(m, (closer[0],))
+
+
+@pytest.mark.parametrize(
+    "desc", ["F2", "F3", "Z^2", "Z^3", "Z^2 * Z", "Z * Z", "F2 * Z^2", "F2 x Z", "(Z^2 * Z) x Z"]
+)
+def test_geodesic_matches_the_greedy_search(desc):
+    # the spelled normal form against the neighbour-by-neighbour search,
+    # both directions, on seeded pairs of words of length up to 8
+    m = model_from_descriptor(desc)
+    rng = random.Random(22)
+    letters = [s for i in range(1, m.rank + 1) for s in (i, -i)]
+    for _ in range(120):
+        g, h = (normal_form(m, rng.choices(letters, k=rng.randint(0, 8))) for _ in range(2))
+        for reverse in (False, True):
+            assert list(geodesic(m, g, h, reverse=reverse)) == greedy_geodesic(m, g, h, reverse=reverse)
 
 
 def test_diameter(f2):

@@ -15,9 +15,9 @@ from ggtlab.projections import (
     axis_of,
     behrstock_alternative,
     coset_distance,
+    coset_rep_key,
     distance_formula_sum,
     enumerate_cosets,
-    _line_data,
     _setdist_x,
     linear_order,
     lower_bound_check,
@@ -31,7 +31,7 @@ from ggtlab.projections import (
 from ggtlab.spaces import OrbitMap
 
 from conftest import w
-from oracles import padded_coset_entries, scan_axis_projection, window_axis_projection
+from oracles import descended_line, line_vertex, padded_coset_entries, scan_axis_projection, window_axis_projection
 
 
 # --- axes -------------------------------------------------------------------
@@ -66,8 +66,41 @@ def test_interleaved_cosets_share_a_line(f2, f2_tree):
     a1 = axis_of(f2_tree, w(f2, "a b"))
     a2 = make_axis(f2, w(f2, "b a"), w(f2, "a"))
     assert a1 != a2
-    anchor_direction = [_line_data(f2, ax.root.letters, ax.rep.letters)[:2] for ax in (a1, a2)]
+    anchor_direction = [ax.line[:2] for ax in (a1, a2)]
     assert anchor_direction[0] == anchor_direction[1]
+
+
+def test_make_axis_refuses_a_root_that_is_not_cyclically_reduced(f2):
+    # a b a^-1 is not cyclically reduced; its axis is a<b>, which `axis_of` finds
+    with pytest.raises(GroupError, match="not cyclically reduced"):
+        make_axis(f2, w(f2, "a b a^-1"), f2.identity())
+    assert str(make_axis(f2, w(f2, "b a b^-1 a^-1"), w(f2, "b"))) == "b<a b a^-1 b^-1>"
+
+
+def random_cyclically_reduced_root(model, rng: random.Random) -> Word:
+    """A cyclically reduced word of length 1-4, a proper power one time in three."""
+    letters = [s for i in range(1, model.rank + 1) for s in (i, -i)]
+    while True:
+        r = model.normalize(rng.choices(letters, k=rng.randint(1, 4)))
+        if r and r[0] != -r[-1]:
+            return Word(model, r * rng.choice((1, 1, 2)))
+
+
+@pytest.mark.parametrize("desc", ["F2", "F3"])
+def test_line_and_rep_key_match_the_descent(desc):
+    # the one-pass line against the line walked down from rep, and the rep
+    # key against the line's coset points nearest the identity
+    model = model_from_descriptor(desc)
+    rng = random.Random(22)
+    letters = [s for i in range(1, model.rank + 1) for s in (i, -i)]
+    for _ in range(1500):
+        root = random_cyclically_reduced_root(model, rng)
+        rep = normal_form(model, rng.choices(letters, k=rng.randint(0, 10)))
+        anchor, direction, phase = descended_line(Axis(model, root, rep))
+        assert Axis(model, root, rep).line == (anchor, direction, phase), (str(root), str(rep))
+        # the coset points on either side of the anchor; length leads the key
+        nearest = [line_vertex(model, anchor, direction, t) for t in (phase, phase - len(direction))]
+        assert coset_rep_key(root, rep) == min(nearest, key=Word.sort_key).letters, (str(root), str(rep))
 
 
 # --- projections --------------------------------------------------------------
