@@ -4,8 +4,11 @@ One subcommand per capability; stochastic subcommands require a seed (from
 --seed or the config file) and produce byte-identical outputs for identical
 (config, seed).  Only stochastic subcommands take --config, and only those
 that write files take --out.  Subcommands that work in a tree use the
-model's top-level tree (`spaces.top_level_orbit`); their --space flag may
-only name that tree.  A coset search (htsum, order) runs only where its
+model's top-level tree (`spaces.top_level_orbit`), read through its orbit
+map; their --space flag may only name that tree (cayley for a free group
+and its product with Z, bass-serre for a two-factor free product and its
+product with Z).  separation reads --x and --y as elements of the model and
+measures them in that tree.  A coset search (htsum, order) runs only where its
 record is provably complete; `projections.enumerate_cosets` refuses any
 other with exit 2 before it enumerates, and htsum's --window still parses
 but has no effect.  project and pivot use the axis of an element
@@ -28,7 +31,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .groups import GroupError, ball, geodesic, model_from_descriptor, parse_word
+from .groups import FreeGroup, FreeProduct, GroupError, ball, geodesic, model_from_descriptor, parse_word
 from .projections import (
     CertificationError,
     axis_of,
@@ -40,8 +43,6 @@ from .projections import (
     project_to_set,
 )
 from .spaces import (
-    BassSerreTree,
-    CayleyTree,
     OrbitMap,
     SpaceError,
     cone_off,
@@ -67,13 +68,14 @@ def _emit(args, name: str, text: str) -> None:
         sys.stdout.write(text)
 
 
-_SPACES = {"cayley": CayleyTree, "bass-serre": BassSerreTree}
+# each --space value names the kind of group whose tree it is
+_SPACES = {"cayley": FreeGroup, "bass-serre": FreeProduct}
 
 
 def _orbit(args) -> OrbitMap:
     """The model's top-level orbit map; an explicit --space must name its tree."""
     orbit = top_level_orbit(model_from_descriptor(args.model))
-    if args.space is not None and not isinstance(orbit.space, _SPACES[args.space]):
+    if args.space is not None and not isinstance(orbit.tree, _SPACES[args.space]):
         raise SpaceError(f"--space {args.space} is not the top-level tree of {args.model}")
     return orbit
 
@@ -110,7 +112,7 @@ def cmd_ball(args) -> int:
 def cmd_project(args) -> int:
     orbit = _orbit(args)
     model = orbit.group
-    ax = axis_of(orbit.space, parse_word(model, args.axis_root)).translate(parse_word(model, args.axis_rep))
+    ax = axis_of(parse_word(model, args.axis_root)).translate(parse_word(model, args.axis_rep))
     val = project_to_set(orbit, parse_word(model, args.x), ax)
     pts = " ".join(f"[{p}]" for p in val.points)
     print(f"projection of [{args.x}] onto {ax}: {pts} at distance {val.distance} ({val.method})")
@@ -123,10 +125,10 @@ def _search_orbit(args) -> OrbitMap:
     On G x Z the axes of g live in a Bass-Serre tree only; with G free the
     top-level tree is G's Cayley tree, so the search is refused up front."""
     orbit = _orbit(args)
-    if isinstance(orbit.space, CayleyTree) and not orbit.is_identity:
+    if isinstance(orbit.tree, FreeGroup) and not orbit.is_identity:
         raise SpaceError(
             f"coset searches on {orbit.group.describe()} need a Bass-Serre top-level tree; "
-            f"its top-level tree is the Cayley tree of {orbit.space.model.describe()}"
+            f"its top-level tree is the Cayley tree of {orbit.tree.describe()}"
         )
     return orbit
 
@@ -162,7 +164,7 @@ def cmd_pivot(args) -> int:
     default_independent_loxodromics(model)  # refuses a model without a shipped pair, before any set-up
     target = parse_word(model, args.alpha)
     path = geodesic(model, model.identity(), target)
-    h_axis = axis_of(orbit.space, parse_word(model, args.h)).translate(parse_word(model, args.h_rep))
+    h_axis = axis_of(parse_word(model, args.h)).translate(parse_word(model, args.h_rep))
     res = pivot(orbit, path, target, h_axis, args.s, bound=args.bound)
     verdict = "pass" if res.passed else "no pivot within bound (best shown)"
     print(f"pivot: q' = [{res.pivot}] values={res.values} {verdict} (examined {res.examined})")
@@ -305,7 +307,7 @@ def cmd_fibers(args) -> int:
 
 def cmd_separation(args) -> int:
     orbit = top_level_orbit(model_from_descriptor(args.model))
-    x, y = (parse_word(orbit.space.model, t) for t in (args.x, args.y))
+    x, y = (parse_word(orbit.group, t) for t in (args.x, args.y))
     truncs = [int(t) for t in args.truncations.split(",")]
     prof = fibre_separation_profile(orbit, x, y, args.r, args.s, truncs)
     print(f"profile {prof.pairs}; verdict {prof.verdict}")

@@ -141,7 +141,7 @@ def resolve_setup(config: ExperimentConfig) -> tuple[GroupModel, OrbitMap, Kerne
     if not orbit.is_identity:
         raise ExperimentError("experiments are shipped for free-group Cayley trees")
     kernel = resolve_kernel(model, config.kernel)
-    axis = axis_of(orbit.space, parse_word(model, config.g))
+    axis = axis_of(parse_word(model, config.g))
     return model, orbit, kernel, axis
 
 

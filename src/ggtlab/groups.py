@@ -256,6 +256,14 @@ class FreeProduct(GroupModel):
         """Split canonical letters into (factor index, global letters) runs."""
         return [(fi, tuple(run)) for fi, run in groupby(letters, self._factor_of.__getitem__)]
 
+    def strip(self, factor: int, letters: tuple[int, ...]) -> tuple[int, ...]:
+        """Canonical letters without their last syllable when it lies in the
+        factor: the key of the coset of `letters` times that factor."""
+        factor_of, i = self._factor_of, len(letters)
+        while i and factor_of[letters[i - 1]] == factor:
+            i -= 1
+        return letters[:i]
+
     def inverse(self, letters: tuple[int, ...]) -> tuple[int, ...]:
         out: list[int] = []
         for fi, seg in reversed(self.syllables(letters)):

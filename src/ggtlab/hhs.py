@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .groups import DirectProduct, FreeProduct, GroupError, GroupModel, Word, ball, distance_row
-from .spaces import BassSerreTree, CosetFamily, FiniteGraphSpace, cone_off
+from .spaces import CosetFamily, FiniteGraphSpace, cone_off
 
 
 class SkeletonError(ValueError):
@@ -245,16 +245,16 @@ def product_free_regions(model: DirectProduct) -> dict[str, Region]:
         raise GroupError("region map expects a free-product-by-Z model")
     if len(model.left.factors) != 2:  # the keys strip cosets in its Bass-Serre tree
         raise GroupError("region map expects a two-factor free product by Z")
-    tree = BassSerreTree(model.left)
+    left = model.left
     flat = model.left.factors[0]
 
     def u_key(w: Word):
         ls, k = model.split(w.letters)
-        return (tree.strip(0, Word(model.left, ls)).letters, k)
+        return (left.strip(0, ls), k)
 
     def w_key(w: Word):
         ls, k = model.split(w.letters)
-        return (tree.strip(1, Word(model.left, ls)).letters, k)
+        return (left.strip(1, ls), k)
 
     def v_key(w: Word):
         return model.split(w.letters)[0]

@@ -1,15 +1,21 @@
 """Nearest-point projections onto axes, coset distance sums, and pivots.
 
 An *axis* is the coset h<r> of a cyclic subgroup, viewed as a point set
-{h r^n x0} in a space model; `axis_of` takes r primitive and, on a free
-group, cyclically reduced.  Projections return the full set of nearest
-points; coset distances follow the diameter-of-union convention
+{h r^n x0} in the top-level tree of its model; `axis_of` takes r primitive
+and, on a free group, cyclically reduced.  Projections return the full set
+of nearest points.  Coset distances take one of two conventions, which
+differ only where the two projections coincide.  `coset_distance`, the
+values of `enumerate_cosets`, the criteria of `linear_order` and the spread
+max(pos) - min(pos) of the bounded-projection experiment read the diameter
+of the union,
 
     d_A(x, y) = diam_X( proj_A(x) ∪ proj_A(y) ),
 
-while the hypothesis/conclusion sides of the two-sided projection alternative
-use plain point-set distance (min over pairs), which is the sharp convention
-on trees.
+which is the root length q, not 0, where x and y project to one tie pair;
+`distance_formula_sum` and `experiments.AxisTracker` read 0 wherever
+proj_A(x) = proj_A(y).  The hypothesis/conclusion sides of the two-sided
+projection alternative use plain point-set distance (min over pairs), which
+is the sharp convention on trees.
 
 On Cayley trees of free groups projections are computed analytically from
 word overlaps: each axis anchors its line at the vertex nearest the identity
@@ -43,13 +49,7 @@ from .groups import (
     distance_from,
     geodesic,
 )
-from .spaces import (
-    BassSerreTree,
-    CayleyTree,
-    OrbitMap,
-    SpaceError,
-    left_component,
-)
+from .spaces import OrbitMap, SpaceError, left_component, top_level_orbit
 
 
 class NotLoxodromicError(GroupError):
@@ -166,6 +166,8 @@ def coset_rep_key(root: Word, h: Word) -> tuple[int, ...]:
     elsewhere, past which no point is shorter than h.
     """
     model, r, letters = root.model, root.letters, h.letters
+    if not letters:  # e is the shortest element of <root>
+        return letters
     if isinstance(model, FreeGroup) and r and r[0] != -r[-1]:
         m = _cancellation(r, letters)
         if not m:
@@ -198,30 +200,27 @@ def make_axis(model: GroupModel, root: Word, rep: Word) -> Axis:
     return Axis(model, root, Word(model, coset_rep_key(root, rep)))
 
 
-def axis_of(space, g: Word) -> Axis:
-    """Axis data of a loxodromic element: primitive root and canonical coset.
+def axis_of(g: Word) -> Axis:
+    """Axis data of a loxodromic element in the top-level tree of its model
+    (`spaces.top_level_orbit`): primitive root and canonical coset.
 
     On G x Z the axis lives in the tree of G (see `_axis_direct_product`).
-    Raises NotLoxodromicError when g fixes a point of the space model (for
-    instance an element of a vertex factor acting on a Bass-Serre tree).
+    Raises SpaceError for a model with no top-level tree, and
+    NotLoxodromicError when g fixes a point of the tree (for instance an
+    element of a vertex factor acting on a Bass-Serre tree).
     """
     if g.is_identity():
         raise NotLoxodromicError("the identity is not loxodromic")
     model = g.model
-    if isinstance(model, DirectProduct) and isinstance(space, (CayleyTree, BassSerreTree)):
-        return _axis_direct_product(space, g)
-    if isinstance(space, CayleyTree):
-        if model != space.model:
-            raise GroupError("axis_of: model mismatch")
+    tree = top_level_orbit(model).tree
+    if tree is not model:
+        return _axis_direct_product(g)
+    if isinstance(tree, FreeGroup):
         conj, core = _cyclic_reduce_free(g.letters)
         p = _primitive_period(core)
         root = Word(model, core[:p])
         return make_axis(model, root, Word(model, model.normalize(conj)))
-    if isinstance(space, BassSerreTree):
-        if model != space.model:
-            raise GroupError("axis_of: model mismatch")
-        return _axis_free_product(space.model, g)
-    raise SpaceError(f"axis_of not supported on {space!r}")
+    return _axis_free_product(model, g)
 
 
 def _axis_free_product(model: FreeProduct, g: Word) -> Axis:
@@ -250,16 +249,14 @@ def _axis_free_product(model: FreeProduct, g: Word) -> Axis:
     return make_axis(model, root, conj)
 
 
-def _axis_direct_product(space, g: Word) -> Axis:
+def _axis_direct_product(g: Word) -> Axis:
     """Axis of (u, k) in G x Z acting on the tree of G (a Cayley or a
     Bass-Serre tree), built from the axis of u in that tree."""
     model: DirectProduct = g.model
-    if space.model != model.left:
-        raise GroupError("axis_of: the tree does not match the left factor")
     u = left_component(model, g)
     if u.is_identity():
         raise NotLoxodromicError(f"{g} acts trivially on the quotient tree")
-    inner = axis_of(space, u)  # raises if elliptic
+    inner = axis_of(u)  # raises if elliptic
     _, k = model.split(g.letters)
     # write u = rep * root^m_signed * rep^-1 (rep may be any coset element)
     core = inner.rep.inverse() * u * inner.rep
@@ -416,7 +413,9 @@ def project_axis_onto(orbit: OrbitMap, src: Axis, target: Axis) -> frozenset[Wor
     other than the identity on a Cayley tree.
     """
     if not orbit.is_identity:
-        raise CertificationError(f"no closed-form projection of {src} onto {target} on {orbit.space!r}")
+        raise CertificationError(
+            f"no closed-form projection of {src} onto {target} by the {orbit.name} orbit map"
+        )
     anchor_s, d_s, phase_s = src.line
     anchor_t, d_t, phase_t = target.line
     if (anchor_s, d_s) == (anchor_t, d_t):
@@ -573,7 +572,7 @@ def enumerate_cosets(orbit: OrbitMap, g: Word, o: Word, p: Word, threshold: int)
     along [o, p] for T - 2(q//2) edges or more, finds every threshold coset;
     each candidate is then valued by the projections of o and p.
     """
-    root = axis_of(orbit.space, g).root
+    root = axis_of(g).root
     if threshold < 1:
         raise GroupError("threshold must be >= 1")
     q = len(root)
@@ -763,7 +762,7 @@ def pivot(
 # axis pools
 
 
-def translate_axis_pool(tree: CayleyTree, g: Word, count: int, seed: int) -> list[Axis]:
+def translate_axis_pool(g: Word, count: int, seed: int) -> list[Axis]:
     """Distinct random translates h·<root(g)> of one elementary closure, h in
     the radius-5 ball.
 
@@ -776,8 +775,8 @@ def translate_axis_pool(tree: CayleyTree, g: Word, count: int, seed: int) -> lis
     """
     import numpy as np
 
-    model = tree.model
-    base = axis_of(tree, g)
+    model = g.model
+    base = axis_of(g)
     rng = np.random.default_rng(seed)
     translates = [base.translate(h) for h in ball(model, model.identity(), 5)]
     distinct = len({(ax.root.letters, ax.rep.letters) for ax in translates})

@@ -1,18 +1,16 @@
-"""Hyperbolic-space models and orbit maps.
+"""Orbit maps onto the top-level trees, and coned-off finite graphs.
 
-Three space kinds are shipped:
-
-* ``CayleyTree``: the Cayley graph of a free group (a tree), with exact
-  distances computed from reduced words;
-* ``BassSerreTree``: the bipartite coset tree of a two-factor free product,
-  with exact distances counted from syllables;
-* ``FiniteGraphSpace``: an explicit finite graph, used for coned-off balls.
-
-Every space answers ``.distance(x, y)``, its exact graph metric.
 ``top_level_orbit(model)`` is the one place that decides which tree a model
-acts on: the tree the lab takes as its maximal hyperbolic space.  Every
-orbit map comes from it, and its ``OrbitMap.distance(g, h)`` is the one
-top-level metric on group elements.
+acts on: the tree the lab takes as its maximal hyperbolic space.  A free
+group acts on its Cayley tree, where d(x0, g x0) = |g|; a two-factor free
+product acts on its Bass-Serre tree, where the distance between two coset
+vertices counts syllables (Serre, *Trees*); G x Z acts on the tree of G.
+Every orbit map comes from it, and its ``OrbitMap.distance(g, h)`` is the
+one top-level metric on group elements: the trees are read through group
+elements alone, with no type for their points.
+
+The only explicit space is ``FiniteGraphSpace``, a finite graph used for
+coned-off balls, which answers ``.distance(x, y)``, its exact graph metric.
 
 Coning is implemented as diameter-1 completion: each coned coset becomes a
 clique.  Cliques are stored implicitly (never expanded to edge lists) and the
@@ -41,7 +39,6 @@ from .groups import (
     ball_letters,
     neighbours,
     word_diameter,
-    word_distance,
 )
 
 
@@ -50,80 +47,21 @@ class SpaceError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# space models
+# Bass-Serre trees
 
 
-@dataclass(frozen=True)
-class CayleyTree:
-    """Cayley graph of a free group; points are Words of the model."""
+def _bass_serre_distance(model: FreeProduct, i: int, j: int, letters: tuple[int, ...]) -> int:
+    """Distance between the vertices e·F_i and w·F_j of the Bass-Serre tree of
+    a two-factor free product, w the normal form `letters`.
 
-    model: FreeGroup
-
-    def __post_init__(self):
-        if not isinstance(self.model, FreeGroup):
-            raise SpaceError("CayleyTree requires a free group model")
-
-    def distance(self, x: Word, y: Word) -> int:
-        return word_distance(self.model, x, y)
-
-
-@dataclass(frozen=True)
-class BSVertex:
-    """A vertex of a Bass-Serre tree: the coset rep·F_{factor}."""
-
-    factor: int
-    rep: Word
-
-    def __str__(self) -> str:
-        return f"{self.rep}·F{self.factor}"
-
-
-@dataclass(frozen=True)
-class BassSerreTree:
-    """Coset tree of a two-factor free product A * B.
-
-    Vertices are cosets gA and gB; g and g' span an edge between gA and g'B
-    exactly when the cosets intersect.  Coset representatives are canonical:
-    any trailing syllable lying in the coset's own factor is stripped.
+    With w' = `model.strip`(j, w) of k syllables, the path from e·F_i
+    crosses one edge per syllable of w', plus one first when w' does not
+    start in F_i.
     """
-
-    model: FreeProduct
-
-    def __post_init__(self):
-        if not isinstance(self.model, FreeProduct) or len(self.model.factors) != 2:
-            raise SpaceError("BassSerreTree requires a two-factor free product")
-
-    def strip(self, factor: int, w: Word) -> Word:
-        """w without its last syllable when that syllable lies in F_factor."""
-        letters, factor_of = w.letters, self.model._factor_of
-        i = len(letters)
-        while i and factor_of[letters[i - 1]] == factor:
-            i -= 1
-        return Word(self.model, letters[:i])
-
-    def vertex(self, factor: int, w: Word) -> BSVertex:
-        if factor not in (0, 1):
-            raise SpaceError("factor index must be 0 or 1")
-        return BSVertex(factor, self.strip(factor, w))
-
-    def _dist_from_root(self, i: int, j: int, letters: tuple[int, ...]) -> int:
-        """Distance between the vertex e·F_i and the vertex w·F_j, w the
-        normal form `letters`.
-
-        With w' = strip(j, w) of k syllables, the path from e·F_i crosses one
-        edge per syllable of w', plus one first when w' does not start in F_i.
-        """
-        runs = self.model.syllables(letters)
-        if runs and runs[-1][0] == j:
-            runs.pop()
-        if not runs:
-            return int(i != j)
-        return len(runs) + (runs[0][0] != i)
-
-    def distance(self, v1: BSVertex, v2: BSVertex) -> int:
-        model = self.model
-        w = model.product(model.inverse(v1.rep.letters), v2.rep.letters)
-        return self._dist_from_root(v1.factor, v2.factor, w)
+    runs = model.syllables(model.strip(j, letters))
+    if not runs:
+        return int(i != j)
+    return len(runs) + (runs[0][0] != i)
 
 
 @dataclass
@@ -215,37 +153,31 @@ class FiniteGraphSpace:
         return "\n".join(lines) + "\n"
 
 
-SpaceModel = CayleyTree | BassSerreTree | FiniteGraphSpace
-
-
 # ---------------------------------------------------------------------------
 # orbit maps
 
 
 @dataclass(frozen=True)
 class OrbitMap:
-    """A rule g -> point of X; by convention rule(e) is the basepoint.
+    """The orbit map g -> g x0 of a group onto its top-level tree, the tree
+    of the group ``tree``: its Cayley tree when that is a free group, its
+    Bass-Serre tree when that is a two-factor free product.
 
     ``displacement`` maps the letters of g to d_X(x0, g x0), x0 the
-    basepoint.  ``is_identity`` holds when the rule is the identity of a
+    basepoint.  ``is_identity`` holds when the map is the identity of a
     free group onto its own Cayley tree, where projections have closed forms
     in the words.  It is set once, here, so the hot paths that branch on it
     read a field.
     """
 
     group: GroupModel
-    space: SpaceModel
-    rule: Callable[[Word], Hashable]
+    tree: GroupModel
     name: str
     displacement: Callable[[tuple[int, ...]], int]
     is_identity: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        tree = isinstance(self.space, CayleyTree)
-        object.__setattr__(self, "is_identity", tree and self.group is self.space.model)
-
-    def __call__(self, w: Word) -> Hashable:
-        return self.rule(w)
+        object.__setattr__(self, "is_identity", isinstance(self.tree, FreeGroup) and self.group is self.tree)
 
     def distance(self, g: Word, h: Word) -> int:
         """d_X(g x0, h x0), read as the displacement of g^-1 h (the action is
@@ -274,20 +206,13 @@ def top_level_orbit(model: GroupModel) -> OrbitMap:
     Any other model raises SpaceError.
     """
     if isinstance(model, FreeGroup):
-        return OrbitMap(model, CayleyTree(model), lambda w: w, "identity", len)
-    if isinstance(model, FreeProduct):
-        tree = BassSerreTree(model)  # refuses a product of more than two factors
-        return OrbitMap(
-            model, tree, lambda w: tree.vertex(0, w), "coset-F0", lambda ls: tree._dist_from_root(0, 0, ls)
-        )
+        return OrbitMap(model, model, "identity", len)
+    if isinstance(model, FreeProduct) and len(model.factors) == 2:
+        return OrbitMap(model, model, "coset-F0", lambda ls: _bass_serre_distance(model, 0, 0, ls))
     if isinstance(model, DirectProduct):
         inner = top_level_orbit(model.left)
         return OrbitMap(
-            model,
-            inner.space,
-            lambda w: inner.rule(left_component(model, w)),
-            f"proj+{inner.name}",
-            lambda ls: inner.displacement(model._cut(ls)[0]),
+            model, inner.tree, f"proj+{inner.name}", lambda ls: inner.displacement(model._cut(ls)[0])
         )
     raise SpaceError(f"no top-level tree for {model.describe()}: the lab has one for free groups, "
                      "two-factor free products and their products with Z")
@@ -335,7 +260,7 @@ def _exhaustive_defect(D: np.ndarray) -> int:
 
 
 def delta_estimate(
-    space: SpaceModel,
+    space: OrbitMap | FiniteGraphSpace,
     points: Sequence,
     seed: int | None = None,
     exhaustive_limit: int = 200,
@@ -346,7 +271,8 @@ def delta_estimate(
     Exhaustive for at most ``exhaustive_limit`` points, otherwise a seeded
     random sample of ``samples`` quadruples of distinct points, drawn in
     blocks of at most _DEFECT_BLOCK rows (rows repeating a point are
-    redrawn).  Trees give 0 exactly.
+    redrawn).  The points are vertices of a finite graph, or group elements
+    measured by an orbit map; trees give 0 exactly.
     """
     import numpy as np
 
@@ -449,40 +375,43 @@ class SeparationProfile:
 
 def fibre_separation_profile(
     orbit: OrbitMap,
-    x,
-    y,
+    x: Word,
+    y: Word,
     r: int,
     s: int,
     truncations: Sequence[int],
 ) -> SeparationProfile:
     """Diameter of N_s(preimage of B_r(x)) ∩ preimage of B_r(y), per truncation.
 
-    The diameter is measured in the group, restricted to the ball of each
+    x and y are group elements; B_r(x) is the ball about x x0 in the orbit's
+    tree, and its preimage the elements g with d_X(g x0, x x0) <= r.  The
+    diameter is measured in the group, restricted to the ball of each
     truncation radius.  The verdict is "bounded" when the two largest
     truncations agree, and "growing" otherwise.
     """
     if r < 0 or s < 0:
         raise SpaceError(f"r and s must be >= 0, got {r} and {s}")
-    space = orbit.space
-    if space.distance(x, y) <= 2 * r:
+    if orbit.distance(x, y) <= 2 * r:
         raise SpaceError("fibre separation requires d_X(x, y) > 2r")
     truncs = sorted(truncations)
     if not truncs:
         raise SpaceError("need at least one truncation radius")
-    model = orbit.group
+    model, displacement = orbit.group, orbit.displacement
+    x_inv, y_inv = model.inverse(x.letters), model.inverse(y.letters)
     big = ball_letters(model, model.identity(), truncs[-1])
-    images = {ls: orbit(Word(model, ls)) for ls in big}
+    # d_X(g x0, x x0) is the displacement of x^-1 g
+    near_x = {ls for ls in big if displacement(model.product(x_inv, ls)) <= r}
+    near_y = {ls for ls in big if displacement(model.product(y_inv, ls)) <= r}
     pairs = []
     for R in truncs:
         inside = {ls for ls in big if len(ls) <= R}
-        s1 = {ls for ls in inside if space.distance(images[ls], x) <= r}
-        expanded = set(s1)
-        frontier = set(s1)
+        expanded = near_x & inside
+        frontier = set(expanded)
         for _ in range(s):
             nxt = {u for v in frontier for u in neighbours(model, v) if u in inside} - expanded
             expanded |= nxt
             frontier = nxt
-        inter = [Word(model, ls) for ls in expanded if space.distance(images[ls], y) <= r]
+        inter = [Word(model, ls) for ls in expanded & near_y]
         pairs.append((R, word_diameter(model, inter)))
     verdict = "bounded"
     if len(pairs) >= 2 and pairs[-1][1] != pairs[-2][1]:

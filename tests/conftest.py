@@ -40,18 +40,8 @@ def f2_orbit(f2):
 
 
 @pytest.fixture(scope="session")
-def f2_tree(f2_orbit):
-    return f2_orbit.space
-
-
-@pytest.fixture(scope="session")
 def bs_orbit(z2z):
     return top_level_orbit(z2z)
-
-
-@pytest.fixture(scope="session")
-def bs_tree(bs_orbit):
-    return bs_orbit.space
 
 
 def w(model, text):

@@ -20,9 +20,8 @@ from itertools import combinations
 
 import numpy as np
 
-from ggtlab.groups import GroupModel, Word, ball, diameter, geodesic, neighbours, word_distance
+from ggtlab.groups import FreeProduct, GroupModel, Word, ball, diameter, geodesic, neighbours, word_distance
 from ggtlab.projections import Axis, CosetEntry, axis_of, coset_rep_key, project_to_set, projection_of_set
-from ggtlab.spaces import BassSerreTree
 
 
 def free_ball_size(rank: int, radius: int) -> int:
@@ -106,20 +105,22 @@ def cayley_graph_adjacency(model: GroupModel, radius: int) -> dict:
     return adj
 
 
-def bs_tree_adjacency(tree: BassSerreTree, radius: int) -> dict:
-    """Finite portion of the coset tree: every ball element spans one edge.
+def bs_tree_adjacency(model: FreeProduct, radius: int) -> dict:
+    """Finite portion of the Bass-Serre tree of a two-factor free product:
+    every ball element w spans one edge, between the cosets w·F0 and w·F1,
+    each keyed (factor, w without its last syllable when that lies in the
+    factor).
 
     Coset representatives are prefix-closed, so the induced subgraph is
     distance-exact for cosets of elements within the ball.
     """
-    model = tree.model
     adj: dict = {}
     for w in naive_ball(model, model.identity(), radius):
-        v0 = tree.vertex(0, w)
-        v1 = tree.vertex(1, w)
+        v0 = (0, model.strip(0, w.letters))
+        v1 = (1, model.strip(1, w.letters))
         adj.setdefault(v0, set()).add(v1)
         adj.setdefault(v1, set()).add(v0)
-    return {v: sorted(ns, key=str) for v, ns in adj.items()}
+    return {v: sorted(ns) for v, ns in adj.items()}
 
 
 def scan_axis_projection(model: GroupModel, axis, x: Word) -> tuple[set[Word], int]:
@@ -188,7 +189,7 @@ def padded_coset_entries(orbit, g: Word, o: Word, p: Word, threshold: int) -> li
     vertex of the geodesic [o, p] and u in the radius-(q//2 + 1) ball, q the
     root length, each valued by the projections of o and p and placed at the
     geodesic vertex nearest o's first projection point, found by a scan."""
-    root = axis_of(orbit.space, g).root
+    root = axis_of(g).root
     model = orbit.group
     geo = geodesic(model, o, p).vertices
     pad = ball(model, model.identity(), len(root) // 2 + 1)

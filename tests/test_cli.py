@@ -145,6 +145,14 @@ def test_separation_subcommand(capsys):
     assert code == 0 and "bounded" in out
 
 
+def test_separation_reads_points_in_the_model(capsys):
+    # --x and --y are elements of F2 x Z; central letters move no point of the tree
+    argv = ["separation", "--model", "F2 x Z", "--y", "a b", "--r", "0", "--s", "1", "--truncations", "4,6"]
+    plain = run(capsys, *argv, "--x", "a")
+    assert plain == (0, "profile ((4, 4), (6, 8)); verdict growing\n", "")
+    assert run(capsys, *argv, "--x", "a t^2") == plain
+
+
 def test_crossratio_subcommand(capsys):
     code, out, _ = run(capsys, "crossratio", "--a", "(a)", "--b", "a.(b)", "--c", "(b)", "--d", "b.(a)")
     assert code == 0 and "= 2" in out

@@ -96,14 +96,14 @@ def assert_tracked(orbit, kernel, axes, p, seed, n, distance=tail_distance):
         assert [row[j] for row in rows] == [distance(orbit, ax, p, cur) for ax in axes]
 
 
-def test_tracker_matches_projection_distance(f2, f2_tree, f2_orbit):
+def test_tracker_matches_projection_distance(f2, f2_orbit):
     p = w(f2, "a b")
     lazy = srw(f2, Fraction(1, 3))
     # the first step of seed 0 under the lazy walk is a stay
     assert next(ensemble(lazy, p, 0, (0,), 1)).increments(1) == [()]
     for kernel in (srw(f2), lazy):
         for root, shift, seed in [("a", "b", 3), ("a b", "b^2 a", 8), ("a b", "e", 0)]:
-            ax = axis_of(f2_tree, w(f2, root)).translate(w(f2, shift))
+            ax = axis_of(w(f2, root)).translate(w(f2, shift))
             # no state of these walks projects onto a tie of p's own
             assert_tracked(f2_orbit, kernel, [ax], p, seed, 150, coset_distance)
 
@@ -142,7 +142,7 @@ def test_trackers_match_projection_distances(desc, spec, jumps_raw, axes_raw, p_
         kernel = resolve_kernel(model, spec)
     roots = [(word(r), word(h)) for r, h in axes_raw]
     assume(all(not r.is_identity() for r, _ in roots))
-    axes = [axis_of(orbit.space, r).translate(h) for r, h in roots]
+    axes = [axis_of(r).translate(h) for r, h in roots]
     assert_tracked(orbit, kernel, axes, word(p_raw), seed, 40)
 
 
@@ -342,8 +342,8 @@ def test_golden_tail_tables(f2):
     )
 
 
-def test_tracker_spreads_leave_the_tracker_at_its_start(f2, f2_tree):
-    ax = axis_of(f2_tree, w(f2, "a"))
+def test_tracker_spreads_leave_the_tracker_at_its_start(f2):
+    ax = axis_of(w(f2, "a"))
     tracker = AxisTracker(ax, w(f2, "a"))
     steps = [(1,), (), (1,), (-2,), (2,)]
     first = tracker.spreads(steps)

@@ -28,7 +28,7 @@ from ggtlab.projections import (
     projection_of_set,
     translate_axis_pool,
 )
-from ggtlab.spaces import OrbitMap
+from ggtlab.spaces import OrbitMap, SpaceError
 
 from conftest import w
 from oracles import descended_line, line_vertex, padded_coset_entries, scan_axis_projection, window_axis_projection
@@ -37,33 +37,39 @@ from oracles import descended_line, line_vertex, padded_coset_entries, scan_axis
 # --- axes -------------------------------------------------------------------
 
 
-def test_axis_of_power(f2, f2_tree):
-    ax = axis_of(f2_tree, w(f2, "a^2"))
+def test_axis_of_power(f2):
+    ax = axis_of(w(f2, "a^2"))
     assert str(ax.root) == "a" and ax.rep.is_identity()
 
 
-def test_axis_of_conjugate(f2, f2_tree):
-    ax = axis_of(f2_tree, w(f2, "b a^2 b^-1"))
+def test_axis_of_conjugate(f2):
+    ax = axis_of(w(f2, "b a^2 b^-1"))
     assert str(ax.root) == "a" and str(ax.rep) == "b"
 
 
-def test_axis_elliptic_on_bass_serre(z2z, bs_tree):
+def test_axis_elliptic_on_bass_serre(z2z):
     with pytest.raises(NotLoxodromicError):
-        axis_of(bs_tree, w(z2z, "x"))
+        axis_of(w(z2z, "x"))
     with pytest.raises(NotLoxodromicError):
-        axis_of(bs_tree, w(z2z, "x z x^-1"))
+        axis_of(w(z2z, "x z x^-1"))
 
 
-def test_axis_equality_is_coset_equality(f2, f2_tree):
-    a1 = axis_of(f2_tree, w(f2, "a"))
+@pytest.mark.parametrize("desc, word", [("Z^2", "x y"), ("Z * Z * Z", "x y z")])
+def test_axis_of_refuses_a_model_without_a_top_level_tree(desc, word):
+    with pytest.raises(SpaceError, match="no top-level tree"):
+        axis_of(w(model_from_descriptor(desc), word))
+
+
+def test_axis_equality_is_coset_equality(f2):
+    a1 = axis_of(w(f2, "a"))
     a2 = make_axis(f2, w(f2, "a"), w(f2, "a^3"))
     assert a1 == a2
     assert a1 != a1.translate(w(f2, "b"))
 
 
-def test_interleaved_cosets_share_a_line(f2, f2_tree):
+def test_interleaved_cosets_share_a_line(f2):
     # <a b> and a<b a> are disjoint cosets interleaved along one line
-    a1 = axis_of(f2_tree, w(f2, "a b"))
+    a1 = axis_of(w(f2, "a b"))
     a2 = make_axis(f2, w(f2, "b a"), w(f2, "a"))
     assert a1 != a2
     anchor_direction = [ax.line[:2] for ax in (a1, a2)]
@@ -106,13 +112,13 @@ def test_line_and_rep_key_match_the_descent(desc):
 # --- projections --------------------------------------------------------------
 
 
-def test_projection_examples(f2, f2_tree, f2_orbit):
-    ax = axis_of(f2_tree, w(f2, "a"))
+def test_projection_examples(f2, f2_orbit):
+    ax = axis_of(w(f2, "a"))
     assert [str(p) for p in project_to_set(f2_orbit, w(f2, "b a b"), ax).points] == ["e"]
     assert [str(p) for p in project_to_set(f2_orbit, w(f2, "a^4 b"), ax).points] == ["a^4"]
 
 
-def test_projection_is_retraction(f2, f2_tree, f2_orbit):
+def test_projection_is_retraction(f2, f2_orbit):
     for root_text, rep_text in [("a", "e"), ("a b", "b^2")]:
         ax = make_axis(f2, w(f2, root_text), w(f2, rep_text))
         for n in range(-4, 5):
@@ -121,8 +127,8 @@ def test_projection_is_retraction(f2, f2_tree, f2_orbit):
             assert val.points == (x,) and val.distance == 0
 
 
-def test_projection_matches_scan_oracle(f2, f2_tree, f2_orbit):
-    # the six axes `default_axis_pool(f2_tree, 6, seed=2, max_root_len=4)`
+def test_projection_matches_scan_oracle(f2, f2_orbit):
+    # the six axes `default_axis_pool(tree, 6, seed=2, max_root_len=4)`
     # drew before that pool was removed
     pool = [
         make_axis(f2, w(f2, root), w(f2, rep))
@@ -143,7 +149,7 @@ def test_projection_matches_scan_oracle(f2, f2_tree, f2_orbit):
             assert project_to_set(f2_orbit, x, ax).distance == dist
 
 
-def test_projection_coarse_lipschitz_on_tree(f2, f2_tree, f2_orbit):
+def test_projection_coarse_lipschitz_on_tree(f2, f2_orbit):
     # adjacent points project at distance <= 1 (slope-1 on trees)
     ax = make_axis(f2, w(f2, "a b"), w(f2, "b"))
     for x in ball(f2, f2.identity(), 4):
@@ -151,19 +157,19 @@ def test_projection_coarse_lipschitz_on_tree(f2, f2_tree, f2_orbit):
         for g in f2.generators():
             py = projection_of_set(f2_orbit, [x * g], ax)
             spread = max(
-                f2_tree.distance(u, v) for u in px | py for v in px | py
+                f2_orbit.distance(u, v) for u in px | py for v in px | py
             )
             assert spread <= max(2, 1 + len(ax.root))
 
 
-def test_bass_serre_projection_scan(z2z, bs_tree, bs_orbit):
-    ax = axis_of(bs_tree, w(z2z, "x z"))
+def test_bass_serre_projection_scan(z2z, bs_orbit):
+    ax = axis_of(w(z2z, "x z"))
     val = project_to_set(bs_orbit, w(z2z, "z^3"), ax)
     assert val.method == "scan-axis"
     assert val.distance == 2
 
 
-def test_scan_axis_measures_each_point_once(monkeypatch, z2z, bs_tree, bs_orbit):
+def test_scan_axis_measures_each_point_once(monkeypatch, z2z, bs_orbit):
     calls = []
     distance = OrbitMap.distance
 
@@ -172,7 +178,7 @@ def test_scan_axis_measures_each_point_once(monkeypatch, z2z, bs_tree, bs_orbit)
         return distance(orbit, u, v)
 
     monkeypatch.setattr(OrbitMap, "distance", counted)
-    ax = axis_of(bs_tree, w(z2z, "x z"))
+    ax = axis_of(w(z2z, "x z"))
     val = project_to_set(bs_orbit, w(z2z, "z^3 y"), ax)
     # the representative, the spacing rep -> rep·root, then the other 2·window points
     assert len(calls) == 2 * val.window + 2
@@ -182,8 +188,8 @@ def test_scan_axis_measures_each_point_once(monkeypatch, z2z, bs_tree, bs_orbit)
 # --- coset distances -----------------------------------------------------------
 
 
-def test_coset_distance_examples(f2, f2_tree, f2_orbit):
-    ax = axis_of(f2_tree, w(f2, "a"))
+def test_coset_distance_examples(f2, f2_orbit):
+    ax = axis_of(w(f2, "a"))
     assert coset_distance(f2_orbit, ax, w(f2, "a^3"), w(f2, "b a^-2")) == 3
     assert coset_distance(f2_orbit, ax, w(f2, "b a b"), w(f2, "b a b")) == 0
     bax = ax.translate(w(f2, "b"))
@@ -193,23 +199,23 @@ def test_coset_distance_examples(f2, f2_tree, f2_orbit):
 # --- strong projections ----------------------------------------------------------
 
 
-def test_strong_projection_equivariance(f2, f2_tree, f2_orbit):
-    ax = axis_of(f2_tree, w(f2, "a"))
+def test_strong_projection_equivariance(f2, f2_orbit):
+    ax = axis_of(w(f2, "a"))
     g, x = w(f2, "a b"), w(f2, "b^2")
     lhs = project_to_set(f2_orbit, g * x, ax.translate(g)).points
     rhs = tuple(sorted((g * p for p in project_to_set(f2_orbit, x, ax).points), key=lambda u: u.sort_key()))
     assert lhs == rhs
 
 
-def test_far_point_projects_to_gate(f2, f2_tree, f2_orbit):
-    ax = axis_of(f2_tree, w(f2, "a"))
+def test_far_point_projects_to_gate(f2, f2_orbit):
+    ax = axis_of(w(f2, "a"))
     bax = ax.translate(w(f2, "b"))
     shadow = project_axis_onto(f2_orbit, bax, ax)
     assert {str(p) for p in shadow} == {"e"}
     assert set(project_to_set(f2_orbit, w(f2, "b a^3"), ax).points) == set(shadow)
 
 
-def test_axis_projection_onto_its_own_line_is_refused(monkeypatch, f2, f2_tree, f2_orbit):
+def test_axis_projection_onto_its_own_line_is_refused(monkeypatch, f2, f2_orbit):
     # an axis projects onto its own line as every one of its points, and two
     # cosets of one line likewise: refused before any projection is computed
     import ggtlab.projections
@@ -219,7 +225,7 @@ def test_axis_projection_onto_its_own_line_is_refused(monkeypatch, f2, f2_tree, 
 
     for name in ("project_to_set", "line_positions", "_line_foot"):
         monkeypatch.setattr(ggtlab.projections, name, fail)
-    ax = axis_of(f2_tree, w(f2, "a"))
+    ax = axis_of(w(f2, "a"))
     with pytest.raises(CertificationError, match="lie on one line"):
         project_axis_onto(f2_orbit, ax, ax)
     with pytest.raises(CertificationError, match="lie on one line"):
@@ -229,9 +235,9 @@ def test_axis_projection_onto_its_own_line_is_refused(monkeypatch, f2, f2_tree, 
         project_axis_onto(f2_orbit, make_axis(f2, w(f2, "a b"), f2.identity()), make_axis(f2, w(f2, "b a"), w(f2, "a")))
 
 
-def test_axis_projection_off_the_cayley_tree_is_refused(z2z, bs_tree, bs_orbit):
+def test_axis_projection_off_the_cayley_tree_is_refused(z2z, bs_orbit):
     # the closed form reads lines of a Cayley tree; the Bass-Serre tree has none
-    a1, a2 = axis_of(bs_tree, w(z2z, "x z")), axis_of(bs_tree, w(z2z, "y z"))
+    a1, a2 = axis_of(w(z2z, "x z")), axis_of(w(z2z, "y z"))
     with pytest.raises(CertificationError, match="no closed-form projection"):
         project_axis_onto(bs_orbit, a1, a2)
 
@@ -296,8 +302,8 @@ def strong_alternative_violations(orbit, a1, a2, xs, bound: int) -> list[Word]:
     return bad
 
 
-def test_behrstock_translate_pool_small(f2, f2_tree, f2_orbit):
-    pool = translate_axis_pool(f2_tree, w(f2, "a"), 6, seed=9)
+def test_behrstock_translate_pool_small(f2, f2_orbit):
+    pool = translate_axis_pool(w(f2, "a"), 6, seed=9)
     xs = ball(f2, f2.identity(), 4)
     for i in range(len(pool)):
         for j in range(len(pool)):
@@ -308,11 +314,11 @@ def test_behrstock_translate_pool_small(f2, f2_tree, f2_orbit):
             assert not strong_alternative_violations(f2_orbit, pool[i], pool[j], xs, bound=2)
 
 
-def test_strong_identification_fails_for_mixed_roots(f2, f2_tree, f2_orbit):
+def test_strong_identification_fails_for_mixed_roots(f2, f2_orbit):
     # documented counterexample: far points on a<a b^-1> project to {a} on
     # <a>, while the full shadow is {a, a^2}
     a1 = make_axis(f2, w(f2, "a b^-1"), w(f2, "a"))
-    a2 = axis_of(f2_tree, w(f2, "a"))
+    a2 = axis_of(w(f2, "a"))
     xs = [w(f2, "a b a^-1 b a^-1")]
     assert strong_alternative_violations(f2_orbit, a1, a2, xs, bound=2)
 
@@ -343,7 +349,7 @@ def test_enumerate_empty_threshold_above_distance(f2, f2_orbit):
     ],
     ids=["a", "a_b", "a_b^-1"],
 )
-def test_enumerate_complete_vs_ball_bruteforce(f2, f2_orbit, f2_tree, g, target, threshold):
+def test_enumerate_complete_vs_ball_bruteforce(f2, f2_orbit, g, target, threshold):
     # every coset meeting the radius-9 ball is checked directly; a coset
     # whose projections of o and p lie apart crosses [o, p], so its rep lies
     # within |p| + |root| <= 9 of o
@@ -351,7 +357,7 @@ def test_enumerate_complete_vs_ball_bruteforce(f2, f2_orbit, f2_tree, g, target,
     from ggtlab.groups import Word
 
     o, p = f2.identity(), w(f2, target)
-    root = axis_of(f2_tree, w(f2, g)).root
+    root = axis_of(w(f2, g)).root
     rec = enumerate_cosets(f2_orbit, w(f2, g), o, p, threshold)
     assert rec.entries
     found = {(e.axis.root.letters, e.axis.rep.letters) for e in rec.entries}
@@ -367,14 +373,14 @@ def test_enumerate_complete_vs_ball_bruteforce(f2, f2_orbit, f2_tree, g, target,
     assert not brute  # nothing beyond the certified enumeration
 
 
-def test_enumerate_matches_padded_candidates(f2, f2_tree, f2_orbit):
+def test_enumerate_matches_padded_candidates(f2, f2_orbit):
     # the threshold cosets read off [o, p] are exactly those found among the
     # cosets met by a radius-(q//2 + 1) pad around it, on random paths with
     # planted runs of cyclic conjugates of root^(+-1)
     rng = random.Random(20)
     cases, sizes = 0, set()
     for g in ("a", "b", "a b", "a b^-1", "a^2 b"):
-        root = axis_of(f2_tree, w(f2, g)).root
+        root = axis_of(w(f2, g)).root
         q = len(root)
         t_min = max(2 * (q // 2) + 1, (q - 1) + 2 * (q // 2))
         for _ in range(40):
@@ -461,15 +467,15 @@ def test_lower_bound_examples(f2, f2_orbit):
 # --- pivot ------------------------------------------------------------------------
 
 
-def test_pivot_zero_when_already_far(f2, f2_tree, f2_orbit):
-    far_axis = axis_of(f2_tree, w(f2, "a")).translate(w(f2, "b a b"))
+def test_pivot_zero_when_already_far(f2, f2_orbit):
+    far_axis = axis_of(w(f2, "a")).translate(w(f2, "b a b"))
     alpha = geodesic(f2, f2.identity(), w(f2, "b^-4"))
     res = pivot(f2_orbit, alpha, w(f2, "b^-4"), far_axis, s=3)
     assert res.passed and res.pivot == f2.identity()
 
 
-def test_pivot_b_powers_uncouple_a_axis(f2, f2_tree, f2_orbit):
-    ax = axis_of(f2_tree, w(f2, "a"))
+def test_pivot_b_powers_uncouple_a_axis(f2, f2_orbit):
+    ax = axis_of(w(f2, "a"))
     alpha = geodesic(f2, f2.identity(), w(f2, "a^8"))
     res = pivot(f2_orbit, alpha, w(f2, "a^8"), ax, s=3, bound=2)
     assert res.passed
@@ -479,7 +485,7 @@ def test_pivot_b_powers_uncouple_a_axis(f2, f2_tree, f2_orbit):
 
 
 @pytest.mark.parametrize("bound", [-1, float("inf"), float("nan")])
-def test_pivot_refuses_a_bound_before_searching(monkeypatch, f2, f2_tree, f2_orbit, bound):
+def test_pivot_refuses_a_bound_before_searching(monkeypatch, f2, f2_orbit, bound):
     import ggtlab.projections
 
     def fail(*args, **kwargs):
@@ -489,12 +495,12 @@ def test_pivot_refuses_a_bound_before_searching(monkeypatch, f2, f2_tree, f2_orb
     monkeypatch.setattr(ggtlab.projections, "coset_distance", fail)
     alpha = geodesic(f2, f2.identity(), w(f2, "a^3"))
     with pytest.raises(GroupError, match="bound"):
-        pivot(f2_orbit, alpha, w(f2, "a^3"), axis_of(f2_tree, w(f2, "a")), s=3, bound=bound)
+        pivot(f2_orbit, alpha, w(f2, "a^3"), axis_of(w(f2, "a")), s=3, bound=bound)
 
-def test_pivot_bass_serre(z2z, bs_tree, bs_orbit):
+def test_pivot_bass_serre(z2z, bs_orbit):
     from ggtlab.groups import geodesic as geo
 
-    ax_yz = axis_of(bs_tree, w(z2z, "y z"))
+    ax_yz = axis_of(w(z2z, "y z"))
     alpha = geo(z2z, z2z.identity(), w(z2z, "x z x z"))
     res = pivot(bs_orbit, alpha, w(z2z, "x z x z"), ax_yz, s=4, bound=4)
     assert res.passed and max(res.values) <= 4
@@ -518,14 +524,14 @@ def _projection_lines(orbit, axes, xs, target=None):
             yield f"{ax} {x} {[str(p) for p in v.points]} {v.distance} {v.method} {v.window}"
 
 
-def test_golden_scan_projections(z2z, z2z_by_z, bs_tree, bs_orbit):
+def test_golden_scan_projections(z2z, z2z_by_z, bs_orbit):
     from ggtlab.spaces import top_level_orbit
 
     roots = ["x z", "y z^-1", "x y z", "z x^-1 z"]
-    axes = [axis_of(bs_tree, w(z2z, r)).translate(w(z2z, h)) for r in roots for h in ("e", "z y", "x^-1 z")]
+    axes = [axis_of(w(z2z, r)).translate(w(z2z, h)) for r in roots for h in ("e", "z y", "x^-1 z")]
     bs_lines = list(_projection_lines(bs_orbit, axes, ball(z2z, z2z.identity(), 3)))
     prod_orbit = top_level_orbit(z2z_by_z)
-    prod_axes = [axis_of(bs_tree, w(z2z_by_z, r)) for r in ("x z", "x z t", "y z t^-2", "x z x^-1 z t")]
+    prod_axes = [axis_of(w(z2z_by_z, r)) for r in ("x z", "x z t", "y z t^-2", "x z x^-1 z t")]
     prod_lines = list(_projection_lines(prod_orbit, prod_axes, ball(z2z_by_z, z2z_by_z.identity(), 2)))
     finite = ball(z2z, w(z2z, "z x"), 2)
     finite_lines = list(_projection_lines(bs_orbit, ["set"], ball(z2z, z2z.identity(), 3), finite))
@@ -609,13 +615,13 @@ def test_golden_coset_keys_and_axis_points():
 # recorded before the settings that no caller passes were removed
 
 
-def test_golden_pivots(f2, z2z, f2_tree, f2_orbit, bs_tree, bs_orbit):
+def test_golden_pivots(f2, z2z, f2_orbit, bs_orbit):
     lines = []
     cases = [
-        (f2_orbit, axis_of(f2_tree, w(f2, "a")).translate(w(f2, "b a b")), geodesic(f2, f2.identity(), w(f2, "b^-4"))),
-        (f2_orbit, axis_of(f2_tree, w(f2, "a")), geodesic(f2, f2.identity(), w(f2, "a^8"))),
-        (f2_orbit, axis_of(f2_tree, w(f2, "a b")), geodesic(f2, w(f2, "b"), w(f2, "b a b a b"))),
-        (bs_orbit, axis_of(bs_tree, w(z2z, "y z")), geodesic(z2z, z2z.identity(), w(z2z, "x z x z"))),
+        (f2_orbit, axis_of(w(f2, "a")).translate(w(f2, "b a b")), geodesic(f2, f2.identity(), w(f2, "b^-4"))),
+        (f2_orbit, axis_of(w(f2, "a")), geodesic(f2, f2.identity(), w(f2, "a^8"))),
+        (f2_orbit, axis_of(w(f2, "a b")), geodesic(f2, w(f2, "b"), w(f2, "b a b a b"))),
+        (bs_orbit, axis_of(w(z2z, "y z")), geodesic(z2z, z2z.identity(), w(z2z, "x z x z"))),
     ]
     for orbit, ax, alpha in cases:
         for q in (alpha.vertices[-1], alpha.vertices[len(alpha) // 2]):
@@ -645,22 +651,22 @@ def test_golden_linear_orders(f2, f2_orbit):
     )
 
 
-def test_golden_axis_pools(f2, f2_tree):
+def test_golden_axis_pools(f2):
     # sha256 of the translate-pool lines alone, re-recorded when the pools
     # of distinct lines were removed; the translate pools must not move
     lines = []
     for seed in (0, 1, 2, 7):
         for g in ("a", "a b", "b a^-1 b"):
-            lines.append(str([str(ax) for ax in translate_axis_pool(f2_tree, w(f2, g), 6, seed)]))
+            lines.append(str([str(ax) for ax in translate_axis_pool(w(f2, g), 6, seed)]))
     assert _sha(lines) == (
         "f1a15befce0842d4285186bf9abef28b06bde5916c522464b59f9ba319434f60"
     )
 
 
-def test_translate_pool_larger_than_the_ball_offers_raises(f2, f2_tree):
+def test_translate_pool_larger_than_the_ball_offers_raises(f2):
     import time
 
     start = time.perf_counter()
     with pytest.raises(GroupError, match="distinct translates"):
-        translate_axis_pool(f2_tree, w(f2, "a"), 10**4, 0)
+        translate_axis_pool(w(f2, "a"), 10**4, 0)
     assert time.perf_counter() - start < 1.0

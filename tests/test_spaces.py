@@ -11,9 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ggtlab import spaces
-from ggtlab.groups import Word, ball, model_from_descriptor, neighbours, normal_form, word_distance
+from ggtlab.groups import FreeGroup, Word, ball, model_from_descriptor, neighbours, normal_form, word_distance
 from ggtlab.spaces import (
     FiniteGraphSpace,
+    _bass_serre_distance,
     SpaceError,
     cone_off,
     cyclic_coset_family,
@@ -30,39 +31,38 @@ from oracles import bs_tree_adjacency, cayley_graph_adjacency, expanded_adjacenc
 # --- distances -------------------------------------------------------------
 
 
-def test_cayley_tree_distance(f2, f2_tree):
-    assert f2_tree.distance(f2.identity(), w(f2, "a b")) == 2
+def test_cayley_tree_distance(f2, f2_orbit):
+    assert f2_orbit.distance(f2.identity(), w(f2, "a b")) == 2
 
 
-def test_bass_serre_examples(z2z, bs_tree):
-    va = bs_tree.vertex(0, z2z.identity())
-    assert bs_tree.distance(va, bs_tree.vertex(0, w(z2z, "z"))) == 2
-    assert bs_tree.distance(va, bs_tree.vertex(0, w(z2z, "x"))) == 0
-    assert bs_tree.distance(va, bs_tree.vertex(1, z2z.identity())) == 1
-    assert bs_tree.distance(va, bs_tree.vertex(1, w(z2z, "x"))) == 1
+def test_bass_serre_examples(z2z):
+    # vertices e·F0 to z·F0, x·F0 = e·F0, e·F1 and x·F1
+    assert _bass_serre_distance(z2z, 0, 0, w(z2z, "z").letters) == 2
+    assert _bass_serre_distance(z2z, 0, 0, w(z2z, "x").letters) == 0
+    assert _bass_serre_distance(z2z, 0, 1, ()) == 1
+    assert _bass_serre_distance(z2z, 0, 1, w(z2z, "x").letters) == 1
 
 
-def test_strip_matches_syllable_definition(z2z, bs_tree):
+def test_strip_matches_syllable_definition(z2z):
     # strip(i, w) drops w's last syllable exactly when it lies in factor i
     for g in ball(z2z, z2z.identity(), 4):
         runs = z2z.syllables(g.letters)
         for factor in (0, 1):
             kept = runs[:-1] if runs and runs[-1][0] == factor else runs
             letters = tuple(l for _, seg in kept for l in seg)
-            assert bs_tree.strip(factor, g) == Word(z2z, letters)
+            assert z2z.strip(factor, g.letters) == letters
 
 
-def test_bass_serre_against_bfs(z2z, bs_tree):
-    adj = bs_tree_adjacency(bs_tree, 5)
-    root = bs_tree.vertex(0, z2z.identity())
-    dist = graph_bfs(adj, root)
-    for v, d in dist.items():
-        assert bs_tree.distance(root, v) == d
-    # also from a non-root source
-    src = bs_tree.vertex(1, w(z2z, "x z"))
-    dist = graph_bfs(adj, src)
-    for v, d in list(dist.items())[:200]:
-        assert bs_tree.distance(src, v) == d
+def test_bass_serre_against_bfs(z2z):
+    # the syllable count between F0 and F1 vertices, which the orbit of x0
+    # (F0 vertices only) never reaches, against BFS: every vertex of the
+    # radius-5 tree from e·F0, and the 200 nearest from (x z)·F1
+    adj = bs_tree_adjacency(z2z, 5)
+    for factor, rep, cap in [(0, (), None), (1, z2z.strip(1, w(z2z, "x z").letters), 200)]:
+        dist = list(graph_bfs(adj, (factor, rep)).items())
+        assert cap or len(dist) == len(adj)
+        for (j, letters), d in dist[:cap]:
+            assert _bass_serre_distance(z2z, factor, j, z2z.product(z2z.inverse(rep), letters)) == d
 
 
 def test_finite_graph_space_path():
@@ -74,48 +74,80 @@ def test_finite_graph_space_path():
         g.distance("u", "missing")
 
 
-def test_cayley_tree_formula_vs_bfs(f2, f2_tree):
+def test_cayley_tree_formula_vs_bfs(f2, f2_orbit):
     adj = cayley_graph_adjacency(f2, 5)
     e = f2.identity()
     dist = graph_bfs(adj, e)
     for v, d in dist.items():
-        assert f2_tree.distance(e, v) == d
+        assert f2_orbit.distance(e, v) == d
 
 
 # --- orbit maps -------------------------------------------------------------
 
 
-def test_orbit_equivariance_bass_serre(z2z, bs_tree, bs_orbit):
+def test_orbit_equivariance_bass_serre(z2z, bs_orbit):
+    # g (h F0) = (g h) F0: the coset key of g h is that of g times h's key,
+    # and the orbit distance does not see the factor F0 on the right
     pts = ball(z2z, z2z.identity(), 3)
     for g in pts[:20]:
         for h in pts[:20]:
-            v = bs_orbit(h)
-            assert bs_orbit(g * h) == bs_tree.vertex(v.factor, g * v.rep)
+            rep = Word(z2z, z2z.strip(0, h.letters))
+            assert z2z.strip(0, (g * h).letters) == z2z.strip(0, (g * rep).letters)
+            assert bs_orbit.distance(g, h) == bs_orbit.distance(g, rep)
 
 
 @pytest.mark.parametrize("desc", ["F2", "Z * Z", "Z^2 * Z", "F2 x Z", "(Z^2 * Z) x Z"])
 def test_orbit_distance_is_the_distance_of_the_images(desc):
-    # d_X(g x0, h x0) read as the displacement of g^-1 h, on random words
+    # d_X(g x0, h x0) against BFS over the explicit top-level tree: the
+    # Cayley tree of a free group, whose vertices are its elements, or the
+    # Bass-Serre tree of a free product, where x0 = e·F0 and g x0 = g·F0;
+    # on G x Z each element carries a random central power, which moves nothing
     model = model_from_descriptor(desc)
     orbit = top_level_orbit(model)
+    tree = orbit.tree
+    if isinstance(tree, FreeGroup):
+        adj = {v.letters: [u.letters for u in ns] for v, ns in cayley_graph_adjacency(tree, 5).items()}
+
+        def image(ls):
+            return ls
+
+        def orbit_point(v):
+            return v
+    else:
+        adj = bs_tree_adjacency(tree, 5)
+
+        def image(ls):
+            return (0, tree.strip(0, ls))
+
+        def orbit_point(v):
+            return v[1] if v[0] == 0 else None
     rng = random.Random(0)
-    letters = [s for i in range(1, model.rank + 1) for s in (i, -i)]
+    letters = [s for i in range(1, tree.rank + 1) for s in (i, -i)]
 
-    def draw() -> Word:
-        return normal_form(model, [rng.choice(letters) for _ in range(rng.randrange(14))])
+    def lift(ls) -> Word:
+        if tree is model:
+            return Word(model, ls)
+        k = rng.randrange(-3, 4)
+        c = model.central_index if k > 0 else -model.central_index
+        return normal_form(model, ls + (c,) * abs(k))
 
-    for _ in range(400):
-        g, h = draw(), draw()
-        assert orbit.distance(g, h) == orbit.space.distance(orbit(g), orbit(h))
+    sources = [()] + [tree.normalize([rng.choice(letters) for _ in range(rng.randrange(1, 5))]) for _ in range(5)]
+    checked = 0
+    for ls in sources:
+        g = lift(ls)
+        for v, d in graph_bfs(adj, image(ls)).items():
+            if (pt := orbit_point(v)) is not None:
+                assert orbit.distance(g, lift(pt)) == d, (str(g), v)
+                checked += 1
+    assert checked > 100
 
 
 def measured_lipschitz(orbit, radius: int) -> int:
     """Max displacement in the space of a single generator step within a ball."""
     best = 0
     for w in ball(orbit.group, orbit.group.identity(), radius):
-        pw = orbit(w)
         for u in neighbours(orbit.group, w.letters):
-            best = max(best, orbit.space.distance(pw, orbit(Word(orbit.group, u))))
+            best = max(best, orbit.distance(w, Word(orbit.group, u)))
     return best
 
 
@@ -125,18 +157,21 @@ def test_orbit_lipschitz_constants(f2_orbit, bs_orbit):
 
 
 def test_first_factor_orbit(f2xz):
+    # G x Z acts on the tree of G through its G-component
     orbit = top_level_orbit(f2xz)
     word = w(f2xz, "a t^3 b")
-    assert orbit(word) == w(f2xz.left, "a b")
+    assert orbit.tree is f2xz.left and orbit.name == "proj+identity"
+    assert orbit.distance(word, w(f2xz, "a b")) == 0 and orbit.displacement(word.letters) == 2
     assert left_component(f2xz, word) == w(f2xz.left, "a b")
 
 
 # --- hyperbolicity ----------------------------------------------------------
 
 
-def test_delta_zero_on_trees(f2, f2_tree):
+def test_delta_zero_on_trees(f2, f2_orbit):
+    # group elements measured by the orbit map
     pts = ball(f2, f2.identity(), 3)
-    est = delta_estimate(f2_tree, pts)
+    est = delta_estimate(f2_orbit, pts)
     assert est.exhaustive and est.value == 0.0
 
 
@@ -184,9 +219,9 @@ def test_delta_grows_on_z2_grid(z2):
     assert d4 > d2 > 0
 
 
-def test_delta_needs_four_points(f2, f2_tree):
+def test_delta_needs_four_points(f2, f2_orbit):
     with pytest.raises(SpaceError):
-        delta_estimate(f2_tree, ball(f2, f2.identity(), 0))
+        delta_estimate(f2_orbit, ball(f2, f2.identity(), 0))
 
 
 @st.composite
@@ -342,18 +377,18 @@ def test_fibre_separation_fibered_growing(f2xz):
     # fibres are {g} x Z; for adjacent base points the s-thickened fibre of x
     # meets the fibre of y in a whole line, so the truncated diameter grows
     orbit = top_level_orbit(f2xz)
-    x = f2xz.left.identity()
-    y = w(f2xz.left, "a")
+    x = f2xz.identity()
+    y = w(f2xz, "a")
     prof = fibre_separation_profile(orbit, x, y, r=0, s=1, truncations=[4, 6, 8])
     assert prof.verdict == "growing"
     diams = [d for _, d in prof.pairs]
     assert diams[0] < diams[1] < diams[2]
 
 
-def test_fibre_separation_bass_serre_far_vertices(z2z, bs_tree, bs_orbit):
-    x = bs_tree.vertex(0, z2z.identity())
-    y = bs_tree.vertex(0, w(z2z, "z x z x^-1 z"))
-    assert bs_tree.distance(x, y) == 6
+def test_fibre_separation_bass_serre_far_vertices(z2z, bs_orbit):
+    x = z2z.identity()
+    y = w(z2z, "z x z x^-1 z")
+    assert bs_orbit.distance(x, y) == 6
     prof = fibre_separation_profile(bs_orbit, x, y, r=1, s=2, truncations=[4, 6])
     assert prof.verdict == "bounded"
 
@@ -363,16 +398,17 @@ def test_fibre_separation_precondition(f2, f2_orbit):
         fibre_separation_profile(f2_orbit, f2.identity(), w(f2, "a"), r=1, s=1, truncations=[4])
 
 
-def test_golden_fibre_separation_profiles(f2, f2xz, z2z, f2_orbit, bs_tree, bs_orbit):
-    # sha256 recorded before `fibre_separation_profile` lost its unused `cap`
+def test_golden_fibre_separation_profiles(f2, f2xz, z2z, f2_orbit, bs_orbit):
+    # sha256 recorded before `fibre_separation_profile` lost its unused `cap`,
+    # when it still took points of the tree where it now takes group elements
     import hashlib
 
     fibred = top_level_orbit(f2xz)
     cases = [
         (f2_orbit, f2.identity(), w(f2, "a b a b"), 1, 2, [4, 6, 8]),
         (f2_orbit, w(f2, "b"), w(f2, "a^2 b^-1 a"), 1, 1, [3, 5, 7]),
-        (fibred, f2xz.left.identity(), w(f2xz.left, "a"), 0, 1, [4, 6, 8]),
-        (bs_orbit, bs_tree.vertex(0, z2z.identity()), bs_tree.vertex(0, w(z2z, "z x z x^-1 z")), 1, 2, [4, 6]),
+        (fibred, f2xz.identity(), w(f2xz, "a"), 0, 1, [4, 6, 8]),
+        (bs_orbit, z2z.identity(), w(z2z, "z x z x^-1 z"), 1, 2, [4, 6]),
     ]
     lines = []
     for orbit, x, y, r, s, truncs in cases:
