@@ -3,7 +3,9 @@ cross-ratios.
 
 Boundary points are restricted to eventually periodic rays (finite prefix
 plus repeating block), so every ideal line is finitely describable and the
-center of an ideal triple is an exact tree median.  Descriptors are
+center of an ideal triple is an exact tree median, one vertex.  The
+cross-ratio of four ends is the word distance between the centers of two of
+their triples.  Descriptors are
 canonicalized (shortest prefix, minimal period), making equality of boundary
 points a plain data comparison.  Only free-group Cayley trees are supported.
 """
@@ -12,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .groups import FreeGroup, GroupError, Word, distance_row, geodesic, word_diameter, word_distance
+from .groups import FreeGroup, GroupError, Word, word_distance
 
 
 class BoundaryError(GroupError):
@@ -88,13 +90,6 @@ def parse_boundary_point(model: FreeGroup, text: str) -> BoundaryPoint:
 # centers and cross-ratios
 
 
-@dataclass(frozen=True)
-class CenterSet:
-    points: tuple[Word, ...]
-    bound: int
-    diameter: int
-
-
 def _stable_median(model: FreeGroup, a: BoundaryPoint, b: BoundaryPoint, c: BoundaryPoint, t0: int) -> Word:
     """Median of the depth-t vertices of three rays, taken once it stops
     changing as t grows."""
@@ -122,29 +117,15 @@ def _descriptor_size(p: BoundaryPoint) -> int:
     return len(p.prefix) + len(p.period)
 
 
-def tripod_centers(
-    model: FreeGroup, a: BoundaryPoint, b: BoundaryPoint, c: BoundaryPoint, bound: int = 0
-) -> CenterSet:
-    """Centers of an ideal triple: the exact tree median, thickened by a
-    radius-`bound` ball intersected with the three ideal lines."""
+def tripod_center(model: FreeGroup, a: BoundaryPoint, b: BoundaryPoint, c: BoundaryPoint) -> Word:
+    """Center of an ideal triple: the exact tree median of the three ends."""
     pts = (a, b, c)
     for i in range(3):
         for j in range(i + 1, 3):
             if pts[i] == pts[j]:
                 raise BoundaryError("boundary points of a triple must be distinct")
     t0 = 2 * max(_descriptor_size(p) for p in pts) + 8
-    m = _stable_median(model, a, b, c, t0)
-    if bound == 0:
-        return CenterSet((m,), 0, 0)
-    horizon = t0 + bound + 4
-    line_pts: set[Word] = set()
-    for p, q in ((a, b), (b, c), (a, c)):
-        line_pts.update(geodesic(model, p.vertex(horizon), q.vertex(horizon)).vertices)
-    pts = list(line_pts)
-    chosen = tuple(
-        sorted((v for v, d in zip(pts, distance_row(model, m, pts)) if d <= bound), key=Word.sort_key)
-    )
-    return CenterSet(chosen, bound, word_diameter(model, chosen))
+    return _stable_median(model, a, b, c, t0)
 
 
 def cross_ratio(
@@ -154,10 +135,8 @@ def cross_ratio(
     c: BoundaryPoint,
     d: BoundaryPoint,
 ) -> int:
-    """diam( centers(a,b,c) ∪ centers(a,d,c) ), an exact integer on trees."""
+    """d(center(a,b,c), center(a,d,c)), an exact integer on trees."""
     for p, q in ((a, b), (a, c), (a, d), (b, c), (b, d), (c, d)):
         if p == q:
             raise BoundaryError("cross-ratio needs four distinct boundary points")
-    m1 = tripod_centers(model, a, b, c)
-    m2 = tripod_centers(model, a, d, c)
-    return word_diameter(model, set(m1.points + m2.points))
+    return word_distance(model, tripod_center(model, a, b, c), tripod_center(model, a, d, c))

@@ -6,10 +6,10 @@ Transition probabilities are exact fractions.  One engine, `Walk`, samples
 a kernel from each trajectory's own counter-based stream, so runs are
 reproducible independently of scheduling; an `ensemble` of walks re-keys one
 generator per trajectory and draws the walks' steps in blocks.  One engine,
-`ExactLaw`, advances
-exact distributions in integer weights over a running denominator; it
-serves the tameness diagnostics (irreducibility, decay of point
-probabilities, reachability).  Both run a push-forward by conjugation: the
+`ExactLaw`, advances exact distributions in integer weights over a running
+denominator; it is the one exact law, and every tameness diagnostic
+(irreducibility, decay of point probabilities, reachability) reads it, for
+walks and push-forwards alike.  Both run a push-forward by conjugation: the
 walk runs from f^-1(start) and f maps what is read.  Letter tuples are the
 currency of this layer: every QI maps letters (`BijectiveQI.map`; the
 branch swap through one lookup in a letter table), and a `Word` is built
@@ -164,13 +164,6 @@ class CompositionQI(BijectiveQI):
 
     model: GroupModel
     parts: tuple[BijectiveQI, ...]
-
-    @property
-    def claimed_nu(self) -> float:  # type: ignore[override]
-        nu = 1.0
-        for p in self.parts:
-            nu = nu * p.claimed_nu + p.claimed_nu
-        return nu
 
     def map(self, letters: tuple[int, ...]) -> tuple[int, ...]:
         for p in reversed(self.parts):
@@ -585,58 +578,6 @@ def check_irreducibility(
     return IrreducibilityResult(s, best[0], best[1])
 
 
-def _is_uniform_free_walk(kernel: Kernel) -> tuple[bool, Fraction]:
-    """Detect an SRW (optionally lazy) on a free group, for the radial DP."""
-    if kernel.qi is not None or not isinstance(kernel.model, FreeGroup):
-        return False, Fraction(0)
-    stay = Fraction(0)
-    move: set[Fraction] = set()
-    expected = set(neighbours(kernel.model, ()))
-    seen = set()
-    for s, p in kernel.measure:
-        if s.is_identity():
-            stay = p
-        elif s.letters in expected:
-            move.add(p)
-            seen.add(s.letters)
-        else:
-            return False, Fraction(0)
-    if seen != expected or len(move) != 1:
-        return False, Fraction(0)
-    return True, stay
-
-
-def _radial_sup(kernel: Kernel, n: int, stay: Fraction) -> Fraction:
-    """Exact sup_h P[w_n = h] for a (lazy) SRW on a free group."""
-    k = kernel.model.rank
-    deg = 2 * k
-    move = 1 - stay
-    up_from_zero = move
-    up = move * Fraction(deg - 1, deg)
-    down = move * Fraction(1, deg)
-    probs = {0: Fraction(1)}
-    for _ in range(n):
-        nxt: dict[int, Fraction] = {}
-
-        def add(r, p):
-            if p:
-                nxt[r] = nxt.get(r, Fraction(0)) + p
-
-        for r, p in probs.items():
-            add(r, p * stay)
-            if r == 0:
-                add(1, p * up_from_zero)
-            else:
-                add(r + 1, p * up)
-                add(r - 1, p * down)
-        probs = nxt
-    best = Fraction(0)
-    for r, p in probs.items():
-        count = 1 if r == 0 else deg * (deg - 1) ** (r - 1)
-        best = max(best, p / count)
-    return best
-
-
 @dataclass(frozen=True)
 class DecayReport:
     entries: tuple[tuple[int, float, str], ...]  # (n, sup estimate, method)
@@ -650,8 +591,8 @@ _DECAY_SUPPORT_CAP = 60000  # states the exact DP of `estimate_nonamenability` m
 
 
 def estimate_nonamenability(kernel: Kernel, n_list: Sequence[int]) -> DecayReport:
-    """Exact sup of point probabilities where feasible, reported as skipped
-    beyond the support cap.
+    """Exact sup of point probabilities from `ExactLaw`, reported as skipped
+    at grid points past the support cap.
 
     Fits log sup against n on the first and second halves of the grid; the
     verdict is "consistent with nonamenability" when the tail rate stays
@@ -662,25 +603,18 @@ def estimate_nonamenability(kernel: Kernel, n_list: Sequence[int]) -> DecayRepor
 
     if not n_list:
         raise ChainError("n_list must be nonempty")
-    model = kernel.model
-    radial, stay = _is_uniform_free_walk(kernel)
-    grid = sorted(set(n_list))
+    # one incremental pass, snapshotting the sup at each grid point
+    law = ExactLaw(kernel, kernel.model.identity())
     entries: list[tuple[int, float, str]] = []
-    if radial:
-        for n in grid:
-            entries.append((n, float(_radial_sup(kernel, n, stay)), "exact-radial"))
-    else:
-        # one incremental pass, snapshotting the sup at each grid point
-        law = ExactLaw(kernel, model.identity())
-        step = 0
-        for n in grid:
-            while step < n and len(law) <= _DECAY_SUPPORT_CAP:
-                law.step()
-                step += 1
-            if len(law) > _DECAY_SUPPORT_CAP:
-                entries.append((n, float("nan"), "skipped"))
-            else:
-                entries.append((n, float(law.sup()), "exact-dp"))
+    step = 0
+    for n in sorted(set(n_list)):
+        while step < n and len(law) <= _DECAY_SUPPORT_CAP:
+            law.step()
+            step += 1
+        if len(law) > _DECAY_SUPPORT_CAP:
+            entries.append((n, float("nan"), "skipped"))
+        else:
+            entries.append((n, float(law.sup()), "exact-dp"))
 
     def rate(pairs: list[tuple[int, float]]) -> float | None:
         fitted = fit_log_linear([(n, v) for n, v in pairs if v])
@@ -755,8 +689,8 @@ class ReachResult:
 _REACH_SUPPORT_CAP = 300000  # states the exact DP of `reach_probability` may hold
 
 
-def reach_probability(kernel: Kernel, p: Word, q: Word, steps_factor: int = 3) -> ReachResult:
-    """Exact best probability of standing at p within steps_factor * d steps.
+def reach_probability(kernel: Kernel, p: Word, q: Word) -> ReachResult:
+    """Exact best probability of standing at p within 3 d steps, d = d(p, q).
 
     Dynamic programming from q with dead-state pruning: a state farther
     from p than J times the remaining steps, J the kernel's jump bound, is
@@ -768,7 +702,7 @@ def reach_probability(kernel: Kernel, p: Word, q: Word, steps_factor: int = 3) -
     d = word_distance(model, p, q)
     if d > 6:
         raise ChainError("exact reachability DP is limited to d <= 6")
-    horizon = max(1, d * steps_factor)
+    horizon = max(1, 3 * d)
     jump = kernel.jump_bound
     to_p = distance_from(model, p)
     law = ExactLaw(kernel, q)

@@ -350,7 +350,6 @@ def fiber_parallelism_check(
     for region in region_map.values():
         if region.parallelism_fibers is not None:
             fiber_fn = region.parallelism_fibers
-            key_fn = region.family.class_key
             break
     if fiber_fn is None:
         raise GroupError("region map carries no parallelism fibre descriptor")
@@ -371,14 +370,11 @@ def fiber_parallelism_check(
         hs.append((r, hausdorff(fx, fy)))
 
     def fiber_diam(p: Word) -> int:
+        # one BFS row per fibre point: a fibre in one coset of U is a clique
+        # only once the ball has coned U
         pts = [v for v in fiber_fn(p, max(sweep)) if v in factored]
-        if len(pts) <= 1:
-            return 0
-        keys = {key_fn(v) for v in pts}
-        if len(keys) == 1:
-            return 1  # one coned coset
-        base = factored.distances_from(pts[0])
-        return max(base[v] for v in pts if v in base)
+        rows = [factored.distances_from(u) for u in pts]
+        return max((row[v] for row in rows for v in pts), default=0)
 
     dx, dy = fiber_diam(x), fiber_diam(y)
     values = [h for _, h in hs]

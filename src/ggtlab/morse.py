@@ -23,12 +23,13 @@ from .groups import (
     GroupModel,
     Word,
     ball,
+    diameter,
     distance_row,
     geodesic,
     neighbours,
     word_diameter,
 )
-from .projections import _diam_x, projection_of_set
+from .projections import projection_of_set
 from .spaces import OrbitMap
 
 
@@ -353,8 +354,8 @@ def mutual_projection_check(
     overlap = len(set(alpha) & set(beta))
     same_ray = overlap > min(len(alpha), len(beta)) // 2
     return MutualProjectionResult(
-        (word_diameter(model, ab), _diam_x(orbit, ab)),
-        (word_diameter(model, ba), _diam_x(orbit, ba)),
+        (word_diameter(model, ab), diameter(ab, orbit.distance)),
+        (word_diameter(model, ba), diameter(ba, orbit.distance)),
         stabilized,
         same_ray,
     )

@@ -442,10 +442,6 @@ def project_axis_onto(orbit: OrbitMap, src: Axis, target: Axis) -> frozenset[Wor
     return frozenset(_line_vertex(anchor_t, d_t, t) for t in positions)
 
 
-def _diam_x(orbit: OrbitMap, pts: Iterable[Word]) -> int:
-    return diameter(pts, orbit.distance)
-
-
 def _setdist_x(orbit: OrbitMap, a: Iterable[Word], b: Collection[Word]) -> int:
     return min(orbit.distance(u, v) for u in a for v in b)
 
@@ -459,7 +455,7 @@ def coset_distance(orbit: OrbitMap, axis, x, y) -> int:
     xs = [x] if isinstance(x, Word) else list(x)
     ys = [y] if isinstance(y, Word) else list(y)
     union = set(projection_of_set(orbit, xs, axis)) | set(projection_of_set(orbit, ys, axis))
-    return _diam_x(orbit, union)
+    return diameter(union, orbit.distance)
 
 
 # ---------------------------------------------------------------------------
@@ -589,7 +585,7 @@ def enumerate_cosets(orbit: OrbitMap, g: Word, o: Word, p: Word, threshold: int)
     for key in keys:
         ax = Axis(model, root, Word(model, key))
         po, pp = project_to_set(orbit, o, ax).points, project_to_set(orbit, p, ax).points
-        value = _diam_x(orbit, set(po) | set(pp))
+        value = diameter(set(po) | set(pp), orbit.distance)
         if value >= threshold:
             # in a tree, x's nearest vertex on [o, p] lies (d(o, x) + d(o, p) - d(p, x)) / 2 from o
             position = (to_o(po[0]) + len(w) - to_p(po[0])) // 2
@@ -607,7 +603,7 @@ def distance_formula_sum(record: CosetRecord, x: Word, y: Word) -> int:
         px = project_to_set(orbit, x, e.axis).points
         py = project_to_set(orbit, y, e.axis).points
         if set(px) != set(py):
-            total += _diam_x(orbit, set(px) | set(py))
+            total += diameter(set(px) | set(py), orbit.distance)
     return total
 
 
@@ -639,9 +635,9 @@ def linear_order(record: CosetRecord) -> tuple[list[CosetEntry], OrderReport]:
             a_i, a_j = entries[i].axis, entries[j].axis
             shadow_ij = project_axis_onto(orbit, a_j, a_i)  # a_j seen on a_i
             shadow_ji = project_axis_onto(orbit, a_i, a_j)
-            c1 = _diam_x(orbit, set(entries[i].proj_o) | set(shadow_ij)) > 2
+            c1 = diameter(set(entries[i].proj_o) | set(shadow_ij), orbit.distance) > 2
             c2 = frozenset(entries[j].proj_o) == shadow_ji
-            c3 = _diam_x(orbit, set(entries[j].proj_p) | set(shadow_ji)) > 2
+            c3 = diameter(set(entries[j].proj_p) | set(shadow_ji), orbit.distance) > 2
             c4 = frozenset(entries[i].proj_p) == shadow_ij
             if not (c1 and c2 and c3 and c4):
                 disagreements.append(((i, j), (c1, c2, c3, c4)))

@@ -224,6 +224,9 @@ def top_level_orbit(model: GroupModel) -> OrbitMap:
 
 @dataclass(frozen=True)
 class DeltaEstimate:
+    """The defect, and the quadruples searched: all of them, so `exhaustive`
+    always holds (the benchmark's cone-delta job prints both)."""
+
     value: float
     quadruples: int
     exhaustive: bool
@@ -259,27 +262,23 @@ def _exhaustive_defect(D: np.ndarray) -> int:
     return best
 
 
-def delta_estimate(
-    space: OrbitMap | FiniteGraphSpace,
-    points: Sequence,
-    seed: int | None = None,
-    exhaustive_limit: int = 200,
-    samples: int = 20000,
-) -> DeltaEstimate:
-    """Largest four-point-condition defect over quadruples of the sample set.
+_DELTA_POINT_LIMIT = 200  # points `delta_estimate` takes: C(200, 4) is about 6.5e7 quadruples
 
-    Exhaustive for at most ``exhaustive_limit`` points, otherwise a seeded
-    random sample of ``samples`` quadruples of distinct points, drawn in
-    blocks of at most _DEFECT_BLOCK rows (rows repeating a point are
-    redrawn).  The points are vertices of a finite graph, or group elements
-    measured by an orbit map; trees give 0 exactly.
+
+def delta_estimate(space: OrbitMap | FiniteGraphSpace, points: Sequence) -> DeltaEstimate:
+    """Largest four-point-condition defect over all quadruples of the points.
+
+    The search is exhaustive, so it takes 4 to _DELTA_POINT_LIMIT points;
+    any other count raises SpaceError before a distance is computed.  The
+    points are vertices of a finite graph, or group elements measured by an
+    orbit map; trees give 0 exactly.
     """
     import numpy as np
 
     pts = list(points)
     n = len(pts)
-    if n < 4:
-        raise SpaceError("delta_estimate needs at least 4 points")
+    if not 4 <= n <= _DELTA_POINT_LIMIT:
+        raise SpaceError(f"delta_estimate needs 4 to {_DELTA_POINT_LIMIT} points, got {n}")
     if isinstance(space, FiniteGraphSpace):
         ids = [space._id(p) for p in pts]
         D = np.array([[row[j] for j in ids] for row in (space._bfs(i)[0] for i in ids)], dtype=np.int64)
@@ -290,18 +289,7 @@ def delta_estimate(
         for i in range(n):
             for j in range(i + 1, n):
                 D[i, j] = D[j, i] = space.distance(pts[i], pts[j])
-    if n <= exhaustive_limit:
-        return DeltaEstimate(_exhaustive_defect(D) / 2.0, math.comb(n, 4), True)
-    rng = np.random.default_rng(seed)
-    best = drawn = 0
-    while drawn < samples:
-        quads = rng.integers(n, size=(min(samples - drawn, _DEFECT_BLOCK), 4))
-        ordered = np.sort(quads, axis=1)
-        i, j, k, l = quads[(ordered[:, 1:] != ordered[:, :-1]).all(axis=1)].T
-        s = np.sort([D[i, j] + D[k, l], D[i, k] + D[j, l], D[i, l] + D[j, k]], axis=0)
-        best = max(best, int((s[2] - s[1]).max(initial=0)))
-        drawn += len(i)
-    return DeltaEstimate(best / 2.0, samples, False)
+    return DeltaEstimate(_exhaustive_defect(D) / 2.0, math.comb(n, 4), True)
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,9 @@ Everything here deliberately avoids the library's fast paths: distances come
 from explicit breadth-first searches on explicitly built graphs, ball sizes
 from closed-form growth formulas, projections from windowed argmin scans
 with a linear-escape certificate, exact chain laws from `Fraction` sums
-over each state's own step law, and the free-group SRW drift from the
-radial birth-death recursion.  Searches the library replaced by closed
+over each state's own step law, and the free-group SRW drift and the sup
+of its point probabilities (lazy or not) from the radial birth-death
+recursion.  Searches the library replaced by closed
 forms stay here as their oracles: the greedy geodesic, the descent of a
 coset's line to its vertex nearest the identity, the padded candidate
 search for threshold cosets and the window-doubling projection of a whole
@@ -247,3 +248,27 @@ def drift_oracle_free_srw(n: int, rank: int = 2) -> float:
         nxt[-1] += probs[-1]  # absorbing guard; never reached for steps < n
         probs = nxt
     return float(np.dot(probs, np.arange(n + 1))) / n
+
+
+def radial_sup(rank: int, n: int, stay: Fraction = Fraction(0)) -> Fraction:
+    """Exact sup_h P[w_n = h] for the SRW on F_rank that stays put with
+    probability `stay`.
+
+    Radial birth-death recursion on |w_n|: from radius 0 the walk moves out
+    with probability 1 - stay, from radius r >= 1 out with (1 - stay)(2k-1)/2k
+    and in with (1 - stay)/2k.  The law is uniform on each sphere, of
+    2k (2k-1)^(r-1) points, so the sup is the largest sphere mass over its
+    size.  It needs no law on group elements, so n can be large.
+    """
+    deg = 2 * rank
+    move = 1 - stay
+    up, down = move * Fraction(deg - 1, deg), move * Fraction(1, deg)
+    probs = {0: Fraction(1)}
+    for _ in range(n):
+        nxt: dict[int, Fraction] = {}
+        for r, p in probs.items():
+            for r2, q in ((r, stay), (r + 1, move if r == 0 else up), (r - 1, 0 if r == 0 else down)):
+                if q:
+                    nxt[r2] = nxt.get(r2, Fraction(0)) + p * q
+        probs = nxt
+    return max(p / (1 if r == 0 else deg * (deg - 1) ** (r - 1)) for r, p in probs.items())

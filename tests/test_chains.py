@@ -34,7 +34,7 @@ from ggtlab.experiments import resolve_kernel
 from ggtlab.groups import Word, ball, model_from_descriptor, word_distance
 
 from conftest import w
-from oracles import fraction_step
+from oracles import fraction_step, radial_sup
 
 
 def validates(trajectory, kernel) -> bool:
@@ -360,18 +360,16 @@ def test_return_probability_exact(f2k, walk):
     rep = estimate_nonamenability(walk, [2])
     # sup at n=2 is attained at the identity: must backtrack the same edge
     assert rep.entries[0][1] == 0.25
-    assert rep.entries[0][2] == "exact-radial"
+    assert rep.entries[0][2] == "exact-dp"
 
 
 @pytest.mark.parametrize("k", [2, 3])
 def test_return_probabilities_approach_kesten(k):
     # Kesten: the SRW on F_k has spectral radius rho = sqrt(2k-1)/k, so
-    # p_{2m+2}(e, e) / p_{2m}(e, e) increases to rho^2 from below
-    walk = srw(model_from_descriptor(f"F{k}"))
+    # p_{2m+2}(e, e) / p_{2m}(e, e) increases to rho^2 from below; the
+    # radial oracle reaches n = 162, far past the exact law's support cap
     ms = (10, 20, 40, 80)
-    entries = estimate_nonamenability(walk, [n for m in ms for n in (2 * m, 2 * m + 2)]).entries
-    sup = {n: v for n, v, method in entries if method == "exact-radial"}
-    ratios = [sup[2 * m + 2] / sup[2 * m] for m in ms]
+    ratios = [float(radial_sup(k, 2 * m + 2) / radial_sup(k, 2 * m)) for m in ms]
     rho2 = (2 * k - 1) / k**2
     assert ratios == sorted(ratios) and ratios[-1] < rho2
     assert ratios[-1] > 0.97 * rho2
@@ -449,7 +447,7 @@ def test_reach_two_steps(f2k, walk):
 
 def test_reach_lazy(f2k):
     lazy = srw(f2k, stay=Fraction(1, 2))
-    res = reach_probability(lazy, w(f2k, "a b"), f2k.identity(), steps_factor=3)
+    res = reach_probability(lazy, w(f2k, "a b"), f2k.identity())
     assert res.probability > 0
     assert res.t >= 2
 
@@ -613,14 +611,22 @@ def test_reach_table_matches_pruned_fraction_step(f2k, name):
         assert (res.t, res.probability) == max(table, key=lambda tp: (tp[1], -tp[0]))
 
 
-def test_pushed_exact_dp_equals_radial_closed_form(f2k, walk):
-    # f is a bijection fixing e, so the pushed sup is the base SRW's sup
-    grid = list(range(1, 9))
-    radial = estimate_nonamenability(walk, grid).entries
-    pushed = estimate_nonamenability(push_forward(walk, branch_swap(f2k)), grid).entries
-    assert {m for _, _, m in radial} == {"exact-radial"}
-    assert {m for _, _, m in pushed} == {"exact-dp"}
-    assert [(n, v) for n, v, _ in pushed] == [(n, v) for n, v, _ in radial]
+def test_pushed_exact_dp_equals_radial_closed_form():
+    # the exact law's sup is the radial oracle's, for walks and lazy walks;
+    # f is a bijection fixing e, so the pushed sup is the base walk's sup
+    for desc, stay, top in (("F2", Fraction(0), 8), ("F3", Fraction(0), 6), ("F2", Fraction(1, 3), 8)):
+        model = model_from_descriptor(desc)
+        base = srw(model, stay=stay)
+        pushed = push_forward(base, branch_swap(model))
+        sups = [radial_sup(model.rank, n, stay) for n in range(1, top + 1)]
+        laws = [ExactLaw(base, model.identity()), ExactLaw(pushed, model.identity())]
+        for sup in sups:
+            for law in laws:
+                law.step()
+                assert law.sup() == sup
+        rows = [(n, float(sup), "exact-dp") for n, sup in enumerate(sups, 1)]
+        for kernel in (base, pushed):
+            assert list(estimate_nonamenability(kernel, range(1, top + 1)).entries) == rows
 
 
 # --- golden pins ----------------------------------------------------------------
@@ -635,6 +641,8 @@ def _sha(lines) -> str:
 
 
 def test_golden_decay_reports(f2k, walk):
+    # every row is read off the exact law: the lazy F2 walk's support passes
+    # the cap after 9 steps, so its rows for n = 10, 11, 12 read "skipped"
     z2 = model_from_descriptor("Z^2")
     runs = [
         (srw(f2k, stay=Fraction(1, 3)), range(1, 13)),
@@ -648,7 +656,7 @@ def test_golden_decay_reports(f2k, walk):
         lines += [repr(e) for e in rep.entries]
         lines.append(repr((rep.rho_head, rep.rho_tail, rep.rho_hat, rep.verdict)))
     assert _sha(lines) == (
-        "ad575e80ef5b3c0537c1e31b0d3ba9d8aad193c468c363e0bff60a1312113740"
+        "f9aa37d50d9878a6c54c3a99db7f660ed4d9cc06d64e9e06377d5d212dba163c"
     )
 
 

@@ -89,6 +89,12 @@ def test_pivot_subcommand(capsys):
     assert code == 0 and "pass" in out
 
 
+def test_pivot_on_a_free_product_with_a_rank_one_first_factor(capsys):
+    # the default loxodromic pair of Z * Z^2 is x y and x^-1 y
+    code, out, _ = run(capsys, "pivot", "--model", "Z * Z^2", "--alpha", "x y^2 x", "--h", "x y")
+    assert code == 0 and "pass" in out
+
+
 def test_morse_subcommand(capsys):
     code, out, _ = run(capsys, "morse", "--segment", "a^5", "--grid", "1,0", "--window", "3")
     assert code == 0 and "M(1,0) = 0" in out

@@ -28,6 +28,7 @@ from ggtlab.spaces import CosetFamily, top_level_orbit
 from ggtlab.groups import GroupError
 
 from conftest import w
+from oracles import cayley_graph_adjacency, graph_bfs
 
 
 def nx_graph(og: OrthGraph) -> nx.Graph:
@@ -287,6 +288,23 @@ def test_parallelism_same_region(z2z_by_z, product_setup):
     res = fiber_parallelism_check(z2z_by_z, fb, w(z2z_by_z, "x"), w(z2z_by_z, "y t"), 4, regions)
     assert res.verdict == "same product region"
     assert max(res.fiber_diameters) <= 1
+
+
+def test_parallelism_round_zero_measures_fibres_in_the_graph(z2z_by_z, product_setup):
+    # round 0 cones nothing, so a fibre inside one coset of U is no clique:
+    # its diameter is that of the plain ball, by an independent BFS
+    sched, regions = product_setup
+    fb = factored_ball(z2z_by_z, 3, sched, 0, regions)
+    x, y = w(z2z_by_z, "x"), w(z2z_by_z, "y t")
+    res = fiber_parallelism_check(z2z_by_z, fb, x, y, 4, regions)
+    adj = cayley_graph_adjacency(z2z_by_z, 3)
+    fibre = regions["U"].parallelism_fibers
+    expected = []
+    for p in (x, y):
+        pts = [v for v in fibre(p, 6) if v in adj]
+        expected.append(max(graph_bfs(adj, u)[v] for u in pts for v in pts))
+    assert res.fiber_diameters == tuple(expected) == (6, 4)
+    assert res.verdict == "inconclusive"
 
 
 def test_parallelism_degenerate(z2z_by_z, product_setup):

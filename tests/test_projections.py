@@ -47,6 +47,14 @@ def test_axis_of_conjugate(f2):
     assert str(ax.root) == "a" and str(ax.rep) == "b"
 
 
+@pytest.mark.parametrize(
+    "g, root", [("x z x z", "x z"), ("x z^2 x z^2 x z^2", "x z^2"), ("z x z x", "x^-1 z^-1")]
+)
+def test_axis_of_proper_power_on_bass_serre(z2z, g, root):
+    # a proper power translates along the axis of its root
+    assert str(axis_of(w(z2z, g)).root) == root
+
+
 def test_axis_elliptic_on_bass_serre(z2z):
     with pytest.raises(NotLoxodromicError):
         axis_of(w(z2z, "x"))

@@ -183,30 +183,6 @@ def test_delta_six_cycle():
     assert est.exhaustive and est.value == 1.0
 
 
-def test_sampled_delta_on_six_cycle():
-    verts = tuple(range(6))
-    adj = {i: [(i + 1) % 6, (i - 1) % 6] for i in verts}
-    g = FiniteGraphSpace(vertices=verts, base_adjacency=adj)
-    est = delta_estimate(g, verts, seed=3, exhaustive_limit=4, samples=500)
-    assert not est.exhaustive and est.quadruples == 500 and est.value == 1.0
-
-
-def test_sampled_delta_bounded_by_exhaustive_and_seeded(z2):
-    from ggtlab.spaces import cone_off
-
-    graph = cone_off(z2, 4, [])
-    pts = ball(z2, z2.identity(), 4)[::2]
-    exact = delta_estimate(graph, pts).value
-    # ten quadruples per estimate, so the value depends on the seed
-    values = []
-    for seed in range(10):
-        est = delta_estimate(graph, pts, seed=seed, exhaustive_limit=3, samples=10)
-        assert not est.exhaustive and est.quadruples == 10 and est.value <= exact
-        assert delta_estimate(graph, pts, seed=seed, exhaustive_limit=3, samples=10).value == est.value
-        values.append(est.value)
-    assert len(set(values)) > 1
-
-
 def test_delta_grows_on_z2_grid(z2):
     from ggtlab.spaces import cone_off
 
@@ -222,6 +198,17 @@ def test_delta_grows_on_z2_grid(z2):
 def test_delta_needs_four_points(f2, f2_orbit):
     with pytest.raises(SpaceError):
         delta_estimate(f2_orbit, ball(f2, f2.identity(), 0))
+
+
+def test_delta_refuses_more_than_200_points_before_any_bfs(monkeypatch):
+    g = _path_graph(400)
+
+    def no_bfs(self, src):
+        raise AssertionError("BFS ran before the point count was checked")
+
+    monkeypatch.setattr(FiniteGraphSpace, "_bfs", no_bfs)
+    with pytest.raises(SpaceError, match="4 to 200 points, got 201"):
+        delta_estimate(g, range(201))
 
 
 @st.composite
