@@ -5,7 +5,10 @@ optionally pushed forward through a bijective quasi-isometry f.
 Transition probabilities are exact fractions.  One engine, `Walk`, samples
 a kernel from each trajectory's own counter-based stream, so runs are
 reproducible independently of scheduling; an `ensemble` of walks re-keys one
-generator per trajectory and draws the walks' steps in blocks.  One engine,
+generator per trajectory and draws the walks' steps in blocks.  A free-group
+walk is handed one flat letter stream, its picks read through the kernel's
+padded step table, and steps through it on a letter stack; callers that
+follow the walk themselves read the same stream.  One engine,
 `ExactLaw`, advances exact distributions in integer weights over a running
 denominator; it is the one exact law, and every tameness diagnostic
 (irreducibility, decay of point probabilities, reachability) reads it, for
@@ -14,8 +17,9 @@ walk runs from f^-1(start) and f maps what is read.  Letter tuples are the
 currency of this layer: every QI maps letters (`BijectiveQI.map`; the
 branch swap through one lookup in a letter table), and a `Word` is built
 only where a caller reads one.  `simulate` reads every state, so a pushed
-trajectory keeps the letters of each state, folded through the model's
-product and mapped by f, and `Trajectory.to_json` spells them with
+trajectory keeps the letters of each state, folded letter by letter on a
+free group (through the model's product elsewhere) and mapped by f, and
+`Trajectory.to_json` spells them with
 `groups.spell_letters`, which re-spells a state only past the prefix it
 shares with the one before it.
 
@@ -250,6 +254,18 @@ class Kernel:
         """The letters of each jump word, in the measure's order."""
         return tuple(s.letters for s, _ in self.measure)
 
+    @cached_property
+    def step_table(self) -> np.ndarray:
+        """The letters of each jump word, in the measure's order, padded with
+        0 to J letters, J the longest jump and at least 1: a free-group
+        walk's letter stream is its picks read through this table."""
+        import numpy as np
+
+        table = np.zeros((len(self.measure), max(1, *map(len, self.jump_letters))), dtype=np.int64)
+        for row, letters in zip(table, self.jump_letters):
+            row[: len(letters)] = letters
+        return table
+
     def law(self, state: Word) -> list[tuple[Word, Fraction]]:
         """Ordered (target, probability) pairs; probabilities sum to 1."""
         f = self.qi
@@ -366,70 +382,105 @@ def _pick(cdf: np.ndarray, us):
     return np.minimum(np.searchsorted(cdf, us, side="right"), len(cdf) - 1)
 
 
-HORIZON_CAP = 10**7  # most steps a walk may be told; its uniforms take 8 bytes a step
+HORIZON_CAP = 10**7  # most steps a walk may be told; its uniforms take 8 bytes a step, its letters 8 bytes each
 
-_BLOCK_DRAWS = 2**16  # uniforms an ensemble draws into one array, unless one horizon is longer
+_BLOCK_DRAWS = 2**16  # uniforms, or free-group letters, in one ensemble block, unless one walk's row is longer
+
+
+def _push(letters: tuple[int, ...], x: int) -> tuple[int, ...]:
+    """A reduced free-group word times one letter of a walk's stream (0
+    stays).  `Walk.path` folds a free-group stream through it letter by
+    letter, which costs less than rebuilding each step's jump for the
+    model's product."""
+    if not x:
+        return letters
+    return letters[:-1] if letters and letters[-1] == -x else letters + (x,)
 
 
 class Walk:
     """One seeded trajectory of a kernel: the only stepping engine.
 
-    A walk is handed its row of picks, the measure indices of all the steps
-    it will take (`ensemble` draws them), and stepping past that horizon
-    raises ChainError.  `steps` applies the increments onto a letter stack
-    on free groups and through the model's product elsewhere; `increments`
-    hands out the letter tuples of the next steps without applying them, for
-    a caller that follows the walk on its own (`simulate`, which reads every
-    state, and the tail experiment's trackers).  A push-forward walks by
-    conjugation: the walk runs from f^-1(start) and only the states read are
-    mapped by f, which gives the pushed law's own path since that law keeps
-    the measure's order and probabilities and f is injective.
+    A walk is handed its row, all the steps it will take (`ensemble` draws
+    them), and stepping past that horizon raises ChainError.  On a free
+    group the row is a flat letter stream, J letters a step (the kernel's
+    `step_table`), where lazy stays and padding are 0: `steps` pushes and
+    pops it on a letter stack that keeps a 0 at its bottom, so a 0 letter
+    does nothing, and `letters` hands the next steps' letters to a caller
+    that follows the walk on its own (the experiments' trackers).  On other
+    models the row holds the measure indices of the steps, folded through
+    the model's product.  `path` hands out every state of the next steps
+    (`simulate`).  A push-forward walks by conjugation: the walk runs from
+    f^-1(start) and only the states read are mapped by f, which gives the
+    pushed law's own path since that law keeps the measure's order and
+    probabilities and f is injective.
     """
 
-    def __init__(self, kernel: Kernel, start: Word, picks: list[int]):
+    def __init__(self, kernel: Kernel, start: Word, row: list[int]):
         self.kernel = kernel
         self.qi = kernel.qi
         cur = start.letters if self.qi is None else self.qi.inverse().map(start.letters)
-        self.picks = picks
+        self.row = row
         self.done = 0
-        self.stack = list(cur) if isinstance(kernel.model, FreeGroup) else None
-        self.cur = cur
+        if isinstance(kernel.model, FreeGroup):
+            self.width, self.stack = kernel.step_table.shape[1], [0, *cur]
+        else:
+            self.width, self.stack, self.cur = 1, None, cur
 
     def _take(self, count: int) -> list[int]:
-        """The measure indices of the next `count` steps."""
+        """The row entries of the next `count` steps."""
         if count < 0:
             raise ChainError(f"step count must be >= 0, got {count}")
-        end = self.done + count
-        if end > len(self.picks):
-            raise ChainError(f"step {end} lies past the walk's horizon of {len(self.picks)}")
-        picks, self.done = self.picks[self.done : end], end
-        return picks
+        end, width = self.done + count, self.width
+        if end * width > len(self.row):
+            raise ChainError(f"step {end} lies past the walk's horizon of {len(self.row) // width}")
+        row, self.done = self.row[self.done * width : end * width], end
+        return row
 
-    def increments(self, count: int) -> list[tuple[int, ...]]:
-        """The letter tuples of the next `count` steps, counted as taken but
-        not applied: the walk's own state stays where it was."""
-        return list(map(self.kernel.jump_letters.__getitem__, self._take(count)))
+    def letters(self, count: int) -> list[int]:
+        """The letters of the next `count` steps of a free-group walk, J a
+        step with 0 for stays and padding, counted as taken but not applied:
+        the walk's own state stays where it was."""
+        if self.stack is None:
+            raise ChainError("only free-group walks stream letters")
+        return self._take(count)
+
+    def path(self, count: int) -> Iterator[tuple[int, ...]]:
+        """The letters of the walk's state and of the states after each of
+        the next `count` steps, not mapped by f; the steps are counted as
+        taken but not applied.  A free-group walk folds its letters one at a
+        time and keeps every J-th state."""
+        row = self._take(count)
+        if self.stack is None:
+            jumps = map(self.kernel.jump_letters.__getitem__, row)
+            return accumulate(jumps, self.kernel.model.product, initial=self.cur)
+        return islice(accumulate(row, _push, initial=tuple(self.stack[1:])), 0, None, self.width)
 
     def steps(self, count: int) -> None:
         """Advance `count` steps."""
-        letters = self.kernel.jump_letters
         if self.stack is None:
-            product, cur = self.kernel.model.product, self.cur
+            letters, product, cur = self.kernel.jump_letters, self.kernel.model.product, self.cur
             for i in self._take(count):
                 cur = product(cur, letters[i])
             self.cur = cur
             return
         stack = self.stack
-        for i in self._take(count):
-            for letter in letters[i]:
-                if stack and stack[-1] == -letter:
-                    stack.pop()
-                else:
-                    stack.append(letter)
+        push, pop, top = stack.append, stack.pop, stack[-1]
+        for x in self._take(count):
+            if x == -top:
+                if x:
+                    pop()
+                    top = stack[-1]
+            elif x:
+                push(x)
+                top = x
+
+    def current(self) -> tuple[int, ...]:
+        """The letters of the walk's state, mapped by f."""
+        cur = self.cur if self.stack is None else tuple(self.stack[1:])
+        return cur if self.qi is None else self.qi.map(cur)
 
     def state(self) -> Word:
-        cur = self.cur if self.stack is None else tuple(self.stack)
-        return Word(self.kernel.model, cur if self.qi is None else self.qi.map(cur))
+        return Word(self.kernel.model, self.current())
 
 
 def ensemble(kernel: Kernel, start: Word, seed: int, indices: Iterable[int], horizon: int) -> Iterator[Walk]:
@@ -439,16 +490,21 @@ def ensemble(kernel: Kernel, start: Word, seed: int, indices: Iterable[int], hor
     setter restarts it exactly at `trajectory_rng(seed, i)`'s stream.  The
     walks are drawn in blocks of about `_BLOCK_DRAWS` uniforms, one row per
     walk, with one inverse-CDF lookup and one conversion to lists per block,
-    so memory stays at one block however many walks there are.  A horizon
-    above HORIZON_CAP is refused before anything is drawn.
+    so memory stays at one block however many walks there are.  On a free
+    group the block's picks are read through the kernel's `step_table` by
+    one fancy index, so each walk gets a flat row of horizon * J letters
+    (and a block holds about `_BLOCK_DRAWS` letters).  A horizon above
+    HORIZON_CAP is refused before anything is drawn.
     """
     import numpy as np
 
     if not 0 <= horizon <= HORIZON_CAP:
         raise ChainError(f"horizon must lie in [0, {HORIZON_CAP}], got {horizon}")
+    table = kernel.step_table if isinstance(kernel.model, FreeGroup) else None
+    width = 1 if table is None else table.shape[1]
     rng = trajectory_rng(seed)
     fresh = rng.bit_generator.state
-    rows = max(1, _BLOCK_DRAWS // max(horizon, 1))
+    rows = max(1, _BLOCK_DRAWS // max(horizon * width, 1))
     todo = iter(indices)
     while block := list(islice(todo, rows)):
         us = np.empty((len(block), horizon))
@@ -456,16 +512,18 @@ def ensemble(kernel: Kernel, start: Word, seed: int, indices: Iterable[int], hor
             fresh["state"]["key"] = _key(seed, i)
             rng.bit_generator.state = fresh
             rng.random(out=row)
-        for picks in _pick(kernel.cdf, us).tolist():
-            yield Walk(kernel, start, picks)
+        picks = _pick(kernel.cdf, us)
+        if table is not None:
+            picks = table[picks].reshape(len(block), horizon * width)
+        for row in picks.tolist():
+            yield Walk(kernel, start, row)
 
 
 def simulate(kernel: Kernel, start: Word, n: int, seed: int, index: int = 0) -> Trajectory:
-    """One trajectory with every state, kept as letters: the walk's
-    increments folded through the model's product from f^-1(start), each
-    state mapped by `f.map` as `Walk.state` maps it; no `Word` is built."""
-    walk = next(ensemble(kernel, start, seed, (index,), n))
-    path = accumulate(walk.increments(n), kernel.model.product, initial=walk.cur)
+    """One trajectory with every state, kept as letters: the walk's `path`
+    from f^-1(start), each state mapped by `f.map` as `Walk.state` maps it;
+    no `Word` is built."""
+    path = next(ensemble(kernel, start, seed, (index,), n)).path(n)
     f = kernel.qi
     return Trajectory(seed, index, start, tuple(path if f is None else map(f.map, path)))
 

@@ -4,13 +4,14 @@ Everything is driven by a plain-text config with a mandatory seed, checked
 when the config is built.  Each experiment samples one `chains.ensemble` of
 walks per seed: one generator re-keyed per trajectory, the uniforms drawn in
 blocks of walks, every trajectory on its own counter-based stream, so
-outputs are byte-identical across runs.  Bounded projections read the
-nearest coset positions of the walk's state at their checkpoints
-(`projections.line_positions`).  Tail sums need every step, so there the
-walk hands its increments to one AxisTracker per threshold coset, which
-follows the reduced word and its overlap with the coset's line in one pass;
-the per-step projection distance is one lookup of the spread memoized by
-that overlap.
+outputs are byte-identical across runs.  Linear progress steps each walk to
+its checkpoints and reads the displacement of its letters.  Bounded
+projections and tail sums read one AxisTracker per coset, which follows a
+walk's letter stream on its own reduced word and overlap with the coset's
+line in one loop and returns the line key after each letter: bounded
+projections read the nearest coset positions of the keys at their
+checkpoints, and tail sums read every step's projection distance from the
+spread memoized by key.
 
 numpy loads at first use, inside the experiments that sample or count.
 """
@@ -26,7 +27,7 @@ from typing import Sequence
 from . import __version__
 from .chains import Kernel, branch_swap, ensemble, fit_log_linear, push_forward, srw
 from .groups import FreeGroup, GroupModel, Word, ball, model_from_descriptor, parse_word
-from .projections import Axis, _line_foot, axis_of, enumerate_cosets, line_positions, nearest_positions
+from .projections import Axis, _line_foot, axis_of, enumerate_cosets, nearest_positions
 from .spaces import OrbitMap, top_level_orbit
 
 
@@ -149,69 +150,85 @@ def resolve_setup(config: ExperimentConfig) -> tuple[GroupModel, OrbitMap, Kerne
 # fast coupled walks
 
 
+class _Spreads(dict):
+    """Spreads of line keys against base positions, computed at first read:
+    the positions' max - min, read as 0 where they are the base's own."""
+
+    def __init__(self, phase: int, q: int, base: tuple[int, ...]):
+        super().__init__()
+        self.phase, self.q, self.base = phase, q, base
+
+    def __missing__(self, key: int) -> int:
+        pos, base = nearest_positions(key, self.phase, self.q), self.base
+        spread = self[key] = 0 if pos == base else max(pos + base) - min(pos + base)
+        return spread
+
+
 class AxisTracker:
-    """The projection of a free-group walk onto an axis line, followed step by step.
+    """The projection of a free-group walk onto an axis line, followed letter by letter.
 
     Built at the walk's start, it holds the reduced letters of
-    anchor^-1 * start, their overlap lengths `fwd` and `bwd` with the two
-    line directions, and the start's nearest coset positions `base`.  The
-    nearest positions of any state follow from its overlap and the coset
-    phase, so the spread of a state's positions against `base` is a function
-    of `fwd or -bwd`, memoised on the tracker across walks.
+    anchor^-1 * start on a stack with a 0 at its bottom, their overlap
+    lengths `fwd` and `bwd` with the two line directions, and the start's
+    nearest coset positions `base`.  A state's nearest positions follow
+    from its line key, `fwd or -bwd`, and the coset phase:
+    `nearest_positions(key, phase, q)`.  `keys` follows one walk's letter
+    stream from the start and returns the key after each letter; `spreads`
+    reads them through a memo of the spread against `base` shared by all
+    the tracker's walks.
     """
 
     def __init__(self, axis: Axis, start: Word):
         anchor, direction, phase = axis.line
-        self.q = len(direction)
-        self.dir = direction
+        self.q = q = len(direction)
         self.phase = phase
-        self.stack = list((anchor.inverse() * start).letters)
+        self.ahead = direction
+        self.behind = tuple(-direction[-1 - i] for i in range(q))
+        self.stack = [0, *(anchor.inverse() * start).letters]
         # a cyclically reduced direction meets the stack forwards or backwards, not both
         foot, _ = _line_foot(anchor, direction, start)
+        self.foot = foot  # the start's line key
         self.fwd, self.bwd = max(foot, 0), max(-foot, 0)
-        self.base = nearest_positions(foot, phase, self.q)
-        self.memo: dict[int, int] = {}
+        self.base = nearest_positions(foot, phase, q)
+        self.memo = _Spreads(phase, q, self.base)
 
-    def _spread(self, key: int) -> int:
-        """The spread of the positions at line key `key` against `base`
-        (0 where they coincide), memoised."""
-        pos, base = nearest_positions(key, self.phase, self.q), self.base
-        spread = self.memo[key] = 0 if pos == base else max(pos + base) - min(pos + base)
-        return spread
-
-    def spreads(self, increments: Sequence[tuple[int, ...]]) -> list[int]:
-        """The spread after each of `increments`, one walk from the start.
+    def keys(self, letters: Sequence[int]) -> list[int]:
+        """The line key after each of `letters`, one walk from the start.
 
         The stack and overlaps live in locals, so the tracker itself stays
-        at the start for the next walk; pushes and pops are O(1), and a
-        letterless (lazy) step repeats the last spread.
+        at the start for the next walk; pushes and pops are O(1), and a 0
+        letter repeats the last key.
         """
         stack, fwd, bwd = self.stack.copy(), self.fwd, self.bwd
-        direction, q, memo = self.dir, self.q, self.memo
-        n = len(stack)
-        spread = 0  # the start's own positions are `base`
-        out = []
-        for inc in increments:
-            if inc:
-                for letter in inc:
-                    if n and stack[-1] == -letter:
-                        stack.pop()
-                        n -= 1
-                        if fwd > n:
-                            fwd = n
-                        if bwd > n:
-                            bwd = n
-                    else:
-                        stack.append(letter)
-                        if fwd == n and letter == direction[n % q]:
-                            fwd += 1
-                        if bwd == n and letter == -direction[(-1 - n) % q]:
-                            bwd += 1
-                        n += 1
-                key = fwd or -bwd
-                spread = memo[key] if key in memo else self._spread(key)
-            out.append(spread)
-        return out
+        ahead, behind, q = self.ahead, self.behind, self.q
+        push, pop, top = stack.append, stack.pop, stack[-1]
+        n = len(stack) - 1
+        keys = []
+        key = keys.append
+        for x in letters:
+            if x == -top:
+                if x:
+                    pop()
+                    top = stack[-1]
+                    n -= 1
+                    if fwd > n:
+                        fwd = n
+                    if bwd > n:
+                        bwd = n
+            elif x:
+                push(x)
+                top = x
+                if fwd == n and x == ahead[n % q]:
+                    fwd += 1
+                if bwd == n and x == behind[n % q]:
+                    bwd += 1
+                n += 1
+            key(fwd or -bwd)
+        return keys
+
+    def spreads(self, letters: Sequence[int], width: int) -> list[int]:
+        """The spread after each step of `letters`, `width` letters a step."""
+        return list(map(self.memo.__getitem__, self.keys(letters)[width - 1 :: width]))
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +278,7 @@ def linear_progress_experiment(config: ExperimentConfig) -> ProgressResult:
         for j, n in enumerate(grid):
             walk.steps(n - prev)
             prev = n
-            dists[i, j] = len(walk.state())
+            dists[i, j] = orbit.displacement(walk.current())
     rows = []
     for j, n in enumerate(grid):
         col = dists[:, j]
@@ -333,10 +350,11 @@ def bounded_projection_experiment(
 
     Each cell fixes a start p and a coset translate h; the estimated quantity
     is P[d_{h<root>}(p, w_n) <= bound] for every n in the grid, re-using one
-    ensemble per cell via checkpoints.
+    ensemble per cell via checkpoints.  One AxisTracker per cell follows each
+    walk's letter stream, and a checkpoint reads the nearest coset positions
+    of its line key; the distance is the max - min of those positions and
+    p's own, so a tie reads its two points' gap.
     """
-    import numpy as np
-
     seed = config.require_seed()
     if not 0 <= bound < math.inf:
         raise ExperimentError(f"bound must be a finite number >= 0, got {bound}")
@@ -346,19 +364,22 @@ def bounded_projection_experiment(
     if cells is None:
         cells = default_projection_cells(config)
     ns = tuple(sorted(n_list if n_list is not None else (10, 25, 50, 100, 200)))
+    if ns and ns[0] < 0:
+        raise ExperimentError(f"checkpoints must be >= 0, got {ns[0]}")
+    horizon, width = max(ns, default=0), kernel.step_table.shape[1]
     table: dict = {}
     for ci, (p, h) in enumerate(cells):
-        cell_axis = axis.translate(h)
-        base = line_positions(cell_axis, p)[0]
-        hits = np.zeros(len(ns), dtype=np.int64)
-        for walk in ensemble(kernel, p, seed + 1000 * ci, range(config.samples), max(ns, default=0)):
-            prev = 0
+        tracker = AxisTracker(axis.translate(h), p)
+        near = {}  # line key -> whether the positions there lie within `bound` of p's
+        hits = [0] * len(ns)
+        for walk in ensemble(kernel, p, seed + 1000 * ci, range(config.samples), horizon):
+            keys = tracker.keys(walk.letters(horizon))
             for j, n in enumerate(ns):
-                walk.steps(n - prev)
-                prev = n
-                pos = line_positions(cell_axis, walk.state())[0] + base
-                if max(pos) - min(pos) <= bound:
-                    hits[j] += 1
+                key = keys[n * width - 1] if n else tracker.foot
+                if key not in near:
+                    pos = nearest_positions(key, tracker.phase, tracker.q) + tracker.base
+                    near[key] = max(pos) - min(pos) <= bound
+                hits[j] += near[key]
         for j, n in enumerate(ns):
             table[(ci, n)] = hits[j] / config.samples
     min_prob = min(table.values())
@@ -432,9 +453,10 @@ def tail_experiment(
 
     Both curves are computed on the same trajectory ensemble, so the
     containment g >= f holds exactly sample-by-sample.  Each sample's
-    increments go once through each coset's AxisTracker, whose spreads sum
-    to the distance sum after every step; the counts come from the samples'
-    running maxima and final sums after the loop.  The reported C' is
+    letter stream goes once through each coset's AxisTracker, whose keys,
+    read every J letters through the spread memo, sum to the distance sum
+    after every step; the counts come from the samples' running maxima and
+    final sums after the loop.  The reported C' is
     the larger of the least-squares decay fit of g and the minimal constant
     making the 2 exp(-t/C') envelope hold at every cell with enough
     successes.  A coset search that `enumerate_cosets` cannot certify is
@@ -454,9 +476,10 @@ def tail_experiment(
     t_max = 3 * n // 4
     trackers = [AxisTracker(e.axis, p) for e in record.entries]
     maxima, finals = [], []
+    width = kernel.step_table.shape[1]
     for walk in ensemble(kernel, p, seed, range(config.samples), n):
-        steps = walk.increments(n)
-        rows = [tr.spreads(steps) for tr in trackers] or [[0]]
+        letters = walk.letters(n)
+        rows = [tr.spreads(letters, width) for tr in trackers] or [[0]]
         # the threshold-coset distance sum after each step
         sums = rows[0] if len(rows) == 1 else list(map(sum, zip(*rows)))
         maxima.append(max(sums))

@@ -370,11 +370,11 @@ def fiber_parallelism_check(
         hs.append((r, hausdorff(fx, fy)))
 
     def fiber_diam(p: Word) -> int:
-        # one BFS row per fibre point: a fibre in one coset of U is a clique
-        # only once the ball has coned U
-        pts = [v for v in fiber_fn(p, max(sweep)) if v in factored]
-        rows = [factored.distances_from(u) for u in pts]
-        return max((row[v] for row in rows for v in pts), default=0)
+        # one BFS row of vertex ids per fibre point: a fibre in one coset of
+        # U is a clique only once the ball has coned U
+        ids = [factored._id(v) for v in fiber_fn(p, max(sweep)) if v in factored]
+        rows = [factored._bfs(i)[0] for i in ids]
+        return max((row[j] for row in rows for j in ids), default=0)
 
     dx, dy = fiber_diam(x), fiber_diam(y)
     values = [h for _, h in hs]

@@ -312,10 +312,19 @@ def nearest_positions(t_star: int, phase: int, q: int) -> tuple[int, ...]:
 
 def _line_foot(anchor: Word, direction: tuple[int, ...], x: Word) -> tuple[int, int]:
     """Position of x's nearest vertex on the line anchor * _spell(direction, t),
-    and x's distance to that vertex, on a Cayley tree."""
+    and x's distance to that vertex, on a Cayley tree: w = anchor^-1 x is
+    read against the direction cyclically, forwards, and else against its
+    reversed inverse."""
     w = (anchor.inverse() * x).letters
-    t = _lcp(w, _spell(direction, len(w))) or -_lcp(w, _spell(direction, -len(w)))
-    return t, len(w) - abs(t)
+    n, q = len(w), len(direction)
+    t = 0
+    while t < n and w[t] == direction[t % q]:
+        t += 1
+    if not t:
+        while t < n and w[t] == -direction[-1 - t % q]:
+            t += 1
+        t = -t
+    return t, n - abs(t)
 
 
 def line_positions(axis: Axis, x: Word) -> tuple[tuple[int, ...], int]:

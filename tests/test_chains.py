@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import numpy as np
@@ -94,13 +94,19 @@ def test_distinct_indices_decouple(f2k, walk):
 # --- walk ensembles ----------------------------------------------------------------
 
 
+def stream(kernel, seed: int, index: int, horizon: int) -> list[int]:
+    """The letter row of a free-group walk: the padded step table read at
+    the picks of the trajectory's own stream."""
+    return kernel.step_table[_pick(kernel.cdf, trajectory_rng(seed, index).random(horizon))].ravel().tolist()
+
+
 @pytest.mark.parametrize("seed", [0, 2**63 - 1 + 1000 * 34, 2**64 - 1])
 def test_ensemble_walks_draw_each_trajectorys_own_stream(f2k, walk, seed):
     indices = [0, 1, 2**64 - 1]
     for horizon in (1, 3, 4, 5, 200):
         walks = list(ensemble(walk, f2k.identity(), seed, indices, horizon))
         for i, got in zip(indices, walks):
-            assert got.picks == _pick(walk.cdf, trajectory_rng(seed, i).random(horizon)).tolist()
+            assert got.row == stream(walk, seed, i, horizon)
 
 
 def test_walks_refuse_steps_past_their_horizon(f2k, walk):
@@ -112,7 +118,12 @@ def test_walks_refuse_steps_past_their_horizon(f2k, walk):
             stepped.steps(3)
         handed = next(ensemble(kernel, start, 4, (0,), 5))
         with pytest.raises(ChainError, match="horizon"):
-            handed.increments(6)
+            handed.path(6)
+    streamed = next(ensemble(walk, f2k.identity(), 4, (0,), 5))
+    with pytest.raises(ChainError, match="horizon"):
+        streamed.letters(6)
+    with pytest.raises(ChainError, match="free-group"):
+        next(ensemble(srw(z2), z2.identity(), 4, (0,), 5)).letters(1)
     with pytest.raises(ChainError):
         list(ensemble(walk, f2k.identity(), 1, [2**64], 3))
 
@@ -135,7 +146,7 @@ def test_ensemble_blocks_keep_every_stream(monkeypatch, f2k, walk):
         walks = list(ensemble(walk, f2k.identity(), 11, indices, horizon))
         assert len(walks) == len(indices)
         for i, got in zip(indices, walks):
-            assert got.picks == _pick(walk.cdf, trajectory_rng(11, i).random(horizon)).tolist()
+            assert got.row == stream(walk, 11, i, horizon)
     # an ensemble of many blocks still makes one Philox
     test_one_philox_per_ensemble(monkeypatch, f2k, walk)
 
@@ -195,6 +206,61 @@ def test_invariant_kernel_rejects_repeated_jumps(f2k):
     half = Fraction(1, 2)
     with pytest.raises(ChainError):
         Kernel(f2k, ((w(f2k, "a"), half), (w(f2k, "a"), half)))
+
+
+_letter = st.integers(-3, 3).filter(bool)
+
+
+@given(
+    st.sampled_from(["F2", "F3"]),
+    st.sampled_from(["srw", "lazy:1/3", "jumps"]),
+    st.lists(st.lists(_letter, min_size=2, max_size=3), min_size=1, max_size=3),
+    st.lists(_letter, min_size=1, max_size=4),
+    st.lists(st.integers(0, 12), min_size=1, max_size=4),
+    st.integers(0, 8),
+    st.booleans(),
+    st.integers(0, 2**32),
+)
+@settings(max_examples=80, deadline=None)
+def test_stream_walks_match_word_products(desc, spec, jumps_raw, start_raw, splits, rest, pushed, seed):
+    """A walk stepped through its letter stream to random checkpoints, then
+    read to its horizon by `path`, against the word-product fold of the jump
+    words at the trajectory's own picks."""
+    model = model_from_descriptor(desc)
+
+    def word(raw):  # onto the model's letters
+        fit = [((abs(x) - 1) % model.rank + 1) * (1 if x > 0 else -1) for x in raw]
+        return Word(model, model.normalize(tuple(fit)))
+
+    start = word(start_raw)
+    assume(not start.is_identity())
+    if spec == "jumps":
+        # jumps of 2 and 3 letters with their inverses, and the identity
+        jumps = {s for raw in jumps_raw if len(s := word(raw)) in (2, 3)}
+        assume(jumps)
+        jumps |= {s.inverse() for s in jumps} | {model.identity()}
+        kernel = make_invariant(model, {s: Fraction(1, len(jumps)) for s in jumps})
+    else:
+        kernel = resolve_kernel(model, spec)
+    if pushed:
+        kernel = push_forward(kernel, LeftTranslation(model, word([1, 2])))
+    f = kernel.qi
+    horizon = sum(splits) + rest
+    walk = next(ensemble(kernel, start, seed, (0,), horizon))
+    words = [s for s, _ in kernel.measure]
+    picks = iter(_pick(kernel.cdf, trajectory_rng(seed, 0).random(horizon)).tolist())
+    cur = start if f is None else f.inverse()(start)
+    for split in splits:
+        walk.steps(split)
+        for _ in range(split):
+            cur = cur * words[next(picks)]
+        assert walk.state() == (cur if f is None else f(cur))
+        assert walk.current() == walk.state().letters
+    path = [cur.letters]
+    for k in picks:
+        cur = cur * words[k]
+        path.append(cur.letters)
+    assert list(walk.path(rest)) == path
 
 
 # --- push-forwards -----------------------------------------------------------

@@ -8,8 +8,19 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import ggtlab
-from ggtlab import chains
-from ggtlab.chains import HORIZON_CAP, ChainError, ensemble, make_invariant, simulate, srw, trajectory_rng
+from ggtlab import chains, experiments
+from ggtlab.chains import (
+    HORIZON_CAP,
+    ChainError,
+    LeftTranslation,
+    _pick,
+    ensemble,
+    make_invariant,
+    push_forward,
+    simulate,
+    srw,
+    trajectory_rng,
+)
 from ggtlab.experiments import (
     AxisTracker,
     BoundedProjectionResult,
@@ -26,7 +37,14 @@ from ggtlab.experiments import (
     tail_experiment,
 )
 from ggtlab.groups import Word, model_from_descriptor
-from ggtlab.projections import CertificationError, axis_of, coset_distance, project_to_set
+from ggtlab.projections import (
+    CertificationError,
+    axis_of,
+    coset_distance,
+    line_positions,
+    nearest_positions,
+    project_to_set,
+)
 from ggtlab.spaces import top_level_orbit
 
 from conftest import w
@@ -86,13 +104,13 @@ def tail_distance(orbit, axis, p, x) -> int:
 
 def assert_tracked(orbit, kernel, axes, p, seed, n, distance=tail_distance):
     """Drive one tracker per axis as `tail_experiment` does, over one walk's
-    increments, and check every step's spread against `distance`."""
-    model = kernel.model
-    steps = next(ensemble(kernel, p, seed, (0,), n)).increments(n)
-    rows = [AxisTracker(ax, p).spreads(steps) for ax in axes]
+    letter stream, and check every step's spread against `distance`."""
+    model, width = kernel.model, kernel.step_table.shape[1]
+    letters = next(ensemble(kernel, p, seed, (0,), n)).letters(n)
+    rows = [AxisTracker(ax, p).spreads(letters, width) for ax in axes]
     cur = p
-    for j, inc in enumerate(steps):
-        cur = cur * Word(model, inc)
+    for j in range(n):
+        cur = cur * Word(model, tuple(filter(None, letters[j * width : (j + 1) * width])))
         assert [row[j] for row in rows] == [distance(orbit, ax, p, cur) for ax in axes]
 
 
@@ -100,7 +118,7 @@ def test_tracker_matches_projection_distance(f2, f2_orbit):
     p = w(f2, "a b")
     lazy = srw(f2, Fraction(1, 3))
     # the first step of seed 0 under the lazy walk is a stay
-    assert next(ensemble(lazy, p, 0, (0,), 1)).increments(1) == [()]
+    assert next(ensemble(lazy, p, 0, (0,), 1)).letters(1) == [0]
     for kernel in (srw(f2), lazy):
         for root, shift, seed in [("a", "b", 3), ("a b", "b^2 a", 8), ("a b", "e", 0)]:
             ax = axis_of(w(f2, root)).translate(w(f2, shift))
@@ -144,6 +162,81 @@ def test_trackers_match_projection_distances(desc, spec, jumps_raw, axes_raw, p_
     assume(all(not r.is_identity() for r, _ in roots))
     axes = [axis_of(r).translate(h) for r, h in roots]
     assert_tracked(orbit, kernel, axes, word(p_raw), seed, 40)
+
+
+def test_tracker_keys_give_line_positions(f2):
+    """The nearest coset positions of a tracker's keys, at every step of
+    walks by the shipped kernels and by jumps of two letters, against
+    `line_positions` of the state, ties included."""
+    pairs = make_invariant(f2, {w(f2, s): Fraction(1, 5) for s in ("a b", "b^-1 a^-1", "a^2", "a^-2", "e")})
+    ties = 0
+    for root, shift, p in [("a^2 b^2", "e", "a"), ("a^2 b^2", "b a", "a b"), ("a b", "b^2", "e"), ("a", "b", "a b")]:
+        cell_axis = axis_of(w(f2, root)).translate(w(f2, shift))
+        start = w(f2, p)
+        tracker = AxisTracker(cell_axis, start)
+        assert nearest_positions(tracker.foot, tracker.phase, tracker.q) == line_positions(cell_axis, start)[0]
+        for kernel in (srw(f2), srw(f2, Fraction(1, 3)), pairs):
+            width = kernel.step_table.shape[1]
+            for seed in range(3):
+                letters = next(ensemble(kernel, start, seed, (0,), 60)).letters(60)
+                keys = tracker.keys(letters)
+                cur = start
+                for n in range(1, 61):
+                    cur = cur * Word(f2, tuple(filter(None, letters[(n - 1) * width : n * width])))
+                    pos = line_positions(cell_axis, cur)[0]
+                    assert nearest_positions(keys[n * width - 1], tracker.phase, tracker.q) == pos
+                    ties += len(pos) == 2
+    assert ties
+
+
+def test_progress_reads_the_pushed_displacement(monkeypatch, f2):
+    """Under a push-forward through a left translation, progress reads
+    |f(w_n)|, not the length of the walk's own word."""
+    f = LeftTranslation(f2, w(f2, "a b"))
+    kernel = push_forward(srw(f2), f)
+    monkeypatch.setattr(experiments, "resolve_kernel", lambda model, spec: kernel)
+    cfg = ExperimentConfig(samples=12, seed=4, n_grid=(3, 10))
+    words = [s for s, _ in kernel.measure]
+    pushed, unmapped = [], []
+    for i in range(cfg.samples):
+        cur, row = f.inverse()(f2.identity()), []
+        for n, k in enumerate(_pick(kernel.cdf, trajectory_rng(4, i).random(10)).tolist(), 1):
+            cur = cur * words[k]
+            if n in cfg.n_grid:
+                row.append(cur)
+        pushed.append([len(f(x)) for x in row])
+        unmapped.append([len(x) for x in row])
+
+    def drifts(dists):
+        return tuple((n, float(np.array(dists)[:, j].mean()) / n) for j, n in enumerate(cfg.n_grid))
+
+    assert linear_progress_experiment(cfg).drifts == drifts(pushed) != drifts(unmapped)
+
+
+def test_walk_experiments_build_no_words_per_sample_or_step(monkeypatch, f2):
+    cells = [(w(f2, "a b"), w(f2, "b a^2"))]
+    built = []
+    real = Word.__init__
+
+    def counted(self, model, letters):
+        built.append(1)
+        real(self, model, letters)
+
+    monkeypatch.setattr(Word, "__init__", counted)
+
+    def words(run) -> int:
+        built.clear()
+        run()
+        return len(built)
+
+    for kernel in ("srw", "lazy:1/2"):
+        progress, bounded = set(), set()
+        for samples in (16, 32):
+            for n in (200, 400):
+                cfg = ExperimentConfig(kernel=kernel, samples=samples, seed=3, n_grid=(50, n))
+                progress.add(words(lambda: linear_progress_experiment(cfg)))
+                bounded.add(words(lambda: bounded_projection_experiment(cfg, cells=cells, n_list=(50, n))))
+        assert len(progress) == len(bounded) == 1
 
 
 # --- drift oracle ----------------------------------------------------------------
@@ -345,9 +438,9 @@ def test_golden_tail_tables(f2):
 def test_tracker_spreads_leave_the_tracker_at_its_start(f2):
     ax = axis_of(w(f2, "a"))
     tracker = AxisTracker(ax, w(f2, "a"))
-    steps = [(1,), (), (1,), (-2,), (2,)]
-    first = tracker.spreads(steps)
-    assert tracker.spreads(steps) == first
+    letters = [1, 0, 1, -2, 2]
+    first = tracker.spreads(letters, 1)
+    assert tracker.spreads(letters, 1) == first
     fresh = AxisTracker(ax, w(f2, "a"))
     assert (tracker.stack, tracker.fwd, tracker.bwd) == (fresh.stack, fresh.fwd, fresh.bwd)
     # a^3 b^-1 leaves the line at a^3 and projects there, as a^3 does
