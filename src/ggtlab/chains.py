@@ -382,7 +382,9 @@ def _pick(cdf: np.ndarray, us):
     return np.minimum(np.searchsorted(cdf, us, side="right"), len(cdf) - 1)
 
 
-HORIZON_CAP = 10**7  # most steps a walk may be told; its uniforms take 8 bytes a step, its letters 8 bytes each
+# most entries a walk's row may hold: horizon * J letters on a free group, one
+# measure index a step elsewhere; each takes 8 bytes in the drawn block and 8 in the row
+HORIZON_CAP = 10**7
 
 _BLOCK_DRAWS = 2**16  # uniforms, or free-group letters, in one ensemble block, unless one walk's row is longer
 
@@ -493,15 +495,16 @@ def ensemble(kernel: Kernel, start: Word, seed: int, indices: Iterable[int], hor
     so memory stays at one block however many walks there are.  On a free
     group the block's picks are read through the kernel's `step_table` by
     one fancy index, so each walk gets a flat row of horizon * J letters
-    (and a block holds about `_BLOCK_DRAWS` letters).  A horizon above
-    HORIZON_CAP is refused before anything is drawn.
+    (and a block holds about `_BLOCK_DRAWS` letters).  A row may hold at
+    most HORIZON_CAP letters, so a horizon above HORIZON_CAP // J is refused
+    before anything is drawn (J is 1 off free groups).
     """
     import numpy as np
 
-    if not 0 <= horizon <= HORIZON_CAP:
-        raise ChainError(f"horizon must lie in [0, {HORIZON_CAP}], got {horizon}")
     table = kernel.step_table if isinstance(kernel.model, FreeGroup) else None
     width = 1 if table is None else table.shape[1]
+    if not 0 <= horizon <= HORIZON_CAP // width:
+        raise ChainError(f"horizon must lie in [0, {HORIZON_CAP // width}], got {horizon}")
     rng = trajectory_rng(seed)
     fresh = rng.bit_generator.state
     rows = max(1, _BLOCK_DRAWS // max(horizon * width, 1))
@@ -519,13 +522,16 @@ def ensemble(kernel: Kernel, start: Word, seed: int, indices: Iterable[int], hor
             yield Walk(kernel, start, row)
 
 
-def simulate(kernel: Kernel, start: Word, n: int, seed: int, index: int = 0) -> Trajectory:
-    """One trajectory with every state, kept as letters: the walk's `path`
-    from f^-1(start), each state mapped by `f.map` as `Walk.state` maps it;
-    no `Word` is built."""
-    path = next(ensemble(kernel, start, seed, (index,), n)).path(n)
+def simulate(kernel: Kernel, start: Word, n: int, seed: int, indices: Sequence[int] = (0,)) -> list[Trajectory]:
+    """Trajectories `indices` of one seed, drawn from one `ensemble`, with
+    every state kept as letters: each walk's `path` from f^-1(start), each
+    state mapped by `f.map` as `Walk.state` maps it; no `Word` is built."""
     f = kernel.qi
-    return Trajectory(seed, index, start, tuple(path if f is None else map(f.map, path)))
+    trajectories = []
+    for index, walk in zip(indices, ensemble(kernel, start, seed, indices, n)):
+        path = walk.path(n)
+        trajectories.append(Trajectory(seed, index, start, tuple(path if f is None else map(f.map, path))))
+    return trajectories
 
 
 # ---------------------------------------------------------------------------

@@ -152,8 +152,8 @@ def check_chain_invariance() -> tuple[bool, str]:
     f2, _ = _setup()
     kernel = srw(f2)
     g = parse_word(f2, "b a")
-    t1 = simulate(kernel, f2.identity(), 10, seed=7)
-    t2 = simulate(kernel, g, 10, seed=7)
+    [t1] = simulate(kernel, f2.identity(), 10, seed=7)
+    [t2] = simulate(kernel, g, 10, seed=7)
     ok = tuple(g * s for s in t1.states) == t2.states
     return ok, "translated starts give translated sample paths"
 

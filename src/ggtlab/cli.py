@@ -16,6 +16,19 @@ but has no effect.  project and pivot use the axis of an element
 names <a>.  Exit codes: 0 success, 1 validation error, 2 certification
 failure, 3 property-suite failure.
 
+Parsing reads argv straight off the command table `_COMMANDS`, one pass per
+call.  A flag is matched by its full name only (a prefix such as ``--g`` for
+``--gap`` is an unrecognized argument) and takes its value as ``--flag value``
+or ``--flag=value``; the last repeat wins, and ``--cone`` appends.  A token
+starting with ``--`` is never a value, but ``--seed -1`` hands -1 on to the
+seed check.  An absent flag reads its table default, under the flag's name
+without ``--`` and with ``-`` turned into ``_``.  Every usage error (unknown
+or missing flag, missing or ill-typed value, bad choice, stray token, unknown
+command) is one ``error: validation:`` line with exit 1, as is a --config
+that cannot be read or an --out that cannot be written.  ``-h``/``--help``
+prints the table's help on stdout, and ``--version`` the version before a
+command only; both exit 0.
+
 Import rule: a CLI process is mostly start-up, so this module loads only
 `groups`, `projections` and `spaces`, which the tree commands share.  Each
 handler imports what it needs of `chains`, `experiments`, `boundary`, `hhs`,
@@ -25,10 +38,10 @@ function that draws or fits (see `chains`).
 
 from __future__ import annotations
 
-import argparse
 import math
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 from . import __version__
 from .groups import FreeGroup, FreeProduct, GroupError, ball, geodesic, model_from_descriptor, parse_word
@@ -59,10 +72,12 @@ EXIT_PROPERTY = 3
 
 def _emit(args, name: str, text: str) -> None:
     if args.out:
-        outdir = Path(args.out)
-        outdir.mkdir(parents=True, exist_ok=True)
-        path = outdir / name
-        path.write_text(text)
+        path = Path(args.out) / name
+        try:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(text)
+        except OSError as exc:
+            raise ValueError(f"cannot write --out {args.out}: {exc.strerror or exc}") from None
         print(f"wrote {path}")
     else:
         sys.stdout.write(text)
@@ -91,9 +106,13 @@ def _load_config(args) -> ExperimentConfig:
         overrides["c_grid"] = tuple(float(x) for x in args.C.split(","))
     if getattr(args, "T", None) is not None:
         overrides["threshold"] = args.T
-    if args.config:
-        return parse_config(Path(args.config).read_text(), **overrides)
-    return parse_config("", **overrides)
+    if not args.config:
+        return parse_config("", **overrides)
+    try:
+        text = Path(args.config).read_text()
+    except OSError as exc:
+        raise ValueError(f"cannot read --config {args.config}: {exc.strerror or exc}") from None
+    return parse_config(text, **overrides)
 
 
 # --- subcommand handlers -----------------------------------------------------
@@ -182,10 +201,7 @@ def cmd_simulate(args) -> int:
     model = model_from_descriptor(cfg.model)
     kernel = resolve_kernel(model, cfg.kernel)
     start = parse_word(model, args.start)
-    lines = []
-    for i in range(args.count):
-        traj = simulate(kernel, start, args.steps, seed, index=i)
-        lines.append(traj.to_json())
+    lines = [traj.to_json() for traj in simulate(kernel, start, args.steps, seed, range(args.count))]
     _emit(args, "trajectories.jsonl", "\n".join(lines) + "\n")
     print(f"{args.count} trajectorie(s) of {args.steps} step(s), seed {seed}")
     return EXIT_OK
@@ -465,50 +481,110 @@ _COMMANDS = {
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The CLI parser; given a subcommand name, only that subcommand's parser.
+_SEEDED = (
+    ("--config", {"help": "plain-text key=value config file"}),
+    ("--seed", {"type": int, "default": None, "help": "mandatory for stochastic runs"}),
+)
+_HELP = ("-h", "--help")
 
-    Building one subparser instead of all of them saves most of the parser's
-    construction time.  The reduced parser spells the full command list in
-    its usage line, so its usage text and error messages match the full one.
-    Flags must be spelled in full: a prefix such as ``--g`` for ``--gap`` is
-    an unrecognized argument, not a silent abbreviation.
-    """
-    parser = argparse.ArgumentParser(
-        prog="ggtlab",
-        description="Exact group metrics, tree projections, coset sums and seeded chain experiments",
-        allow_abbrev=False,
-    )
-    parser.add_argument("--version", action="version", version=f"ggtlab {__version__}")
-    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name, (fn, help_text, stochastic, arguments) in _COMMANDS.items():
-        if command is not None and name != command:
+
+def _flags(command: str) -> dict[str, dict]:
+    """The flags of a command and their specs, in table order."""
+    _, _, stochastic, arguments = _COMMANDS[command]
+    return dict((_SEEDED if stochastic else ()) + arguments)
+
+
+def _dest(flag: str) -> str:
+    return flag[2:].replace("-", "_")
+
+
+def _help(command: str | None) -> str:
+    if command is None:
+        width = max(map(len, _COMMANDS))
+        return "\n".join([
+            "usage: ggtlab [-h] [--version] COMMAND [--flag value ...]",
+            "exact group metrics, tree projections, coset sums and seeded chain experiments",
+            *(f"  {name:<{width}}  {entry[1]}" for name, entry in _COMMANDS.items()),
+        ])
+    flags = _flags(command)
+    shown = {
+        flag: f"{flag} " + ("{" + ",".join(spec["choices"]) + "}" if "choices" in spec else _dest(flag).upper())
+        for flag, spec in flags.items()
+    }
+    usage = (text if flags[flag].get("required") else f"[{text}]" for flag, text in shown.items())
+    width = max(map(len, shown.values()), default=0)
+    lines = [" ".join(["usage: ggtlab", command, "[-h]", *usage]), _COMMANDS[command][1]]
+    for flag, spec in flags.items():
+        notes = [spec.get("help", "")]
+        if spec.get("required"):
+            notes.append("(required)")
+        elif spec.get("default") is not None:
+            notes.append(f"(default: {spec['default']})")
+        lines.append(f"  {shown[flag]:<{width}}  {' '.join(filter(None, notes))}".rstrip())
+    return "\n".join(lines)
+
+
+def _parse(argv: list[str]):
+    """The handler of argv's command and its flag values, or None once help
+    or the version is printed; a usage error raises ValueError."""
+    if not argv:
+        raise ValueError("the following arguments are required: command")
+    command, *rest = argv
+    if command in _HELP:
+        print(_help(None))
+        return None
+    if command == "--version":
+        print(f"ggtlab {__version__}")
+        return None
+    if command not in _COMMANDS:
+        raise ValueError(f"argument command: invalid choice: {command!r} (choose from {', '.join(_COMMANDS)})")
+    flags = _flags(command)
+    values = {_dest(flag): spec.get("default") for flag, spec in flags.items()}
+    given, stray = set(), []
+    tokens = iter(rest)
+    for token in tokens:
+        if token in _HELP:
+            print(_help(command))
+            return None
+        flag, explicit, value = token.partition("=")
+        spec = flags.get(flag)
+        if spec is None:
+            stray.append(token)
             continue
-        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
-        if stochastic:
-            p.add_argument("--config", help="plain-text key=value config file")
-            p.add_argument("--seed", type=int, default=None, help="mandatory for stochastic runs")
-        for flag, kwargs in arguments:
-            p.add_argument(flag, **kwargs)
-        p.set_defaults(fn=fn)
-    return parser
+        if not explicit:
+            value = next(tokens, None)
+            if value is None or value.startswith("--"):
+                raise ValueError(f"argument {flag}: expected one argument")
+        if "type" in spec:
+            try:
+                value = spec["type"](value)
+            except ValueError:
+                raise ValueError(f"argument {flag}: invalid {spec['type'].__name__} value: {value!r}") from None
+        if "choices" in spec and value not in spec["choices"]:
+            raise ValueError(f"argument {flag}: invalid choice: {value!r} (choose from {', '.join(spec['choices'])})")
+        dest = _dest(flag)
+        values[dest] = [*(values[dest] or ()), value] if spec.get("action") == "append" else value
+        given.add(flag)
+    missing = [flag for flag, spec in flags.items() if spec.get("required") and flag not in given]
+    if missing:
+        raise ValueError(f"the following arguments are required: {', '.join(missing)}")
+    if stray:
+        raise ValueError(f"unrecognized arguments: {' '.join(stray)}")
+    return _COMMANDS[command][0], SimpleNamespace(**values)
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 2 on usage errors; unknown flags are validation errors
-        return EXIT_OK if exc.code == 0 else EXIT_VALIDATION
-    try:
-        return args.fn(args)
+        parsed = _parse(argv)
+        if parsed is None:
+            return EXIT_OK
+        handler, args = parsed
+        return handler(args)
     except CertificationError as exc:
         print(f"error: certification: {exc}", file=sys.stderr)
         return EXIT_CERTIFICATION
-    except ValueError as exc:  # every validation error of the package is one
+    except ValueError as exc:  # every validation error of the package is one, usage errors too
         print(f"error: validation: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

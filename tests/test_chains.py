@@ -59,13 +59,13 @@ def walk(f2k):
 
 
 def test_zero_steps(f2k, walk):
-    t = simulate(walk, f2k.identity(), 0, seed=1)
+    [t] = simulate(walk, f2k.identity(), 0, seed=1)
     assert t.states == (f2k.identity(),)
 
 
 def test_reproducible_and_parity(f2k, walk):
-    t1 = simulate(walk, f2k.identity(), 3, seed=42)
-    t2 = simulate(walk, f2k.identity(), 3, seed=42)
+    [t1] = simulate(walk, f2k.identity(), 3, seed=42)
+    [t2] = simulate(walk, f2k.identity(), 3, seed=42)
     assert t1.states == t2.states
     assert len(t1.states[-1]) in (1, 3)
     assert validates(t1, walk)
@@ -73,20 +73,20 @@ def test_reproducible_and_parity(f2k, walk):
 
 def test_translation_invariance_of_paths(f2k, walk):
     g = w(f2k, "b a^2")
-    t1 = simulate(walk, f2k.identity(), 12, seed=7)
-    t2 = simulate(walk, g, 12, seed=7)
+    [t1] = simulate(walk, f2k.identity(), 12, seed=7)
+    [t2] = simulate(walk, g, 12, seed=7)
     assert tuple(g * s for s in t1.states) == t2.states
 
 
 def test_bounded_jumps(f2k, walk):
-    t = simulate(walk, f2k.identity(), 40, seed=3)
+    [t] = simulate(walk, f2k.identity(), 40, seed=3)
     for a, b in zip(t.states, t.states[1:]):
         assert word_distance(f2k, a, b) == 1
 
 
 def test_distinct_indices_decouple(f2k, walk):
-    t1 = simulate(walk, f2k.identity(), 10, seed=5, index=0)
-    t2 = simulate(walk, f2k.identity(), 10, seed=5, index=1)
+    [t1] = simulate(walk, f2k.identity(), 10, seed=5, indices=(0,))
+    [t2] = simulate(walk, f2k.identity(), 10, seed=5, indices=(1,))
     assert t1.states != t2.states
 
 
@@ -136,6 +136,23 @@ def test_ensemble_refuses_a_horizon_past_the_cap_before_drawing(monkeypatch, f2k
     for horizon in (-1, chains.HORIZON_CAP + 1):
         with pytest.raises(ChainError, match="horizon"):
             next(ensemble(walk, f2k.identity(), 1, range(3), horizon))
+
+
+def test_horizon_cap_bounds_a_rows_letters(monkeypatch, f2k, walk):
+    # a row holds horizon * J letters: with 3-letter jumps the cap allows a third of the steps
+    quarter = Fraction(1, 4)
+    long_jumps = make_invariant(f2k, {w(f2k, s): quarter for s in ("a b a", "a^-1 b^-1 a^-1", "b", "b^-1")})
+    assert (walk.step_table.shape[1], long_jumps.step_table.shape[1]) == (1, 3)
+    monkeypatch.setattr(chains, "HORIZON_CAP", 30)
+    assert len(next(ensemble(walk, f2k.identity(), 1, (0,), 11)).row) == 11
+    assert len(next(ensemble(long_jumps, f2k.identity(), 1, (0,), 10)).row) == 30
+
+    def fail(*args, **kwargs):
+        raise AssertionError("a generator was made for a refused horizon")
+
+    monkeypatch.setattr(chains, "trajectory_rng", fail)
+    with pytest.raises(ChainError, match=r"horizon must lie in \[0, 10\], got 11"):
+        next(ensemble(long_jumps, f2k.identity(), 1, (0,), 11))
 
 
 def test_ensemble_blocks_keep_every_stream(monkeypatch, f2k, walk):
@@ -315,8 +332,8 @@ def test_push_forward_walks_by_conjugation(f2k, stay):
     for start in ("e", "a b^-1", "b^2 a", "a^-1 b"):
         s = w(f2k, start)
         for seed, index in [(1, 0), (7, 3), (2024, 1)]:
-            t = simulate(pushed, s, 40, seed, index)
-            ref = simulate(base, phi.inverse().apply(s), 40, seed, index)
+            [t] = simulate(pushed, s, 40, seed, (index,))
+            [ref] = simulate(base, phi.inverse().apply(s), 40, seed, (index,))
             assert t.states == tuple(map(phi, ref.states))
             assert t.states == law_path(pushed, s, 40, seed, index)
 
@@ -600,7 +617,7 @@ def test_engines_step_without_rebuilding_a_law(f2k, name, monkeypatch):
         raise AssertionError("an engine rebuilt a law")
 
     monkeypatch.setattr(Kernel, "law", refuse)
-    assert simulate(kernel, start, 30, seed=3, index=1).states == path
+    assert simulate(kernel, start, 30, seed=3, indices=(1,))[0].states == path
     law = ExactLaw(kernel, start)
     for _ in range(4):
         law.step()
@@ -627,7 +644,7 @@ def test_trajectory_json_spells_every_state(desc, name, start):
         kernel = srw(model, stay=Fraction(1, 2) if name == "lazy" else Fraction(0))
     else:
         kernel = kernel_family(model, name)
-    traj = simulate(kernel, w(model, start), 80, seed=11, index=2)
+    [traj] = simulate(kernel, w(model, start), 80, seed=11, indices=(2,))
     row = json.loads(traj.to_json())
     assert row["states"] == [str(u) for u in traj.states]
     assert (row["start"], row["n"], len(traj.states)) == (start, 80, 81)

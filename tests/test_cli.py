@@ -2,9 +2,9 @@
 
 import pytest
 
-from ggtlab import __version__, groups
+from ggtlab import __version__, cli, groups
 from ggtlab.chains import HORIZON_CAP
-from ggtlab.cli import build_parser, main
+from ggtlab.cli import main
 
 COMMANDS = (
     "ball", "project", "htsum", "order", "pivot", "simulate", "progress", "bounded-proj",
@@ -407,10 +407,14 @@ def test_balls_past_the_vertex_budget_refused(monkeypatch, tmp_path, capsys, arg
 
 @pytest.mark.parametrize("command", COMMANDS)
 def test_config_and_out_only_where_read(capsys, command):
-    code, out, _ = run(capsys, command, "--help")
-    assert code == 0
+    code, out, err = run(capsys, command, "--help")
+    assert code == 0 and err == ""
     assert ("--config" in out) == (command in STOCHASTIC)
     assert ("--out" in out) == (command in WRITERS)
+    # each flag of the command's table entry has its own line
+    lines = out.splitlines()
+    for flag, _ in _table_flags(command):
+        assert sum(line.split()[0] == flag for line in lines[2:]) == 1, flag
 
 
 def test_space_defaults_to_the_top_level_tree(capsys):
@@ -574,51 +578,110 @@ def test_golden_pushed_progress(capsys, seed, pin):
     assert hashlib.sha256(out.encode()).hexdigest() == pin
 
 
-def full_parser_run(capsys, argv):
-    """Exit code and texts of the parser holding every subcommand, for argv
-    that stop in the parser (help, version, usage errors)."""
-    with pytest.raises(SystemExit) as exc:
-        build_parser().parse_args(argv)
-    captured = capsys.readouterr()
-    return (0 if exc.value.code == 0 else 1), captured.out, captured.err
+_CHOICES = ", ".join(COMMANDS)
+
+
+# the one validation line of each class of usage error, keyed by its argv
+_USAGE_ERRORS = {
+    "ball --radius 2 --bogus 1": "unrecognized arguments: --bogus 1",  # unknown flag
+    "tail --seed 1 --g 3": "unrecognized arguments: --g 3",  # prefix of a flag
+    "simulate --steps 5 --seed": "argument --seed: expected one argument",  # missing value
+    "simulate --steps --seed 1": "argument --steps: expected one argument",  # a flag is no value
+    "ball --radius x": "argument --radius: invalid int value: 'x'",
+    "bounded-proj --seed 1 --bound two": "argument --bound: invalid float value: 'two'",
+    "separation --model F3 --x a --y b": "argument --model: invalid choice: 'F3' (choose from F2, F2 x Z)",
+    "order --o e": "the following arguments are required: --p, --T",
+    "ball --radius 2 extra": "unrecognized arguments: extra",  # stray token
+    "bogus": f"argument command: invalid choice: 'bogus' (choose from {_CHOICES})",
+    "": "the following arguments are required: command",
+    "ball --radius 2 --version": "unrecognized arguments: --version",  # --version after a command
+}
 
 
 @pytest.mark.parametrize(
-    "argv",
-    [[cmd, "--help"] for cmd in COMMANDS]
-    + [
-        ["ball", "--radius", "x"],
-        ["ball", "--radius", "2", "extra"],
-        ["ball", "--radius", "2", "--version"],
-        ["order", "--o", "e"],
-        ["separation", "--model", "F3", "--x", "a", "--y", "b"],
-        ["tail", "--seed", "1", "--g", "3"],
-    ],
-    ids=" ".join,
+    "argv", [[cmd, "--help"] for cmd in COMMANDS] + [line.split() for line in _USAGE_ERRORS], ids=" ".join
 )
 def test_subcommand_parser_matches_full_parser(capsys, argv):
-    assert run(capsys, *argv) == full_parser_run(capsys, argv)
+    """Each argv stops in the parser, as it did under the argparse parser
+    holding every subcommand that this test once compared against: help on
+    stdout with exit 0, or exit 1 with one validation line and no stdout."""
+    code, out, err = run(capsys, *argv)
+    if argv[1:] == ["--help"]:
+        assert (code, err) == (0, "") and out.startswith(f"usage: ggtlab {argv[0]} [-h]")
+    else:
+        assert (code, out, err) == (1, "", f"error: validation: {_USAGE_ERRORS[' '.join(argv)]}\n")
 
 
 @pytest.mark.parametrize("value", ["3", "e"])
 def test_flag_prefixes_are_not_abbreviations(capsys, value):
     # a prefix of --gap once set it silently
     code, out, err = run(capsys, "tail", "--seed", "1", "--g", value)
-    assert code == 1 and out == ""
-    assert err.endswith(f"error: unrecognized arguments: --g {value}\n")
+    assert (code, out, err) == (1, "", f"error: validation: unrecognized arguments: --g {value}\n")
 
 
 def test_top_level_help_version_and_unknown_command(capsys):
     code, out, err = run(capsys, "--help")
     assert code == 0 and err == ""
     assert all(cmd in out for cmd in COMMANDS)
-    assert (code, out, err) == full_parser_run(capsys, ["--help"])
+    assert run(capsys, "-h") == (code, out, err)
     assert run(capsys, "--version") == (0, f"ggtlab {__version__}\n", "")
-    code, out, err = run(capsys, "bogus")
-    assert code == 1 and out == "" and "invalid choice: 'bogus'" in err
-    assert (code, out, err) == full_parser_run(capsys, ["bogus"])
-    code, out, err = run(capsys)
-    assert code == 1 and "required: command" in err
+    assert run(capsys, "bogus") == (1, "", f"error: validation: {_USAGE_ERRORS['bogus']}\n")
+    assert run(capsys) == (1, "", f"error: validation: {_USAGE_ERRORS['']}\n")
+
+
+def _parsed(monkeypatch, capsys, argv):
+    """The flag values that `main(argv)` hands its command's handler."""
+    handed = []
+    _, help_text, stochastic, arguments = cli._COMMANDS[argv[0]]
+    monkeypatch.setitem(cli._COMMANDS, argv[0], (lambda args: handed.append(vars(args)) or 0, help_text, stochastic, arguments))
+    assert run(capsys, *argv) == (0, "", "")
+    return handed.pop()
+
+
+def _table_flags(command):
+    _, _, stochastic, arguments = cli._COMMANDS[command]
+    return [*(cli._SEEDED if stochastic else ()), *arguments]
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_absent_flags_read_their_table_defaults(monkeypatch, capsys, command):
+    flags = _table_flags(command)
+    given = {flag: "1" if "type" in spec else "e" for flag, spec in flags if spec.get("required")}
+    got = _parsed(monkeypatch, capsys, [command, *(t for item in given.items() for t in item)])
+    assert list(got) == [flag[2:].replace("-", "_") for flag, _ in flags]
+    for flag, spec in flags:
+        value = got[flag[2:].replace("-", "_")]
+        assert value == (spec.get("type", str)(given[flag]) if flag in given else spec.get("default")), flag
+
+
+def test_flag_value_forms_repeats_and_appends(monkeypatch, capsys):
+    spaced = _parsed(monkeypatch, capsys, ["simulate", "--seed", "3", "--steps", "8", "--model", "F3"])
+    assert spaced["seed"] == 3 and spaced["steps"] == 8 and spaced["model"] == "F3"
+    assert _parsed(monkeypatch, capsys, ["simulate", "--seed=3", "--steps=8", "--model=F3"]) == spaced
+    # the last of repeated values wins; a negative seed is a value, left to the seed check
+    assert _parsed(monkeypatch, capsys, ["simulate", "--seed", "-1", "--steps", "8", "--model=F3", "--seed=3"]) == spaced
+    assert _parsed(monkeypatch, capsys, ["cone", "--radius", "2", "--cone", "a", "--cone=b a"])["cone"] == ["a", "b a"]
+    assert run(capsys, "ball", "--radius=2") == run(capsys, "ball", "--radius", "2")
+
+
+@pytest.mark.parametrize(
+    "flag, make",
+    [
+        ("--config", lambda tmp: tmp / "missing.cfg"),
+        ("--config", lambda tmp: tmp),
+        ("--out", lambda tmp: tmp / "out.txt"),
+        ("--out", lambda tmp: tmp / "out.txt" / "sub"),
+    ],
+    ids=["config-missing", "config-directory", "out-a-file", "out-under-a-file"],
+)
+def test_unreadable_config_and_unwritable_out_are_validation_errors(tmp_path, capsys, flag, make):
+    (tmp_path / "out.txt").write_text("kept\n")
+    path = str(make(tmp_path))
+    argv = ["simulate", "--seed", "1", "--steps", "3", flag, path]
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: validation: cannot ") and f" {flag} {path}: " in err and err.count("\n") == 1
+    assert (tmp_path / "out.txt").read_text() == "kept\n"
 
 
 def test_cone_output_digest(capsys):

@@ -85,7 +85,7 @@ def test_free_walk_matches_simulate(f2):
         walk = next(ensemble(kernel, start, 9, (idx,), 25))
         walk.steps(10)
         walk.steps(15)
-        traj = simulate(kernel, start, 25, seed=9, index=idx)
+        [traj] = simulate(kernel, start, 25, seed=9, indices=(idx,))
         assert walk.state() == traj.states[-1]
         # reference: one uniform per step through the ordered law, word products
         cur = start

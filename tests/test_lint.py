@@ -101,6 +101,8 @@ def test_cli_import_leaves_networkx_out():
     shared = ["ggtlab", "ggtlab.cli", "ggtlab.groups", "ggtlab.projections", "ggtlab.spaces"]
     assert _loaded_after("import ggtlab.cli") == f"{shared} False False\n"
     assert _loaded_after("import ggtlab.chains, ggtlab.experiments, ggtlab.spaces").endswith("] False False\n")
+    # the CLI parses its own argv: neither argparse nor its gettext lookups load
+    assert _fresh("import sys, ggtlab.cli; print('argparse' in sys.modules, 'gettext' in sys.modules)") == "False False\n"
 
 
 @pytest.mark.parametrize(
