@@ -20,8 +20,9 @@ only where a caller reads one.  `simulate` reads every state, so a pushed
 trajectory keeps the letters of each state, folded letter by letter on a
 free group (through the model's product elsewhere) and mapped by f, and
 `Trajectory.to_json` spells them with
-`groups.spell_letters`, which re-spells a state only past the prefix it
-shares with the one before it.
+`groups.spell_letters`, which builds each state's text from the one before
+it: a state one letter longer or shorter at its end, as every state of a
+free-group walk is, costs O(1) Python work and one run's part.
 
 numpy loads at first use: each function that draws or fits imports it
 itself, so importing this module leaves numpy out.
@@ -293,7 +294,10 @@ def make_invariant(model: GroupModel, weights: dict[Word, Fraction]) -> Kernel:
 
 
 def srw(model: GroupModel, stay: Fraction = Fraction(0)) -> Kernel:
-    """Simple random walk, uniform on generators and inverses; optional laziness."""
+    """Simple random walk, uniform on generators and inverses; optional
+    laziness, the chance of staying put, in [0, 1)."""
+    if not 0 <= stay < 1:
+        raise ChainError(f"laziness must lie in [0, 1), got {stay}")
     gens = [Word(model, s) for s in neighbours(model, ())]  # the identity's neighbours
     move = (1 - stay) / len(gens)
     weights = {s: move for s in gens}
@@ -337,7 +341,8 @@ class Trajectory:
 
     def to_json(self) -> str:
         """One JSON line; the states are spelled by `spell_letters`, which
-        re-spells only where a state leaves the one before it."""
+        builds each state's text from the one before it, spelling letters
+        again only from the last run the two share."""
         import json
 
         return json.dumps(

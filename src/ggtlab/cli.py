@@ -110,8 +110,8 @@ def _load_config(args) -> ExperimentConfig:
         return parse_config("", **overrides)
     try:
         text = Path(args.config).read_text()
-    except OSError as exc:
-        raise ValueError(f"cannot read --config {args.config}: {exc.strerror or exc}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValueError(f"cannot read --config {args.config}: {getattr(exc, 'strerror', None) or exc}") from None
     return parse_config(text, **overrides)
 
 

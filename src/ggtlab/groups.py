@@ -16,9 +16,10 @@ the standard ones so that all metric computations are exact and reproducible.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations, groupby
+from itertools import accumulate, combinations, compress, groupby
 from operator import ne, neg
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -459,35 +460,59 @@ def _spell_runs(model: GroupModel, letters: tuple[int, ...], i: int, parts: list
 
 
 def spell_letters(model: GroupModel, paths: Iterable[tuple[int, ...]]) -> list[str]:
-    """[str(Word(model, ls)) for ls in paths], with each normal form's
-    spelling reusing the parts of the one before it over a prefix the two
-    share.
+    """[str(Word(model, ls)) for ls in paths], each spelling built from the
+    one before it.
 
-    The shared prefix is found by slice compares at the shorter length and
-    then 1, 3, 7, ... letters below it, so it falls short of the longest
-    one by fewer letters than the tuples run past that; for a walk's
-    consecutive states, which differ only at their last letter or two, it is
-    the longest.  The run through the last shared letter (which may grow or
-    shrink) and the runs after it are spelled again, so a walk's next state
-    costs a run or two and a join, not a spelling of the whole word."""
+    For the previous state it keeps its text, where each of its runs starts
+    (in letters and in the text) and the text before its last run.  A state
+    that adds or removes one letter at the end of the previous one changes
+    only its last run, or adds or drops one, so its text is that head plus
+    one run's part: O(1) Python work and a concatenation or two.  Any other
+    state shares a prefix with the previous one, found by slice compares at
+    the shorter length and then 1, 3, 7, ... letters below it; the text up
+    to the run through its last letter is kept and the rest is spelled
+    again by `_spell_runs`."""
+    names, singles = model._letter_names, model._single_runs
     out: list[str] = []
-    prev, parts = (), []
+    prev, text, head = (), "e", ""
+    starts: list[int] = []  # where each run of prev starts in prev
+    cuts: list[int] = []  # and where its part starts in text; head is text[: cuts[-1]]
     for letters in paths:
-        k, gap = min(len(prev), len(letters)), 1
-        while prev[:k] != letters[:k]:
-            k, gap = max(0, k - gap), 2 * gap
-        if k:
-            # s: the start of prev's run through letter k - 1; prev[s:] held
-            # one part per run, 1 + its changes of letter, and they go
-            s, ell = k - 1, prev[k - 1]
-            while s and prev[s - 1] == ell:
-                s -= 1
-            del parts[len(parts) - 1 - sum(map(ne, prev[s:], prev[s + 1 :])) :]
+        n, m = len(prev), len(letters)
+        if n and m == n + 1 and letters[:n] == prev:
+            if letters[n] != prev[-1]:
+                head = text + " "
+                starts.append(n)
+                cuts.append(len(head))
+        elif m and m == n - 1 and prev[:m] == letters:
+            if starts[-1] == m:
+                del starts[-1], cuts[-1]
+                head = text[: cuts[-1]]
         else:
-            s, parts = 0, []
-        if letters:
-            _spell_runs(model, letters, s, parts)
-        out.append(" ".join(parts) if parts else "e")
+            k, gap = min(n, m), 1
+            while prev[:k] != letters[:k]:
+                k, gap = max(0, k - gap), 2 * gap
+            if k:  # prev's run j through letter k - 1 is spelled again, and all after it
+                j = bisect_right(starts, k - 1) - 1
+                s, cut = starts[j], cuts[j]
+            else:
+                j = s = cut = 0
+            del starts[j:], cuts[j:]
+            if letters:
+                parts: list[str] = []
+                _spell_runs(model, letters, s, parts)
+                text = text[:cut] + " ".join(parts)
+                starts += [s, *compress(range(s + 1, m), map(ne, letters[s + 1 :], letters[s:]))]
+                cuts += accumulate((len(part) + 1 for part in parts[:-1]), initial=cut)
+                head = text[: cuts[-1]]
+            else:
+                text = "e"
+            out.append(text)
+            prev = letters
+            continue
+        ell, c = letters[-1], m - starts[-1]
+        text = head + singles[ell] if c == 1 else f"{head}{names[ell]}^{c if ell > 0 else -c}"
+        out.append(text)
         prev = letters
     return out
 

@@ -433,6 +433,13 @@ def test_irreducibility_lazy(f2k):
     assert (res.eps, res.k) == (Fraction(1, 8), 1)
 
 
+@pytest.mark.parametrize("stay", [Fraction(1), Fraction(2), Fraction(-1, 2)])
+def test_laziness_outside_zero_to_one_is_refused(f2k, stay):
+    # a laziness of 1 never moves; above 1 or below 0 the moves get a negative probability
+    with pytest.raises(ChainError, match=rf"^laziness must lie in \[0, 1\), got {stay}$"):
+        srw(f2k, stay=stay)
+
+
 def test_irreducibility_pushed(f2k, walk):
     pushed = push_forward(walk, branch_swap(f2k))
     res = check_irreducibility(pushed, w(f2k, "a"), 2)

@@ -328,6 +328,10 @@ def test_horizons_past_the_cap_refused_before_drawing(monkeypatch, tmp_path, cap
         # Fraction("1/0") raises ZeroDivisionError, which is no ValueError
         (["simulate", "--seed", "1", "--steps", "3", "--kernel", "lazy:1/0"], 1, "validation"),
         (["progress", "--seed", "1", "--samples", "5", "--kernel", "lazy:1/0"], 1, "validation"),
+        # a laziness outside [0, 1): lazy:1 never moves, the others are no measure
+        (["progress", "--seed", "1", "--samples", "5", "--kernel", "lazy:1"], 1, "validation"),
+        (["simulate", "--seed", "1", "--steps", "3", "--kernel", "lazy:2"], 1, "validation"),
+        (["simulate", "--seed", "1", "--steps", "3", "--kernel", "lazy:-1/2"], 1, "validation"),
         # no Hausdorff bound below 0 can hold
         (["fibers", "--x", "x", "--y", "y", "--bound", "-1"], 1, "validation"),
         (["pivot", "--alpha", "a^3", "--bound", "-1"], 1, "validation"),
@@ -520,9 +524,11 @@ def test_golden_walk_outputs(tmp_path, capsys, command, kernel, seed, pin):
 
 
 # sha256 of the stdout of `simulate --count 3 --steps 60`, recorded before the
-# branch swap relabelled letters through a table and trajectories were spelled
-# by a prefix-sharing speller (now `groups.spell_letters`).  The srw rows are the word-product walks, whose consecutive
-# states also change letters before their last one.
+# branch swap relabelled letters through a table and before trajectories were
+# spelled state from state (now `groups.spell_letters`, which adds or drops
+# one run's part where a state adds or removes its last letter).  The srw
+# rows are the word-product walks, whose consecutive states also change
+# letters before their last one, so they take the speller's shared-prefix path.
 @pytest.mark.parametrize(
     "model, kernel, start, seed, pin",
     [
@@ -664,15 +670,21 @@ def test_flag_value_forms_repeats_and_appends(monkeypatch, capsys):
     assert run(capsys, "ball", "--radius=2") == run(capsys, "ball", "--radius", "2")
 
 
+def _written(path, data: bytes):
+    path.write_bytes(data)
+    return path
+
+
 @pytest.mark.parametrize(
     "flag, make",
     [
         ("--config", lambda tmp: tmp / "missing.cfg"),
         ("--config", lambda tmp: tmp),
+        ("--config", lambda tmp: _written(tmp / "latin1.cfg", b"\xff\xfe")),
         ("--out", lambda tmp: tmp / "out.txt"),
         ("--out", lambda tmp: tmp / "out.txt" / "sub"),
     ],
-    ids=["config-missing", "config-directory", "out-a-file", "out-under-a-file"],
+    ids=["config-missing", "config-directory", "config-not-utf8", "out-a-file", "out-under-a-file"],
 )
 def test_unreadable_config_and_unwritable_out_are_validation_errors(tmp_path, capsys, flag, make):
     (tmp_path / "out.txt").write_text("kept\n")

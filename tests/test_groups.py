@@ -464,6 +464,51 @@ def test_spell_path_keeps_only_what_the_words_share(desc, texts):
     assert spell_letters(m, []) == []
 
 
+def _letters_spelled(monkeypatch) -> list[int]:
+    """A one-item list that counts the letters handed to `_spell_runs` from
+    here on."""
+    handed, spell_runs = [0], groups._spell_runs
+
+    def counted(model, letters, i, parts):
+        handed[0] += len(letters) - i
+        spell_runs(model, letters, i, parts)
+
+    monkeypatch.setattr(groups, "_spell_runs", counted)
+    return handed
+
+
+def test_spell_path_spells_a_walks_states_from_the_state_before(monkeypatch):
+    # every state of a free-group walk adds or removes one letter at the end
+    # of the one before it, so only the first state is spelled from scratch
+    m, rng = model_from_descriptor("F2"), random.Random(5)
+    path = [parse_word(m, "a^2 b^-1 a b^3").letters]
+    for _ in range(2000):
+        path.append(m.product(path[-1], (rng.choice((1, -1, 2, -2)),)))
+    texts = [str(Word(m, ls)) for ls in path]
+    handed = _letters_spelled(monkeypatch)
+    assert spell_letters(m, path) == texts
+    assert handed[0] <= len(path[0]) + 2 * len(path)
+
+
+def test_spell_path_from_a_long_word_and_back(monkeypatch):
+    # runs of 1 to 4 letters, a b a^-1 b^-1 in turn, 200,000 letters in all
+    m = model_from_descriptor("F2")
+    runs = itertools.cycle([(1, 1), (2, 2), (-1, 3), (-2, 4)])
+    start = tuple(itertools.islice((ell for ell, n in runs for _ in range(n)), 200_000))
+    # take off the last five letters (the last run goes and a^-1^3 shrinks),
+    # add a^-1 b^2 a (a^-1^2 grows, then two new runs), take those off again
+    # and put the five back
+    steps = [-ell for ell in reversed(start[-5:])] + [-1, 2, 2, 1, -1, -2, -2, 1] + list(start[-5:])
+    path = [start]
+    for ell in steps:
+        path.append(m.product(path[-1], (ell,)))
+    assert path[-1] == start and len(min(path, key=len)) == len(start) - 5
+    texts = [str(Word(m, ls)) for ls in path]
+    handed = _letters_spelled(monkeypatch)
+    assert spell_letters(m, path) == texts
+    assert handed[0] <= len(path[0]) + 2 * len(path)
+
+
 def test_junction_cancels_whole_syllables(z2z, z2z_by_z):
     assert w(z2z, "x z") * w(z2z, "z^-1 y") == w(z2z, "x y")
     assert w(z2z, "z x z") * w(z2z, "z^-1 x^-1 z^-1") == z2z.identity()

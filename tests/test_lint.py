@@ -360,3 +360,65 @@ def test_process_cache_detectors():
     assert process_caches({"m": mod}) == ["m.f", "m.g", "m.m"]
     worker = ast.parse("class Caches:\n    def __init__(self, groups):\n        self.fns = [getattr(groups, 'h', None)]\n")
     assert caches_cleared(worker) == {"groups.h"}
+
+
+_MUTATORS = {"append", "extend", "insert", "update", "setdefault", "pop", "popitem", "clear", "add", "discard", "remove"}
+
+
+def module_container_writes(tree: ast.Module) -> list[str]:
+    """`line N: name` for each write, by a function at any depth, into a
+    container bound by a module-level assignment: an item set or deleted
+    (`X[k] = v`, `X[k] += v`, `del X[k]`) or a mutating method called
+    (`X.append`, `X.update`, `X.setdefault`, ...).  A name the function binds
+    itself, as a parameter or by assignment, is its own unless it is
+    declared global."""
+    module = {
+        n.id
+        for node in tree.body
+        if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign))
+        for n in ast.walk(node)
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)
+    }
+    found = set()
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        a = fn.args
+        own = {p.arg for p in a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg] if p is not None}
+        own |= {n.id for n in ast.walk(fn) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+        own -= {name for n in ast.walk(fn) if isinstance(n, ast.Global) for name in n.names}
+        for n in ast.walk(fn):
+            if isinstance(n, ast.Subscript) and isinstance(n.ctx, (ast.Store, ast.Del)):
+                target = n.value
+            elif isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute) and n.func.attr in _MUTATORS:
+                target = n.func.value
+            else:
+                continue
+            if isinstance(target, ast.Name) and target.id in module and target.id not in own:
+                found.add((n.lineno, target.id))
+    return [f"line {line}: {name}" for line, name in sorted(found)]
+
+
+def test_no_function_writes_a_module_level_container():
+    # such a container is a process-wide memo that the benchmark worker's
+    # `Caches` cannot clear, so every pass after the first would run warm
+    found = {
+        path.name: writes
+        for path in sorted(SRC.glob("*.py"))
+        if (writes := module_container_writes(ast.parse(path.read_text())))
+    }
+    assert found == {}
+
+
+def test_module_container_write_detector():
+    mod = ast.parse(
+        "MEMO = {}\nLOG: list = []\nA, B = set(), {}\n"
+        "def f(k):\n    MEMO[k] = 1\n    LOG.append(k)\n    del B[k]\n    return MEMO.get(k), B[k]\n"
+        "def g(MEMO):\n    MEMO.update(x=1)\n    A.add(1)\n"
+        "def h():\n    LOG = []\n    LOG.append(1)\n    return lambda: B.setdefault(1, 2)\n"
+        "def k():\n    global LOG\n    LOG = [0]\n    LOG.pop()\n"
+        "class C:\n    def m(self):\n        self.memo[1] = 2\n        MEMO[2] += 1\n"
+    )
+    assert module_container_writes(mod) == [
+        "line 5: MEMO", "line 6: LOG", "line 7: B", "line 11: A", "line 15: B", "line 19: LOG", "line 23: MEMO"
+    ]
