@@ -5,10 +5,11 @@ optionally pushed forward through a bijective quasi-isometry f.
 Transition probabilities are exact fractions.  One engine, `Walk`, samples
 a kernel from each trajectory's own counter-based stream, so runs are
 reproducible independently of scheduling; an `ensemble` of walks re-keys one
-generator per trajectory and draws the walks' steps in blocks.  A free-group
-walk is handed one flat letter stream, its picks read through the kernel's
-padded step table, and steps through it on a letter stack; callers that
-follow the walk themselves read the same stream.  One engine,
+generator per trajectory and draws the walks' steps in blocks.  Every walk
+is handed one flat letter stream, its picks read through the kernel's
+padded step table: a free-group walk steps through it on a letter stack,
+any other folds it through the model's product a letter at a time, and
+callers that follow the walk themselves read the same stream.  One engine,
 `ExactLaw`, advances exact distributions in integer weights over a running
 denominator; it is the one exact law, and every tameness diagnostic
 (irreducibility, decay of point probabilities, reachability) reads it, for
@@ -17,9 +18,9 @@ walk runs from f^-1(start) and f maps what is read.  Letter tuples are the
 currency of this layer: every QI maps letters (`BijectiveQI.map`; the
 branch swap through one lookup in a letter table), and a `Word` is built
 only where a caller reads one.  `simulate` reads every state, so a pushed
-trajectory keeps the letters of each state, folded letter by letter on a
-free group (through the model's product elsewhere) and mapped by f, and
-`Trajectory.to_json` spells them with
+trajectory keeps the letters of each state, folded letter by letter from
+the stream (by `_push` on a free group, through the model's product
+elsewhere) and mapped by f, and `Trajectory.to_json` spells them with
 `groups.spell_letters`, which builds each state's text from the one before
 it: a state one letter longer or shorter at its end, as every state of a
 free-group walk is, costs O(1) Python work and one run's part.
@@ -32,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial, reduce
 from itertools import accumulate, islice
 from math import lcm
 from operator import itemgetter
@@ -251,19 +252,15 @@ class Kernel:
         return _cdf(p for _, p in self.measure)
 
     @cached_property
-    def jump_letters(self) -> tuple[tuple[int, ...], ...]:
-        """The letters of each jump word, in the measure's order."""
-        return tuple(s.letters for s, _ in self.measure)
-
-    @cached_property
     def step_table(self) -> np.ndarray:
         """The letters of each jump word, in the measure's order, padded with
-        0 to J letters, J the longest jump and at least 1: a free-group
-        walk's letter stream is its picks read through this table."""
+        0 to J letters, J the longest jump and at least 1: a walk's letter
+        stream is its picks read through this table."""
         import numpy as np
 
-        table = np.zeros((len(self.measure), max(1, *map(len, self.jump_letters))), dtype=np.int64)
-        for row, letters in zip(table, self.jump_letters):
+        jumps = [s.letters for s, _ in self.measure]
+        table = np.zeros((len(jumps), max(1, *map(len, jumps))), dtype=np.int64)
+        for row, letters in zip(table, jumps):
             row[: len(letters)] = letters
         return table
 
@@ -387,54 +384,61 @@ def _pick(cdf: np.ndarray, us):
     return np.minimum(np.searchsorted(cdf, us, side="right"), len(cdf) - 1)
 
 
-# most entries a walk's row may hold: horizon * J letters on a free group, one
-# measure index a step elsewhere; each takes 8 bytes in the drawn block and 8 in the row
+# most letters a walk's row may hold: horizon * J; each takes 8 bytes in the
+# drawn block and 8 in the row
 HORIZON_CAP = 10**7
 
-_BLOCK_DRAWS = 2**16  # uniforms, or free-group letters, in one ensemble block, unless one walk's row is longer
+_BLOCK_DRAWS = 2**16  # letters in one ensemble block, unless one walk's row is longer
 
 
 def _push(letters: tuple[int, ...], x: int) -> tuple[int, ...]:
     """A reduced free-group word times one letter of a walk's stream (0
     stays).  `Walk.path` folds a free-group stream through it letter by
-    letter, which costs less than rebuilding each step's jump for the
-    model's product."""
+    letter, which costs less than the model's product."""
     if not x:
         return letters
     return letters[:-1] if letters and letters[-1] == -x else letters + (x,)
+
+
+def _multiply(product: Callable, letters: tuple[int, ...], x: int) -> tuple[int, ...]:
+    """A normal form times one letter of a walk's stream (0 stays), through
+    the model's product: how a walk off free groups folds its stream."""
+    return product(letters, (x,)) if x else letters
 
 
 class Walk:
     """One seeded trajectory of a kernel: the only stepping engine.
 
     A walk is handed its row, all the steps it will take (`ensemble` draws
-    them), and stepping past that horizon raises ChainError.  On a free
-    group the row is a flat letter stream, J letters a step (the kernel's
-    `step_table`), where lazy stays and padding are 0: `steps` pushes and
-    pops it on a letter stack that keeps a 0 at its bottom, so a 0 letter
-    does nothing, and `letters` hands the next steps' letters to a caller
-    that follows the walk on its own (the experiments' trackers).  On other
-    models the row holds the measure indices of the steps, folded through
-    the model's product.  `path` hands out every state of the next steps
-    (`simulate`).  A push-forward walks by conjugation: the walk runs from
-    f^-1(start) and only the states read are mapped by f, which gives the
-    pushed law's own path since that law keeps the measure's order and
-    probabilities and f is injective.
+    them), and stepping past that horizon raises ChainError.  The row is a
+    flat letter stream, J letters a step (the kernel's `step_table`), where
+    lazy stays and padding are 0.  `letters` hands the next steps' letters
+    to a caller that follows the walk on its own (the experiments'
+    trackers); `path` folds them one at a time and keeps every J-th state
+    (`simulate`).  On a free group the fold is `_push` and `steps` pushes
+    and pops the stream on a letter stack that keeps a 0 at its bottom, so a
+    0 letter does nothing; elsewhere both fold through the model's product.
+    A push-forward walks by conjugation: the walk runs from f^-1(start) and
+    only the states read are mapped by f, which gives the pushed law's own
+    path since that law keeps the measure's order and probabilities and f is
+    injective.
     """
 
     def __init__(self, kernel: Kernel, start: Word, row: list[int]):
-        self.kernel = kernel
         self.qi = kernel.qi
         cur = start.letters if self.qi is None else self.qi.inverse().map(start.letters)
         self.row = row
         self.done = 0
+        self.width = kernel.step_table.shape[1]
         if isinstance(kernel.model, FreeGroup):
-            self.width, self.stack = kernel.step_table.shape[1], [0, *cur]
+            self.fold, self.stack = _push, [0, *cur]
         else:
-            self.width, self.stack, self.cur = 1, None, cur
+            self.fold, self.stack, self.cur = partial(_multiply, kernel.model.product), None, cur
 
-    def _take(self, count: int) -> list[int]:
-        """The row entries of the next `count` steps."""
+    def letters(self, count: int) -> list[int]:
+        """The letters of the next `count` steps, J a step with 0 for stays
+        and padding, counted as taken but not applied: the walk's own state
+        stays where it was."""
         if count < 0:
             raise ChainError(f"step count must be >= 0, got {count}")
         end, width = self.done + count, self.width
@@ -443,36 +447,24 @@ class Walk:
         row, self.done = self.row[self.done * width : end * width], end
         return row
 
-    def letters(self, count: int) -> list[int]:
-        """The letters of the next `count` steps of a free-group walk, J a
-        step with 0 for stays and padding, counted as taken but not applied:
-        the walk's own state stays where it was."""
-        if self.stack is None:
-            raise ChainError("only free-group walks stream letters")
-        return self._take(count)
+    def _unmapped(self) -> tuple[int, ...]:
+        """The letters of the walk's state, not mapped by f."""
+        return self.cur if self.stack is None else tuple(self.stack[1:])
 
     def path(self, count: int) -> Iterator[tuple[int, ...]]:
         """The letters of the walk's state and of the states after each of
         the next `count` steps, not mapped by f; the steps are counted as
-        taken but not applied.  A free-group walk folds its letters one at a
-        time and keeps every J-th state."""
-        row = self._take(count)
-        if self.stack is None:
-            jumps = map(self.kernel.jump_letters.__getitem__, row)
-            return accumulate(jumps, self.kernel.model.product, initial=self.cur)
-        return islice(accumulate(row, _push, initial=tuple(self.stack[1:])), 0, None, self.width)
+        taken but not applied."""
+        return islice(accumulate(self.letters(count), self.fold, initial=self._unmapped()), 0, None, self.width)
 
     def steps(self, count: int) -> None:
         """Advance `count` steps."""
         if self.stack is None:
-            letters, product, cur = self.kernel.jump_letters, self.kernel.model.product, self.cur
-            for i in self._take(count):
-                cur = product(cur, letters[i])
-            self.cur = cur
+            self.cur = reduce(self.fold, self.letters(count), self.cur)
             return
         stack = self.stack
         push, pop, top = stack.append, stack.pop, stack[-1]
-        for x in self._take(count):
+        for x in self.letters(count):
             if x == -top:
                 if x:
                     pop()
@@ -483,11 +475,8 @@ class Walk:
 
     def current(self) -> tuple[int, ...]:
         """The letters of the walk's state, mapped by f."""
-        cur = self.cur if self.stack is None else tuple(self.stack[1:])
+        cur = self._unmapped()
         return cur if self.qi is None else self.qi.map(cur)
-
-    def state(self) -> Word:
-        return Word(self.kernel.model, self.current())
 
 
 def ensemble(kernel: Kernel, start: Word, seed: int, indices: Iterable[int], horizon: int) -> Iterator[Walk]:
@@ -495,19 +484,17 @@ def ensemble(kernel: Kernel, start: Word, seed: int, indices: Iterable[int], hor
 
     One generator serves them all: re-keying it through the public state
     setter restarts it exactly at `trajectory_rng(seed, i)`'s stream.  The
-    walks are drawn in blocks of about `_BLOCK_DRAWS` uniforms, one row per
-    walk, with one inverse-CDF lookup and one conversion to lists per block,
-    so memory stays at one block however many walks there are.  On a free
-    group the block's picks are read through the kernel's `step_table` by
-    one fancy index, so each walk gets a flat row of horizon * J letters
-    (and a block holds about `_BLOCK_DRAWS` letters).  A row may hold at
-    most HORIZON_CAP letters, so a horizon above HORIZON_CAP // J is refused
-    before anything is drawn (J is 1 off free groups).
+    walks are drawn in blocks of about `_BLOCK_DRAWS` letters, one row per
+    walk, with one inverse-CDF lookup, one fancy index of the kernel's
+    `step_table` and one conversion to lists per block, so memory stays at
+    one block however many walks there are; each walk gets a flat row of
+    horizon * J letters.  A row may hold at most HORIZON_CAP letters, so a
+    horizon above HORIZON_CAP // J is refused before anything is drawn.
     """
     import numpy as np
 
-    table = kernel.step_table if isinstance(kernel.model, FreeGroup) else None
-    width = 1 if table is None else table.shape[1]
+    table = kernel.step_table
+    width = table.shape[1]
     if not 0 <= horizon <= HORIZON_CAP // width:
         raise ChainError(f"horizon must lie in [0, {HORIZON_CAP // width}], got {horizon}")
     rng = trajectory_rng(seed)
@@ -520,17 +507,14 @@ def ensemble(kernel: Kernel, start: Word, seed: int, indices: Iterable[int], hor
             fresh["state"]["key"] = _key(seed, i)
             rng.bit_generator.state = fresh
             rng.random(out=row)
-        picks = _pick(kernel.cdf, us)
-        if table is not None:
-            picks = table[picks].reshape(len(block), horizon * width)
-        for row in picks.tolist():
+        for row in table[_pick(kernel.cdf, us)].reshape(len(block), horizon * width).tolist():
             yield Walk(kernel, start, row)
 
 
 def simulate(kernel: Kernel, start: Word, n: int, seed: int, indices: Sequence[int] = (0,)) -> list[Trajectory]:
     """Trajectories `indices` of one seed, drawn from one `ensemble`, with
     every state kept as letters: each walk's `path` from f^-1(start), each
-    state mapped by `f.map` as `Walk.state` maps it; no `Word` is built."""
+    state mapped by `f.map` as `Walk.current` maps it; no `Word` is built."""
     f = kernel.qi
     trajectories = []
     for index, walk in zip(indices, ensemble(kernel, start, seed, indices, n)):

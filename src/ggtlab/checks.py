@@ -65,7 +65,7 @@ def check_geodesics() -> tuple[bool, str]:
     m = model_from_descriptor("Z^2 * Z")
     for target in ball(m, m.identity(), 2):
         path = geodesic(m, m.identity(), target)
-        if len(path) != word_distance(m, m.identity(), target):
+        if len(path) - 1 != word_distance(m, m.identity(), target):
             return False, f"geodesic length mismatch at {target}"
     return True, "geodesic lengths match distances on a radius-2 ball"
 

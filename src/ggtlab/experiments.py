@@ -126,9 +126,10 @@ def resolve_kernel(model: GroupModel, spec: str) -> Kernel:
         return srw(model)
     if spec.startswith("lazy:"):
         try:
-            return srw(model, stay=Fraction(spec.split(":", 1)[1]))
-        except ZeroDivisionError:
-            raise ExperimentError(f"laziness {spec[5:]!r} has a zero denominator") from None
+            stay = Fraction(spec[5:])
+        except (ValueError, ZeroDivisionError):
+            raise ExperimentError(f"kernel spec {spec!r}: the laziness must be a fraction such as 1/3") from None
+        return srw(model, stay=stay)
     if spec == "srw-branch-swap":
         if not isinstance(model, FreeGroup):
             raise ExperimentError("branch-swap push-forward needs a free group")
@@ -366,7 +367,7 @@ def bounded_projection_experiment(
     ns = tuple(sorted(n_list if n_list is not None else (10, 25, 50, 100, 200)))
     if ns and ns[0] < 0:
         raise ExperimentError(f"checkpoints must be >= 0, got {ns[0]}")
-    horizon, width = max(ns, default=0), kernel.step_table.shape[1]
+    horizon = max(ns, default=0)
     table: dict = {}
     for ci, (p, h) in enumerate(cells):
         tracker = AxisTracker(axis.translate(h), p)
@@ -375,7 +376,7 @@ def bounded_projection_experiment(
         for walk in ensemble(kernel, p, seed + 1000 * ci, range(config.samples), horizon):
             keys = tracker.keys(walk.letters(horizon))
             for j, n in enumerate(ns):
-                key = keys[n * width - 1] if n else tracker.foot
+                key = keys[n * walk.width - 1] if n else tracker.foot
                 if key not in near:
                     pos = nearest_positions(key, tracker.phase, tracker.q) + tracker.base
                     near[key] = max(pos) - min(pos) <= bound
@@ -476,10 +477,9 @@ def tail_experiment(
     t_max = 3 * n // 4
     trackers = [AxisTracker(e.axis, p) for e in record.entries]
     maxima, finals = [], []
-    width = kernel.step_table.shape[1]
     for walk in ensemble(kernel, p, seed, range(config.samples), n):
         letters = walk.letters(n)
-        rows = [tr.spreads(letters, width) for tr in trackers] or [[0]]
+        rows = [tr.spreads(letters, walk.width) for tr in trackers] or [[0]]
         # the threshold-coset distance sum after each step
         sums = rows[0] if len(rows) == 1 else list(map(sum, zip(*rows)))
         maxima.append(max(sums))

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import accumulate, combinations, compress, groupby
 from operator import ne, neg
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 
 class GroupError(ValueError):
@@ -602,31 +602,19 @@ def ball(model: GroupModel, center: Word, radius: int) -> list[Word]:
     return [Word(model, ls) for ls in ball_letters(model, center, radius)]
 
 
-@dataclass(frozen=True)
-class GeodesicPath:
-    """A unit-speed geodesic: consecutive vertices differ by one generator."""
-
-    vertices: tuple[Word, ...]
-
-    def __len__(self) -> int:
-        return len(self.vertices) - 1
-
-    def __iter__(self) -> Iterator[Word]:
-        return iter(self.vertices)
-
-
-def geodesic(model: GroupModel, g: Word, h: Word, reverse: bool = False) -> GeodesicPath:
-    """The geodesic from g to h through g times each prefix of the normal
-    form of g^-1 h (a normal form too); with ``reverse``, the one from h to g
-    read backwards.  Each step goes to the first neighbour in `neighbours`
-    order that is closer to h, or with ``reverse`` the last."""
+def geodesic(model: GroupModel, g: Word, h: Word, reverse: bool = False) -> tuple[Word, ...]:
+    """The vertices of a unit-speed geodesic from g to h (consecutive ones
+    differ by one generator): g times each prefix of the normal form of
+    g^-1 h (a normal form too); with ``reverse``, the one from h to g read
+    backwards.  Each step goes to the first neighbour in `neighbours` order
+    that is closer to h, or with ``reverse`` the last."""
     if g.model != model or h.model != model:
         raise GroupError("geodesic: model mismatch")
     if reverse:
-        return GeodesicPath(geodesic(model, h, g).vertices[::-1])
+        return geodesic(model, h, g)[::-1]
     product, start = model.product, g.letters
     w = product(model.inverse(start), h.letters)
-    return GeodesicPath(tuple(Word(model, product(start, w[:i])) for i in range(len(w) + 1)))
+    return tuple(Word(model, product(start, w[:i])) for i in range(len(w) + 1))
 
 
 # ---------------------------------------------------------------------------

@@ -34,13 +34,15 @@ class SkeletonError(ValueError):
 
 @dataclass(frozen=True)
 class HHSSkeleton:
+    """Validated once, when it is built: a skeleton that exists is sound."""
+
     domains: tuple[str, ...]
     maximal: str
     nesting: frozenset  # pairs (child, parent), transitively closed
     orth: frozenset  # frozensets {u, v}
     unbounded: frozenset
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         dset = set(self.domains)
         if self.maximal not in dset:
             raise SkeletonError("maximal domain not listed")
@@ -84,8 +86,8 @@ def make_skeleton(
     orth_pairs: Sequence[tuple[str, str]] = (),
     unbounded: Sequence[str] | None = None,
 ) -> HHSSkeleton:
-    """Build and validate a skeleton; nesting under the maximal domain and
-    transitive closure are filled in automatically."""
+    """Build a skeleton; nesting under the maximal domain and transitive
+    closure are filled in automatically."""
     pairs = set(nesting_pairs)
     for d in domains:
         if d != maximal:
@@ -98,15 +100,13 @@ def make_skeleton(
                 if b == c and (a, d) not in pairs and a != d:
                     pairs.add((a, d))
                     changed = True
-    sk = HHSSkeleton(
+    return HHSSkeleton(
         tuple(domains),
         maximal,
         frozenset(pairs),
         frozenset(frozenset(p) for p in orth_pairs),
         frozenset(unbounded if unbounded is not None else domains),
     )
-    sk.validate()
-    return sk
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +148,6 @@ class OrthGraph:
 def orthogonality_graph(sk: HHSSkeleton, restrict: frozenset | None = None) -> OrthGraph:
     """Edges join orthogonal pairs whose coordinate directions are both
     unbounded; bounded domains stay isolated vertices."""
-    sk.validate()
     doms = tuple(d for d in sk.domains if restrict is None or d in restrict)
     dset = set(doms)
     edges = frozenset(
@@ -193,7 +192,6 @@ def coning_schedule(sk: HHSSkeleton) -> ConingSchedule:
     occur; the final orthogonality graph is edgeless.  The cliques of each
     round are listed once; their largest size is that round's clique number.
     """
-    sk.validate()
     current = frozenset(sk.domains)
     rounds: list[RoundRecord] = []
     og = orthogonality_graph(sk, current)
@@ -370,11 +368,9 @@ def fiber_parallelism_check(
         hs.append((r, hausdorff(fx, fy)))
 
     def fiber_diam(p: Word) -> int:
-        # one BFS row of vertex ids per fibre point: a fibre in one coset of
-        # U is a clique only once the ball has coned U
-        ids = [factored._id(v) for v in fiber_fn(p, max(sweep)) if v in factored]
-        rows = [factored._bfs(i)[0] for i in ids]
-        return max((row[j] for row in rows for j in ids), default=0)
+        # a fibre in one coset of U is a clique only once the ball has coned U
+        fibre = [v for v in fiber_fn(p, max(sweep)) if v in factored]
+        return max(map(max, factored.distance_matrix(fibre)), default=0)
 
     dx, dy = fiber_diam(x), fiber_diam(y)
     values = [h for _, h in hs]

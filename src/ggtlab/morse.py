@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .groups import (
-    GeodesicPath,
     GroupError,
     GroupModel,
     Word,
@@ -207,12 +206,12 @@ _STATE_BUDGET = 2_000_000  # layer states a relaxed Morse cell may build
 
 def morse_certificate(
     model: GroupModel,
-    segment: GeodesicPath | Sequence[Word],
+    segment: Sequence[Word],
     grid: Sequence[tuple[float, float]],
     window: int,
 ) -> MorseCertificate:
     """Window-scoped detour table over a grid of quasi-geodesic parameters."""
-    seg = tuple(segment.vertices if isinstance(segment, GeodesicPath) else segment)
+    seg = tuple(segment)
     if len(seg) < 2:
         raise GroupError("segment must have at least two vertices")
     for lam, eps in grid:
@@ -288,7 +287,7 @@ def incompatibility_witness(
                 return best
             examined += 1
             for reverse in (False, True):
-                mu = geodesic(model, beta[i], beta[j], reverse).vertices
+                mu = geodesic(model, beta[i], beta[j], reverse)
                 for p in mu:
                     d = to_beta.get(p.letters)
                     if d is None:

@@ -40,7 +40,6 @@ from .groups import (
     DirectProduct,
     FreeGroup,
     FreeProduct,
-    GeodesicPath,
     GroupError,
     GroupModel,
     Word,
@@ -237,15 +236,10 @@ def _axis_free_product(model: FreeProduct, g: Word) -> Axis:
         head = Word(model, runs[0][1])
         conj = conj * head
         cur = head.inverse() * cur * head
+    # the syllables alternate the two factors, so cur is cyclically reduced
+    # and its root is its shortest repeating block of syllables
     runs = model.syllables(cur.letters)
-    m = len(runs)
-    root = cur
-    for d in range(2, m, 2):
-        if m % d == 0:
-            cand = Word(model, tuple(l for _, seg in runs[:d] for l in seg))
-            if cand ** (m // d) == cur:
-                root = cand
-                break
+    root = Word(model, tuple(l for _, seg in runs[: _primitive_period(runs)] for l in seg))
     return make_axis(model, root, conj)
 
 
@@ -584,7 +578,7 @@ def enumerate_cosets(orbit: OrbitMap, g: Word, o: Word, p: Word, threshold: int)
     if not (orbit.is_identity and threshold > 2 * (q // 2) and threshold >= (q - 1) + 2 * (q // 2)):
         raise CertificationError("enumeration window insufficient")
     model = orbit.group
-    geo = geodesic(model, o, p).vertices
+    geo = geodesic(model, o, p)
     w = model.product(model.inverse(o.letters), p.letters)
     need = threshold - 2 * (q // 2)
     runs = zip(geo, _block_runs(w, root.letters), _block_runs(w, model.inverse(root.letters)))
@@ -703,7 +697,7 @@ _PIVOT_BUDGET = 500_000  # n^2 * |B(s)| a pivot search may take, n the path vert
 
 def pivot(
     orbit: OrbitMap,
-    alpha: GeodesicPath,
+    alpha: tuple[Word, ...],
     q: Word,
     h_axis: Axis,
     s: int,
@@ -722,16 +716,16 @@ def pivot(
     if not 0 <= bound < math.inf:
         raise GroupError(f"pivot: bound must be a finite number >= 0, got {bound}")
     model = orbit.group
-    p = alpha.vertices[0]
-    if q not in set(alpha.vertices):
+    p = alpha[0]
+    if q not in set(alpha):
         raise GroupError("pivot: q must lie on the path")
     pad = ball(model, model.identity(), s)
-    if len(alpha.vertices) ** 2 * len(pad) > _PIVOT_BUDGET:
-        raise GroupError(f"pivot: a path of {len(alpha.vertices)} vertices with {len(pad)} candidates is past the budget")
+    if len(alpha) ** 2 * len(pad) > _PIVOT_BUDGET:
+        raise GroupError(f"pivot: a path of {len(alpha)} vertices with {len(pad)} candidates is past the budget")
 
     def values(qp: Word) -> tuple[int, int]:
         t = qp * q.inverse()
-        moved = [t * v for v in alpha.vertices]
+        moved = [t * v for v in alpha]
         axis_pts = h_axis.points(max(8, 2 * (len(p) + len(q) + s)))
         return coset_distance(orbit, h_axis, moved, p), coset_distance(orbit, moved, axis_pts, qp)
 

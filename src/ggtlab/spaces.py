@@ -133,6 +133,15 @@ class FiniteGraphSpace:
             raise SpaceError("graph is not connected between the given points")
         return d
 
+    def distance_matrix(self, points: Sequence) -> list[list[int]]:
+        """The distances among the points, row i from points[i], by one BFS
+        per point; SpaceError when two of them lie in different components."""
+        ids = [self._id(p) for p in points]
+        rows = [[row[j] for j in ids] for row in (self._bfs(i)[0] for i in ids)]
+        if any(-1 in row for row in rows):
+            raise SpaceError("graph is not connected between the given points")
+        return rows
+
     def serialize(self) -> str:
         """Adjacency-list text: one line per vertex `id: n1 n2 ...`, with
         cliques expanded to edges and each list in its vertices' repr order
@@ -280,10 +289,7 @@ def delta_estimate(space: OrbitMap | FiniteGraphSpace, points: Sequence) -> Delt
     if not 4 <= n <= _DELTA_POINT_LIMIT:
         raise SpaceError(f"delta_estimate needs 4 to {_DELTA_POINT_LIMIT} points, got {n}")
     if isinstance(space, FiniteGraphSpace):
-        ids = [space._id(p) for p in pts]
-        D = np.array([[row[j] for j in ids] for row in (space._bfs(i)[0] for i in ids)], dtype=np.int64)
-        if (D < 0).any():
-            raise SpaceError("graph is not connected between the given points")
+        D = np.array(space.distance_matrix(pts), dtype=np.int64)
     else:
         D = np.zeros((n, n), dtype=np.int64)
         for i in range(n):

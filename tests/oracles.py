@@ -192,7 +192,7 @@ def padded_coset_entries(orbit, g: Word, o: Word, p: Word, threshold: int) -> li
     geodesic vertex nearest o's first projection point, found by a scan."""
     root = axis_of(g).root
     model = orbit.group
-    geo = geodesic(model, o, p).vertices
+    geo = geodesic(model, o, p)
     pad = ball(model, model.identity(), len(root) // 2 + 1)
     entries = []
     for key in dict.fromkeys(coset_rep_key(root, v * u) for v in geo for u in pad):

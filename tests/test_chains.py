@@ -95,8 +95,8 @@ def test_distinct_indices_decouple(f2k, walk):
 
 
 def stream(kernel, seed: int, index: int, horizon: int) -> list[int]:
-    """The letter row of a free-group walk: the padded step table read at
-    the picks of the trajectory's own stream."""
+    """The letter row of a walk: the padded step table read at the picks of
+    the trajectory's own stream."""
     return kernel.step_table[_pick(kernel.cdf, trajectory_rng(seed, index).random(horizon))].ravel().tolist()
 
 
@@ -122,8 +122,8 @@ def test_walks_refuse_steps_past_their_horizon(f2k, walk):
     streamed = next(ensemble(walk, f2k.identity(), 4, (0,), 5))
     with pytest.raises(ChainError, match="horizon"):
         streamed.letters(6)
-    with pytest.raises(ChainError, match="free-group"):
-        next(ensemble(srw(z2), z2.identity(), 4, (0,), 5)).letters(1)
+    # off free groups too, a walk's row is its step-table stream
+    assert next(ensemble(srw(z2), z2.identity(), 4, (0,), 5)).row == stream(srw(z2), 4, 0, 5)
     with pytest.raises(ChainError):
         list(ensemble(walk, f2k.identity(), 1, [2**64], 3))
 
@@ -229,7 +229,7 @@ _letter = st.integers(-3, 3).filter(bool)
 
 
 @given(
-    st.sampled_from(["F2", "F3"]),
+    st.sampled_from(["F2", "F3", "Z^2", "Z^2 * Z", "F2 x Z", "(Z^2 * Z) x Z"]),
     st.sampled_from(["srw", "lazy:1/3", "jumps"]),
     st.lists(st.lists(_letter, min_size=2, max_size=3), min_size=1, max_size=3),
     st.lists(_letter, min_size=1, max_size=4),
@@ -238,11 +238,12 @@ _letter = st.integers(-3, 3).filter(bool)
     st.booleans(),
     st.integers(0, 2**32),
 )
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=200, deadline=None)
 def test_stream_walks_match_word_products(desc, spec, jumps_raw, start_raw, splits, rest, pushed, seed):
     """A walk stepped through its letter stream to random checkpoints, then
     read to its horizon by `path`, against the word-product fold of the jump
-    words at the trajectory's own picks."""
+    words at the trajectory's own picks: on free groups (the letter stack)
+    and off them (the model's product, multi-letter jumps included)."""
     model = model_from_descriptor(desc)
 
     def word(raw):  # onto the model's letters
@@ -271,8 +272,7 @@ def test_stream_walks_match_word_products(desc, spec, jumps_raw, start_raw, spli
         walk.steps(split)
         for _ in range(split):
             cur = cur * words[next(picks)]
-        assert walk.state() == (cur if f is None else f(cur))
-        assert walk.current() == walk.state().letters
+        assert walk.current() == (cur if f is None else f(cur)).letters
     path = [cur.letters]
     for k in picks:
         cur = cur * words[k]

@@ -328,6 +328,9 @@ def test_horizons_past_the_cap_refused_before_drawing(monkeypatch, tmp_path, cap
         # Fraction("1/0") raises ZeroDivisionError, which is no ValueError
         (["simulate", "--seed", "1", "--steps", "3", "--kernel", "lazy:1/0"], 1, "validation"),
         (["progress", "--seed", "1", "--samples", "5", "--kernel", "lazy:1/0"], 1, "validation"),
+        # a laziness that is no number, or none at all
+        (["simulate", "--seed", "1", "--steps", "3", "--kernel", "lazy:abc"], 1, "validation"),
+        (["simulate", "--seed", "1", "--steps", "3", "--kernel", "lazy:"], 1, "validation"),
         # a laziness outside [0, 1): lazy:1 never moves, the others are no measure
         (["progress", "--seed", "1", "--samples", "5", "--kernel", "lazy:1"], 1, "validation"),
         (["simulate", "--seed", "1", "--steps", "3", "--kernel", "lazy:2"], 1, "validation"),

@@ -72,6 +72,15 @@ def test_seed_mandatory():
         linear_progress_experiment(ExperimentConfig(seed=None))
 
 
+def test_lazy_specs_name_themselves_when_refused(f2):
+    for spec in ("lazy:abc", "lazy:", "lazy:1/0"):
+        with pytest.raises(ExperimentError, match=rf"^kernel spec '{spec}': the laziness must be a fraction"):
+            resolve_kernel(f2, spec)
+    # a number outside [0, 1) is refused by the walk itself
+    with pytest.raises(ChainError, match=r"^laziness must lie in \[0, 1\), got 2$"):
+        resolve_kernel(f2, "lazy:2")
+
+
 # --- fast walks ---------------------------------------------------------------
 
 
@@ -86,7 +95,7 @@ def test_free_walk_matches_simulate(f2):
         walk.steps(10)
         walk.steps(15)
         [traj] = simulate(kernel, start, 25, seed=9, indices=(idx,))
-        assert walk.state() == traj.states[-1]
+        assert walk.current() == traj.path[-1]
         # reference: one uniform per step through the ordered law, word products
         cur = start
         for u, state in zip(trajectory_rng(9, idx).random(25), traj.states[1:]):

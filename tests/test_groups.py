@@ -303,9 +303,9 @@ def test_geodesic_lengths_exhaustive(z2z):
     e = z2z.identity()
     for target in ball(z2z, e, 3):
         path = geodesic(z2z, e, target)
-        assert len(path) == word_distance(z2z, e, target)
-        assert path.vertices[0] == e and path.vertices[-1] == target
-        for u, v in zip(path.vertices, path.vertices[1:]):
+        assert len(path) - 1 == word_distance(z2z, e, target)
+        assert path[0] == e and path[-1] == target
+        for u, v in zip(path, path[1:]):
             assert word_distance(z2z, u, v) == 1
 
 
@@ -320,7 +320,7 @@ def test_geodesic_greedy_letter_order(desc, reverse):
         order.reverse()
     pts = ball(m, m.identity(), 2)
     for g, h in itertools.product(pts[::3], pts[::2]):
-        path = geodesic(m, g, h, reverse=reverse).vertices
+        path = geodesic(m, g, h, reverse=reverse)
         assert path[0] == g and path[-1] == h and len(path) == word_distance(m, g, h) + 1
         for u, v in zip(path, path[1:]):
             d = word_distance(m, u, h)

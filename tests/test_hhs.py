@@ -97,6 +97,14 @@ def test_validation_rejects_comparable_orth():
         make_skeleton(("S", "A", "B"), "S", nesting_pairs=[("A", "B")], orth_pairs=[("A", "B")])
 
 
+def test_skeleton_is_validated_when_built():
+    # no skeleton exists to be validated later: the constructor refuses bad data
+    with pytest.raises(SkeletonError, match="maximal domain not listed"):
+        HHSSkeleton(("S", "A"), "T", frozenset(), frozenset(), frozenset())
+    with pytest.raises(SkeletonError, match="not nested below"):
+        HHSSkeleton(("S", "A"), "S", frozenset(), frozenset(), frozenset())
+
+
 def test_downward_closure():
     sk = make_skeleton(("S", "A", "B"), "S", nesting_pairs=[("B", "A")])
     assert sk.downward_closure(["A"]) == {"A", "B"}

@@ -422,3 +422,35 @@ def test_module_container_write_detector():
     assert module_container_writes(mod) == [
         "line 5: MEMO", "line 6: LOG", "line 7: B", "line 11: A", "line 15: B", "line 19: LOG", "line 23: MEMO"
     ]
+
+
+def private_sibling_imports(tree: ast.Module) -> list[str]:
+    """`module.name` for each `_`-prefixed name (dunders aside) imported, at
+    any depth, from a module of the package: relative or `ggtlab.` imports."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom) or not (node.level or node.module.partition(".")[0] == "ggtlab"):
+            continue
+        module = (node.module or "").rpartition(".")[2]
+        for alias in node.names:
+            if alias.name.startswith("_") and not alias.name.endswith("__"):
+                found.append(f"{module}.{alias.name}")
+    return sorted(found)
+
+
+def test_no_module_imports_a_private_name_of_a_sibling():
+    # a `_` name is its own module's business; these two reach across today
+    found = {
+        path.name: names
+        for path in sorted(SRC.glob("*.py"))
+        if (names := private_sibling_imports(ast.parse(path.read_text())))
+    }
+    assert found == {"checks.py": ["spaces._bass_serre_distance"], "experiments.py": ["projections._line_foot"]}
+
+
+def test_private_sibling_import_detector():
+    tree = ast.parse(
+        "from . import __version__, _x\nfrom .spaces import _bfs, cone_off\nfrom os import _exit\n"
+        "from ggtlab.groups import _push\ndef f():\n    from ..chains import _pick\n"
+    )
+    assert private_sibling_imports(tree) == ["._x", "chains._pick", "groups._push", "spaces._bfs"]

@@ -632,7 +632,7 @@ def test_golden_pivots(f2, z2z, f2_orbit, bs_orbit):
         (bs_orbit, axis_of(w(z2z, "y z")), geodesic(z2z, z2z.identity(), w(z2z, "x z x z"))),
     ]
     for orbit, ax, alpha in cases:
-        for q in (alpha.vertices[-1], alpha.vertices[len(alpha) // 2]):
+        for q in (alpha[-1], alpha[(len(alpha) - 1) // 2]):
             for s, bound in ((2, 0), (3, 2), (3, 4)):
                 res = pivot(orbit, alpha, q, ax, s=s, bound=bound)
                 lines.append(f"{res.pivot} {res.values} {res.passed} {res.examined}")

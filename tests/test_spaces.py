@@ -279,6 +279,15 @@ def test_delta_refuses_disconnected_points():
         delta_estimate(g, range(6))
 
 
+def test_distance_matrix_within_one_component_only():
+    adj = {0: [1], 1: [0, 2], 2: [1], 3: [4], 4: [3, 5], 5: [4]}
+    g = FiniteGraphSpace(vertices=tuple(range(6)), base_adjacency=adj)
+    assert g.distance_matrix([0, 2, 1]) == [[0, 2, 1], [2, 0, 1], [1, 1, 0]]
+    assert g.distance_matrix([]) == []
+    with pytest.raises(SpaceError, match="graph is not connected"):
+        g.distance_matrix([2, 3])
+
+
 def test_unknown_endpoints_refused_at_construction():
     with pytest.raises(SpaceError, match="'r' is not a vertex"):
         FiniteGraphSpace(vertices=("p", "q"), base_adjacency={"p": ["q", "r"]})
