@@ -12,15 +12,24 @@ Elements are stored as tuples of signed 1-based generator indices, always in
 canonical normal form, and for every shipped family the geodesic word length
 equals the length of the canonical letter tuple.  Generating sets are fixed to
 the standard ones so that all metric computations are exact and reproducible.
+
+The letters of a product model are global: a free product or G x Z numbers
+its generators across its factors in order, and its normal forms, products
+and inverses work on those numbers throughout.  A factor's syllable is merged
+and inverted as it stands, with no relabelling to the factor's own numbering
+(see `FreeProduct`).  Ball sizes come from each family's growth series
+(`ball_size`), so a ball past the vertex budget is refused before it is built.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
+from copy import copy
 from dataclasses import dataclass, field
-from functools import lru_cache
-from itertools import accumulate, combinations, compress, groupby
-from operator import ne, neg
+from functools import lru_cache, partial, reduce
+from itertools import accumulate, chain, compress, groupby, zip_longest
+from math import comb
+from operator import mul, ne, neg
 from typing import Callable, Iterable, Sequence
 
 
@@ -77,6 +86,11 @@ class GroupModel:
     def describe(self) -> str:
         raise NotImplementedError
 
+    def _growth(self) -> tuple[list[int], list[int]]:
+        """Coefficients (P, Q), lowest degree first, of the growth series
+        P/Q = sum_n |S(n)| z^n for the standard generators; Q[0] = 1."""
+        raise NotImplementedError
+
     def validate_letters(self, letters: Sequence[int]) -> None:
         n = self.rank
         for ell in letters:
@@ -92,6 +106,13 @@ class GroupModel:
 
     def generators(self) -> list["Word"]:
         return [Word(self, (i + 1,)) for i in range(self.rank)]
+
+    def _at(self, off: int) -> "GroupModel":
+        """The model on its letters shifted up by off, as the factor of a
+        free product whose earlier factors hold off generators sees them.
+        Free and free abelian groups only compare letters, so they serve at
+        any offset as they are."""
+        return self
 
     def _build_tables(self) -> None:
         """Per-model constants, set once at construction: the hash, the
@@ -157,8 +178,25 @@ class FreeGroup(GroupModel):
             k += 1
         return a[: len(a) - k] + b[k:]
 
+    def _growth(self) -> tuple[list[int], list[int]]:
+        return [1, 1], [1, 1 - 2 * self.rank]
+
     def describe(self) -> str:
         return f"F{self.rank}"
+
+
+def _exponent_form(letters: Sequence[int]) -> tuple[int, ...]:
+    """The free abelian normal form of letters: each generator's exponent,
+    its letter count minus its inverse's, as a run in generator order.
+    Letters are compared, never indexed, so any letter range works."""
+    out: tuple[int, ...] = ()
+    for i in sorted({*map(abs, letters)}):
+        e = letters.count(i) - letters.count(-i)
+        if e > 0:
+            out += (i,) * e
+        elif e:
+            out += (-i,) * -e
+    return out
 
 
 @dataclass(frozen=True, repr=False)
@@ -173,17 +211,7 @@ class FreeAbelian(GroupModel):
         self._build_tables()
 
     def normalize(self, letters: Sequence[int]) -> tuple[int, ...]:
-        exps = [0] * self.rank
-        for ell in letters:
-            if ell > 0:
-                exps[ell - 1] += 1
-            else:
-                exps[-ell - 1] -= 1
-        out: list[int] = []
-        for i, e in enumerate(exps, 1):
-            if e:
-                out.extend((i if e > 0 else -i,) * abs(e))
-        return tuple(out)
+        return _exponent_form(letters)
 
     def inverse(self, letters: tuple[int, ...]) -> tuple[int, ...]:
         return tuple(map(neg, letters))
@@ -191,7 +219,11 @@ class FreeAbelian(GroupModel):
     def product(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
         if not a or not b:
             return a or b
-        return self.normalize(a + b)
+        return _exponent_form(a + b)
+
+    def _growth(self) -> tuple[list[int], list[int]]:
+        n = self.rank
+        return [comb(n, i) for i in range(n + 1)], [(-1) ** i * comb(n, i) for i in range(n + 1)]
 
     def describe(self) -> str:
         return "Z" if self.rank == 1 else f"Z^{self.rank}"
@@ -199,7 +231,13 @@ class FreeAbelian(GroupModel):
 
 @dataclass(frozen=True, repr=False)
 class FreeProduct(GroupModel):
-    """Free product of >= 2 factors; generators are globally indexed."""
+    """Free product of >= 2 factors; generators are globally indexed.
+
+    Letters stay global throughout: a syllable is a run of one factor's
+    global letters, and the factor merges and inverts it as it stands.  Each
+    factor is read through its view at its letters' offset (`_at`), which is
+    the factor itself unless its letters are indexed (a direct product's
+    central letter, a nested free product's factor table)."""
 
     factors: tuple[GroupModel, ...]
     generator_names: tuple[str, ...] = field(init=False)
@@ -213,49 +251,48 @@ class FreeProduct(GroupModel):
         if len(set(names)) != len(names):
             raise GroupError("generator names collide across factors")
         object.__setattr__(self, "generator_names", names)
-        # global letter -> factor index and local letter; per factor, local
-        # letter -> global letter
-        size = 2 * len(names) + 1
-        factor_of, local_of, global_of, off = [0] * size, [0] * size, [], 0
-        for fi, f in enumerate(self.factors):
-            back = [0] * (2 * f.rank + 1)
-            for ell in range(1, f.rank + 1):
-                for s in (1, -1):
-                    factor_of[s * (off + ell)] = fi
-                    local_of[s * (off + ell)] = s * ell
-                    back[s * ell] = s * (off + ell)
-            global_of.append(back)
-            off += f.rank
-        object.__setattr__(self, "_factor_of", factor_of)
-        object.__setattr__(self, "_local_of", local_of)
-        object.__setattr__(self, "_global_of", global_of)
+        self._place(0)
         self._build_tables()
 
-    def _to_local(self, seg: Iterable[int]) -> tuple[int, ...]:
-        return tuple(map(self._local_of.__getitem__, seg))
+    def _place(self, off: int) -> None:
+        """Index the factors for letters numbered from off + 1: per global
+        letter its factor's index, and per factor its view at its offset."""
+        factor_of, views = [0] * (2 * (off + self.rank) + 1), []
+        for fi, f in enumerate(self.factors):
+            for ell in range(off + 1, off + f.rank + 1):
+                factor_of[ell] = factor_of[-ell] = fi
+            views.append(f._at(off))
+            off += f.rank
+        object.__setattr__(self, "_factor_of", factor_of)
+        object.__setattr__(self, "_views", tuple(views))
 
-    def _to_global(self, fi: int, loc: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(map(self._global_of[fi].__getitem__, loc))
+    def _at(self, off: int) -> "FreeProduct":
+        view = copy(self)
+        view._place(off)
+        return view
 
     def normalize(self, letters: Sequence[int]) -> tuple[int, ...]:
-        # stack of syllables (factor index, locally normalised local letters);
-        # each maximal same-factor run of the input merges into it once
+        # stack of syllables (factor index, normalised global letters); each
+        # maximal same-factor run of the input merges into it once
         stack: list[tuple[int, tuple[int, ...]]] = []
+        views = self._views
         for fi, run in groupby(letters, self._factor_of.__getitem__):
-            loc = self._to_local(run)
+            seg = tuple(run)
             if stack and stack[-1][0] == fi:
-                loc = stack.pop()[1] + loc
-            loc = self.factors[fi].normalize(loc)
-            if loc:
-                stack.append((fi, loc))
-        out: list[int] = []
-        for fi, loc in stack:
-            out.extend(self._to_global(fi, loc))
-        return tuple(out)
+                seg = stack.pop()[1] + seg
+            seg = views[fi].normalize(seg)
+            if seg:
+                stack.append((fi, seg))
+        return tuple(chain.from_iterable(seg for _, seg in stack))
 
     def syllables(self, letters: Sequence[int]) -> list[tuple[int, tuple[int, ...]]]:
         """Split canonical letters into (factor index, global letters) runs."""
         return [(fi, tuple(run)) for fi, run in groupby(letters, self._factor_of.__getitem__)]
+
+    def syllable_factors(self, letters: Sequence[int]) -> list[int]:
+        """The factor index of each syllable of canonical letters, in order,
+        with no syllable built."""
+        return [fi for fi, _ in groupby(map(self._factor_of.__getitem__, letters))]
 
     def strip(self, factor: int, letters: tuple[int, ...]) -> tuple[int, ...]:
         """Canonical letters without their last syllable when it lies in the
@@ -266,10 +303,9 @@ class FreeProduct(GroupModel):
         return letters[:i]
 
     def inverse(self, letters: tuple[int, ...]) -> tuple[int, ...]:
-        out: list[int] = []
-        for fi, seg in reversed(self.syllables(letters)):
-            out.extend(self._to_global(fi, self.factors[fi].inverse(self._to_local(seg))))
-        return tuple(out)
+        views = self._views
+        runs = reversed(self.syllables(letters))
+        return tuple(chain.from_iterable(views[fi].inverse(seg) for fi, seg in runs))
 
     def product(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
         factor_of = self._factor_of
@@ -281,11 +317,21 @@ class FreeProduct(GroupModel):
                 i0 -= 1
             while j1 < nb and factor_of[b[j1]] == fi:
                 j1 += 1
-            merged = self.factors[fi].product(self._to_local(a[i0:i]), self._to_local(b[j:j1]))
+            merged = self._views[fi].product(a[i0:i], b[j:j1])
             i, j = i0, j1
             if merged:
-                return a[:i] + self._to_global(fi, merged) + b[j:]
+                return a[:i] + merged + b[j:]
         return a[:i] + b[j:]
+
+    def _growth(self) -> tuple[list[int], list[int]]:
+        # 1/S = sum_i Q_i/P_i - (m - 1) over the denominator prod_i P_i
+        parts = [f._growth() for f in self.factors]
+        num = reduce(_poly_mul, [p for p, _ in parts])
+        den = [(1 - len(parts)) * c for c in num]
+        for i, (_, q) in enumerate(parts):
+            term = reduce(_poly_mul, [p for j, (p, _) in enumerate(parts) if j != i], q)
+            den = list(map(sum, zip_longest(den, term, fillvalue=0)))
+        return num, den
 
     def describe(self) -> str:
         return " * ".join(
@@ -318,10 +364,8 @@ class DirectProduct(GroupModel):
 
     def split(self, letters: Sequence[int]) -> tuple[tuple[int, ...], int]:
         """Return (left-factor letters, central exponent)."""
-        c = self.central_index
-        left = tuple(l for l in letters if abs(l) != c)
-        exp = sum(1 if l == c else -1 for l in letters if abs(l) == c)
-        return left, exp
+        c = self._c
+        return tuple(l for l in letters if abs(l) != c), letters.count(c) - letters.count(-c)
 
     def _cut(self, letters: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
         """`split` of a normal form, whose central letters all come last."""
@@ -330,6 +374,12 @@ class DirectProduct(GroupModel):
             k = len(letters) - i
             return letters[:i], (k if letters[-1] > 0 else -k)
         return letters, 0
+
+    def _at(self, off: int) -> "DirectProduct":
+        view = copy(self)
+        object.__setattr__(view, "left", self.left._at(off))
+        object.__setattr__(view, "_c", self._c + off)
+        return view
 
     def _central(self, exp: int) -> tuple[int, ...]:
         return (self._c if exp > 0 else -self._c,) * abs(exp)
@@ -346,11 +396,23 @@ class DirectProduct(GroupModel):
         (la, ea), (lb, eb) = self._cut(a), self._cut(b)
         return self.left.product(la, lb) + self._central(ea + eb)
 
+    def _growth(self) -> tuple[list[int], list[int]]:
+        p, q = self.left._growth()
+        return _poly_mul(p, [1, 1]), _poly_mul(q, [1, -1])
+
     def describe(self) -> str:
         inner = self.left.describe()
         if isinstance(self.left, (FreeProduct, DirectProduct)):
             inner = f"({inner})"
         return f"{inner} x Z"
+
+
+def _poly_mul(a: list[int], b: list[int]) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -548,8 +610,7 @@ def distance_row(model: GroupModel, g: Word, hs: Iterable[Word]) -> list[int]:
 
 def word_diameter(model: GroupModel, points: Iterable[Word]) -> int:
     """Largest word distance between two of the points; 0 for fewer than two."""
-    pts = list(points)
-    return max((d for i, p in enumerate(pts) for d in distance_row(model, p, pts[i + 1 :])), default=0)
+    return diameter(points, partial(distance_row, model))
 
 
 def neighbours(model: GroupModel, letters: tuple[int, ...]) -> list[tuple[int, ...]]:
@@ -560,9 +621,44 @@ def neighbours(model: GroupModel, letters: tuple[int, ...]) -> list[tuple[int, .
     return [product(letters, s) for s in model._steps]
 
 
-def diameter(points: Iterable, dist: Callable[[object, object], int]) -> int:
-    """Largest dist(p, q) over pairs of the points; 0 for fewer than two."""
-    return max((dist(p, q) for p, q in combinations(list(points), 2)), default=0)
+def diameter(points: Iterable, row: Callable[[object, list], list[int]]) -> int:
+    """Largest distance between two of the points, 0 for fewer than two:
+    the largest entry of row(p, qs), the distances from p to each of qs,
+    over each point p and the points after it."""
+    pts = list(points)
+    return max((d for i in range(len(pts) - 1) for d in row(pts[i], pts[i + 1 :])), default=0)
+
+
+def ball_size(model: GroupModel, radius: int) -> int:
+    """The number of elements of word length at most radius, with no ball
+    built: partial sums of the model's rational growth series P/Q (de la
+    Harpe, *Topics in Geometric Group Theory*, ch. VI), whose sphere sizes
+    follow s_n = p_n - sum_{k >= 1} q_k s_{n-k}.  Per factor: F_k gives
+    (1 + z)/(1 - (2k - 1)z), Z^n gives ((1 + z)/(1 - z))^n, a free product
+    of m factors 1/S = sum_i 1/S_i - (m - 1), and G x Z gives S_G S_Z.
+
+    Raises BallCapError as soon as the count passes `BALL_VERTEX_BUDGET`:
+    no ball that size is built, so the count stops there."""
+    if radius < 0:
+        raise GroupError("radius must be >= 0")
+    budget = BALL_VERTEX_BUDGET
+    # each sphere past the centre holds g^n and g^-n for a generator g, so a
+    # ball has at least 2 radius + 1 elements, and past the budget it is
+    # refused without its series
+    total = 2 * radius + 1
+    if total <= budget:
+        p, q = model._growth()
+        spheres: list[int] = []
+        total = 0
+        for n in range(radius + 1):
+            s = (p[n] if n < len(p) else 0) - sum(map(mul, q[1:], reversed(spheres)))
+            spheres.append(s)
+            total += s
+            if total > budget:
+                break
+    if total > budget:
+        raise BallCapError(f"the radius-{radius} ball of {model.describe()} has more than {budget} vertices")
+    return total
 
 
 def ball_letters(model: GroupModel, center: Word, radius: int) -> list[tuple[int, ...]]:
@@ -570,13 +666,11 @@ def ball_letters(model: GroupModel, center: Word, radius: int) -> list[tuple[int
     lexicographic order (`Word.sort_key`), with no `Word` built.
 
     The search runs on letter tuples, each vertex's neighbours its
-    `neighbours`.  It raises BallCapError as soon as it has found more than
-    `BALL_VERTEX_BUDGET` vertices, checked once per frontier vertex."""
-    if radius < 0:
-        raise GroupError("radius must be >= 0")
+    `neighbours`.  A ball past `BALL_VERTEX_BUDGET` vertices is refused
+    before the search, by its `ball_size`."""
+    ball_size(model, radius)
     if center.model != model:
         raise GroupError("ball: model mismatch")
-    budget = BALL_VERTEX_BUDGET
     seen = {center.letters}
     frontier = [center.letters]
     for _ in range(radius):
@@ -586,10 +680,6 @@ def ball_letters(model: GroupModel, center: Word, radius: int) -> list[tuple[int
                 if v not in seen:
                     seen.add(v)
                     nxt.append(v)
-            if len(seen) > budget:
-                raise BallCapError(
-                    f"the radius-{radius} ball of {model.describe()} has more than {budget} vertices"
-                )
         frontier = nxt
     # the keys are distinct, so the order does not depend on the set's
     return sorted(seen, key=model.sort_key)

@@ -22,6 +22,7 @@ from .groups import (
     GroupModel,
     Word,
     ball,
+    ball_size,
     diameter,
     distance_row,
     geodesic,
@@ -78,11 +79,13 @@ _WINDOW_BUDGET = 10_000_000  # n^3 * |B(window)| a certificate may sweep, n the 
 
 
 def _window(model: GroupModel, segment: Sequence[Word], window: int) -> _Window:
-    """Refuses, before any row, a segment whose exact cell (n^2 vertex pairs,
-    each over n copies of the window ball) would pass `_WINDOW_BUDGET`."""
+    """Refuses, before the window ball is built, a segment whose exact cell
+    (n^2 vertex pairs, each over n copies of the window ball) would pass
+    `_WINDOW_BUDGET`."""
+    size = ball_size(model, window)
+    if len(segment) ** 3 * size > _WINDOW_BUDGET:
+        raise GroupError(f"a segment of {len(segment)} vertices in a window ball of {size} vertices is past the Morse budget")
     pad = ball(model, model.identity(), window)
-    if len(segment) ** 3 * len(pad) > _WINDOW_BUDGET:
-        raise GroupError(f"a segment of {len(segment)} vertices in a window ball of {len(pad)} vertices is past the Morse budget")
     product = model.product
     inverses = [model.inverse(s.letters) for s in segment]
     rows: list[dict] = [{} for _ in segment]
@@ -214,6 +217,9 @@ def morse_certificate(
     seg = tuple(segment)
     if len(seg) < 2:
         raise GroupError("segment must have at least two vertices")
+    if window < 1:
+        # a window of 0 holds the segment alone, where no detour is a witness
+        raise GroupError(f"the window must be >= 1, got {window}")
     for lam, eps in grid:
         if not (1 <= lam < math.inf and 0 <= eps < math.inf):
             raise GroupError(f"grid cells need 1 <= lambda < inf and 0 <= eps < inf, got ({lam}, {eps})")
@@ -353,8 +359,8 @@ def mutual_projection_check(
     overlap = len(set(alpha) & set(beta))
     same_ray = overlap > min(len(alpha), len(beta)) // 2
     return MutualProjectionResult(
-        (word_diameter(model, ab), diameter(ab, orbit.distance)),
-        (word_diameter(model, ba), diameter(ba, orbit.distance)),
+        (word_diameter(model, ab), diameter(ab, orbit.distance_row)),
+        (word_diameter(model, ba), diameter(ba, orbit.distance_row)),
         stabilized,
         same_ray,
     )

@@ -44,6 +44,7 @@ from .groups import (
     GroupModel,
     Word,
     ball,
+    ball_size,
     diameter,
     distance_from,
     geodesic,
@@ -363,27 +364,36 @@ def project_to_set(orbit: OrbitMap, x: Word, target) -> ProjectionValue:
     For axes on Cayley trees the projection is computed analytically.  On
     other models an axis is scanned as the finite set of its points out to
     a window, which is wide enough that the axis has provably escaped past
-    the distance of its representative.
+    the distance of its representative; the scan walks the translated coset
+    x^-1 rep<root>, so x is inverted once and each point costs one product.
+    A finite set is scanned by one `OrbitMap.distance_row`.
     """
     if orbit.is_identity and isinstance(target, Axis):
         pts, dist = _project_cayley(target, x)
         return ProjectionValue(pts, dist, "analytic")
-    window = None
+    window = back = None
     if isinstance(target, Axis):
-        d_rep = orbit.distance(x, target.rep)
-        # the axis points' spacing is positive, since `axis_of` takes loxodromics only;
-        # the walk yields rep first, whose distance is already known
-        window = (2 * d_rep + 2) // orbit.distance(target.rep, target.rep * target.root) + 2
-        pts = target.points(window)
-        dists = [d_rep] + [orbit.distance(x, p) for p in pts[1:]]
+        # the walk from x^-1 rep reads each axis point's distance from x as
+        # its displacement, and its nearest points are multiplied back by x;
+        # it yields x^-1 rep first, and the axis points' spacing, the
+        # displacement of the root, is positive since `axis_of` takes
+        # loxodromics only
+        group, displacement = orbit.group, orbit.displacement
+        start = Word(group, group.product(group.inverse(x.letters), target.rep.letters))
+        d_start = displacement(start.letters)
+        window = (2 * d_start + 2) // displacement(target.root.letters) + 2
+        pts = list(_coset_walk(start, target.root, window))
+        dists = [d_start, *(displacement(p.letters) for p in pts[1:])]
+        back = x
     else:
         pts = list(target)
         if not pts:
             raise SpaceError("cannot project to an empty set")
-        dists = [orbit.distance(x, p) for p in pts]
+        dists = orbit.distance_row(x, pts)
     m = min(dists)
-    chosen = tuple(sorted((p for p, d in zip(pts, dists) if d == m), key=Word.sort_key))
-    return ProjectionValue(chosen, m, "scan-finite" if window is None else "scan-axis", window)
+    chosen = [p if back is None else back * p for p, d in zip(pts, dists) if d == m]
+    kind = "scan-finite" if window is None else "scan-axis"
+    return ProjectionValue(tuple(sorted(chosen, key=Word.sort_key)), m, kind, window)
 
 
 def projection_of_set(orbit: OrbitMap, pts: Iterable[Word], target) -> frozenset[Word]:
@@ -446,7 +456,7 @@ def project_axis_onto(orbit: OrbitMap, src: Axis, target: Axis) -> frozenset[Wor
 
 
 def _setdist_x(orbit: OrbitMap, a: Iterable[Word], b: Collection[Word]) -> int:
-    return min(orbit.distance(u, v) for u in a for v in b)
+    return min(min(orbit.distance_row(u, b)) for u in a)
 
 
 def coset_distance(orbit: OrbitMap, axis, x, y) -> int:
@@ -458,7 +468,7 @@ def coset_distance(orbit: OrbitMap, axis, x, y) -> int:
     xs = [x] if isinstance(x, Word) else list(x)
     ys = [y] if isinstance(y, Word) else list(y)
     union = set(projection_of_set(orbit, xs, axis)) | set(projection_of_set(orbit, ys, axis))
-    return diameter(union, orbit.distance)
+    return diameter(union, orbit.distance_row)
 
 
 # ---------------------------------------------------------------------------
@@ -588,7 +598,7 @@ def enumerate_cosets(orbit: OrbitMap, g: Word, o: Word, p: Word, threshold: int)
     for key in keys:
         ax = Axis(model, root, Word(model, key))
         po, pp = project_to_set(orbit, o, ax).points, project_to_set(orbit, p, ax).points
-        value = diameter(set(po) | set(pp), orbit.distance)
+        value = diameter(set(po) | set(pp), orbit.distance_row)
         if value >= threshold:
             # in a tree, x's nearest vertex on [o, p] lies (d(o, x) + d(o, p) - d(p, x)) / 2 from o
             position = (to_o(po[0]) + len(w) - to_p(po[0])) // 2
@@ -606,7 +616,7 @@ def distance_formula_sum(record: CosetRecord, x: Word, y: Word) -> int:
         px = project_to_set(orbit, x, e.axis).points
         py = project_to_set(orbit, y, e.axis).points
         if set(px) != set(py):
-            total += diameter(set(px) | set(py), orbit.distance)
+            total += diameter(set(px) | set(py), orbit.distance_row)
     return total
 
 
@@ -638,9 +648,9 @@ def linear_order(record: CosetRecord) -> tuple[list[CosetEntry], OrderReport]:
             a_i, a_j = entries[i].axis, entries[j].axis
             shadow_ij = project_axis_onto(orbit, a_j, a_i)  # a_j seen on a_i
             shadow_ji = project_axis_onto(orbit, a_i, a_j)
-            c1 = diameter(set(entries[i].proj_o) | set(shadow_ij), orbit.distance) > 2
+            c1 = diameter(set(entries[i].proj_o) | set(shadow_ij), orbit.distance_row) > 2
             c2 = frozenset(entries[j].proj_o) == shadow_ji
-            c3 = diameter(set(entries[j].proj_p) | set(shadow_ji), orbit.distance) > 2
+            c3 = diameter(set(entries[j].proj_p) | set(shadow_ji), orbit.distance_row) > 2
             c4 = frozenset(entries[i].proj_p) == shadow_ij
             if not (c1 and c2 and c3 and c4):
                 disagreements.append(((i, j), (c1, c2, c3, c4)))
@@ -719,9 +729,10 @@ def pivot(
     p = alpha[0]
     if q not in set(alpha):
         raise GroupError("pivot: q must lie on the path")
+    size = ball_size(model, s)
+    if len(alpha) ** 2 * size > _PIVOT_BUDGET:
+        raise GroupError(f"pivot: a path of {len(alpha)} vertices with {size} candidates is past the budget")
     pad = ball(model, model.identity(), s)
-    if len(alpha) ** 2 * len(pad) > _PIVOT_BUDGET:
-        raise GroupError(f"pivot: a path of {len(alpha)} vertices with {len(pad)} candidates is past the budget")
 
     def values(qp: Word) -> tuple[int, int]:
         t = qp * q.inverse()

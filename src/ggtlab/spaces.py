@@ -56,12 +56,14 @@ def _bass_serre_distance(model: FreeProduct, i: int, j: int, letters: tuple[int,
 
     With w' = `model.strip`(j, w) of k syllables, the path from e·F_i
     crosses one edge per syllable of w', plus one first when w' does not
-    start in F_i.
+    start in F_i.  The syllables are counted, not built.
     """
-    runs = model.syllables(model.strip(j, letters))
+    runs = model.syllable_factors(letters)
+    if runs and runs[-1] == j:
+        runs.pop()
     if not runs:
         return int(i != j)
-    return len(runs) + (runs[0][0] != i)
+    return len(runs) + (runs[0] != i)
 
 
 @dataclass
@@ -173,10 +175,13 @@ class OrbitMap:
     Bass-Serre tree when that is a two-factor free product.
 
     ``displacement`` maps the letters of g to d_X(x0, g x0), x0 the
-    basepoint.  ``is_identity`` holds when the map is the identity of a
-    free group onto its own Cayley tree, where projections have closed forms
-    in the words.  It is set once, here, so the hot paths that branch on it
-    read a field.
+    basepoint; it reads the group's own global letters (a free product's
+    syllables are counted on them, G x Z drops its central letters), with
+    no relabelling.  ``distance_row`` inverts its source once for a whole
+    row of distances.  ``is_identity`` holds when the map is the identity of
+    a free group onto its own Cayley tree, where projections have closed
+    forms in the words.  It is set once, here, so the hot paths that branch
+    on it read a field.
     """
 
     group: GroupModel
@@ -193,6 +198,13 @@ class OrbitMap:
         by isometries): the one top-level metric on group elements."""
         group = self.group
         return self.displacement(group.product(group.inverse(g.letters), h.letters))
+
+    def distance_row(self, g: Word, hs: Iterable[Word]) -> list[int]:
+        """[self.distance(g, h) for h in hs], inverting g once (as
+        `groups.distance_row` does for the word metric)."""
+        group, displacement = self.group, self.displacement
+        g_inv, product = group.inverse(g.letters), group.product
+        return [displacement(product(g_inv, h.letters)) for h in hs]
 
 
 def left_component(model: DirectProduct, w: Word) -> Word:
@@ -292,9 +304,9 @@ def delta_estimate(space: OrbitMap | FiniteGraphSpace, points: Sequence) -> Delt
         D = np.array(space.distance_matrix(pts), dtype=np.int64)
     else:
         D = np.zeros((n, n), dtype=np.int64)
-        for i in range(n):
-            for j in range(i + 1, n):
-                D[i, j] = D[j, i] = space.distance(pts[i], pts[j])
+        for i in range(n - 1):
+            D[i, i + 1 :] = space.distance_row(pts[i], pts[i + 1 :])
+        D += D.T
     return DeltaEstimate(_exhaustive_defect(D) / 2.0, math.comb(n, 4), True)
 
 

@@ -1,6 +1,7 @@
 """Independent brute-force oracles used to pin expected values in tests.
 
-Everything here deliberately avoids the library's fast paths: distances come
+Everything here deliberately avoids the library's fast paths: normal forms
+come from rewriting one letter at a time, distances come
 from explicit breadth-first searches on explicitly built graphs, ball sizes
 from closed-form growth formulas, projections from windowed argmin scans
 with a linear-escape certificate, exact chain laws from `Fraction` sums
@@ -17,11 +18,22 @@ from __future__ import annotations
 
 from collections import deque
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, combinations
 
 import numpy as np
 
-from ggtlab.groups import FreeProduct, GroupModel, Word, ball, diameter, geodesic, neighbours, word_distance
+from ggtlab.groups import (
+    DirectProduct,
+    FreeAbelian,
+    FreeGroup,
+    FreeProduct,
+    GroupModel,
+    Word,
+    ball,
+    geodesic,
+    neighbours,
+    word_distance,
+)
 from ggtlab.projections import Axis, CosetEntry, axis_of, coset_rep_key, project_to_set, projection_of_set
 
 
@@ -38,6 +50,45 @@ def free_ball_size(rank: int, radius: int) -> int:
 def abelian2_ball_size(radius: int) -> int:
     """l^1 ball in Z^2: 2r^2 + 2r + 1."""
     return 2 * radius * radius + 2 * radius + 1
+
+
+def reference_normal_form(model: GroupModel, letters) -> tuple[int, ...]:
+    """The normal form of any valid letter sequence, rewritten one letter at
+    a time from the model's structure alone: free reduction in a free group,
+    exponent sums in Z^n, the central exponent set apart in G x Z, and in a
+    free product a stack of syllables, where each letter relabelled to its
+    factor's 1..rank merges into the top syllable when both lie in one
+    factor (a syllable that cancels is dropped)."""
+    if isinstance(model, FreeGroup):
+        out: list[int] = []
+        for ell in letters:
+            if out and out[-1] == -ell:
+                out.pop()
+            else:
+                out.append(ell)
+        return tuple(out)
+    if isinstance(model, FreeAbelian):
+        exps = [0] * (model.rank + 1)
+        for ell in letters:
+            exps[abs(ell)] += 1 if ell > 0 else -1
+        return tuple(i if e > 0 else -i for i, e in enumerate(exps) for _ in range(abs(e)))
+    if isinstance(model, DirectProduct):
+        c = model.rank
+        exp = sum(1 if ell == c else -1 for ell in letters if abs(ell) == c)
+        left = reference_normal_form(model.left, [ell for ell in letters if abs(ell) != c])
+        return left + (c if exp > 0 else -c,) * abs(exp)
+    assert isinstance(model, FreeProduct)
+    offsets = list(accumulate((f.rank for f in model.factors), initial=0))
+    stack: list[tuple[int, tuple[int, ...]]] = []  # (factor, local letters)
+    for ell in letters:
+        fi = next(i for i in range(len(model.factors)) if offsets[i] < abs(ell) <= offsets[i + 1])
+        local = ell - offsets[fi] if ell > 0 else ell + offsets[fi]
+        syllable = (local,)
+        if stack and stack[-1][0] == fi:
+            syllable = reference_normal_form(model.factors[fi], stack.pop()[1] + syllable)
+        if syllable:
+            stack.append((fi, syllable))
+    return tuple(ell + offsets[fi] if ell > 0 else ell - offsets[fi] for fi, seg in stack for ell in seg)
 
 
 def naive_ball(model: GroupModel, center: Word, radius: int) -> set[Word]:
@@ -198,7 +249,7 @@ def padded_coset_entries(orbit, g: Word, o: Word, p: Word, threshold: int) -> li
     for key in dict.fromkeys(coset_rep_key(root, v * u) for v in geo for u in pad):
         ax = Axis(model, root, Word(model, key))
         po, pp = project_to_set(orbit, o, ax).points, project_to_set(orbit, p, ax).points
-        value = diameter(set(po) | set(pp), orbit.distance)
+        value = max((orbit.distance(u, v) for u, v in combinations(set(po) | set(pp), 2)), default=0)
         if value >= threshold:
             dists = [orbit.distance(po[0], v) for v in geo]
             entries.append(CosetEntry(ax, value, dists.index(min(dists)), po, pp))

@@ -372,6 +372,9 @@ def test_horizons_past_the_cap_refused_before_drawing(monkeypatch, tmp_path, cap
         # rank 0 once ran through the generator name pool
         (["ball", "--model", "F0", "--radius", "1"], 1, "validation"),
         (["ball", "--model", "Z^0", "--radius", "1"], 1, "validation"),
+        # a window of 0 holds only the segment, so no detour in it is a witness
+        (["morse", "--segment", "a^3", "--window", "0"], 1, "validation"),
+        (["morse", "--segment", "a^3", "--window", "-1"], 1, "validation"),
         # past the work budgets: 101^3 * |B(4)| > 10^7 and 1001^2 * |B(3)| > 5 * 10^5
         (["morse", "--segment", "a^100"], 1, "validation"),
         (["pivot", "--alpha", "a^1000"], 1, "validation"),
@@ -386,6 +389,27 @@ def test_refused_inputs_write_nothing(tmp_path, capsys, argv, code, kind):
     assert got == code
     assert err.startswith(f"error: {kind}:") and err.count("\n") == 1
     assert out == "" and not outdir.exists()
+
+
+@pytest.mark.parametrize("window", ["0", "-1"])
+def test_morse_window_below_one_is_named(capsys, window):
+    code, out, err = run(capsys, "morse", "--segment", "a^3", "--window", window)
+    assert code == 1 and out == ""
+    assert err == f"error: validation: the window must be >= 1, got {window}\n"
+
+
+def test_morse_past_its_budget_builds_no_ball(monkeypatch, capsys):
+    # |B(12)| of F2 is 1,062,881 and 4^3 times that passes the Morse budget,
+    # which the ball's size tells before any ball is built
+    def fail(*args):
+        raise AssertionError("ball built for a refused window")
+
+    monkeypatch.setattr(groups, "ball_letters", fail)
+    code, out, err = run(capsys, "morse", "--segment", "a^3", "--window", "12")
+    assert code == 1 and out == ""
+    assert err == (
+        "error: validation: a segment of 4 vertices in a window ball of 1062881 vertices is past the Morse budget\n"
+    )
 
 
 @pytest.mark.parametrize(

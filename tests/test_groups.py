@@ -11,9 +11,12 @@ from hypothesis import strategies as st
 from ggtlab import groups
 from ggtlab.groups import (
     BallCapError,
+    FreeAbelian,
     GroupError,
     Word,
     ball,
+    ball_letters,
+    ball_size,
     diameter,
     distance_from,
     distance_row,
@@ -28,7 +31,7 @@ from ggtlab.groups import (
 )
 
 from conftest import w
-from oracles import abelian2_ball_size, free_ball_size, greedy_geodesic, naive_ball
+from oracles import abelian2_ball_size, free_ball_size, greedy_geodesic, naive_ball, reference_normal_form
 
 
 # --- parsing -------------------------------------------------------------
@@ -238,6 +241,50 @@ def test_ball_against_naive_bfs(f2, z2, z2z, z2z_by_z):
             assert ball(model, c, r) == sorted(naive_ball(model, c, r), key=pair_key)
 
 
+# every family: free and abelian factors, three factors, a direct product as
+# a factor (first, or after a free factor so that its letters are shifted),
+# a nested free product, and a free product inside a direct product
+FAMILIES = [
+    "F2",
+    "F3",
+    "Z^2",
+    "Z^2 * Z",
+    "Z^2 * Z^2",
+    "Z^2 * Z * F2",
+    "(Z^2 x Z) * F2",
+    "F2 * (Z^2 x Z)",
+    "F2 * (Z^2 * Z)",
+    "F2 * ((Z^2 * Z) x Z)",
+    "F2 x Z",
+    "(Z^2 * Z) x Z",
+]
+
+
+@pytest.mark.parametrize("desc", FAMILIES)
+def test_ball_size_counts_the_ball(desc):
+    m = model_from_descriptor(desc)
+    lengths = [len(ls) for ls in ball_letters(m, m.identity(), 5)]
+    assert [ball_size(m, r) for r in range(6)] == [sum(n <= r for n in lengths) for r in range(6)]
+
+
+def test_ball_size_refuses_past_the_budget_at_once(monkeypatch):
+    # F2's radius-13 ball (4782969 vertices) is past the budget; Z's
+    # radius-10^9 ball is refused by its least possible size, 2r + 1
+    f2, z = model_from_descriptor("F2"), model_from_descriptor("Z")
+    assert ball_size(f2, 12) == free_ball_size(2, 12)
+    with pytest.raises(BallCapError, match="radius-13 ball of F2 has more than 2000000 vertices"):
+        ball_size(f2, 13)
+    with pytest.raises(BallCapError, match="radius-1000000000 ball of Z has more than 2000000 vertices"):
+        ball_size(z, 10**9)
+    monkeypatch.setattr(groups, "BALL_VERTEX_BUDGET", 21)
+    assert ball_size(z, 10) == 21 and ball_size(f2, 2) == 17
+    for model, radius in ((z, 11), (f2, 3)):
+        with pytest.raises(BallCapError, match="more than 21 vertices"):
+            ball_size(model, radius)
+    with pytest.raises(GroupError, match="radius must be >= 0"):
+        ball_size(z, -1)
+
+
 def test_ball_order_deterministic(f2):
     b = ball(f2, f2.identity(), 2)
     assert b == sorted(b, key=Word.sort_key)
@@ -344,10 +391,10 @@ def test_geodesic_matches_the_greedy_search(desc):
 
 
 def test_diameter(f2):
-    dist = partial(word_distance, f2)
-    assert diameter([], dist) == 0
-    assert diameter([w(f2, "a b")], dist) == 0
-    assert diameter(iter([f2.identity(), w(f2, "a"), w(f2, "b^-1 a")]), dist) == 3
+    row = partial(distance_row, f2)
+    assert diameter([], row) == 0
+    assert diameter([w(f2, "a b")], row) == 0
+    assert diameter(iter([f2.identity(), w(f2, "a"), w(f2, "b^-1 a")]), row) == 3
 
 
 @pytest.mark.parametrize("desc", ["F2", "Z^2", "Z^2 * Z", "(Z^2 * Z) x Z", "F2 x Z"])
@@ -360,7 +407,7 @@ def test_distance_row_matches_word_distance(desc):
         assert distance_row(m, g, iter(pts)) == expected
         assert list(map(distance_from(m, g), pts)) == expected
     some = pts[::3]
-    assert word_diameter(m, iter(some)) == diameter(some, partial(word_distance, m))
+    assert word_diameter(m, iter(some)) == max(word_distance(m, g, h) for g, h in itertools.combinations(some, 2))
     assert word_diameter(m, []) == word_diameter(m, pts[:1]) == 0
     other = model_from_descriptor("F3")
     with pytest.raises(GroupError):
@@ -507,6 +554,39 @@ def test_spell_path_from_a_long_word_and_back(monkeypatch):
     handed = _letters_spelled(monkeypatch)
     assert spell_letters(m, path) == texts
     assert handed[0] <= len(path[0]) + 2 * len(path)
+
+
+_raw_letters = st.lists(st.integers(-12, 12).filter(bool), max_size=16)
+
+
+@given(st.sampled_from(FAMILIES), _raw_letters, _raw_letters, st.integers(0, 16), _raw_letters)
+@settings(max_examples=400, deadline=None)
+def test_word_operations_match_the_reference_normal_form(desc, da, db, k, draw):
+    m = model_from_descriptor(desc)
+    a = reference_normal_form(m, _raw(m, da))
+    # b opens with the inverse of a's last k letters, so the junction cancels
+    b = reference_normal_form(m, _reverse_inverse(a[len(a) - min(k, len(a)) :]) + _raw(m, db))
+    raw = _raw(m, draw)
+    assert m.normalize(raw) == reference_normal_form(m, raw)
+    assert m.product(a, b) == reference_normal_form(m, a + b)
+    assert m.inverse(a) == reference_normal_form(m, _reverse_inverse(a))
+    assert m.product(a, m.inverse(a)) == ()
+
+
+def test_a_product_merges_only_the_junction_syllables(monkeypatch, z2z):
+    merges = []
+    product = FreeAbelian.product
+
+    def counted(model, a, b):
+        merges.append((a, b))
+        return product(model, a, b)
+
+    monkeypatch.setattr(FreeAbelian, "product", counted)
+    long = (1, 2, 3) * 5000  # x y | z | x y | z ...: 10,000 syllables
+    assert len(z2z.syllables(long)) == 10_000
+    assert z2z.product(long, (3,)) == long + (3,) and merges == [((3,), (3,))]
+    merges.clear()
+    assert z2z.product(long[:-1], (-1,)) == long[:-3] + (2,) and merges == [((1, 2), (-1,))]
 
 
 def test_junction_cancels_whole_syllables(z2z, z2z_by_z):

@@ -178,19 +178,27 @@ def test_bass_serre_projection_scan(z2z, bs_orbit):
 
 
 def test_scan_axis_measures_each_point_once(monkeypatch, z2z, bs_orbit):
-    calls = []
-    distance = OrbitMap.distance
+    measured, inverted = [], []
 
-    def counted(orbit, u, v):
-        calls.append((u, v))
-        return distance(orbit, u, v)
+    def displacement(letters):
+        measured.append(letters)
+        return bs_orbit.displacement(letters)
 
-    monkeypatch.setattr(OrbitMap, "distance", counted)
-    ax = axis_of(w(z2z, "x z"))
-    val = project_to_set(bs_orbit, w(z2z, "z^3 y"), ax)
-    # the representative, the spacing rep -> rep·root, then the other 2·window points
-    assert len(calls) == 2 * val.window + 2
-    assert len(set(calls)) == len(calls)
+    inverse = type(z2z).inverse
+
+    def counted(model, letters):
+        inverted.append(letters)
+        return inverse(model, letters)
+
+    orbit = OrbitMap(z2z, z2z, bs_orbit.name, displacement)
+    ax, x = axis_of(w(z2z, "x z")), w(z2z, "z^3 y")
+    monkeypatch.setattr(type(z2z), "inverse", counted)
+    val = project_to_set(orbit, x, ax)
+    # the representative, the spacing (the root's displacement), then the
+    # other 2·window points, with x inverted once
+    assert len(measured) == 2 * val.window + 2
+    assert len(set(measured)) == len(measured)
+    assert inverted.count(x.letters) == 1
 
 
 # --- coset distances -----------------------------------------------------------

@@ -142,6 +142,18 @@ def test_orbit_distance_is_the_distance_of_the_images(desc):
     assert checked > 100
 
 
+@pytest.mark.parametrize("desc", ["F2", "Z * Z", "Z^2 * Z", "F2 x Z", "(Z^2 * Z) x Z"])
+def test_orbit_distance_row_is_the_row_of_distances(desc):
+    model = model_from_descriptor(desc)
+    orbit = top_level_orbit(model)
+    pts = ball(model, model.identity(), 2)
+    for g in pts[::3]:
+        expected = [orbit.distance(g, h) for h in pts]
+        assert orbit.distance_row(g, pts) == expected
+        assert orbit.distance_row(g, iter(pts)) == expected
+    assert orbit.distance_row(pts[1], []) == []
+
+
 def measured_lipschitz(orbit, radius: int) -> int:
     """Max displacement in the space of a single generator step within a ball."""
     best = 0
