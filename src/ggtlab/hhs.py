@@ -20,7 +20,7 @@ import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .groups import DirectProduct, FreeProduct, GroupError, GroupModel, Word, ball, distance_row
+from .groups import DirectProduct, FreeProduct, GroupError, GroupModel, Word, ball_letters, distance_row
 from .spaces import CosetFamily, FiniteGraphSpace, cone_off
 
 
@@ -258,9 +258,10 @@ def product_free_regions(model: DirectProduct) -> dict[str, Region]:
         return model.split(w.letters)[0]
 
     def flat_fiber(x: Word, radius: int) -> list[Word]:
-        # the flat factor's letters are the model's first letters
-        pad = ball(flat, flat.identity(), radius)
-        return [Word(model, model.normalize(x.letters + w2.letters)) for w2 in pad]
+        # the flat factor's letters are the model's first letters, and its
+        # normal forms are the model's
+        product = model.product
+        return [Word(model, product(x.letters, ls)) for ls in ball_letters(flat, flat.identity(), radius)]
 
     return {
         "U": Region(CosetFamily("flat x central slices", u_key), flat_fiber),

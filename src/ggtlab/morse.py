@@ -9,6 +9,13 @@ use a layered reachability relaxation (prefix and suffix feasibility against
 the anchor pair), whose value upper-bounds the true windowed detour; when a
 reconstructed path validates as a genuine quasi-geodesic attaining the value,
 the cell is marked as a found witness.
+
+The window is indexed by integer ids: its vertices' letters, distance rows
+and in-window neighbours are lists, and only witnesses become `Word`s.  Each
+layer of the relaxation is still built as a set of letter tuples, in the
+order the walk meets them, because the trace of a witness takes the first
+vertex in that set's order: the same layers as int sets would pick other
+witnesses, and through the quasi-geodesic check other statuses.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ from .groups import (
     GroupError,
     GroupModel,
     Word,
-    ball,
+    ball_letters,
     ball_size,
     diameter,
     distance_row,
@@ -65,14 +72,23 @@ class MorseCertificate:
 
 @dataclass(frozen=True)
 class _Window:
-    """A certificate's window, keyed by letter tuples (they hash as the Words
-    they spell, so sets of them iterate in the same order): each vertex's
-    distance to the segment, its in-window neighbours in `neighbours` order
-    and a distance row from each segment vertex."""
+    """A certificate's window, indexed by integer ids: `verts[i]` the letters
+    of vertex i, in the order the sweep from the first segment vertex meets
+    them, `index` their ids, `detour[i]` its distance to the segment, `adj[i]`
+    the ids of its in-window neighbours in `neighbours` order, `rows[k][i]`
+    its distance from segment vertex k, and `seg[k]` that vertex's id.
 
-    detour: dict
-    adj: dict
+    Lists indexed by id carry the sweeps, so a vertex's letters are hashed
+    once per layer at most.  The layers of a relaxed cell stay sets of
+    letter tuples: the witness its trace picks follows their iteration
+    order, which integer sets would change (see `_layers`)."""
+
+    verts: list
+    index: dict
+    detour: list
+    adj: list
     rows: list
+    seg: list
 
 
 _WINDOW_BUDGET = 10_000_000  # n^3 * |B(window)| a certificate may sweep, n the segment vertices
@@ -85,52 +101,53 @@ def _window(model: GroupModel, segment: Sequence[Word], window: int) -> _Window:
     size = ball_size(model, window)
     if len(segment) ** 3 * size > _WINDOW_BUDGET:
         raise GroupError(f"a segment of {len(segment)} vertices in a window ball of {size} vertices is past the Morse budget")
-    pad = ball(model, model.identity(), window)
+    pad = ball_letters(model, model.identity(), window)
     product = model.product
-    inverses = [model.inverse(s.letters) for s in segment]
-    rows: list[dict] = [{} for _ in segment]
+    index: dict = {}
     for v in segment:
         for u in pad:
-            cand = product(v.letters, u.letters)
-            if cand not in rows[0]:
-                for row, inv in zip(rows, inverses):
-                    row[cand] = len(product(inv, cand))
-    detour = {v: min(row[v] for row in rows) for v in rows[0]}
-    adj = {v: [u for u in neighbours(model, v) if u in detour] for v in detour}
-    return _Window(detour, adj, rows)
+            index.setdefault(product(v.letters, u), len(index))
+    verts = list(index)
+    rows = [[len(product(inv, c)) for c in verts] for inv in (model.inverse(s.letters) for s in segment)]
+    detour = list(map(min, *rows))
+    adj = [[index[u] for u in neighbours(model, v) if u in index] for v in verts]
+    return _Window(verts, index, detour, adj, rows, [index[s.letters] for s in segment])
 
 
-def _exact_geodesic_cell(model: GroupModel, segment: Sequence[Word], window: int, win: _Window) -> CellResult:
+def _exact_geodesic_cell(model: GroupModel, window: int, win: _Window) -> CellResult:
     """Max detour over all window-confined geodesics between segment vertices.
 
     The witness is such a geodesic, from one segment vertex to another."""
     best = 0
     best_path = None
-    for ai in range(len(segment)):
-        dx, x = win.rows[ai], segment[ai].letters
-        for bi in range(ai + 1, len(segment)):
-            y, dy = segment[bi].letters, win.rows[bi]
+    detour, adj, rows, seg = win.detour, win.adj, win.rows, win.seg
+    for ai in range(len(seg)):
+        dx, x = rows[ai], seg[ai]
+        for bi in range(ai + 1, len(seg)):
+            y, dy = seg[bi], rows[bi]
             dxy = dx[y]
-            dag = {v: dx[v] for v in win.detour if dx[v] + dy[v] == dxy}
-            order = sorted(dag, key=dag.get, reverse=True)
+            # the geodesic DAG, deepest first; the sort is stable over window order
+            order = sorted((v for v in range(len(detour)) if dx[v] + dy[v] == dxy), key=dx.__getitem__, reverse=True)
             # f[v]: max detour on a window-confined geodesic v -> y, whose
-            # next vertex is arg[v]; vertices that cannot reach y get no f
-            f, arg = {}, {}
+            # next vertex is arg[v]; vertices that cannot reach y keep f None
+            f: list = [None] * len(detour)
+            arg: list = [None] * len(detour)
             for v in order:
                 nxt = None
-                for u in win.adj[v]:
-                    if u in f and dag[u] == dag[v] + 1 and (nxt is None or f[u] > f[nxt]):
+                step = dx[v] + 1
+                for u in adj[v]:
+                    if f[u] is not None and dx[u] == step and (nxt is None or f[u] > f[nxt]):
                         nxt = u
                 if nxt is not None:
-                    f[v], arg[v] = max(win.detour[v], f[nxt]), nxt
+                    f[v], arg[v] = max(detour[v], f[nxt]), nxt
                 elif v == y:
-                    f[v], arg[v] = win.detour[v], None
-            if x in f and f[x] > best:
+                    f[v] = detour[v]
+            if f[x] is not None and f[x] > best:
                 best, best_path = f[x], [x]
                 while arg[best_path[-1]] is not None:
                     best_path.append(arg[best_path[-1]])
     status = "witness-found" if best >= window else "certified-on-window"
-    witness = None if best_path is None else tuple(Word(model, v) for v in best_path)
+    witness = None if best_path is None else tuple(Word(model, win.verts[v]) for v in best_path)
     return CellResult(best, status, witness)
 
 
@@ -142,32 +159,51 @@ def _is_quasi_geodesic(model: GroupModel, path: Sequence[Word], lam: float, eps:
     return True
 
 
-def _layers(src, dist: dict, adj: dict, t_max: int, lam: float, eps: float) -> tuple[list[set], dict]:
-    """Vertices a walk from src can stand on at each time t <= t_max while
-    t / lam - eps <= dist <= t, and the first time each is reached."""
-    layers = [{src}]
-    first = {src: 0}
+def _layers(src: int, dist: list, win: _Window, t_max: int, lam: float, eps: float) -> tuple[list[list], list]:
+    """Vertices a walk from src can stand on at each time t < t_max while
+    t / lam - eps <= dist <= t, and the first time t <= t_max each is reached
+    (-1 if never).
+
+    Each layer is a set of letter tuples, inserted in the order the walk
+    meets them from the layer before, and kept as its ids in that set's
+    iteration order: `_trace` picks the first vertex in that order, so the
+    witness, and through `_is_quasi_geodesic` the cell's status, follows how
+    tuple hashes place the vertices.  The last layer, which no trace reads,
+    is left out."""
+    adj, verts, index = win.adj, win.verts, win.index
+    layers = [[src]]
+    first = [-1] * len(verts)
+    first[src] = 0
+    met = [0] * len(verts)  # the last t at which a vertex joined a layer
     for t in range(1, t_max + 1):
         lo = t / lam - eps
-        layer = {u for v in layers[-1] for u in adj[v] if lo <= dist[u] <= t}
-        for v in layer:
-            first.setdefault(v, t)
-        layers.append(layer)
+        ids = []
+        for v in layers[-1]:
+            for u in adj[v]:
+                if met[u] != t and lo <= dist[u] <= t:
+                    met[u] = t
+                    ids.append(u)
+                    if first[u] < 0:
+                        first[u] = t
+        if t < t_max:
+            layers.append(list(map(index.__getitem__, set(map(verts.__getitem__, ids)))))
     return layers, first
 
 
 def _relaxed_cell(
     model: GroupModel,
-    segment: Sequence[Word],
     window: int,
     win: _Window,
     lam: float,
     eps: float,
     anchors: Sequence[tuple[int, int]],
 ) -> CellResult:
-    t_maxes = [int(lam * (win.rows[ai][segment[bi].letters] + eps)) for ai, bi in anchors]
-    if max(t_maxes) * len(win.detour) > _STATE_BUDGET:
+    # in floats first: a huge lam or eps puts a horizon past any int
+    horizons = [lam * (win.rows[ai][win.seg[bi]] + eps) for ai, bi in anchors]
+    top = max(horizons)
+    if top > _STATE_BUDGET or int(top) * len(win.verts) > _STATE_BUDGET:
         return CellResult(0, "skipped", None)
+    t_maxes = list(map(int, horizons))
     # layered prefix/suffix feasibility: necessary conditions against the
     # anchors only (a relaxation of the full pair condition).  A source's
     # layers out to a shorter t_max are a prefix of those out to a longer one,
@@ -176,16 +212,19 @@ def _relaxed_cell(
     for (ai, bi), t_max in zip(anchors, t_maxes):
         for i in (ai, bi):
             horizon[i] = max(horizon.get(i, 0), t_max)
-    layers = {i: _layers(segment[i].letters, win.rows[i], win.adj, t, lam, eps) for i, t in horizon.items()}
+    layers = {i: _layers(win.seg[i], win.rows[i], win, t, lam, eps) for i, t in horizon.items()}
     best = 0
-    best_path = None
+    found = None
     for (ai, bi), t_max in zip(anchors, t_maxes):
         (fwd, reach_i), (bwd, reach_j) = layers[ai], layers[bi]
-        for v, detour in win.detour.items():
-            if detour > best and v in reach_i and v in reach_j and reach_i[v] + reach_j[v] <= t_max:
-                best = detour
-                path = _trace(v, reach_i[v], fwd, win.adj) + _trace(v, reach_j[v], bwd, win.adj)[-2::-1]
-                best_path = tuple(Word(model, u) for u in path)
+        for v, detour in enumerate(win.detour):
+            if detour > best and reach_i[v] >= 0 and reach_j[v] >= 0 and reach_i[v] + reach_j[v] <= t_max:
+                best, found = detour, (v, reach_i[v], fwd, reach_j[v], bwd)
+    best_path = None
+    if found is not None:
+        v, steps_i, fwd, steps_j, bwd = found
+        path = _trace(v, steps_i, fwd, win.adj) + _trace(v, steps_j, bwd, win.adj)[-2::-1]
+        best_path = tuple(Word(model, win.verts[u]) for u in path)
     if best_path is not None and _is_quasi_geodesic(model, best_path, lam, eps):
         status = "witness-found"
     else:
@@ -195,7 +234,7 @@ def _relaxed_cell(
     return CellResult(best, status, best_path)
 
 
-def _trace(tgt, steps: int, layers, adj) -> list:
+def _trace(tgt: int, steps: int, layers: list[list], adj: list) -> list:
     """A walk through layers[0], ..., layers[steps - 1] into tgt: at each
     layer, the first vertex (in set order) adjacent to the walk so far."""
     path = [tgt]
@@ -229,9 +268,9 @@ def morse_certificate(
     anchors = [(0, n), (0, n // 2), (n // 2, n)] if n >= 2 else [(0, n)]
     for lam, eps in grid:
         if (lam, eps) == (1, 0):
-            cells[(lam, eps)] = _exact_geodesic_cell(model, seg, window, win)
+            cells[(lam, eps)] = _exact_geodesic_cell(model, window, win)
         else:
-            cells[(lam, eps)] = _relaxed_cell(model, seg, window, win, lam, eps, anchors)
+            cells[(lam, eps)] = _relaxed_cell(model, window, win, lam, eps, anchors)
     # detour tables must be monotone in both parameters
     keys = sorted(cells)
     for a in keys:

@@ -34,9 +34,11 @@ from .groups import (
     DirectProduct,
     FreeGroup,
     FreeProduct,
+    GroupError,
     GroupModel,
     Word,
     ball_letters,
+    ball_size,
     neighbours,
     word_diameter,
 )
@@ -345,8 +347,17 @@ def cyclic_coset_family(model: GroupModel, root: Word, single_rep: Word | None =
     return CosetFamily(f"cosets of <{root}>", key_all)
 
 
+_CONE_BUDGET = 200_000  # ball vertices a coned ball may store, about 660 B each
+
+
 def cone_off(model: GroupModel, radius: int, families: Iterable[CosetFamily]) -> FiniteGraphSpace:
-    """Ball of the group with every coset of the given families made diameter 1."""
+    """Ball of the group with every coset of the given families made diameter 1.
+
+    A ball past `_CONE_BUDGET` vertices is refused by its `ball_size`, before
+    it is built."""
+    size = ball_size(model, radius)
+    if size > _CONE_BUDGET:
+        raise GroupError(f"the radius-{radius} ball of {model.describe()} has {size} vertices, past the cone-off budget")
     letters = ball_letters(model, model.identity(), radius)
     verts = [Word(model, ls) for ls in letters]
     word_of = dict(zip(letters, verts))

@@ -12,6 +12,8 @@ forms stay here as their oracles: the greedy geodesic, the descent of a
 coset's line to its vertex nearest the identity, the padded candidate
 search for threshold cosets and the window-doubling projection of a whole
 axis.
+The windowed Morse certificate keeps its letter-keyed sweep here, every
+vertex a tuple key, as the oracle of the id-indexed window.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from ggtlab.groups import (
     GroupModel,
     Word,
     ball,
+    distance_row,
     geodesic,
     neighbours,
     word_distance,
@@ -323,3 +326,107 @@ def radial_sup(rank: int, n: int, stay: Fraction = Fraction(0)) -> Fraction:
                     nxt[r2] = nxt.get(r2, Fraction(0)) + p * q
         probs = nxt
     return max(p / (1 if r == 0 else deg * (deg - 1) ** (r - 1)) for r, p in probs.items())
+
+
+def reference_morse_certificate(model: GroupModel, segment, grid, window: int) -> dict:
+    """The cells of a windowed Morse certificate from a window keyed by
+    letter tuples: per grid cell, (max detour, status, witness letters or
+    None).  The sweep, the geodesic DAG of the exact cell, the layered
+    relaxation and its trace are the letter-keyed ones the certificate
+    used before its window was indexed by integers; budgets and the
+    monotonicity check are left out."""
+    segment = tuple(segment)
+    pad = ball(model, model.identity(), window)
+    product = model.product
+    inverses = [model.inverse(s.letters) for s in segment]
+    rows: list[dict] = [{} for _ in segment]
+    for v in segment:
+        for u in pad:
+            cand = product(v.letters, u.letters)
+            if cand not in rows[0]:
+                for row, inv in zip(rows, inverses):
+                    row[cand] = len(product(inv, cand))
+    detour = {v: min(row[v] for row in rows) for v in rows[0]}
+    adj = {v: [u for u in neighbours(model, v) if u in detour] for v in detour}
+
+    def exact_cell():
+        best = 0
+        best_path = None
+        for ai in range(len(segment)):
+            dx, x = rows[ai], segment[ai].letters
+            for bi in range(ai + 1, len(segment)):
+                y, dy = segment[bi].letters, rows[bi]
+                dxy = dx[y]
+                dag = {v: dx[v] for v in detour if dx[v] + dy[v] == dxy}
+                order = sorted(dag, key=dag.get, reverse=True)
+                f, arg = {}, {}
+                for v in order:
+                    nxt = None
+                    for u in adj[v]:
+                        if u in f and dag[u] == dag[v] + 1 and (nxt is None or f[u] > f[nxt]):
+                            nxt = u
+                    if nxt is not None:
+                        f[v], arg[v] = max(detour[v], f[nxt]), nxt
+                    elif v == y:
+                        f[v], arg[v] = detour[v], None
+                if x in f and f[x] > best:
+                    best, best_path = f[x], [x]
+                    while arg[best_path[-1]] is not None:
+                        best_path.append(arg[best_path[-1]])
+        status = "witness-found" if best >= window else "certified-on-window"
+        return best, status, None if best_path is None else tuple(best_path)
+
+    def layers_from(src, dist, t_max, lam, eps):
+        layers = [{src}]
+        first = {src: 0}
+        for t in range(1, t_max + 1):
+            lo = t / lam - eps
+            layer = {u for v in layers[-1] for u in adj[v] if lo <= dist[u] <= t}
+            for v in layer:
+                first.setdefault(v, t)
+            layers.append(layer)
+        return layers, first
+
+    def trace(tgt, steps, layers):
+        path = [tgt]
+        for i in range(steps - 1, -1, -1):
+            path.append(next(v for v in layers[i] if path[-1] in adj[v]))
+        return path[::-1]
+
+    def is_quasi_geodesic(path, lam, eps):
+        for i, p in enumerate(path):
+            for gap, d in enumerate(distance_row(model, p, path[i + 1 :]), 1):
+                if d > lam * gap + eps or d < gap / lam - eps:
+                    return False
+        return True
+
+    def relaxed_cell(lam, eps, anchors):
+        t_maxes = [int(lam * (rows[ai][segment[bi].letters] + eps)) for ai, bi in anchors]
+        horizon: dict[int, int] = {}
+        for (ai, bi), t_max in zip(anchors, t_maxes):
+            for i in (ai, bi):
+                horizon[i] = max(horizon.get(i, 0), t_max)
+        layers = {i: layers_from(segment[i].letters, rows[i], t, lam, eps) for i, t in horizon.items()}
+        best = 0
+        best_path = None
+        for (ai, bi), t_max in zip(anchors, t_maxes):
+            (fwd, reach_i), (bwd, reach_j) = layers[ai], layers[bi]
+            for v, d in detour.items():
+                if d > best and v in reach_i and v in reach_j and reach_i[v] + reach_j[v] <= t_max:
+                    best = d
+                    path = trace(v, reach_i[v], fwd) + trace(v, reach_j[v], bwd)[-2::-1]
+                    best_path = tuple(Word(model, u) for u in path)
+        if best_path is not None and is_quasi_geodesic(best_path, lam, eps):
+            status = "witness-found"
+        else:
+            status = "certified-on-window"
+            if best >= window:
+                status = "witness-found"
+        return best, status, None if best_path is None else tuple(u.letters for u in best_path)
+
+    n = len(segment) - 1
+    anchors = [(0, n), (0, n // 2), (n // 2, n)] if n >= 2 else [(0, n)]
+    return {
+        (lam, eps): exact_cell() if (lam, eps) == (1, 0) else relaxed_cell(lam, eps, anchors)
+        for lam, eps in grid
+    }

@@ -2,7 +2,7 @@
 
 import pytest
 
-from ggtlab import __version__, cli, groups
+from ggtlab import __version__, cli, groups, morse, spaces
 from ggtlab.chains import HORIZON_CAP
 from ggtlab.cli import main
 
@@ -405,11 +405,25 @@ def test_morse_past_its_budget_builds_no_ball(monkeypatch, capsys):
         raise AssertionError("ball built for a refused window")
 
     monkeypatch.setattr(groups, "ball_letters", fail)
+    monkeypatch.setattr(morse, "ball_letters", fail)
     code, out, err = run(capsys, "morse", "--segment", "a^3", "--window", "12")
     assert code == 1 and out == ""
     assert err == (
         "error: validation: a segment of 4 vertices in a window ball of 1062881 vertices is past the Morse budget\n"
     )
+
+
+def test_cone_past_its_budget_builds_no_ball(monkeypatch, capsys):
+    # |B(12)| of F2 is 1,062,881, past the 200,000 vertices a coned ball may
+    # store, which the ball's size tells before any ball is built
+    def fail(*args):
+        raise AssertionError("ball built for a refused radius")
+
+    monkeypatch.setattr(groups, "ball_letters", fail)
+    monkeypatch.setattr(spaces, "ball_letters", fail)
+    code, out, err = run(capsys, "cone", "--radius", "12", "--cone", "a")
+    assert code == 1 and out == ""
+    assert err == "error: validation: the radius-12 ball of F2 has 1062881 vertices, past the cone-off budget\n"
 
 
 @pytest.mark.parametrize(

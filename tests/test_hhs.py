@@ -354,6 +354,18 @@ def test_parallelism_inverts_once_per_fibre_point(z2z_by_z, product_setup, monke
     assert 0 < len(calls) <= allowed
 
 
+def test_flat_fibres_are_the_normalized_concatenations(z2z_by_z, product_setup):
+    # on the points of the radius-3 ball and the sweep's radii, a fibre point
+    # x w2 as the product of two normal forms is the normal form of x w2
+    _, regions = product_setup
+    fibre = regions["U"].parallelism_fibers
+    flat = z2z_by_z.left.factors[0]
+    for x in ball(z2z_by_z, z2z_by_z.identity(), 3):
+        for r in (2, 4, 6):
+            expected = [Word(z2z_by_z, z2z_by_z.normalize(x.letters + u.letters)) for u in ball(flat, flat.identity(), r)]
+            assert fibre(x, r) == expected
+
+
 def test_parallelism_missing_descriptor(f2xz):
     sk = fibered_tree_skeleton()
     sched = coning_schedule(sk)

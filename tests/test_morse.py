@@ -1,8 +1,18 @@
 """Morse certificates, incompatibility, mutual projections."""
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from ggtlab.groups import GroupError, Word, distance_row, geodesic, word_distance
+from ggtlab.groups import (
+    GroupError,
+    Word,
+    distance_row,
+    geodesic,
+    model_from_descriptor,
+    normal_form,
+    word_distance,
+)
 from ggtlab.morse import (
     IncompatibilityWitness,
     _is_quasi_geodesic,
@@ -15,7 +25,7 @@ from ggtlab.morse import (
 from ggtlab.projections import axis_of
 
 from conftest import w
-from oracles import naive_ball
+from oracles import naive_ball, reference_morse_certificate
 
 
 # --- certificates -------------------------------------------------------------
@@ -97,8 +107,9 @@ def test_tree_excursions_bounded_by_reference_gauge(f2):
 
 
 # Cells of `morse_certificate` on grid 1,0;1,2;2,2 with window 3, recorded
-# before the window search moved onto a letter-keyed table: per target, one
-# (max detour, status, witness letters) triple per grid cell.  The first ten
+# before the window search moved onto a letter-keyed table and kept since
+# the window is indexed by integer ids: per target, one (max detour, status,
+# witness letters) triple per grid cell.  The first ten
 # targets are seeded reduced F2 words of length 5, the last is on Z^2 * Z.
 GOLDEN_GRID = [(1.0, 0.0), (1.0, 2.0), (2.0, 2.0)]
 GOLDEN_CELLS = [
@@ -253,6 +264,59 @@ def test_exact_cell_witness_is_a_geodesic_between_segment_vertices(z2z):
             assert all(word_distance(z2z, u, v) == 1 for u, v in zip(path, path[1:]))
             detours = [min(word_distance(z2z, v, s) for s in seg) for v in path]
             assert max(detours) == cell.max_detour > 0
+
+
+REFERENCE_MODELS = ["F2", "F3", "Z^2", "Z^2 * Z", "Z^2 * Z^2", "F2 x Z", "(Z^2 * Z) x Z"]
+REFERENCE_GRID = [(1.0, 0.0), (1.0, 2.0), (2.0, 2.0), (1.5, 1.0), (3.0, 0.0), (2.0, 4.0)]
+
+
+def _cells(cert):
+    return {
+        key: (cell.max_detour, cell.status, None if cell.witness is None else tuple(v.letters for v in cell.witness))
+        for key, cell in cert.cells.items()
+    }
+
+
+@given(
+    st.sampled_from(REFERENCE_MODELS),
+    st.lists(st.integers(-8, 8).filter(bool), min_size=1, max_size=7),
+    st.integers(1, 3),
+)
+@settings(max_examples=150, deadline=None)
+def test_certificate_matches_the_letter_keyed_reference(desc, draws, window):
+    # the witnesses follow how the layers' tuple sets iterate, so the
+    # id-indexed window must give the same cells, statuses and witnesses
+    m = model_from_descriptor(desc)
+    target = normal_form(m, [(abs(x) % m.rank + 1) * (1 if x > 0 else -1) for x in draws])
+    assume(target.letters)
+    seg = geodesic(m, m.identity(), target)
+    cert = morse_certificate(m, seg, REFERENCE_GRID, window)
+    assert _cells(cert) == reference_morse_certificate(m, seg, REFERENCE_GRID, window)
+
+
+def test_certificate_builds_words_only_for_witnesses(monkeypatch, z2z):
+    # the window, its layers and its traces run on ids and letter tuples
+    seg = geodesic(z2z, z2z.identity(), w(z2z, "x y z x y"))
+    init, built = Word.__init__, []
+
+    def counted(self, model, letters):
+        built.append(letters)
+        init(self, model, letters)
+
+    monkeypatch.setattr(Word, "__init__", counted)
+    cert = morse_certificate(z2z, seg, GOLDEN_GRID, 3)
+    witnesses = sum(len(cell.witness) for cell in cert.cells.values() if cell.witness is not None)
+    assert 0 < len(built) <= witnesses + len(seg)
+
+
+@pytest.mark.parametrize("cell", [(1e308, 1e308), (1e200, 1e200), (1e6, 1e6), (2, 1e308)])
+def test_huge_grid_cells_are_skipped(f2, cell):
+    # the horizon lam (d + eps) is inf for the first and last cells: it is
+    # compared with the state budget before it is made an int
+    seg = geodesic(f2, f2.identity(), w(f2, "a^2"))
+    cert = morse_certificate(f2, seg, [(1, 0), cell], window=3)
+    assert (cert.cells[cell].max_detour, cert.cells[cell].status) == (0, "skipped")
+    assert cert.cells[(1, 0)].status == "certified-on-window"
 
 
 # --- incompatibility ----------------------------------------------------------------
