@@ -85,9 +85,6 @@ class BijectiveQI:
     def inverse(self) -> "BijectiveQI":
         raise NotImplementedError
 
-    def __call__(self, w: Word) -> Word:
-        return self.apply(w)
-
     def check_bijective(self, radius: int) -> bool:
         pts = ball_letters(self.model, self.model.identity(), radius)
         images = list(map(self.map, pts))
@@ -361,11 +358,12 @@ def _key(seed: int, index: int) -> np.ndarray:
     return np.array([seed, index], dtype=np.uint64)
 
 
-def trajectory_rng(seed: int, index: int = 0) -> np.random.Generator:
-    """Counter-based per-trajectory stream: independent of scheduling order."""
+def trajectory_rng(seed: int) -> np.random.Generator:
+    """The counter-based generator of trajectory 0 of a seed; `ensemble`
+    re-keys it to trajectory i's stream, independent of scheduling order."""
     import numpy as np
 
-    return np.random.Generator(np.random.Philox(key=_key(seed, index)))
+    return np.random.Generator(np.random.Philox(key=_key(seed, 0)))
 
 
 def _cdf(probs: Iterable[Fraction]) -> np.ndarray:
@@ -483,12 +481,12 @@ def ensemble(kernel: Kernel, start: Word, seed: int, indices: Iterable[int], hor
     """The walks of one seed's trajectories `indices`, each told `horizon`.
 
     One generator serves them all: re-keying it through the public state
-    setter restarts it exactly at `trajectory_rng(seed, i)`'s stream.  The
-    walks are drawn in blocks of about `_BLOCK_DRAWS` letters, one row per
-    walk, with one inverse-CDF lookup, one fancy index of the kernel's
-    `step_table` and one conversion to lists per block, so memory stays at
-    one block however many walks there are; each walk gets a flat row of
-    horizon * J letters.  A row may hold at most HORIZON_CAP letters, so a
+    setter to the key (seed, i) restarts it exactly at trajectory i's
+    stream, the Philox stream of that key.  The walks are drawn in blocks
+    of about `_BLOCK_DRAWS` letters, one row per walk, with one inverse-CDF
+    lookup, one fancy index of the kernel's `step_table` and one conversion
+    to lists per block, so memory stays at one block however many walks
+    there are; each walk gets a flat row of horizon * J letters.  A row may hold at most HORIZON_CAP letters, so a
     horizon above HORIZON_CAP // J is refused before anything is drawn.
     """
     import numpy as np

@@ -44,7 +44,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 from . import __version__
-from .groups import FreeGroup, FreeProduct, GroupError, ball, geodesic, model_from_descriptor, parse_word
+from .groups import FreeGroup, FreeProduct, GroupError, ball, geodesic, model_from_descriptor, parse_grid, parse_word
 from .projections import (
     CertificationError,
     axis_of,
@@ -100,10 +100,10 @@ def _load_config(args) -> ExperimentConfig:
 
     given = {"model": args.model, "kernel": args.kernel, "samples": getattr(args, "samples", None), "seed": args.seed}
     overrides = {attr: val for attr, val in given.items() if val is not None}
-    if getattr(args, "n", None):
-        overrides["n_grid"] = tuple(int(x) for x in args.n.split(","))
-    if getattr(args, "C", None):
-        overrides["c_grid"] = tuple(float(x) for x in args.C.split(","))
+    if getattr(args, "n", None) is not None:
+        overrides["n_grid"] = parse_grid("--n", args.n, int)
+    if getattr(args, "C", None) is not None:
+        overrides["c_grid"] = parse_grid("--C", args.C, float)
     if getattr(args, "T", None) is not None:
         overrides["threshold"] = args.T
     if not args.config:
@@ -311,12 +311,8 @@ def cmd_fibers(args) -> int:
     if not 0 <= args.bound < math.inf:
         raise GroupError(f"--bound must be a finite number >= 0, got {args.bound}")
     model = model_from_descriptor(args.model)
-    sched = coning_schedule(product_free_skeleton())
-    regions = product_free_regions(model)
-    fb = factored_ball(model, args.radius, sched, sched.termination_round, regions)
-    res = fiber_parallelism_check(
-        model, fb, parse_word(model, args.x), parse_word(model, args.y), args.bound, regions
-    )
+    fb = factored_ball(model, args.radius, coning_schedule(product_free_skeleton()), product_free_regions(model))
+    res = fiber_parallelism_check(model, fb, parse_word(model, args.x), parse_word(model, args.y), args.bound)
     print(f"verdict: {res.verdict}; hausdorff sweep {res.hausdorff_sweep}")
     return EXIT_OK
 
@@ -324,7 +320,7 @@ def cmd_fibers(args) -> int:
 def cmd_separation(args) -> int:
     orbit = top_level_orbit(model_from_descriptor(args.model))
     x, y = (parse_word(orbit.group, t) for t in (args.x, args.y))
-    truncs = [int(t) for t in args.truncations.split(",")]
+    truncs = parse_grid("--truncations", args.truncations, int)
     prof = fibre_separation_profile(orbit, x, y, args.r, args.s, truncs)
     print(f"profile {prof.pairs}; verdict {prof.verdict}")
     return EXIT_OK

@@ -26,7 +26,7 @@ from typing import Sequence
 
 from . import __version__
 from .chains import Kernel, branch_swap, ensemble, fit_log_linear, push_forward, srw
-from .groups import FreeGroup, GroupModel, Word, ball, model_from_descriptor, parse_word
+from .groups import FreeGroup, GroupModel, Word, ball, model_from_descriptor, parse_grid, parse_word
 from .projections import Axis, _line_foot, axis_of, enumerate_cosets, nearest_positions
 from .spaces import OrbitMap, top_level_orbit
 
@@ -106,8 +106,8 @@ def parse_config(text: str, **overrides) -> ExperimentConfig:
         "kernel": ("kernel", str),
         "g": ("g", str),
         "T": ("threshold", int),
-        "C": ("c_grid", lambda s: tuple(float(x) for x in s.split(","))),
-        "n": ("n_grid", lambda s: tuple(int(x) for x in s.split(","))),
+        "C": ("c_grid", lambda s: parse_grid("config key C", s, float)),
+        "n": ("n_grid", lambda s: parse_grid("config key n", s, int)),
         "samples": ("samples", int),
         "seed": ("seed", lambda s: None if s == "None" else int(s)),
     }
@@ -137,14 +137,12 @@ def resolve_kernel(model: GroupModel, spec: str) -> Kernel:
     raise ExperimentError(f"unknown kernel spec {spec!r}")
 
 
-def resolve_setup(config: ExperimentConfig) -> tuple[GroupModel, OrbitMap, Kernel, Axis]:
+def resolve_setup(config: ExperimentConfig) -> tuple[GroupModel, OrbitMap, Kernel]:
     model = model_from_descriptor(config.model)
     orbit = top_level_orbit(model)
     if not orbit.is_identity:
         raise ExperimentError("experiments are shipped for free-group Cayley trees")
-    kernel = resolve_kernel(model, config.kernel)
-    axis = axis_of(parse_word(model, config.g))
-    return model, orbit, kernel, axis
+    return model, orbit, resolve_kernel(model, config.kernel)
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +268,7 @@ def linear_progress_experiment(config: ExperimentConfig) -> ProgressResult:
     import numpy as np
 
     seed = config.require_seed()
-    model, orbit, kernel, _ = resolve_setup(config)
+    model, orbit, kernel = resolve_setup(config)
     grid = sorted(config.n_grid)
     dists = np.zeros((config.samples, len(grid)), dtype=np.int64)
     walks = ensemble(kernel, model.identity(), seed, range(config.samples), grid[-1])
@@ -324,7 +322,8 @@ class BoundedProjectionResult:
 def default_projection_cells(config: ExperimentConfig) -> list[tuple[Word, Word]]:
     import numpy as np
 
-    model, orbit, _, axis = resolve_setup(config)
+    model, _, _ = resolve_setup(config)
+    axis = axis_of(parse_word(model, config.g))
     rng = np.random.default_rng(config.require_seed() ^ 0x9E3779B9)
     starts = ball(model, model.identity(), 2)
     shifts = ball(model, model.identity(), 4)
@@ -343,9 +342,9 @@ def default_projection_cells(config: ExperimentConfig) -> list[tuple[Word, Word]
 
 def bounded_projection_experiment(
     config: ExperimentConfig,
+    bound: float,
     cells: Sequence[tuple[Word, Word]] | None = None,
     n_list: Sequence[int] | None = None,
-    bound: float = 2.0,
 ) -> BoundedProjectionResult:
     """Per-cell probability that the walk's projection stays near its start.
 
@@ -359,7 +358,8 @@ def bounded_projection_experiment(
     seed = config.require_seed()
     if not 0 <= bound < math.inf:
         raise ExperimentError(f"bound must be a finite number >= 0, got {bound}")
-    _, _, kernel, axis = resolve_setup(config)
+    model, _, kernel = resolve_setup(config)
+    axis = axis_of(parse_word(model, config.g))
     if kernel.qi is not None:
         raise ExperimentError("bounded-projection experiment needs an invariant kernel")
     if cells is None:
@@ -445,9 +445,9 @@ def _at_least(values: list[int], t_max: int) -> np.ndarray:
 
 def tail_experiment(
     config: ExperimentConfig,
-    o: Word | None = None,
-    p: Word | None = None,
-    n: int = 200,
+    o: Word | None,
+    p: Word | None,
+    n: int,
 ) -> TailCurve:
     """Estimate g(t) = P[some partial sum >= t] and f(t) = P[final sum >= t]
     for t <= 3n/4.
@@ -466,7 +466,7 @@ def tail_experiment(
     seed = config.require_seed()
     if n < 1:
         raise ExperimentError(f"tail walks need at least one step, got {n}")
-    model, orbit, kernel, _ = resolve_setup(config)
+    model, orbit, kernel = resolve_setup(config)
     if kernel.qi is not None:
         raise ExperimentError("tail experiment needs an invariant kernel")
     if o is None:

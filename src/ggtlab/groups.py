@@ -854,3 +854,13 @@ def parse_word(model: GroupModel, text: str) -> Word:
     for idx, power in powers:
         raw.extend([idx if power > 0 else -idx] * abs(power))
     return normal_form(model, raw)
+
+
+def parse_grid(name: str, text: str, kind: type) -> tuple:
+    """Comma-separated values of `kind`, e.g. ``4,6,8``; an entry that is not
+    one, an empty one included, is refused under `name`, the flag or config
+    key that gave the text."""
+    try:
+        return tuple(map(kind, text.split(",")))
+    except ValueError:
+        raise GroupError(f"{name} must be comma-separated {kind.__name__} values, got {text!r}") from None

@@ -10,15 +10,16 @@ edges remain; each round is recorded.
 
 A region map ties removed domains to coset families of a concrete group
 model, so the schedule can be materialized as a coned-off ball (the factored
-ball).  Fibre parallelism of two points is probed through the flat-direction
-coset slices named by the region map.
+ball), with every removed domain coned.  Fibre parallelism of two points on
+(Z^2 * Z) x Z is probed through their flat fibres (`flat_fiber`), the
+slices of the flat factor through each point, at the radii of `_SWEEP`.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .groups import DirectProduct, FreeProduct, GroupError, GroupModel, Word, ball_letters, distance_row
 from .spaces import CosetFamily, FiniteGraphSpace, cone_off
@@ -82,9 +83,9 @@ class HHSSkeleton:
 def make_skeleton(
     domains: Sequence[str],
     maximal: str,
+    orth_pairs: Sequence[tuple[str, str]],
+    unbounded: Sequence[str],
     nesting_pairs: Sequence[tuple[str, str]] = (),
-    orth_pairs: Sequence[tuple[str, str]] = (),
-    unbounded: Sequence[str] | None = None,
 ) -> HHSSkeleton:
     """Build a skeleton; nesting under the maximal domain and transitive
     closure are filled in automatically."""
@@ -105,7 +106,7 @@ def make_skeleton(
         maximal,
         frozenset(pairs),
         frozenset(frozenset(p) for p in orth_pairs),
-        frozenset(unbounded if unbounded is not None else domains),
+        frozenset(unbounded),
     )
 
 
@@ -145,10 +146,11 @@ class OrthGraph:
         return out
 
 
-def orthogonality_graph(sk: HHSSkeleton, restrict: frozenset | None = None) -> OrthGraph:
-    """Edges join orthogonal pairs whose coordinate directions are both
-    unbounded; bounded domains stay isolated vertices."""
-    doms = tuple(d for d in sk.domains if restrict is None or d in restrict)
+def orthogonality_graph(sk: HHSSkeleton, restrict: frozenset) -> OrthGraph:
+    """The graph on the domains in `restrict`: edges join orthogonal pairs
+    whose coordinate directions are both unbounded; bounded domains stay
+    isolated vertices."""
+    doms = tuple(d for d in sk.domains if d in restrict)
     dset = set(doms)
     edges = frozenset(
         pair
@@ -172,16 +174,6 @@ class ConingSchedule:
     skeleton: HHSSkeleton
     rounds: tuple[RoundRecord, ...]
     removed_total: frozenset
-
-    @property
-    def termination_round(self) -> int:
-        return len(self.rounds)
-
-    def removed_through(self, round_index: int) -> frozenset:
-        out: set[str] = set()
-        for r in self.rounds[:round_index]:
-            out |= r.removed
-        return frozenset(out)
 
 
 def coning_schedule(sk: HHSSkeleton) -> ConingSchedule:
@@ -217,14 +209,6 @@ def coning_schedule(sk: HHSSkeleton) -> ConingSchedule:
 # shipped skeletons and region maps
 
 
-@dataclass(frozen=True)
-class Region:
-    """A coset family for a removed domain, with optional fibre data."""
-
-    family: CosetFamily
-    parallelism_fibers: Callable[[Word, int], list[Word]] | None = None
-
-
 def product_free_skeleton() -> HHSSkeleton:
     """Toy skeleton of (Z^2 * Z) x Z: flat conjugates and the two line
     families, each orthogonal to the central direction."""
@@ -236,15 +220,18 @@ def product_free_skeleton() -> HHSSkeleton:
     )
 
 
-def product_free_regions(model: DirectProduct) -> dict[str, Region]:
-    """Region map for (Z^2 * Z) x Z: U = flat slices, W = z-line slices,
-    V = central lines.  Parallelism fibres are the flat-direction slices."""
+def _check_product_free(model: GroupModel) -> None:
     if not isinstance(model, DirectProduct) or not isinstance(model.left, FreeProduct):
         raise GroupError("region map expects a free-product-by-Z model")
     if len(model.left.factors) != 2:  # the keys strip cosets in its Bass-Serre tree
         raise GroupError("region map expects a two-factor free product by Z")
+
+
+def product_free_regions(model: DirectProduct) -> dict[str, CosetFamily]:
+    """The region map of (Z^2 * Z) x Z: U = flat slices, W = z-line slices,
+    V = central lines."""
+    _check_product_free(model)
     left = model.left
-    flat = model.left.factors[0]
 
     def u_key(w: Word):
         ls, k = model.split(w.letters)
@@ -257,17 +244,21 @@ def product_free_regions(model: DirectProduct) -> dict[str, Region]:
     def v_key(w: Word):
         return model.split(w.letters)[0]
 
-    def flat_fiber(x: Word, radius: int) -> list[Word]:
-        # the flat factor's letters are the model's first letters, and its
-        # normal forms are the model's
-        product = model.product
-        return [Word(model, product(x.letters, ls)) for ls in ball_letters(flat, flat.identity(), radius)]
-
     return {
-        "U": Region(CosetFamily("flat x central slices", u_key), flat_fiber),
-        "W": Region(CosetFamily("z-line slices", w_key)),
-        "V": Region(CosetFamily("central lines", v_key)),
+        "U": CosetFamily("flat x central slices", u_key),
+        "W": CosetFamily("z-line slices", w_key),
+        "V": CosetFamily("central lines", v_key),
     }
+
+
+def flat_fiber(model: DirectProduct, x: Word, radius: int) -> list[Word]:
+    """The points x w2 of (Z^2 * Z) x Z, w2 in the radius ball of the flat
+    factor: x's slice of the U region."""
+    _check_product_free(model)
+    # the flat factor's letters are the model's first letters, and its
+    # normal forms are the model's
+    flat, product = model.left.factors[0], model.product
+    return [Word(model, product(x.letters, ls)) for ls in ball_letters(flat, flat.identity(), radius)]
 
 
 def figure_skeleton() -> HHSSkeleton:
@@ -299,20 +290,16 @@ def factored_ball(
     model: GroupModel,
     radius: int,
     schedule: ConingSchedule,
-    round_index: int,
-    region_map: dict[str, Region],
+    region_map: dict[str, CosetFamily],
 ) -> FiniteGraphSpace:
-    """Ball of the model with the regions of all removed domains coned.
-
-    ``round_index`` counts completed rounds: 0 cones nothing, and the full
-    schedule is ``schedule.termination_round``.  Removed domains without a
-    region are skipped with a warning.
+    """Ball of the model with the regions of every domain the schedule
+    removes coned.  Removed domains without a region are skipped with a
+    warning; the plain ball, before any round, is `cone_off(model, radius, [])`.
     """
-    removed = schedule.removed_through(round_index)
     families = []
-    for d in sorted(removed):
+    for d in sorted(schedule.removed_total):
         if d in region_map:
-            families.append(region_map[d].family)
+            families.append(region_map[d])
         else:
             warnings.warn(f"removed domain {d!r} has no region; skipped")
     return cone_off(model, radius, families)
@@ -320,6 +307,8 @@ def factored_ball(
 
 # ---------------------------------------------------------------------------
 # fibre parallelism
+
+_SWEEP = (2, 4, 6)  # flat fibre radii of a parallelism check
 
 
 @dataclass(frozen=True)
@@ -330,28 +319,19 @@ class ParallelismVerdict:
 
 
 def fiber_parallelism_check(
-    model: GroupModel,
+    model: DirectProduct,
     factored: FiniteGraphSpace,
     x: Word,
     y: Word,
     bound: int,
-    region_map: dict[str, Region],
-    sweep: Sequence[int] = (2, 4, 6),
 ) -> ParallelismVerdict:
-    """Probe whether two points sit in a common product region.
+    """Probe whether two points of (Z^2 * Z) x Z sit in a common product region.
 
-    Truncated flat-direction fibres through x and y are compared: bounded
-    factored diameter of each fibre plus a Hausdorff distance (in the word
-    metric) that stabilizes across the sweep means "same product region";
-    strictly growing Hausdorff distance means "far".
+    The flat fibres through x and y, truncated at each radius of `_SWEEP`,
+    are compared: bounded factored diameter of each fibre plus a Hausdorff
+    distance (in the word metric) that stabilizes across the sweep means
+    "same product region"; strictly growing Hausdorff distance means "far".
     """
-    fiber_fn = None
-    for region in region_map.values():
-        if region.parallelism_fibers is not None:
-            fiber_fn = region.parallelism_fibers
-            break
-    if fiber_fn is None:
-        raise GroupError("region map carries no parallelism fibre descriptor")
     if x not in factored or y not in factored:
         raise GroupError("points must lie in the factored ball")
     if x == y:
@@ -362,21 +342,17 @@ def fiber_parallelism_check(
         rows = [distance_row(model, u, b) for u in a]
         return max(max(map(min, rows)), max(map(min, zip(*rows))))
 
-    hs = []
-    for r in sweep:
-        fx = fiber_fn(x, r)
-        fy = fiber_fn(y, r)
-        hs.append((r, hausdorff(fx, fy)))
+    hs = [(r, hausdorff(flat_fiber(model, x, r), flat_fiber(model, y, r))) for r in _SWEEP]
 
     def fiber_diam(p: Word) -> int:
         # a fibre in one coset of U is a clique only once the ball has coned U
-        fibre = [v for v in fiber_fn(p, max(sweep)) if v in factored]
+        fibre = [v for v in flat_fiber(model, p, _SWEEP[-1]) if v in factored]
         return max(map(max, factored.distance_matrix(fibre)), default=0)
 
     dx, dy = fiber_diam(x), fiber_diam(y)
     values = [h for _, h in hs]
     growing = all(b > a for a, b in zip(values, values[1:]))
-    stable = len(values) >= 2 and values[-1] == values[-2]
+    stable = values[-1] == values[-2]
     if stable and dx <= bound and dy <= bound:
         return ParallelismVerdict("same product region", tuple(hs), (dx, dy))
     if growing:

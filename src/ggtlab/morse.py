@@ -343,7 +343,7 @@ def incompatibility_witness(
     return best
 
 
-def diagonal_crossing_ray(model: GroupModel, flat_size: int = 6, tail: int = 12) -> list[Word]:
+def diagonal_crossing_ray(model: GroupModel, flat_size: int, tail: int) -> list[Word]:
     """The shipped ray: staircase across a flat to (n, n), then z-powers.
 
     Requires Z^2 * Z (generators x, y, z); any other model is refused.

@@ -486,7 +486,7 @@ class AlternativeReport:
 
 
 def behrstock_alternative(
-    orbit: OrbitMap, a1: Axis, a2: Axis, xs: Sequence[Word], bound: int = 2
+    orbit: OrbitMap, a1: Axis, a2: Axis, xs: Sequence[Word], bound: int
 ) -> AlternativeReport:
     """Check: far projection on one axis forces a close projection on the other.
 
@@ -711,7 +711,7 @@ def pivot(
     q: Word,
     h_axis: Axis,
     s: int,
-    bound: int = 4,
+    bound: int,
 ) -> PivotResult:
     """Search a small ball for a translate that uncouples a path from an axis.
 
@@ -733,11 +733,11 @@ def pivot(
     if len(alpha) ** 2 * size > _PIVOT_BUDGET:
         raise GroupError(f"pivot: a path of {len(alpha)} vertices with {size} candidates is past the budget")
     pad = ball(model, model.identity(), s)
+    axis_pts = h_axis.points(max(8, 2 * (len(p) + len(q) + s)))
 
     def values(qp: Word) -> tuple[int, int]:
         t = qp * q.inverse()
         moved = [t * v for v in alpha]
-        axis_pts = h_axis.points(max(8, 2 * (len(p) + len(q) + s)))
         return coset_distance(orbit, h_axis, moved, p), coset_distance(orbit, moved, axis_pts, qp)
 
     candidates: list[Word] = [p]

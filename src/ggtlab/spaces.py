@@ -330,9 +330,14 @@ class CosetFamily:
 
 
 def cyclic_coset_family(model: GroupModel, root: Word, single_rep: Word | None = None) -> CosetFamily:
-    """Cosets h<root>; restricted to the single coset of ``single_rep`` if given."""
+    """Cosets h<root>; restricted to the single coset of ``single_rep`` if given.
+
+    The identity is refused as a root: its cosets are single points, which
+    no ball can cone."""
     from .projections import coset_rep_key  # local import to avoid a cycle
 
+    if not root.letters:
+        raise GroupError(f"cannot cone the cosets of the identity {root}")
     if single_rep is not None:
         target = coset_rep_key(root, single_rep)
 

@@ -13,7 +13,9 @@ coset's line to its vertex nearest the identity, the padded candidate
 search for threshold cosets and the window-doubling projection of a whole
 axis.
 The windowed Morse certificate keeps its letter-keyed sweep here, every
-vertex a tuple key, as the oracle of the id-indexed window.
+vertex a tuple key, as the oracle of the id-indexed window.  The seeding
+contract of the walk ensembles is stated here too: trajectory i of a seed
+draws its uniforms from one Philox generator keyed by (seed, i).
 """
 
 from __future__ import annotations
@@ -271,6 +273,13 @@ def window_axis_projection(orbit, src, target, cap: int):
             return cur
         prev, window = cur, 2 * window
     return None
+
+
+def trajectory_stream(seed: int, index: int) -> np.random.Generator:
+    """The generator whose uniforms trajectory `index` of `seed` draws: Philox
+    keyed by the 64-bit pair (seed, index), whatever other trajectories are
+    drawn and in whatever order."""
+    return np.random.Generator(np.random.Philox(key=np.array([seed, index], dtype=np.uint64)))
 
 
 def fraction_step(kernel, dist: dict, keep=None) -> dict:

@@ -47,7 +47,7 @@ def image_point(model, f, bp: BoundaryPoint) -> BoundaryPoint:
     through `f` (a generator permutation or a branch swap)."""
     ray = Word(model, bp.prefix + bp.period * 2)
     head = len(bp.prefix)
-    letters = f(ray).letters
+    letters = f.apply(ray).letters
     return make_boundary_point(model, Word(model, letters[:head]), Word(model, letters[head:][: len(bp.period)]))
 
 

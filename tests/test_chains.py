@@ -28,13 +28,12 @@ from ggtlab.chains import (
     reach_probability,
     simulate,
     srw,
-    trajectory_rng,
 )
 from ggtlab.experiments import resolve_kernel
 from ggtlab.groups import Word, ball, model_from_descriptor, word_distance
 
 from conftest import w
-from oracles import fraction_step, radial_sup
+from oracles import fraction_step, radial_sup, trajectory_stream
 
 
 def validates(trajectory, kernel) -> bool:
@@ -97,7 +96,7 @@ def test_distinct_indices_decouple(f2k, walk):
 def stream(kernel, seed: int, index: int, horizon: int) -> list[int]:
     """The letter row of a walk: the padded step table read at the picks of
     the trajectory's own stream."""
-    return kernel.step_table[_pick(kernel.cdf, trajectory_rng(seed, index).random(horizon))].ravel().tolist()
+    return kernel.step_table[_pick(kernel.cdf, trajectory_stream(seed, index).random(horizon))].ravel().tolist()
 
 
 @pytest.mark.parametrize("seed", [0, 2**63 - 1 + 1000 * 34, 2**64 - 1])
@@ -200,9 +199,9 @@ def test_one_philox_per_ensemble(monkeypatch, f2k, walk):
     made.clear()
     cfg = experiments.ExperimentConfig(samples=30, seed=5, n_grid=(5, 20))
     experiments.linear_progress_experiment(cfg)
-    experiments.tail_experiment(cfg, n=20)
+    experiments.tail_experiment(cfg, o=None, p=None, n=20)
     cells = [(w(f2k, "a"), w(f2k, "b")), (w(f2k, "b"), w(f2k, "a b"))]
-    experiments.bounded_projection_experiment(cfg, cells=cells, n_list=(4, 8))
+    experiments.bounded_projection_experiment(cfg, bound=2.0, cells=cells, n_list=(4, 8))
     # one for progress, one for tail, one per bounded-projection cell
     assert len(made) == 4
 
@@ -211,7 +210,7 @@ def law_path(kernel, start, n, seed, index):
     import numpy as np
 
     states = [start]
-    for u in trajectory_rng(seed, index).random(n):
+    for u in trajectory_stream(seed, index).random(n):
         pairs = kernel.law(states[-1])
         cdf = np.cumsum([float(p) for _, p in pairs])
         cdf[-1] = 1.0
@@ -266,13 +265,13 @@ def test_stream_walks_match_word_products(desc, spec, jumps_raw, start_raw, spli
     horizon = sum(splits) + rest
     walk = next(ensemble(kernel, start, seed, (0,), horizon))
     words = [s for s, _ in kernel.measure]
-    picks = iter(_pick(kernel.cdf, trajectory_rng(seed, 0).random(horizon)).tolist())
-    cur = start if f is None else f.inverse()(start)
+    picks = iter(_pick(kernel.cdf, trajectory_stream(seed, 0).random(horizon)).tolist())
+    cur = start if f is None else f.inverse().apply(start)
     for split in splits:
         walk.steps(split)
         for _ in range(split):
             cur = cur * words[next(picks)]
-        assert walk.current() == (cur if f is None else f(cur)).letters
+        assert walk.current() == (cur if f is None else f.apply(cur)).letters
     path = [cur.letters]
     for k in picks:
         cur = cur * words[k]
@@ -334,7 +333,7 @@ def test_push_forward_walks_by_conjugation(f2k, stay):
         for seed, index in [(1, 0), (7, 3), (2024, 1)]:
             [t] = simulate(pushed, s, 40, seed, (index,))
             [ref] = simulate(base, phi.inverse().apply(s), 40, seed, (index,))
-            assert t.states == tuple(map(phi, ref.states))
+            assert t.states == tuple(map(phi.apply, ref.states))
             assert t.states == law_path(pushed, s, 40, seed, index)
 
 

@@ -426,6 +426,54 @@ def test_cone_past_its_budget_builds_no_ball(monkeypatch, capsys):
     assert err == "error: validation: the radius-12 ball of F2 has 1062881 vertices, past the cone-off budget\n"
 
 
+def test_cone_refuses_the_identity_before_any_ball(monkeypatch, capsys):
+    # the cosets of e are points: nothing is coned, and the root is refused
+    # before the ball is built, not warned about after
+    def fail(*args):
+        raise AssertionError("ball built for a refused root")
+
+    monkeypatch.setattr(groups, "ball_letters", fail)
+    monkeypatch.setattr(spaces, "ball_letters", fail)
+    code, out, err = run(capsys, "cone", "--radius", "2", "--cone", "e")
+    assert code == 1 and out == ""
+    assert err == "error: validation: cannot cone the cosets of the identity e\n"
+
+
+def test_progress_reads_no_axis(tmp_path, capsys):
+    # progress never projects, so a config whose g has no axis runs as without it
+    config = tmp_path / "g.cfg"
+    config.write_text("g = e\n")
+    argv = ["progress", "--seed", "1", "--samples", "3", "--n", "5", "--C", "2"]
+    code, out, err = run(capsys, *argv, "--config", str(config), "--out", str(tmp_path / "with"))
+    assert (code, err) == (0, "")
+    assert run(capsys, *argv, "--out", str(tmp_path / "without"))[0] == 0
+    rows = [(tmp_path / side / "progress.csv").read_text().splitlines()[1:] for side in ("with", "without")]
+    assert rows[0] == rows[1] and len(rows[0]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv, flag, value",
+    [
+        # an empty value is given, not absent: it once ran the default grids
+        (["progress", "--seed", "1", "--samples", "3", "--n", "", "--C", ""], "--n", ""),
+        (["progress", "--seed", "1", "--samples", "3", "--n", "5,x"], "--n", "5,x"),
+        (["separation", "--x", "a^3", "--y", "b^3", "--truncations", "4,x"], "--truncations", "4,x"),
+    ],
+)
+def test_grid_flag_entries_are_named(capsys, argv, flag, value):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err == f"error: validation: {flag} must be comma-separated int values, got {value!r}\n"
+
+
+def test_grid_config_key_entry_is_named(tmp_path, capsys):
+    config = tmp_path / "n.cfg"
+    config.write_text("n = 5,\n")
+    code, out, err = run(capsys, "progress", "--seed", "1", "--samples", "3", "--config", str(config))
+    assert code == 1 and out == ""
+    assert err == "error: validation: config key n must be comma-separated int values, got '5,'\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [

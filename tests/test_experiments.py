@@ -19,7 +19,6 @@ from ggtlab.chains import (
     push_forward,
     simulate,
     srw,
-    trajectory_rng,
 )
 from ggtlab.experiments import (
     AxisTracker,
@@ -48,7 +47,7 @@ from ggtlab.projections import (
 from ggtlab.spaces import top_level_orbit
 
 from conftest import w
-from oracles import drift_oracle_free_srw
+from oracles import drift_oracle_free_srw, trajectory_stream
 
 
 # --- configs -----------------------------------------------------------------
@@ -98,7 +97,7 @@ def test_free_walk_matches_simulate(f2):
         assert walk.current() == traj.path[-1]
         # reference: one uniform per step through the ordered law, word products
         cur = start
-        for u, state in zip(trajectory_rng(9, idx).random(25), traj.states[1:]):
+        for u, state in zip(trajectory_stream(9, idx).random(25), traj.states[1:]):
             cur = cur * jumps[min(int(np.searchsorted(cdf, u, side="right")), len(jumps) - 1)]
             assert cur == state
 
@@ -208,12 +207,12 @@ def test_progress_reads_the_pushed_displacement(monkeypatch, f2):
     words = [s for s, _ in kernel.measure]
     pushed, unmapped = [], []
     for i in range(cfg.samples):
-        cur, row = f.inverse()(f2.identity()), []
-        for n, k in enumerate(_pick(kernel.cdf, trajectory_rng(4, i).random(10)).tolist(), 1):
+        cur, row = f.inverse().apply(f2.identity()), []
+        for n, k in enumerate(_pick(kernel.cdf, trajectory_stream(4, i).random(10)).tolist(), 1):
             cur = cur * words[k]
             if n in cfg.n_grid:
                 row.append(cur)
-        pushed.append([len(f(x)) for x in row])
+        pushed.append([len(f.apply(x)) for x in row])
         unmapped.append([len(x) for x in row])
 
     def drifts(dists):
@@ -244,7 +243,7 @@ def test_walk_experiments_build_no_words_per_sample_or_step(monkeypatch, f2):
             for n in (200, 400):
                 cfg = ExperimentConfig(kernel=kernel, samples=samples, seed=3, n_grid=(50, n))
                 progress.add(words(lambda: linear_progress_experiment(cfg)))
-                bounded.add(words(lambda: bounded_projection_experiment(cfg, cells=cells, n_list=(50, n))))
+                bounded.add(words(lambda: bounded_projection_experiment(cfg, bound=2.0, cells=cells, n_list=(50, n))))
         assert len(progress) == len(bounded) == 1
 
 
@@ -291,7 +290,7 @@ def test_progress_drift_near_oracle():
 def test_bounded_projection_zero_steps(f2):
     cfg = ExperimentConfig(seed=5, samples=50)
     cells = [(f2.identity(), w(f2, "b"))]
-    res = bounded_projection_experiment(cfg, cells=cells, n_list=(0, 10))
+    res = bounded_projection_experiment(cfg, bound=2.0, cells=cells, n_list=(0, 10))
     assert res.table[(0, 0)] == 1.0
 
 
@@ -303,12 +302,12 @@ def test_bounded_projection_refuses_a_horizon_past_the_cap_before_drawing(monkey
     monkeypatch.setattr(chains, "trajectory_rng", fail)
     cfg = ExperimentConfig(seed=5, samples=1)
     with pytest.raises(ChainError, match="horizon"):
-        bounded_projection_experiment(cfg, cells=[(f2.identity(), w(f2, "b"))], n_list=(10, HORIZON_CAP + 1))
+        bounded_projection_experiment(cfg, bound=2.0, cells=[(f2.identity(), w(f2, "b"))], n_list=(10, HORIZON_CAP + 1))
 
 
 def test_bounded_projection_min_positive():
     cfg = ExperimentConfig(seed=5, samples=100)
-    res = bounded_projection_experiment(cfg, n_list=(10, 50))
+    res = bounded_projection_experiment(cfg, bound=2.0, n_list=(10, 50))
     assert len(res.cells) == 20
     assert res.min_probability > 0
 
@@ -326,7 +325,7 @@ def test_default_cells_deterministic():
 @pytest.fixture(scope="module")
 def small_curve():
     cfg = ExperimentConfig(seed=6, samples=400)
-    return tail_experiment(cfg, n=120)
+    return tail_experiment(cfg, o=None, p=None, n=120)
 
 
 def test_tail_trivial_values(small_curve):
@@ -351,13 +350,13 @@ def test_tail_requires_certified_record():
     # root a b^2 spaces coset points 3 apart; threshold 3 cannot certify
     cfg = ExperimentConfig(seed=6, samples=10, g="a b^2", threshold=3)
     with pytest.raises(CertificationError, match="enumeration window insufficient"):
-        tail_experiment(cfg, n=10)
+        tail_experiment(cfg, o=None, p=None, n=10)
 
 
 def test_tail_refuses_push_forward_kernel():
     cfg = ExperimentConfig(seed=6, samples=10, kernel="srw-branch-swap")
     with pytest.raises(ExperimentError, match="needs an invariant kernel"):
-        tail_experiment(cfg, n=10)
+        tail_experiment(cfg, o=None, p=None, n=10)
 
 
 # --- recursion ----------------------------------------------------------------------
@@ -420,7 +419,7 @@ def test_golden_bounded_projection_tables():
     for seed in (0, 1, 2):
         for kernel in ("srw", "lazy:1/2"):
             cfg = ExperimentConfig(kernel=kernel, samples=16, seed=seed)
-            csv = bounded_projection_experiment(cfg).csv()
+            csv = bounded_projection_experiment(cfg, bound=2.0).csv()
             tables.append("\n".join(csv.splitlines()[1:]))
     assert hashlib.sha256("\n\n".join(tables).encode()).hexdigest() == (
         "a0530989ee56fb52513521ec345c52dc857ef7ed4f96d8306b4e7058de50d89b"
@@ -437,7 +436,7 @@ def test_golden_tail_tables(f2):
         for kernel in ("srw", "lazy:1/2"):
             for g, p in (("a", "b a^5 b"), ("a b", "a b a"), ("a", "b")):
                 cfg = ExperimentConfig(kernel=kernel, samples=24, seed=seed, g=g)
-                csv = tail_experiment(cfg, p=w(f2, p), n=60).csv()
+                csv = tail_experiment(cfg, o=None, p=w(f2, p), n=60).csv()
                 tables.append("\n".join(csv.splitlines()[1:]))
     assert hashlib.sha256("\n\n".join(tables).encode()).hexdigest() == (
         "2ca12cf7f16a6ae49a36daf434d39f0a82249a482c42c877bae44fd9aa8aaa10"

@@ -13,18 +13,18 @@ from ggtlab.hhs import (
     ConingSchedule,
     HHSSkeleton,
     OrthGraph,
-    Region,
     SkeletonError,
     coning_schedule,
     factored_ball,
     fiber_parallelism_check,
     figure_skeleton,
+    flat_fiber,
     make_skeleton,
     orthogonality_graph,
     product_free_regions,
     product_free_skeleton,
 )
-from ggtlab.spaces import CosetFamily, top_level_orbit
+from ggtlab.spaces import CosetFamily, cone_off, top_level_orbit
 from ggtlab.groups import GroupError
 
 from conftest import w
@@ -51,7 +51,7 @@ def random_skeleton(seed: int, max_domains: int = 12) -> HHSSkeleton:
     for i, d in enumerate(names):
         if i > 0 and rng.random() < 0.3:
             nest.append((d, names[int(rng.integers(0, i))]))
-    sk0 = make_skeleton(domains, maximal, nest, (), domains)
+    sk0 = make_skeleton(domains, maximal, (), domains, nest)
     orth = []
     for i in range(n):
         for j in range(i + 1, n):
@@ -61,7 +61,7 @@ def random_skeleton(seed: int, max_domains: int = 12) -> HHSSkeleton:
             if rng.random() < 0.35:
                 orth.append((u, v))
     unbounded = [maximal] + [d for d in names if rng.random() < 0.8]
-    return make_skeleton(domains, maximal, nest, orth, unbounded)
+    return make_skeleton(domains, maximal, orth, unbounded, nest)
 
 
 def fibered_tree_skeleton() -> HHSSkeleton:
@@ -74,19 +74,19 @@ def fibered_tree_skeleton() -> HHSSkeleton:
     )
 
 
-def fibered_tree_regions(model) -> dict[str, Region]:
+def fibered_tree_regions(model) -> dict[str, CosetFamily]:
     """Region map for F2 x Z: only the fibre family V = {g} x Z is assigned.
 
     The tree-direction domain A has no region here (its product structure is
     a single unbounded tree slice), so factoring with this map cones the
-    fibres only; fibre parallelism checks are not available (the flats of A
-    are not two-sided)."""
+    fibres only; fibre parallelism checks are not available (F2 x Z has no
+    flat factor)."""
 
     def v_key(w: Word):
         ls, _ = model.split(w.letters)
         return ls
 
-    return {"V": Region(CosetFamily("tree fibres", v_key))}
+    return {"V": CosetFamily("tree fibres", v_key)}
 
 
 # --- skeleton data ------------------------------------------------------------
@@ -94,7 +94,7 @@ def fibered_tree_regions(model) -> dict[str, Region]:
 
 def test_validation_rejects_comparable_orth():
     with pytest.raises(SkeletonError):
-        make_skeleton(("S", "A", "B"), "S", nesting_pairs=[("A", "B")], orth_pairs=[("A", "B")])
+        make_skeleton(("S", "A", "B"), "S", [("A", "B")], ("S", "A", "B"), nesting_pairs=[("A", "B")])
 
 
 def test_skeleton_is_validated_when_built():
@@ -106,7 +106,7 @@ def test_skeleton_is_validated_when_built():
 
 
 def test_downward_closure():
-    sk = make_skeleton(("S", "A", "B"), "S", nesting_pairs=[("B", "A")])
+    sk = make_skeleton(("S", "A", "B"), "S", (), ("S", "A", "B"), nesting_pairs=[("B", "A")])
     assert sk.downward_closure(["A"]) == {"A", "B"}
 
 
@@ -114,24 +114,26 @@ def test_downward_closure():
 
 
 def test_orth_graph_no_pairs():
-    sk = make_skeleton(("S", "A"), "S")
-    og = orthogonality_graph(sk)
+    sk = make_skeleton(("S", "A"), "S", (), ("S", "A"))
+    og = orthogonality_graph(sk, frozenset(sk.domains))
     assert not og.edges and set(og.vertices) == {"S", "A"}
 
 
 def test_orth_graph_bounded_domains_isolated():
     sk = make_skeleton(("S", "A", "B"), "S", orth_pairs=[("A", "B")], unbounded=["S", "A"])
-    og = orthogonality_graph(sk)
+    og = orthogonality_graph(sk, frozenset(sk.domains))
     assert not og.edges  # B is bounded, so the pair contributes no edge
 
 
 def test_orth_graph_product_skeleton():
-    og = orthogonality_graph(product_free_skeleton())
+    sk = product_free_skeleton()
+    og = orthogonality_graph(sk, frozenset(sk.domains))
     assert og.edges == frozenset({frozenset({"U", "V"}), frozenset({"W", "V"})})
 
 
 def test_orth_graph_figure_skeleton():
-    g = nx_graph(orthogonality_graph(figure_skeleton()))
+    sk = figure_skeleton()
+    g = nx_graph(orthogonality_graph(sk, frozenset(sk.domains)))
     sizes = sorted(len(c) for c in nx.find_cliques(g) if len(c) >= 2)
     assert sizes == [2, 3, 4]
 
@@ -169,15 +171,16 @@ def test_triangle_plus_isolated():
         ("S", "U1", "U2", "U3", "V"),
         "S",
         orth_pairs=[("U1", "U2"), ("U1", "U3"), ("U2", "U3")],
+        unbounded=("S", "U1", "U2", "U3", "V"),
     )
     sched = coning_schedule(sk)
-    assert sched.termination_round == 1
+    assert len(sched.rounds) == 1
     assert sched.rounds[0].largest_cliques == (("U1", "U2", "U3"),)
     assert sched.removed_total == {"U1", "U2", "U3"}
 
 
 def test_edgeless_schedule_empty():
-    sk = make_skeleton(("S", "A", "B"), "S")
+    sk = make_skeleton(("S", "A", "B"), "S", (), ("S", "A", "B"))
     sched = coning_schedule(sk)
     assert sched.rounds == () and sched.removed_total == frozenset()
 
@@ -204,12 +207,12 @@ def test_schedule_json():
 def test_random_skeletons_terminate_fast():
     for seed in range(50):
         sk = random_skeleton(seed, max_domains=12)
-        og = orthogonality_graph(sk)
+        og = orthogonality_graph(sk, frozenset(sk.domains))
         omega = (
             max(len(c) for c in nx.find_cliques(nx_graph(og))) if og.edges else 1
         )
         sched = coning_schedule(sk)
-        assert sched.termination_round <= omega
+        assert len(sched.rounds) <= omega
         for r in sched.rounds:
             # each round removes a downward-closed set (within what remained)
             before = r.removed | r.remaining
@@ -234,9 +237,8 @@ def test_product_regions_need_a_two_factor_product(f2xz):
             product_free_regions(model)
 
 
-def test_round_zero_is_word_ball(z2z_by_z, product_setup):
-    sched, regions = product_setup
-    fb = factored_ball(z2z_by_z, 3, sched, 0, regions)
+def test_round_zero_is_word_ball(z2z_by_z):
+    fb = cone_off(z2z_by_z, 3, [])
     e = z2z_by_z.identity()
     for v in list(fb.vertices)[:60]:
         assert fb.distance(e, v) == word_distance(z2z_by_z, e, v)
@@ -244,7 +246,7 @@ def test_round_zero_is_word_ball(z2z_by_z, product_setup):
 
 def test_factored_never_exceeds_word_distance(z2z_by_z, product_setup):
     sched, regions = product_setup
-    fb = factored_ball(z2z_by_z, 3, sched, sched.termination_round, regions)
+    fb = factored_ball(z2z_by_z, 3, sched, regions)
     e = z2z_by_z.identity()
     dmap = fb.distances_from(e)
     for v in fb.vertices:
@@ -253,14 +255,14 @@ def test_factored_never_exceeds_word_distance(z2z_by_z, product_setup):
 
 def test_factored_example_distance(z2z_by_z, product_setup):
     sched, regions = product_setup
-    fb = factored_ball(z2z_by_z, 4, sched, sched.termination_round, regions)
+    fb = factored_ball(z2z_by_z, 4, sched, regions)
     assert fb.distance(z2z_by_z.identity(), w(z2z_by_z, "x y z")) == 2
 
 
 def test_factored_vs_bass_serre_radius_four(z2z_by_z, product_setup):
     # mini version of the tree comparison: all separated pairs at radius 4
     sched, regions = product_setup
-    fb = factored_ball(z2z_by_z, 4, sched, sched.termination_round, regions)
+    fb = factored_ball(z2z_by_z, 4, sched, regions)
     orbit = top_level_orbit(z2z_by_z)
     sources = list(fb.vertices)[:: max(1, len(fb.vertices) // 120)]
     for u in sources:
@@ -276,7 +278,7 @@ def test_fibered_tree_ball_isometric_to_tree(f2xz):
     sched = coning_schedule(sk)
     regions = fibered_tree_regions(f2xz)
     with pytest.warns(UserWarning):
-        fb = factored_ball(f2xz, 4, sched, sched.termination_round, regions)
+        fb = factored_ball(f2xz, 4, sched, regions)
     from ggtlab.spaces import left_component
 
     f2 = f2xz.left
@@ -292,24 +294,22 @@ def test_fibered_tree_ball_isometric_to_tree(f2xz):
 
 def test_parallelism_same_region(z2z_by_z, product_setup):
     sched, regions = product_setup
-    fb = factored_ball(z2z_by_z, 4, sched, sched.termination_round, regions)
-    res = fiber_parallelism_check(z2z_by_z, fb, w(z2z_by_z, "x"), w(z2z_by_z, "y t"), 4, regions)
+    fb = factored_ball(z2z_by_z, 4, sched, regions)
+    res = fiber_parallelism_check(z2z_by_z, fb, w(z2z_by_z, "x"), w(z2z_by_z, "y t"), 4)
     assert res.verdict == "same product region"
     assert max(res.fiber_diameters) <= 1
 
 
-def test_parallelism_round_zero_measures_fibres_in_the_graph(z2z_by_z, product_setup):
+def test_parallelism_round_zero_measures_fibres_in_the_graph(z2z_by_z):
     # round 0 cones nothing, so a fibre inside one coset of U is no clique:
     # its diameter is that of the plain ball, by an independent BFS
-    sched, regions = product_setup
-    fb = factored_ball(z2z_by_z, 3, sched, 0, regions)
+    fb = cone_off(z2z_by_z, 3, [])
     x, y = w(z2z_by_z, "x"), w(z2z_by_z, "y t")
-    res = fiber_parallelism_check(z2z_by_z, fb, x, y, 4, regions)
+    res = fiber_parallelism_check(z2z_by_z, fb, x, y, 4)
     adj = cayley_graph_adjacency(z2z_by_z, 3)
-    fibre = regions["U"].parallelism_fibers
     expected = []
     for p in (x, y):
-        pts = [v for v in fibre(p, 6) if v in adj]
+        pts = [v for v in flat_fiber(z2z_by_z, p, 6) if v in adj]
         expected.append(max(graph_bfs(adj, u)[v] for u in pts for v in pts))
     assert res.fiber_diameters == tuple(expected) == (6, 4)
     assert res.verdict == "inconclusive"
@@ -317,17 +317,15 @@ def test_parallelism_round_zero_measures_fibres_in_the_graph(z2z_by_z, product_s
 
 def test_parallelism_degenerate(z2z_by_z, product_setup):
     sched, regions = product_setup
-    fb = factored_ball(z2z_by_z, 3, sched, sched.termination_round, regions)
-    res = fiber_parallelism_check(z2z_by_z, fb, w(z2z_by_z, "x"), w(z2z_by_z, "x"), 4, regions)
+    fb = factored_ball(z2z_by_z, 3, sched, regions)
+    res = fiber_parallelism_check(z2z_by_z, fb, w(z2z_by_z, "x"), w(z2z_by_z, "x"), 4)
     assert res.verdict == "same product region"
 
 
 def test_parallelism_far(z2z_by_z, product_setup):
     sched, regions = product_setup
-    fb = factored_ball(z2z_by_z, 4, sched, sched.termination_round, regions)
-    res = fiber_parallelism_check(
-        z2z_by_z, fb, z2z_by_z.identity(), w(z2z_by_z, "z x z"), 4, regions, sweep=(1, 2, 3)
-    )
+    fb = factored_ball(z2z_by_z, 4, sched, regions)
+    res = fiber_parallelism_check(z2z_by_z, fb, z2z_by_z.identity(), w(z2z_by_z, "z x z"), 4)
     assert res.verdict == "far"
 
 
@@ -338,10 +336,9 @@ def test_parallelism_inverts_once_per_fibre_point(z2z_by_z, product_setup, monke
     from ggtlab.groups import DirectProduct
 
     sched, regions = product_setup
-    fb = factored_ball(z2z_by_z, 3, sched, sched.termination_round, regions)
+    fb = factored_ball(z2z_by_z, 3, sched, regions)
     x, y, sweep = w(z2z_by_z, "x z"), w(z2z_by_z, "y t^-1"), (2, 4, 6)
-    fibre = regions["U"].parallelism_fibers
-    allowed = sum(len(fibre(x, r)) + len(fibre(y, r)) for r in sweep)
+    allowed = sum(len(flat_fiber(z2z_by_z, x, r)) + len(flat_fiber(z2z_by_z, y, r)) for r in sweep)
     inverse, calls = DirectProduct.inverse, []
 
     def counted(self, letters):
@@ -349,21 +346,19 @@ def test_parallelism_inverts_once_per_fibre_point(z2z_by_z, product_setup, monke
         return inverse(self, letters)
 
     monkeypatch.setattr(DirectProduct, "inverse", counted)
-    res = fiber_parallelism_check(z2z_by_z, fb, x, y, 4, regions, sweep)
+    res = fiber_parallelism_check(z2z_by_z, fb, x, y, 4)
     assert res.verdict == "far"
     assert 0 < len(calls) <= allowed
 
 
-def test_flat_fibres_are_the_normalized_concatenations(z2z_by_z, product_setup):
+def test_flat_fibres_are_the_normalized_concatenations(z2z_by_z):
     # on the points of the radius-3 ball and the sweep's radii, a fibre point
     # x w2 as the product of two normal forms is the normal form of x w2
-    _, regions = product_setup
-    fibre = regions["U"].parallelism_fibers
     flat = z2z_by_z.left.factors[0]
     for x in ball(z2z_by_z, z2z_by_z.identity(), 3):
         for r in (2, 4, 6):
             expected = [Word(z2z_by_z, z2z_by_z.normalize(x.letters + u.letters)) for u in ball(flat, flat.identity(), r)]
-            assert fibre(x, r) == expected
+            assert flat_fiber(z2z_by_z, x, r) == expected
 
 
 def test_parallelism_missing_descriptor(f2xz):
@@ -371,9 +366,9 @@ def test_parallelism_missing_descriptor(f2xz):
     sched = coning_schedule(sk)
     regions = fibered_tree_regions(f2xz)
     with pytest.warns(UserWarning):
-        fb = factored_ball(f2xz, 3, sched, sched.termination_round, regions)
+        fb = factored_ball(f2xz, 3, sched, regions)
     with pytest.raises(GroupError):
-        fiber_parallelism_check(f2xz, fb, f2xz.identity(), w(f2xz, "a"), 4, regions)
+        fiber_parallelism_check(f2xz, fb, f2xz.identity(), w(f2xz, "a"), 4)
 
 
 def test_golden_coning_schedules():

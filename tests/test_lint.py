@@ -133,11 +133,11 @@ def _passes(call: ast.Call, position: int | None, name: str) -> bool:
     return any(k.arg == name for k in call.keywords) or (position is not None and position < plain)
 
 
-def unset_defaults(modules: dict[str, ast.Module], callers: list[ast.Module]) -> list[str]:
-    """`module.function(parameter)` for each defaulted parameter of a
-    module-level function that no call of the function's name passes, by
-    keyword or by position.  Calls are matched by name alone, so methods,
-    called through instances, are out of scope."""
+def _defaults_and_calls(modules: dict[str, ast.Module], callers: list[ast.Module]):
+    """(`module.function(parameter)`, whether each call passes it) for each
+    defaulted parameter of a module-level function, over the calls of the
+    function's name in `callers`.  Calls are matched by name alone, so
+    methods, called through instances, are out of scope."""
     calls: dict[str, list[ast.Call]] = {}
     for tree in callers:
         for node in ast.walk(tree):
@@ -145,14 +145,33 @@ def unset_defaults(modules: dict[str, ast.Module], callers: list[ast.Module]) ->
                 f = node.func
                 name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
                 calls.setdefault(name, []).append(node)
-    found = []
     for mod, tree in modules.items():
         for fn in tree.body:
             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 for position, name in defaulted_parameters(fn):
-                    if not any(_passes(c, position, name) for c in calls.get(fn.name, ())):
-                        found.append(f"{mod}.{fn.name}({name})")
-    return found
+                    yield f"{mod}.{fn.name}({name})", [_passes(c, position, name) for c in calls.get(fn.name, ())]
+
+
+def unset_defaults(modules: dict[str, ast.Module], callers: list[ast.Module]) -> list[str]:
+    """`module.function(parameter)` for each defaulted parameter of a
+    module-level function that no call of the function's name passes, by
+    keyword or by position."""
+    return [param for param, passed in _defaults_and_calls(modules, callers) if not any(passed)]
+
+
+def overridden_defaults(modules: dict[str, ast.Module], callers: list[ast.Module]) -> list[str]:
+    """`module.function(parameter)` for each defaulted parameter of a
+    module-level function that every call of the function's name passes,
+    where there is one: a default that no call reads."""
+    return [param for param, passed in _defaults_and_calls(modules, callers) if passed and all(passed)]
+
+
+def _program_trees() -> tuple[dict[str, ast.Module], list[ast.Module]]:
+    modules = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    callers = [
+        ast.parse(path.read_text()) for folder in ("src", "perfbench") for path in sorted((ROOT / folder).rglob("*.py"))
+    ]
+    return modules, callers
 
 
 def test_every_default_of_a_module_level_function_is_passed_somewhere():
@@ -165,19 +184,17 @@ def test_every_default_of_a_module_level_function_is_passed_somewhere():
     assert unset_defaults(modules, callers) == []
 
 
-def test_every_default_but_three_is_passed_by_the_program():
-    # a default that only tests set is a knob the program never turns; tests
-    # set these three to read trajectory i's stream, to nest domains and to
-    # sweep fewer radii, and a new one must be listed here to land
-    modules = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
-    callers = [
-        ast.parse(path.read_text()) for folder in ("src", "perfbench") for path in sorted((ROOT / folder).rglob("*.py"))
-    ]
-    assert unset_defaults(modules, callers) == [
-        "chains.trajectory_rng(index)",
-        "hhs.make_skeleton(nesting_pairs)",
-        "hhs.fiber_parallelism_check(sweep)",
-    ]
+def test_every_default_but_one_is_passed_by_the_program():
+    # a default that only tests set is a knob the program never turns, and a
+    # new one must be listed here to land; the random skeletons of the tests
+    # nest domains, which the shipped skeletons do not yet
+    assert unset_defaults(*_program_trees()) == ["hhs.make_skeleton(nesting_pairs)"]
+
+
+def test_no_default_is_overridden_by_every_program_call():
+    # a default that every call of the program overrides is never read: the
+    # value belongs to the callers, and the parameter is a required one
+    assert overridden_defaults(*_program_trees()) == []
 
 
 def test_unset_default_detector():
@@ -187,6 +204,14 @@ def test_unset_default_detector():
     )
     uses = ast.parse("f(0, d=1)\nm.g(0, *xs)\nf(0, **kw)\n")
     assert unset_defaults({"m": mod}, [uses]) == ["m.f(b)", "m.f(c)", "m.g(y)"]
+
+
+def test_overridden_default_detector():
+    mod = ast.parse(
+        "def f(a, b=1, *, c=2, d=3):\n    pass\ndef g(x=0, y=1):\n    pass\ndef h(z=0):\n    pass\n"
+    )
+    uses = ast.parse("f(0, 5, d=1)\nm.f(0, b=2, c=3, d=4)\nm.g(0, *xs)\ng(1)\n")
+    assert overridden_defaults({"m": mod}, [uses]) == ["m.f(b)", "m.f(d)", "m.g(x)"]
 
 
 def public_definitions(tree: ast.Module):

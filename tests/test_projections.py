@@ -486,7 +486,7 @@ def test_lower_bound_examples(f2, f2_orbit):
 def test_pivot_zero_when_already_far(f2, f2_orbit):
     far_axis = axis_of(w(f2, "a")).translate(w(f2, "b a b"))
     alpha = geodesic(f2, f2.identity(), w(f2, "b^-4"))
-    res = pivot(f2_orbit, alpha, w(f2, "b^-4"), far_axis, s=3)
+    res = pivot(f2_orbit, alpha, w(f2, "b^-4"), far_axis, s=3, bound=4)
     assert res.passed and res.pivot == f2.identity()
 
 
