@@ -236,8 +236,8 @@ def cmd_tail(args) -> int:
 
     cfg = _load_config(args)
     model = model_from_descriptor(cfg.model)
-    o = parse_word(model, args.o) if args.o else None
-    p = parse_word(model, args.p) if args.p else None
+    o = parse_word(model, args.o) if args.o is not None else None
+    p = parse_word(model, args.p) if args.p is not None else None
     check_recursion_inputs(args.steps, args.gap, args.eps)
     curve = tail_experiment(cfg, o=o, p=p, n=args.steps)
     rep = recursion_check(curve, gap=args.gap, eps=args.eps)

@@ -89,6 +89,14 @@ class ExperimentConfig:
         return f"# config={self.digest()} seed={self.seed} version={__version__}"
 
 
+def _config_int(key: str, text: str) -> int:
+    """The int value of a config key, refused under the key's name."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ExperimentError(f"config key {key} must be an int value, got {text!r}") from None
+
+
 def parse_config(text: str, **overrides) -> ExperimentConfig:
     """Key = value lines; '#' starts a comment; overrides win."""
     values: dict = {}
@@ -105,11 +113,11 @@ def parse_config(text: str, **overrides) -> ExperimentConfig:
         "model": ("model", str),
         "kernel": ("kernel", str),
         "g": ("g", str),
-        "T": ("threshold", int),
+        "T": ("threshold", lambda s: _config_int("T", s)),
         "C": ("c_grid", lambda s: parse_grid("config key C", s, float)),
         "n": ("n_grid", lambda s: parse_grid("config key n", s, int)),
-        "samples": ("samples", int),
-        "seed": ("seed", lambda s: None if s == "None" else int(s)),
+        "samples": ("samples", lambda s: _config_int("samples", s)),
+        "seed": ("seed", lambda s: None if s == "None" else _config_int("seed", s)),
     }
     for key, val in values.items():
         if key not in mapping:

@@ -596,9 +596,22 @@ def word_distance(model: GroupModel, g: Word, h: Word) -> int:
 def distance_from(model: GroupModel, g: Word) -> Callable[[Word], int]:
     """The function h -> d(g, h) = |g^-1 h|, with g inverted once.
 
-    The h must be words of the model; only g is checked."""
+    On G x Z, g is cut into its G-letters and central exponent once and
+    each h once: |g^-1 h| is |g_G^-1 h_G| + |e_h - e_g|, which is how
+    `DirectProduct.product` spells g^-1 h.  The h must be words of the
+    model; only g is checked."""
     if g.model is not model and g.model != model:
         raise GroupError("distance_from: model mismatch")
+    if isinstance(model, DirectProduct):
+        cut = model._cut
+        g_left, e_g = cut(g.letters)
+        g_inv, product = model.left.inverse(g_left), model.left.product
+
+        def distance(h: Word) -> int:
+            h_left, e_h = cut(h.letters)
+            return len(product(g_inv, h_left)) + abs(e_h - e_g)
+
+        return distance
     g_inv, product = model.inverse(g.letters), model.product
     return lambda h: len(product(g_inv, h.letters))
 

@@ -15,11 +15,13 @@ coned-off balls, which answers ``.distance(x, y)``, its exact graph metric.
 Coning is implemented as diameter-1 completion: each coned coset becomes a
 clique.  Cliques are stored implicitly (never expanded to edge lists) and the
 BFS treats a clique as a unit-cost hop, which gives exactly the metric of the
-completed graph.  A ``FiniteGraphSpace`` indexes its vertices once, at
-construction: neighbour lists and cliques become lists of integer ids, the
-BFS runs on ids, and vertices appear again only at the API.
+completed graph.  A ``FiniteGraphSpace`` is given on integer vertex ids: its
+neighbour lists and cliques are lists of ids, which `cone_off` takes straight
+from the ball's letter tuples, the BFS runs on ids, and vertices appear only
+at the API, through one vertex-to-id index built at construction.
 
-numpy loads at first use, inside the four-point estimate (`delta_estimate`).
+numpy loads at first use, inside the four-point estimate (`delta_estimate`),
+which counts each quadruple of points once.
 """
 
 from __future__ import annotations
@@ -70,21 +72,29 @@ def _bass_serre_distance(model: FreeProduct, i: int, j: int, letters: tuple[int,
 
 @dataclass
 class FiniteGraphSpace:
-    """A finite connected graph with implicit cliques for coned cosets."""
+    """A finite connected graph on integer vertex ids, with implicit cliques
+    for coned cosets.
+
+    Vertex i is ``vertices[i]``; ``adjacency[i]`` lists the ids of its
+    neighbours, and each clique is a tuple of ids.  Construction refuses an
+    id outside 0..len(vertices) - 1 and indexes the vertices once.
+    """
 
     vertices: tuple[Hashable, ...]
-    base_adjacency: dict
-    cliques: tuple[tuple[Hashable, ...], ...] = ()
+    adjacency: Sequence[Sequence[int]]
+    cliques: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        self._index = index = {v: i for i, v in enumerate(self.vertices)}
-        try:
-            self._nbrs = [[index[u] for u in self.base_adjacency.get(v, ())] for v in self.vertices]
-            self._clique_ids = [[index[u] for u in members] for members in self.cliques]
-        except KeyError as exc:
-            raise SpaceError(f"edge or clique endpoint {exc.args[0]!r} is not a vertex") from None
+        n = len(self.vertices)
+        if len(self.adjacency) != n:
+            raise SpaceError(f"{len(self.adjacency)} neighbour lists for {n} vertices")
+        for ids in itertools.chain(self.adjacency, self.cliques):
+            for i in ids:
+                if type(i) is not int or not 0 <= i < n:
+                    raise SpaceError(f"edge or clique endpoint {i!r} is not a vertex id below {n}")
+        self._index = {v: i for i, v in enumerate(self.vertices)}
         self._vertex_cliques: list[list[int]] = [[] for _ in self.vertices]
-        for ci, ids in enumerate(self._clique_ids):
+        for ci, ids in enumerate(self.cliques):
             for i in ids:
                 self._vertex_cliques[i].append(ci)
 
@@ -103,7 +113,7 @@ class FiniteGraphSpace:
     def _bfs(self, src: int) -> tuple[list[int], list[int]]:
         """Distances by vertex id from the id src (-1 where unreachable), and
         the reached ids in discovery order."""
-        nbrs, cliques, vertex_cliques = self._nbrs, self._clique_ids, self._vertex_cliques
+        nbrs, cliques, vertex_cliques = self.adjacency, self.cliques, self._vertex_cliques
         dist = [-1] * len(nbrs)
         dist[src] = 0
         clique_done = [False] * len(cliques)
@@ -153,8 +163,8 @@ class FiniteGraphSpace:
         total = sum(len(c) * (len(c) - 1) for c in self.cliques)
         if total > 400_000:
             raise SpaceError("graph too large to expand cliques explicitly")
-        adj = [set(ns) for ns in self._nbrs]
-        for ids in self._clique_ids:
+        adj = [set(ns) for ns in self.adjacency]
+        for ids in self.cliques:
             for a, b in itertools.combinations(ids, 2):
                 adj[a].add(b)
                 adj[b].add(a)
@@ -255,33 +265,43 @@ class DeltaEstimate:
     exhaustive: bool
 
 
-_DEFECT_BLOCK = 2**16  # cells per vectorised block of quadruples
+_DEFECT_BLOCK = 2**15  # triples j < k < l per vectorised block
 
 
 def _exhaustive_defect(D: np.ndarray) -> int:
-    """Twice the largest four-point defect over all i < j < k < l.
+    """Twice the largest four-point defect over all i < j < k < l, each
+    quadruple counted once (Cohen, Coudert and Lancin, *On computing the
+    Gromov hyperbolicity*, 2015).
 
-    One pivot i at a time, vectorised over j < k < l in blocks of at most
-    _DEFECT_BLOCK cells.  The pairing sums and their total stay below 6 max(D), which picks
-    the dtype; the largest sum minus the middle one is 2 max + min - total.
+    The triples j < k < l run in lexicographic order, in blocks of at most
+    _DEFECT_BLOCK; a block gathers d(k,l), d(j,l) and d(j,k) once, and each
+    pivot i reads the block's suffix of triples with j > i.  The pairing
+    sums and their total stay below 6 max(D), which picks the dtype; the
+    largest sum minus the middle one is 2 max + min - total.
     """
     import numpy as np
 
     n, top6 = len(D), 6 * int(D.max())
     D = D.astype(np.int16 if top6 < 2**15 else np.int32 if top6 < 2**31 else np.int64)
+    pair_k, pair_l = np.triu_indices(n, 1)  # the pairs k < l, by k then l
+    first = np.searchsorted(pair_k, np.arange(1, n - 1))  # those with k > j start at first[j]
+    count = len(pair_k) - first  # the triples j < k < l of each j
+    begin, total = np.cumsum(count) - count, int(count.sum())
     best = 0
-    for i in range(n - 3):
-        block = max(1, _DEFECT_BLOCK // (n - i - 1) ** 2)
-        for j0 in range(i + 1, n - 2, block):
-            js, ks = np.arange(j0, min(j0 + block, n - 2)), np.arange(j0 + 1, n)
-            dkj = D[np.ix_(ks, js)].T
-            s1 = D[i, js][:, None, None] + D[np.ix_(ks, ks)]  # d(i,j) + d(k,l)
-            s2 = D[i, ks][:, None] + dkj[:, None, :]  # d(i,k) + d(l,j)
-            s3 = D[i, ks] + dkj[:, :, None]  # d(i,l) + d(k,j)
+    for t in range(0, total, _DEFECT_BLOCK):
+        pair = np.arange(t, min(t + _DEFECT_BLOCK, total))  # the triples' ranks, then their pairs
+        J = np.searchsorted(begin, pair, "right") - 1
+        pair -= begin[J]
+        pair += first[J]
+        K, L = pair_k[pair], pair_l[pair]
+        dkl, djl, djk = D[K, L], D[J, L], D[J, K]
+        for i, s in enumerate(np.searchsorted(J, np.arange(J[-1]), "right").tolist()):
+            row = D[i]
+            s1 = row[J[s:]] + dkl[s:]  # d(i,j) + d(k,l)
+            s2 = row[K[s:]] + djl[s:]  # d(i,k) + d(j,l)
+            s3 = row[L[s:]] + djk[s:]  # d(i,l) + d(j,k)
             top, low = np.maximum(np.maximum(s1, s2), s3), np.minimum(np.minimum(s1, s2), s3)
-            gap = 2 * top + low - s1 - s2 - s3
-            keep = (js[:, None, None] < ks[:, None]) & (ks[:, None] < ks)
-            best = max(best, int(gap.max(where=keep, initial=0)))
+            best = max(best, int((2 * top + low - s1 - s2 - s3).max()))
     return best
 
 
@@ -364,16 +384,16 @@ def cone_off(model: GroupModel, radius: int, families: Iterable[CosetFamily]) ->
     if size > _CONE_BUDGET:
         raise GroupError(f"the radius-{radius} ball of {model.describe()} has {size} vertices, past the cone-off budget")
     letters = ball_letters(model, model.identity(), radius)
-    verts = [Word(model, ls) for ls in letters]
-    word_of = dict(zip(letters, verts))
-    adj = {w: [word_of[u] for u in neighbours(model, w.letters) if u in word_of] for w in verts}
-    cliques: list[tuple[Word, ...]] = []
+    index = {ls: i for i, ls in enumerate(letters)}
+    adjacency = [[i for i in map(index.get, neighbours(model, ls)) if i is not None] for ls in letters]
+    verts = tuple(Word(model, ls) for ls in letters)
+    cliques: list[tuple[int, ...]] = []
     for fam in families:
         classes: dict = {}
-        for w in verts:
+        for i, w in enumerate(verts):
             k = fam.class_key(w)
             if k is not None:
-                classes.setdefault(k, []).append(w)
+                classes.setdefault(k, []).append(i)
         nontrivial = 0
         for members in classes.values():
             if len(members) >= 2:
@@ -381,7 +401,7 @@ def cone_off(model: GroupModel, radius: int, families: Iterable[CosetFamily]) ->
                 nontrivial += 1
         if nontrivial == 0:
             warnings.warn(f"coset family {fam.label!r} meets the ball trivially; skipped")
-    return FiniteGraphSpace(vertices=tuple(verts), base_adjacency=adj, cliques=tuple(cliques))
+    return FiniteGraphSpace(vertices=verts, adjacency=adjacency, cliques=tuple(cliques))
 
 
 # ---------------------------------------------------------------------------

@@ -40,6 +40,7 @@ from ggtlab.groups import (
     word_distance,
 )
 from ggtlab.projections import Axis, CosetEntry, axis_of, coset_rep_key, project_to_set, projection_of_set
+from ggtlab.spaces import FiniteGraphSpace
 
 
 def free_ball_size(rank: int, radius: int) -> int:
@@ -113,14 +114,27 @@ def naive_ball(model: GroupModel, center: Word, radius: int) -> set[Word]:
     return seen
 
 
+def id_graph(vertices, adjacency: dict, cliques=()) -> FiniteGraphSpace:
+    """The finite graph space on the vertices whose edges are an adjacency
+    dict and whose cliques are tuples of vertices, each vertex read as its
+    position in `vertices`."""
+    index = {v: i for i, v in enumerate(vertices)}
+    return FiniteGraphSpace(
+        tuple(vertices),
+        [[index[u] for u in adjacency.get(v, ())] for v in vertices],
+        tuple(tuple(map(index.__getitem__, members)) for members in cliques),
+    )
+
+
 def expanded_adjacency(space) -> dict:
     """A finite graph space's adjacency with its cliques expanded to edges,
-    each neighbour list in repr order, from its public fields."""
-    adj = {v: set(space.base_adjacency.get(v, ())) for v in space.vertices}
+    each neighbour list in repr order, from its public id fields."""
+    verts = space.vertices
+    adj = {v: {verts[u] for u in ns} for v, ns in zip(verts, space.adjacency)}
     for members in space.cliques:
         for a, b in combinations(members, 2):
-            adj[a].add(b)
-            adj[b].add(a)
+            adj[verts[a]].add(verts[b])
+            adj[verts[b]].add(verts[a])
     return {v: sorted(ns, key=repr) for v, ns in adj.items()}
 
 

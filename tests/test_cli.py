@@ -474,6 +474,22 @@ def test_grid_config_key_entry_is_named(tmp_path, capsys):
     assert err == "error: validation: config key n must be comma-separated int values, got '5,'\n"
 
 
+@pytest.mark.parametrize("key", ["T", "samples", "seed"])
+def test_int_config_key_is_named(tmp_path, capsys, key):
+    config = tmp_path / "int.cfg"
+    config.write_text(f"{key} = 3x\n")
+    code, out, err = run(capsys, "progress", "--n", "5", "--C", "2", "--config", str(config))
+    assert code == 1 and out == ""
+    assert err == f"error: validation: config key {key} must be an int value, got '3x'\n"
+
+
+@pytest.mark.parametrize("flag", ["--o", "--p"])
+def test_tail_reads_an_empty_word_as_the_identity(tmp_path, capsys, flag):
+    # an empty --p is given, not absent: it once ran from the default p
+    argv = ["tail", "--seed", "1", "--samples", "200", "--steps", "48", "--out", str(tmp_path)]
+    assert run(capsys, *argv, flag, "") == run(capsys, *argv, flag, "e")
+
+
 @pytest.mark.parametrize(
     "argv",
     [

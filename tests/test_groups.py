@@ -414,6 +414,17 @@ def test_distance_row_matches_word_distance(desc):
         distance_row(m, other.identity(), pts)
 
 
+@pytest.mark.parametrize("desc", ["F2 x Z", "(Z^2 * Z) x Z"])
+def test_direct_product_rows_are_the_lengths_of_the_products(desc):
+    # a G x Z row cuts each point once and adds the central exponents'
+    # distance to the G-row: the length of the product g^-1 h it spells
+    m = model_from_descriptor(desc)
+    pts = ball(m, m.identity(), 3)
+    for g in pts:
+        g_inv = m.inverse(g.letters)
+        assert distance_row(m, g, pts) == [len(m.product(g_inv, h.letters)) for h in pts]
+
+
 # --- the word layer: junction products, structural inverses, keys ------------
 
 WORD_MODELS = ["F2", "Z^2", "Z^2 * Z", "(Z^2 * Z) x Z"]

@@ -332,20 +332,20 @@ def test_parallelism_far(z2z_by_z, product_setup):
 def test_parallelism_inverts_once_per_fibre_point(z2z_by_z, product_setup, monkeypatch):
     # the Hausdorff sweep measures a fibre point against the other fibre by
     # one distance row, so a radius costs at most |fx| + |fy| inversions
-    # (one per pair would be 2 |fx| |fy|)
-    from ggtlab.groups import DirectProduct
-
+    # (one per pair would be 2 |fx| |fy|); a G x Z row inverts the source's
+    # G-letters only, so the left factor's inversions are counted
     sched, regions = product_setup
     fb = factored_ball(z2z_by_z, 3, sched, regions)
     x, y, sweep = w(z2z_by_z, "x z"), w(z2z_by_z, "y t^-1"), (2, 4, 6)
     allowed = sum(len(flat_fiber(z2z_by_z, x, r)) + len(flat_fiber(z2z_by_z, y, r)) for r in sweep)
-    inverse, calls = DirectProduct.inverse, []
+    left = type(z2z_by_z.left)
+    inverse, calls = left.inverse, []
 
     def counted(self, letters):
         calls.append(letters)
         return inverse(self, letters)
 
-    monkeypatch.setattr(DirectProduct, "inverse", counted)
+    monkeypatch.setattr(left, "inverse", counted)
     res = fiber_parallelism_check(z2z_by_z, fb, x, y, 4)
     assert res.verdict == "far"
     assert 0 < len(calls) <= allowed

@@ -25,7 +25,14 @@ from ggtlab.spaces import (
 )
 
 from conftest import w
-from oracles import bs_tree_adjacency, cayley_graph_adjacency, expanded_adjacency, four_point_delta, graph_bfs
+from oracles import (
+    bs_tree_adjacency,
+    cayley_graph_adjacency,
+    expanded_adjacency,
+    four_point_delta,
+    graph_bfs,
+    id_graph,
+)
 
 
 # --- distances -------------------------------------------------------------
@@ -66,9 +73,7 @@ def test_bass_serre_against_bfs(z2z):
 
 
 def test_finite_graph_space_path():
-    g = FiniteGraphSpace(
-        vertices=("u", "v", "w"), base_adjacency={"u": ["v"], "v": ["u", "w"], "w": ["v"]}
-    )
+    g = id_graph(("u", "v", "w"), {"u": ["v"], "v": ["u", "w"], "w": ["v"]})
     assert g.distance("u", "w") == 2
     with pytest.raises(SpaceError):
         g.distance("u", "missing")
@@ -190,7 +195,7 @@ def test_delta_zero_on_trees(f2, f2_orbit):
 def test_delta_six_cycle():
     verts = tuple(range(6))
     adj = {i: [(i + 1) % 6, (i - 1) % 6] for i in verts}
-    g = FiniteGraphSpace(vertices=verts, base_adjacency=adj)
+    g = id_graph(verts, adj)
     est = delta_estimate(g, verts)
     assert est.exhaustive and est.value == 1.0
 
@@ -238,13 +243,13 @@ def coned_graphs(draw):
 @given(coned_graphs(), st.sampled_from([1, 60, spaces._DEFECT_BLOCK]))
 @settings(max_examples=150, deadline=None)
 def test_delta_matches_four_point_oracle(case, block):
-    # small blocks split each pivot's j-range into several blocks
+    # small blocks split the triples j < k < l of one j across several blocks
     n, edges, cliques, points = case
     adj: dict = {v: [] for v in range(n)}
     for a, b in edges:
         adj[a].append(b)
         adj[b].append(a)
-    g = FiniteGraphSpace(vertices=tuple(range(n)), base_adjacency=adj, cliques=tuple(cliques))
+    g = id_graph(range(n), adj, cliques)
     full = {v: set(ns) for v, ns in adj.items()}
     for c in cliques:
         for a, b in itertools.combinations(c, 2):
@@ -259,7 +264,7 @@ def test_delta_matches_four_point_oracle(case, block):
 
 def _path_graph(n):
     adj = {v: [u for u in (v - 1, v + 1) if 0 <= u < n] for v in range(n)}
-    return FiniteGraphSpace(vertices=tuple(range(n)), base_adjacency=adj)
+    return id_graph(range(n), adj)
 
 
 @pytest.mark.parametrize("length", [12_000, 40_000])
@@ -272,7 +277,7 @@ def test_delta_zero_on_long_path(length):
 
 
 def test_delta_memory_bounded():
-    # 100 points: the blocked per-pivot search keeps its arrays small
+    # 100 points: the search holds one block of triples at a time
     g = _path_graph(400)
     tracemalloc.start()
     try:
@@ -284,16 +289,44 @@ def test_delta_memory_bounded():
     assert peak <= 4_000_000
 
 
+def test_delta_memory_bounded_at_the_point_limit():
+    # 200 points, C(200, 3) triples: one block of triples at a time is held,
+    # never the whole triple list (about 31 MB of indices)
+    g = _path_graph(400)
+    tracemalloc.start()
+    try:
+        est = delta_estimate(g, range(0, 400, 2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert est.value == 0.0 and est.quadruples == math.comb(200, 4)
+    assert peak <= 4_000_000
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_defect_matches_four_point_oracle_on_a_coned_ball(f2, seed):
+    # the benchmark's cone-delta shape: F2's radius-4 ball coned along the
+    # cosets of <a b>, 40 of its points, distances from BFS on the expanded graph
+    import numpy as np
+
+    coned = cone_off(f2, 4, [cyclic_coset_family(f2, w(f2, "a b"))])
+    adj = expanded_adjacency(coned)
+    points = [coned.vertices[i] for i in sorted(random.Random(seed).sample(range(len(coned)), 40))]
+    rows = {p: graph_bfs(adj, p) for p in points}
+    D = np.array([[rows[p][q] for q in points] for p in points])
+    assert spaces._exhaustive_defect(D) / 2 == four_point_delta(points, lambda p, q: rows[p][q])
+
+
 def test_delta_refuses_disconnected_points():
     adj = {0: [1], 1: [0, 2], 2: [1], 3: [4], 4: [3, 5], 5: [4]}
-    g = FiniteGraphSpace(vertices=tuple(range(6)), base_adjacency=adj)
+    g = id_graph(range(6), adj)
     with pytest.raises(SpaceError, match="graph is not connected"):
         delta_estimate(g, range(6))
 
 
 def test_distance_matrix_within_one_component_only():
     adj = {0: [1], 1: [0, 2], 2: [1], 3: [4], 4: [3, 5], 5: [4]}
-    g = FiniteGraphSpace(vertices=tuple(range(6)), base_adjacency=adj)
+    g = id_graph(range(6), adj)
     assert g.distance_matrix([0, 2, 1]) == [[0, 2, 1], [2, 0, 1], [1, 1, 0]]
     assert g.distance_matrix([]) == []
     with pytest.raises(SpaceError, match="graph is not connected"):
@@ -301,10 +334,17 @@ def test_distance_matrix_within_one_component_only():
 
 
 def test_unknown_endpoints_refused_at_construction():
-    with pytest.raises(SpaceError, match="'r' is not a vertex"):
-        FiniteGraphSpace(vertices=("p", "q"), base_adjacency={"p": ["q", "r"]})
-    with pytest.raises(SpaceError, match="'r' is not a vertex"):
-        FiniteGraphSpace(vertices=("p", "q"), base_adjacency={"p": ["q"]}, cliques=(("p", "r"),))
+    # ids are positions in the vertex tuple: one past the end, a negative one
+    # and a non-integer one are refused, as is a neighbour list per vertex
+    # that is missing
+    with pytest.raises(SpaceError, match="endpoint 2 is not a vertex id below 2"):
+        FiniteGraphSpace(("p", "q"), [[1, 2], [0]], ())
+    with pytest.raises(SpaceError, match="endpoint -1 is not a vertex id below 2"):
+        FiniteGraphSpace(("p", "q"), [[1], [0]], ((0, -1),))
+    with pytest.raises(SpaceError, match="endpoint 'q' is not a vertex id"):
+        FiniteGraphSpace(("p", "q"), [["q"], [0]], ())
+    with pytest.raises(SpaceError, match="1 neighbour lists for 2 vertices"):
+        FiniteGraphSpace(("p", "q"), [[1]], ())
 
 
 # --- coning -----------------------------------------------------------------
@@ -350,7 +390,7 @@ def test_cone_warns_on_trivial_family(f2):
 
 
 def test_serialize_roundtrip_line_format():
-    g = FiniteGraphSpace(vertices=("p", "q"), base_adjacency={"p": ["q"], "q": ["p"]})
+    g = id_graph(("p", "q"), {"p": ["q"], "q": ["p"]})
     text = g.serialize()
     assert text.splitlines() == ["p: q", "q: p"]
 
